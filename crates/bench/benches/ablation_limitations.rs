@@ -1,13 +1,13 @@
 //! Ablations for the §4.3 limitations: sub-prefix hijacks, community
-//! stripping, list-forgery strategies, and unresolved-verifier policies.
+//! handling classes, list-forgery strategies, and unresolved-verifier policies.
 
 use std::sync::Once;
 
 use as_topology::paper::PaperTopology;
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{
-    forgery_ablation, moas_list_overhead, stripping_ablation, subprefix_ablation,
-    unresolved_policy_ablation, valley_free_ablation, WireModel,
+    community_policy_ablation, forgery_ablation, moas_list_overhead, subprefix_ablation,
+    unresolved_policy_ablation, valley_free_ablation, Exec, WireModel,
 };
 use route_measurement::{generate_timeline, TimelineConfig};
 
@@ -17,7 +17,7 @@ fn regenerate_tables() -> String {
     let graph = PaperTopology::As46.graph();
     let mut out = String::new();
 
-    let sub = subprefix_ablation(graph, 10, 0xAB1);
+    let sub = subprefix_ablation(graph, 10, 0xAB1, 1);
     out.push_str(
         "## ablation-subprefix — §4.3 limitation: more-specific prefix hijack (full deployment)\n",
     );
@@ -30,22 +30,21 @@ fn regenerate_tables() -> String {
         sub.exact_prefix_adoption_pct
     ));
 
-    out.push_str("## ablation-stripping — §4.3 hazard: community attributes dropped in transit\n");
-    out.push_str("   strip%   adoption%   false-alarms   confirmed-alarms\n");
-    for p in stripping_ablation(graph, &[0.0, 0.1, 0.25, 0.5], 10, 0xAB2) {
+    out.push_str(
+        "## ablation-community-policy — §4.3 hazard: transit community handling classes\n",
+    );
+    out.push_str("   class          adoption%   false-alarms   confirmed-alarms\n");
+    for p in community_policy_ablation(graph, 10, 0xAB6, Exec::serial()).0 {
         out.push_str(&format!(
-            "   {:>5.0}% {:>10.2} {:>13.1} {:>17.1}\n",
-            100.0 * p.stripper_fraction,
-            p.mean_adoption_pct,
-            p.mean_false_alarms,
-            p.mean_confirmed_alarms
+            "   {:<12} {:>10.2} {:>13.1} {:>17.1}\n",
+            p.policy, p.mean_adoption_pct, p.mean_false_alarms, p.mean_confirmed_alarms
         ));
     }
     out.push('\n');
 
     out.push_str("## ablation-forgery — attacker list-forgery strategies (full deployment)\n");
     out.push_str("   strategy                 adoption%   alarms\n");
-    for p in forgery_ablation(graph, 10, 0xAB3) {
+    for p in forgery_ablation(graph, 10, 0xAB3, Exec::serial()).0 {
         out.push_str(&format!(
             "   {:<24} {:>8.2} {:>8.1}\n",
             p.forgery, p.mean_adoption_pct, p.mean_alarms
@@ -54,14 +53,14 @@ fn regenerate_tables() -> String {
     out.push('\n');
 
     out.push_str("## ablation-unresolved — policy when the MOASRR lookup returns nothing\n");
-    for (label, adoption) in unresolved_policy_ablation(graph, 10, 0xAB4) {
+    for (label, adoption) in unresolved_policy_ablation(graph, 10, 0xAB4, 1) {
         out.push_str(&format!("   {label:<24} adoption {adoption:>6.2}%\n"));
     }
     out.push('\n');
 
     out.push_str("## ablation-valley-free — does detection survive Gao-Rexford policy routing?\n");
     out.push_str("   routing        normal-BGP%   full-MOAS%   suppressed-ads\n");
-    for p in valley_free_ablation(10, 0xAB5) {
+    for p in valley_free_ablation(10, 0xAB5, 1) {
         out.push_str(&format!(
             "   {:<14} {:>10.2} {:>12.2} {:>14.1}\n",
             p.routing, p.normal_adoption_pct, p.moas_adoption_pct, p.mean_suppressed
@@ -91,10 +90,10 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
     group.bench_function("subprefix_3runs_25as", |b| {
-        b.iter(|| subprefix_ablation(graph, 3, 1));
+        b.iter(|| subprefix_ablation(graph, 3, 1, 1));
     });
     group.bench_function("forgery_3runs_25as", |b| {
-        b.iter(|| forgery_ablation(graph, 3, 1));
+        b.iter(|| forgery_ablation(graph, 3, 1, Exec::serial()));
     });
     group.finish();
 }

@@ -5,7 +5,7 @@ use std::sync::Once;
 
 use as_topology::paper::PaperTopology;
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::{experiment3, run_trial, SweepConfig, TrialConfig};
+use experiments::{experiment3, run_trial, Exec, SweepConfig, TrialConfig};
 use moas_core::Deployment;
 
 static PRINTED: Once = Once::new();
@@ -14,7 +14,11 @@ fn regenerate_figure() -> String {
     let config = SweepConfig::paper();
     let mut out = String::new();
     for topology in [PaperTopology::As46, PaperTopology::As63] {
-        out.push_str(&experiment3(topology, &config).render_table());
+        out.push_str(
+            &experiment3(topology, &config, Exec::serial())
+                .0
+                .render_table(),
+        );
         out.push('\n');
     }
     out

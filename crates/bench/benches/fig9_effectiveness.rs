@@ -5,7 +5,7 @@ use std::sync::Once;
 
 use as_topology::paper::PaperTopology;
 use criterion::{criterion_group, criterion_main, Criterion};
-use experiments::{experiment1, run_trial, SweepConfig, TrialConfig};
+use experiments::{experiment1, run_trial, Exec, SweepConfig, TrialConfig};
 use moas_core::Deployment;
 
 static PRINTED: Once = Once::new();
@@ -14,7 +14,11 @@ fn regenerate_figure() -> String {
     let config = SweepConfig::paper();
     let mut out = String::new();
     for origins in [1, 2] {
-        out.push_str(&experiment1(origins, &config).render_table());
+        out.push_str(
+            &experiment1(origins, &config, Exec::serial())
+                .0
+                .render_table(),
+        );
         out.push('\n');
     }
     out

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use as_topology::paper::PaperTopology;
 use experiments::json::Json;
-use experiments::{run_sweep_jobs, run_sweep_metrics_jobs, SweepConfig, SweepPoint};
+use experiments::{run_sweep, Exec, SweepConfig, SweepPoint};
 
 /// Repetitions per timed configuration; the minimum is reported.
 const REPS: usize = 3;
@@ -49,44 +49,25 @@ struct Measurement {
     events_per_s: f64,
 }
 
-/// Times `run_sweep_jobs` over `REPS` repetitions, keeping the fastest.
-fn measure(config: &SweepConfig, jobs: usize) -> Measurement {
+/// Times `run_sweep` under `exec` over `REPS` repetitions, keeping the
+/// fastest. With `exec.metrics` this is the recording-sink path — the
+/// observability layer's cost when a `--metrics` snapshot *is* requested;
+/// without it the sweep goes through `NoopSink`, whose `ENABLED = false`
+/// compiles the instrumentation away. The gap between the two numbers is the
+/// price of recording.
+fn measure(config: &SweepConfig, exec: Exec) -> Measurement {
     let graph = PaperTopology::As46.graph();
     let mut best = f64::INFINITY;
     let mut events = 0.0;
     for _ in 0..REPS {
         let start = Instant::now();
-        let points = run_sweep_jobs(graph, config, jobs);
+        let (points, _metrics) = run_sweep(graph, config, exec);
         let elapsed = start.elapsed().as_secs_f64();
         events = delivered_events(&points, config.runs_per_point());
         best = best.min(elapsed);
     }
     Measurement {
-        jobs,
-        seconds: best,
-        trials_per_s: trial_count(config) as f64 / best,
-        events_per_s: events / best,
-    }
-}
-
-/// Times the recording-sink path (`run_sweep_metrics_jobs`, serial) the same
-/// way — the observability layer's cost when a `--metrics` snapshot *is*
-/// requested. The default `run_sweep_jobs` path above goes through
-/// `NoopSink`, whose `ENABLED = false` compiles the instrumentation away;
-/// the gap between the two numbers is the price of recording.
-fn measure_recording(config: &SweepConfig) -> Measurement {
-    let graph = PaperTopology::As46.graph();
-    let mut best = f64::INFINITY;
-    let mut events = 0.0;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let (points, _metrics) = run_sweep_metrics_jobs(graph, config, 1);
-        let elapsed = start.elapsed().as_secs_f64();
-        events = delivered_events(&points, config.runs_per_point());
-        best = best.min(elapsed);
-    }
-    Measurement {
-        jobs: 1,
+        jobs: exec.jobs,
         seconds: best,
         trials_per_s: trial_count(config) as f64 / best,
         events_per_s: events / best,
@@ -99,10 +80,10 @@ fn main() {
         // Smoke: one reduced serial-vs-parallel pass, no file write.
         let config = SweepConfig::quick();
         let graph = PaperTopology::As46.graph();
-        let serial = run_sweep_jobs(graph, &config, 1);
-        let parallel = run_sweep_jobs(graph, &config, 4);
+        let (serial, _) = run_sweep(graph, &config, Exec::serial());
+        let (parallel, _) = run_sweep(graph, &config, Exec::jobs(4));
         assert_eq!(serial, parallel, "jobs=4 must be bit-identical to serial");
-        let (recorded, metrics) = run_sweep_metrics_jobs(graph, &config, 4);
+        let (recorded, metrics) = run_sweep(graph, &config, Exec::jobs(4).metrics());
         assert_eq!(recorded, serial, "recording must not perturb the figure");
         assert!(!metrics.is_empty(), "recording sweep produced no metrics");
         println!(
@@ -114,12 +95,15 @@ fn main() {
 
     let config = workload();
     let host_cpus = minipool::available_jobs();
-    let serial = measure(&config, 1);
+    let serial = measure(&config, Exec::serial());
     println!(
         "bench sweep_throughput/serial   {:>8.1} trials/s  {:>12.0} events/s ({:.3} s)",
         serial.trials_per_s, serial.events_per_s, serial.seconds
     );
-    let parallel: Vec<Measurement> = JOBS.iter().map(|&jobs| measure(&config, jobs)).collect();
+    let parallel: Vec<Measurement> = JOBS
+        .iter()
+        .map(|&jobs| measure(&config, Exec::jobs(jobs)))
+        .collect();
     for m in &parallel {
         println!(
             "bench sweep_throughput/jobs={}   {:>8.1} trials/s  {:>12.0} events/s ({:.3} s, {:.2}x)",
@@ -130,7 +114,7 @@ fn main() {
             serial.seconds / m.seconds
         );
     }
-    let recording = measure_recording(&config);
+    let recording = measure(&config, Exec::serial().metrics());
     println!(
         "bench sweep_throughput/recording{:>8.1} trials/s  {:>12.0} events/s ({:.3} s, {:+.1}% vs no-op)",
         recording.trials_per_s,
@@ -195,7 +179,7 @@ fn main() {
                 (
                     "note".to_string(),
                     Json::Str(
-                        "serial run_sweep_metrics_jobs: per-trial RecordingSink snapshots \
+                        "serial run_sweep with Exec.metrics: per-trial RecordingSink snapshots \
                          merged in plan order; the default no-op path compiles the \
                          instrumentation away. This overhead is dominated by one-shot \
                          dynamic session.*/link.* keys inserted into a fresh per-trial \

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod engine;
 mod error;
 mod fault;
 mod forwarding;
@@ -56,6 +57,7 @@ mod sharded;
 mod update;
 mod valley_free;
 
+pub use engine::Engine;
 pub use error::{ConvergenceError, FaultPlanError, UnknownAsError};
 pub use fault::{FaultEvent, NetFaultPlan};
 pub use forwarding::{ForwardOutcome, ForwardingPlane};

@@ -1,19 +1,20 @@
 //! Ablations probing the §4.3 limitations and design choices.
 
-use std::collections::BTreeSet;
-
 use as_topology::{AsGraph, InternetModel};
-use bgp_engine::{CommunityPolicy, CommunityPolicyMap, ForwardingPlane, Network, ValleyFree};
-use bgp_types::{Asn, MoasList};
-use minimetrics::{MetricsSink, MetricsSnapshot, NoopSink, RecordingSink, Scoped};
+use bgp_engine::{
+    CommunityPolicy, CommunityPolicyMap, ForwardingPlane, Network, RouteMonitor, ValleyFree,
+};
+use bgp_types::{Asn, Ipv4Prefix, MoasList};
+use minimetrics::MetricsSnapshot;
 use moas_core::{
     Deployment, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier, SubPrefixHijack,
     UnresolvedPolicy,
 };
 
+use crate::exec::Exec;
 use crate::json;
-use crate::stats::mean;
-use crate::trial::{run_trial, run_trial_metrics, TrialConfig};
+use crate::stats::{mean, mean_by};
+use crate::trial::{run_trial, run_trials, TrialConfig, TrialOutcome};
 
 /// Outcome of the sub-prefix hijack ablation on one topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,26 +46,19 @@ json::impl_json_struct!(SubPrefixAblation {
 /// hijacker. Expected result — reproduced here — is that detection never
 /// fires and the hijack succeeds everywhere, while the same attacker
 /// announcing the exact prefix is caught.
+///
+/// The independent runs fan across up to `jobs` worker threads. Every run
+/// seeds its own RNG from `(seed, run)`, so the per-run samples — and the
+/// index-ordered aggregation — are identical for every `jobs` value.
 #[must_use]
-pub fn subprefix_ablation(graph: &AsGraph, runs: usize, seed: u64) -> SubPrefixAblation {
-    subprefix_ablation_jobs(graph, runs, seed, 1)
-}
-
-/// [`subprefix_ablation`] with its independent runs fanned across up to
-/// `jobs` worker threads. Every run seeds its own RNG from `(seed, run)`, so
-/// the per-run samples — and the index-ordered aggregation — are identical
-/// for every `jobs` value.
-#[must_use]
-pub fn subprefix_ablation_jobs(
+pub fn subprefix_ablation(
     graph: &AsGraph,
     runs: usize,
     seed: u64,
     jobs: usize,
 ) -> SubPrefixAblation {
     let stubs = graph.stub_asns();
-    let victim_prefix: bgp_types::Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let victim_prefix = crate::victim_prefix();
 
     // Each slot holds one run's (sub adoption, alarms, traffic, exact).
     let samples = minipool::map_indexed(jobs, runs, |run| {
@@ -118,6 +112,26 @@ pub fn subprefix_ablation_jobs(
     }
 }
 
+/// Percentage of the remaining (non-attacker) ASes whose best route for
+/// `prefix` originates at one of `attackers`.
+fn adoption_pct<M: RouteMonitor>(
+    graph: &AsGraph,
+    net: &Network<M>,
+    prefix: Ipv4Prefix,
+    attackers: &[Asn],
+) -> f64 {
+    let eligible = graph.len() - attackers.len();
+    let fooled = graph
+        .asns()
+        .filter(|a| !attackers.contains(a))
+        .filter(|&a| {
+            net.best_origin(a, prefix)
+                .is_some_and(|o| attackers.contains(&o))
+        })
+        .count();
+    100.0 * fooled as f64 / eligible as f64
+}
+
 /// Outcome of the valley-free policy-routing ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValleyFreePoint {
@@ -146,25 +160,20 @@ json::impl_json_struct!(ValleyFreePoint {
 /// Runs on a fresh `InternetModel` ground-truth topology (policy routing
 /// needs the relationship annotations, which the §5.1 sampling pipeline does
 /// not preserve).
+///
+/// The `2 × runs` independent `(routing policy, run)` cells fan across up to
+/// `jobs` worker threads. Each cell seeds its own RNG from
+/// `(seed, run, policy)`, and the per-policy aggregates fold cell results in
+/// run order — bit-identical for every `jobs` value.
 #[must_use]
-pub fn valley_free_ablation(runs: usize, seed: u64) -> Vec<ValleyFreePoint> {
-    valley_free_ablation_jobs(runs, seed, 1)
-}
-
-/// [`valley_free_ablation`] with its `2 × runs` independent
-/// `(routing policy, run)` cells fanned across up to `jobs` worker threads.
-/// Each cell seeds its own RNG from `(seed, run, policy)`, and the per-policy
-/// aggregates fold cell results in run order — bit-identical for every `jobs`
-/// value.
-#[must_use]
-pub fn valley_free_ablation_jobs(runs: usize, seed: u64, jobs: usize) -> Vec<ValleyFreePoint> {
+pub fn valley_free_ablation(runs: usize, seed: u64, jobs: usize) -> Vec<ValleyFreePoint> {
     let (graph, rels) = InternetModel::new()
         .transit_count(15)
         .stub_count(60)
         .build_with_relationships(seed);
     let stubs = graph.stub_asns();
     let asns: Vec<Asn> = graph.asns().collect();
-    let prefix: bgp_types::Ipv4Prefix = crate::VICTIM_PREFIX.parse().expect("constant");
+    let prefix = crate::victim_prefix();
 
     // Cell i: policy_on = i / runs, run = i % runs. Each cell simulates both
     // deployments and yields (normal pct, moas pct, suppressed per deployment).
@@ -212,17 +221,7 @@ pub fn valley_free_ablation_jobs(runs: usize, seed: u64, jobs: usize) -> Vec<Val
             }
             net.run().expect("converges");
 
-            let attacker_set: std::collections::BTreeSet<Asn> = attackers.iter().copied().collect();
-            let eligible = graph.len() - attackers.len();
-            let fooled = graph
-                .asns()
-                .filter(|a| !attacker_set.contains(a))
-                .filter(|&a| {
-                    net.best_origin(a, prefix)
-                        .is_some_and(|o| attacker_set.contains(&o))
-                })
-                .count();
-            let pct = 100.0 * fooled as f64 / eligible as f64;
+            let pct = adoption_pct(&graph, &net, prefix, &attackers);
             match deployment {
                 Deployment::Full => moas_pct = pct,
                 _ => normal_pct = pct,
@@ -256,148 +255,6 @@ pub fn valley_free_ablation_jobs(runs: usize, seed: u64, jobs: usize) -> Vec<Val
     out
 }
 
-/// Outcome of the community-stripping ablation at one stripping fraction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StrippingPoint {
-    /// Fraction of ASes that drop community attributes on export.
-    pub stripper_fraction: f64,
-    /// Mean % of remaining ASes adopting the false route.
-    pub mean_adoption_pct: f64,
-    /// Mean false alarms per run (§4.3: stripped lists on valid routes).
-    pub mean_false_alarms: f64,
-    /// Mean confirmed alarms per run.
-    pub mean_confirmed_alarms: f64,
-}
-
-json::impl_json_struct!(StrippingPoint {
-    stripper_fraction,
-    mean_adoption_pct,
-    mean_false_alarms,
-    mean_confirmed_alarms,
-});
-
-/// §4.3's community-dropping hazard, quantified: sweep the fraction of
-/// stripper ASes and measure false alarms and protection. The paper's claim
-/// ("dropping the MOAS community value... should not cause an invalid case
-/// to be considered valid") shows up as adoption staying low while false
-/// alarms rise.
-#[must_use]
-pub fn stripping_ablation(
-    graph: &AsGraph,
-    fractions: &[f64],
-    runs: usize,
-    seed: u64,
-) -> Vec<StrippingPoint> {
-    stripping_ablation_jobs(graph, fractions, runs, seed, 1)
-}
-
-/// [`stripping_ablation`] with its `fractions × runs` independent cells
-/// fanned across up to `jobs` worker threads; per-fraction aggregates fold
-/// in run order, bit-identical for every `jobs` value.
-#[must_use]
-pub fn stripping_ablation_jobs(
-    graph: &AsGraph,
-    fractions: &[f64],
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> Vec<StrippingPoint> {
-    // Cell i: fraction index fx = i / runs, run = i % runs.
-    let cells = minipool::map_indexed(jobs, fractions.len() * runs, |i| {
-        stripping_cell(graph, fractions, runs, seed, i, &mut NoopSink)
-    });
-    aggregate_stripping(fractions, runs, &cells)
-}
-
-/// [`stripping_ablation_jobs`] plus a merged metrics snapshot of every run
-/// (network metrics under the `stripping.` prefix), merged in cell order so
-/// the snapshot is bit-identical for every `jobs` value.
-#[must_use]
-pub fn stripping_ablation_metrics_jobs(
-    graph: &AsGraph,
-    fractions: &[f64],
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> (Vec<StrippingPoint>, MetricsSnapshot) {
-    let results = minipool::map_indexed(jobs, fractions.len() * runs, |i| {
-        let mut sink = RecordingSink::new();
-        let cell = stripping_cell(graph, fractions, runs, seed, i, &mut sink);
-        (cell, sink.into_snapshot())
-    });
-    let cells: Vec<(f64, f64, f64)> = results.iter().map(|(c, _)| *c).collect();
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, cell_snapshot) in &results {
-        snapshot.merge(cell_snapshot);
-    }
-    (aggregate_stripping(fractions, runs, &cells), snapshot)
-}
-
-/// One `(fraction, run)` cell of the stripping ablation.
-fn stripping_cell<S: MetricsSink>(
-    graph: &AsGraph,
-    fractions: &[f64],
-    runs: usize,
-    seed: u64,
-    i: usize,
-    sink: &mut S,
-) -> (f64, f64, f64) {
-    let stubs = graph.stub_asns();
-    let asns: Vec<Asn> = graph.asns().collect();
-    let (fx, run) = (i / runs, i % runs);
-    let fraction = fractions[fx];
-    let run_seed = sim_engine::rng::derive_seed(seed, (fx * 1000 + run) as u64);
-    let mut rng = sim_engine::rng::from_seed(run_seed);
-    // Two origins so valid announcements carry a meaningful list.
-    let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
-    let candidates: Vec<Asn> = asns
-        .iter()
-        .copied()
-        .filter(|a| !origins.contains(a))
-        .collect();
-    let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 2);
-    let stripper_count = ((asns.len() as f64) * fraction).round() as usize;
-    let strippers: BTreeSet<Asn> =
-        sim_engine::rng::sample_distinct(&mut rng, &candidates, stripper_count)
-            .into_iter()
-            .collect();
-
-    let trial = TrialConfig {
-        strippers,
-        seed: run_seed,
-        ..TrialConfig::new(origins, attackers, Deployment::Full)
-    };
-    let outcome = run_trial_metrics(graph, &trial, &mut Scoped::new(sink, "stripping"))
-        .expect("experiment networks always converge");
-    (
-        100.0 * outcome.adoption_fraction(),
-        outcome.false_alarms as f64,
-        outcome.confirmed_alarms as f64,
-    )
-}
-
-/// Folds stripping cells into per-fraction points, in cell order.
-fn aggregate_stripping(
-    fractions: &[f64],
-    runs: usize,
-    cells: &[(f64, f64, f64)],
-) -> Vec<StrippingPoint> {
-    let mut out = Vec::with_capacity(fractions.len());
-    for (fx, &fraction) in fractions.iter().enumerate() {
-        let point_cells = &cells[fx * runs..(fx + 1) * runs];
-        let adoption: Vec<f64> = point_cells.iter().map(|c| c.0).collect();
-        let false_alarms: Vec<f64> = point_cells.iter().map(|c| c.1).collect();
-        let confirmed: Vec<f64> = point_cells.iter().map(|c| c.2).collect();
-        out.push(StrippingPoint {
-            stripper_fraction: fraction,
-            mean_adoption_pct: mean(&adoption),
-            mean_false_alarms: mean(&false_alarms),
-            mean_confirmed_alarms: mean(&confirmed),
-        });
-    }
-    out
-}
-
 /// Outcome of the list-forgery ablation for one strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForgeryPoint {
@@ -415,14 +272,6 @@ json::impl_json_struct!(ForgeryPoint {
     mean_alarms,
 });
 
-/// Compares attacker list-forgery strategies under full deployment: none of
-/// them should beat the mechanism, but they trip different checks
-/// (implicit-list mismatch, superset mismatch, origin-not-in-list).
-#[must_use]
-pub fn forgery_ablation(graph: &AsGraph, runs: usize, seed: u64) -> Vec<ForgeryPoint> {
-    forgery_ablation_jobs(graph, runs, seed, 1)
-}
-
 /// The forgery strategies [`forgery_ablation`] compares, in output order.
 const FORGERIES: [ListForgery; 3] = [
     ListForgery::None,
@@ -430,110 +279,101 @@ const FORGERIES: [ListForgery; 3] = [
     ListForgery::CopyValid,
 ];
 
-/// [`forgery_ablation`] with its `3 × runs` independent `(strategy, run)`
-/// cells fanned across up to `jobs` worker threads; per-strategy aggregates
-/// fold in run order, bit-identical for every `jobs` value.
-#[must_use]
-pub fn forgery_ablation_jobs(
+/// The shared shape of the trial-based studies: `variants × runs` full-
+/// deployment trials where run `r` of every variant faces the same parties
+/// (two origin stubs, so valid announcements carry a meaningful list, and
+/// `attackers` others, all drawn from `(seed, r)`) and `configure` applies
+/// the variant under study. Trial `variant * runs + run` is planned
+/// serially, run under `exec` with metric keys prefixed `"{scope}."`, and
+/// returned in plan order.
+fn variant_study(
     graph: &AsGraph,
-    runs: usize,
+    (variants, runs): (usize, usize),
     seed: u64,
-    jobs: usize,
-) -> Vec<ForgeryPoint> {
-    // Cell i: strategy index i / runs, run = i % runs. The run seed depends
-    // only on the run, so every strategy faces the same parties.
-    let cells = minipool::map_indexed(jobs, FORGERIES.len() * runs, |i| {
-        forgery_cell(graph, runs, seed, i, &mut NoopSink)
-    });
-    aggregate_forgery(runs, &cells)
-}
-
-/// [`forgery_ablation_jobs`] plus a merged metrics snapshot of every run
-/// (network metrics under the `forgery.` prefix), merged in cell order so
-/// the snapshot is bit-identical for every `jobs` value.
-#[must_use]
-pub fn forgery_ablation_metrics_jobs(
-    graph: &AsGraph,
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> (Vec<ForgeryPoint>, MetricsSnapshot) {
-    let results = minipool::map_indexed(jobs, FORGERIES.len() * runs, |i| {
-        let mut sink = RecordingSink::new();
-        let cell = forgery_cell(graph, runs, seed, i, &mut sink);
-        (cell, sink.into_snapshot())
-    });
-    let cells: Vec<(f64, f64)> = results.iter().map(|(c, _)| *c).collect();
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, cell_snapshot) in &results {
-        snapshot.merge(cell_snapshot);
-    }
-    (aggregate_forgery(runs, &cells), snapshot)
-}
-
-/// One `(strategy, run)` cell of the forgery ablation.
-fn forgery_cell<S: MetricsSink>(
-    graph: &AsGraph,
-    runs: usize,
-    seed: u64,
-    i: usize,
-    sink: &mut S,
-) -> (f64, f64) {
+    attackers: usize,
+    scope: &str,
+    exec: Exec,
+    configure: impl Fn(usize, TrialConfig) -> TrialConfig,
+) -> (Vec<TrialOutcome>, MetricsSnapshot) {
     let stubs = graph.stub_asns();
     let asns: Vec<Asn> = graph.asns().collect();
-    let (forgery, run) = (FORGERIES[i / runs], i % runs);
-    let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
-    let mut rng = sim_engine::rng::from_seed(run_seed);
-    let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
-    let candidates: Vec<Asn> = asns
-        .iter()
-        .copied()
-        .filter(|a| !origins.contains(a))
-        .collect();
-    let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 3);
-    let trial = TrialConfig {
-        forgery,
-        seed: run_seed,
-        ..TrialConfig::new(origins, attackers, Deployment::Full)
-    };
-    let outcome = run_trial_metrics(graph, &trial, &mut Scoped::new(sink, "forgery"))
-        .expect("experiment networks always converge");
-    (100.0 * outcome.adoption_fraction(), outcome.alarms as f64)
-}
-
-/// Folds forgery cells into per-strategy points, in cell order.
-fn aggregate_forgery(runs: usize, cells: &[(f64, f64)]) -> Vec<ForgeryPoint> {
-    FORGERIES
-        .iter()
-        .enumerate()
-        .map(|(sx, forgery)| {
-            let point_cells = &cells[sx * runs..(sx + 1) * runs];
-            let adoption: Vec<f64> = point_cells.iter().map(|c| c.0).collect();
-            let alarms: Vec<f64> = point_cells.iter().map(|c| c.1).collect();
-            ForgeryPoint {
-                forgery: forgery.to_string(),
-                mean_adoption_pct: mean(&adoption),
-                mean_alarms: mean(&alarms),
+    let parties: Vec<TrialConfig> = (0..runs)
+        .map(|run| {
+            let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
+            let mut rng = sim_engine::rng::from_seed(run_seed);
+            let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
+            let candidates: Vec<Asn> = asns
+                .iter()
+                .copied()
+                .filter(|a| !origins.contains(a))
+                .collect();
+            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, attackers);
+            TrialConfig {
+                seed: run_seed,
+                ..TrialConfig::new(origins, attackers, Deployment::Full)
             }
         })
-        .collect()
+        .collect();
+    let mut trials = Vec::with_capacity(variants * runs);
+    for variant in 0..variants {
+        for trial in &parties {
+            trials.push(configure(variant, trial.clone()));
+        }
+    }
+    run_trials(graph, &trials, Some(scope), exec)
+}
+
+/// Compares attacker list-forgery strategies under full deployment: none of
+/// them should beat the mechanism, but they trip different checks
+/// (implicit-list mismatch, superset mismatch, origin-not-in-list).
+///
+/// Points and snapshot (network metrics under the `forgery.` prefix; empty
+/// unless `exec.metrics`) are bit-identical for every `exec.jobs` and every
+/// `Some(shards)`.
+#[must_use]
+pub fn forgery_ablation(
+    graph: &AsGraph,
+    runs: usize,
+    seed: u64,
+    exec: Exec,
+) -> (Vec<ForgeryPoint>, MetricsSnapshot) {
+    let (outcomes, snapshot) = variant_study(
+        graph,
+        (FORGERIES.len(), runs),
+        seed,
+        3,
+        "forgery",
+        exec,
+        |variant, trial| TrialConfig {
+            forgery: FORGERIES[variant],
+            ..trial
+        },
+    );
+    let points = FORGERIES
+        .iter()
+        .enumerate()
+        .map(|(vx, forgery)| {
+            let of_variant = &outcomes[vx * runs..(vx + 1) * runs];
+            ForgeryPoint {
+                forgery: forgery.to_string(),
+                mean_adoption_pct: mean_by(of_variant, |o| 100.0 * o.adoption_fraction()),
+                mean_alarms: mean_by(of_variant, |o| o.alarms as f64),
+            }
+        })
+        .collect();
+    (points, snapshot)
 }
 
 /// Compares the two unresolved-verification policies when the verifier is
 /// empty (no `MOASRR` record published): conservative `Accept` keeps
 /// reachability but loses protection; `RejectIncoming` keeps protection at
 /// the risk of rejecting valid routes on false alarms.
+///
+/// The `2 × runs` independent `(policy, run)` cells fan across up to `jobs`
+/// worker threads; per-policy aggregates fold in run order, bit-identical
+/// for every `jobs` value.
 #[must_use]
-pub fn unresolved_policy_ablation(graph: &AsGraph, runs: usize, seed: u64) -> Vec<(String, f64)> {
-    unresolved_policy_ablation_jobs(graph, runs, seed, 1)
-}
-
-/// [`unresolved_policy_ablation`] with its `2 × runs` independent
-/// `(policy, run)` cells fanned across up to `jobs` worker threads;
-/// per-policy aggregates fold in run order, bit-identical for every `jobs`
-/// value.
-#[must_use]
-pub fn unresolved_policy_ablation_jobs(
+pub fn unresolved_policy_ablation(
     graph: &AsGraph,
     runs: usize,
     seed: u64,
@@ -566,7 +406,7 @@ pub fn unresolved_policy_ablation_jobs(
             },
             RegistryVerifier::new(),
         );
-        let prefix: bgp_types::Ipv4Prefix = crate::VICTIM_PREFIX.parse().unwrap();
+        let prefix = crate::victim_prefix();
         let valid_list: MoasList = origins.iter().copied().collect();
         let mut net = Network::with_monitor_and_jitter(graph, monitor, run_seed, 4);
         for &origin in &origins {
@@ -577,17 +417,7 @@ pub fn unresolved_policy_ablation_jobs(
             attack.launch(&mut net, attacker, prefix, &valid_list);
         }
         net.run().expect("converges");
-        let attacker_set: BTreeSet<Asn> = attackers.iter().copied().collect();
-        let eligible = graph.len() - attackers.len();
-        let fooled = graph
-            .asns()
-            .filter(|a| !attacker_set.contains(a))
-            .filter(|&a| {
-                net.best_origin(a, prefix)
-                    .is_some_and(|o| attacker_set.contains(&o))
-            })
-            .count();
-        100.0 * fooled as f64 / eligible as f64
+        adoption_pct(graph, &net, prefix, &attackers)
     });
 
     POLICIES
@@ -623,120 +453,54 @@ json::impl_json_struct!(CommunityPolicyPoint {
     mean_confirmed_alarms,
 });
 
-/// Generalizes the binary stripping ablation to the Krenc et al. community
+/// The §4.3 community-dropping hazard over the Krenc et al. community
 /// handling classes: every transit AS applies one [`CommunityPolicy`] class
 /// on export (`propagate`, `strip-moas`, `strip-all`, `rewrite`), and each
 /// class replays the same parties. Expect `propagate` to stay clean,
 /// the stripping classes to trade false alarms for unchanged protection
 /// (the §4.3 claim), and `rewrite` to behave like `strip-all` for MOAS
 /// purposes — the marker community replaces the list.
+///
+/// Points and snapshot (network metrics under the `community_policy.`
+/// prefix; empty unless `exec.metrics`) are bit-identical for every
+/// `exec.jobs` and every `Some(shards)`.
 #[must_use]
 pub fn community_policy_ablation(
     graph: &AsGraph,
     runs: usize,
     seed: u64,
-) -> Vec<CommunityPolicyPoint> {
-    community_policy_ablation_jobs(graph, runs, seed, 1)
-}
-
-/// [`community_policy_ablation`] with its `4 × runs` independent
-/// `(class, run)` cells fanned across up to `jobs` worker threads;
-/// per-class aggregates fold in run order, bit-identical for every `jobs`
-/// value.
-#[must_use]
-pub fn community_policy_ablation_jobs(
-    graph: &AsGraph,
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> Vec<CommunityPolicyPoint> {
-    let cells = minipool::map_indexed(jobs, CommunityPolicy::ALL.len() * runs, |i| {
-        community_policy_cell(graph, runs, seed, i, &mut NoopSink)
-    });
-    aggregate_community_policy(runs, &cells)
-}
-
-/// [`community_policy_ablation_jobs`] plus a merged metrics snapshot of
-/// every run (network metrics under the `community_policy.` prefix), merged
-/// in cell order so the snapshot is bit-identical for every `jobs` value.
-#[must_use]
-pub fn community_policy_ablation_metrics_jobs(
-    graph: &AsGraph,
-    runs: usize,
-    seed: u64,
-    jobs: usize,
+    exec: Exec,
 ) -> (Vec<CommunityPolicyPoint>, MetricsSnapshot) {
-    let results = minipool::map_indexed(jobs, CommunityPolicy::ALL.len() * runs, |i| {
-        let mut sink = RecordingSink::new();
-        let cell = community_policy_cell(graph, runs, seed, i, &mut sink);
-        (cell, sink.into_snapshot())
-    });
-    let cells: Vec<(f64, f64, f64)> = results.iter().map(|(c, _)| *c).collect();
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, cell_snapshot) in &results {
-        snapshot.merge(cell_snapshot);
-    }
-    (aggregate_community_policy(runs, &cells), snapshot)
-}
-
-/// One `(class, run)` cell of the community-policy ablation. The run seed
-/// depends only on the run index, so every class faces the same parties.
-fn community_policy_cell<S: MetricsSink>(
-    graph: &AsGraph,
-    runs: usize,
-    seed: u64,
-    i: usize,
-    sink: &mut S,
-) -> (f64, f64, f64) {
-    let stubs = graph.stub_asns();
-    let asns: Vec<Asn> = graph.asns().collect();
-    let (policy, run) = (CommunityPolicy::ALL[i / runs], i % runs);
-    let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
-    let mut rng = sim_engine::rng::from_seed(run_seed);
-    // Two origins so valid announcements carry a meaningful list.
-    let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
-    let candidates: Vec<Asn> = asns
-        .iter()
-        .copied()
-        .filter(|a| !origins.contains(a))
-        .collect();
-    let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 2);
-    let mut policies = CommunityPolicyMap::new();
-    for transit in graph.transit_asns() {
-        policies.set(transit, policy);
-    }
-    let trial = TrialConfig {
-        policies,
-        seed: run_seed,
-        ..TrialConfig::new(origins, attackers, Deployment::Full)
-    };
-    let outcome = run_trial_metrics(graph, &trial, &mut Scoped::new(sink, "community_policy"))
-        .expect("experiment networks always converge");
-    (
-        100.0 * outcome.adoption_fraction(),
-        outcome.false_alarms as f64,
-        outcome.confirmed_alarms as f64,
-    )
-}
-
-/// Folds community-policy cells into per-class points, in cell order.
-fn aggregate_community_policy(runs: usize, cells: &[(f64, f64, f64)]) -> Vec<CommunityPolicyPoint> {
-    CommunityPolicy::ALL
+    let transit = graph.transit_asns();
+    let (outcomes, snapshot) = variant_study(
+        graph,
+        (CommunityPolicy::ALL.len(), runs),
+        seed,
+        2,
+        "community_policy",
+        exec,
+        |variant, trial| {
+            let mut policies = CommunityPolicyMap::new();
+            for &asn in &transit {
+                policies.set(asn, CommunityPolicy::ALL[variant]);
+            }
+            TrialConfig { policies, ..trial }
+        },
+    );
+    let points = CommunityPolicy::ALL
         .iter()
         .enumerate()
-        .map(|(px, policy)| {
-            let point_cells = &cells[px * runs..(px + 1) * runs];
-            let adoption: Vec<f64> = point_cells.iter().map(|c| c.0).collect();
-            let false_alarms: Vec<f64> = point_cells.iter().map(|c| c.1).collect();
-            let confirmed: Vec<f64> = point_cells.iter().map(|c| c.2).collect();
+        .map(|(vx, policy)| {
+            let of_variant = &outcomes[vx * runs..(vx + 1) * runs];
             CommunityPolicyPoint {
                 policy: policy.to_string(),
-                mean_adoption_pct: mean(&adoption),
-                mean_false_alarms: mean(&false_alarms),
-                mean_confirmed_alarms: mean(&confirmed),
+                mean_adoption_pct: mean_by(of_variant, |o| 100.0 * o.adoption_fraction()),
+                mean_false_alarms: mean_by(of_variant, |o| o.false_alarms as f64),
+                mean_confirmed_alarms: mean_by(of_variant, |o| o.confirmed_alarms as f64),
             }
         })
-        .collect()
+        .collect();
+    (points, snapshot)
 }
 
 #[cfg(test)]
@@ -747,7 +511,7 @@ mod tests {
     #[test]
     fn subprefix_hijack_beats_moas_but_exact_does_not() {
         let graph = PaperTopology::As25.graph();
-        let result = subprefix_ablation(graph, 3, 11);
+        let result = subprefix_ablation(graph, 3, 11, 1);
         assert_eq!(result.subprefix_alarms, 0.0, "no conflict is ever visible");
         assert!(
             result.subprefix_adoption_pct > 90.0,
@@ -761,23 +525,9 @@ mod tests {
     }
 
     #[test]
-    fn stripping_increases_false_alarms_not_adoption() {
-        let graph = PaperTopology::As25.graph();
-        let points = stripping_ablation(graph, &[0.0, 0.4], 4, 13);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].mean_false_alarms, 0.0);
-        assert!(
-            points[1].mean_false_alarms > 0.0,
-            "strippers must cause false alarms"
-        );
-        // §4.3: dropping lists must not make false routes accepted as valid.
-        assert!(points[1].mean_adoption_pct <= points[0].mean_adoption_pct + 5.0);
-    }
-
-    #[test]
     fn every_forgery_is_contained() {
         let graph = PaperTopology::As25.graph();
-        let points = forgery_ablation(graph, 3, 17);
+        let points = forgery_ablation(graph, 3, 17, Exec::serial()).0;
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.mean_alarms > 0.0, "{} raised no alarms", p.forgery);
@@ -792,7 +542,7 @@ mod tests {
 
     #[test]
     fn valley_free_policy_does_not_break_detection() {
-        let points = valley_free_ablation(3, 23);
+        let points = valley_free_ablation(3, 23, 1);
         assert_eq!(points.len(), 2);
         let policy_free = &points[0];
         let valley_free = &points[1];
@@ -812,7 +562,7 @@ mod tests {
     #[test]
     fn subprefix_traffic_capture_exceeds_control_plane_view() {
         let graph = PaperTopology::As25.graph();
-        let result = subprefix_ablation(graph, 3, 11);
+        let result = subprefix_ablation(graph, 3, 11, 1);
         // The data plane confirms the §4.3 damage: traffic inside the
         // hijacked half is captured at (at least) the rate the control
         // plane shows for the sub-prefix itself.
@@ -828,7 +578,7 @@ mod tests {
     #[test]
     fn community_policies_trade_false_alarms_not_protection() {
         let graph = PaperTopology::As25.graph();
-        let points = community_policy_ablation(graph, 4, 29);
+        let points = community_policy_ablation(graph, 4, 29, Exec::serial()).0;
         assert_eq!(points.len(), 4);
         let propagate = &points[0];
         assert_eq!(propagate.policy, "propagate");
@@ -854,20 +604,9 @@ mod tests {
     }
 
     #[test]
-    fn community_policy_ablation_is_jobs_invariant() {
-        let graph = PaperTopology::As25.graph();
-        let serial = community_policy_ablation(graph, 2, 31);
-        assert_eq!(community_policy_ablation_jobs(graph, 2, 31, 3), serial);
-        let (points, snapshot) = community_policy_ablation_metrics_jobs(graph, 2, 31, 2);
-        assert_eq!(points, serial);
-        let (_, snapshot1) = community_policy_ablation_metrics_jobs(graph, 2, 31, 1);
-        assert_eq!(snapshot, snapshot1);
-    }
-
-    #[test]
     fn reject_policy_protects_more_when_verifier_is_blind() {
         let graph = PaperTopology::As25.graph();
-        let results = unresolved_policy_ablation(graph, 3, 19);
+        let results = unresolved_policy_ablation(graph, 3, 19, 1);
         let accept = results[0].1;
         let reject = results[1].1;
         assert!(reject <= accept, "reject {reject} !<= accept {accept}");

@@ -25,17 +25,18 @@ use std::fmt;
 use std::str::FromStr;
 
 use as_topology::{AsGraph, InternetModel};
-use bgp_engine::{ConvergenceError, FaultEvent, NetFaultPlan, Network, ShardedNetwork};
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use minimetrics::{MetricsSink, MetricsSnapshot, NoopSink, RecordingSink, Scoped};
+use bgp_engine::{ConvergenceError, Engine, FaultEvent, NetFaultPlan};
+use bgp_types::{AsPath, Asn, MoasList, Route};
+use minimetrics::{MetricsSink, MetricsSnapshot, Scoped};
 use moas_core::{
     Deployment, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier,
     Resolution, UnresolvedPolicy,
 };
 use sim_engine::fault::LinkFaultModel;
 
+use crate::exec::{Cell, Exec, Runner};
 use crate::json::{self, FromJson, Json, JsonError, ToJson};
-use crate::stats::mean;
+use crate::stats::{mean, mean_by, ratio};
 
 /// Tick at which scripted churn begins.
 pub(crate) const T_CHURN: u64 = 40;
@@ -378,118 +379,21 @@ impl DeploymentSweep {
 /// The default fractions `moas-lab chaos --deployment-sweep` measures.
 pub const DEPLOYMENT_SWEEP_FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-/// Runs a chaos scenario serially. Equivalent to [`run_chaos_jobs`] with
-/// `jobs = 1`.
-#[must_use]
-pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
-    run_chaos_jobs(config, 1)
-}
-
-/// Runs a chaos scenario with trial-level parallelism, bit-identical to the
-/// serial path for every `jobs` value: trials are planned sequentially
-/// (per-trial seeds derive from `(config.seed, trial index)`, so no shared
-/// RNG state is consumed), executed into index-addressed slots, and
-/// aggregated in planning order. The per-trial fault RNG streams are seeded
-/// inside each trial from its planned seed, so they do not depend on
-/// scheduling either.
+/// Runs a chaos scenario at full deployment and returns the accuracy report
+/// plus the merged metrics snapshot (empty unless `exec.metrics`).
 ///
-/// # Panics
+/// Report and snapshot are bit-identical for every `exec.jobs` and every
+/// `Some(shards)`: trials are planned sequentially (per-trial seeds derive
+/// from `(config.seed, trial index)`, so no shared RNG state is consumed),
+/// executed into index-addressed slots, and aggregated in planning order.
+/// The per-trial fault RNG streams are seeded inside each trial from its
+/// planned seed, so they do not depend on scheduling either.
 ///
-/// Panics if the generated topology has no stub with two providers (cannot
-/// happen with the default configurations) or if a scenario that must
-/// converge does not.
-#[must_use]
-pub fn run_chaos_jobs(config: &ChaosConfig, jobs: usize) -> ChaosReport {
-    run_chaos_deployment_jobs(config, 1.0, jobs)
-}
-
-/// [`run_chaos_jobs`] at a partial deployment level: each trial samples a
-/// seeded `deployment_fraction` subset of ASes to run the detector (1.0 is
-/// exactly [`Deployment::Full`], 0.0 exactly [`Deployment::None`]). The
-/// casts, fault plans and jitter are identical to the full-deployment run
-/// with the same config, so reports across fractions differ only in what
-/// the detector saw.
-#[must_use]
-pub fn run_chaos_deployment_jobs(
-    config: &ChaosConfig,
-    deployment_fraction: f64,
-    jobs: usize,
-) -> ChaosReport {
-    let graph = chaos_graph(config);
-    let plans = plan_casts(&graph, config);
-
-    // Phase 2: run, index-addressed. The no-op sink compiles the
-    // instrumentation away.
-    let results: Vec<TrialResult> = minipool::map_indexed(jobs, plans.len(), |i| {
-        run_one(
-            &graph,
-            config,
-            &plans[i],
-            deployment_fraction,
-            &mut NoopSink,
-        )
-    });
-
-    aggregate(config, &results)
-}
-
-/// Accuracy vs deployment fraction: runs the scenario once per fraction
-/// (same seed, so the same casts and fault plans replay at every level) and
-/// collects the reports. Bit-identical for every `jobs` value, like every
-/// other driver here.
-#[must_use]
-pub fn run_deployment_sweep_jobs(
-    config: &ChaosConfig,
-    fractions: &[f64],
-    jobs: usize,
-) -> DeploymentSweep {
-    let points = fractions
-        .iter()
-        .map(|&deployment_fraction| DeploymentSweepPoint {
-            deployment_fraction,
-            report: run_chaos_deployment_jobs(config, deployment_fraction, jobs),
-        })
-        .collect();
-    DeploymentSweep {
-        scenario: config.scenario,
-        trials: config.trials,
-        seed: config.seed,
-        points,
-    }
-}
-
-/// [`run_chaos_jobs`] with observability: each trial records its churn- and
-/// attack-run network metrics (key prefixes `churn.` / `attack.`) plus
-/// trial-level counters and histograms under `chaos.*` into a per-trial
-/// [`RecordingSink`]; the per-trial snapshots are merged **in plan order**
-/// after all trials finish, so the report and the snapshot are both
-/// bit-identical for every `jobs` value.
-#[must_use]
-pub fn run_chaos_metrics_jobs(config: &ChaosConfig, jobs: usize) -> (ChaosReport, MetricsSnapshot) {
-    let graph = chaos_graph(config);
-    let plans = plan_casts(&graph, config);
-
-    let results: Vec<(TrialResult, MetricsSnapshot)> =
-        minipool::map_indexed(jobs, plans.len(), |i| {
-            let mut sink = RecordingSink::new();
-            let result = run_one(&graph, config, &plans[i], 1.0, &mut sink);
-            (result, sink.into_snapshot())
-        });
-
-    let trial_results: Vec<TrialResult> = results.iter().map(|(r, _)| *r).collect();
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, trial_snapshot) in &results {
-        snapshot.merge(trial_snapshot);
-    }
-    (aggregate(config, &trial_results), snapshot)
-}
-
-/// [`run_chaos_jobs`] through the deterministic sharded engine: trials run
-/// one at a time, each fanned over `shards` partition engines on up to
-/// `jobs` worker threads (intra-trial parallelism where [`run_chaos_jobs`]
-/// is inter-trial). Bit-identical for every `(shards, jobs)` pair.
+/// With metrics on, each trial records its churn- and attack-run network
+/// metrics (key prefixes `churn.` / `attack.`) plus trial-level counters and
+/// histograms under `chaos.*`.
 ///
-/// Not guaranteed bit-identical to the classic driver: the sharded engine
+/// The sharded engine is not guaranteed bit-identical to the classic one: it
 /// breaks same-tick ties with an intrinsic event order and draws lossy-link
 /// fault fates from per-edge RNG streams (the classic engine consumes one
 /// global stream in delivery order), so fault-model scenarios may diverge
@@ -497,45 +401,91 @@ pub fn run_chaos_metrics_jobs(config: &ChaosConfig, jobs: usize) -> (ChaosReport
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_chaos_jobs`].
+/// Panics if the generated topology has no stub with two providers (cannot
+/// happen with the default configurations) or if a scenario that must
+/// converge does not.
 #[must_use]
-pub fn run_chaos_sharded(config: &ChaosConfig, shards: usize, jobs: usize) -> ChaosReport {
-    let graph = chaos_graph(config);
-    let plans = plan_casts(&graph, config);
-    let results: Vec<TrialResult> = plans
-        .iter()
-        .map(|cast| run_one_sharded(&graph, config, cast, 1.0, shards, jobs, &mut NoopSink))
-        .collect();
-    aggregate(config, &results)
+pub fn run_chaos(config: &ChaosConfig, exec: Exec) -> (ChaosReport, MetricsSnapshot) {
+    run_chaos_at(config, 1.0, exec)
 }
 
-/// [`run_chaos_sharded`] with observability: per-trial [`RecordingSink`]
-/// snapshots merged in plan order, mirroring [`run_chaos_metrics_jobs`]. The
-/// snapshot only contains the shard-count-invariant metrics subset the
-/// sharded engine exports.
-///
-/// # Panics
-///
-/// Same conditions as [`run_chaos_jobs`].
-#[must_use]
-pub fn run_chaos_sharded_metrics(
+/// [`run_chaos`] at a partial deployment level: each trial samples a seeded
+/// `deployment_fraction` subset of ASes to run the detector (1.0 is exactly
+/// [`Deployment::Full`], 0.0 exactly [`Deployment::None`]). The casts, fault
+/// plans and jitter are identical to the full-deployment run with the same
+/// config, so reports across fractions differ only in what the detector saw.
+fn run_chaos_at(
     config: &ChaosConfig,
-    shards: usize,
-    jobs: usize,
+    deployment_fraction: f64,
+    exec: Exec,
 ) -> (ChaosReport, MetricsSnapshot) {
+    struct ChaosTrials<'a> {
+        graph: &'a AsGraph,
+        config: &'a ChaosConfig,
+        casts: &'a [TrialPlan],
+        deployment_fraction: f64,
+    }
+    impl Cell for ChaosTrials<'_> {
+        type Out = TrialResult;
+        fn run<R: Runner, S: MetricsSink>(
+            &self,
+            runner: &R,
+            i: usize,
+            sink: &mut S,
+        ) -> TrialResult {
+            run_one(
+                runner,
+                self.graph,
+                self.config,
+                &self.casts[i],
+                self.deployment_fraction,
+                sink,
+            )
+        }
+    }
     let graph = chaos_graph(config);
-    let plans = plan_casts(&graph, config);
+    let casts = plan_casts(&graph, config);
+    let (results, snapshot) = exec.run_cells(
+        casts.len(),
+        &ChaosTrials {
+            graph: &graph,
+            config,
+            casts: &casts,
+            deployment_fraction,
+        },
+    );
+    (aggregate(config, &results), snapshot)
+}
+
+/// Accuracy vs deployment fraction: runs the scenario once per fraction
+/// (same seed, so the same casts and fault plans replay at every level) and
+/// collects the reports; the per-fraction snapshots merge in request order.
+/// As `exec`-invariant as [`run_chaos`].
+#[must_use]
+pub fn run_deployment_sweep(
+    config: &ChaosConfig,
+    fractions: &[f64],
+    exec: Exec,
+) -> (DeploymentSweep, MetricsSnapshot) {
     let mut snapshot = MetricsSnapshot::new();
-    let results: Vec<TrialResult> = plans
+    let points = fractions
         .iter()
-        .map(|cast| {
-            let mut sink = RecordingSink::new();
-            let result = run_one_sharded(&graph, config, cast, 1.0, shards, jobs, &mut sink);
-            snapshot.merge(&sink.into_snapshot());
-            result
+        .map(|&deployment_fraction| {
+            let (report, point_snapshot) = run_chaos_at(config, deployment_fraction, exec);
+            snapshot.merge(&point_snapshot);
+            DeploymentSweepPoint {
+                deployment_fraction,
+                report,
+            }
         })
         .collect();
-    (aggregate(config, &results), snapshot)
+    let sweep = DeploymentSweep {
+        scenario: config.scenario,
+        trials: config.trials,
+        seed: config.seed,
+        points,
+    };
+    (sweep, snapshot)
 }
 
 /// The generated topology a chaos run plays out on.
@@ -617,45 +567,12 @@ fn aggregate(config: &ChaosConfig, results: &[TrialResult]) -> ChaosReport {
         detected_trials: latencies.len(),
         oscillating_trials: cycles.len(),
         mean_cycle_len: mean(&cycles),
-        mean_messages: mean(
-            &results
-                .iter()
-                .map(|r| r.messages as f64)
-                .collect::<Vec<_>>(),
-        ),
-        mean_dropped: mean(&results.iter().map(|r| r.dropped as f64).collect::<Vec<_>>()),
-        mean_corrupted: mean(
-            &results
-                .iter()
-                .map(|r| r.corrupted as f64)
-                .collect::<Vec<_>>(),
-        ),
-        mean_duplicated: mean(
-            &results
-                .iter()
-                .map(|r| r.duplicated as f64)
-                .collect::<Vec<_>>(),
-        ),
-        mean_reordered: mean(
-            &results
-                .iter()
-                .map(|r| r.reordered as f64)
-                .collect::<Vec<_>>(),
-        ),
-        mean_mrai_deferred: mean(
-            &results
-                .iter()
-                .map(|r| r.mrai_deferred as f64)
-                .collect::<Vec<_>>(),
-        ),
-    }
-}
-
-fn ratio(num: usize, den: usize) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        mean_messages: mean_by(results, |r| r.messages as f64),
+        mean_dropped: mean_by(results, |r| r.dropped as f64),
+        mean_corrupted: mean_by(results, |r| r.corrupted as f64),
+        mean_duplicated: mean_by(results, |r| r.duplicated as f64),
+        mean_reordered: mean_by(results, |r| r.reordered as f64),
+        mean_mrai_deferred: mean_by(results, |r| r.mrai_deferred as f64),
     }
 }
 
@@ -678,9 +595,7 @@ pub(crate) struct Scenario {
 }
 
 pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &TrialPlan) -> Scenario {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let prefix = crate::victim_prefix();
     let bare = Route::new(prefix, AsPath::new());
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
     let mut plan = NetFaultPlan::new(sim_engine::rng::derive_seed(cast.seed, 0xFA17));
@@ -840,149 +755,33 @@ fn deployment_for(graph: &AsGraph, cast: &TrialPlan, fraction: f64) -> Deploymen
 /// Runs one chaos trial. Network metrics of the churn-only run land in
 /// `sink` under the `churn.` prefix, those of the churn+attack run under
 /// `attack.`; trial-level verdicts (alarm counts, detection latency,
-/// oscillation) under `chaos.*`. With [`NoopSink`] every export is skipped.
-fn run_one<S: MetricsSink>(
+/// oscillation) under `chaos.*`. With a disabled sink every export is
+/// skipped. Alarm counts and detection latency are summed/min-folded across
+/// the engine's monitors, which on the sharded engine reproduces the
+/// single-monitor totals because alarms are observer-scoped.
+fn run_one<R: Runner, S: MetricsSink>(
+    runner: &R,
     graph: &AsGraph,
     config: &ChaosConfig,
     cast: &TrialPlan,
     deployment_fraction: f64,
     sink: &mut S,
 ) -> TrialResult {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let prefix = crate::victim_prefix();
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
 
     let deployment = deployment_for(graph, cast, deployment_fraction);
 
     // Churn-only run: every alarm is noise.
     let scenario = build_scenario(graph, config, cast);
-    let (churn_net, churn_err) =
-        run_scenario(graph, config, cast, &scenario, deployment.clone(), None);
-    let oscillated = matches!(churn_err, Some(ConvergenceError::Oscillating { .. }));
-    assert_eq!(
-        oscillated, scenario.expect_oscillation,
-        "scenario {} convergence surprise: {churn_err:?}",
-        config.scenario
-    );
-    let cycle_len = match churn_err {
-        Some(ConvergenceError::Oscillating { cycle_len }) => cycle_len,
-        _ => 0,
-    };
-    let faults = churn_net.fault_stats_total();
-    let mrai_deferred = churn_net.stats().mrai_deferred;
-    let churn_alarms = churn_net.monitor().alarms().len() as u64;
-    if S::ENABLED {
-        churn_net.export_metrics(&mut Scoped::new(sink, "churn"));
-        sink.counter_add("chaos.trials", 1);
-        sink.counter_add("chaos.churn_alarms", churn_alarms);
-        sink.counter_add("chaos.mrai_deferred", mrai_deferred);
-        if oscillated {
-            sink.counter_add("chaos.oscillating_trials", 1);
-            sink.record("chaos.cycle_len", cycle_len);
-        } else {
-            sink.record(
-                "chaos.convergence_ticks.churn",
-                churn_net.stats().converged_at.ticks(),
-            );
-        }
-    }
-
-    // Churn + attack run: measure detection of a forged origin injected
-    // mid-churn (skipped for the non-converging storm).
-    let latency = if scenario.expect_oscillation {
-        None
-    } else {
-        let scenario = build_scenario(graph, config, cast);
-        let forged = FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(
-            prefix,
-            cast.attacker,
-            &valid_list,
-        );
-        let (attack_net, attack_err) = run_scenario(
-            graph,
-            config,
-            cast,
-            &scenario,
-            deployment,
-            Some(FaultEvent::Announce {
-                asn: cast.attacker,
-                route: forged,
-            }),
-        );
-        assert!(
-            attack_err.is_none(),
-            "attack run must converge: {attack_err:?}"
-        );
-        let latency = attack_net
-            .monitor()
-            .alarms()
-            .iter()
-            .filter(|a| a.resolution == Resolution::Confirmed)
-            .map(|a| a.at.ticks())
-            .filter(|&at| at >= T_ATTACK)
-            .min()
-            .map(|at| at - T_ATTACK);
-        if S::ENABLED {
-            attack_net.export_metrics(&mut Scoped::new(sink, "attack"));
-            sink.record(
-                "chaos.convergence_ticks.attack",
-                attack_net.stats().converged_at.ticks(),
-            );
-            match latency {
-                Some(l) => sink.record("chaos.detection_latency_ticks", l),
-                None => sink.counter_add("chaos.missed_detections", 1),
-            }
-        }
-        latency
-    };
-
-    TrialResult {
-        churn_alarms,
-        latency,
-        oscillated,
-        cycle_len,
-        messages: churn_net.stats().total_messages(),
-        dropped: faults.dropped,
-        corrupted: faults.corrupted,
-        duplicated: faults.duplicated,
-        reordered: faults.reordered,
-        mrai_deferred,
-    }
-}
-
-/// [`run_one`] on the sharded engine: alarm counts and detection latency are
-/// summed/min-folded across the per-shard monitors, which reproduces the
-/// single-monitor totals because alarms and verifier queries are
-/// observer-scoped.
-#[allow(clippy::too_many_arguments)]
-fn run_one_sharded<S: MetricsSink>(
-    graph: &AsGraph,
-    config: &ChaosConfig,
-    cast: &TrialPlan,
-    deployment_fraction: f64,
-    shards: usize,
-    jobs: usize,
-    sink: &mut S,
-) -> TrialResult {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
-    let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-
-    let deployment = deployment_for(graph, cast, deployment_fraction);
-
-    // Churn-only run: every alarm is noise.
-    let scenario = build_scenario(graph, config, cast);
-    let (churn_net, churn_err) = run_scenario_sharded(
+    let (churn_net, churn_err) = run_scenario(
+        runner,
         graph,
         config,
         cast,
         &scenario,
         deployment.clone(),
         None,
-        shards,
-        jobs,
     );
     let oscillated = matches!(churn_err, Some(ConvergenceError::Oscillating { .. }));
     assert_eq!(
@@ -1019,13 +818,13 @@ fn run_one_sharded<S: MetricsSink>(
     let latency = if scenario.expect_oscillation {
         None
     } else {
-        let scenario = build_scenario(graph, config, cast);
         let forged = FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(
             prefix,
             cast.attacker,
             &valid_list,
         );
-        let (attack_net, attack_err) = run_scenario_sharded(
+        let (attack_net, attack_err) = run_scenario(
+            runner,
             graph,
             config,
             cast,
@@ -1035,8 +834,6 @@ fn run_one_sharded<S: MetricsSink>(
                 asn: cast.attacker,
                 route: forged,
             }),
-            shards,
-            jobs,
         );
         assert!(
             attack_err.is_none(),
@@ -1078,28 +875,28 @@ fn run_one_sharded<S: MetricsSink>(
     }
 }
 
-/// [`run_scenario`] on the sharded engine: one monitor per shard, cloned
-/// from the same config and registry, so the union of the per-shard alarm
-/// logs equals the classic single log for any partition.
-#[allow(clippy::too_many_arguments)]
-fn run_scenario_sharded(
+/// Builds the network for one run, installs the (possibly attack-augmented)
+/// plan, and drives it. Returns the network for inspection plus the
+/// convergence error, if any — budget exhaustion is a driver bug and panics;
+/// oscillation is a legitimate verdict the caller interprets.
+fn run_scenario<R: Runner>(
+    runner: &R,
     graph: &AsGraph,
     config: &ChaosConfig,
     cast: &TrialPlan,
     scenario: &Scenario,
     deployment: Deployment,
     attack: Option<FaultEvent>,
-    shards: usize,
-    jobs: usize,
 ) -> (
-    ShardedNetwork<MoasMonitor<RegistryVerifier>>,
+    R::Engine<MoasMonitor<RegistryVerifier>>,
     Option<ConvergenceError>,
 ) {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let prefix = crate::victim_prefix();
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
 
+    // One monitor per engine instance (per shard on the sharded engine),
+    // all from the same config and registry, so the union of the per-shard
+    // alarm logs equals the classic single log for any partition.
     let monitor = || {
         let mut registry = RegistryVerifier::new();
         registry.register(prefix, valid_list.clone());
@@ -1112,68 +909,7 @@ fn run_scenario_sharded(
             registry,
         )
     };
-    let mut net = ShardedNetwork::with_monitor_and_jitter(
-        graph,
-        shards,
-        jobs,
-        cast.seed,
-        config.max_link_delay,
-        monitor,
-    );
-    net.set_mrai(scenario.mrai);
-    net.set_watchdog(scenario.watchdog);
-
-    let mut plan = scenario.plan.clone();
-    if let Some(event) = attack {
-        plan.at(T_ATTACK, event);
-    }
-    net.set_fault_plan(plan).expect("planned casts are valid");
-
-    net.originate(cast.victim, prefix, scenario.origin_list.clone());
-    if scenario.partner_originates {
-        net.originate(cast.partner, prefix, scenario.origin_list.clone());
-    }
-
-    let err = match net.run() {
-        Ok(_) => None,
-        Err(err @ ConvergenceError::Oscillating { .. }) => Some(err),
-        Err(err) => panic!("chaos trial blew its event budget: {err}"),
-    };
-    (net, err)
-}
-
-/// Builds the network for one run, installs the (possibly attack-augmented)
-/// plan, and drives it. Returns the network for inspection plus the
-/// convergence error, if any — budget exhaustion is a driver bug and panics;
-/// oscillation is a legitimate verdict the caller interprets.
-fn run_scenario(
-    graph: &AsGraph,
-    config: &ChaosConfig,
-    cast: &TrialPlan,
-    scenario: &Scenario,
-    deployment: Deployment,
-    attack: Option<FaultEvent>,
-) -> (
-    Network<MoasMonitor<RegistryVerifier>>,
-    Option<ConvergenceError>,
-) {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
-    let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-    let mut registry = RegistryVerifier::new();
-    registry.register(prefix, valid_list);
-
-    let monitor = MoasMonitor::new(
-        MoasConfig {
-            deployment,
-            strippers: scenario.strippers.clone(),
-            on_unresolved: UnresolvedPolicy::Accept,
-        },
-        registry,
-    );
-    let mut net =
-        Network::with_monitor_and_jitter(graph, monitor, cast.seed, config.max_link_delay);
+    let mut net = runner.build(graph, cast.seed, config.max_link_delay, monitor);
     net.set_mrai(scenario.mrai);
     net.set_watchdog(scenario.watchdog);
 
@@ -1213,7 +949,7 @@ mod tests {
 
     #[test]
     fn failover_detects_attack_and_survives_churn() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::Failover));
+        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::Failover), Exec::serial()).0;
         assert_eq!(report.trials, 6);
         assert_eq!(report.oscillating_trials, 0);
         assert!(report.detected_trials > 0, "attacks must be detected");
@@ -1225,14 +961,22 @@ mod tests {
 
     #[test]
     fn origin_flap_converges_with_mrai() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::OriginFlap));
+        let report = run_chaos(
+            &ChaosConfig::quick(ChaosScenario::OriginFlap),
+            Exec::serial(),
+        )
+        .0;
         assert_eq!(report.oscillating_trials, 0);
         assert!(report.mean_messages > 0.0);
     }
 
     #[test]
     fn lossy_core_perturbs_messages_without_breaking_detection() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::LossyCore));
+        let report = run_chaos(
+            &ChaosConfig::quick(ChaosScenario::LossyCore),
+            Exec::serial(),
+        )
+        .0;
         assert_eq!(report.oscillating_trials, 0);
         assert!(
             report.mean_dropped + report.mean_corrupted + report.mean_duplicated > 0.0,
@@ -1243,7 +987,11 @@ mod tests {
 
     #[test]
     fn session_reset_churn_raises_false_alarms() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::SessionReset));
+        let report = run_chaos(
+            &ChaosConfig::quick(ChaosScenario::SessionReset),
+            Exec::serial(),
+        )
+        .0;
         assert_eq!(report.oscillating_trials, 0);
         // The stripping provider mangles lists on every re-announcement
         // wave: legitimate churn must look suspicious to the detector.
@@ -1254,7 +1002,7 @@ mod tests {
     fn flap_storm_always_trips_the_watchdog() {
         let mut config = ChaosConfig::quick(ChaosScenario::FlapStorm);
         config.trials = 3;
-        let report = run_chaos(&config);
+        let report = run_chaos(&config, Exec::serial()).0;
         assert_eq!(report.oscillating_trials, report.trials);
         assert!(report.mean_cycle_len > 0.0);
         assert_eq!(report.detected_trials, 0);
@@ -1263,48 +1011,32 @@ mod tests {
 
     #[test]
     fn mrai_deferral_defers_updates_and_still_detects() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::MraiDeferral));
-        assert_eq!(report.oscillating_trials, 0);
-        assert!(
-            report.mean_mrai_deferred > 0.0,
-            "flapping faster than the MRAI window must defer updates"
-        );
-        assert!(report.detected_trials > 0, "attacks must still be detected");
-    }
-
-    #[test]
-    fn sharded_chaos_is_shard_count_invariant() {
         let config = ChaosConfig::quick(ChaosScenario::MraiDeferral);
-        let one = run_chaos_sharded(&config, 1, 1);
-        assert!(one.mean_mrai_deferred > 0.0);
-        for shards in [2, 4] {
-            assert_eq!(
-                run_chaos_sharded(&config, shards, 2),
-                one,
-                "shards={shards}"
+        // On both engines.
+        for exec in [Exec::serial(), Exec::serial().shards(2)] {
+            let (report, _) = run_chaos(&config, exec);
+            assert_eq!(report.oscillating_trials, 0);
+            assert!(
+                report.mean_mrai_deferred > 0.0,
+                "flapping faster than the MRAI window must defer updates"
             );
+            assert!(report.detected_trials > 0, "attacks must still be detected");
         }
     }
 
     #[test]
     fn chaos_runs_are_deterministic() {
         let config = ChaosConfig::quick(ChaosScenario::Failover);
-        assert_eq!(run_chaos(&config), run_chaos(&config));
-    }
-
-    #[test]
-    fn parallel_chaos_is_bit_identical_to_serial() {
-        let config = ChaosConfig::quick(ChaosScenario::SessionReset);
-        let serial = run_chaos(&config);
-        for jobs in [2, 4] {
-            assert_eq!(run_chaos_jobs(&config, jobs), serial, "jobs={jobs}");
-        }
+        assert_eq!(
+            run_chaos(&config, Exec::serial()),
+            run_chaos(&config, Exec::serial())
+        );
     }
 
     #[test]
     fn deployment_sweep_tracks_detector_coverage() {
         let config = ChaosConfig::quick(ChaosScenario::Failover);
-        let sweep = run_deployment_sweep_jobs(&config, &[0.0, 0.5, 1.0], 1);
+        let sweep = run_deployment_sweep(&config, &[0.0, 0.5, 1.0], Exec::serial()).0;
         assert_eq!(sweep.scenario, config.scenario);
         assert_eq!(sweep.points.len(), 3);
 
@@ -1316,7 +1048,7 @@ mod tests {
         assert_eq!(nobody.false_alarm_rate, 0.0);
         assert_eq!(nobody.missed_detection_rate, 1.0);
         // Full deployment is bit-identical to the plain chaos run.
-        assert_eq!(*everyone, run_chaos(&config));
+        assert_eq!(*everyone, run_chaos(&config, Exec::serial()).0);
         // Coverage can only help: detection never gets worse as the
         // detector spreads.
         assert!(half.detected_trials >= nobody.detected_trials);
@@ -1327,25 +1059,21 @@ mod tests {
     }
 
     #[test]
-    fn deployment_sweep_is_deterministic_and_parallel_safe() {
-        let config = ChaosConfig::quick(ChaosScenario::SessionReset);
-        let serial = run_deployment_sweep_jobs(&config, &[0.5], 1);
-        assert_eq!(run_deployment_sweep_jobs(&config, &[0.5], 1), serial);
-        assert_eq!(run_deployment_sweep_jobs(&config, &[0.5], 4), serial);
-    }
-
-    #[test]
     fn deployment_sweep_json_round_trips() {
         let mut config = ChaosConfig::quick(ChaosScenario::OriginFlap);
         config.trials = 2;
-        let sweep = run_deployment_sweep_jobs(&config, &[0.0, 1.0], 1);
+        let sweep = run_deployment_sweep(&config, &[0.0, 1.0], Exec::serial()).0;
         let back: DeploymentSweep = crate::json::from_str(&sweep.to_json()).unwrap();
         assert_eq!(back, sweep);
     }
 
     #[test]
     fn report_json_round_trips() {
-        let report = run_chaos(&ChaosConfig::quick(ChaosScenario::OriginFlap));
+        let report = run_chaos(
+            &ChaosConfig::quick(ChaosScenario::OriginFlap),
+            Exec::serial(),
+        )
+        .0;
         let json = report.to_json();
         let back: ChaosReport = crate::json::from_str(&json).unwrap();
         assert_eq!(back, report);

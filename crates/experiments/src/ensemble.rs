@@ -41,7 +41,7 @@ use bgp_engine::{
     NetFaultPlan, Network, RouteMonitor,
 };
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use minimetrics::{MetricsSink, MetricsSnapshot, NoopSink, RecordingSink, Scoped};
+use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, Scoped};
 use moas_core::{Deployment, FalseOriginAttack, ListForgery};
 use rand::Rng;
 use route_measurement::{
@@ -54,8 +54,9 @@ use crate::chaos::{
     build_scenario, chaos_graph, plan_casts, ChaosConfig, ChaosScenario, TrialPlan, T_ATTACK,
     T_CHURN,
 };
+use crate::exec::{Cell, Exec, Runner};
 use crate::json::{self, FromJson, Json, JsonError, ToJson};
-use crate::stats::mean;
+use crate::stats::{mean, ratio};
 
 use std::fmt;
 use std::str::FromStr;
@@ -572,9 +573,7 @@ fn record_run<S: MetricsSink>(
     sink: &mut S,
     scope: &str,
 ) -> Vec<RouteObservation> {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let prefix = crate::victim_prefix();
     let monitor = TapMonitor::new(spec.policies.clone());
     let mut net = Network::with_monitor_and_jitter(graph, monitor, spec.seed, spec.max_link_delay);
     net.set_mrai(spec.mrai);
@@ -604,9 +603,7 @@ fn record_cell<S: MetricsSink>(
     cell: &CellPlan,
     sink: &mut S,
 ) -> TrialStreams {
-    let prefix: Ipv4Prefix = crate::VICTIM_PREFIX
-        .parse()
-        .expect("victim prefix constant");
+    let prefix = crate::victim_prefix();
     let (spec, valid_list, attacker) = match cell {
         CellPlan::Chaos { scenario, cast } => {
             let chaos = config.chaos_config(*scenario);
@@ -770,14 +767,6 @@ fn aggregate_detector(detector_index: usize, trials: &[DetectorTrial]) -> Detect
     }
 }
 
-fn ratio(num: usize, den: usize) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
 /// Phase 3: replays every recorded stream through every detector (serially,
 /// in plan order — replay is cheap) and folds the outcomes into the report.
 fn aggregate_ensemble(
@@ -845,68 +834,62 @@ fn aggregate_ensemble(
     }
 }
 
-/// Runs the ensemble serially. Equivalent to [`run_ensemble_jobs`] with
-/// `jobs = 1`.
+/// Runs the ensemble and returns the report plus a metrics snapshot (empty
+/// unless `metrics`).
 ///
-/// # Panics
+/// Both are bit-identical for every `jobs` value: cells are planned
+/// sequentially (per-trial seeds derive from `(config.seed, trial index)`),
+/// the expensive stream recording fans out into index-addressed slots, and
+/// the cheap detector replay and aggregation happen serially in plan order.
+/// The tap monitor needs the one global observation order, so there is no
+/// sharded form.
 ///
-/// Panics if the generated topology has no stub with two providers (cannot
-/// happen with the default configurations).
-#[must_use]
-pub fn run_ensemble(config: &EnsembleConfig) -> EnsembleReport {
-    run_ensemble_jobs(config, 1)
-}
-
-/// Runs the ensemble with trial-level parallelism, bit-identical to the
-/// serial path for every `jobs` value: cells are planned sequentially
-/// (per-trial seeds derive from `(config.seed, trial index)`), the expensive
-/// stream recording fans out into index-addressed slots, and the cheap
-/// detector replay and aggregation happen serially in plan order.
-///
-/// # Panics
-///
-/// Panics if the generated topology has no stub with two providers (cannot
-/// happen with the default configurations).
-#[must_use]
-pub fn run_ensemble_jobs(config: &EnsembleConfig, jobs: usize) -> EnsembleReport {
-    let graph = ensemble_graph(config);
-    let cells = plan_cells(&graph, config);
-    let streams: Vec<TrialStreams> = minipool::map_indexed(jobs, cells.len(), |i| {
-        record_cell(&graph, config, &cells[i], &mut NoopSink)
-    });
-    aggregate_ensemble(&graph, config, &streams)
-}
-
-/// [`run_ensemble_jobs`] with observability: each cell records its two runs'
-/// network metrics (prefixes `churn.` / `attack.`) plus `ensemble.*` cell
-/// counters into a per-cell [`RecordingSink`]; snapshots merge **in plan
-/// order**, and the per-detector verdict counters
+/// With `metrics`, each cell records its two runs' network metrics (prefixes
+/// `churn.` / `attack.`) plus `ensemble.*` cell counters; snapshots merge in
+/// plan order, and the per-detector verdict counters
 /// (`ensemble.<workload>.<detector>.{detections,missed,churn_alarms}`) are
-/// appended after the serial replay — so report and snapshot are both
-/// bit-identical for every `jobs` value.
+/// appended after the serial replay.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_ensemble_jobs`].
+/// Panics if the generated topology has no stub with two providers (cannot
+/// happen with the default configurations).
 #[must_use]
-pub fn run_ensemble_metrics_jobs(
+pub fn run_ensemble(
     config: &EnsembleConfig,
     jobs: usize,
+    metrics: bool,
 ) -> (EnsembleReport, MetricsSnapshot) {
+    struct Cells<'a> {
+        graph: &'a AsGraph,
+        config: &'a EnsembleConfig,
+        cells: &'a [CellPlan],
+    }
+    impl Cell for Cells<'_> {
+        type Out = TrialStreams;
+        fn run<R: Runner, S: MetricsSink>(&self, _: &R, i: usize, sink: &mut S) -> TrialStreams {
+            record_cell(self.graph, self.config, &self.cells[i], sink)
+        }
+    }
     let graph = ensemble_graph(config);
     let cells = plan_cells(&graph, config);
-    let results: Vec<(TrialStreams, MetricsSnapshot)> =
-        minipool::map_indexed(jobs, cells.len(), |i| {
-            let mut sink = RecordingSink::new();
-            let streams = record_cell(&graph, config, &cells[i], &mut sink);
-            (streams, sink.into_snapshot())
-        });
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, cell_snapshot) in &results {
-        snapshot.merge(cell_snapshot);
-    }
-    let streams: Vec<TrialStreams> = results.into_iter().map(|(s, _)| s).collect();
+    let exec = Exec {
+        jobs,
+        shards: None,
+        metrics,
+    };
+    let (streams, mut snapshot) = exec.run_cells(
+        cells.len(),
+        &Cells {
+            graph: &graph,
+            config,
+            cells: &cells,
+        },
+    );
     let report = aggregate_ensemble(&graph, config, &streams);
+    if !metrics {
+        return (report, snapshot);
+    }
 
     let mut verdicts = RecordingSink::new();
     for workload in &report.workloads {
@@ -961,7 +944,7 @@ mod tests {
 
     #[test]
     fn report_covers_every_workload_and_detector() {
-        let report = run_ensemble(&quick());
+        let report = run_ensemble(&quick(), 1, false).0;
         assert_eq!(report.workloads.len(), 4);
         for workload in &report.workloads {
             assert_eq!(workload.detectors.len(), DETECTOR_COUNT);
@@ -974,7 +957,7 @@ mod tests {
 
     #[test]
     fn moas_list_detects_what_flap_damping_misses() {
-        let report = run_ensemble(&quick());
+        let report = run_ensemble(&quick(), 1, false).0;
         let failover = &report.workloads[0];
         let moas = &failover.detectors[0];
         let flap = &failover.detectors[1];
@@ -997,7 +980,7 @@ mod tests {
     fn sibling_pairs_raise_moas_false_alarms() {
         let mut config = quick();
         config.sibling_fraction = 1.0;
-        let report = run_ensemble(&config);
+        let report = run_ensemble(&config, 1, false).0;
         let long_lived = &report.workloads[3];
         assert_eq!(long_lived.workload, EnsembleWorkload::LongLivedMoas);
         let moas = &long_lived.detectors[0];
@@ -1013,7 +996,7 @@ mod tests {
     fn anycast_groups_with_shared_lists_stay_quiet() {
         let mut config = quick();
         config.sibling_fraction = 0.0; // every trial uses the anycast group
-        let report = run_ensemble(&config);
+        let report = run_ensemble(&config, 1, false).0;
         let moas = &report.workloads[3].detectors[0];
         assert_eq!(
             moas.mean_false_alarms, 0.0,
@@ -1024,7 +1007,7 @@ mod tests {
 
     #[test]
     fn zero_deployment_sees_nothing() {
-        let report = run_ensemble(&quick());
+        let report = run_ensemble(&quick(), 1, false).0;
         let nobody = &report.deployment[0];
         assert_eq!(nobody.deployment_fraction, 0.0);
         for detector in &nobody.detectors {
@@ -1042,8 +1025,8 @@ mod tests {
     fn strip_all_policy_blinds_the_communities_detector() {
         let mut config = quick();
         config.policy = CommunityPolicy::StripAll;
-        let stripped = run_ensemble(&config);
-        let baseline = run_ensemble(&quick());
+        let stripped = run_ensemble(&config, 1, false).0;
+        let baseline = run_ensemble(&quick(), 1, false).0;
         let communities_stripped = &stripped.workloads[0].detectors[2];
         let communities_baseline = &baseline.workloads[0].detectors[2];
         assert!(
@@ -1055,33 +1038,22 @@ mod tests {
     #[test]
     fn ensemble_runs_are_deterministic() {
         let config = quick();
-        assert_eq!(run_ensemble(&config), run_ensemble(&config));
+        assert_eq!(
+            run_ensemble(&config, 1, false).0,
+            run_ensemble(&config, 1, false).0
+        );
     }
 
     #[test]
-    fn parallel_ensemble_is_bit_identical_to_serial() {
-        let config = quick();
-        let serial = run_ensemble(&config);
-        for jobs in [2, 4] {
-            assert_eq!(run_ensemble_jobs(&config, jobs), serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn metrics_snapshot_is_jobs_invariant_and_counts_verdicts() {
-        let config = quick();
-        let (report1, snap1) = run_ensemble_metrics_jobs(&config, 1);
-        let (report2, snap2) = run_ensemble_metrics_jobs(&config, 2);
-        assert_eq!(report1, report2);
-        assert_eq!(snap1, snap2);
-        assert_eq!(report1, run_ensemble(&config));
-        let rendered = crate::metrics::render_metrics_summary(&snap1);
+    fn metrics_snapshot_counts_verdicts() {
+        let (_, snapshot) = run_ensemble(&quick(), 1, true);
+        let rendered = crate::metrics::render_metrics_summary(&snapshot);
         assert!(rendered.contains("ensemble.failover.moas-list.detections"));
     }
 
     #[test]
     fn report_json_round_trips() {
-        let report = run_ensemble(&quick());
+        let report = run_ensemble(&quick(), 1, false).0;
         let back: EnsembleReport = crate::json::from_str(&report.to_json()).unwrap();
         assert_eq!(back, report);
     }

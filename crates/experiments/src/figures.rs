@@ -1,10 +1,45 @@
 //! The paper's three experiments, one function per figure.
 
 use as_topology::paper::PaperTopology;
+use as_topology::AsGraph;
 use minimetrics::MetricsSnapshot;
 
+use crate::exec::Exec;
 use crate::report::{FigureReport, SeriesReport};
-use crate::sweep::{run_sweep_metrics_jobs, run_sweep_sharded, SweepConfig};
+use crate::sweep::{run_sweep, SweepConfig};
+
+/// Runs one sweep per `(label, graph, config)` under `exec` and assembles
+/// the figure; the per-sweep snapshots merge in series order, so the merged
+/// snapshot is as `jobs`/`shards`-invariant as each sweep's.
+fn figure(
+    id: String,
+    title: String,
+    sweeps: Vec<(String, &AsGraph, SweepConfig)>,
+    exec: Exec,
+) -> (FigureReport, MetricsSnapshot) {
+    let mut metrics = MetricsSnapshot::new();
+    let series = sweeps
+        .into_iter()
+        .map(|(label, graph, config)| {
+            let (points, sweep_metrics) = run_sweep(graph, &config, exec);
+            metrics.merge(&sweep_metrics);
+            SeriesReport { label, points }
+        })
+        .collect();
+    (FigureReport::new(id, title, series), metrics)
+}
+
+/// `"a"`/`"b"` panel suffix and the title's origin-count phrase.
+fn panel(origin_count: usize) -> (&'static str, String) {
+    if origin_count == 1 {
+        ("a", "1 origin AS".to_string())
+    } else {
+        ("b", format!("{origin_count} origin ASes"))
+    }
+}
+
+/// `(deployment fraction, series label)` of the Normal-vs-Full comparison.
+const NORMAL_VS_FULL: [(f64, &str); 2] = [(0.0, "Normal BGP"), (1.0, "Full MOAS Detection")];
 
 /// Experiment 1 (Figure 9): effectiveness of the MOAS list on the 46-AS
 /// topology, comparing Normal BGP against Full MOAS Detection, with
@@ -13,214 +48,58 @@ use crate::sweep::{run_sweep_metrics_jobs, run_sweep_sharded, SweepConfig};
 /// Pass [`SweepConfig::paper`] for the full 15-runs-per-point protocol or
 /// [`SweepConfig::quick`] for a fast smoke version; `origin_count`,
 /// `deployment_fraction` and `forgery` in the passed config are overridden
-/// per the experiment's definition.
+/// per the experiment's definition. `exec` picks engine, workers and
+/// metrics (see [`Exec`] for what is invariant under it).
 #[must_use]
-pub fn experiment1(origin_count: usize, base: &SweepConfig) -> FigureReport {
-    experiment1_jobs(origin_count, base, 1)
-}
-
-/// [`experiment1`] with each sweep's trials fanned across up to `jobs`
-/// worker threads (same figure, byte for byte — see [`run_sweep_jobs`](crate::run_sweep_jobs)).
-#[must_use]
-pub fn experiment1_jobs(origin_count: usize, base: &SweepConfig, jobs: usize) -> FigureReport {
-    experiment1_metrics_jobs(origin_count, base, jobs).0
-}
-
-/// [`experiment1_jobs`] plus the merged metrics snapshot of both sweeps
-/// (Normal BGP first, Full MOAS Detection second — merge order is the
-/// series order, so the snapshot is identical for every `jobs` value).
-#[must_use]
-pub fn experiment1_metrics_jobs(
+pub fn experiment1(
     origin_count: usize,
     base: &SweepConfig,
-    jobs: usize,
+    exec: Exec,
 ) -> (FigureReport, MetricsSnapshot) {
     let graph = PaperTopology::As46.graph();
-    let (normal, normal_metrics) = run_sweep_metrics_jobs(
-        graph,
-        &base
-            .clone()
-            .origin_count(origin_count)
-            .deployment_fraction(0.0),
-        jobs,
-    );
-    let (full, full_metrics) = run_sweep_metrics_jobs(
-        graph,
-        &base
-            .clone()
-            .origin_count(origin_count)
-            .deployment_fraction(1.0),
-        jobs,
-    );
-    let mut metrics = normal_metrics;
-    metrics.merge(&full_metrics);
-    let report = FigureReport::new(
-        format!("fig9{}", if origin_count == 1 { "a" } else { "b" }),
-        format!(
-            "Spoof-resilience of the MOAS scheme in the 46-AS topology ({origin_count} origin AS{})",
-            if origin_count == 1 { "" } else { "es" }
-        ),
-        vec![
-            SeriesReport {
-                label: "Normal BGP".into(),
-                points: normal,
-            },
-            SeriesReport {
-                label: "Full MOAS Detection".into(),
-                points: full,
-            },
-        ],
-    );
-    (report, metrics)
-}
-
-/// [`experiment1`] through the deterministic sharded engine: each sweep's
-/// trials run one at a time, fanned over `shards` partition engines on up to
-/// `jobs` worker threads. Bit-identical for every `(shards, jobs)` pair (see
-/// [`run_sweep_sharded`]); not guaranteed byte-identical to the classic
-/// engine's figure, whose same-tick tie-breaks differ.
-#[must_use]
-pub fn experiment1_sharded(
-    origin_count: usize,
-    base: &SweepConfig,
-    shards: usize,
-    jobs: usize,
-) -> FigureReport {
-    let graph = PaperTopology::As46.graph();
-    let normal = run_sweep_sharded(
-        graph,
-        &base
-            .clone()
-            .origin_count(origin_count)
-            .deployment_fraction(0.0),
-        shards,
-        jobs,
-    );
-    let full = run_sweep_sharded(
-        graph,
-        &base
-            .clone()
-            .origin_count(origin_count)
-            .deployment_fraction(1.0),
-        shards,
-        jobs,
-    );
-    FigureReport::new(
-        format!("fig9{}", if origin_count == 1 { "a" } else { "b" }),
-        format!(
-            "Spoof-resilience of the MOAS scheme in the 46-AS topology ({origin_count} origin AS{})",
-            if origin_count == 1 { "" } else { "es" }
-        ),
-        vec![
-            SeriesReport {
-                label: "Normal BGP".into(),
-                points: normal,
-            },
-            SeriesReport {
-                label: "Full MOAS Detection".into(),
-                points: full,
-            },
-        ],
+    let (suffix, origins) = panel(origin_count);
+    let sweeps = NORMAL_VS_FULL
+        .iter()
+        .map(|&(deployment, mode)| {
+            let config = base
+                .clone()
+                .origin_count(origin_count)
+                .deployment_fraction(deployment);
+            (mode.to_string(), graph, config)
+        })
+        .collect();
+    figure(
+        format!("fig9{suffix}"),
+        format!("Spoof-resilience of the MOAS scheme in the 46-AS topology ({origins})"),
+        sweeps,
+        exec,
     )
 }
 
 /// Experiment 2 (Figure 10): topology-size comparison — 25, 46 and 63 AS
 /// topologies, Normal BGP vs Full MOAS Detection, for `origin_count` ∈ {1, 2}.
 #[must_use]
-pub fn experiment2(origin_count: usize, base: &SweepConfig) -> FigureReport {
-    experiment2_jobs(origin_count, base, 1)
-}
-
-/// [`experiment2`] with each sweep's trials fanned across up to `jobs`
-/// worker threads (same figure, byte for byte — see [`run_sweep_jobs`](crate::run_sweep_jobs)).
-#[must_use]
-pub fn experiment2_jobs(origin_count: usize, base: &SweepConfig, jobs: usize) -> FigureReport {
-    experiment2_metrics_jobs(origin_count, base, jobs).0
-}
-
-/// [`experiment2_jobs`] plus the merged metrics snapshot of all six sweeps
-/// (merged in series order, so the snapshot is identical for every `jobs`
-/// value).
-#[must_use]
-pub fn experiment2_metrics_jobs(
+pub fn experiment2(
     origin_count: usize,
     base: &SweepConfig,
-    jobs: usize,
+    exec: Exec,
 ) -> (FigureReport, MetricsSnapshot) {
-    let mut series = Vec::new();
-    let mut metrics = MetricsSnapshot::new();
-    for deployment in [0.0, 1.0] {
+    let (suffix, origins) = panel(origin_count);
+    let mut sweeps = Vec::new();
+    for (deployment, mode) in NORMAL_VS_FULL {
         for topology in PaperTopology::ALL {
-            let (points, sweep_metrics) = run_sweep_metrics_jobs(
-                topology.graph(),
-                &base
-                    .clone()
-                    .origin_count(origin_count)
-                    .deployment_fraction(deployment),
-                jobs,
-            );
-            metrics.merge(&sweep_metrics);
-            let mode = if deployment == 0.0 {
-                "Normal BGP"
-            } else {
-                "Full MOAS Detection"
-            };
-            series.push(SeriesReport {
-                label: format!("{topology} {mode}"),
-                points,
-            });
+            let config = base
+                .clone()
+                .origin_count(origin_count)
+                .deployment_fraction(deployment);
+            sweeps.push((format!("{topology} {mode}"), topology.graph(), config));
         }
     }
-    let report = FigureReport::new(
-        format!("fig10{}", if origin_count == 1 { "a" } else { "b" }),
-        format!(
-            "Comparison between 25-AS, 46-AS and 63-AS topologies ({origin_count} origin AS{})",
-            if origin_count == 1 { "" } else { "es" }
-        ),
-        series,
-    );
-    (report, metrics)
-}
-
-/// [`experiment2`] through the deterministic sharded engine (see
-/// [`experiment1_sharded`] for the execution model and determinism contract).
-#[must_use]
-pub fn experiment2_sharded(
-    origin_count: usize,
-    base: &SweepConfig,
-    shards: usize,
-    jobs: usize,
-) -> FigureReport {
-    let mut series = Vec::new();
-    for deployment in [0.0, 1.0] {
-        for topology in PaperTopology::ALL {
-            let points = run_sweep_sharded(
-                topology.graph(),
-                &base
-                    .clone()
-                    .origin_count(origin_count)
-                    .deployment_fraction(deployment),
-                shards,
-                jobs,
-            );
-            let mode = if deployment == 0.0 {
-                "Normal BGP"
-            } else {
-                "Full MOAS Detection"
-            };
-            series.push(SeriesReport {
-                label: format!("{topology} {mode}"),
-                points,
-            });
-        }
-    }
-    FigureReport::new(
-        format!("fig10{}", if origin_count == 1 { "a" } else { "b" }),
-        format!(
-            "Comparison between 25-AS, 46-AS and 63-AS topologies ({origin_count} origin AS{})",
-            if origin_count == 1 { "" } else { "es" }
-        ),
-        series,
+    figure(
+        format!("fig10{suffix}"),
+        format!("Comparison between 25-AS, 46-AS and 63-AS topologies ({origins})"),
+        sweeps,
+        exec,
     )
 }
 
@@ -228,81 +107,30 @@ pub fn experiment2_sharded(
 /// detection on one of the paper's topologies (the paper shows 46-AS and
 /// 63-AS panels).
 #[must_use]
-pub fn experiment3(topology: PaperTopology, base: &SweepConfig) -> FigureReport {
-    experiment3_jobs(topology, base, 1)
-}
-
-/// [`experiment3`] with each sweep's trials fanned across up to `jobs`
-/// worker threads (same figure, byte for byte — see [`run_sweep_jobs`](crate::run_sweep_jobs)).
-#[must_use]
-pub fn experiment3_jobs(topology: PaperTopology, base: &SweepConfig, jobs: usize) -> FigureReport {
-    experiment3_metrics_jobs(topology, base, jobs).0
-}
-
-/// [`experiment3_jobs`] plus the merged metrics snapshot of its three sweeps
-/// (merged in series order — none, half, full deployment — so the snapshot
-/// is identical for every `jobs` value).
-#[must_use]
-pub fn experiment3_metrics_jobs(
+pub fn experiment3(
     topology: PaperTopology,
     base: &SweepConfig,
-    jobs: usize,
+    exec: Exec,
 ) -> (FigureReport, MetricsSnapshot) {
-    let graph = topology.graph();
-    let mut series = Vec::new();
-    let mut metrics = MetricsSnapshot::new();
-    for (fraction, label) in [
+    let sweeps = [
         (0.0, "Normal BGP"),
         (0.5, "Half MOAS Detection"),
         (1.0, "Full MOAS Detection"),
-    ] {
-        let (points, sweep_metrics) =
-            run_sweep_metrics_jobs(graph, &base.clone().deployment_fraction(fraction), jobs);
-        metrics.merge(&sweep_metrics);
-        series.push(SeriesReport {
-            label: label.into(),
-            points,
-        });
-    }
-    let report = FigureReport::new(
+    ]
+    .into_iter()
+    .map(|(fraction, label)| {
+        (
+            label.to_string(),
+            topology.graph(),
+            base.clone().deployment_fraction(fraction),
+        )
+    })
+    .collect();
+    figure(
         format!("fig11-{}", topology.size()),
         format!("Partial vs complete deployment of MOAS detection ({topology} topology)"),
-        series,
-    );
-    (report, metrics)
-}
-
-/// [`experiment3`] through the deterministic sharded engine (see
-/// [`experiment1_sharded`] for the execution model and determinism contract).
-#[must_use]
-pub fn experiment3_sharded(
-    topology: PaperTopology,
-    base: &SweepConfig,
-    shards: usize,
-    jobs: usize,
-) -> FigureReport {
-    let graph = topology.graph();
-    let mut series = Vec::new();
-    for (fraction, label) in [
-        (0.0, "Normal BGP"),
-        (0.5, "Half MOAS Detection"),
-        (1.0, "Full MOAS Detection"),
-    ] {
-        let points = run_sweep_sharded(
-            graph,
-            &base.clone().deployment_fraction(fraction),
-            shards,
-            jobs,
-        );
-        series.push(SeriesReport {
-            label: label.into(),
-            points,
-        });
-    }
-    FigureReport::new(
-        format!("fig11-{}", topology.size()),
-        format!("Partial vs complete deployment of MOAS detection ({topology} topology)"),
-        series,
+        sweeps,
+        exec,
     )
 }
 
@@ -320,7 +148,7 @@ mod tests {
 
     #[test]
     fn experiment1_structure_and_ordering() {
-        let fig = experiment1(1, &tiny());
+        let fig = experiment1(1, &tiny(), Exec::serial()).0;
         assert_eq!(fig.id, "fig9a");
         assert_eq!(fig.series.len(), 2);
         let normal = &fig.series[0];
@@ -334,14 +162,14 @@ mod tests {
 
     #[test]
     fn experiment1_two_origins_id() {
-        let fig = experiment1(2, &tiny());
+        let fig = experiment1(2, &tiny(), Exec::serial()).0;
         assert_eq!(fig.id, "fig9b");
         assert!(fig.title.contains("2 origin ASes"));
     }
 
     #[test]
     fn experiment2_has_six_series() {
-        let fig = experiment2(1, &tiny());
+        let fig = experiment2(1, &tiny(), Exec::serial()).0;
         assert_eq!(fig.series.len(), 6);
         assert!(fig.series.iter().any(|s| s.label == "25-AS Normal BGP"));
         assert!(fig
@@ -352,7 +180,7 @@ mod tests {
 
     #[test]
     fn experiment3_has_three_deployment_levels() {
-        let fig = experiment3(PaperTopology::As25, &tiny());
+        let fig = experiment3(PaperTopology::As25, &tiny(), Exec::serial()).0;
         assert_eq!(fig.id, "fig11-25");
         assert_eq!(fig.series.len(), 3);
         // Half deployment sits between none and full (within noise we only

@@ -9,40 +9,52 @@
 //! * [`run_sweep`] — the 15-run averaged sweep over attacker fractions;
 //! * [`experiment1`], [`experiment2`], [`experiment3`] — Figures 9, 10 and
 //!   11 exactly as the paper frames them;
-//! * [`subprefix_ablation`], [`stripping_ablation`], [`forgery_ablation`] —
-//!   the §4.3 limitation studies;
+//! * [`subprefix_ablation`], [`community_policy_ablation`],
+//!   [`forgery_ablation`], ... — the §4.3 limitation studies;
+//! * [`run_chaos`], [`run_ensemble`], [`run_session_chaos`] — detector
+//!   accuracy under churn, faults and live-session failures;
 //! * [`FigureReport`] — plain-text tables and JSON for EXPERIMENTS.md.
 //!
-//! Every driver also has a `_jobs` variant ([`run_sweep_jobs`],
-//! [`experiment1_jobs`], [`forgery_ablation_jobs`], ...) that fans its
-//! independent trials across a vendored scoped thread pool (`minipool`).
-//! Trials are *planned* sequentially (so no RNG draw order changes), *run*
-//! into index-addressed slots, and *aggregated* in planning order — the
-//! output is bit-identical to the serial path for every `jobs` value.
+//! # One function per experiment, one [`Exec`] to say how
 //!
-//! The main drivers additionally have `_metrics_jobs` variants
-//! ([`run_sweep_metrics_jobs`], [`experiment1_metrics_jobs`],
-//! [`run_chaos_metrics_jobs`], ...) that return a merged
-//! [`minimetrics::MetricsSnapshot`] alongside the report: each trial records
-//! into its own sink and the per-trial snapshots merge in plan order, so the
-//! snapshot — like the report — is bit-identical for every `jobs` value.
-//! Snapshots serialize through [`json`] (see the [`metrics`] module docs
-//! for the shape) and render via [`render_metrics_summary`].
+//! There is exactly one entry point per experiment. The trial-based drivers
+//! take an [`Exec`] — `jobs` worker threads, `shards: None` for the classic
+//! engine or `Some(n)` for the sharded one, `metrics` on or off — and return
+//! `(report, MetricsSnapshot)`; the snapshot is empty when `metrics` is off.
+//! Drivers with their own harness and nothing to shard
+//! ([`subprefix_ablation`], [`valley_free_ablation`],
+//! [`unresolved_policy_ablation`], [`run_session_chaos`],
+//! [`measure_moas_list_overhead`], [`run_ensemble`]) take a bare `jobs`.
+//!
+//! Every driver works in three phases: trials are *planned* sequentially (so
+//! no RNG draw order changes), *run* into index-addressed slots — fanned
+//! across the vendored scoped thread pool (`minipool`) on the classic engine,
+//! one at a time with the workers inside the trial on the sharded engine —
+//! and *aggregated* in planning order. With metrics on, each trial records
+//! into its own sink and the per-trial snapshots merge in plan order. So
+//! report and snapshot are bit-identical for every `jobs` value and every
+//! shard count, and the report is the same with metrics on or off. Only the
+//! choice of engine can move a number: the two break same-tick ties
+//! differently.
+//!
+//! Snapshots serialize through [`json`] (see the [`metrics`] module docs for
+//! the shape) and render via [`render_metrics_summary`].
 //!
 //! # Example
 //!
 //! ```
 //! use as_topology::paper::PaperTopology;
-//! use experiments::{run_sweep, SweepConfig};
-//! use moas_core::Deployment;
+//! use experiments::{run_sweep, Exec, SweepConfig};
 //!
 //! let mut config = SweepConfig::quick(); // reduced runs for examples/tests
 //! config.attacker_fractions = vec![0.1];
 //! let graph = PaperTopology::As25.graph();
 //!
-//! let normal = run_sweep(graph, &config.clone().deployment_fraction(0.0));
-//! let full = run_sweep(graph, &config.deployment_fraction(1.0));
+//! let exec = Exec::jobs(2);
+//! let (normal, _) = run_sweep(graph, &config.clone().deployment_fraction(0.0), exec);
+//! let (full, metrics) = run_sweep(graph, &config.deployment_fraction(1.0), exec.metrics());
 //! assert!(full[0].mean_adoption_pct <= normal[0].mean_adoption_pct);
+//! assert_eq!(metrics.counters["trial.count"], 4); // 1 fraction x 2x2 runs
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +62,9 @@
 
 mod ablation;
 mod chaos;
+mod compat;
 mod ensemble;
+mod exec;
 mod figures;
 pub mod json;
 pub mod metrics;
@@ -62,49 +76,39 @@ mod sweep;
 mod trial;
 
 pub use ablation::{
-    community_policy_ablation, community_policy_ablation_jobs,
-    community_policy_ablation_metrics_jobs, forgery_ablation, forgery_ablation_jobs,
-    forgery_ablation_metrics_jobs, stripping_ablation, stripping_ablation_jobs,
-    stripping_ablation_metrics_jobs, subprefix_ablation, subprefix_ablation_jobs,
-    unresolved_policy_ablation, unresolved_policy_ablation_jobs, valley_free_ablation,
-    valley_free_ablation_jobs, CommunityPolicyPoint, ForgeryPoint, StrippingPoint,
-    SubPrefixAblation, ValleyFreePoint,
+    community_policy_ablation, forgery_ablation, subprefix_ablation, unresolved_policy_ablation,
+    valley_free_ablation, CommunityPolicyPoint, ForgeryPoint, SubPrefixAblation, ValleyFreePoint,
 };
 pub use chaos::{
-    run_chaos, run_chaos_deployment_jobs, run_chaos_jobs, run_chaos_metrics_jobs,
-    run_chaos_sharded, run_chaos_sharded_metrics, run_deployment_sweep_jobs, ChaosConfig,
-    ChaosReport, ChaosScenario, DeploymentSweep, DeploymentSweepPoint, UnknownScenario,
-    DEPLOYMENT_SWEEP_FRACTIONS,
+    run_chaos, run_deployment_sweep, ChaosConfig, ChaosReport, ChaosScenario, DeploymentSweep,
+    DeploymentSweepPoint, UnknownScenario, DEPLOYMENT_SWEEP_FRACTIONS,
+};
+pub use compat::{
+    experiment1_metrics_jobs, experiment2_metrics_jobs, experiment3_metrics_jobs, run_sweep_jobs,
 };
 pub use ensemble::{
-    run_ensemble, run_ensemble_jobs, run_ensemble_metrics_jobs, DetectorReport, EnsembleConfig,
-    EnsembleDeploymentPoint, EnsembleReport, EnsembleWorkload, UnknownWorkload, WorkloadReport,
-    ENSEMBLE_DEPLOYMENT_FRACTIONS,
+    run_ensemble, DetectorReport, EnsembleConfig, EnsembleDeploymentPoint, EnsembleReport,
+    EnsembleWorkload, UnknownWorkload, WorkloadReport, ENSEMBLE_DEPLOYMENT_FRACTIONS,
 };
-pub use figures::{
-    experiment1, experiment1_jobs, experiment1_metrics_jobs, experiment1_sharded, experiment2,
-    experiment2_jobs, experiment2_metrics_jobs, experiment2_sharded, experiment3, experiment3_jobs,
-    experiment3_metrics_jobs, experiment3_sharded,
-};
-pub use metrics::{overhead_metrics, render_metrics_summary};
+pub use exec::Exec;
+pub use figures::{experiment1, experiment2, experiment3};
+pub use metrics::{overhead_snapshot, render_metrics_summary};
 pub use overhead::{
-    measure_moas_list_overhead, measure_moas_list_overhead_jobs, moas_list_overhead,
-    OverheadReport, WireModel, MRT_FRAMING_BYTES,
+    measure_moas_list_overhead, moas_list_overhead, OverheadReport, WireModel, MRT_FRAMING_BYTES,
 };
 pub use report::{FigureReport, SeriesReport};
 pub use session_chaos::{
-    run_session_chaos, run_session_chaos_jobs, SessionChaosConfig, SessionChaosReport,
-    SessionChaosScenario, UnknownSessionScenario,
+    run_session_chaos, SessionChaosConfig, SessionChaosReport, SessionChaosScenario,
+    UnknownSessionScenario,
 };
 pub use stats::{mean, stddev};
-pub use sweep::{
-    attacker_count_for, run_sweep, run_sweep_jobs, run_sweep_metrics_jobs, run_sweep_sharded,
-    run_sweep_sharded_metrics, SweepConfig, SweepPoint,
-};
-pub use trial::{
-    run_trial, run_trial_checked, run_trial_metrics, run_trial_sharded, run_trial_sharded_metrics,
-    TrialConfig, TrialOutcome,
-};
+pub use sweep::{attacker_count_for, run_sweep, SweepConfig, SweepPoint};
+pub use trial::{run_trial, run_trial_with, TrialConfig, TrialOutcome};
 
 /// The prefix under attack in every experiment (Figure 1's example prefix).
 pub const VICTIM_PREFIX: &str = "208.8.0.0/16";
+
+/// [`VICTIM_PREFIX`], parsed.
+pub(crate) fn victim_prefix() -> bgp_types::Ipv4Prefix {
+    VICTIM_PREFIX.parse().expect("victim prefix constant")
+}

@@ -178,7 +178,7 @@ pub fn render_metrics_summary(snapshot: &MetricsSnapshot) -> String {
 /// commands: byte totals as counters, the table-size breakdown as gauges,
 /// and the MOAS-list-size distribution as a histogram.
 #[must_use]
-pub fn overhead_metrics(report: &OverheadReport) -> MetricsSnapshot {
+pub fn overhead_snapshot(report: &OverheadReport) -> MetricsSnapshot {
     let mut snapshot = MetricsSnapshot::new();
     snapshot
         .counters
@@ -289,7 +289,7 @@ mod tests {
             added_bytes: 56,
             baseline_bytes: 4000,
         };
-        let snapshot = overhead_metrics(&report);
+        let snapshot = overhead_snapshot(&report);
         assert_eq!(snapshot.counters["overhead.added_bytes"], 56);
         assert_eq!(snapshot.gauges["overhead.total_routes"], 100);
         let hist = &snapshot.histograms["overhead.moas_list_size"];

@@ -50,7 +50,7 @@ impl Default for WireModel {
 }
 
 /// The measured overhead of attaching MOAS lists to a table.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverheadReport {
     /// Total routes (prefixes) in the table.
     pub total_routes: usize,
@@ -141,7 +141,7 @@ impl fmt::Display for OverheadReport {
 /// ```
 #[must_use]
 pub fn moas_list_overhead(dump: &DailyDump, wire: WireModel) -> OverheadReport {
-    overhead_with(dump, |_, origins| {
+    overhead_with(dump.iter(), |_, origins| {
         let added = if origins.len() > 1 {
             wire.attribute_header_bytes + wire.bytes_per_member * origins.len() as u64
         } else {
@@ -175,61 +175,29 @@ pub const MRT_FRAMING_BYTES: u64 = 18;
 /// both of which the 2001-era 2-octet analytic model deliberately omits.
 /// The cross-check test bounds the divergence at 25%.
 ///
+/// The per-route encoding fans across up to `jobs` worker threads in
+/// contiguous chunks. All tallies are integers and the partials merge in
+/// prefix order, so the report is identical for every `jobs` value.
+///
 /// # Panics
 ///
 /// Panics if a MOAS list member exceeds 16 bits — such an origin cannot be
 /// carried in an RFC 1997 community, and the measurement pipeline never
 /// produces one.
 #[must_use]
-pub fn measure_moas_list_overhead(dump: &DailyDump) -> OverheadReport {
-    overhead_with(dump, measured_cost)
-}
-
-/// [`measure_moas_list_overhead`] with the per-route encoding fanned across
-/// up to `jobs` worker threads in contiguous chunks.
-///
-/// All tallies are integers, so the merged report is identical to the serial
-/// one for every `jobs` value (partials are still merged in prefix order).
-#[must_use]
-pub fn measure_moas_list_overhead_jobs(dump: &DailyDump, jobs: usize) -> OverheadReport {
+pub fn measure_moas_list_overhead(dump: &DailyDump, jobs: usize) -> OverheadReport {
     let entries: Vec<(Ipv4Prefix, &std::collections::BTreeSet<Asn>)> = dump.iter().collect();
     let workers = jobs.max(1).min(entries.len().max(1));
     let chunk_len = entries.len().div_ceil(workers);
     let chunks: Vec<_> = entries.chunks(chunk_len.max(1)).collect();
 
     let partials = minipool::map_indexed(jobs, chunks.len(), |ci| {
-        let mut partial = OverheadReport {
-            total_routes: 0,
-            multi_origin_routes: 0,
-            list_size_distribution: BTreeMap::new(),
-            added_bytes: 0,
-            baseline_bytes: 0,
-        };
-        for &(prefix, origins) in chunks[ci] {
-            partial.total_routes += 1;
-            if origins.len() > 1 {
-                partial.multi_origin_routes += 1;
-                *partial
-                    .list_size_distribution
-                    .entry(origins.len())
-                    .or_insert(0) += 1;
-            }
-            let (baseline, added) = measured_cost(prefix, origins);
-            partial.baseline_bytes += baseline;
-            partial.added_bytes += added;
-        }
-        partial
+        overhead_with(chunks[ci].iter().copied(), measured_cost)
     });
 
-    partials.into_iter().fold(
-        OverheadReport {
-            total_routes: 0,
-            multi_origin_routes: 0,
-            list_size_distribution: BTreeMap::new(),
-            added_bytes: 0,
-            baseline_bytes: 0,
-        },
-        |mut merged, partial| {
+    partials
+        .into_iter()
+        .fold(OverheadReport::default(), |mut merged, partial| {
             merged.total_routes += partial.total_routes;
             merged.multi_origin_routes += partial.multi_origin_routes;
             for (size, count) in partial.list_size_distribution {
@@ -238,8 +206,7 @@ pub fn measure_moas_list_overhead_jobs(dump: &DailyDump, jobs: usize) -> Overhea
             merged.added_bytes += partial.added_bytes;
             merged.baseline_bytes += partial.baseline_bytes;
             merged
-        },
-    )
+        })
 }
 
 /// The measured `(baseline, added)` byte cost of one table route: encode it
@@ -287,8 +254,8 @@ fn encoded_rib_len(prefix: Ipv4Prefix, attrs: PathAttributes) -> u64 {
 }
 
 /// Shared tally: `cost` returns `(baseline_bytes, added_bytes)` per route.
-fn overhead_with(
-    dump: &DailyDump,
+fn overhead_with<'a>(
+    routes: impl Iterator<Item = (Ipv4Prefix, &'a std::collections::BTreeSet<Asn>)>,
     mut cost: impl FnMut(Ipv4Prefix, &std::collections::BTreeSet<Asn>) -> (u64, u64),
 ) -> OverheadReport {
     let mut list_size_distribution: BTreeMap<usize, usize> = BTreeMap::new();
@@ -297,7 +264,7 @@ fn overhead_with(
     let mut total_routes = 0usize;
     let mut multi_origin_routes = 0usize;
 
-    for (prefix, origins) in dump.iter() {
+    for (prefix, origins) in routes {
         total_routes += 1;
         if origins.len() > 1 {
             multi_origin_routes += 1;
@@ -378,7 +345,7 @@ mod tests {
         );
         let dump = timeline.dumps.last().unwrap();
         let analytic = moas_list_overhead(dump, WireModel::default());
-        let measured = measure_moas_list_overhead(dump);
+        let measured = measure_moas_list_overhead(dump, 1);
 
         // Same routes, same lists.
         assert_eq!(measured.total_routes, analytic.total_routes);
@@ -407,24 +374,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_measurement_matches_serial() {
-        let timeline = route_measurement::generate_timeline(
-            &route_measurement::TimelineConfig::paper().with_days(10),
-        );
-        let dump = timeline.dumps.last().unwrap();
-        let serial = measure_moas_list_overhead(dump);
-        for jobs in [1, 2, 4] {
-            assert_eq!(
-                measure_moas_list_overhead_jobs(dump, jobs),
-                serial,
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_measurement_of_empty_dump() {
-        let report = measure_moas_list_overhead_jobs(&DailyDump::new(0), 4);
+        let report = measure_moas_list_overhead(&DailyDump::new(0), 4);
         assert_eq!(report.total_routes, 0);
         assert_eq!(report.added_bytes, 0);
     }
@@ -435,7 +386,7 @@ mod tests {
         dump.observe(p(1), Asn(10));
         dump.observe(p(2), Asn(20));
         dump.observe(p(2), Asn(21));
-        let report = measure_moas_list_overhead(&dump);
+        let report = measure_moas_list_overhead(&dump, 1);
         // One 2-member list: 3-byte attr header + 2 * 4-byte communities.
         assert_eq!(report.added_bytes, 11);
         assert_eq!(report.total_routes, 2);

@@ -10,6 +10,20 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
+/// Mean of `metric` over `items`, summed in slice order.
+pub(crate) fn mean_by<T>(items: &[T], metric: impl Fn(&T) -> f64) -> f64 {
+    mean(&items.iter().map(metric).collect::<Vec<f64>>())
+}
+
+/// `num / den` as a fraction (0 when `den` is 0).
+pub(crate) fn ratio(num: usize, den: usize) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 /// Sample standard deviation (0 for samples of length < 2).
 #[must_use]
 pub fn stddev(values: &[f64]) -> f64 {

@@ -6,14 +6,12 @@ use as_topology::AsGraph;
 use bgp_types::Asn;
 use moas_core::{Deployment, ListForgery, UnresolvedPolicy};
 
-use minimetrics::{MetricsSnapshot, RecordingSink};
+use minimetrics::MetricsSnapshot;
 
+use crate::exec::Exec;
 use crate::json::{self, FromJson, Json, JsonError, ToJson};
-use crate::stats::{mean, stddev};
-use crate::trial::{
-    run_trial, run_trial_metrics, run_trial_sharded, run_trial_sharded_metrics, TrialConfig,
-    TrialOutcome,
-};
+use crate::stats::{mean, mean_by, stddev};
+use crate::trial::{run_trials, TrialConfig, TrialOutcome};
 
 /// Configuration of one sweep (one curve of a figure).
 #[derive(Debug, Clone)]
@@ -176,143 +174,44 @@ pub struct SweepPoint {
 }
 
 /// Runs a full sweep on `graph`: for every attacker fraction, the 15-run
-/// protocol of §5.2, returning one averaged point per fraction.
+/// protocol of §5.2, returning one averaged point per fraction plus the
+/// merged metrics snapshot (empty unless `exec.metrics`).
 ///
 /// Origins are drawn from stub ASes and attackers from all remaining ASes,
 /// exactly as §5.1 prescribes; every random draw derives deterministically
 /// from `config.seed`.
 ///
-/// Equivalent to [`run_sweep_jobs`] with `jobs = 1` — the sequential
-/// reference path.
-#[must_use]
-pub fn run_sweep(graph: &AsGraph, config: &SweepConfig) -> Vec<SweepPoint> {
-    run_sweep_jobs(graph, config, 1)
-}
-
-/// [`run_sweep`] with trial-level parallelism: independent trials fan out
-/// across up to `jobs` worker threads.
-///
-/// The sweep is split into three phases so that the result is bit-identical
-/// for every `jobs` value:
+/// The sweep is split into three phases so that points and snapshot are
+/// bit-identical for every `exec.jobs` and every `Some(shards)`:
 ///
 /// 1. **Plan.** Every trial's origins, attackers, deployment and seed are
 ///    drawn sequentially, in exactly the order the historical single-threaded
 ///    loop drew them — each draw seeds its own RNG from `config.seed` and the
 ///    trial's `(fraction, origin set, attacker set)` coordinates, so planning
 ///    consumes no shared RNG state.
-/// 2. **Run.** [`minipool::map_indexed`] executes the trials; slot `i` always
-///    holds trial `i`'s outcome regardless of which worker ran it or when it
-///    finished.
+/// 2. **Run.** The trials execute under `exec` (see [`Exec`]); slot `i`
+///    always holds trial `i`'s outcome regardless of which worker ran it or
+///    when it finished, and per-trial snapshots merge in plan order.
 /// 3. **Aggregate.** Outcomes are folded per fraction in the original
 ///    `(fraction, origin set, attacker set)` order, so every floating-point
 ///    sum sees its terms in the same sequence as the serial path.
-#[must_use]
-pub fn run_sweep_jobs(graph: &AsGraph, config: &SweepConfig, jobs: usize) -> Vec<SweepPoint> {
-    // Phase 1: plan every trial.
-    let trials = plan_trials(graph, config);
-
-    // Phase 2: run the trials, index-addressed.
-    let outcomes: Vec<TrialOutcome> =
-        minipool::map_indexed(jobs, trials.len(), |i| run_trial(graph, &trials[i]));
-
-    // Phase 3: aggregate per fraction in planning order.
-    aggregate_points(graph.len(), config, &outcomes)
-}
-
-/// [`run_sweep_jobs`] with observability: every trial additionally records
-/// its network metrics into a per-trial [`RecordingSink`], and the per-trial
-/// snapshots are merged **in plan order** after all trials finish — so both
-/// the points and the returned [`MetricsSnapshot`] are bit-identical for
-/// every `jobs` value.
-#[must_use]
-pub fn run_sweep_metrics_jobs(
-    graph: &AsGraph,
-    config: &SweepConfig,
-    jobs: usize,
-) -> (Vec<SweepPoint>, MetricsSnapshot) {
-    let trials = plan_trials(graph, config);
-
-    let results: Vec<(TrialOutcome, MetricsSnapshot)> =
-        minipool::map_indexed(jobs, trials.len(), |i| {
-            let mut sink = RecordingSink::new();
-            let outcome = run_trial_metrics(graph, &trials[i], &mut sink)
-                .expect("experiment networks always converge");
-            (outcome, sink.into_snapshot())
-        });
-
-    let outcomes: Vec<TrialOutcome> = results.iter().map(|(o, _)| *o).collect();
-    let mut snapshot = MetricsSnapshot::new();
-    for (_, trial_snapshot) in &results {
-        snapshot.merge(trial_snapshot);
-    }
-    (aggregate_points(graph.len(), config, &outcomes), snapshot)
-}
-
-/// [`run_sweep`] through the deterministic sharded engine: trials run one at
-/// a time, but each trial's AS graph is partitioned into `shards` engines
-/// driven in lockstep on up to `jobs` worker threads (intra-trial
-/// parallelism, where [`run_sweep_jobs`] is inter-trial).
-///
-/// Planning and aggregation are shared with the classic path, so the points
-/// are bit-identical for every `(shards, jobs)` pair — pinned by the
-/// `shard_determinism` differential test.
 ///
 /// # Panics
 ///
 /// Panics if the topology has too few stubs for the configured origin count,
 /// or if a trial fails to converge.
 #[must_use]
-pub fn run_sweep_sharded(
+pub fn run_sweep(
     graph: &AsGraph,
     config: &SweepConfig,
-    shards: usize,
-    jobs: usize,
-) -> Vec<SweepPoint> {
-    let trials = plan_trials(graph, config);
-    let outcomes: Vec<TrialOutcome> = trials
-        .iter()
-        .map(|trial| {
-            run_trial_sharded(graph, trial, shards, jobs)
-                .expect("experiment networks always converge")
-        })
-        .collect();
-    aggregate_points(graph.len(), config, &outcomes)
-}
-
-/// [`run_sweep_sharded`] with observability: per-trial [`RecordingSink`]
-/// snapshots merged in plan order, exactly as [`run_sweep_metrics_jobs`]
-/// does. The snapshot only contains the shard-count-invariant metrics subset
-/// the sharded engine exports.
-///
-/// # Panics
-///
-/// Panics if the topology has too few stubs for the configured origin count,
-/// or if a trial fails to converge.
-#[must_use]
-pub fn run_sweep_sharded_metrics(
-    graph: &AsGraph,
-    config: &SweepConfig,
-    shards: usize,
-    jobs: usize,
+    exec: Exec,
 ) -> (Vec<SweepPoint>, MetricsSnapshot) {
     let trials = plan_trials(graph, config);
-    let mut outcomes: Vec<TrialOutcome> = Vec::with_capacity(trials.len());
-    let mut snapshot = MetricsSnapshot::new();
-    for trial in &trials {
-        let mut sink = RecordingSink::new();
-        let outcome = run_trial_sharded_metrics(graph, trial, shards, jobs, &mut sink)
-            .expect("experiment networks always converge");
-        outcomes.push(outcome);
-        snapshot.merge(&sink.into_snapshot());
-    }
+    let (outcomes, snapshot) = run_trials(graph, &trials, None, exec);
     (aggregate_points(graph.len(), config, &outcomes), snapshot)
 }
 
-/// Phase 1 of a sweep: draws every trial's origins, attackers, deployment
-/// and seed sequentially, in exactly the order the historical
-/// single-threaded loop drew them. Each draw seeds its own RNG from
-/// `config.seed` and the trial's `(fraction, origin set, attacker set)`
-/// coordinates, so planning consumes no shared RNG state.
+/// Phase 1 of a sweep (see [`run_sweep`]).
 fn plan_trials(graph: &AsGraph, config: &SweepConfig) -> Vec<TrialConfig> {
     let stubs = graph.stub_asns();
     let n = graph.len();
@@ -373,16 +272,7 @@ fn aggregate_points(n: usize, config: &SweepConfig, outcomes: &[TrialOutcome]) -
         let attacker_count = attacker_count_for(n, fraction);
         let runs = &outcomes[fx * runs_per_point..(fx + 1) * runs_per_point];
 
-        let mut adoption = Vec::with_capacity(runs_per_point);
-        let mut alarms = Vec::with_capacity(runs_per_point);
-        let mut queries = Vec::with_capacity(runs_per_point);
-        let mut messages = Vec::with_capacity(runs_per_point);
-        for outcome in runs {
-            adoption.push(100.0 * outcome.adoption_fraction());
-            alarms.push(outcome.alarms as f64);
-            queries.push(outcome.verifier_queries as f64);
-            messages.push(outcome.messages as f64);
-        }
+        let adoption: Vec<f64> = runs.iter().map(|o| 100.0 * o.adoption_fraction()).collect();
 
         points.push(SweepPoint {
             requested_fraction: fraction,
@@ -390,9 +280,9 @@ fn aggregate_points(n: usize, config: &SweepConfig, outcomes: &[TrialOutcome]) -
             attacker_pct: 100.0 * attacker_count as f64 / n as f64,
             mean_adoption_pct: mean(&adoption),
             stddev_adoption_pct: stddev(&adoption),
-            mean_alarms: mean(&alarms),
-            mean_queries: mean(&queries),
-            mean_messages: mean(&messages),
+            mean_alarms: mean_by(runs, |o| o.alarms as f64),
+            mean_queries: mean_by(runs, |o| o.verifier_queries as f64),
+            mean_messages: mean_by(runs, |o| o.messages as f64),
         });
     }
     points
@@ -438,7 +328,7 @@ mod tests {
         let graph = PaperTopology::As25.graph();
         let mut config = SweepConfig::quick();
         config.attacker_fractions = vec![0.0, 0.15];
-        let points = run_sweep(graph, &config);
+        let points = run_sweep(graph, &config, Exec::serial()).0;
         assert_eq!(points[0].attacker_count, 0, "0.0 is a no-attack baseline");
         assert_eq!(points[0].attacker_pct, 0.0);
         assert_eq!(points[0].mean_adoption_pct, 0.0);
@@ -450,7 +340,7 @@ mod tests {
     fn sweep_has_one_point_per_fraction() {
         let graph = PaperTopology::As25.graph();
         let config = SweepConfig::quick();
-        let points = run_sweep(graph, &config);
+        let points = run_sweep(graph, &config, Exec::serial()).0;
         assert_eq!(points.len(), config.attacker_fractions.len());
         for p in &points {
             assert!(p.attacker_count >= 1);
@@ -463,29 +353,19 @@ mod tests {
     fn sweeps_are_deterministic() {
         let graph = PaperTopology::As25.graph();
         let config = SweepConfig::quick();
-        assert_eq!(run_sweep(graph, &config), run_sweep(graph, &config));
+        assert_eq!(
+            run_sweep(graph, &config, Exec::serial()).0,
+            run_sweep(graph, &config, Exec::serial()).0
+        );
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
+    fn metrics_sweep_counts_every_planned_trial() {
         let graph = PaperTopology::As25.graph();
         let config = SweepConfig::quick();
-        let serial = run_sweep(graph, &config);
-        for jobs in [1, 2, 4] {
-            assert_eq!(run_sweep_jobs(graph, &config, jobs), serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn metrics_sweep_matches_plain_and_is_jobs_invariant() {
-        let graph = PaperTopology::As25.graph();
-        let config = SweepConfig::quick();
-        let plain = run_sweep_jobs(graph, &config, 1);
-        let (points1, snap1) = run_sweep_metrics_jobs(graph, &config, 1);
-        let (points4, snap4) = run_sweep_metrics_jobs(graph, &config, 4);
-        assert_eq!(points1, plain, "recording sink must not change results");
-        assert_eq!(points4, plain);
-        assert_eq!(snap1, snap4, "snapshot must not depend on jobs");
+        let (_, plain_snapshot) = run_sweep(graph, &config, Exec::serial());
+        assert!(plain_snapshot.is_empty(), "no metrics unless asked");
+        let (_, snap1) = run_sweep(graph, &config, Exec::serial().metrics());
         assert_eq!(
             snap1.counters["trial.count"],
             (config.attacker_fractions.len() * config.runs_per_point()) as u64
@@ -498,7 +378,7 @@ mod tests {
         let graph = PaperTopology::As46.graph();
         let mut config = SweepConfig::quick().deployment_fraction(0.0);
         config.attacker_fractions = vec![0.04, 0.40];
-        let points = run_sweep(graph, &config);
+        let points = run_sweep(graph, &config, Exec::serial()).0;
         assert!(
             points[1].mean_adoption_pct > points[0].mean_adoption_pct,
             "{} !> {}",
@@ -512,7 +392,7 @@ mod tests {
         let graph = PaperTopology::As25.graph();
         let mut config = SweepConfig::quick();
         config.attacker_fractions = vec![0.2];
-        let points = run_sweep(graph, &config);
+        let points = run_sweep(graph, &config, Exec::serial()).0;
         assert!(points[0].mean_alarms > 0.0);
         assert!(points[0].mean_queries > 0.0);
     }
@@ -533,6 +413,6 @@ mod tests {
         g.add_as(Asn(1), as_topology::AsRole::Transit);
         g.add_as(Asn(2), as_topology::AsRole::Transit);
         g.add_link(Asn(1), Asn(2));
-        let _ = run_sweep(&g, &SweepConfig::quick());
+        let _ = run_sweep(&g, &SweepConfig::quick(), Exec::serial());
     }
 }

@@ -3,15 +3,15 @@
 use std::collections::BTreeSet;
 
 use as_topology::AsGraph;
-use bgp_engine::{
-    CommunityPolicies, CommunityPolicyMap, ConvergenceError, Network, ShardedNetwork,
-};
+use bgp_engine::{CommunityPolicies, CommunityPolicyMap, Engine};
 use bgp_types::{Asn, Ipv4Prefix, MoasList};
-use minimetrics::{MetricsSink, NoopSink};
+use minimetrics::{MetricsSink, MetricsSnapshot, NoopSink, Scoped};
 use moas_core::{
     Deployment, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, OriginVerifier,
     RegistryVerifier, UnresolvedPolicy,
 };
+
+use crate::exec::{Cell, Classic, Exec, Runner};
 
 /// Configuration of a single run: who originates, who attacks, who checks.
 #[derive(Debug, Clone)]
@@ -56,9 +56,7 @@ impl TrialConfig {
             unresolved: UnresolvedPolicy::Accept,
             max_link_delay: 4,
             seed: 0,
-            prefix: crate::VICTIM_PREFIX
-                .parse()
-                .expect("victim prefix constant"),
+            prefix: crate::victim_prefix(),
         }
     }
 }
@@ -99,176 +97,91 @@ impl TrialOutcome {
 /// every legitimate origin and run BGP to quiescence; then inject every
 /// attacker's false announcement into the converged network (the paper's
 /// attack model), run to quiescence again, and census who adopted which
-/// origin.
+/// origin. Classic engine, no metrics — [`run_trial_with`] takes an
+/// [`Exec`].
 ///
 /// # Panics
 ///
 /// Panics if any origin or attacker is not in `graph`, or if the simulation
-/// exceeds its (enormous) event budget. Use [`run_trial_checked`] when the
-/// configuration comes from user input rather than a driver's own plan.
+/// exceeds its (enormous) event budget.
 #[must_use]
 pub fn run_trial(graph: &AsGraph, config: &TrialConfig) -> TrialOutcome {
-    run_trial_checked(graph, config).expect("experiment networks always converge")
+    trial_on(&Classic, graph, config, &mut NoopSink)
 }
 
-/// [`run_trial`] with the convergence failure surfaced as a typed error
-/// instead of a panic — static experiment topologies always converge, but a
-/// caller replaying arbitrary user-supplied configurations should not trust
-/// that.
+/// [`run_trial`] under an explicit [`Exec`]: on either engine, optionally
+/// recording the trial's network metrics plus per-phase convergence-time
+/// histograms (`trial.convergence_ticks.{origin,attack}`, in virtual ticks).
+///
+/// The outcome is bit-identical for every `exec.jobs`, for every
+/// `Some(shards)`, and with metrics on or off. It is *not* guaranteed
+/// identical between `shards: None` and `shards: Some(_)`: the classic
+/// engine's same-timestamp event order is arrival-based, the sharded
+/// engine's intrinsic, so the two agree semantically but may break same-tick
+/// ties differently.
 ///
 /// # Panics
 ///
-/// Still panics if any origin or attacker is not in `graph` (that is a
-/// planning bug, not a runtime condition).
-pub fn run_trial_checked(
+/// Same conditions as [`run_trial`].
+#[must_use]
+pub fn run_trial_with(
     graph: &AsGraph,
     config: &TrialConfig,
-) -> Result<TrialOutcome, ConvergenceError> {
-    run_trial_metrics(graph, config, &mut NoopSink)
+    exec: Exec,
+) -> (TrialOutcome, MetricsSnapshot) {
+    let (outcomes, snapshot) = run_trials(graph, std::slice::from_ref(config), None, exec);
+    (outcomes[0], snapshot)
 }
 
-/// [`run_trial_checked`] with observability: the trial's network metrics
-/// (see `Network::export_metrics`) plus per-phase convergence-time
-/// histograms (`trial.convergence_ticks.{origin,attack}`, in virtual ticks)
-/// are emitted into `sink`. With [`NoopSink`] this is exactly
-/// [`run_trial_checked`] — the instrumentation compiles away.
-///
-/// # Panics
-///
-/// Panics if any origin or attacker is not in `graph` (a planning bug).
-pub fn run_trial_metrics<S: MetricsSink>(
+/// Runs already-planned trials under `exec` and returns their outcomes in
+/// plan order plus the merged snapshot. With `scope`, every metric key is
+/// prefixed `"{scope}."`. The shared run phase of every trial-based driver.
+pub(crate) fn run_trials(
     graph: &AsGraph,
-    config: &TrialConfig,
-    sink: &mut S,
-) -> Result<TrialOutcome, ConvergenceError> {
-    let valid_list: MoasList = config.origins.iter().copied().collect();
-
-    // §4.4: the verifier knows the true origin set (oracle registry, as the
-    // paper's experiments assume for "checking with DNS").
-    let mut registry = RegistryVerifier::new();
-    registry.register(config.prefix, valid_list.clone());
-
-    // The per-AS community policies wrap the MOAS monitor; with an empty map
-    // every export forwards untouched, so the wrapper is a strict no-op for
-    // legacy configurations.
-    let monitor = CommunityPolicies::wrapping(
-        config.policies.clone(),
-        MoasMonitor::new(
-            MoasConfig {
-                deployment: config.deployment.clone(),
-                strippers: config.strippers.clone(),
-                on_unresolved: config.unresolved,
-            },
-            registry,
-        ),
-    );
-
-    let mut net =
-        Network::with_monitor_and_jitter(graph, monitor, config.seed, config.max_link_delay);
-
-    // The paper's attack model: false announcements are injected into a
-    // running network, so the valid routes converge first and the attackers
-    // must displace them.
-    for &origin in &config.origins {
-        net.originate(origin, config.prefix, Some(valid_list.clone()));
+    trials: &[TrialConfig],
+    scope: Option<&str>,
+    exec: Exec,
+) -> (Vec<TrialOutcome>, MetricsSnapshot) {
+    struct Trials<'a> {
+        graph: &'a AsGraph,
+        trials: &'a [TrialConfig],
+        scope: Option<&'a str>,
     }
-    let origin_converged = net.run()?;
-    if S::ENABLED {
-        sink.record("trial.convergence_ticks.origin", origin_converged.ticks());
-    }
-    let attack = FalseOriginAttack::new(config.forgery);
-    for &attacker in &config.attackers {
-        attack.launch(&mut net, attacker, config.prefix, &valid_list);
-    }
-    let attack_converged = net.run()?;
-    if S::ENABLED {
-        sink.record(
-            "trial.convergence_ticks.attack",
-            attack_converged
-                .ticks()
-                .saturating_sub(origin_converged.ticks()),
-        );
-        net.export_metrics(sink);
-        sink.counter_add("trial.count", 1);
-    }
-
-    let attacker_set: BTreeSet<Asn> = config.attackers.iter().copied().collect();
-    let mut eligible = 0usize;
-    let mut adopted_false = 0usize;
-    for asn in graph.asns() {
-        if attacker_set.contains(&asn) {
-            continue;
-        }
-        eligible += 1;
-        if let Some(origin) = net.best_origin(asn, config.prefix) {
-            if attacker_set.contains(&origin) {
-                adopted_false += 1;
+    impl Cell for Trials<'_> {
+        type Out = TrialOutcome;
+        fn run<R: Runner, S: MetricsSink>(&self, runner: &R, i: usize, sink: &mut S) -> Self::Out {
+            let trial = &self.trials[i];
+            match self.scope {
+                Some(scope) => trial_on(runner, self.graph, trial, &mut Scoped::new(sink, scope)),
+                None => trial_on(runner, self.graph, trial, sink),
             }
         }
     }
-
-    let alarms = net.monitor().inner().alarms();
-    Ok(TrialOutcome {
-        eligible,
-        adopted_false,
-        alarms: alarms.len(),
-        confirmed_alarms: alarms.confirmed_count(),
-        false_alarms: alarms.false_alarm_count(),
-        verifier_queries: net.monitor().inner().verifier().query_count(),
-        messages: net.stats().total_messages(),
-    })
+    let cell = Trials {
+        graph,
+        trials,
+        scope,
+    };
+    exec.run_cells(trials.len(), &cell)
 }
 
-/// [`run_trial_checked`], but executed on the deterministic sharded engine
-/// ([`ShardedNetwork`]): the AS graph is partitioned into `shards` engines
-/// and driven in lockstep rounds, optionally on `jobs` worker threads.
-///
-/// The outcome is **bit-identical for every `(shards, jobs)`** — that
-/// invariance is pinned by the `shard_determinism` differential test. It is
-/// *not* guaranteed to be bit-identical to [`run_trial_checked`]'s classic
-/// engine, whose same-timestamp event order is arrival-based rather than
-/// intrinsic; the two agree semantically but may break same-tick ties
-/// differently.
-///
-/// # Errors
-///
-/// Returns [`ConvergenceError`] when the simulation fails to converge.
-///
-/// # Panics
-///
-/// Panics if any origin or attacker is not in `graph` (a planning bug).
-pub fn run_trial_sharded(
+/// The trial body, once, for any engine and any sink. With [`NoopSink`] the
+/// instrumentation compiles away.
+fn trial_on<R: Runner, S: MetricsSink>(
+    runner: &R,
     graph: &AsGraph,
     config: &TrialConfig,
-    shards: usize,
-    jobs: usize,
-) -> Result<TrialOutcome, ConvergenceError> {
-    run_trial_sharded_metrics(graph, config, shards, jobs, &mut NoopSink)
-}
-
-/// [`run_trial_sharded`] with observability: emits the same
-/// `trial.convergence_ticks.*` histograms and the shard-count-invariant
-/// network metrics subset (see `ShardedNetwork::export_metrics`).
-///
-/// # Errors
-///
-/// Returns [`ConvergenceError`] when the simulation fails to converge.
-///
-/// # Panics
-///
-/// Panics if any origin or attacker is not in `graph` (a planning bug).
-pub fn run_trial_sharded_metrics<S: MetricsSink>(
-    graph: &AsGraph,
-    config: &TrialConfig,
-    shards: usize,
-    jobs: usize,
     sink: &mut S,
-) -> Result<TrialOutcome, ConvergenceError> {
+) -> TrialOutcome {
+    const CONVERGES: &str = "experiment networks always converge";
     let valid_list: MoasList = config.origins.iter().copied().collect();
 
-    // Each shard gets its own monitor instance; alarms and verifier queries
-    // are observer-scoped, so summing the per-shard logs reproduces the
-    // single-monitor totals for any partition of the observers.
+    // One monitor per engine instance (the sharded engine asks once per
+    // shard). §4.4: the verifier knows the true origin set (oracle registry,
+    // as the paper's experiments assume for "checking with DNS"). The per-AS
+    // community policies wrap the MOAS monitor; with an empty map every
+    // export forwards untouched, so the wrapper is a strict no-op for legacy
+    // configurations.
     let monitor = || {
         let mut registry = RegistryVerifier::new();
         registry.register(config.prefix, valid_list.clone());
@@ -284,19 +197,15 @@ pub fn run_trial_sharded_metrics<S: MetricsSink>(
             ),
         )
     };
-    let mut net = ShardedNetwork::with_monitor_and_jitter(
-        graph,
-        shards,
-        jobs,
-        config.seed,
-        config.max_link_delay,
-        monitor,
-    );
+    let mut net = runner.build(graph, config.seed, config.max_link_delay, monitor);
 
+    // The paper's attack model: false announcements are injected into a
+    // running network, so the valid routes converge first and the attackers
+    // must displace them.
     for &origin in &config.origins {
         net.originate(origin, config.prefix, Some(valid_list.clone()));
     }
-    let origin_converged = net.run()?;
+    let origin_converged = net.run().expect(CONVERGES);
     if S::ENABLED {
         sink.record("trial.convergence_ticks.origin", origin_converged.ticks());
     }
@@ -307,7 +216,7 @@ pub fn run_trial_sharded_metrics<S: MetricsSink>(
             attack.forged_route(config.prefix, attacker, &valid_list),
         );
     }
-    let attack_converged = net.run()?;
+    let attack_converged = net.run().expect(CONVERGES);
     if S::ENABLED {
         sink.record(
             "trial.convergence_ticks.attack",
@@ -334,6 +243,9 @@ pub fn run_trial_sharded_metrics<S: MetricsSink>(
         }
     }
 
+    // Alarms and verifier queries are observer-scoped, so summing the
+    // per-monitor logs gives the same totals for any partition of the
+    // observers (and for the classic engine's single monitor).
     let mut outcome = TrialOutcome {
         eligible,
         adopted_false,
@@ -347,7 +259,7 @@ pub fn run_trial_sharded_metrics<S: MetricsSink>(
         outcome.false_alarms += alarms.false_alarm_count();
         outcome.verifier_queries += monitor.inner().verifier().query_count();
     }
-    Ok(outcome)
+    outcome
 }
 
 #[cfg(test)]

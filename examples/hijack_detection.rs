@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example hijack_detection`
 //! Pass `--full` for the paper's complete 15-runs-per-point protocol.
 
-use moas::experiments::{experiment1, SweepConfig};
+use moas::experiments::{experiment1, Exec, SweepConfig};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -19,7 +19,7 @@ fn main() {
         config.runs_per_point()
     );
     for origins in [1, 2] {
-        let figure = experiment1(origins, &config);
+        let (figure, _) = experiment1(origins, &config, Exec::serial());
         println!("{figure}");
         // Headline check from §5.2: detection cuts adoption by orders of
         // magnitude at low attacker fractions.

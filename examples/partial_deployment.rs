@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example partial_deployment`
 //! Pass `--full` for the paper's complete protocol.
 
-use moas::experiments::{experiment3, SweepConfig};
+use moas::experiments::{experiment3, Exec, SweepConfig};
 use moas::topology::paper::PaperTopology;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
         SweepConfig::quick()
     };
     for topology in [PaperTopology::As46, PaperTopology::As63] {
-        let figure = experiment3(topology, &config);
+        let (figure, _) = experiment3(topology, &config, Exec::serial());
         println!("{figure}");
 
         // §5.4's observation: even 50% deployment protects the other nodes,

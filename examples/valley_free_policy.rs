@@ -41,7 +41,7 @@ fn main() {
         "\nMOAS detection with and without valley-free export (75-AS ground truth, 3 attackers):"
     );
     println!("  routing        Normal BGP   Full MOAS   suppressed advertisements");
-    for p in valley_free_ablation(10, 7) {
+    for p in valley_free_ablation(10, 7, 1) {
         println!(
             "  {:<13} {:>9.2}% {:>10.2}% {:>14.0}",
             p.routing, p.normal_adoption_pct, p.moas_adoption_pct, p.mean_suppressed

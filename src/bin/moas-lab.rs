@@ -22,16 +22,11 @@ use std::process::ExitCode;
 use moas::bgp::CommunityPolicy;
 use moas::detection::{Deployment, OfflineMonitor};
 use moas::experiments::{
-    community_policy_ablation_jobs, community_policy_ablation_metrics_jobs,
-    experiment1_metrics_jobs, experiment1_sharded, experiment2_metrics_jobs, experiment2_sharded,
-    experiment3_metrics_jobs, experiment3_sharded, forgery_ablation_jobs,
-    forgery_ablation_metrics_jobs, measure_moas_list_overhead_jobs, moas_list_overhead,
-    overhead_metrics, render_metrics_summary, run_chaos_jobs, run_chaos_metrics_jobs,
-    run_chaos_sharded, run_chaos_sharded_metrics, run_deployment_sweep_jobs, run_ensemble_jobs,
-    run_ensemble_metrics_jobs, run_session_chaos_jobs, run_trial, run_trial_sharded,
-    stripping_ablation_jobs, stripping_ablation_metrics_jobs, subprefix_ablation_jobs,
-    valley_free_ablation_jobs, ChaosConfig, ChaosScenario, EnsembleConfig, SessionChaosConfig,
-    SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
+    community_policy_ablation, experiment1, experiment2, experiment3, forgery_ablation,
+    measure_moas_list_overhead, moas_list_overhead, overhead_snapshot, render_metrics_summary,
+    run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos, run_trial_with,
+    subprefix_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig, Exec,
+    FigureReport, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
 };
 use moas::measurement::{
     daily_moas_counts, generate_timeline, median, MeasurementSummary, OriginEventTracker,
@@ -82,8 +77,7 @@ COMMANDS:
                                     workload (anycast groups, sibling pairs, CDN handoff
                                     every --dwell ticks), with a deployment sweep; one
                                     JSON report comparing false alarms, latency and
-                                    misses per detector. --strip-communities is a
-                                    deprecated alias for --community-policy strip-all
+                                    misses per detector
     metrics-summary FILE            Render a --metrics snapshot as a readable table
 
     figures, ablations, overhead and chaos accept --metrics FILE: write a
@@ -120,6 +114,10 @@ COMMANDS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
+    if let Err(message) = check_numeric_flags(&args) {
+        eprintln!("{message}");
+        return ExitCode::FAILURE;
+    }
     match command {
         "figures" => figures(&args),
         "measure" => measure(&args),
@@ -154,15 +152,89 @@ fn option<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     args.get(idx + 1)?.parse().ok()
 }
 
+/// Flags whose value must be a non-negative integer wherever they appear.
+const NUMERIC_FLAGS: [&str; 6] = [
+    "--jobs",
+    "--shards",
+    "--trials",
+    "--seed",
+    "--attackers",
+    "--origins",
+];
+
+/// [`option`] treats a value that fails to parse like an absent flag, which
+/// would turn `--shards two` into a silent classic-engine run; reject such
+/// values up front instead.
+fn check_numeric_flags(args: &[String]) -> Result<(), String> {
+    for name in NUMERIC_FLAGS {
+        let Some(idx) = args.iter().position(|a| a == name) else {
+            continue;
+        };
+        match args.get(idx + 1) {
+            Some(value) if value.parse::<u64>().is_ok() => {}
+            Some(value) => {
+                return Err(format!(
+                    "{name} expects a non-negative integer, got {value:?}"
+                ))
+            }
+            None => return Err(format!("{name} expects a value")),
+        }
+    }
+    Ok(())
+}
+
 /// `--jobs N`, defaulting to the available hardware parallelism.
 fn jobs_option(args: &[String]) -> usize {
     option(args, "--jobs").unwrap_or_else(minipool::available_jobs)
 }
 
-/// Writes a `--metrics` snapshot as pretty JSON; reports failure on stderr.
-fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> bool {
+/// The one [`Exec`] a command runs under, from `--jobs/--shards/--metrics`.
+fn exec_option(args: &[String]) -> Exec {
+    Exec {
+        jobs: jobs_option(args),
+        shards: option(args, "--shards"),
+        metrics: metrics_path(args).is_some(),
+    }
+}
+
+/// Prints a JSON report, or writes it to the `--out FILE` path if given.
+fn emit_json(args: &[String], json: String, what: &str) -> ExitCode {
+    match option::<String>(args, "--out") {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, json + "\n") {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("{what} written to {path}");
+        }
+        None => println!("{json}"),
+    }
+    ExitCode::SUCCESS
+}
+
+/// Applies the `--trials N` / `--seed S` overrides every campaign takes.
+fn campaign_overrides(args: &[String], trials: &mut usize, seed: &mut u64) {
+    if let Some(n) = option(args, "--trials") {
+        *trials = n;
+    }
+    if let Some(s) = option(args, "--seed") {
+        *seed = s;
+    }
+}
+
+/// `--metrics FILE`.
+fn metrics_path(args: &[String]) -> Option<String> {
+    option(args, "--metrics")
+}
+
+/// Writes the snapshot as pretty JSON to the `--metrics FILE` path, if the
+/// flag was given; reports failure on stderr.
+fn write_metrics(args: &[String], snapshot: &MetricsSnapshot) -> bool {
+    let Some(path) = metrics_path(args) else {
+        return true;
+    };
     let json = moas::experiments::json::to_string_pretty(snapshot);
-    match std::fs::write(path, json + "\n") {
+    match std::fs::write(&path, json + "\n") {
         Ok(()) => {
             println!("metrics snapshot written to {path}");
             true
@@ -180,53 +252,33 @@ fn figures(args: &[String]) -> ExitCode {
     } else {
         SweepConfig::paper()
     };
-    let jobs = jobs_option(args);
+    let exec = exec_option(args);
     println!(
-        "Protocol: {} runs per point, fractions {:?}, {jobs} worker thread{}\n",
+        "Protocol: {} runs per point, fractions {:?}, {} worker thread{}\n",
         config.runs_per_point(),
         config.attacker_fractions,
-        if jobs == 1 { "" } else { "s" }
+        exec.jobs,
+        if exec.jobs == 1 { "" } else { "s" }
     );
-    if let Some(shards) = option::<usize>(args, "--shards") {
-        // The sharded engine exports a different (shard-count-invariant)
-        // metrics subset, so --metrics stays classic-engine-only.
-        if option::<String>(args, "--metrics").is_some() {
-            eprintln!("--metrics is not supported together with --shards");
-            return ExitCode::FAILURE;
-        }
-        for origins in [1, 2] {
-            println!("{}", experiment1_sharded(origins, &config, shards, jobs));
-        }
-        for origins in [1, 2] {
-            println!("{}", experiment2_sharded(origins, &config, shards, jobs));
-        }
-        for topology in [PaperTopology::As46, PaperTopology::As63] {
-            println!("{}", experiment3_sharded(topology, &config, shards, jobs));
-        }
-        return ExitCode::SUCCESS;
-    }
     let mut metrics = MetricsSnapshot::new();
-    for origins in [1, 2] {
-        let (fig, m) = experiment1_metrics_jobs(origins, &config, jobs);
+    let mut show = |(fig, m): (FigureReport, MetricsSnapshot)| {
         println!("{fig}");
         metrics.merge(&m);
+    };
+    for origins in [1, 2] {
+        show(experiment1(origins, &config, exec));
     }
     for origins in [1, 2] {
-        let (fig, m) = experiment2_metrics_jobs(origins, &config, jobs);
-        println!("{fig}");
-        metrics.merge(&m);
+        show(experiment2(origins, &config, exec));
     }
     for topology in [PaperTopology::As46, PaperTopology::As63] {
-        let (fig, m) = experiment3_metrics_jobs(topology, &config, jobs);
-        println!("{fig}");
-        metrics.merge(&m);
+        show(experiment3(topology, &config, exec));
     }
-    if let Some(path) = option::<String>(args, "--metrics") {
-        if !write_metrics(&path, &metrics) {
-            return ExitCode::FAILURE;
-        }
+    if write_metrics(args, &metrics) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }
 
 fn measure(args: &[String]) -> ExitCode {
@@ -256,6 +308,13 @@ fn parse_topology(size: &str) -> Option<PaperTopology> {
     }
 }
 
+/// `--topology 25|46|63`, defaulting to the 46-AS topology.
+fn topology_option(args: &[String]) -> PaperTopology {
+    option::<String>(args, "--topology")
+        .and_then(|s| parse_topology(&s))
+        .unwrap_or(PaperTopology::As46)
+}
+
 fn topology(args: &[String]) -> ExitCode {
     let Some(topology) = args.get(1).and_then(|s| parse_topology(s)) else {
         eprintln!("usage: moas-lab topology <25|46|63>");
@@ -273,22 +332,12 @@ fn topology(args: &[String]) -> ExitCode {
 }
 
 fn trial(args: &[String]) -> ExitCode {
-    let topology = args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| parse_topology(s))
-        .unwrap_or(PaperTopology::As46);
+    let topology = topology_option(args);
     let graph = topology.graph();
     let attackers: usize = option(args, "--attackers").unwrap_or(2);
     let origins: usize = option(args, "--origins").unwrap_or(1);
     let seed: u64 = option(args, "--seed").unwrap_or(1);
-    let deployment = match args
-        .iter()
-        .position(|a| a == "--deployment")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let deployment = match option::<String>(args, "--deployment").as_deref() {
         Some("none") => Deployment::None,
         Some("half") => {
             let asns: Vec<Asn> = graph.asns().collect();
@@ -311,11 +360,11 @@ fn trial(args: &[String]) -> ExitCode {
         seed,
         ..TrialConfig::new(origin_set, attacker_set, deployment)
     };
-    let outcome = match option::<usize>(args, "--shards") {
-        Some(shards) => run_trial_sharded(graph, &config, shards, jobs_option(args))
-            .expect("experiment networks always converge"),
-        None => run_trial(graph, &config),
+    let exec = Exec {
+        metrics: false,
+        ..exec_option(args)
     };
+    let (outcome, _) = run_trial_with(graph, &config, exec);
     println!(
         "\n{} of {} remaining ASes adopted a false route ({:.2}%)",
         outcome.adopted_false,
@@ -335,11 +384,10 @@ fn trial(args: &[String]) -> ExitCode {
 
 fn ablations(args: &[String]) -> ExitCode {
     let graph = PaperTopology::As46.graph();
-    let jobs = jobs_option(args);
-    let metrics_path = option::<String>(args, "--metrics");
+    let exec = exec_option(args);
     let mut metrics = MetricsSnapshot::new();
 
-    let sub = subprefix_ablation_jobs(graph, 10, 0xAB1, jobs);
+    let sub = subprefix_ablation(graph, 10, 0xAB1, exec.jobs);
     println!("sub-prefix hijack (full MOAS deployment):");
     println!(
         "  control-plane adoption {:.1}%, data-plane traffic capture {:.1}%, alarms {:.1}",
@@ -350,32 +398,9 @@ fn ablations(args: &[String]) -> ExitCode {
         sub.exact_prefix_adoption_pct
     );
 
-    println!("community stripping:");
-    let stripping = if metrics_path.is_some() {
-        let (points, m) = stripping_ablation_metrics_jobs(graph, &[0.0, 0.25, 0.5], 8, 0xAB2, jobs);
-        metrics.merge(&m);
-        points
-    } else {
-        stripping_ablation_jobs(graph, &[0.0, 0.25, 0.5], 8, 0xAB2, jobs)
-    };
-    for p in stripping {
-        println!(
-            "  {:>3.0}% strippers: adoption {:.2}%, false alarms {:.1}, confirmed {:.1}",
-            100.0 * p.stripper_fraction,
-            p.mean_adoption_pct,
-            p.mean_false_alarms,
-            p.mean_confirmed_alarms
-        );
-    }
-
-    println!("\ncommunity handling classes (all transit ASes):");
-    let policy_points = if metrics_path.is_some() {
-        let (points, m) = community_policy_ablation_metrics_jobs(graph, 8, 0xAB6, jobs);
-        metrics.merge(&m);
-        points
-    } else {
-        community_policy_ablation_jobs(graph, 8, 0xAB6, jobs)
-    };
+    println!("community handling classes (all transit ASes):");
+    let (policy_points, m) = community_policy_ablation(graph, 8, 0xAB6, exec);
+    metrics.merge(&m);
     for p in policy_points {
         println!(
             "  {:<12} adoption {:.2}%, false alarms {:.1}, confirmed {:.1}",
@@ -384,13 +409,8 @@ fn ablations(args: &[String]) -> ExitCode {
     }
 
     println!("\nlist forgery strategies:");
-    let forgery = if metrics_path.is_some() {
-        let (points, m) = forgery_ablation_metrics_jobs(graph, 8, 0xAB3, jobs);
-        metrics.merge(&m);
-        points
-    } else {
-        forgery_ablation_jobs(graph, 8, 0xAB3, jobs)
-    };
+    let (forgery, m) = forgery_ablation(graph, 8, 0xAB3, exec);
+    metrics.merge(&m);
     for p in forgery {
         println!(
             "  {:<24} adoption {:.2}%, alarms {:.1}",
@@ -399,20 +419,19 @@ fn ablations(args: &[String]) -> ExitCode {
     }
 
     println!("\nvalley-free policy routing:");
-    for p in valley_free_ablation_jobs(8, 0xAB5, jobs) {
+    for p in valley_free_ablation(8, 0xAB5, exec.jobs) {
         println!(
             "  {:<12} normal {:.2}% / full MOAS {:.2}% (suppressed ads {:.0})",
             p.routing, p.normal_adoption_pct, p.moas_adoption_pct, p.mean_suppressed
         );
     }
-    if let Some(path) = metrics_path {
-        // The snapshot covers the stripping and forgery studies (the two
-        // driven through the standard trial runner).
-        if !write_metrics(&path, &metrics) {
-            return ExitCode::FAILURE;
-        }
+    // The snapshot covers the community-policy and forgery studies (the two
+    // driven through the standard trial runner).
+    if write_metrics(args, &metrics) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }
 
 /// Replays a fault/churn scenario and prints the detector-accuracy report.
@@ -437,37 +456,16 @@ fn chaos(args: &[String]) -> ExitCode {
     } else {
         ChaosConfig::new(scenario)
     };
-    if let Some(trials) = option::<usize>(args, "--trials") {
-        config.trials = trials;
-    }
-    if let Some(seed) = option::<u64>(args, "--seed") {
-        config.seed = seed;
-    }
+    campaign_overrides(args, &mut config.trials, &mut config.seed);
 
     if flag(args, "--deployment-sweep") {
         return chaos_deployment_sweep(args, &config);
     }
 
-    let shards = option::<usize>(args, "--shards");
-    let report = match (option::<String>(args, "--metrics"), shards) {
-        (Some(path), Some(shards)) => {
-            let (report, metrics) = run_chaos_sharded_metrics(&config, shards, jobs_option(args));
-            if !write_metrics(&path, &metrics) {
-                return ExitCode::FAILURE;
-            }
-            report
-        }
-        (Some(path), None) => {
-            let (report, metrics) = run_chaos_metrics_jobs(&config, jobs_option(args));
-            if !write_metrics(&path, &metrics) {
-                return ExitCode::FAILURE;
-            }
-            report
-        }
-        (None, Some(shards)) => run_chaos_sharded(&config, shards, jobs_option(args)),
-        (None, None) => run_chaos_jobs(&config, jobs_option(args)),
-    };
-    let json = report.to_json();
+    let (report, metrics) = run_chaos(&config, exec_option(args));
+    if !write_metrics(args, &metrics) {
+        return ExitCode::FAILURE;
+    }
     println!(
         "scenario {}: {} trials, seed {:#x}",
         report.scenario, report.trials, report.seed
@@ -496,17 +494,7 @@ fn chaos(args: &[String]) -> ExitCode {
         "mrai: {:.1} updates deferred per churn-only trial",
         report.mean_mrai_deferred
     );
-    match option::<String>(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("report written to {path}");
-        }
-        None => println!("{json}"),
-    }
-    ExitCode::SUCCESS
+    emit_json(args, report.to_json(), "report")
 }
 
 /// Runs the partial-deployment sweep branch of `moas-lab chaos`: the same
@@ -527,7 +515,10 @@ fn chaos_deployment_sweep(args: &[String], config: &ChaosConfig) -> ExitCode {
         None => moas::experiments::DEPLOYMENT_SWEEP_FRACTIONS.to_vec(),
     };
 
-    let sweep = run_deployment_sweep_jobs(config, &fractions, jobs_option(args));
+    let (sweep, metrics) = run_deployment_sweep(config, &fractions, exec_option(args));
+    if !write_metrics(args, &metrics) {
+        return ExitCode::FAILURE;
+    }
     println!(
         "scenario {}: {} trials per point, seed {:#x}",
         sweep.scenario, sweep.trials, sweep.seed
@@ -545,17 +536,7 @@ fn chaos_deployment_sweep(args: &[String], config: &ChaosConfig) -> ExitCode {
             r.mean_detection_latency_ticks
         );
     }
-    match option::<String>(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, sweep.to_json() + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("sweep written to {path}");
-        }
-        None => println!("{}", sweep.to_json()),
-    }
-    ExitCode::SUCCESS
+    emit_json(args, sweep.to_json(), "sweep")
 }
 
 /// Runs the detector ensemble: three detectors replayed over identical
@@ -569,12 +550,7 @@ fn ensemble(args: &[String]) -> ExitCode {
     } else {
         EnsembleConfig::new()
     };
-    if let Some(trials) = option::<usize>(args, "--trials") {
-        config.trials = trials;
-    }
-    if let Some(seed) = option::<u64>(args, "--seed") {
-        config.seed = seed;
-    }
+    campaign_overrides(args, &mut config.trials, &mut config.seed);
     if let Some(dwell) = option::<u64>(args, "--dwell") {
         config.dwell_ticks = dwell;
     }
@@ -594,24 +570,11 @@ fn ensemble(args: &[String]) -> ExitCode {
             }
         }
     }
-    if flag(args, "--strip-communities") {
-        eprintln!(
-            "warning: --strip-communities is deprecated; use --community-policy strip-all \
-             (stripping is no longer binary — see `moas-lab help`)"
-        );
-        config.policy = CommunityPolicy::StripAll;
-    }
 
-    let report = match option::<String>(args, "--metrics") {
-        Some(path) => {
-            let (report, metrics) = run_ensemble_metrics_jobs(&config, jobs_option(args));
-            if !write_metrics(&path, &metrics) {
-                return ExitCode::FAILURE;
-            }
-            report
-        }
-        None => run_ensemble_jobs(&config, jobs_option(args)),
-    };
+    let (report, metrics) = run_ensemble(&config, jobs_option(args), metrics_path(args).is_some());
+    if !write_metrics(args, &metrics) {
+        return ExitCode::FAILURE;
+    }
 
     println!(
         "ensemble: {} trials per workload, seed {:#x}, transit policy {}",
@@ -644,18 +607,7 @@ fn ensemble(args: &[String]) -> ExitCode {
         }
     }
 
-    let json = report.to_json();
-    match option::<String>(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("report written to {path}");
-        }
-        None => println!("{json}"),
-    }
-    ExitCode::SUCCESS
+    emit_json(args, report.to_json(), "report")
 }
 
 /// The prefix each stub AS originates in the exported scenario.
@@ -677,12 +629,7 @@ fn export_mrt(args: &[String]) -> ExitCode {
     };
     let days: u32 = option(args, "--days").unwrap_or(10);
     let seed: u64 = option(args, "--seed").unwrap_or(7);
-    let topology = args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| parse_topology(s))
-        .unwrap_or(PaperTopology::As46);
+    let topology = topology_option(args);
     let graph = topology.graph();
     let vantages = graph.transit_asns();
     let stubs = graph.stub_asns();
@@ -1057,7 +1004,7 @@ fn overhead(args: &[String]) -> ExitCode {
     let timeline = generate_timeline(&TimelineConfig::paper().with_days(30));
     let dump = timeline.dumps.last().expect("timeline has dumps");
     let analytic = moas_list_overhead(dump, WireModel::default());
-    let measured = measure_moas_list_overhead_jobs(dump, jobs_option(args));
+    let measured = measure_moas_list_overhead(dump, jobs_option(args));
     println!("analytic: {analytic}");
     println!("measured: {measured}");
     println!(
@@ -1068,12 +1015,11 @@ fn overhead(args: &[String]) -> ExitCode {
         "against a 100k-route 2001 table: {:.4}% added",
         100.0 * measured.added_bytes as f64 / (100_000.0 * 36.0)
     );
-    if let Some(path) = option::<String>(args, "--metrics") {
-        if !write_metrics(&path, &overhead_metrics(&measured)) {
-            return ExitCode::FAILURE;
-        }
+    if write_metrics(args, &overhead_snapshot(&measured)) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }
 
 /// Reads a `--metrics` snapshot back and renders it as a readable table.
@@ -1107,13 +1053,8 @@ fn session_chaos(args: &[String], scenario: SessionChaosScenario) -> ExitCode {
     } else {
         SessionChaosConfig::new(scenario)
     };
-    if let Some(trials) = option::<usize>(args, "--trials") {
-        config.trials = trials;
-    }
-    if let Some(seed) = option::<u64>(args, "--seed") {
-        config.seed = seed;
-    }
-    let report = run_session_chaos_jobs(&config, jobs_option(args));
+    campaign_overrides(args, &mut config.trials, &mut config.seed);
+    let report = run_session_chaos(&config, jobs_option(args));
     println!(
         "scenario {}: {} trials, seed {:#x}",
         report.scenario.name(),
@@ -1138,18 +1079,7 @@ fn session_chaos(args: &[String], scenario: SessionChaosScenario) -> ExitCode {
         report.mean_decode_errors,
         report.mean_virtual_ms
     );
-    let json = report.to_json();
-    match option::<String>(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("report written to {path}");
-        }
-        None => println!("{json}"),
-    }
-    ExitCode::SUCCESS
+    emit_json(args, report.to_json(), "report")
 }
 
 /// Streams an MRT archive through a live BGP session into a running

@@ -311,3 +311,68 @@ fn export_import_round_trip_preserves_daily_moas_counts() {
     assert_eq!(exported_days.len(), 4);
     assert_eq!(exported_days, imported_days);
 }
+
+#[test]
+fn unparseable_numeric_flags_are_errors_not_silent_defaults() {
+    // `--shards two` used to run the classic engine and `--jobs x` to fall
+    // back to all cores, both without a word.
+    for (args, flag) in [
+        (&["figures", "--quick", "--shards", "two"][..], "--shards"),
+        (&["figures", "--quick", "--jobs", "x"][..], "--jobs"),
+        (&["trial", "--attackers", "-1"][..], "--attackers"),
+        (&["trial", "--origins", "1.5"][..], "--origins"),
+        (
+            &["chaos", "--scenario", "failover", "--trials", "many"][..],
+            "--trials",
+        ),
+        (
+            &["chaos", "--scenario", "failover", "--quick", "--seed"][..],
+            "--seed",
+        ),
+    ] {
+        let out = moas_lab(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: stderr names the flag: {err}");
+    }
+    // The scenario lookup still falls through from session to chaos names.
+    let out = moas_lab(&[
+        "chaos",
+        "--scenario",
+        "failover",
+        "--quick",
+        "--trials",
+        "2",
+    ]);
+    assert!(out.status.success());
+}
+
+#[test]
+fn figures_accepts_metrics_on_the_sharded_engine_and_records_only_on_request() {
+    let path = std::env::temp_dir().join(format!("moas-fig-metrics-{}.json", std::process::id()));
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let recorded = moas_lab(&["figures", "--quick", "--shards", "2", "--metrics", path_str]);
+    assert!(
+        recorded.status.success(),
+        "{}",
+        String::from_utf8_lossy(&recorded.stderr)
+    );
+    let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
+    std::fs::remove_file(&path).ok();
+    assert!(snapshot.contains("trial.count"));
+
+    // Same figures with or without the snapshot.
+    let plain = moas_lab(&["figures", "--quick", "--shards", "2"]);
+    let recorded_stdout = String::from_utf8_lossy(&recorded.stdout);
+    let figures_only = recorded_stdout
+        .lines()
+        .filter(|l| !l.starts_with("metrics snapshot written"))
+        .collect::<Vec<_>>();
+    assert_eq!(
+        String::from_utf8_lossy(&plain.stdout)
+            .lines()
+            .collect::<Vec<_>>(),
+        figures_only
+    );
+}
