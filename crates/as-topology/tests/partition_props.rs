@@ -1,4 +1,4 @@
-//! Partitioner invariants the sharded engine's correctness rests on, over
+//! Partitioner invariants the engine's sharding rests on, over
 //! generated topologies: every AS lands in exactly one shard, the balance cap
 //! holds, and the cut is counted consistently from both sides.
 

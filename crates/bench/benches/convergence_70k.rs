@@ -1,4 +1,4 @@
-//! Internet-scale convergence through the sharded engine: one ~70k-AS
+//! Internet-scale convergence, one shard count at a time: one ~70k-AS
 //! origination driven to quiescence at several shard counts.
 //!
 //! This is the tentpole's headline measurement: the synthetic scale-free

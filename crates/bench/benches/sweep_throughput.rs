@@ -187,7 +187,7 @@ fn main() {
                          fast path cannot serve; tokens remove the per-observation \
                          hashing where a key repeats within one export (the per-router \
                          net.adj_rib_in.size histogram: 46 observations here, 70k in \
-                         the sharded engine's export)"
+                         a 70k-AS export)"
                             .to_string(),
                     ),
                 ),

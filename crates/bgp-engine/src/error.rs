@@ -81,7 +81,7 @@ impl fmt::Display for UnknownAsError {
 impl Error for UnknownAsError {}
 
 /// A fault plan referenced actors the network cannot satisfy. Raised by
-/// [`Network::set_fault_plan`](crate::Network::set_fault_plan) at install
+/// [`set_fault_plan`](crate::ShardedNetwork::set_fault_plan) at install
 /// time, so the event loop never has to deal with a dangling reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlanError {

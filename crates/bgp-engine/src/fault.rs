@@ -7,9 +7,10 @@
 //! restorations, session resets, and scripted originations/withdrawals
 //! (including periodic origin flaps).
 //!
-//! Install a plan with [`Network::set_fault_plan`](crate::Network::set_fault_plan);
-//! the network validates every referenced AS and link up front and then
-//! executes the plan during [`run`](crate::Network::run), interleaved
+//! Install a plan with
+//! [`set_fault_plan`](crate::ShardedNetwork::set_fault_plan); the network
+//! validates every referenced AS and link up front and then executes the
+//! plan during [`run`](crate::ShardedNetwork::run), interleaved
 //! deterministically with BGP message delivery.
 
 use bgp_types::{Asn, Ipv4Prefix, Route};
@@ -19,14 +20,14 @@ use sim_engine::fault::FaultPlan;
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Tear down the link between two ASes (see
-    /// [`Network::fail_link`](crate::Network::fail_link)).
+    /// [`ShardedNetwork::fail_link`](crate::ShardedNetwork::fail_link)).
     FailLink(Asn, Asn),
     /// Restore a previously failed link (see
-    /// [`Network::restore_link`](crate::Network::restore_link)).
+    /// [`ShardedNetwork::restore_link`](crate::ShardedNetwork::restore_link)).
     RestoreLink(Asn, Asn),
     /// Reset the BGP session between two peers: both sides implicitly
     /// withdraw what they learned over it, then re-establish and re-announce
-    /// (see [`Network::reset_session`](crate::Network::reset_session)).
+    /// (see [`ShardedNetwork::reset_session`](crate::ShardedNetwork::reset_session)).
     ResetSession(Asn, Asn),
     /// Make an AS originate a route (the path should be empty; the router
     /// prepends its own ASN on export). Models scripted originations such as

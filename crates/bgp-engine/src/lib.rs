@@ -45,26 +45,27 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-mod engine;
 mod error;
 mod fault;
 mod forwarding;
 mod monitor;
 mod network;
 mod policy;
+mod queue;
 mod router;
 mod sharded;
+mod stats;
 mod update;
 mod valley_free;
 
-pub use engine::Engine;
 pub use error::{ConvergenceError, FaultPlanError, UnknownAsError};
 pub use fault::{FaultEvent, NetFaultPlan};
 pub use forwarding::{ForwardOutcome, ForwardingPlane};
 pub use monitor::{ExportAction, ImportContext, ImportDecision, NoopMonitor, RouteMonitor};
-pub use network::{Network, NetworkStats, SessionCounters};
+pub use network::Network;
 pub use policy::{CommunityPolicies, CommunityPolicy, CommunityPolicyMap, REWRITE_MARKER_VALUE};
 pub use router::Router;
 pub use sharded::ShardedNetwork;
+pub use stats::{NetworkStats, SessionCounters};
 pub use update::SharedUpdate;
 pub use valley_free::ValleyFree;

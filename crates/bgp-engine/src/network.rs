@@ -1,151 +1,25 @@
-//! The event-driven BGP network.
+//! [`Network`]: the one-shard, calling-thread case of the engine.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::ops::{Deref, DerefMut};
 
 use as_topology::AsGraph;
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use minimetrics::MetricsSink;
-use rand::rngs::SmallRng;
-use rand::Rng;
-use sim_engine::fault::{FaultAction, FaultStats, LinkFaultModel, TimelineEntry};
-use sim_engine::{EventQueue, SimTime};
+use sim_engine::SimTime;
 
-use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
-use crate::fault::{FaultEvent, NetFaultPlan};
+use crate::error::ConvergenceError;
 use crate::monitor::{NoopMonitor, RouteMonitor};
-use crate::router::Router;
-use crate::update::SharedUpdate;
-
-/// An event in the network's discrete-event queue.
-///
-/// Endpoints are dense node indices (see [`Network`]'s interner), so the hot
-/// loop never touches an ASN map; announce payloads are reference-counted,
-/// so a fan-out of `k` messages shares one route allocation.
-#[derive(Debug, Clone)]
-enum NetEvent {
-    /// A message in flight between two peering routers. `epoch` is the
-    /// sending session's epoch at transmission time: if the session fails or
-    /// resets while the message is in flight, the epoch moves on and the
-    /// stale message is discarded on delivery — even if the link has since
-    /// come back up.
-    Deliver {
-        /// Flat id of the directed edge `from -> to`, stamped at send time
-        /// so delivery never repeats the adjacency binary search.
-        edge: u32,
-        from: u32,
-        to: u32,
-        epoch: u32,
-        /// The link's fault model damaged this message in flight; the
-        /// receiver detects the damage, discards it, and counts it.
-        corrupt: bool,
-        update: SharedUpdate,
-    },
-    /// An MRAI window for a directed session expired: flush pending updates.
-    MraiFlush { from: u32, to: u32 },
-    /// A fault-plan timeline entry fires (index into the installed plan).
-    Fault { entry: u32 },
-}
-
-/// Counters accumulated while the simulation runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetworkStats {
-    /// Announcement messages delivered.
-    pub announcements: u64,
-    /// Withdrawal messages delivered.
-    pub withdrawals: u64,
-    /// Updates superseded inside an MRAI window before ever being sent.
-    pub mrai_coalesced: u64,
-    /// Updates held back (deferred) by a closed MRAI window; a deferral that
-    /// is later superseded also counts toward `mrai_coalesced`.
-    pub mrai_deferred: u64,
-    /// Messages dropped because their link failed — or their session was
-    /// reset — while they were in flight.
-    pub dropped_on_failed_links: u64,
-    /// Messages that arrived corrupted and were discarded by the receiver.
-    pub corrupted_dropped: u64,
-    /// Simulated time when the network last went quiescent.
-    pub converged_at: SimTime,
-}
-
-impl NetworkStats {
-    /// Total update messages delivered.
-    #[must_use]
-    pub fn total_messages(&self) -> u64 {
-        self.announcements + self.withdrawals
-    }
-}
-
-/// Update counters for one directed BGP session.
-///
-/// "Sent" counts messages handed to the link (before the fault model decides
-/// their fate); "received" counts messages actually delivered to the peer's
-/// decision process, so `sent - received` on a session is the traffic lost
-/// to drops, corruption, failures and stale epochs on that link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionCounters {
-    /// Announcements handed to the link by the sending router.
-    pub sent_announcements: u64,
-    /// Withdrawals handed to the link by the sending router.
-    pub sent_withdrawals: u64,
-    /// Announcements delivered to the receiving router.
-    pub recv_announcements: u64,
-    /// Withdrawals delivered to the receiving router.
-    pub recv_withdrawals: u64,
-}
-
-impl SessionCounters {
-    /// `true` when the session never carried a message.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == SessionCounters::default()
-    }
-}
-
-/// The installed fault scenario: the network-side state behind a
-/// [`NetFaultPlan`].
-#[derive(Debug, Clone)]
-struct FaultState {
-    /// The dedicated fault RNG, seeded from the plan. Message-fate decisions
-    /// draw from it in deterministic event order, so runs are bit-identical.
-    rng: SmallRng,
-    /// Per directed edge id: the link's fault model (both directions of a
-    /// planned link get the same model).
-    models: BTreeMap<usize, LinkFaultModel>,
-    /// Per directed edge id: what the faults actually did.
-    stats: Vec<FaultStats>,
-    /// The scripted events, indexed by [`NetEvent::Fault`]'s `entry`.
-    timeline: Vec<TimelineEntry<FaultEvent>>,
-    /// Remaining firings per periodic entry (`None` = unbounded).
-    remaining: Vec<Option<u64>>,
-}
+use crate::sharded::{ShardedNetwork, DEFAULT_EVENT_LIMIT};
 
 /// An AS-level BGP network over an [`AsGraph`], driven to quiescence by a
 /// deterministic discrete-event queue.
 ///
-/// The monitor type parameter injects route validation: [`NoopMonitor`] for
-/// the "Normal BGP" baseline, or the MOAS monitor from `moas-core` for the
-/// paper's mechanism.
-///
-/// # Layout
-///
-/// At construction every ASN is interned into a dense index `0..n` (the
-/// sorted `asn_index` table), and the adjacency is flattened into a CSR
-/// layout: `peer_start[i]..peer_start[i + 1]` spans node `i`'s directed
-/// edges, each identified by one flat edge id. Per-session state — link
-/// delays, MRAI gates, MRAI pending batches, session epochs — lives in plain
-/// `Vec`s indexed by edge id, so the event loop does array arithmetic
-/// instead of walking `BTreeMap<(Asn, Asn), _>` trees. ASNs appear only at
-/// the public API boundary; all inspection signatures are unchanged.
-///
-/// # Fault injection
-///
-/// [`Network::set_fault_plan`] installs a [`NetFaultPlan`]: per-link message
-/// perturbation (drop / duplicate / extra delay / corrupt) plus a scripted
-/// timeline of [`FaultEvent`]s, all driven from the plan's seed. The
-/// convergence watchdog ([`Network::set_watchdog`]) turns livelock — e.g. an
-/// unbounded origin flap with MRAI disabled — into a typed
-/// [`ConvergenceError::Oscillating`] instead of an exhausted event budget.
+/// This is [`ShardedNetwork`] with one shard, run on the calling thread, and
+/// it dereferences to it: originating, fault plans, link failures, stats,
+/// RIB inspection and `export_metrics` are all that type's methods (and its
+/// documentation). What the wrapper adds is a single owned monitor —
+/// [`Network::monitor`] instead of one per shard — of any type, `Send` or
+/// not: [`NoopMonitor`] for the "Normal BGP" baseline, or the MOAS monitor
+/// from `moas-core` for the paper's mechanism. Results are bit-identical to
+/// a `ShardedNetwork` of any shard count over the same graph and seed.
 ///
 /// # Example
 ///
@@ -169,56 +43,7 @@ struct FaultState {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct Network<M = NoopMonitor> {
-    /// Sorted ASNs; position = dense node index.
-    asn_index: Vec<Asn>,
-    /// Routers, indexed by node.
-    routers: Vec<Router>,
-    /// CSR row starts into `peer_idx`/`delays`/MRAI tables; len `n + 1`.
-    peer_start: Vec<usize>,
-    /// CSR column data: neighbor node index per directed edge, each row
-    /// ascending (routers keep their peer lists sorted).
-    peer_idx: Vec<u32>,
-    queue: EventQueue<NetEvent>,
-    /// Per directed edge: link delay in ticks.
-    delays: Vec<u64>,
-    /// Per directed edge: sent/received update counters.
-    sessions: Vec<SessionCounters>,
-    monitor: M,
-    stats: NetworkStats,
-    /// Minimum route advertisement interval per directed session; 0 = off.
-    mrai: u64,
-    /// Per directed edge: the earliest time the next batch may be sent.
-    mrai_gate: Vec<SimTime>,
-    /// Per directed edge: updates held back by an open MRAI window, newest
-    /// per prefix.
-    mrai_pending: Vec<BTreeMap<Ipv4Prefix, SharedUpdate>>,
-    /// Per directed edge: the session epoch. Bumped when the link fails or
-    /// the session resets; in-flight messages stamped with an older epoch
-    /// are discarded on delivery.
-    epochs: Vec<u32>,
-    /// `true` once any epoch has been bumped — gates the per-delivery epoch
-    /// lookup so fault-free runs keep the original hot path.
-    epochs_active: bool,
-    /// Links currently failed (stored with endpoints ordered low-high).
-    /// Failure injection may name ASes outside the graph, so this stays
-    /// keyed by ASN; the hot path short-circuits on `is_empty`.
-    failed_links: BTreeSet<(Asn, Asn)>,
-    /// Convergence watchdog period in events; 0 = off.
-    watchdog: u64,
-    /// Installed fault plan state, if any. Boxed so fault-free networks pay
-    /// one pointer.
-    faults: Option<Box<FaultState>>,
-}
-
-/// Default event budget for [`Network::run`]: far beyond what any experiment
-/// in the reproduction needs, while still catching runaway configurations.
-const DEFAULT_EVENT_LIMIT: u64 = 50_000_000;
-
-/// Repeated-fingerprint sightings before the watchdog declares oscillation.
-/// Two sightings can happen transiently while churn settles; three of the
-/// same global routing state with work still queued means a cycle.
-const WATCHDOG_STRIKES: u32 = 3;
+pub struct Network<M = NoopMonitor>(ShardedNetwork<M>);
 
 impl Network<NoopMonitor> {
     /// Builds a plain BGP network (no validation) with unit link delays.
@@ -233,841 +58,86 @@ impl<M: RouteMonitor> Network<M> {
     /// export. All links have unit delay.
     #[must_use]
     pub fn with_monitor(graph: &AsGraph, monitor: M) -> Self {
-        let asn_index: Vec<Asn> = graph.asns().collect();
-        debug_assert!(asn_index.windows(2).all(|w| w[0] < w[1]));
-        let routers: Vec<Router> = asn_index
-            .iter()
-            .map(|&asn| Router::new(asn, graph.neighbors(asn).collect()))
-            .collect();
-        let mut peer_start = Vec::with_capacity(asn_index.len() + 1);
-        peer_start.push(0);
-        let mut peer_idx = Vec::new();
-        for router in &routers {
-            for &peer in router.peers() {
-                let idx = asn_index
-                    .binary_search(&peer)
-                    .expect("graph links only name graph ASes");
-                peer_idx.push(idx as u32);
-            }
-            peer_start.push(peer_idx.len());
-        }
-        let edges = peer_idx.len();
-        Network {
-            asn_index,
-            routers,
-            peer_start,
-            peer_idx,
-            queue: EventQueue::new(),
-            delays: vec![1; edges],
-            sessions: vec![SessionCounters::default(); edges],
-            monitor,
-            stats: NetworkStats::default(),
-            mrai: 0,
-            mrai_gate: vec![SimTime::ZERO; edges],
-            mrai_pending: vec![BTreeMap::new(); edges],
-            epochs: vec![0; edges],
-            epochs_active: false,
-            failed_links: BTreeSet::new(),
-            watchdog: 0,
-            faults: None,
-        }
+        Network(ShardedNetwork::with_monitor_factory(
+            graph,
+            1,
+            1,
+            once(monitor),
+        ))
     }
 
     /// Like [`Network::with_monitor`], but each directed link gets an
     /// independent delay drawn uniformly from `1..=max_delay`, seeded so the
-    /// timing pattern is reproducible. Varying delays explore different
-    /// propagation races, which is what makes Monte Carlo runs meaningful.
+    /// timing pattern is reproducible.
     #[must_use]
     pub fn with_monitor_and_jitter(graph: &AsGraph, monitor: M, seed: u64, max_delay: u64) -> Self {
-        let mut net = Network::with_monitor(graph, monitor);
-        let max_delay = max_delay.max(1);
-        let mut rng = sim_engine::rng::from_seed(seed);
-        for (a, b) in graph.links() {
-            let ia = net.index_of(a).expect("link endpoint in graph");
-            let ib = net.index_of(b).expect("link endpoint in graph");
-            let ab = net.edge_between(ia, ib).expect("link endpoints adjacent");
-            net.delays[ab] = rng.gen_range(1..=max_delay);
-            let ba = net.edge_between(ib, ia).expect("link endpoints adjacent");
-            net.delays[ba] = rng.gen_range(1..=max_delay);
-        }
-        net
+        Network(ShardedNetwork::with_monitor_and_jitter(
+            graph,
+            1,
+            1,
+            seed,
+            max_delay,
+            once(monitor),
+        ))
     }
 
     /// The monitor, for reading alarms and other accumulated state.
     #[must_use]
     pub fn monitor(&self) -> &M {
-        &self.monitor
+        self.0.monitors().next().expect("exactly one shard")
     }
 
     /// Mutable access to the monitor (e.g. to reconfigure between phases).
     #[must_use]
     pub fn monitor_mut(&mut self) -> &mut M {
-        &mut self.monitor
+        self.0.monitors_mut().next().expect("exactly one shard")
     }
 
-    /// Message counters.
-    #[must_use]
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// The current simulated time (the timestamp of the most recently
-    /// processed event).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// The ASes in the network, ascending.
-    pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.asn_index.iter().copied()
-    }
-
-    /// Read access to a router.
-    #[must_use]
-    pub fn router(&self, asn: Asn) -> Option<&Router> {
-        self.index_of(asn).map(|i| &self.routers[i])
-    }
-
-    /// The best route an AS holds for `prefix`.
-    #[must_use]
-    pub fn best_route(&self, asn: Asn, prefix: Ipv4Prefix) -> Option<&Route> {
-        self.router(asn)?.best_route(prefix)
-    }
-
-    /// The origin AS of the best route an AS holds for `prefix`.
-    #[must_use]
-    pub fn best_origin(&self, asn: Asn, prefix: Ipv4Prefix) -> Option<Asn> {
-        self.router(asn)?.best_origin(prefix)
-    }
-
-    /// Makes `asn` originate `prefix`, optionally attaching a MOAS list to
-    /// its announcements (§4.2: origins of a multi-homed prefix attach the
-    /// full list; `None` models pre-deployment behaviour — receivers then
-    /// apply the implicit `{origin}` rule).
-    ///
-    /// Events are queued; call [`Network::run`] to propagate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `asn` is not in the network.
-    pub fn originate(&mut self, asn: Asn, prefix: Ipv4Prefix, moas_list: Option<MoasList>) {
-        let mut route = Route::new(prefix, AsPath::new());
-        if let Some(list) = moas_list {
-            route = route.with_moas_list(list);
-        }
-        self.originate_route(asn, route);
-    }
-
-    /// Makes `asn` originate an arbitrary pre-built route (the path should be
-    /// empty; the router prepends its own ASN on export). Used by attacker
-    /// models that forge attributes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `asn` is not in the network; use
-    /// [`Network::try_originate_route`] for a fallible variant.
-    pub fn originate_route(&mut self, asn: Asn, route: Route) {
-        self.try_originate_route(asn, route)
-            .expect("originating AS not in network");
-    }
-
-    /// Fallible [`Network::originate_route`]: reports an unknown AS as a
-    /// typed error instead of panicking.
+    /// [`ShardedNetwork::run`], for any monitor type.
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownAsError`] when `asn` is not in the network.
-    pub fn try_originate_route(&mut self, asn: Asn, route: Route) -> Result<(), UnknownAsError> {
-        let idx = self.index_of(asn).ok_or(UnknownAsError { asn })?;
-        let updates = self.routers[idx].originate(route, &mut self.monitor);
-        self.enqueue(idx, updates);
-        Ok(())
-    }
-
-    /// Makes `asn` stop originating `prefix`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `asn` is not in the network; use [`Network::try_withdraw`]
-    /// for a fallible variant.
-    pub fn withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) {
-        self.try_withdraw(asn, prefix)
-            .expect("withdrawing AS not in network");
-    }
-
-    /// Fallible [`Network::withdraw`]: reports an unknown AS as a typed
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAsError`] when `asn` is not in the network.
-    pub fn try_withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) -> Result<(), UnknownAsError> {
-        let idx = self.index_of(asn).ok_or(UnknownAsError { asn })?;
-        let updates = self.routers[idx].withdraw_origin(prefix, &mut self.monitor);
-        self.enqueue(idx, updates);
-        Ok(())
-    }
-
-    /// Runs the simulation until no messages remain in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvergenceError::BudgetExhausted`] if the default event
-    /// budget runs out, or [`ConvergenceError::Oscillating`] if the watchdog
-    /// (see [`Network::set_watchdog`]) catches the network cycling through
-    /// the same routing states.
+    /// Returns [`ConvergenceError`] on budget exhaustion or oscillation.
     pub fn run(&mut self) -> Result<SimTime, ConvergenceError> {
         self.run_with_limit(DEFAULT_EVENT_LIMIT)
     }
 
-    /// Runs until quiescence or until `max_events` messages have been
-    /// delivered.
+    /// [`ShardedNetwork::run_with_limit`], for any monitor type.
     ///
     /// # Errors
     ///
-    /// Returns [`ConvergenceError`] when the budget runs out first or the
-    /// watchdog detects oscillation.
+    /// Returns [`ConvergenceError`] on budget exhaustion or oscillation.
     pub fn run_with_limit(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
-        let mut processed = 0u64;
-        // Watchdog state is per-run: fingerprint -> (last sighting, hits).
-        let mut seen: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
-        let mut clock = self.queue.now();
-        while let Some((time, event)) = self.queue.pop() {
-            processed += 1;
-            if processed > max_events {
-                return Err(ConvergenceError::BudgetExhausted {
-                    processed,
-                    pending: self.queue.len(),
-                });
-            }
-            if time != clock {
-                clock = time;
-                self.monitor.on_clock(clock);
-            }
-            match event {
-                NetEvent::Deliver {
-                    edge,
-                    from,
-                    to,
-                    epoch,
-                    corrupt,
-                    update,
-                } => {
-                    let (edge, from, to) = (edge as usize, from as usize, to as usize);
-                    if !self.failed_links.is_empty()
-                        && self.link_is_down(self.asn_index[from], self.asn_index[to])
-                    {
-                        self.drop_in_flight(edge);
-                        continue;
-                    }
-                    // A stale epoch means the session failed or reset after
-                    // this message was sent: it is lost even if the link has
-                    // since come back up.
-                    if self.epochs_active && self.epochs[edge] != epoch {
-                        self.drop_in_flight(edge);
-                        continue;
-                    }
-                    if corrupt {
-                        // The receiver detects the damage and discards the
-                        // update; the session survives (we do not model the
-                        // RFC 4271 NOTIFICATION teardown for single bad
-                        // messages — see DESIGN.md "Fault model").
-                        self.stats.corrupted_dropped += 1;
-                        if let Some(f) = self.faults.as_deref_mut() {
-                            f.stats[edge].corrupted += 1;
-                        }
-                        continue;
-                    }
-                    match &update {
-                        SharedUpdate::Announce(_) => {
-                            self.stats.announcements += 1;
-                            self.sessions[edge].recv_announcements += 1;
-                        }
-                        SharedUpdate::Withdraw(_) => {
-                            self.stats.withdrawals += 1;
-                            self.sessions[edge].recv_withdrawals += 1;
-                        }
-                    }
-                    let from_asn = self.asn_index[from];
-                    let updates =
-                        self.routers[to].handle_update(from_asn, update, &mut self.monitor);
-                    self.enqueue(to, updates);
-                }
-                NetEvent::MraiFlush { from, to } => {
-                    let (from, to) = (from as usize, to as usize);
-                    let edge = self
-                        .edge_between(from, to)
-                        .expect("MRAI state only exists on real sessions");
-                    let pending = std::mem::take(&mut self.mrai_pending[edge]);
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    self.mrai_gate[edge] = self.queue.now() + self.mrai;
-                    for (_, update) in pending {
-                        self.schedule_delivery(edge, from as u32, to as u32, update);
-                    }
-                }
-                NetEvent::Fault { entry } => {
-                    let idx = entry as usize;
-                    let Some(faults) = self.faults.as_deref_mut() else {
-                        continue;
-                    };
-                    let mut reschedule = None;
-                    if let Some(period) = faults.timeline[idx].period {
-                        let fire_again = match &mut faults.remaining[idx] {
-                            None => true,
-                            Some(n) if *n > 1 => {
-                                *n -= 1;
-                                true
-                            }
-                            Some(n) => {
-                                *n = 0;
-                                false
-                            }
-                        };
-                        if fire_again {
-                            reschedule = Some(period);
-                        }
-                    }
-                    let event = faults.timeline[idx].event.clone();
-                    if let Some(period) = reschedule {
-                        self.queue.schedule_after(period, NetEvent::Fault { entry });
-                    }
-                    self.apply_fault_event(event);
-                }
-            }
-            if self.watchdog > 0
-                && processed.is_multiple_of(self.watchdog)
-                && !self.queue.is_empty()
-            {
-                let fp = self.routing_fingerprint();
-                match seen.get_mut(&fp) {
-                    None => {
-                        seen.insert(fp, (processed, 1));
-                    }
-                    Some((last, hits)) => {
-                        let cycle_len = processed - *last;
-                        *last = processed;
-                        *hits += 1;
-                        if *hits >= WATCHDOG_STRIKES {
-                            return Err(ConvergenceError::Oscillating { cycle_len });
-                        }
-                    }
-                }
-            }
-        }
-        self.stats.converged_at = self.queue.now();
-        Ok(self.queue.now())
+        self.0.run_inline(max_events)
     }
+}
 
-    // ------------------------------------------------------------------
-    // MRAI, failure injection, and fault plans
-    // ------------------------------------------------------------------
+/// The monitor factory of a one-shard network: hands out `monitor`, once.
+fn once<M>(monitor: M) -> impl FnMut() -> M {
+    let mut monitor = Some(monitor);
+    move || monitor.take().expect("one shard takes one monitor")
+}
 
-    /// Enables the minimum route advertisement interval: after a router sends
-    /// an update to a peer, further updates for that peer are held and
-    /// coalesced (newest per prefix wins) until `ticks` have elapsed
-    /// (RFC 4271 §9.2.1.1; SSFnet enables a 30s MRAI by default). Pass 0 to
-    /// disable. Takes effect for updates emitted after the call.
-    pub fn set_mrai(&mut self, ticks: u64) {
-        self.mrai = ticks;
+impl<M> Deref for Network<M> {
+    type Target = ShardedNetwork<M>;
+
+    fn deref(&self) -> &ShardedNetwork<M> {
+        &self.0
     }
+}
 
-    /// Arms the convergence watchdog: every `interval_events` delivered
-    /// events, the watchdog fingerprints the global routing state (every
-    /// router's best table). Seeing the same fingerprint three times while
-    /// work is still queued means the network is cycling, and
-    /// [`Network::run`] returns [`ConvergenceError::Oscillating`] instead of
-    /// burning the rest of the event budget. Pass 0 to disable (the
-    /// default).
-    ///
-    /// Pick an interval comfortably larger than one convergence wave (a few
-    /// thousand events) so transient states are not sampled often enough to
-    /// trip the three-strike rule.
-    pub fn set_watchdog(&mut self, interval_events: u64) {
-        self.watchdog = interval_events;
-    }
-
-    /// Installs a fault plan: per-link perturbation models and a scripted
-    /// event timeline, validated eagerly so the event loop never meets a
-    /// dangling AS or link.
-    ///
-    /// Timeline entries are scheduled at their absolute tick (or immediately
-    /// if that tick already passed); the fault RNG is seeded from the plan,
-    /// so a run is bit-reproducible from `(network seed, plan)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError`] when the plan names an AS outside the
-    /// network, attaches a model or link event to a non-peering pair, or a
-    /// plan is already installed.
-    pub fn set_fault_plan(&mut self, plan: NetFaultPlan) -> Result<(), FaultPlanError> {
-        if self.faults.is_some() {
-            return Err(FaultPlanError::AlreadyInstalled);
-        }
-        // Validate everything before touching the queue.
-        for entry in plan.timeline() {
-            for asn in entry.event.actors() {
-                if self.index_of(asn).is_none() {
-                    return Err(FaultPlanError::UnknownAs(asn));
-                }
-            }
-            if let FaultEvent::FailLink(a, b)
-            | FaultEvent::RestoreLink(a, b)
-            | FaultEvent::ResetSession(a, b) = entry.event
-            {
-                self.directed_edges(a, b)?;
-            }
-        }
-        let mut models = BTreeMap::new();
-        for (&(a, b), &model) in plan.link_models() {
-            let (ab, ba) = self.directed_edges(a, b)?;
-            models.insert(ab, model);
-            models.insert(ba, model);
-        }
-
-        let timeline: Vec<TimelineEntry<FaultEvent>> = plan.timeline().to_vec();
-        let remaining: Vec<Option<u64>> = timeline.iter().map(|e| e.count).collect();
-        for (i, entry) in timeline.iter().enumerate() {
-            if entry.count == Some(0) {
-                continue;
-            }
-            let at = SimTime::from_ticks(entry.at).max(self.queue.now());
-            self.queue.schedule(at, NetEvent::Fault { entry: i as u32 });
-        }
-        self.faults = Some(Box::new(FaultState {
-            rng: sim_engine::rng::from_seed(plan.seed()),
-            models,
-            stats: vec![FaultStats::default(); self.peer_idx.len()],
-            timeline,
-            remaining,
-        }));
-        Ok(())
-    }
-
-    /// Per-link fault statistics, one entry per directed edge that saw any
-    /// fault activity, keyed `(from, to)` and ascending. Empty when no fault
-    /// plan is installed.
-    #[must_use]
-    pub fn fault_stats(&self) -> Vec<((Asn, Asn), FaultStats)> {
-        let Some(faults) = self.faults.as_deref() else {
-            return Vec::new();
-        };
-        faults
-            .stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s != FaultStats::default())
-            .map(|(e, s)| (self.edge_endpoints(e), *s))
-            .collect()
-    }
-
-    /// Per-session update counters, one entry per directed edge that carried
-    /// any traffic, keyed `(from, to)` and ascending by edge id.
-    #[must_use]
-    pub fn session_counters(&self) -> Vec<((Asn, Asn), SessionCounters)> {
-        self.sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(e, c)| (self.edge_endpoints(e), *c))
-            .collect()
-    }
-
-    /// Lifetime counters of the underlying event queue.
-    #[must_use]
-    pub fn queue_stats(&self) -> sim_engine::QueueStats {
-        self.queue.stats()
-    }
-
-    /// Emits everything the network observed into `sink`:
-    ///
-    /// * the event-queue counters (`sim.*`, see
-    ///   [`EventQueue::export_metrics`](sim_engine::EventQueue));
-    /// * aggregate message counters under `net.messages.*`, decision-process
-    ///   invocations, and the convergence time in virtual ticks;
-    /// * an `net.adj_rib_in.size` histogram with one observation per router;
-    /// * per-session counters under `session.{from}->{to}.*` and per-link
-    ///   fault stats under `link.{from}->{to}.*` (only sessions/links with
-    ///   activity, so snapshots stay sparse).
-    ///
-    /// Every exported quantity is derived from the deterministic event
-    /// stream (counts and virtual time, never wall-clock), so snapshots are
-    /// byte-identical across runs and worker counts.
-    pub fn export_metrics<S: MetricsSink>(&self, sink: &mut S) {
-        if !S::ENABLED {
-            return;
-        }
-        self.queue.export_metrics(sink);
-        sink.counter_add("net.messages.announcements", self.stats.announcements);
-        sink.counter_add("net.messages.withdrawals", self.stats.withdrawals);
-        sink.counter_add("net.messages.mrai_coalesced", self.stats.mrai_coalesced);
-        sink.counter_add("net.messages.mrai_deferred", self.stats.mrai_deferred);
-        sink.counter_add(
-            "net.messages.dropped_in_flight",
-            self.stats.dropped_on_failed_links,
-        );
-        sink.counter_add(
-            "net.messages.corrupted_dropped",
-            self.stats.corrupted_dropped,
-        );
-        sink.gauge_set("net.converged_at_ticks", self.stats.converged_at.ticks());
-        let mut decisions = 0u64;
-        // One histogram observation per router: resolve the key to a token
-        // once so the loop pays no per-observation hashing.
-        let rib_size = sink.record_token("net.adj_rib_in.size");
-        for router in &self.routers {
-            decisions += router.decision_count();
-            sink.record_by(rib_size, router.adj_rib_in_size() as u64);
-        }
-        sink.counter_add("net.decision_process.invocations", decisions);
-        // One reusable key buffer for the dynamic per-session/per-link keys:
-        // the `{prefix}.{a}->{b}.` stem is formatted once per pair and each
-        // suffix is appended after truncating back to the stem.
-        let mut key = String::with_capacity(64);
-        for ((a, b), c) in self.session_counters() {
-            key.clear();
-            write!(key, "session.{a}->{b}.").expect("write to String cannot fail");
-            let stem = key.len();
-            for (suffix, value) in [
-                ("sent_announcements", c.sent_announcements),
-                ("sent_withdrawals", c.sent_withdrawals),
-                ("recv_announcements", c.recv_announcements),
-                ("recv_withdrawals", c.recv_withdrawals),
-            ] {
-                key.truncate(stem);
-                key.push_str(suffix);
-                sink.counter_add(&key, value);
-            }
-        }
-        for ((a, b), s) in self.fault_stats() {
-            key.clear();
-            write!(key, "link.{a}->{b}.").expect("write to String cannot fail");
-            let stem = key.len();
-            for (suffix, value) in [
-                ("delivered", s.delivered),
-                ("dropped", s.dropped),
-                ("duplicated", s.duplicated),
-                ("reordered", s.reordered),
-                ("corrupted", s.corrupted),
-                ("dropped_link_down", s.dropped_link_down),
-            ] {
-                key.truncate(stem);
-                key.push_str(suffix);
-                sink.counter_add(&key, value);
-            }
-        }
-    }
-
-    /// All per-link fault statistics merged into one block.
-    #[must_use]
-    pub fn fault_stats_total(&self) -> FaultStats {
-        let mut total = FaultStats::default();
-        if let Some(faults) = self.faults.as_deref() {
-            for stats in &faults.stats {
-                total.merge(stats);
-            }
-        }
-        total
-    }
-
-    /// Tears down the link between `a` and `b`: both routers treat every
-    /// route learned over it as withdrawn and reconverge. Messages already
-    /// in flight on the link are lost — the session epoch moves on, so they
-    /// stay lost even if the link is restored before their delivery time.
-    /// No-op for unknown or already-failed links.
-    pub fn fail_link(&mut self, a: Asn, b: Asn) {
-        if !self.failed_links.insert(Self::link_key(a, b)) {
-            return;
-        }
-        if let (Some(ia), Some(ib)) = (self.index_of(a), self.index_of(b)) {
-            for (x, y) in [(ia, ib), (ib, ia)] {
-                if let Some(e) = self.edge_between(x, y) {
-                    self.mrai_pending[e].clear();
-                    self.mrai_gate[e] = SimTime::ZERO;
-                    self.epochs[e] = self.epochs[e].wrapping_add(1);
-                    self.epochs_active = true;
-                }
-            }
-        }
-        for (local, peer) in [(a, b), (b, a)] {
-            if let Some(idx) = self.index_of(local) {
-                let updates = self.routers[idx].peer_down(peer, &mut self.monitor);
-                self.enqueue(idx, updates);
-            }
-        }
-    }
-
-    /// Restores a previously failed link: both routers re-advertise their
-    /// current best routes to each other, as a fresh BGP session
-    /// establishment would. Messages that were in flight when the link
-    /// failed remain lost (their epoch is stale). No-op if the link is up.
-    pub fn restore_link(&mut self, a: Asn, b: Asn) {
-        if !self.failed_links.remove(&Self::link_key(a, b)) {
-            return;
-        }
-        for (local, peer) in [(a, b), (b, a)] {
-            if let Some(idx) = self.index_of(local) {
-                let updates = self.routers[idx].refresh_peer(peer, &mut self.monitor);
-                self.enqueue(idx, updates);
-            }
-        }
-    }
-
-    /// Resets the BGP session between two peers, as a TCP reset or a
-    /// NOTIFICATION would: both sides implicitly withdraw every route
-    /// learned over the peering and flood the resulting withdrawals, then
-    /// the session re-establishes immediately and both sides re-announce
-    /// their current best routes. In-flight messages on the session are
-    /// lost (epoch bump); MRAI state for the session is cleared. No-op when
-    /// the pair does not peer or the link is currently failed.
-    pub fn reset_session(&mut self, a: Asn, b: Asn) {
-        if self.link_is_down(a, b) {
-            return;
-        }
-        let (Some(ia), Some(ib)) = (self.index_of(a), self.index_of(b)) else {
-            return;
-        };
-        let (Some(ab), Some(ba)) = (self.edge_between(ia, ib), self.edge_between(ib, ia)) else {
-            return;
-        };
-        for e in [ab, ba] {
-            self.mrai_pending[e].clear();
-            self.mrai_gate[e] = SimTime::ZERO;
-            self.epochs[e] = self.epochs[e].wrapping_add(1);
-        }
-        self.epochs_active = true;
-        // Teardown: each side drops what it learned from the other.
-        for (idx, peer) in [(ia, b), (ib, a)] {
-            let updates = self.routers[idx].peer_down(peer, &mut self.monitor);
-            self.enqueue(idx, updates);
-        }
-        // Re-establishment: each side re-advertises its current best routes.
-        for (idx, peer) in [(ia, b), (ib, a)] {
-            let updates = self.routers[idx].refresh_peer(peer, &mut self.monitor);
-            self.enqueue(idx, updates);
-        }
-    }
-
-    /// Returns `true` while the link between `a` and `b` is failed.
-    #[must_use]
-    pub fn link_is_down(&self, a: Asn, b: Asn) -> bool {
-        !self.failed_links.is_empty() && self.failed_links.contains(&Self::link_key(a, b))
-    }
-
-    fn link_key(a: Asn, b: Asn) -> (Asn, Asn) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Dense node index of an ASN, if it is in the network.
-    fn index_of(&self, asn: Asn) -> Option<usize> {
-        self.asn_index.binary_search(&asn).ok()
-    }
-
-    /// ASN endpoints `(from, to)` of a flat directed edge id.
-    fn edge_endpoints(&self, e: usize) -> (Asn, Asn) {
-        let from = self.peer_start.partition_point(|&start| start <= e) - 1;
-        let to = self.peer_idx[e] as usize;
-        (self.asn_index[from], self.asn_index[to])
-    }
-
-    /// Flat edge id of the directed session `from -> to`, if the nodes peer.
-    fn edge_between(&self, from: usize, to: usize) -> Option<usize> {
-        let row = &self.peer_idx[self.peer_start[from]..self.peer_start[from + 1]];
-        row.binary_search(&(to as u32))
-            .ok()
-            .map(|k| self.peer_start[from] + k)
-    }
-
-    /// Both directed edge ids of a peering, or a typed error for the fault
-    /// planner.
-    fn directed_edges(&self, a: Asn, b: Asn) -> Result<(usize, usize), FaultPlanError> {
-        let ia = self.index_of(a).ok_or(FaultPlanError::UnknownAs(a))?;
-        let ib = self.index_of(b).ok_or(FaultPlanError::UnknownAs(b))?;
-        let ab = self
-            .edge_between(ia, ib)
-            .ok_or(FaultPlanError::NotALink(a, b))?;
-        let ba = self
-            .edge_between(ib, ia)
-            .ok_or(FaultPlanError::NotALink(a, b))?;
-        Ok((ab, ba))
-    }
-
-    /// Counts a message lost in flight (link down or session epoch moved
-    /// on), attributing it to the per-edge fault stats when a plan is
-    /// installed.
-    fn drop_in_flight(&mut self, edge: usize) {
-        self.stats.dropped_on_failed_links += 1;
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.stats[edge].dropped_link_down += 1;
-        }
-    }
-
-    /// Executes one scripted fault event. The plan was validated at install
-    /// time, so the unknown-AS paths are unreachable; the `try_` variants
-    /// make that a silent no-op rather than a panic.
-    fn apply_fault_event(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::FailLink(a, b) => self.fail_link(a, b),
-            FaultEvent::RestoreLink(a, b) => self.restore_link(a, b),
-            FaultEvent::ResetSession(a, b) => self.reset_session(a, b),
-            FaultEvent::Announce { asn, route } => {
-                let _ = self.try_originate_route(asn, route);
-            }
-            FaultEvent::Withdraw { asn, prefix } => {
-                let _ = self.try_withdraw(asn, prefix);
-            }
-            FaultEvent::ToggleOrigin { asn, route } => {
-                let Some(idx) = self.index_of(asn) else {
-                    return;
-                };
-                let prefix = route.prefix();
-                let updates = if self.routers[idx].originates(prefix) {
-                    self.routers[idx].withdraw_origin(prefix, &mut self.monitor)
-                } else {
-                    self.routers[idx].originate(route, &mut self.monitor)
-                };
-                self.enqueue(idx, updates);
-            }
-        }
-    }
-
-    /// Schedules one message on a directed edge, stamping the session epoch
-    /// and applying the link's fault model (if any): the single choke point
-    /// through which every delivery — direct or MRAI-flushed — passes.
-    fn schedule_delivery(&mut self, edge: usize, from: u32, to: u32, update: SharedUpdate) {
-        match &update {
-            SharedUpdate::Announce(_) => self.sessions[edge].sent_announcements += 1,
-            SharedUpdate::Withdraw(_) => self.sessions[edge].sent_withdrawals += 1,
-        }
-        let epoch = self.epochs[edge];
-        let mut delay = self.delays[edge];
-        let mut corrupt = false;
-        let mut copies = 1u8;
-        if let Some(faults) = self.faults.as_deref_mut() {
-            if let Some(model) = faults.models.get(&edge) {
-                match model.decide(&mut faults.rng) {
-                    FaultAction::Deliver => faults.stats[edge].delivered += 1,
-                    FaultAction::Drop => {
-                        faults.stats[edge].dropped += 1;
-                        return;
-                    }
-                    FaultAction::Duplicate => {
-                        faults.stats[edge].duplicated += 1;
-                        copies = 2;
-                    }
-                    FaultAction::Delay(extra) => {
-                        faults.stats[edge].reordered += 1;
-                        delay += extra;
-                    }
-                    FaultAction::Corrupt => corrupt = true,
-                }
-            }
-        }
-        for _ in 0..copies {
-            self.queue.schedule_after(
-                delay,
-                NetEvent::Deliver {
-                    edge: edge as u32,
-                    from,
-                    to,
-                    epoch,
-                    corrupt,
-                    update: update.clone(),
-                },
-            );
-        }
-    }
-
-    /// FNV-1a over every router's best table: node, prefix, learned-from
-    /// peer, and the full AS path. Deterministic across platforms and
-    /// toolchains (unlike `DefaultHasher`), and independent of monotonic
-    /// counters like stats or age stamps, so a network cycling through the
-    /// same routing states produces the same fingerprints.
-    fn routing_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        fn mix(h: u64, word: u64) -> u64 {
-            (h ^ word).wrapping_mul(PRIME)
-        }
-        let mut h = OFFSET;
-        for (node, router) in self.routers.iter().enumerate() {
-            for prefix in router.prefixes() {
-                h = mix(h, node as u64);
-                h = mix(
-                    h,
-                    (u64::from(prefix.network()) << 8) | u64::from(prefix.len()),
-                );
-                h = match router.best_learned_from(prefix) {
-                    Some(peer) => mix(h, u64::from(peer.0) | (1 << 40)),
-                    None => mix(h, 1 << 41),
-                };
-                if let Some(route) = router.best_route(prefix) {
-                    for asn in route.as_path().iter() {
-                        h = mix(h, u64::from(asn.0));
-                    }
-                }
-                h = mix(h, u64::MAX);
-            }
-        }
-        h
-    }
-
-    fn enqueue(&mut self, from: usize, updates: Vec<(Asn, SharedUpdate)>) {
-        let from_asn = self.asn_index[from];
-        for (to_asn, update) in updates {
-            if self.link_is_down(from_asn, to_asn) {
-                continue;
-            }
-            // Routers only address their own peers, so the edge must exist.
-            let k = self.routers[from]
-                .peers()
-                .binary_search(&to_asn)
-                .expect("router update targets a peer");
-            let edge = self.peer_start[from] + k;
-            let to = self.peer_idx[edge];
-            if self.mrai == 0 {
-                self.schedule_delivery(edge, from as u32, to, update);
-                continue;
-            }
-            let now = self.queue.now();
-            let gate = self.mrai_gate[edge];
-            if now >= gate && self.mrai_pending[edge].is_empty() {
-                // Window open: send immediately and start a new window.
-                self.mrai_gate[edge] = now + self.mrai;
-                self.schedule_delivery(edge, from as u32, to, update);
-            } else {
-                // Window closed: coalesce, newest update per prefix wins.
-                self.stats.mrai_deferred += 1;
-                let pending = &mut self.mrai_pending[edge];
-                if pending.insert(update.prefix(), update).is_some() {
-                    self.stats.mrai_coalesced += 1;
-                }
-                // Schedule the flush the first time the batch forms.
-                if pending.len() == 1 {
-                    let wait = gate.ticks().saturating_sub(now.ticks()).max(1);
-                    self.queue.schedule_after(
-                        wait,
-                        NetEvent::MraiFlush {
-                            from: from as u32,
-                            to,
-                        },
-                    );
-                }
-            }
-        }
+impl<M> DerefMut for Network<M> {
+    fn deref_mut(&mut self) -> &mut ShardedNetwork<M> {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultEvent, FaultPlanError, NetFaultPlan};
     use as_topology::{AsRole, InternetModel};
+    use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
     use sim_engine::fault::LinkFaultModel;
 
     fn figure1_graph() -> AsGraph {
@@ -1262,7 +332,7 @@ mod tests {
             net.run().unwrap();
             let origins: Vec<Option<Asn>> =
                 graph.asns().map(|a| net.best_origin(a, prefix)).collect();
-            (origins, *net.stats())
+            (origins, net.stats())
         };
         assert_eq!(run(5), run(5));
     }
@@ -1456,7 +526,7 @@ mod tests {
             net.run().unwrap();
             let origins: Vec<Option<Asn>> =
                 graph.asns().map(|a| net.best_origin(a, prefix)).collect();
-            (origins, *net.stats())
+            (origins, net.stats())
         };
 
         let (plain_origins, plain_stats) = run(0);
@@ -1670,7 +740,7 @@ mod tests {
             net.run().unwrap();
             let origins: Vec<Option<Asn>> =
                 graph.asns().map(|a| net.best_origin(a, prefix)).collect();
-            (origins, *net.stats(), net.fault_stats_total())
+            (origins, net.stats(), net.fault_stats_total())
         };
         assert_eq!(run(), run());
     }

@@ -1,4 +1,4 @@
-//! Deterministic intra-trial sharding: one trial fanned over the pool.
+//! The BGP event loop: one network, partitioned over `N >= 1` shards.
 //!
 //! [`ShardedNetwork`] partitions the AS graph into per-shard engines (via
 //! [`as_topology::Partition`]'s balanced edge-cut) and exchanges cross-shard
@@ -13,16 +13,13 @@
 //!
 //! The result is the property the experiments need: every RIB, alarm,
 //! counter, and fingerprint is **bit-identical for every `--shards N`**
-//! (including `N = 1`). See DESIGN.md "Sharded execution" for the full
+//! (including `N = 1`). See DESIGN.md "One event loop" for the full
 //! determinism argument.
 //!
-//! This engine complements — and does not replace — [`Network`](crate::Network):
-//! the classic engine keeps its single global event queue and remains the
-//! reference for the paper-scale experiments; the sharded engine is the
-//! Internet-scale (~70k AS) path.
+//! This is the only event loop in the crate: [`Network`](crate::Network) is
+//! the `N = 1` case, driven inline on the calling thread.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -32,26 +29,32 @@ use minimetrics::MetricsSink;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sim_engine::fault::{FaultAction, FaultStats, LinkFaultModel, TimelineEntry};
-use sim_engine::SimTime;
+use sim_engine::{QueueStats, SimTime};
 
 use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
 use crate::fault::{FaultEvent, NetFaultPlan};
 use crate::monitor::{NoopMonitor, RouteMonitor};
-use crate::network::{NetworkStats, SessionCounters};
+use crate::queue::{Agenda, Scheduled};
 use crate::router::Router;
+use crate::stats::{NetworkStats, SessionCounters};
 use crate::update::SharedUpdate;
 
-/// Default event budget, matching [`Network::run`](crate::Network::run).
-const DEFAULT_EVENT_LIMIT: u64 = 50_000_000;
+/// Default event budget for `run`: far beyond what any experiment in the
+/// reproduction needs, while still catching runaway configurations.
+pub(crate) const DEFAULT_EVENT_LIMIT: u64 = 50_000_000;
 
 /// Repeated-fingerprint sightings before the watchdog declares oscillation.
+/// Two sightings can happen transiently while churn settles; three of the
+/// same global routing state with work still queued means a cycle.
 const WATCHDOG_STRIKES: u32 = 3;
 
-/// Immutable topology shared by every shard: the same dense interner and CSR
-/// adjacency the classic engine builds, constructed once and reference-
-/// counted. Edge ids are *global* — identical for every shard count — which
-/// is what makes the intrinsic event order and the per-edge fault RNG streams
-/// invariant under re-sharding.
+/// Immutable topology shared by every shard: every ASN interned into a dense
+/// index `0..n`, the adjacency flattened into a CSR layout, constructed once
+/// and reference-counted. Per-session state lives in plain `Vec`s indexed by
+/// flat edge id, so the event loop does array arithmetic instead of walking
+/// `BTreeMap<(Asn, Asn), _>` trees. Edge ids are *global* — identical for
+/// every shard count — which is what makes the intrinsic event order and the
+/// per-edge fault RNG streams invariant under re-sharding.
 #[derive(Debug)]
 struct Topo {
     /// Sorted ASNs; position = dense node index.
@@ -97,60 +100,45 @@ impl Topo {
     }
 }
 
-/// A shard-queue event; mirrors the classic engine's `NetEvent`.
+/// A shard-queue event. Endpoints are dense node indices, so the hot loop
+/// never touches an ASN map; announce payloads are reference-counted, so a
+/// fan-out of `k` messages shares one route allocation.
 #[derive(Debug, Clone)]
 enum ShardEvent {
+    /// A message in flight between two peering routers. `epoch` is the
+    /// sending session's epoch at transmission time: if the session fails or
+    /// resets while the message is in flight, the epoch moves on and the
+    /// stale message is discarded on delivery — even if the link has since
+    /// come back up.
     Deliver {
+        /// Flat id of the directed edge `from -> to`, stamped at send time
+        /// so delivery never repeats the adjacency binary search.
         edge: u32,
         from: u32,
         to: u32,
         epoch: u32,
+        /// The link's fault model damaged this message in flight; the
+        /// receiver detects the damage, discards it, and counts it.
         corrupt: bool,
         update: SharedUpdate,
     },
-    MraiFlush {
-        from: u32,
-        to: u32,
-    },
-    Fault {
-        entry: u32,
-    },
+    /// An MRAI window for a directed session expired: flush pending updates.
+    MraiFlush { from: u32, to: u32 },
+    /// A fault-plan timeline entry fires (index into the installed plan).
+    Fault { entry: u32 },
 }
 
-/// One scheduled event with its intrinsic ordering key.
-///
-/// Within a timestamp, events sort by `(kind, key1, key2)`:
+/// Event kinds, the first component of the intrinsic ordering key (see
+/// [`Scheduled`]): within a timestamp, events sort as
 ///
 /// * Deliver   = `(0, global edge id, per-edge send sequence)`
 /// * MraiFlush = `(1, global edge id, 0)`
 /// * Fault     = `(2, timeline entry index, 0)`
-///
-/// Every component is derived from the event itself, not from scheduling
-/// order, so any shard holding the same event set processes it in the same
-/// order regardless of how the events arrived.
-#[derive(Debug, Clone)]
-struct Scheduled {
-    time: SimTime,
-    key: (u8, u64, u64),
-    event: ShardEvent,
-}
+const DELIVER: u64 = 0;
+const MRAI_FLUSH: u64 = 1;
+const FAULT: u64 = 2;
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.key) == (other.time, other.key)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.key).cmp(&(other.time, other.key))
-    }
-}
+type Event = Scheduled<ShardEvent>;
 
 /// Fault-plan state replicated on every shard. The timeline, remaining
 /// counts, and models are identical replicas (global events must fire on all
@@ -178,58 +166,80 @@ struct Shard<M> {
     topo: Arc<Topo>,
     /// Full-size router table; only owned routers are mutated.
     routers: Vec<Router>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: Agenda<ShardEvent>,
     now: SimTime,
     /// Last time forwarded to the monitor's `on_clock`.
     clock_mark: SimTime,
+    /// Per directed edge: sent/received update counters.
     sessions: Vec<SessionCounters>,
     monitor: M,
     stats: NetworkStats,
+    /// Minimum route advertisement interval per directed session; 0 = off.
     mrai: u64,
+    /// Per directed edge: the earliest time the next batch may be sent.
     mrai_gate: Vec<SimTime>,
+    /// Per directed edge: updates held back by an open MRAI window, newest
+    /// per prefix.
     mrai_pending: Vec<BTreeMap<Ipv4Prefix, SharedUpdate>>,
     /// Per directed edge: monotone send sequence (intrinsic Deliver key).
     edge_seq: Vec<u64>,
-    /// Session epochs, replicated identically on every shard (bumped only by
-    /// globally-applied fault events).
+    /// Per directed edge: the session epoch. Bumped when the link fails or
+    /// the session resets; in-flight messages stamped with an older epoch
+    /// are discarded on delivery. Replicated identically on every shard
+    /// (bumped only by globally-applied fault events).
     epochs: Vec<u32>,
+    /// `true` once any epoch has been bumped — gates the per-delivery epoch
+    /// lookup so fault-free runs keep the short hot path.
     epochs_active: bool,
+    /// Links currently failed (endpoints ordered low-high). Failure injection
+    /// may name ASes outside the graph, so this stays keyed by ASN; the hot
+    /// path short-circuits on `is_empty`.
     failed_links: BTreeSet<(Asn, Asn)>,
+    /// Installed fault plan state, if any. Boxed so fault-free networks pay
+    /// one pointer.
     faults: Option<Box<ShardFaults>>,
     /// Cross-shard messages produced since the last drain: `(dest shard,
     /// scheduled event)`.
-    outbox: Vec<(u32, Scheduled)>,
+    outbox: Vec<(u32, Event)>,
 }
 
 /// One barrier-round command from the coordinator.
 #[derive(Debug, Clone)]
 enum Cmd {
     /// Advance to `time`, absorb `inbox`, process every event at `time`.
-    Step {
-        time: SimTime,
-        inbox: Vec<Scheduled>,
-    },
+    Step { time: SimTime, inbox: Vec<Event> },
     /// Hash the owned slice of the routing state (watchdog support).
     Fingerprint,
 }
 
 #[derive(Debug)]
-struct RoundResult {
-    outbox: Vec<(u32, Scheduled)>,
-    next_time: Option<SimTime>,
-    queue_len: usize,
-    /// Deliver + MraiFlush events processed this round (each unique to one
-    /// shard, so the coordinator may sum them).
-    fired: u64,
-    /// Fault events processed this round (replicated on every shard, so the
-    /// coordinator counts shard 0's only).
-    fault_fired: u64,
+enum RoundReply {
+    Step {
+        fired: u64,
+        outbox: Vec<(u32, Event)>,
+        next_time: Option<SimTime>,
+        queued: usize,
+    },
+    Fingerprint(u64),
 }
 
-#[derive(Debug)]
-enum RoundReply {
-    Step(RoundResult),
-    Fingerprint(u64),
+/// What one lockstep round over every shard reports to the coordinator.
+#[derive(Debug, Default)]
+struct Round {
+    /// Events processed this round (replicated fault firings counted once).
+    fired: u64,
+    /// The earliest event still queued on any shard.
+    next_time: Option<SimTime>,
+    /// Events still queued, summed over the shards.
+    queued: usize,
+}
+
+impl Round {
+    fn absorb(&mut self, fired: u64, next_time: Option<SimTime>, queued: usize) {
+        self.fired += fired;
+        self.next_time = self.next_time.into_iter().chain(next_time).min();
+        self.queued += queued;
+    }
 }
 
 impl<M: RouteMonitor> Shard<M> {
@@ -237,52 +247,66 @@ impl<M: RouteMonitor> Shard<M> {
         self.topo.assignment[node] == self.id
     }
 
+    /// The dense index of `asn`, if it is in the network and this shard owns
+    /// it: router mutations run only on the owner.
+    fn owned(&self, asn: Asn) -> Option<usize> {
+        self.topo.index_of(asn).filter(|&idx| self.owns(idx))
+    }
+
     fn link_is_down(&self, a: Asn, b: Asn) -> bool {
         !self.failed_links.is_empty() && self.failed_links.contains(&link_key(a, b))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|s| s.0.time)
+    fn push(&mut self, event: Event) {
+        debug_assert!(event.time >= self.now, "event scheduled into the past");
+        self.queue.push(event);
     }
 
+    /// One pooled round: the inline driver calls `push`, `step` and
+    /// `fingerprint` directly instead.
     fn execute(&mut self, cmd: Cmd) -> RoundReply {
         match cmd {
-            Cmd::Step { time, inbox } => RoundReply::Step(self.step(time, inbox)),
+            Cmd::Step { time, inbox } => {
+                for msg in inbox {
+                    self.push(msg);
+                }
+                RoundReply::Step {
+                    fired: self.step(time),
+                    outbox: std::mem::take(&mut self.outbox),
+                    next_time: self.queue.next_time(),
+                    queued: self.queue.len(),
+                }
+            }
             Cmd::Fingerprint => RoundReply::Fingerprint(self.fingerprint()),
         }
     }
 
-    /// Processes every event at exactly `time`. All delays are >= 1 tick, so
+    /// Processes every event at exactly `time` and returns how many fired.
+    /// Deliver and MraiFlush events are each unique to one shard; Fault
+    /// events are replicated on every shard, so only shard 0 counts them and
+    /// the coordinator may sum the returns. All delays are >= 1 tick, so
     /// processing can enqueue only strictly-future events and the loop always
     /// terminates; the clock is advanced even on shards with nothing to do,
     /// keeping `now` identical everywhere between rounds.
-    fn step(&mut self, time: SimTime, inbox: Vec<Scheduled>) -> RoundResult {
-        for msg in inbox {
-            debug_assert!(msg.time >= time, "cross-shard message from the past");
-            self.queue.push(Reverse(msg));
-        }
+    fn step(&mut self, time: SimTime) -> u64 {
         self.now = time;
+        let mut due = self.queue.take(time);
+        if due.is_empty() {
+            return 0;
+        }
+        if self.clock_mark != time {
+            self.clock_mark = time;
+            self.monitor.on_clock(time);
+        }
         let mut fired = 0u64;
-        let mut fault_fired = 0u64;
-        while self.queue.peek().is_some_and(|s| s.0.time == time) {
-            let Reverse(sch) = self.queue.pop().expect("peeked event");
-            if self.clock_mark != time {
-                self.clock_mark = time;
-                self.monitor.on_clock(time);
-            }
-            match sch.event {
-                ShardEvent::Fault { .. } => fault_fired += 1,
-                _ => fired += 1,
+        for sch in due.drain(..) {
+            if self.id == 0 || !matches!(sch.event, ShardEvent::Fault { .. }) {
+                fired += 1;
             }
             self.process(sch.event);
         }
-        RoundResult {
-            outbox: std::mem::take(&mut self.outbox),
-            next_time: self.peek_time(),
-            queue_len: self.queue.len(),
-            fired,
-            fault_fired,
-        }
+        self.queue.recycle(due);
+        fired
     }
 
     fn process(&mut self, event: ShardEvent) {
@@ -303,11 +327,18 @@ impl<M: RouteMonitor> Shard<M> {
                     self.drop_in_flight(edge);
                     return;
                 }
+                // A stale epoch means the session failed or reset after this
+                // message was sent: it is lost even if the link has since
+                // come back up.
                 if self.epochs_active && self.epochs[edge] != epoch {
                     self.drop_in_flight(edge);
                     return;
                 }
                 if corrupt {
+                    // The receiver detects the damage and discards the
+                    // update; the session survives (we do not model the
+                    // RFC 4271 NOTIFICATION teardown for single bad
+                    // messages — see DESIGN.md "Fault model").
                     self.stats.corrupted_dropped += 1;
                     if let Some(f) = self.faults.as_deref_mut() {
                         f.stats[edge].corrupted += 1;
@@ -366,11 +397,9 @@ impl<M: RouteMonitor> Shard<M> {
                 }
                 let event = faults.timeline[idx].event.clone();
                 if let Some(period) = reschedule {
-                    self.queue.push(Reverse(Scheduled {
-                        time: self.now + period,
-                        key: (2, idx as u64, 0),
-                        event: ShardEvent::Fault { entry },
-                    }));
+                    let event = ShardEvent::Fault { entry };
+                    let time = self.now + period;
+                    self.push(Scheduled::new(time, FAULT, entry, 0, event));
                 }
                 self.apply_fault_event(event);
             }
@@ -387,28 +416,21 @@ impl<M: RouteMonitor> Shard<M> {
             FaultEvent::RestoreLink(a, b) => self.restore_link(a, b),
             FaultEvent::ResetSession(a, b) => self.reset_session(a, b),
             FaultEvent::Announce { asn, route } => {
-                if let Some(idx) = self.topo.index_of(asn) {
-                    if self.owns(idx) {
-                        let updates = self.routers[idx].originate(route, &mut self.monitor);
-                        self.enqueue(idx, updates);
-                    }
+                if let Some(idx) = self.owned(asn) {
+                    let updates = self.routers[idx].originate(route, &mut self.monitor);
+                    self.enqueue(idx, updates);
                 }
             }
             FaultEvent::Withdraw { asn, prefix } => {
-                if let Some(idx) = self.topo.index_of(asn) {
-                    if self.owns(idx) {
-                        let updates = self.routers[idx].withdraw_origin(prefix, &mut self.monitor);
-                        self.enqueue(idx, updates);
-                    }
+                if let Some(idx) = self.owned(asn) {
+                    let updates = self.routers[idx].withdraw_origin(prefix, &mut self.monitor);
+                    self.enqueue(idx, updates);
                 }
             }
             FaultEvent::ToggleOrigin { asn, route } => {
-                let Some(idx) = self.topo.index_of(asn) else {
+                let Some(idx) = self.owned(asn) else {
                     return;
                 };
-                if !self.owns(idx) {
-                    return;
-                }
                 let prefix = route.prefix();
                 let updates = if self.routers[idx].originates(prefix) {
                     self.routers[idx].withdraw_origin(prefix, &mut self.monitor)
@@ -435,11 +457,9 @@ impl<M: RouteMonitor> Shard<M> {
             }
         }
         for (local, peer) in [(a, b), (b, a)] {
-            if let Some(idx) = self.topo.index_of(local) {
-                if self.owns(idx) {
-                    let updates = self.routers[idx].peer_down(peer, &mut self.monitor);
-                    self.enqueue(idx, updates);
-                }
+            if let Some(idx) = self.owned(local) {
+                let updates = self.routers[idx].peer_down(peer, &mut self.monitor);
+                self.enqueue(idx, updates);
             }
         }
     }
@@ -449,11 +469,9 @@ impl<M: RouteMonitor> Shard<M> {
             return;
         }
         for (local, peer) in [(a, b), (b, a)] {
-            if let Some(idx) = self.topo.index_of(local) {
-                if self.owns(idx) {
-                    let updates = self.routers[idx].refresh_peer(peer, &mut self.monitor);
-                    self.enqueue(idx, updates);
-                }
+            if let Some(idx) = self.owned(local) {
+                let updates = self.routers[idx].refresh_peer(peer, &mut self.monitor);
+                self.enqueue(idx, updates);
             }
         }
     }
@@ -504,6 +522,7 @@ impl<M: RouteMonitor> Shard<M> {
             if self.link_is_down(from_asn, to_asn) {
                 continue;
             }
+            // Routers only address their own peers, so the edge must exist.
             let k = self.routers[from]
                 .peers()
                 .binary_search(&to_asn)
@@ -517,24 +536,27 @@ impl<M: RouteMonitor> Shard<M> {
             let now = self.now;
             let gate = self.mrai_gate[edge];
             if now >= gate && self.mrai_pending[edge].is_empty() {
+                // Window open: send immediately and start a new window.
                 self.mrai_gate[edge] = now + self.mrai;
                 self.schedule_delivery(edge, from as u32, to, update);
             } else {
+                // Window closed: coalesce, newest update per prefix wins.
                 self.stats.mrai_deferred += 1;
                 let pending = &mut self.mrai_pending[edge];
                 if pending.insert(update.prefix(), update).is_some() {
                     self.stats.mrai_coalesced += 1;
                 }
+                // Schedule the flush the first time the batch forms.
                 if pending.len() == 1 {
                     let wait = gate.ticks().saturating_sub(now.ticks()).max(1);
-                    self.queue.push(Reverse(Scheduled {
-                        time: now + wait,
-                        key: (1, edge as u64, 0),
-                        event: ShardEvent::MraiFlush {
-                            from: from as u32,
-                            to,
-                        },
-                    }));
+                    let from = from as u32;
+                    self.push(Scheduled::new(
+                        now + wait,
+                        MRAI_FLUSH,
+                        edge as u32,
+                        0,
+                        ShardEvent::MraiFlush { from, to },
+                    ));
                 }
             }
         }
@@ -580,20 +602,18 @@ impl<M: RouteMonitor> Shard<M> {
         for _ in 0..copies {
             let seq = self.edge_seq[edge];
             self.edge_seq[edge] += 1;
-            let sch = Scheduled {
-                time: self.now + delay,
-                key: (0, edge as u64, seq),
-                event: ShardEvent::Deliver {
-                    edge: edge as u32,
-                    from,
-                    to,
-                    epoch,
-                    corrupt,
-                    update: update.clone(),
-                },
+            let event = ShardEvent::Deliver {
+                edge: edge as u32,
+                from,
+                to,
+                epoch,
+                corrupt,
+                update: update.clone(),
             };
+            let time = self.now + delay;
+            let sch = Scheduled::new(time, DELIVER, edge as u32, seq, event);
             if dest == self.id {
-                self.queue.push(Reverse(sch));
+                self.push(sch);
             } else {
                 self.outbox.push((dest, sch));
             }
@@ -646,32 +666,83 @@ fn link_key(a: Asn, b: Asn) -> (Asn, Asn) {
     }
 }
 
-/// The barrier driver: either the shards run inline on the calling thread
-/// (the sequential reference path) or pinned to long-lived [`minipool::Crew`]
-/// workers. Both paths run the *same* shard code on the *same* command
-/// sequence, so results are bit-identical.
-enum Driver<M: RouteMonitor + Send + 'static> {
-    Inline(Vec<Shard<M>>),
-    Pool(minipool::Crew<Shard<M>, Cmd, RoundReply>),
+/// The barrier driver: the shards run either inline on the calling thread
+/// (`Vec<Shard>`, the sequential reference path and the only one a monitor
+/// that is not `Send` can take) or pinned to long-lived [`minipool::Crew`]
+/// workers. Both run the *same* shard code at the *same* sequence of
+/// timestamps, so results are bit-identical.
+trait Rounds {
+    /// Hands every message in `mail` to its destination shard, advances all
+    /// shards to `time`, and leaves the cross-shard messages they produced
+    /// in `mail`.
+    fn step(&mut self, time: SimTime, mail: &mut Vec<(u32, Event)>) -> Round;
+
+    /// The wrapping sum of every shard's routing fingerprint.
+    fn fingerprint(&mut self) -> u64;
 }
 
-impl<M: RouteMonitor + Send + 'static> Driver<M> {
-    fn round(&mut self, cmds: Vec<Cmd>) -> Vec<RoundReply> {
-        match self {
-            Driver::Inline(shards) => shards
-                .iter_mut()
-                .zip(cmds)
-                .map(|(s, c)| s.execute(c))
-                .collect(),
-            Driver::Pool(crew) => crew.round(cmds),
+impl<M: RouteMonitor> Rounds for Vec<Shard<M>> {
+    fn step(&mut self, time: SimTime, mail: &mut Vec<(u32, Event)>) -> Round {
+        for (dest, msg) in mail.drain(..) {
+            self[dest as usize].push(msg);
         }
+        let mut round = Round::default();
+        for shard in self.iter_mut() {
+            let fired = shard.step(time);
+            mail.append(&mut shard.outbox);
+            round.absorb(fired, shard.queue.next_time(), shard.queue.len());
+        }
+        round
     }
 
-    fn into_shards(self) -> Vec<Shard<M>> {
-        match self {
-            Driver::Inline(shards) => shards,
-            Driver::Pool(crew) => crew.join(),
+    fn fingerprint(&mut self) -> u64 {
+        fingerprint_sum(self)
+    }
+}
+
+/// The wrapping sum of the shards' fingerprints: the same for every layout,
+/// since every node is owned (and hashed) exactly once.
+fn fingerprint_sum<M: RouteMonitor>(shards: &[Shard<M>]) -> u64 {
+    shards
+        .iter()
+        .fold(0, |acc, shard| acc.wrapping_add(shard.fingerprint()))
+}
+
+impl<M: RouteMonitor + Send + 'static> Rounds for minipool::Crew<Shard<M>, Cmd, RoundReply> {
+    fn step(&mut self, time: SimTime, mail: &mut Vec<(u32, Event)>) -> Round {
+        let mut inboxes: Vec<Vec<Event>> = vec![Vec::new(); self.len()];
+        for (dest, msg) in mail.drain(..) {
+            inboxes[dest as usize].push(msg);
         }
+        let cmds = inboxes
+            .into_iter()
+            .map(|inbox| Cmd::Step { time, inbox })
+            .collect();
+        let mut round = Round::default();
+        for reply in self.round(cmds) {
+            let RoundReply::Step {
+                fired,
+                outbox,
+                next_time,
+                queued,
+            } = reply
+            else {
+                unreachable!("Step command returns a Step reply");
+            };
+            mail.extend(outbox);
+            round.absorb(fired, next_time, queued);
+        }
+        round
+    }
+
+    fn fingerprint(&mut self) -> u64 {
+        let cmds = vec![Cmd::Fingerprint; self.len()];
+        self.round(cmds).into_iter().fold(0, |acc, reply| {
+            let RoundReply::Fingerprint(h) = reply else {
+                unreachable!("Fingerprint command returns a hash");
+            };
+            acc.wrapping_add(h)
+        })
     }
 }
 
@@ -715,7 +786,7 @@ pub struct ShardedNetwork<M = NoopMonitor> {
     /// network's lifetime; the sharded analogue of `sim.events.fired`.
     fired_lifetime: u64,
     /// Cross-shard messages awaiting distribution at the next round.
-    pending: Vec<(u32, Scheduled)>,
+    pending: Vec<(u32, Event)>,
     plan_installed: bool,
     cut_links: usize,
 }
@@ -731,20 +802,58 @@ impl ShardedNetwork<NoopMonitor> {
 
 impl<M: RouteMonitor> ShardedNetwork<M> {
     /// Builds a sharded network whose shards each consult a monitor produced
-    /// by `monitor`. All links have unit delay. `jobs <= 1` (or a single
-    /// shard) runs every round inline on the calling thread.
+    /// by `monitor` (called once per shard). All links have unit delay.
+    /// `jobs <= 1` (or a single shard) runs every round inline on the calling
+    /// thread.
     #[must_use]
     pub fn with_monitor_factory(
         graph: &AsGraph,
         shard_count: usize,
         jobs: usize,
-        monitor: impl Fn() -> M,
+        monitor: impl FnMut() -> M,
     ) -> Self {
-        let partition = Partition::new(graph, shard_count);
-        let shard_count = partition.shard_count();
-        let cut_links = partition.cut_links();
+        ShardedNetwork::build(graph, shard_count, jobs, None, monitor)
+    }
+
+    /// Like [`ShardedNetwork::with_monitor_factory`], but each directed link
+    /// gets an independent delay drawn uniformly from `1..=max_delay`, in
+    /// global link order, so the timing pattern depends only on
+    /// `(graph, seed)`, never on the shard count. Varying delays explore
+    /// different propagation races, which is what makes Monte Carlo runs
+    /// meaningful.
+    #[must_use]
+    pub fn with_monitor_and_jitter(
+        graph: &AsGraph,
+        shard_count: usize,
+        jobs: usize,
+        seed: u64,
+        max_delay: u64,
+        monitor: impl FnMut() -> M,
+    ) -> Self {
+        ShardedNetwork::build(graph, shard_count, jobs, Some((seed, max_delay)), monitor)
+    }
+
+    fn build(
+        graph: &AsGraph,
+        shard_count: usize,
+        jobs: usize,
+        jitter: Option<(u64, u64)>,
+        mut monitor: impl FnMut() -> M,
+    ) -> Self {
         let asn_index: Vec<Asn> = graph.asns().collect();
+        debug_assert!(asn_index.windows(2).all(|w| w[0] < w[1]));
         let n = asn_index.len();
+        // One shard owns everything and cuts nothing: no need to partition.
+        let (shard_count, assignment, cut_links) = if shard_count <= 1 {
+            (1, vec![0; n], 0)
+        } else {
+            let partition = Partition::new(graph, shard_count);
+            (
+                partition.shard_count(),
+                partition.assignment().to_vec(),
+                partition.cut_links(),
+            )
+        };
         let mut peer_start = Vec::with_capacity(n + 1);
         peer_start.push(0);
         let mut peer_idx = Vec::new();
@@ -758,13 +867,25 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             peer_start.push(peer_idx.len());
         }
         let edges = peer_idx.len();
-        let topo = Arc::new(Topo {
+        let mut topo = Topo {
             asn_index,
             peer_start,
             peer_idx,
             delays: vec![1; edges],
-            assignment: partition.assignment().to_vec(),
-        });
+            assignment,
+        };
+        if let Some((seed, max_delay)) = jitter {
+            let max_delay = max_delay.max(1);
+            let mut rng = sim_engine::rng::from_seed(seed);
+            for (a, b) in graph.links() {
+                let (ab, ba) = topo
+                    .directed_edges(a, b)
+                    .expect("graph links join graph ASes");
+                topo.delays[ab] = rng.gen_range(1..=max_delay);
+                topo.delays[ba] = rng.gen_range(1..=max_delay);
+            }
+        }
+        let topo = Arc::new(topo);
         let shards = (0..shard_count as u32)
             .map(|id| Shard {
                 id,
@@ -774,7 +895,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
                     .iter()
                     .map(|&asn| Router::new(asn, graph.neighbors(asn).collect()))
                     .collect(),
-                queue: BinaryHeap::new(),
+                queue: Agenda::new(),
                 now: SimTime::ZERO,
                 clock_mark: SimTime::ZERO,
                 sessions: vec![SessionCounters::default(); edges],
@@ -805,54 +926,6 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         }
     }
 
-    /// Like [`ShardedNetwork::with_monitor_factory`], but each directed link
-    /// gets an independent delay drawn uniformly from `1..=max_delay` —
-    /// drawn in the same global link order as the classic engine, so the
-    /// timing pattern depends only on `(graph, seed)`, never on the shard
-    /// count.
-    #[must_use]
-    pub fn with_monitor_and_jitter(
-        graph: &AsGraph,
-        shard_count: usize,
-        jobs: usize,
-        seed: u64,
-        max_delay: u64,
-        monitor: impl Fn() -> M,
-    ) -> Self {
-        let mut net = ShardedNetwork::with_monitor_factory(graph, shard_count, jobs, monitor);
-        let max_delay = max_delay.max(1);
-        let mut rng = sim_engine::rng::from_seed(seed);
-        let mut delays = vec![1u64; net.topo.peer_idx.len()];
-        for (a, b) in graph.links() {
-            let ia = net.topo.index_of(a).expect("link endpoint in graph");
-            let ib = net.topo.index_of(b).expect("link endpoint in graph");
-            let ab = net.topo.edge_between(ia, ib).expect("endpoints adjacent");
-            delays[ab] = rng.gen_range(1..=max_delay);
-            let ba = net.topo.edge_between(ib, ia).expect("endpoints adjacent");
-            delays[ba] = rng.gen_range(1..=max_delay);
-        }
-        let topo = Arc::get_mut(&mut net.topo);
-        match topo {
-            Some(t) => t.delays = delays,
-            // Shards hold clones of the Arc, so rebuild it with new delays.
-            None => {
-                let t = &net.topo;
-                let fresh = Arc::new(Topo {
-                    asn_index: t.asn_index.clone(),
-                    peer_start: t.peer_start.clone(),
-                    peer_idx: t.peer_idx.clone(),
-                    delays,
-                    assignment: t.assignment.clone(),
-                });
-                for shard in &mut net.shards {
-                    shard.topo = Arc::clone(&fresh);
-                }
-                net.topo = fresh;
-            }
-        }
-        net
-    }
-
     /// Number of shards (always >= 1).
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -865,15 +938,37 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         self.cut_links
     }
 
-    /// Total events processed over the network's lifetime (the sharded
-    /// analogue of the classic queue's `fired` counter — replicated fault
+    /// Total events processed over the network's lifetime (replicated fault
     /// firings are counted once).
     #[must_use]
     pub fn events_fired(&self) -> u64 {
         self.fired_lifetime
     }
 
-    /// The current simulated time.
+    /// Lifetime event-queue counters. `fired` is [`events_fired`] and the
+    /// same for every shard count; `scheduled` (summed over the shards) and
+    /// `depth_high_water` (the deepest single shard queue) describe the
+    /// queues themselves and so depend on the shard layout — which is why
+    /// [`export_metrics`] leaves them out.
+    ///
+    /// [`events_fired`]: ShardedNetwork::events_fired
+    /// [`export_metrics`]: ShardedNetwork::export_metrics
+    #[must_use]
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats {
+            scheduled: self.shards.iter().map(|s| s.queue.scheduled()).sum(),
+            fired: self.fired_lifetime,
+            depth_high_water: self
+                .shards
+                .iter()
+                .map(|s| s.queue.depth_high_water())
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// The current simulated time (the timestamp of the most recently
+    /// processed event).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
@@ -911,8 +1006,18 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         self.shards.iter().map(|s| &s.monitor)
     }
 
-    /// Makes `asn` originate `prefix`, optionally with a MOAS list; mirrors
-    /// [`Network::originate`](crate::Network::originate).
+    /// Mutable access to each shard's monitor, in shard order (e.g. to
+    /// reconfigure between phases).
+    pub fn monitors_mut(&mut self) -> impl Iterator<Item = &mut M> {
+        self.shards.iter_mut().map(|s| &mut s.monitor)
+    }
+
+    /// Makes `asn` originate `prefix`, optionally attaching a MOAS list to
+    /// its announcements (§4.2: origins of a multi-homed prefix attach the
+    /// full list; `None` models pre-deployment behaviour — receivers then
+    /// apply the implicit `{origin}` rule).
+    ///
+    /// Events are queued; call [`ShardedNetwork::run`] to propagate.
     ///
     /// # Panics
     ///
@@ -925,11 +1030,14 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         self.originate_route(asn, route);
     }
 
-    /// Makes `asn` originate an arbitrary pre-built route.
+    /// Makes `asn` originate an arbitrary pre-built route (the path should be
+    /// empty; the router prepends its own ASN on export). Used by attacker
+    /// models that forge attributes.
     ///
     /// # Panics
     ///
-    /// Panics if `asn` is not in the network.
+    /// Panics if `asn` is not in the network; use
+    /// [`ShardedNetwork::try_originate_route`] for a fallible variant.
     pub fn originate_route(&mut self, asn: Asn, route: Route) {
         self.try_originate_route(asn, route)
             .expect("originating AS not in network");
@@ -950,6 +1058,17 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
 
     /// Makes `asn` stop originating `prefix`.
     ///
+    /// # Panics
+    ///
+    /// Panics if `asn` is not in the network; use
+    /// [`ShardedNetwork::try_withdraw`] for a fallible variant.
+    pub fn withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) {
+        self.try_withdraw(asn, prefix)
+            .expect("withdrawing AS not in network");
+    }
+
+    /// Fallible [`ShardedNetwork::withdraw`].
+    ///
     /// # Errors
     ///
     /// Returns [`UnknownAsError`] when `asn` is not in the network.
@@ -961,8 +1080,11 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         Ok(())
     }
 
-    /// Enables the minimum route advertisement interval on every shard;
-    /// mirrors [`Network::set_mrai`](crate::Network::set_mrai).
+    /// Enables the minimum route advertisement interval: after a router sends
+    /// an update to a peer, further updates for that peer are held and
+    /// coalesced (newest per prefix wins) until `ticks` have elapsed
+    /// (RFC 4271 §9.2.1.1; SSFnet enables a 30s MRAI by default). Pass 0 to
+    /// disable. Takes effect for updates emitted after the call.
     pub fn set_mrai(&mut self, ticks: u64) {
         for shard in &mut self.shards {
             shard.mrai = ticks;
@@ -970,22 +1092,36 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     }
 
     /// Arms the convergence watchdog: the coordinator fingerprints the global
-    /// routing state whenever the processed-event count crosses a multiple of
-    /// `interval_events` at a round boundary (at most once per boundary) and
-    /// applies the classic three-strike rule. Pass 0 to disable.
+    /// routing state (every router's best table) whenever the processed-event
+    /// count crosses a multiple of `interval_events` at a round boundary (at
+    /// most once per boundary). Seeing the same fingerprint three times while
+    /// work is still queued means the network is cycling, and
+    /// [`ShardedNetwork::run`] returns [`ConvergenceError::Oscillating`]
+    /// instead of burning the rest of the event budget. Pass 0 to disable
+    /// (the default).
+    ///
+    /// Pick an interval comfortably larger than one convergence wave (a few
+    /// thousand events) so transient states are not sampled often enough to
+    /// trip the three-strike rule.
     pub fn set_watchdog(&mut self, interval_events: u64) {
         self.watchdog = interval_events;
     }
 
-    /// Installs a fault plan, validated once and replicated onto every shard
-    /// so global events (link failures, session resets) apply everywhere at
-    /// the same virtual time. Per-edge message-fate RNGs are seeded from
-    /// `(plan seed, global edge id)` — see DESIGN.md for why this keeps fault
-    /// streams identical across shard counts.
+    /// Installs a fault plan: per-link perturbation models and a scripted
+    /// event timeline, validated eagerly so the event loop never meets a
+    /// dangling AS or link, and replicated onto every shard so global events
+    /// (link failures, session resets) apply everywhere at the same virtual
+    /// time. Timeline entries are scheduled at their absolute tick (or
+    /// immediately if that tick already passed). Per-edge message-fate RNGs
+    /// are seeded from `(plan seed, global edge id)` — see DESIGN.md for why
+    /// this keeps fault streams identical across shard counts — so a run is
+    /// bit-reproducible from `(network seed, plan)`.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError`] exactly as the classic engine does.
+    /// Returns [`FaultPlanError`] when the plan names an AS outside the
+    /// network, attaches a model or link event to a non-peering pair, or a
+    /// plan is already installed.
     pub fn set_fault_plan(&mut self, plan: NetFaultPlan) -> Result<(), FaultPlanError> {
         if self.plan_installed {
             return Err(FaultPlanError::AlreadyInstalled);
@@ -1018,11 +1154,8 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
                     continue;
                 }
                 let at = SimTime::from_ticks(entry.at).max(shard.now);
-                shard.queue.push(Reverse(Scheduled {
-                    time: at,
-                    key: (2, i as u64, 0),
-                    event: ShardEvent::Fault { entry: i as u32 },
-                }));
+                let event = ShardEvent::Fault { entry: i as u32 };
+                shard.push(Scheduled::new(at, FAULT, i as u32, 0, event));
             }
             shard.faults = Some(Box::new(ShardFaults {
                 seed: plan.seed(),
@@ -1037,22 +1170,34 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         Ok(())
     }
 
-    /// Tears down the link between `a` and `b` on every shard; mirrors
-    /// [`Network::fail_link`](crate::Network::fail_link).
+    /// Tears down the link between `a` and `b`: both routers treat every
+    /// route learned over it as withdrawn and reconverge. Messages already
+    /// in flight on the link are lost — the session epoch moves on, so they
+    /// stay lost even if the link is restored before their delivery time.
+    /// No-op for unknown or already-failed links.
     pub fn fail_link(&mut self, a: Asn, b: Asn) {
         for shard in &mut self.shards {
             shard.fail_link(a, b);
         }
     }
 
-    /// Restores a previously failed link on every shard.
+    /// Restores a previously failed link: both routers re-advertise their
+    /// current best routes to each other, as a fresh BGP session
+    /// establishment would. Messages that were in flight when the link
+    /// failed remain lost (their epoch is stale). No-op if the link is up.
     pub fn restore_link(&mut self, a: Asn, b: Asn) {
         for shard in &mut self.shards {
             shard.restore_link(a, b);
         }
     }
 
-    /// Resets the BGP session between two peers on every shard.
+    /// Resets the BGP session between two peers, as a TCP reset or a
+    /// NOTIFICATION would: both sides implicitly withdraw every route
+    /// learned over the peering and flood the resulting withdrawals, then
+    /// the session re-establishes immediately and both sides re-announce
+    /// their current best routes. In-flight messages on the session are
+    /// lost (epoch bump); MRAI state for the session is cleared. No-op when
+    /// the pair does not peer or the link is currently failed.
     pub fn reset_session(&mut self, a: Asn, b: Asn) {
         for shard in &mut self.shards {
             shard.reset_session(a, b);
@@ -1145,9 +1290,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     /// differential tests.
     #[must_use]
     pub fn routing_fingerprint(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.fingerprint()))
+        fingerprint_sum(&self.shards)
     }
 
     /// Emits the shard-count-invariant slice of the network's observations:
@@ -1185,38 +1328,39 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             sink.record_by(rib_size, router.adj_rib_in_size() as u64);
         }
         sink.counter_add("net.decision_process.invocations", decisions);
+        // One reusable key buffer for the dynamic per-session/per-link keys:
+        // the `{kind}.{a}->{b}.` stem is formatted once per pair and each
+        // suffix is appended after truncating back to the stem.
         let mut key = String::with_capacity(64);
-        for ((a, b), c) in self.session_counters() {
+        let mut emit = |stem: std::fmt::Arguments<'_>, fields: &[(&str, u64)]| {
             key.clear();
-            write!(key, "session.{a}->{b}.").expect("write to String cannot fail");
+            key.write_fmt(stem).expect("write to String cannot fail");
             let stem = key.len();
-            for (suffix, value) in [
-                ("sent_announcements", c.sent_announcements),
-                ("sent_withdrawals", c.sent_withdrawals),
-                ("recv_announcements", c.recv_announcements),
-                ("recv_withdrawals", c.recv_withdrawals),
-            ] {
+            for &(suffix, value) in fields {
                 key.truncate(stem);
                 key.push_str(suffix);
                 sink.counter_add(&key, value);
             }
+        };
+        for ((a, b), c) in self.session_counters() {
+            let fields = [
+                ("sent_announcements", c.sent_announcements),
+                ("sent_withdrawals", c.sent_withdrawals),
+                ("recv_announcements", c.recv_announcements),
+                ("recv_withdrawals", c.recv_withdrawals),
+            ];
+            emit(format_args!("session.{a}->{b}."), &fields);
         }
         for ((a, b), s) in self.fault_stats() {
-            key.clear();
-            write!(key, "link.{a}->{b}.").expect("write to String cannot fail");
-            let stem = key.len();
-            for (suffix, value) in [
+            let fields = [
                 ("delivered", s.delivered),
                 ("dropped", s.dropped),
                 ("duplicated", s.duplicated),
                 ("reordered", s.reordered),
                 ("corrupted", s.corrupted),
                 ("dropped_link_down", s.dropped_link_down),
-            ] {
-                key.truncate(stem);
-                key.push_str(suffix);
-                sink.counter_add(&key, value);
-            }
+            ];
+            emit(format_args!("link.{a}->{b}."), &fields);
         }
     }
 }
@@ -1226,7 +1370,10 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConvergenceError`] exactly as the classic engine does.
+    /// Returns [`ConvergenceError::BudgetExhausted`] if the default event
+    /// budget runs out, or [`ConvergenceError::Oscillating`] if the watchdog
+    /// (see [`ShardedNetwork::set_watchdog`]) catches the network cycling
+    /// through the same routing states.
     pub fn run(&mut self) -> Result<SimTime, ConvergenceError> {
         self.run_with_limit(DEFAULT_EVENT_LIMIT)
     }
@@ -1234,32 +1381,45 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
     /// Runs until global quiescence or until `max_events` events have been
     /// processed (budget checks happen at round boundaries, so slightly more
     /// than `max_events` may be processed before the error is raised —
-    /// deterministically so, for any shard count).
+    /// deterministically so, for any shard count). With `jobs > 1` and more
+    /// than one shard the shards run on pooled worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`ConvergenceError::BudgetExhausted`] or
     /// [`ConvergenceError::Oscillating`].
     pub fn run_with_limit(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
-        // Setup calls (originate, fault application between runs) may have
-        // produced cross-shard messages; pull them into the pending pool.
+        if self.jobs == 1 || self.shards.len() == 1 {
+            return self.run_inline(max_events);
+        }
+        let (shards, next_time) = self.begin_run();
+        let mut crew = minipool::Crew::spawn(shards, |shard, cmd| shard.execute(cmd));
+        let result = self.drive(&mut crew, next_time, max_events);
+        self.shards = crew.join();
+        result
+    }
+}
+
+impl<M: RouteMonitor> ShardedNetwork<M> {
+    /// [`ShardedNetwork::run_with_limit`] with every shard driven on the
+    /// calling thread — the path that asks nothing of `M` beyond
+    /// [`RouteMonitor`], which is what [`Network`](crate::Network) needs.
+    pub(crate) fn run_inline(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
+        let (mut shards, next_time) = self.begin_run();
+        let result = self.drive(&mut shards, next_time, max_events);
+        self.shards = shards;
+        result
+    }
+
+    /// Hands the shards to a driver. Setup calls (originate, faults applied
+    /// between runs) may have produced cross-shard messages; those move into
+    /// the pending pool first. Also returns the earliest queued event time.
+    fn begin_run(&mut self) -> (Vec<Shard<M>>, Option<SimTime>) {
         for shard in &mut self.shards {
             self.pending.append(&mut shard.outbox);
         }
-        let next_times: Vec<Option<SimTime>> = self.shards.iter().map(Shard::peek_time).collect();
-        let queue_lens: Vec<usize> = self.shards.iter().map(|s| s.queue.len()).collect();
-        let shards = std::mem::take(&mut self.shards);
-        let use_pool = self.jobs > 1 && shards.len() > 1;
-        let mut driver = if use_pool {
-            Driver::Pool(minipool::Crew::spawn(shards, |shard, cmd| {
-                shard.execute(cmd)
-            }))
-        } else {
-            Driver::Inline(shards)
-        };
-        let result = self.drive(&mut driver, max_events, next_times, queue_lens);
-        self.shards = driver.into_shards();
-        result
+        let next_time = self.shards.iter().filter_map(|s| s.queue.next_time()).min();
+        (std::mem::take(&mut self.shards), next_time)
     }
 
     /// The coordinator loop: one barrier round per distinct event timestamp.
@@ -1271,64 +1431,33 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
     /// ever reach a shard.
     fn drive(
         &mut self,
-        driver: &mut Driver<M>,
+        rounds: &mut impl Rounds,
+        mut next_time: Option<SimTime>,
         max_events: u64,
-        mut next_times: Vec<Option<SimTime>>,
-        mut queue_lens: Vec<usize>,
     ) -> Result<SimTime, ConvergenceError> {
-        let n = next_times.len();
         let mut fired_run = 0u64;
+        // Watchdog state is per-run: fingerprint -> (last sighting, hits).
         let mut seen: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
         let mut next_check = self.watchdog;
         loop {
-            let mut t: Option<SimTime> = next_times.iter().flatten().copied().min();
-            if let Some(p) = self.pending.iter().map(|(_, s)| s.time).min() {
-                t = Some(t.map_or(p, |x| x.min(p)));
-            }
-            let Some(t) = t else {
+            let mailed = self.pending.iter().map(|(_, s)| s.time).min();
+            let Some(t) = next_time.into_iter().chain(mailed).min() else {
                 break;
             };
-            let mut inboxes: Vec<Vec<Scheduled>> = vec![Vec::new(); n];
-            for (dest, msg) in self.pending.drain(..) {
-                inboxes[dest as usize].push(msg);
-            }
-            let cmds: Vec<Cmd> = inboxes
-                .into_iter()
-                .map(|inbox| Cmd::Step { time: t, inbox })
-                .collect();
-            for (i, reply) in driver.round(cmds).into_iter().enumerate() {
-                let RoundReply::Step(r) = reply else {
-                    unreachable!("Step command returns a Step reply");
-                };
-                fired_run += r.fired;
-                self.fired_lifetime += r.fired;
-                if i == 0 {
-                    fired_run += r.fault_fired;
-                    self.fired_lifetime += r.fault_fired;
-                }
-                next_times[i] = r.next_time;
-                queue_lens[i] = r.queue_len;
-                self.pending.extend(r.outbox);
-            }
+            let round = rounds.step(t, &mut self.pending);
+            fired_run += round.fired;
+            self.fired_lifetime += round.fired;
+            next_time = round.next_time;
             self.now = t;
             if fired_run > max_events {
                 return Err(ConvergenceError::BudgetExhausted {
                     processed: fired_run,
-                    pending: queue_lens.iter().sum::<usize>() + self.pending.len(),
+                    pending: round.queued + self.pending.len(),
                 });
             }
-            let work_left = next_times.iter().any(Option::is_some) || !self.pending.is_empty();
+            let work_left = next_time.is_some() || !self.pending.is_empty();
             if self.watchdog > 0 && fired_run >= next_check && work_left {
-                let fp =
-                    driver
-                        .round(vec![Cmd::Fingerprint; n])
-                        .into_iter()
-                        .fold(0u64, |acc, r| {
-                            let RoundReply::Fingerprint(h) = r else {
-                                unreachable!("Fingerprint command returns a hash");
-                            };
-                            acc.wrapping_add(h)
-                        });
+                let fp = rounds.fingerprint();
                 match seen.get_mut(&fp) {
                     None => {
                         seen.insert(fp, (fired_run, 1));
@@ -1355,7 +1484,6 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Network;
     use as_topology::{AsRole, InternetModel};
     use sim_engine::fault::FaultPlan;
 
@@ -1504,34 +1632,6 @@ mod tests {
         assert!(reference.counters["sim.events.fired"] > 0);
         assert_eq!(snapshot(2), reference);
         assert_eq!(snapshot(4), reference);
-    }
-
-    #[test]
-    fn single_shard_agrees_with_classic_engine_semantics() {
-        // The sharded engine orders same-timestamp events intrinsically, the
-        // classic engine by arrival; outcomes that don't hinge on same-tick
-        // tie-breaks (reachability, message conservation) must agree.
-        let graph = InternetModel::new()
-            .transit_count(6)
-            .stub_count(24)
-            .build(8);
-        let victim = graph.stub_asns()[1];
-        let prefix = as_topology::prefix_for_asn(victim);
-        let mut classic = Network::with_monitor_and_jitter(&graph, NoopMonitor, 8, 4);
-        classic.originate(victim, prefix, None);
-        classic.run().unwrap();
-        let mut sharded =
-            ShardedNetwork::with_monitor_and_jitter(&graph, 1, 1, 8, 4, || NoopMonitor);
-        sharded.originate(victim, prefix, None);
-        sharded.run().unwrap();
-        for asn in graph.asns() {
-            assert_eq!(
-                classic.best_origin(asn, prefix),
-                sharded.best_origin(asn, prefix),
-                "{asn}"
-            );
-        }
-        assert_eq!(classic.stats().converged_at, sharded.stats().converged_at);
     }
 
     #[test]

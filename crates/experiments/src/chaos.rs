@@ -25,7 +25,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use as_topology::{AsGraph, InternetModel};
-use bgp_engine::{ConvergenceError, Engine, FaultEvent, NetFaultPlan};
+use bgp_engine::{ConvergenceError, FaultEvent, NetFaultPlan, ShardedNetwork};
 use bgp_types::{AsPath, Asn, MoasList, Route};
 use minimetrics::{MetricsSink, MetricsSnapshot, Scoped};
 use moas_core::{
@@ -34,7 +34,7 @@ use moas_core::{
 };
 use sim_engine::fault::LinkFaultModel;
 
-use crate::exec::{Cell, Exec, Runner};
+use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, FromJson, Json, JsonError, ToJson};
 use crate::stats::{mean, mean_by, ratio};
 
@@ -383,7 +383,7 @@ pub const DEPLOYMENT_SWEEP_FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 /// plus the merged metrics snapshot (empty unless `exec.metrics`).
 ///
 /// Report and snapshot are bit-identical for every `exec.jobs` and every
-/// `Some(shards)`: trials are planned sequentially (per-trial seeds derive
+/// `exec.shards`: trials are planned sequentially (per-trial seeds derive
 /// from `(config.seed, trial index)`, so no shared RNG state is consumed),
 /// executed into index-addressed slots, and aggregated in planning order.
 /// The per-trial fault RNG streams are seeded inside each trial from its
@@ -392,12 +392,6 @@ pub const DEPLOYMENT_SWEEP_FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 /// With metrics on, each trial records its churn- and attack-run network
 /// metrics (key prefixes `churn.` / `attack.`) plus trial-level counters and
 /// histograms under `chaos.*`.
-///
-/// The sharded engine is not guaranteed bit-identical to the classic one: it
-/// breaks same-tick ties with an intrinsic event order and draws lossy-link
-/// fault fates from per-edge RNG streams (the classic engine consumes one
-/// global stream in delivery order), so fault-model scenarios may diverge
-/// numerically while remaining statistically equivalent.
 ///
 /// # Panics
 ///
@@ -427,14 +421,9 @@ fn run_chaos_at(
     }
     impl Cell for ChaosTrials<'_> {
         type Out = TrialResult;
-        fn run<R: Runner, S: MetricsSink>(
-            &self,
-            runner: &R,
-            i: usize,
-            sink: &mut S,
-        ) -> TrialResult {
+        fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> TrialResult {
             run_one(
-                runner,
+                layout,
                 self.graph,
                 self.config,
                 &self.casts[i],
@@ -757,10 +746,10 @@ fn deployment_for(graph: &AsGraph, cast: &TrialPlan, fraction: f64) -> Deploymen
 /// `attack.`; trial-level verdicts (alarm counts, detection latency,
 /// oscillation) under `chaos.*`. With a disabled sink every export is
 /// skipped. Alarm counts and detection latency are summed/min-folded across
-/// the engine's monitors, which on the sharded engine reproduces the
-/// single-monitor totals because alarms are observer-scoped.
-fn run_one<R: Runner, S: MetricsSink>(
-    runner: &R,
+/// the shards' monitors, which reproduces the single-monitor totals for any
+/// shard count because alarms are observer-scoped.
+fn run_one<S: MetricsSink>(
+    layout: Layout,
     graph: &AsGraph,
     config: &ChaosConfig,
     cast: &TrialPlan,
@@ -775,7 +764,7 @@ fn run_one<R: Runner, S: MetricsSink>(
     // Churn-only run: every alarm is noise.
     let scenario = build_scenario(graph, config, cast);
     let (churn_net, churn_err) = run_scenario(
-        runner,
+        layout,
         graph,
         config,
         cast,
@@ -824,7 +813,7 @@ fn run_one<R: Runner, S: MetricsSink>(
             &valid_list,
         );
         let (attack_net, attack_err) = run_scenario(
-            runner,
+            layout,
             graph,
             config,
             cast,
@@ -879,8 +868,8 @@ fn run_one<R: Runner, S: MetricsSink>(
 /// plan, and drives it. Returns the network for inspection plus the
 /// convergence error, if any — budget exhaustion is a driver bug and panics;
 /// oscillation is a legitimate verdict the caller interprets.
-fn run_scenario<R: Runner>(
-    runner: &R,
+fn run_scenario(
+    layout: Layout,
     graph: &AsGraph,
     config: &ChaosConfig,
     cast: &TrialPlan,
@@ -888,15 +877,14 @@ fn run_scenario<R: Runner>(
     deployment: Deployment,
     attack: Option<FaultEvent>,
 ) -> (
-    R::Engine<MoasMonitor<RegistryVerifier>>,
+    ShardedNetwork<MoasMonitor<RegistryVerifier>>,
     Option<ConvergenceError>,
 ) {
     let prefix = crate::victim_prefix();
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
 
-    // One monitor per engine instance (per shard on the sharded engine),
-    // all from the same config and registry, so the union of the per-shard
-    // alarm logs equals the classic single log for any partition.
+    // One monitor per shard, all from the same config and registry, so the
+    // union of the per-shard alarm logs is the same for any partition.
     let monitor = || {
         let mut registry = RegistryVerifier::new();
         registry.register(prefix, valid_list.clone());
@@ -909,7 +897,7 @@ fn run_scenario<R: Runner>(
             registry,
         )
     };
-    let mut net = runner.build(graph, cast.seed, config.max_link_delay, monitor);
+    let mut net = layout.build(graph, cast.seed, config.max_link_delay, monitor);
     net.set_mrai(scenario.mrai);
     net.set_watchdog(scenario.watchdog);
 
@@ -1012,7 +1000,7 @@ mod tests {
     #[test]
     fn mrai_deferral_defers_updates_and_still_detects() {
         let config = ChaosConfig::quick(ChaosScenario::MraiDeferral);
-        // On both engines.
+        // Unpartitioned and sharded.
         for exec in [Exec::serial(), Exec::serial().shards(2)] {
             let (report, _) = run_chaos(&config, exec);
             assert_eq!(report.oscillating_trials, 0);

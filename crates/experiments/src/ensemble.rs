@@ -54,7 +54,7 @@ use crate::chaos::{
     build_scenario, chaos_graph, plan_casts, ChaosConfig, ChaosScenario, TrialPlan, T_ATTACK,
     T_CHURN,
 };
-use crate::exec::{Cell, Exec, Runner};
+use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, FromJson, Json, JsonError, ToJson};
 use crate::stats::{mean, ratio};
 
@@ -867,7 +867,7 @@ pub fn run_ensemble(
     }
     impl Cell for Cells<'_> {
         type Out = TrialStreams;
-        fn run<R: Runner, S: MetricsSink>(&self, _: &R, i: usize, sink: &mut S) -> TrialStreams {
+        fn run<S: MetricsSink>(&self, _: Layout, i: usize, sink: &mut S) -> TrialStreams {
             record_cell(self.graph, self.config, &self.cells[i], sink)
         }
     }
@@ -875,7 +875,7 @@ pub fn run_ensemble(
     let cells = plan_cells(&graph, config);
     let exec = Exec {
         jobs,
-        shards: None,
+        shards: 1,
         metrics,
     };
     let (streams, mut snapshot) = exec.run_cells(

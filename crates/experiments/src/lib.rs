@@ -18,8 +18,8 @@
 //! # One function per experiment, one [`Exec`] to say how
 //!
 //! There is exactly one entry point per experiment. The trial-based drivers
-//! take an [`Exec`] — `jobs` worker threads, `shards: None` for the classic
-//! engine or `Some(n)` for the sharded one, `metrics` on or off — and return
+//! take an [`Exec`] — `jobs` worker threads, `shards` partitions per trial
+//! (1 by default), `metrics` on or off — and return
 //! `(report, MetricsSnapshot)`; the snapshot is empty when `metrics` is off.
 //! Drivers with their own harness and nothing to shard
 //! ([`subprefix_ablation`], [`valley_free_ablation`],
@@ -28,14 +28,12 @@
 //!
 //! Every driver works in three phases: trials are *planned* sequentially (so
 //! no RNG draw order changes), *run* into index-addressed slots — fanned
-//! across the vendored scoped thread pool (`minipool`) on the classic engine,
-//! one at a time with the workers inside the trial on the sharded engine —
-//! and *aggregated* in planning order. With metrics on, each trial records
+//! across the vendored scoped thread pool (`minipool`) when each is one
+//! shard, one at a time with the workers inside the trial when it is
+//! several — and *aggregated* in planning order. With metrics on, each trial records
 //! into its own sink and the per-trial snapshots merge in plan order. So
 //! report and snapshot are bit-identical for every `jobs` value and every
-//! shard count, and the report is the same with metrics on or off. Only the
-//! choice of engine can move a number: the two break same-tick ties
-//! differently.
+//! shard count, and the report is the same with metrics on or off.
 //!
 //! Snapshots serialize through [`json`] (see the [`metrics`] module docs for
 //! the shape) and render via [`render_metrics_summary`].

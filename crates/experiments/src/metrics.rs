@@ -11,7 +11,7 @@
 //! ```json
 //! {
 //!   "counters":   { "net.messages.announcements": 683, ... },
-//!   "gauges":     { "sim.queue.depth_high_water": 41, ... },
+//!   "gauges":     { "net.converged_at_ticks": 41, ... },
 //!   "histograms": {
 //!     "trial.convergence_ticks.origin": {
 //!       "count": 15, "sum": 310, "min": 14, "max": 29,
@@ -215,7 +215,7 @@ mod tests {
         let mut s = MetricsSnapshot::new();
         s.counters.insert("net.messages.announcements".into(), 683);
         s.counters.insert("trial.count".into(), 15);
-        s.gauges.insert("sim.queue.depth_high_water".into(), 41);
+        s.gauges.insert("net.converged_at_ticks".into(), 41);
         let mut h = Log2Histogram::new();
         for v in [0, 1, 5, 5, 14, 1024] {
             h.observe(v);

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use as_topology::AsGraph;
-use bgp_engine::{CommunityPolicies, CommunityPolicyMap, Engine};
+use bgp_engine::{CommunityPolicies, CommunityPolicyMap};
 use bgp_types::{Asn, Ipv4Prefix, MoasList};
 use minimetrics::{MetricsSink, MetricsSnapshot, NoopSink, Scoped};
 use moas_core::{
@@ -11,7 +11,7 @@ use moas_core::{
     RegistryVerifier, UnresolvedPolicy,
 };
 
-use crate::exec::{Cell, Classic, Exec, Runner};
+use crate::exec::{Cell, Exec, Layout};
 
 /// Configuration of a single run: who originates, who attacks, who checks.
 #[derive(Debug, Clone)]
@@ -97,8 +97,8 @@ impl TrialOutcome {
 /// every legitimate origin and run BGP to quiescence; then inject every
 /// attacker's false announcement into the converged network (the paper's
 /// attack model), run to quiescence again, and census who adopted which
-/// origin. Classic engine, no metrics — [`run_trial_with`] takes an
-/// [`Exec`].
+/// origin. One shard on the calling thread, no metrics — [`run_trial_with`]
+/// takes an [`Exec`].
 ///
 /// # Panics
 ///
@@ -106,19 +106,15 @@ impl TrialOutcome {
 /// exceeds its (enormous) event budget.
 #[must_use]
 pub fn run_trial(graph: &AsGraph, config: &TrialConfig) -> TrialOutcome {
-    trial_on(&Classic, graph, config, &mut NoopSink)
+    trial_on(Layout::SERIAL, graph, config, &mut NoopSink)
 }
 
-/// [`run_trial`] under an explicit [`Exec`]: on either engine, optionally
+/// [`run_trial`] under an explicit [`Exec`]: on any shard count, optionally
 /// recording the trial's network metrics plus per-phase convergence-time
 /// histograms (`trial.convergence_ticks.{origin,attack}`, in virtual ticks).
 ///
-/// The outcome is bit-identical for every `exec.jobs`, for every
-/// `Some(shards)`, and with metrics on or off. It is *not* guaranteed
-/// identical between `shards: None` and `shards: Some(_)`: the classic
-/// engine's same-timestamp event order is arrival-based, the sharded
-/// engine's intrinsic, so the two agree semantically but may break same-tick
-/// ties differently.
+/// The outcome is [`run_trial`]'s, bit for bit, for every `exec.jobs`, every
+/// `exec.shards`, and with metrics on or off.
 ///
 /// # Panics
 ///
@@ -149,11 +145,11 @@ pub(crate) fn run_trials(
     }
     impl Cell for Trials<'_> {
         type Out = TrialOutcome;
-        fn run<R: Runner, S: MetricsSink>(&self, runner: &R, i: usize, sink: &mut S) -> Self::Out {
+        fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> Self::Out {
             let trial = &self.trials[i];
             match self.scope {
-                Some(scope) => trial_on(runner, self.graph, trial, &mut Scoped::new(sink, scope)),
-                None => trial_on(runner, self.graph, trial, sink),
+                Some(scope) => trial_on(layout, self.graph, trial, &mut Scoped::new(sink, scope)),
+                None => trial_on(layout, self.graph, trial, sink),
             }
         }
     }
@@ -165,10 +161,10 @@ pub(crate) fn run_trials(
     exec.run_cells(trials.len(), &cell)
 }
 
-/// The trial body, once, for any engine and any sink. With [`NoopSink`] the
+/// The trial body, once, for any layout and any sink. With [`NoopSink`] the
 /// instrumentation compiles away.
-fn trial_on<R: Runner, S: MetricsSink>(
-    runner: &R,
+fn trial_on<S: MetricsSink>(
+    layout: Layout,
     graph: &AsGraph,
     config: &TrialConfig,
     sink: &mut S,
@@ -176,8 +172,7 @@ fn trial_on<R: Runner, S: MetricsSink>(
     const CONVERGES: &str = "experiment networks always converge";
     let valid_list: MoasList = config.origins.iter().copied().collect();
 
-    // One monitor per engine instance (the sharded engine asks once per
-    // shard). §4.4: the verifier knows the true origin set (oracle registry,
+    // One monitor per shard. §4.4: the verifier knows the true origin set (oracle registry,
     // as the paper's experiments assume for "checking with DNS"). The per-AS
     // community policies wrap the MOAS monitor; with an empty map every
     // export forwards untouched, so the wrapper is a strict no-op for legacy
@@ -197,7 +192,7 @@ fn trial_on<R: Runner, S: MetricsSink>(
             ),
         )
     };
-    let mut net = runner.build(graph, config.seed, config.max_link_delay, monitor);
+    let mut net = layout.build(graph, config.seed, config.max_link_delay, monitor);
 
     // The paper's attack model: false announcements are injected into a
     // running network, so the valid routes converge first and the attackers
@@ -245,7 +240,7 @@ fn trial_on<R: Runner, S: MetricsSink>(
 
     // Alarms and verifier queries are observer-scoped, so summing the
     // per-monitor logs gives the same totals for any partition of the
-    // observers (and for the classic engine's single monitor).
+    // observers.
     let mut outcome = TrialOutcome {
         eligible,
         adopted_false,

@@ -1,25 +1,26 @@
 //! The execution contract, one table for every driver: an [`Exec`] never
 //! changes what a driver reports.
 //!
-//! Each row runs one driver over the grid `jobs ∈ {1, 4}` × `shards ∈ {None,
-//! 1, 2, 4}` × `metrics ∈ {off, on}` (restricted to the axes the driver has)
-//! and compares rendered bytes — report JSON and snapshot JSON:
+//! Each row runs one driver over the grid `jobs ∈ {1, 4}` × `shards ∈ {1, 2,
+//! 4}` × `metrics ∈ {off, on}` (restricted to the axes the driver has) and
+//! compares rendered bytes — report JSON and snapshot JSON:
 //!
-//! * identical across `jobs` (report and snapshot);
-//! * identical across shard counts (report and snapshot; compared against
-//!   `shards = 1`, not the classic engine, which may break same-tick ties
-//!   differently);
-//! * report identical with metrics on and off, on both engines; snapshot
-//!   empty exactly when metrics are off.
+//! * identical across `jobs` and across shard counts (report and snapshot);
+//! * report identical with metrics on and off; snapshot empty exactly when
+//!   metrics are off.
 //!
 //! Trials are planned sequentially, run into index-addressed slots, and
-//! aggregated in planning order; the sharded engine orders same-timestamp
-//! events intrinsically. So nothing about worker scheduling or shard layout
-//! can leak into a figure, and these rows pin that.
+//! aggregated in planning order; the engine orders same-timestamp events
+//! intrinsically. So nothing about worker scheduling or shard layout can
+//! leak into a figure, and these rows pin that. The engine rows at the end
+//! pin the same for the raw network state, `Network` included.
 
 use as_topology::paper::PaperTopology;
-use bgp_engine::{NoopMonitor, ShardedNetwork};
-use bgp_types::Ipv4Prefix;
+use as_topology::{AsGraph, InternetModel};
+use bgp_engine::{
+    ConvergenceError, FaultEvent, NetFaultPlan, Network, NetworkStats, NoopMonitor, ShardedNetwork,
+};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use experiments::json::{from_str, to_string_pretty, ToJson};
 use experiments::{
     community_policy_ablation, experiment1, experiment1_metrics_jobs, experiment2,
@@ -29,8 +30,9 @@ use experiments::{
     unresolved_policy_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig,
     Exec, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig,
 };
-use minimetrics::MetricsSnapshot;
-use moas_core::Deployment;
+use minimetrics::{MetricsSnapshot, RecordingSink};
+use moas_core::{Alarm, Deployment, FalseOriginAttack, ListForgery, MoasMonitor, RegistryVerifier};
+use sim_engine::fault::{FaultStats, LinkFaultModel};
 
 const JOBS: [usize; 2] = [1, 4];
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -67,13 +69,7 @@ fn no_snapshot<T: ToJson>(report: T) -> Rendered {
 /// Walks one driver over its grid and asserts the contract in the module
 /// docs.
 fn check(name: &str, axes: Axes, run: impl Fn(Exec) -> Rendered) {
-    let engines: Vec<Option<usize>> = if axes.shards {
-        std::iter::once(None)
-            .chain(SHARDS.into_iter().map(Some))
-            .collect()
-    } else {
-        vec![None]
-    };
+    let shard_counts: &[usize] = if axes.shards { &SHARDS } else { &[1] };
     let metrics_modes: &[bool] = if axes.metrics {
         &[false, true]
     } else {
@@ -81,13 +77,12 @@ fn check(name: &str, axes: Axes, run: impl Fn(Exec) -> Rendered) {
     };
     let empty_snapshot = to_string_pretty(&MetricsSnapshot::new());
 
-    // Reference per metrics mode for the sharded engine: shards = 1, jobs = 1.
-    let mut sharded_reference: [Option<Rendered>; 2] = [None, None];
-    for &shards in &engines {
-        // Reference for this engine: metrics off, jobs = 1.
-        let mut plain_report: Option<String> = None;
-        for &metrics in metrics_modes {
-            let mut serial: Option<Rendered> = None;
+    // Reference report: metrics off, shards = 1, jobs = 1.
+    let mut plain_report: Option<String> = None;
+    for &metrics in metrics_modes {
+        // Reference for this metrics mode: shards = 1, jobs = 1.
+        let mut reference: Option<Rendered> = None;
+        for &shards in shard_counts {
             for jobs in JOBS {
                 let exec = Exec {
                     jobs,
@@ -102,13 +97,8 @@ fn check(name: &str, axes: Axes, run: impl Fn(Exec) -> Rendered) {
                     !metrics,
                     "{at}: snapshot must be empty exactly when metrics are off"
                 );
-                let serial = serial.get_or_insert_with(|| rendered.clone());
-                assert_eq!(&rendered, serial, "{at}: diverged from jobs=1");
-                if shards.is_some() {
-                    let reference = sharded_reference[usize::from(metrics)]
-                        .get_or_insert_with(|| rendered.clone());
-                    assert_eq!(&rendered, reference, "{at}: diverged from shards=1");
-                }
+                let reference = reference.get_or_insert_with(|| rendered.clone());
+                assert_eq!(&rendered, reference, "{at}: diverged from jobs=1, shards=1");
                 let plain = plain_report.get_or_insert_with(|| rendered.0.clone());
                 assert_eq!(&rendered.0, plain, "{at}: recording perturbed the report");
             }
@@ -163,7 +153,7 @@ fn sweep_and_trial_rows() {
         let (outcome, snapshot) = run_trial_with(graph, &trial, exec);
         (format!("{outcome:?}"), to_string_pretty(&snapshot))
     });
-    // The canonical no-frills entry point is the serial classic run.
+    // The canonical no-frills entry point is the serial run.
     assert_eq!(
         run_trial(graph, &trial),
         run_trial_with(graph, &trial, Exec::serial()).0
@@ -306,6 +296,200 @@ fn rib_fingerprints_are_identical_for_every_shard_count() {
     }
 }
 
+/// Everything one engine run leaves behind that a driver could read.
+#[derive(Debug, PartialEq)]
+struct EngineState {
+    outcome: Result<u64, ConvergenceError>,
+    fingerprint: u64,
+    stats: NetworkStats,
+    faults: FaultStats,
+    /// Every monitor's alarms, in firing order per observer.
+    alarms: Vec<Alarm>,
+    metrics: MetricsSnapshot,
+}
+
+/// One fault plan per chaos scenario, shaped like the one `run_chaos` gives
+/// its trials (the driver's own are private), with a forged announcement
+/// mid-churn so the alarm logs are not empty.
+struct EngineCase {
+    plan: NetFaultPlan,
+    mrai: u64,
+    watchdog: u64,
+    origins: Vec<(Asn, Option<MoasList>)>,
+}
+
+fn engine_case(scenario: ChaosScenario, graph: &AsGraph, prefix: Ipv4Prefix) -> EngineCase {
+    let multihomed: Vec<Asn> = graph
+        .stub_asns()
+        .into_iter()
+        .filter(|&s| graph.degree(s) >= 2)
+        .collect();
+    let (victim, partner) = (multihomed[0], multihomed[1]);
+    let provider = graph.neighbors(victim).next().expect("stub has a provider");
+    let attacker = *graph.stub_asns().last().expect("graph has stubs");
+    let valid: MoasList = [victim, partner].into_iter().collect();
+    let bare = Route::new(prefix, AsPath::new());
+    let toggle_partner = FaultEvent::ToggleOrigin {
+        asn: partner,
+        route: bare.clone(),
+    };
+
+    let mut case = EngineCase {
+        plan: NetFaultPlan::new(0xFA17),
+        mrai: 0,
+        watchdog: 0,
+        origins: vec![(victim, None)],
+    };
+    let plan = &mut case.plan;
+    match scenario {
+        ChaosScenario::Failover => {
+            plan.at(40, FaultEvent::FailLink(victim, provider));
+            let route = bare.clone();
+            plan.at(
+                45,
+                FaultEvent::Announce {
+                    asn: partner,
+                    route,
+                },
+            );
+            plan.at(200, FaultEvent::RestoreLink(victim, provider));
+            let asn = partner;
+            plan.at(205, FaultEvent::Withdraw { asn, prefix });
+        }
+        ChaosScenario::OriginFlap => {
+            plan.every(40, 40, Some(6), toggle_partner);
+            case.mrai = 20;
+        }
+        ChaosScenario::LossyCore => {
+            let transit = graph.transit_asns();
+            for (a, b) in graph.links() {
+                if transit.contains(&a) && transit.contains(&b) {
+                    plan.set_link_model(
+                        (a, b),
+                        LinkFaultModel {
+                            drop: 0.15,
+                            corrupt: 0.05,
+                            duplicate: 0.05,
+                            reorder: 0.10,
+                            max_extra_delay: 5,
+                        },
+                    );
+                }
+            }
+            case.origins = vec![
+                (victim, Some(valid.clone())),
+                (partner, Some(valid.clone())),
+            ];
+        }
+        ChaosScenario::SessionReset => {
+            plan.every(40, 60, Some(3), FaultEvent::ResetSession(victim, provider));
+            case.origins = vec![
+                (victim, Some(valid.clone())),
+                (partner, Some(valid.clone())),
+            ];
+        }
+        ChaosScenario::FlapStorm => {
+            plan.every(5, 6, None, toggle_partner);
+            case.watchdog = 64;
+        }
+        ChaosScenario::MraiDeferral => {
+            plan.every(40, 10, Some(6), toggle_partner);
+            case.mrai = 30;
+        }
+    }
+    let forged =
+        FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(prefix, attacker, &valid);
+    let asn = attacker;
+    plan.at(120, FaultEvent::Announce { asn, route: forged });
+    case
+}
+
+type Monitor = MoasMonitor<RegistryVerifier>;
+
+/// Installs a case on a freshly built network (`Network` derefs to this).
+fn arm(net: &mut ShardedNetwork<Monitor>, case: &EngineCase, prefix: Ipv4Prefix) {
+    net.set_mrai(case.mrai);
+    net.set_watchdog(case.watchdog);
+    net.set_fault_plan(case.plan.clone())
+        .expect("plan names real links");
+    for (origin, list) in &case.origins {
+        net.originate(*origin, prefix, list.clone());
+    }
+}
+
+fn observe(
+    net: &ShardedNetwork<Monitor>,
+    outcome: Result<sim_engine::SimTime, ConvergenceError>,
+) -> EngineState {
+    let mut alarms: Vec<Alarm> = net
+        .monitors()
+        .flat_map(|m| m.alarms().iter().cloned())
+        .collect();
+    alarms.sort_by_key(|a| (a.at, a.observer));
+    let mut sink = RecordingSink::new();
+    net.export_metrics(&mut sink);
+    EngineState {
+        outcome: outcome.map(|t| t.ticks()),
+        fingerprint: net.routing_fingerprint(),
+        stats: net.stats(),
+        faults: net.fault_stats_total(),
+        alarms,
+        metrics: sink.into_snapshot(),
+    }
+}
+
+#[test]
+fn network_equals_every_shard_count_under_each_chaos_fault_plan() {
+    // `Network` is the one-shard engine on the calling thread; two and four
+    // shards (pooled) must leave exactly the same state behind.
+    const BUDGET: u64 = 2_000_000;
+    let graph = InternetModel::new()
+        .transit_count(8)
+        .stub_count(30)
+        .multihome_prob(0.9)
+        .build(0xC4A05);
+    let prefix: Ipv4Prefix = "208.8.0.0/16".parse().expect("prefix literal");
+    let monitor = |case: &EngineCase| {
+        let valid: MoasList = case.origins.iter().map(|(asn, _)| *asn).collect();
+        let mut registry = RegistryVerifier::new();
+        registry.register(prefix, valid);
+        MoasMonitor::full(registry)
+    };
+    for scenario in ChaosScenario::all() {
+        let case = engine_case(scenario, &graph, prefix);
+        let mut net = Network::with_monitor_and_jitter(&graph, monitor(&case), 0x5EED, 4);
+        arm(&mut net, &case, prefix);
+        let outcome = net.run_with_limit(BUDGET);
+        let reference = observe(&net, outcome);
+        assert_eq!(
+            reference.outcome.is_err(),
+            scenario == ChaosScenario::FlapStorm,
+            "{scenario}: {:?}",
+            reference.outcome
+        );
+        assert!(reference.stats.total_messages() > 0, "{scenario}");
+        if scenario != ChaosScenario::FlapStorm {
+            assert!(
+                !reference.alarms.is_empty(),
+                "{scenario}: forged origin unseen"
+            );
+        }
+        for shards in [2, 4] {
+            let mut net =
+                ShardedNetwork::with_monitor_and_jitter(&graph, shards, 2, 0x5EED, 4, || {
+                    monitor(&case)
+                });
+            arm(&mut net, &case, prefix);
+            let outcome = net.run_with_limit(BUDGET);
+            assert_eq!(
+                observe(&net, outcome),
+                reference,
+                "{scenario}: shards={shards} != Network"
+            );
+        }
+    }
+}
+
 // What the snapshots contain — the part of the observability contract that
 // is about content rather than invariance.
 
@@ -330,13 +514,27 @@ fn chaos_snapshot_contains_the_advertised_key_families() {
     let config = ChaosConfig::quick(ChaosScenario::LossyCore);
     let (_, metrics) = run_chaos(&config, Exec::jobs(2).metrics());
 
-    // Sim-engine event counts, for both runs of each trial.
+    // Event counts for both runs of each trial — and none of the
+    // queue-shape keys, which would vary with the shard layout.
     for prefix in ["churn", "attack"] {
-        for key in ["sim.events.scheduled", "sim.events.fired"] {
-            let key = format!("{prefix}.{key}");
-            assert!(metrics.counters.contains_key(&key), "missing {key}");
-            assert!(metrics.counters[&key] > 0, "{key} is zero");
-        }
+        let key = format!("{prefix}.sim.events.fired");
+        assert!(metrics.counters.contains_key(&key), "missing {key}");
+        assert!(metrics.counters[&key] > 0, "{key} is zero");
+    }
+    for shape in [
+        "events.scheduled",
+        "events.cancelled",
+        "queue.depth_high_water",
+    ] {
+        let leaked = |k: &String| k.ends_with(shape);
+        assert!(
+            !metrics
+                .counters
+                .keys()
+                .chain(metrics.gauges.keys())
+                .any(leaked),
+            "layout-dependent key sim.{shape} exported"
+        );
     }
     // Per-session update counters and per-link fault stats are dynamic keys.
     let has = |substr: &str| metrics.counters.keys().any(|k| k.contains(substr));

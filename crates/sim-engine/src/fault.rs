@@ -13,7 +13,7 @@
 //! The plan is generic over the link key `K` and the scheduled event type
 //! `E`; the BGP engine instantiates it with `(Asn, Asn)` links and its own
 //! event enum. Nothing here knows about BGP: the same machinery could drive
-//! any discrete-event simulation built on [`EventQueue`](crate::EventQueue).
+//! any discrete-event simulation.
 //!
 //! # Example
 //!

@@ -2,26 +2,26 @@
 //!
 //! The paper evaluates the MOAS-list mechanism on a modified SSFnet BGP
 //! simulator. This crate provides the substrate that plays SSFnet's role in
-//! the reproduction: a deterministic discrete-event queue ([`EventQueue`]),
-//! simulated time ([`SimTime`]), and seeded random-number helpers
-//! ([`rng`]) so every experiment is exactly reproducible from a `u64` seed.
+//! the reproduction: simulated time ([`SimTime`]), seeded random-number
+//! helpers ([`rng`]) so every experiment is exactly reproducible from a `u64`
+//! seed, deterministic fault plans ([`fault`]), and the counters an event
+//! queue reports ([`QueueStats`]). The event queue itself lives with its one
+//! user, `bgp-engine`, whose same-timestamp order is part of the BGP model.
 //!
 //! # Example
 //!
 //! ```
-//! use sim_engine::{EventQueue, SimTime};
+//! use sim_engine::{rng, SimTime};
 //!
-//! let mut queue: EventQueue<&str> = EventQueue::new();
-//! queue.schedule(SimTime::from_ticks(10), "second");
-//! queue.schedule(SimTime::ZERO, "first");
+//! // Independent, reproducible streams from one experiment seed.
+//! let links = rng::derive_seed(42, 0);
+//! let faults = rng::derive_seed(42, 1);
+//! assert_ne!(links, faults);
+//! assert_eq!(links, rng::derive_seed(42, 0));
 //!
-//! let (t, e) = queue.pop().unwrap();
-//! assert_eq!((t, e), (SimTime::ZERO, "first"));
-//! assert_eq!(queue.now(), SimTime::ZERO);
-//!
-//! let (t, e) = queue.pop().unwrap();
-//! assert_eq!((t, e), (SimTime::from_ticks(10), "second"));
-//! assert!(queue.pop().is_none());
+//! let t = SimTime::from_ticks(10) + 5;
+//! assert_eq!(t.ticks(), 15);
+//! assert!(t > SimTime::ZERO);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,5 +34,5 @@ pub mod rng;
 mod time;
 
 pub use fault::{FaultAction, FaultPlan, FaultStats, LinkFaultModel, TimelineEntry};
-pub use queue::{EventQueue, QueueStats};
+pub use queue::QueueStats;
 pub use time::SimTime;

@@ -1,326 +1,16 @@
-//! The deterministic event queue.
+//! Event-queue counters.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use minimetrics::MetricsSink;
-
-use crate::SimTime;
-
-/// A discrete-event priority queue with deterministic tie-breaking.
-///
-/// Events scheduled for the same [`SimTime`] are delivered in the order they
-/// were scheduled (FIFO), which makes simulation runs bit-for-bit
-/// reproducible regardless of heap internals.
-///
-/// The queue tracks the current simulated time: [`EventQueue::now`] is the
-/// timestamp of the most recently popped event. Scheduling an event in the
-/// past is rejected as a logic error.
-///
-/// # Example
-///
-/// ```
-/// use sim_engine::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule_after(3, 'b');
-/// q.schedule_after(3, 'c'); // same time: FIFO order
-/// q.schedule_after(1, 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: SimTime,
-    processed: u64,
-    cancelled: u64,
-    depth_high_water: u64,
-}
-
-/// Lifetime counters of an [`EventQueue`], for observability.
+/// Lifetime counters of a simulation's event queue, for observability.
 ///
 /// Every quantity is cumulative over the queue's lifetime and derived purely
 /// from the deterministic event stream, so two runs with the same seed report
 /// identical stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events ever scheduled (including ones later cancelled).
+    /// Events ever scheduled.
     pub scheduled: u64,
     /// Events popped and delivered to the simulation.
     pub fired: u64,
-    /// Events discarded by [`EventQueue::clear`] without firing.
-    pub cancelled: u64,
     /// Largest number of events that were ever pending at once.
     pub depth_high_water: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Max-heap on reversed (time, seq): earliest time first, then lowest seq.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            processed: 0,
-            cancelled: 0,
-            depth_high_water: 0,
-        }
-    }
-
-    /// The timestamp of the most recently popped event (time zero initially).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events popped so far.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Lifetime scheduling counters (scheduled / fired / cancelled /
-    /// depth high-water mark).
-    #[must_use]
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            scheduled: self.next_seq,
-            fired: self.processed,
-            cancelled: self.cancelled,
-            depth_high_water: self.depth_high_water,
-        }
-    }
-
-    /// Emits the queue's counters into `sink` under the `sim.` key prefix:
-    /// `sim.events.{scheduled,fired,cancelled}`,
-    /// `sim.queue.depth_high_water`, and the final virtual clock as
-    /// `sim.time.final_ticks`.
-    pub fn export_metrics<S: MetricsSink>(&self, sink: &mut S) {
-        if !S::ENABLED {
-            return;
-        }
-        let stats = self.stats();
-        sink.counter_add("sim.events.scheduled", stats.scheduled);
-        sink.counter_add("sim.events.fired", stats.fired);
-        sink.counter_add("sim.events.cancelled", stats.cancelled);
-        sink.gauge_set("sim.queue.depth_high_water", stats.depth_high_water);
-        sink.gauge_set("sim.time.final_ticks", self.now.ticks());
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than [`EventQueue::now`]: delivering into
-    /// the past would make the simulation non-causal.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "event scheduled at {time} which is before current time {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.depth_high_water = self.depth_high_water.max(self.heap.len() as u64);
-    }
-
-    /// Schedules `event` `delay` ticks after the current time.
-    pub fn schedule_after(&mut self, delay: u64, event: E) {
-        self.schedule(self.now.saturating_add(delay), event);
-    }
-
-    /// The timestamp of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Removes and returns the next event, advancing the clock to its
-    /// timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        self.processed += 1;
-        Some((entry.time, entry.event))
-    }
-
-    /// Discards all pending events without advancing the clock. The
-    /// discarded events count as cancelled in [`EventQueue::stats`].
-    pub fn clear(&mut self) {
-        self.cancelled += self.heap.len() as u64;
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(5), 5);
-        q.schedule(SimTime::from_ticks(1), 1);
-        q.schedule(SimTime::from_ticks(3), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn same_time_is_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(SimTime::from_ticks(7), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_on_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(9), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_ticks(9));
-        assert_eq!(q.processed(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "before current time")]
-    fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(5), ());
-        q.pop();
-        q.schedule(SimTime::from_ticks(4), ());
-    }
-
-    #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(10), "first");
-        q.pop();
-        q.schedule_after(5, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_ticks(15));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(2), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(2)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(1), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn stats_track_scheduled_fired_cancelled_and_high_water() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(1), ());
-        q.schedule(SimTime::from_ticks(2), ());
-        q.schedule(SimTime::from_ticks(3), ());
-        q.pop();
-        q.clear(); // discards the remaining two
-        q.schedule_after(1, ());
-        let stats = q.stats();
-        assert_eq!(stats.scheduled, 4);
-        assert_eq!(stats.fired, 1);
-        assert_eq!(stats.cancelled, 2);
-        assert_eq!(stats.depth_high_water, 3);
-    }
-
-    #[test]
-    fn export_metrics_emits_sim_keys() {
-        use minimetrics::RecordingSink;
-
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(5), ());
-        q.pop();
-        let mut sink = RecordingSink::new();
-        q.export_metrics(&mut sink);
-        let snap = sink.into_snapshot();
-        assert_eq!(snap.counters["sim.events.scheduled"], 1);
-        assert_eq!(snap.counters["sim.events.fired"], 1);
-        assert_eq!(snap.counters["sim.events.cancelled"], 0);
-        assert_eq!(snap.gauges["sim.queue.depth_high_water"], 1);
-        assert_eq!(snap.gauges["sim.time.final_ticks"], 5);
-
-        // The no-op path is a pure early-return (NoopSink::ENABLED is false).
-        let mut noop = minimetrics::NoopSink;
-        q.export_metrics(&mut noop);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_deterministic() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ticks(1), "a");
-        q.schedule(SimTime::from_ticks(2), "b");
-        let (_, first) = q.pop().unwrap();
-        assert_eq!(first, "a");
-        // Schedule at the same time as a pending event: pending one is older.
-        q.schedule(SimTime::from_ticks(2), "c");
-        let (_, second) = q.pop().unwrap();
-        let (_, third) = q.pop().unwrap();
-        assert_eq!((second, third), ("b", "c"));
-    }
 }

@@ -86,11 +86,10 @@ COMMANDS:
     --jobs N defaults to the available hardware parallelism; results —
     including --metrics snapshots — are bit-identical for every N (trials
     fan out, aggregation order is fixed).
-    --shards N routes execution through the deterministic sharded engine:
-    the AS graph is partitioned into N engines driven in lockstep, with one
-    trial at a time fanned over the worker pool (intra-trial parallelism).
-    Output is bit-identical for every --shards/--jobs pair, but may break
-    same-tick ties differently from the default engine.
+    --shards N (default 1) partitions each trial's AS graph into N shards
+    driven in lockstep, with one trial at a time fanned over the worker pool
+    (intra-trial parallelism). Output is bit-identical for every
+    --shards/--jobs pair.
     export-mrt --out FILE [--days N] [--topology N] [--seed S]
                                     Simulate a network and export daily RIB snapshots
                                     (and the day's update stream) as RFC 6396 MRT
@@ -114,7 +113,7 @@ COMMANDS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    if let Err(message) = check_numeric_flags(&args) {
+    if let Err(message) = check_numeric_flags(&args).and_then(|()| check_shards(command, &args)) {
         eprintln!("{message}");
         return ExitCode::FAILURE;
     }
@@ -163,8 +162,8 @@ const NUMERIC_FLAGS: [&str; 6] = [
 ];
 
 /// [`option`] treats a value that fails to parse like an absent flag, which
-/// would turn `--shards two` into a silent classic-engine run; reject such
-/// values up front instead.
+/// would turn `--shards two` into a silent one-shard run; reject such values
+/// up front instead.
 fn check_numeric_flags(args: &[String]) -> Result<(), String> {
     for name in NUMERIC_FLAGS {
         let Some(idx) = args.iter().position(|a| a == name) else {
@@ -183,6 +182,27 @@ fn check_numeric_flags(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--shards 0` names no layout, and `ensemble`, `overhead` and the
+/// session-layer chaos scenarios have no network to partition; both would
+/// otherwise run as if the flag were absent.
+fn check_shards(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(shards) = option::<u64>(args, "--shards") else {
+        return Ok(());
+    };
+    if shards == 0 {
+        return Err("--shards expects a positive integer, got 0".to_string());
+    }
+    let session_chaos =
+        command == "chaos" && option::<SessionChaosScenario>(args, "--scenario").is_some();
+    if session_chaos {
+        return Err("--shards does not apply to the session-layer chaos scenarios".to_string());
+    }
+    if matches!(command, "ensemble" | "overhead") {
+        return Err(format!("--shards does not apply to {command}"));
+    }
+    Ok(())
+}
+
 /// `--jobs N`, defaulting to the available hardware parallelism.
 fn jobs_option(args: &[String]) -> usize {
     option(args, "--jobs").unwrap_or_else(minipool::available_jobs)
@@ -192,7 +212,7 @@ fn jobs_option(args: &[String]) -> usize {
 fn exec_option(args: &[String]) -> Exec {
     Exec {
         jobs: jobs_option(args),
-        shards: option(args, "--shards"),
+        shards: option(args, "--shards").unwrap_or(1),
         metrics: metrics_path(args).is_some(),
     }
 }

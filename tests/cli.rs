@@ -314,8 +314,8 @@ fn export_import_round_trip_preserves_daily_moas_counts() {
 
 #[test]
 fn unparseable_numeric_flags_are_errors_not_silent_defaults() {
-    // `--shards two` used to run the classic engine and `--jobs x` to fall
-    // back to all cores, both without a word.
+    // `--shards two` used to run unsharded and `--jobs x` to fall back to
+    // all cores, both without a word.
     for (args, flag) in [
         (&["figures", "--quick", "--shards", "two"][..], "--shards"),
         (&["figures", "--quick", "--jobs", "x"][..], "--jobs"),
@@ -375,4 +375,43 @@ fn figures_accepts_metrics_on_the_sharded_engine_and_records_only_on_request() {
             .collect::<Vec<_>>(),
         figures_only
     );
+}
+
+#[test]
+fn shards_zero_and_commands_with_nothing_to_shard_are_errors() {
+    for (args, needle) in [
+        (&["figures", "--quick", "--shards", "0"][..], "positive"),
+        (&["trial", "--shards", "0"][..], "positive"),
+        (&["ensemble", "--quick", "--shards", "2"][..], "ensemble"),
+        (&["overhead", "--shards", "2"][..], "overhead"),
+        (
+            &[
+                "chaos",
+                "--scenario",
+                "session-tcp-reset",
+                "--quick",
+                "--shards",
+                "2",
+            ][..],
+            "session-layer",
+        ),
+    ] {
+        let out = moas_lab(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--shards") && err.contains(needle),
+            "{args:?}: {err}"
+        );
+    }
+    // One engine: no flag is --shards 1, and every shard count agrees.
+    let plain = moas_lab(&["trial"]);
+    assert!(plain.status.success());
+    for shards in ["1", "2"] {
+        assert_eq!(
+            moas_lab(&["trial", "--shards", shards]).stdout,
+            plain.stdout
+        );
+    }
 }
