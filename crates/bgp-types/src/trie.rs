@@ -266,7 +266,7 @@ impl<T> PrefixTrie<T> {
     /// `10.1.2.0/24`.
     #[must_use]
     pub fn longest_covering(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, &T)> {
-        self.covering_matches(prefix).pop()
+        self.covering_matches(prefix).last().copied()
     }
 
     /// Every stored prefix covering `prefix` (including `prefix` itself),
@@ -274,10 +274,11 @@ impl<T> PrefixTrie<T> {
     ///
     /// The final element, if any, is [`longest_covering`](Self::longest_covering);
     /// walking the result in reverse visits covering entries most-specific
-    /// first, which is the precedence order for override resolution.
+    /// first, which is the precedence order for override resolution. The
+    /// lookup allocates nothing: see [`Covering`].
     #[must_use]
-    pub fn covering_matches(&self, prefix: Ipv4Prefix) -> Vec<(Ipv4Prefix, &T)> {
-        let mut out = Vec::new();
+    pub fn covering_matches(&self, prefix: Ipv4Prefix) -> Covering<'_, T> {
+        let mut out = Covering::new();
         let mut idx = ROOT;
         for depth in 0..=prefix.len() {
             let node = &self.nodes[idx as usize];
@@ -319,6 +320,85 @@ impl<T> PrefixTrie<T> {
         if node.children[1] != NIL {
             self.walk(node.children[1], addr | (1 << (31 - depth)), depth + 1, out);
         }
+    }
+}
+
+/// One slot per prefix length, /0 to /32.
+const MAX_COVERING: usize = 33;
+
+/// The stored prefixes covering one query, least-specific first — what
+/// [`PrefixTrie::covering_matches`] returns.
+///
+/// A query has at most one covering entry per prefix length, so the entries
+/// live inline in a fixed array instead of a heap `Vec`. The value
+/// dereferences to a slice of `(prefix, &value)` pairs and iterates by
+/// value over the same pairs.
+pub struct Covering<'a, T> {
+    /// `None` until the first match; that entry also fills the slots beyond
+    /// `len`, since there is no other `&T` to put there.
+    slots: Option<[(Ipv4Prefix, &'a T); MAX_COVERING]>,
+    len: usize,
+}
+
+impl<'a, T> Covering<'a, T> {
+    fn new() -> Self {
+        Covering {
+            slots: None,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, entry: (Ipv4Prefix, &'a T)) {
+        match &mut self.slots {
+            Some(slots) => slots[self.len] = entry,
+            None => self.slots = Some([entry; MAX_COVERING]),
+        }
+        self.len += 1;
+    }
+}
+
+impl<'a, T> std::ops::Deref for Covering<'a, T> {
+    type Target = [(Ipv4Prefix, &'a T)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.slots {
+            Some(slots) => &slots[..self.len],
+            None => &[],
+        }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Covering<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, T> IntoIterator for Covering<'a, T> {
+    type Item = (Ipv4Prefix, &'a T);
+    type IntoIter = CoveringIter<'a, T>;
+
+    fn into_iter(self) -> CoveringIter<'a, T> {
+        CoveringIter {
+            covering: self,
+            next: 0,
+        }
+    }
+}
+
+/// By-value iterator over a [`Covering`], least-specific first.
+pub struct CoveringIter<'a, T> {
+    covering: Covering<'a, T>,
+    next: usize,
+}
+
+impl<'a, T> Iterator for CoveringIter<'a, T> {
+    type Item = (Ipv4Prefix, &'a T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let entry = self.covering.get(self.next).copied()?;
+        self.next += 1;
+        Some(entry)
     }
 }
 

@@ -5,15 +5,14 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use bgp_session::{BgpListener, PeerInfo, SessionConfig, SessionHandler};
 use bgp_types::{Asn, Ipv4Prefix};
 use bgp_wire::bgp::UpdateMessage;
 use experiments::json::Json;
-use minisock::{Action, Config, ConnId, Server, ServerStats, Service};
+use minisock::{Action, Config, ConnId, Server, ServerStats, Service, StatsHandle, Waker};
 
 use crate::exceptions::ExceptionSet;
 use crate::feed::{Pdu, PrefixEntry};
@@ -21,16 +20,21 @@ use crate::http::{json_response, text_response, HttpError, Request};
 use crate::table::{DeltaRing, OriginTable, TableUpdate};
 use crate::validity::{validate_detailed, Verdict};
 
-/// Counters the daemon exposes through `/metrics`, all monotonic. Query-path
-/// counters live separately in [`QueryCounters`] so `/validity` never needs
-/// the shared mutex.
+/// Counters the daemon exposes through `/metrics`, all monotonic.
 #[derive(Debug, Default, Clone, Copy)]
 struct DaemonMetrics {
+    http_requests: u64,
+    queries: u64,
+    queries_valid: u64,
+    queries_invalid: u64,
+    queries_not_found: u64,
     ingest_batches: u64,
     ingest_updates: u64,
     exception_reloads: u64,
     exception_reloads_verdict_affecting: u64,
     feed_reset_syncs: u64,
+    /// Microseconds full syncs held the state lock while encoding the table.
+    feed_reset_sync_lock_us: u64,
     feed_diff_syncs: u64,
     feed_cache_resets: u64,
     feed_notifies: u64,
@@ -40,54 +44,80 @@ struct DaemonMetrics {
     bgp_table_changes: u64,
 }
 
-/// Lock-free counters for the read-mostly query path.
-#[derive(Debug, Default)]
-struct QueryCounters {
-    http_requests: AtomicU64,
-    queries: AtomicU64,
-    queries_valid: AtomicU64,
-    queries_invalid: AtomicU64,
-    queries_not_found: AtomicU64,
-}
-
-/// Everything a `/validity` query reads, bundled so the whole verdict input
-/// can be published atomically as one `Arc` snapshot.
-#[derive(Debug, Clone)]
-struct QueryState {
+/// Everything the listeners share, behind the one mutex in [`Hub`].
+/// Handlers hold the lock only while computing a response — never across
+/// I/O.
+///
+/// There is no published snapshot of the table: one HTTP reactor thread
+/// means at most one query is ever in flight, so a `/validity` lookup
+/// simply runs under the lock (a few microseconds) and an apply mutates the
+/// table in place. A reader waits for at most one apply, a writer for at
+/// most one response, and nothing ever copies the table.
+struct Shared {
     table: OriginTable,
     exceptions: ExceptionSet,
-}
-
-/// Everything both listeners share, behind one mutex. Handlers hold the
-/// lock only while computing a response — never across I/O.
-///
-/// The table and exception rules sit inside an `Arc<QueryState>`: writers
-/// mutate through [`Arc::make_mut`] (swap-on-apply — the state is cloned
-/// only when a concurrent `/validity` reader still holds the previous
-/// snapshot), and readers clone the `Arc` under a brief lock, then validate
-/// against the snapshot with the mutex released.
-struct Shared {
-    query: Arc<QueryState>,
     ring: DeltaRing,
     metrics: DaemonMetrics,
-    counters: Arc<QueryCounters>,
     shutdown_requested: bool,
     feed_conns_open: u64,
+    /// Each listener's reactor counters, for `/metrics`.
+    listeners: Vec<(&'static str, StatsHandle)>,
 }
 
 impl Shared {
-    fn table(&self) -> &OriginTable {
-        &self.query.table
+    fn new(table: OriginTable, exceptions: ExceptionSet, ring_capacity: usize) -> Self {
+        Shared {
+            table,
+            exceptions,
+            ring: DeltaRing::new(ring_capacity),
+            metrics: DaemonMetrics::default(),
+            shutdown_requested: false,
+            feed_conns_open: 0,
+            listeners: Vec::new(),
+        }
     }
 
     fn apply(&mut self, updates: &[TableUpdate]) -> (u32, usize, usize) {
-        let delta = Arc::make_mut(&mut self.query).table.apply(updates);
+        let delta = self.table.apply(updates);
         let (announced, withdrawn) = (delta.announced.len(), delta.withdrawn.len());
         let serial = delta.serial;
         if !delta.is_empty() {
             self.ring.push(delta);
         }
         (serial, announced, withdrawn)
+    }
+}
+
+/// The shared state, and the condition `POST /shutdown` signals.
+struct Hub {
+    shared: Mutex<Shared>,
+    shutdown: Condvar,
+}
+
+impl Hub {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        // A poisoned mutex means a handler panicked; the state itself is
+        // plain data, so continue with it rather than cascading the panic.
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `change` under the lock and, once the lock is released, tells
+    /// whoever waits on what it changed: a moved serial wakes the feed
+    /// reactor, so `SerialNotify` leaves on the write rather than at the
+    /// next tick, and a shutdown request wakes [`Daemon::wait_shutdown`].
+    fn update<R>(&self, feed: &Waker, change: impl FnOnce(&mut Shared) -> R) -> R {
+        let mut shared = self.lock();
+        let before = (shared.table.serial(), shared.shutdown_requested);
+        let out = change(&mut shared);
+        let after = (shared.table.serial(), shared.shutdown_requested);
+        drop(shared);
+        if after.0 != before.0 {
+            feed.wake();
+        }
+        if after.1 != before.1 {
+            self.shutdown.notify_all();
+        }
+        out
     }
 }
 
@@ -143,7 +173,7 @@ impl DaemonConfig {
 /// A running daemon: both listeners live until [`shutdown`](Self::shutdown)
 /// (or drop).
 pub struct Daemon {
-    shared: Arc<Mutex<Shared>>,
+    hub: Arc<Hub>,
     http_server: Server,
     feed_server: Server,
     bgp_server: Option<Server>,
@@ -156,37 +186,37 @@ impl Daemon {
     ///
     /// Returns any socket bind/spawn error.
     pub fn start(config: DaemonConfig, table: OriginTable) -> io::Result<Daemon> {
-        let shared = Arc::new(Mutex::new(Shared {
-            query: Arc::new(QueryState {
+        let hub = Arc::new(Hub {
+            shared: Mutex::new(Shared::new(
                 table,
-                exceptions: config.exceptions.clone(),
-            }),
-            ring: DeltaRing::new(config.delta_ring_capacity),
-            metrics: DaemonMetrics::default(),
-            counters: Arc::new(QueryCounters::default()),
-            shutdown_requested: false,
-            feed_conns_open: 0,
-        }));
+                config.exceptions.clone(),
+                config.delta_ring_capacity,
+            )),
+            shutdown: Condvar::new(),
+        });
         let sock_config = Config {
             max_connections: config.max_connections,
             read_timeout: config.io_timeout,
             write_timeout: config.io_timeout,
             ..Config::default()
         };
-        let http_server = Server::bind(
-            config.http_addr.as_str(),
-            HttpService {
-                shared: Arc::clone(&shared),
-                request_deadline: config.request_deadline,
-                pending_since: BTreeMap::new(),
-            },
-            sock_config.clone(),
-        )?;
+        // The feed comes first: the other listeners change the table and
+        // need its waker.
         let feed_server = Server::bind(
             config.feed_addr.as_str(),
             FeedService {
-                shared: Arc::clone(&shared),
+                hub: Arc::clone(&hub),
                 synced: BTreeMap::new(),
+            },
+            sock_config.clone(),
+        )?;
+        let http_server = Server::bind(
+            config.http_addr.as_str(),
+            HttpService {
+                hub: Arc::clone(&hub),
+                feed: feed_server.waker(),
+                request_deadline: config.request_deadline,
+                pending_since: BTreeMap::new(),
             },
             sock_config.clone(),
         )?;
@@ -196,7 +226,8 @@ impl Daemon {
                 // 127.0.0.1 keeps it recognisable in packet dumps.
                 let template = SessionConfig::new(config.bgp_asn, 0x7F00_0001);
                 let handler = BgpHandler {
-                    shared: Arc::clone(&shared),
+                    hub: Arc::clone(&hub),
+                    feed: feed_server.waker(),
                 };
                 Some(Server::bind(
                     addr.as_str(),
@@ -206,21 +237,18 @@ impl Daemon {
             }
             None => None,
         };
+        let mut listeners = vec![
+            ("http", http_server.stats_handle()),
+            ("feed", feed_server.stats_handle()),
+        ];
+        listeners.extend(bgp_server.iter().map(|bgp| ("bgp", bgp.stats_handle())));
+        hub.lock().listeners = listeners;
         Ok(Daemon {
-            shared,
+            hub,
             http_server,
             feed_server,
             bgp_server,
         })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Shared> {
-        // A poisoned mutex means a handler panicked; the state itself is
-        // plain data, so continue with it rather than cascading the panic.
-        match self.shared.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// The HTTP listener's bound address.
@@ -244,23 +272,37 @@ impl Daemon {
     /// The table's current serial.
     #[must_use]
     pub fn serial(&self) -> u32 {
-        self.lock().table().serial()
+        self.hub.lock().table.serial()
     }
 
     /// Applies updates in-process, exactly as `POST /ingest` would, and
     /// returns the resulting serial. Used by tests and benchmarks.
     pub fn apply(&self, updates: &[TableUpdate]) -> u32 {
-        let mut shared = self.lock();
-        shared.metrics.ingest_batches += 1;
-        shared.metrics.ingest_updates += updates.len() as u64;
-        shared.apply(updates).0
+        self.hub.update(&self.feed_server.waker(), |shared| {
+            shared.metrics.ingest_batches += 1;
+            shared.metrics.ingest_updates += updates.len() as u64;
+            shared.apply(updates).0
+        })
     }
 
-    /// `true` once a client has called `POST /shutdown`; the process
-    /// embedding the daemon polls this to decide when to exit.
+    /// `true` once a client has called `POST /shutdown`.
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
-        self.lock().shutdown_requested
+        self.hub.lock().shutdown_requested
+    }
+
+    /// Blocks until a client calls `POST /shutdown`. The process embedding
+    /// the daemon parks its main thread here; it makes no wake-ups of its
+    /// own while it waits.
+    pub fn wait_shutdown(&self) {
+        let mut shared = self.hub.lock();
+        while !shared.shutdown_requested {
+            shared = self
+                .hub
+                .shutdown
+                .wait(shared)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Socket-level counters of the HTTP listener.
@@ -301,13 +343,6 @@ impl std::fmt::Debug for Daemon {
     }
 }
 
-fn lock_shared<'a>(shared: &'a Arc<Mutex<Shared>>) -> MutexGuard<'a, Shared> {
-    match shared.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 fn json_escape(text: &str) -> String {
     Json::Str(text.to_string()).pretty()
 }
@@ -317,7 +352,9 @@ fn json_escape(text: &str) -> String {
 // ---------------------------------------------------------------------------
 
 struct HttpService {
-    shared: Arc<Mutex<Shared>>,
+    hub: Arc<Hub>,
+    /// Wakes the feed reactor when a request moved the serial.
+    feed: Waker,
     /// Budget for a started request to arrive completely.
     request_deadline: Duration,
     /// When each connection's currently-buffered partial request began
@@ -330,16 +367,9 @@ impl HttpService {
     /// Routes one parsed request; returns `(status, body)`. The body is
     /// JSON except for `/metrics`.
     fn handle(shared: &mut Shared, req: &Request) -> (u16, String) {
-        shared
-            .counters
-            .http_requests
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.http_requests += 1;
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/validity") => {
-                let state = Arc::clone(&shared.query);
-                let counters = Arc::clone(&shared.counters);
-                handle_validity(&state, &counters, req)
-            }
+            ("GET", "/validity") => handle_validity(shared, req),
             ("GET", "/metrics") => (200, render_metrics(shared)),
             ("GET", "/status") => (200, render_status(shared)),
             ("POST", "/ingest") => handle_ingest(shared, req),
@@ -364,22 +394,9 @@ impl Service for HttpService {
                     // A complete request landed; the slow-client clock
                     // restarts with the next partial one.
                     self.pending_since.remove(&conn);
-                    // The hot read path: grab the current query snapshot
-                    // under the lock, then parse, validate and render the
-                    // response with the lock released — concurrent queries
-                    // only contend for two Arc clones, not for the verdict
-                    // computation.
-                    let (status, body) = if req.method == "GET" && req.path == "/validity" {
-                        let (state, counters) = {
-                            let shared = lock_shared(&self.shared);
-                            (Arc::clone(&shared.query), Arc::clone(&shared.counters))
-                        };
-                        counters.http_requests.fetch_add(1, Ordering::Relaxed);
-                        handle_validity(&state, &counters, &req)
-                    } else {
-                        let mut shared = lock_shared(&self.shared);
-                        Self::handle(&mut shared, &req)
-                    };
+                    let (status, body) = self
+                        .hub
+                        .update(&self.feed, |shared| Self::handle(shared, &req));
                     let bytes = if req.path == "/metrics" {
                         text_response(status, &body, req.keep_alive)
                     } else {
@@ -434,7 +451,7 @@ impl Service for HttpService {
     }
 }
 
-fn handle_validity(state: &QueryState, counters: &QueryCounters, req: &Request) -> (u16, String) {
+fn handle_validity(shared: &mut Shared, req: &Request) -> (u16, String) {
     let (Some(prefix_text), Some(asn_text)) = (req.query_param("prefix"), req.query_param("asn"))
     else {
         return (
@@ -461,14 +478,14 @@ fn handle_validity(state: &QueryState, counters: &QueryCounters, req: &Request) 
             ),
         );
     };
-    let validation = validate_detailed(&state.table, &state.exceptions, prefix, asn);
-    counters.queries.fetch_add(1, Ordering::Relaxed);
-    match validation.verdict {
-        Verdict::Valid => &counters.queries_valid,
-        Verdict::Invalid => &counters.queries_invalid,
-        Verdict::NotFound => &counters.queries_not_found,
-    }
-    .fetch_add(1, Ordering::Relaxed);
+    let validation = validate_detailed(&shared.table, &shared.exceptions, prefix, asn);
+    let metrics = &mut shared.metrics;
+    metrics.queries += 1;
+    *match validation.verdict {
+        Verdict::Valid => &mut metrics.queries_valid,
+        Verdict::Invalid => &mut metrics.queries_invalid,
+        Verdict::NotFound => &mut metrics.queries_not_found,
+    } += 1;
     let mut body = format!(
         "{{\"prefix\":\"{prefix}\",\"asn\":{},\"state\":\"{}\"",
         asn.0,
@@ -543,14 +560,14 @@ fn handle_reload(shared: &mut Shared, req: &Request) -> (u16, String) {
     };
     match ExceptionSet::from_json(text) {
         Ok(set) => {
-            let changed = set != shared.query.exceptions;
+            let changed = set != shared.exceptions;
             shared.metrics.exception_reloads += 1;
             if changed {
                 shared.metrics.exception_reloads_verdict_affecting += 1;
             }
             let rules = set.len();
             if changed {
-                Arc::make_mut(&mut shared.query).exceptions = set;
+                shared.exceptions = set;
             }
             (200, format!("{{\"rules\":{rules},\"changed\":{changed}}}"))
         }
@@ -564,39 +581,32 @@ fn render_status(shared: &Shared) -> String {
             "{{\"sessionId\":{},\"serial\":{},\"prefixes\":{},\"entries\":{},",
             "\"deltasRetained\":{},\"exceptionRules\":{},\"shutdownRequested\":{}}}"
         ),
-        shared.table().session_id(),
-        shared.table().serial(),
-        shared.table().prefix_count(),
-        shared.table().entry_count(),
+        shared.table.session_id(),
+        shared.table.serial(),
+        shared.table.prefix_count(),
+        shared.table.entry_count(),
         shared.ring.len(),
-        shared.query.exceptions.len(),
+        shared.exceptions.len(),
         shared.shutdown_requested,
     )
 }
 
 fn render_metrics(shared: &Shared) -> String {
     let m = &shared.metrics;
-    let c = &shared.counters;
-    let mut out = String::with_capacity(768);
+    let mut out = String::with_capacity(1024);
     out.push_str("# moas-labd metrics: one 'name value' pair per line\n");
+    let mut line = |name: &str, value: u64| {
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(&value.to_string());
+        out.push('\n');
+    };
     for (name, value) in [
-        (
-            "daemon_http_requests_total",
-            c.http_requests.load(Ordering::Relaxed),
-        ),
-        ("daemon_queries_total", c.queries.load(Ordering::Relaxed)),
-        (
-            "daemon_queries_valid_total",
-            c.queries_valid.load(Ordering::Relaxed),
-        ),
-        (
-            "daemon_queries_invalid_total",
-            c.queries_invalid.load(Ordering::Relaxed),
-        ),
-        (
-            "daemon_queries_not_found_total",
-            c.queries_not_found.load(Ordering::Relaxed),
-        ),
+        ("daemon_http_requests_total", m.http_requests),
+        ("daemon_queries_total", m.queries),
+        ("daemon_queries_valid_total", m.queries_valid),
+        ("daemon_queries_invalid_total", m.queries_invalid),
+        ("daemon_queries_not_found_total", m.queries_not_found),
         ("daemon_ingest_batches_total", m.ingest_batches),
         ("daemon_ingest_updates_total", m.ingest_updates),
         ("daemon_exception_reloads_total", m.exception_reloads),
@@ -605,6 +615,7 @@ fn render_metrics(shared: &Shared) -> String {
             m.exception_reloads_verdict_affecting,
         ),
         ("feed_reset_syncs_total", m.feed_reset_syncs),
+        ("feed_reset_sync_lock_us_total", m.feed_reset_sync_lock_us),
         ("feed_diff_syncs_total", m.feed_diff_syncs),
         ("feed_cache_resets_total", m.feed_cache_resets),
         ("feed_notifies_total", m.feed_notifies),
@@ -613,15 +624,25 @@ fn render_metrics(shared: &Shared) -> String {
         ("bgp_sessions_closed_total", m.bgp_sessions_closed),
         ("bgp_updates_total", m.bgp_updates),
         ("bgp_table_changes_total", m.bgp_table_changes),
-        ("table_serial", u64::from(shared.table().serial())),
-        ("table_prefixes", shared.table().prefix_count() as u64),
-        ("table_entries", shared.table().entry_count() as u64),
-        ("exception_rules", shared.query.exceptions.len() as u64),
+        ("table_serial", u64::from(shared.table.serial())),
+        ("table_prefixes", shared.table.prefix_count() as u64),
+        ("table_entries", shared.table.entry_count() as u64),
+        ("exception_rules", shared.exceptions.len() as u64),
     ] {
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
+        line(name, value);
+    }
+    // How often each reactor woke, how often a waker did it, and how long it
+    // slept: whether the daemon is idle when it should be, without a
+    // benchmark.
+    for (listener, stats) in &shared.listeners {
+        let stats = stats.snapshot();
+        for (name, value) in [
+            ("wakeups_total", stats.wakeups),
+            ("wakes_by_waker_total", stats.wakes_by_waker),
+            ("blocked_us_total", stats.blocked_us),
+        ] {
+            line(&format!("minisock_{listener}_{name}"), value);
+        }
     }
     out
 }
@@ -631,16 +652,22 @@ fn render_metrics(shared: &Shared) -> String {
 // ---------------------------------------------------------------------------
 
 struct FeedService {
-    shared: Arc<Mutex<Shared>>,
+    hub: Arc<Hub>,
     /// Serial each synced connection last saw (synced or notified); only
     /// connections that completed a sync receive notifies.
     synced: BTreeMap<ConnId, u32>,
 }
 
 impl FeedService {
-    fn transfer(out: &mut Vec<u8>, session: u16, serial: u32, entries: &[(bool, Ipv4Prefix, Asn)]) {
+    /// Encodes one whole answer straight into `out`.
+    fn transfer(
+        out: &mut Vec<u8>,
+        session: u16,
+        serial: u32,
+        entries: impl Iterator<Item = (bool, Ipv4Prefix, Asn)>,
+    ) {
         Pdu::CacheResponse { session }.encode(out);
-        for &(announce, prefix, asn) in entries {
+        for (announce, prefix, asn) in entries {
             Pdu::Prefix(PrefixEntry {
                 announce,
                 prefix,
@@ -661,42 +688,47 @@ impl Service for FeedService {
                     consumed += used;
                     match pdu {
                         Pdu::ResetQuery => {
-                            let mut shared = lock_shared(&self.shared);
-                            let session = shared.table().session_id();
-                            let serial = shared.table().serial();
-                            let entries: Vec<(bool, Ipv4Prefix, Asn)> = shared
-                                .table()
-                                .snapshot()
-                                .into_iter()
-                                .map(|(p, a)| (true, p, a))
-                                .collect();
+                            // The table is encoded where it stands, so the
+                            // lock is held for the whole transfer and
+                            // queries wait behind it; how long is counted.
+                            let mut shared = self.hub.lock();
+                            let held = Instant::now();
+                            let serial = shared.table.serial();
+                            Self::transfer(
+                                out,
+                                shared.table.session_id(),
+                                serial,
+                                shared.table.entries().map(|(p, a)| (true, p, a)),
+                            );
                             shared.metrics.feed_reset_syncs += 1;
+                            shared.metrics.feed_reset_sync_lock_us +=
+                                u64::try_from(held.elapsed().as_micros()).unwrap_or(u64::MAX);
                             drop(shared);
-                            Self::transfer(out, session, serial, &entries);
                             self.synced.insert(conn, serial);
                         }
                         Pdu::SerialQuery { session, serial } => {
-                            let mut shared = lock_shared(&self.shared);
-                            let current = shared.table().serial();
-                            let diff = if session == shared.table().session_id() {
+                            let mut shared = self.hub.lock();
+                            let current = shared.table.serial();
+                            let diff = if session == shared.table.session_id() {
                                 shared.ring.diff_since(serial, current)
                             } else {
                                 None
                             };
                             match diff {
                                 Some(delta) => {
-                                    let session = shared.table().session_id();
-                                    let mut entries: Vec<(bool, Ipv4Prefix, Asn)> = delta
-                                        .announced
-                                        .iter()
-                                        .map(|&(p, a)| (true, p, a))
-                                        .collect();
-                                    entries.extend(
-                                        delta.withdrawn.iter().map(|&(p, a)| (false, p, a)),
-                                    );
+                                    let session = shared.table.session_id();
                                     shared.metrics.feed_diff_syncs += 1;
                                     drop(shared);
-                                    Self::transfer(out, session, current, &entries);
+                                    let announced =
+                                        delta.announced.iter().map(|&(p, a)| (true, p, a));
+                                    let withdrawn =
+                                        delta.withdrawn.iter().map(|&(p, a)| (false, p, a));
+                                    Self::transfer(
+                                        out,
+                                        session,
+                                        current,
+                                        announced.chain(withdrawn),
+                                    );
                                     self.synced.insert(conn, current);
                                 }
                                 None => {
@@ -739,16 +771,16 @@ impl Service for FeedService {
     }
 
     fn on_open(&mut self, _conn: ConnId, _out: &mut Vec<u8>) {
-        lock_shared(&self.shared).feed_conns_open += 1;
+        self.hub.lock().feed_conns_open += 1;
     }
 
     fn on_tick(&mut self, push: &mut dyn FnMut(ConnId, &[u8])) {
         if self.synced.is_empty() {
             return;
         }
-        let mut shared = lock_shared(&self.shared);
-        let session = shared.table().session_id();
-        let serial = shared.table().serial();
+        let mut shared = self.hub.lock();
+        let session = shared.table.session_id();
+        let serial = shared.table.serial();
         let mut notified = 0u64;
         for (&conn, last) in &mut self.synced {
             if *last != serial {
@@ -762,7 +794,7 @@ impl Service for FeedService {
 
     fn on_close(&mut self, conn: ConnId) {
         self.synced.remove(&conn);
-        let mut shared = lock_shared(&self.shared);
+        let mut shared = self.hub.lock();
         shared.feed_conns_open = shared.feed_conns_open.saturating_sub(1);
     }
 }
@@ -776,26 +808,29 @@ impl Service for FeedService {
 /// the same listener interleave their batches, which is fine because each
 /// UPDATE applies atomically under the shared lock.
 struct BgpHandler {
-    shared: Arc<Mutex<Shared>>,
+    hub: Arc<Hub>,
+    /// Wakes the feed reactor when an UPDATE moved the serial.
+    feed: Waker,
 }
 
 impl SessionHandler for BgpHandler {
     fn on_update(&mut self, _peer: &PeerInfo, update: UpdateMessage) {
-        let mut shared = lock_shared(&self.shared);
-        let updates = crate::bgp::table_updates(shared.table(), &update);
-        shared.metrics.bgp_updates += 1;
-        shared.metrics.bgp_table_changes += updates.len() as u64;
-        if !updates.is_empty() {
-            shared.apply(&updates);
-        }
+        self.hub.update(&self.feed, |shared| {
+            let updates = crate::bgp::table_updates(&shared.table, &update);
+            shared.metrics.bgp_updates += 1;
+            shared.metrics.bgp_table_changes += updates.len() as u64;
+            if !updates.is_empty() {
+                shared.apply(&updates);
+            }
+        });
     }
 
     fn on_established(&mut self, _peer: &PeerInfo) {
-        lock_shared(&self.shared).metrics.bgp_sessions_established += 1;
+        self.hub.lock().metrics.bgp_sessions_established += 1;
     }
 
     fn on_session_closed(&mut self) {
-        lock_shared(&self.shared).metrics.bgp_sessions_closed += 1;
+        self.hub.lock().metrics.bgp_sessions_closed += 1;
     }
 }
 
@@ -814,17 +849,7 @@ mod tests {
             p("10.1.0.0/16"),
             [Asn(64512)].into_iter().collect::<MoasList>(),
         );
-        Shared {
-            query: Arc::new(QueryState {
-                table,
-                exceptions: ExceptionSet::empty(),
-            }),
-            ring: DeltaRing::new(8),
-            metrics: DaemonMetrics::default(),
-            counters: Arc::new(QueryCounters::default()),
-            shutdown_requested: false,
-            feed_conns_open: 0,
-        }
+        Shared::new(table, ExceptionSet::empty(), 8)
     }
 
     fn get(path: &str) -> Request {
@@ -868,11 +893,11 @@ mod tests {
             &get("/validity?prefix=10.1.0.0/16&asn=AS64512"),
         );
         assert_eq!(status, 200);
-        let c = &shared.counters;
-        assert_eq!(c.queries.load(Ordering::Relaxed), 4);
-        assert_eq!(c.queries_valid.load(Ordering::Relaxed), 2);
-        assert_eq!(c.queries_invalid.load(Ordering::Relaxed), 1);
-        assert_eq!(c.queries_not_found.load(Ordering::Relaxed), 1);
+        let m = &shared.metrics;
+        assert_eq!(m.queries, 4);
+        assert_eq!(m.queries_valid, 2);
+        assert_eq!(m.queries_invalid, 1);
+        assert_eq!(m.queries_not_found, 1);
     }
 
     #[test]
@@ -887,7 +912,7 @@ mod tests {
             HttpService::handle(&mut shared, &get("/validity?prefix=10.0.0.0/8&asn=zap")).0,
             400
         );
-        assert_eq!(shared.counters.queries.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.metrics.queries, 0);
     }
 
     #[test]
@@ -905,7 +930,7 @@ mod tests {
         );
         assert_eq!(status, 200);
         assert_eq!(body, "{\"serial\":1,\"announced\":1,\"withdrawn\":1}");
-        assert_eq!(shared.table().serial(), 1);
+        assert_eq!(shared.table.serial(), 1);
         assert_eq!(shared.ring.len(), 1);
         // A no-op batch reports the unchanged serial and stays out of the ring.
         let (_, body) = HttpService::handle(
@@ -936,7 +961,7 @@ mod tests {
             HttpService::handle(&mut shared, &post("/ingest", r#"{"updates":[{"asn":1}]}"#)).0,
             400
         );
-        assert_eq!(shared.table().serial(), 0);
+        assert_eq!(shared.table.serial(), 0);
     }
 
     #[test]
@@ -956,7 +981,7 @@ mod tests {
         // A malformed file keeps the old rules.
         let (status, _) = HttpService::handle(&mut shared, &post("/reload-exceptions", "zap"));
         assert_eq!(status, 400);
-        assert_eq!(shared.query.exceptions.len(), 1);
+        assert_eq!(shared.exceptions.len(), 1);
         // And the loaded assertion now answers queries.
         let (_, body) =
             HttpService::handle(&mut shared, &get("/validity?prefix=10.9.0.0/16&asn=64999"));

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 
-use bgp_types::{Asn, Ipv4Prefix, MoasList, PrefixTrie};
+use bgp_types::{Asn, Covering, Ipv4Prefix, MoasList, PrefixTrie};
 use bgp_wire::mrt::{MrtBody, MrtReader, PeerIndexTable};
 use bgp_wire::{MrtBodyView, MrtViewReader, WireError, WireErrorKind};
 use experiments::json::{Json, JsonError};
@@ -167,20 +167,24 @@ impl OriginTable {
     /// Every stored entry covering `prefix` (including `prefix` itself),
     /// least-specific first.
     #[must_use]
-    pub fn covering(&self, prefix: Ipv4Prefix) -> Vec<(Ipv4Prefix, &MoasList)> {
+    pub fn covering(&self, prefix: Ipv4Prefix) -> Covering<'_, MoasList> {
         self.trie.covering_matches(prefix)
     }
 
-    /// The full `(prefix, origin)` snapshot in deterministic order
-    /// (ascending prefix, then ASN) — what a feed reset sync transfers.
+    /// Every `(prefix, origin)` pair in deterministic order (ascending
+    /// prefix, then ASN) — what a feed reset sync transfers, without
+    /// collecting it first.
+    pub fn entries(&self) -> impl Iterator<Item = (Ipv4Prefix, Asn)> + '_ {
+        self.trie
+            .iter()
+            .flat_map(|(prefix, list)| list.iter().map(move |asn| (prefix, asn)))
+    }
+
+    /// [`entries`](Self::entries), collected.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(Ipv4Prefix, Asn)> {
         let mut out = Vec::with_capacity(self.trie.len());
-        for (prefix, list) in self.trie.iter() {
-            for asn in list {
-                out.push((prefix, asn));
-            }
-        }
+        out.extend(self.entries());
         out
     }
 

@@ -440,3 +440,90 @@ fn live_bgp_session_feeds_the_table() {
     assert!(metrics.contains("bgp_table_changes_total 3\n"), "{metrics}");
     daemon.shutdown();
 }
+
+#[test]
+fn notify_leaves_on_the_write_not_on_the_tick() {
+    use std::time::Instant;
+    // Default configuration: the feed reactor ticks every 100 ms, so a
+    // notify that waited for the tick would take 50 ms on average.
+    let daemon = Daemon::start(DaemonConfig::loopback(), fixture_table()).unwrap();
+    let mut feed = FeedClient::connect(daemon.feed_addr()).unwrap();
+    feed.reset_sync().unwrap();
+    let mut waits = Vec::new();
+    for round in 1..=20u32 {
+        let start = Instant::now();
+        let serial = daemon.apply(&[TableUpdate::announce(
+            p("203.0.113.0/24"),
+            Asn(64_000 + round),
+        )]);
+        assert_eq!(feed.wait_notify().unwrap(), serial);
+        waits.push(start.elapsed());
+    }
+    waits.sort();
+    assert!(
+        waits[waits.len() - 1] < Duration::from_millis(100),
+        "slowest apply -> notify took {:?}",
+        waits[waits.len() - 1]
+    );
+    assert!(
+        waits[waits.len() / 2] < Duration::from_millis(20),
+        "median apply -> notify took {:?}: that is the tick, not the wake",
+        waits[waits.len() / 2]
+    );
+    assert!(daemon.feed_stats().wakes_by_waker > 0);
+    daemon.shutdown();
+}
+
+#[test]
+fn applies_beside_queries_never_copy_the_table() {
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::time::Instant;
+    // 100k /24s: copying this table takes longer than the bound below, which
+    // is what a copy-on-write snapshot does when an apply meets a query in
+    // flight.
+    let mut table = OriginTable::new(1);
+    for i in 0..100_000u32 {
+        table.insert(
+            Ipv4Prefix::new((10 << 24) | (i << 8), 24),
+            MoasList::implicit(Asn(64_512 + i % 7)),
+        );
+    }
+    let daemon = Daemon::start(DaemonConfig::loopback(), table).unwrap();
+    let mut http = HttpClient::connect(daemon.http_addr()).unwrap();
+    let answered = AtomicU32::new(0);
+    let done = AtomicBool::new(false);
+    let slowest = std::thread::scope(|scope| {
+        // Back-to-back queries until the applies are done.
+        scope.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                let n = answered.load(Ordering::SeqCst);
+                let path = format!("/validity?prefix=10.{}.{}.0/24&asn=64512", n % 256, n % 100);
+                assert_eq!(http.get(&path).unwrap().0, 200);
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // Each apply waits for one more answer, so it starts while the
+        // reader's next query is on its way: the two really interleave.
+        let mut slowest = Duration::ZERO;
+        let mut seen = 0;
+        for i in 0..1_000u32 {
+            while answered.load(Ordering::SeqCst) == seen {
+                std::thread::yield_now();
+            }
+            seen = answered.load(Ordering::SeqCst);
+            let update =
+                TableUpdate::announce(Ipv4Prefix::new((11 << 24) | (i << 8), 24), Asn(65_000));
+            let start = Instant::now();
+            daemon.apply(&[update]);
+            slowest = slowest.max(start.elapsed());
+        }
+        done.store(true, Ordering::SeqCst);
+        slowest
+    });
+    assert_eq!(daemon.serial(), 1_000);
+    assert!(
+        slowest < Duration::from_millis(10),
+        "slowest of 1,000 applies interleaved with queries took {slowest:?}"
+    );
+    daemon.shutdown();
+}

@@ -24,7 +24,6 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use moas::daemon::{Daemon, DaemonConfig, ExceptionSet, OriginTable};
 
@@ -178,10 +177,8 @@ fn main() -> ExitCode {
     }
 
     // Serve until a client posts /shutdown. The listeners run on their own
-    // threads; this thread only watches the flag.
-    while !daemon.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // threads; this one sleeps until then.
+    daemon.wait_shutdown();
     println!("shutdown requested; draining connections");
     daemon.shutdown();
     ExitCode::SUCCESS
