@@ -1,17 +1,12 @@
 //! Ablations for the §4.3 limitations: sub-prefix hijacks, community
 //! handling classes, list-forgery strategies, and unresolved-verifier policies.
 
-use std::sync::Once;
-
 use as_topology::paper::PaperTopology;
-use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{
     community_policy_ablation, forgery_ablation, moas_list_overhead, subprefix_ablation,
     unresolved_policy_ablation, valley_free_ablation, Exec, WireModel,
 };
 use route_measurement::{generate_timeline, TimelineConfig};
-
-static PRINTED: Once = Once::new();
 
 fn regenerate_tables() -> String {
     let graph = PaperTopology::As46.graph();
@@ -79,24 +74,17 @@ fn regenerate_tables() -> String {
     out
 }
 
-fn bench_ablations(c: &mut Criterion) {
-    bench::print_figure_once(
-        &PRINTED,
+fn main() {
+    bench::print_figure(
         "Ablations — §4.3 limitations and design choices",
         &regenerate_tables(),
     );
 
     let graph = PaperTopology::As25.graph();
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("subprefix_3runs_25as", |b| {
-        b.iter(|| subprefix_ablation(graph, 3, 1, 1));
+    bench::time_once("ablation/subprefix_3runs_25as", || {
+        subprefix_ablation(graph, 3, 1, 1)
     });
-    group.bench_function("forgery_3runs_25as", |b| {
-        b.iter(|| forgery_ablation(graph, 3, 1, Exec::serial()));
+    bench::time_once("ablation/forgery_3runs_25as", || {
+        forgery_ablation(graph, 3, 1, Exec::serial())
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);

@@ -1,13 +1,8 @@
 //! Figure 4 — the number of MOAS cases per day, 11/1997 - 7/2001.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
 use route_measurement::{
     daily_moas_counts, generate_timeline, median, MeasurementSummary, TimelineConfig,
 };
-
-static PRINTED: Once = Once::new();
 
 fn regenerate_figure() -> String {
     let timeline = generate_timeline(&TimelineConfig::paper());
@@ -45,25 +40,18 @@ fn regenerate_figure() -> String {
     out
 }
 
-fn bench_fig4(c: &mut Criterion) {
-    bench::print_figure_once(
-        &PRINTED,
+fn main() {
+    bench::print_figure(
         "Figure 4 — number of MOAS cases per day",
         &regenerate_figure(),
     );
 
     let short = TimelineConfig::paper().with_days(120);
     let timeline = generate_timeline(&short);
-    let mut group = c.benchmark_group("fig4");
-    group.sample_size(10);
-    group.bench_function("generate_120day_timeline", |b| {
-        b.iter(|| generate_timeline(&short));
+    bench::time_once("fig4/generate_120day_timeline", || {
+        generate_timeline(&short)
     });
-    group.bench_function("daily_counts_120days", |b| {
-        b.iter(|| daily_moas_counts(&timeline.dumps));
+    bench::time_once("fig4/daily_counts_120days", || {
+        daily_moas_counts(&timeline.dumps)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig4);
-criterion_main!(benches);

@@ -1,14 +1,9 @@
 //! Figure 5 — the duration histogram of MOAS cases.
 
-use std::sync::Once;
-
 use bgp_types::Asn;
-use criterion::{criterion_group, criterion_main, Criterion};
 use route_measurement::{
     duration_histogram, generate_timeline, FaultEvent, MeasurementSummary, TimelineConfig,
 };
-
-static PRINTED: Once = Once::new();
 
 /// The duration study runs on the period with the 1998 fault only, matching
 /// the paper's one-day statistics (35.9% one-day cases, 82.7% of them from
@@ -54,25 +49,15 @@ fn regenerate_figure() -> String {
     out
 }
 
-fn bench_fig5(c: &mut Criterion) {
-    bench::print_figure_once(
-        &PRINTED,
-        "Figure 5 — duration of MOAS cases",
-        &regenerate_figure(),
-    );
+fn main() {
+    bench::print_figure("Figure 5 — duration of MOAS cases", &regenerate_figure());
 
     let short = duration_config().with_days(120);
     let timeline = generate_timeline(&short);
-    let mut group = c.benchmark_group("fig5");
-    group.sample_size(10);
-    group.bench_function("duration_histogram_120days", |b| {
-        b.iter(|| duration_histogram(&timeline.dumps));
+    bench::time_once("fig5/duration_histogram_120days", || {
+        duration_histogram(&timeline.dumps)
     });
-    group.bench_function("summary_120days", |b| {
-        b.iter(|| MeasurementSummary::compute(&timeline.dumps));
+    bench::time_once("fig5/summary_120days", || {
+        MeasurementSummary::compute(&timeline.dumps)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig5);
-criterion_main!(benches);

@@ -1,14 +1,9 @@
 //! Figure 9 — Experiment 1: spoof-resilience of the MOAS scheme in the 46-AS
 //! topology, 1 and 2 origin ASes, Normal BGP vs Full MOAS Detection.
 
-use std::sync::Once;
-
 use as_topology::paper::PaperTopology;
-use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{experiment1, run_trial, Exec, SweepConfig, TrialConfig};
 use moas_core::Deployment;
-
-static PRINTED: Once = Once::new();
 
 fn regenerate_figure() -> String {
     let config = SweepConfig::paper();
@@ -24,9 +19,8 @@ fn regenerate_figure() -> String {
     out
 }
 
-fn bench_fig9(c: &mut Criterion) {
-    bench::print_figure_once(
-        &PRINTED,
+fn main() {
+    bench::print_figure(
         "Figure 9 — Experiment 1: effectiveness of the MOAS list (46-AS topology)",
         &regenerate_figure(),
     );
@@ -36,18 +30,13 @@ fn bench_fig9(c: &mut Criterion) {
     let origins = vec![stubs[0]];
     let attackers: Vec<_> = stubs[1..4].to_vec();
 
-    let mut group = c.benchmark_group("fig9");
-    group.sample_size(20);
-    group.bench_function("trial_46as_normal_bgp", |b| {
-        let config = TrialConfig::new(origins.clone(), attackers.clone(), Deployment::None);
-        b.iter(|| run_trial(graph, &config));
-    });
-    group.bench_function("trial_46as_full_moas", |b| {
-        let config = TrialConfig::new(origins.clone(), attackers.clone(), Deployment::Full);
-        b.iter(|| run_trial(graph, &config));
-    });
-    group.finish();
+    for (name, deployment) in [
+        ("normal_bgp", Deployment::None),
+        ("full_moas", Deployment::Full),
+    ] {
+        let config = TrialConfig::new(origins.clone(), attackers.clone(), deployment);
+        bench::time_once(&format!("fig9/trial_46as_{name}"), || {
+            run_trial(graph, &config)
+        });
+    }
 }
-
-criterion_group!(benches, bench_fig9);
-criterion_main!(benches);

@@ -5,10 +5,9 @@
 use as_topology::{derive, infer_graph, InternetModel, RouteTable};
 use bgp_engine::Network;
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use criterion::{criterion_group, criterion_main, Criterion};
 use moas_core::find_conflict;
 
-fn bench_moas_check(c: &mut Criterion) {
+fn bench_moas_check() {
     let prefix: Ipv4Prefix = "208.8.0.0/16".parse().unwrap();
     let list: MoasList = [Asn(1), Asn(2), Asn(3)].into_iter().collect();
     let incoming = Route::new(prefix, AsPath::origination(Asn(1))).with_moas_list(list.clone());
@@ -21,79 +20,59 @@ fn bench_moas_check(c: &mut Criterion) {
         })
         .collect();
 
-    c.bench_function("moas_check_consistent_8_existing", |b| {
-        b.iter(|| find_conflict(&incoming, &existing));
+    bench::time_once("moas_check_consistent_8_existing", || {
+        find_conflict(&incoming, &existing)
     });
 
     let forged = Route::new(prefix, AsPath::origination(Asn(66)))
         .with_moas_list([Asn(1), Asn(2), Asn(3), Asn(66)].into_iter().collect());
-    c.bench_function("moas_check_conflicting_8_existing", |b| {
-        b.iter(|| find_conflict(&forged, &existing));
+    bench::time_once("moas_check_conflicting_8_existing", || {
+        find_conflict(&forged, &existing)
     });
 }
 
-fn bench_list_encoding(c: &mut Criterion) {
+fn bench_list_encoding() {
     let list: MoasList = (1..=3).map(Asn).collect();
-    c.bench_function("moas_list_encode_decode_3", |b| {
-        b.iter(|| {
-            let communities = list.to_communities();
-            MoasList::from_communities(&communities)
-        });
+    bench::time_once("moas_list_encode_decode_3", || {
+        let communities = list.to_communities();
+        MoasList::from_communities(&communities)
     });
 }
 
-fn bench_topology_pipeline(c: &mut Criterion) {
+fn bench_topology_pipeline() {
     let model = InternetModel::new().transit_count(20).stub_count(150);
-    c.bench_function("internet_model_build_170", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            model.build(seed)
-        });
-    });
+    bench::time_once("internet_model_build_170", || model.build(1));
 
     let truth = model.build(1);
-    c.bench_function("route_table_synthesize_3_vantages", |b| {
-        b.iter(|| RouteTable::synthesize(&truth, &[0, 5, 10], 1));
+    bench::time_once("route_table_synthesize_3_vantages", || {
+        RouteTable::synthesize(&truth, &[0, 5, 10], 1)
     });
 
     let table = RouteTable::synthesize(&truth, &[0, 5, 10], 1);
-    c.bench_function("infer_graph_from_table", |b| {
-        b.iter(|| infer_graph(table.entries()));
-    });
+    bench::time_once("infer_graph_from_table", || infer_graph(table.entries()));
 
     let inferred = infer_graph(table.entries());
-    c.bench_function("derive_pipeline_30pct", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            derive(&inferred, 0.3, seed)
-        });
-    });
+    bench::time_once("derive_pipeline_30pct", || derive(&inferred, 0.3, 1));
 }
 
-fn bench_convergence(c: &mut Criterion) {
+fn bench_convergence() {
     let graph = InternetModel::new()
         .transit_count(15)
         .stub_count(85)
         .build(3);
     let victim = graph.stub_asns()[0];
     let prefix = as_topology::prefix_for_asn(victim);
-    c.bench_function("bgp_convergence_100as_single_origin", |b| {
-        b.iter(|| {
-            let mut net = Network::new(&graph);
-            net.originate(victim, prefix, None);
-            net.run().unwrap();
-            net.stats().total_messages()
-        });
+    bench::time_once("bgp_convergence_100as_single_origin", || {
+        let mut net = Network::new(&graph);
+        net.originate(victim, prefix, None);
+        net.run().unwrap();
+        net.stats().total_messages()
     });
 }
 
-criterion_group!(
-    benches,
-    bench_moas_check,
-    bench_list_encoding,
-    bench_topology_pipeline,
-    bench_convergence
-);
-criterion_main!(benches);
+fn main() {
+    bench_moas_check();
+    bench_list_encoding();
+    bench_topology_pipeline();
+    bench_convergence();
+}

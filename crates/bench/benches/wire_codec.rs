@@ -2,10 +2,10 @@
 //! encode/decode over synthetic snapshots shaped like a day of Route Views
 //! data (a peer index table followed by thousands of RIB records).
 //!
-//! The vendored criterion stand-in times a single pass, so each benchmark
-//! also prints an explicit throughput line (MB/s and records/s) measured
-//! over the same workload.
+//! Each benchmark times a single pass, then prints an explicit throughput
+//! line (MB/s and records/s) measured over the same workload.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use bgp_types::{AsPath, Asn, Ipv4Prefix, Route};
@@ -14,7 +14,6 @@ use bgp_wire::mrt::{
     MrtBody, MrtReader, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
 };
 use bgp_wire::{day_to_timestamp, DailyDumpStream};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UPDATES: usize = 4_000;
 const RIB_RECORDS: usize = 4_000;
@@ -84,17 +83,15 @@ fn synth_table_dump(records: usize) -> Vec<MrtRecord> {
     out
 }
 
-fn bench_update_codec(c: &mut Criterion) {
+fn bench_update_codec() {
     let updates = synth_updates(UPDATES);
 
-    c.bench_function("wire/update_encode_4000", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for update in &updates {
-                bytes += update.encode(AsnEncoding::FourOctet).unwrap().len();
-            }
-            bytes
-        });
+    bench::time_once("wire/update_encode_4000", || {
+        let mut bytes = 0usize;
+        for update in &updates {
+            bytes += update.encode(AsnEncoding::FourOctet).unwrap().len();
+        }
+        bytes
     });
     let start = Instant::now();
     let encoded: Vec<Vec<u8>> = updates
@@ -109,12 +106,10 @@ fn bench_update_codec(c: &mut Criterion) {
         start.elapsed(),
     );
 
-    c.bench_function("wire/update_decode_4000", |b| {
-        b.iter(|| {
-            for bytes in &encoded {
-                black_box(UpdateMessage::decode(bytes, AsnEncoding::FourOctet).unwrap());
-            }
-        });
+    bench::time_once("wire/update_decode_4000", || {
+        for bytes in &encoded {
+            black_box(UpdateMessage::decode(bytes, AsnEncoding::FourOctet).unwrap());
+        }
     });
     let start = Instant::now();
     for bytes in &encoded {
@@ -128,17 +123,15 @@ fn bench_update_codec(c: &mut Criterion) {
     );
 }
 
-fn bench_table_dump_codec(c: &mut Criterion) {
+fn bench_table_dump_codec() {
     let records = synth_table_dump(RIB_RECORDS);
 
-    c.bench_function("wire/table_dump_v2_encode_4000", |b| {
-        b.iter(|| {
-            let mut writer = MrtWriter::new(Vec::new());
-            for record in &records {
-                writer.write_record(record).unwrap();
-            }
-            writer.finish().unwrap().len()
-        });
+    bench::time_once("wire/table_dump_v2_encode_4000", || {
+        let mut writer = MrtWriter::new(Vec::new());
+        for record in &records {
+            writer.write_record(record).unwrap();
+        }
+        writer.finish().unwrap().len()
     });
     let start = Instant::now();
     let mut writer = MrtWriter::new(Vec::new());
@@ -153,16 +146,14 @@ fn bench_table_dump_codec(c: &mut Criterion) {
         start.elapsed(),
     );
 
-    c.bench_function("wire/table_dump_v2_decode_4000", |b| {
-        b.iter(|| {
-            let mut reader = MrtReader::new(bytes.as_slice());
-            let mut decoded = 0usize;
-            while let Some(record) = reader.next_record().unwrap() {
-                black_box(&record);
-                decoded += 1;
-            }
-            decoded
-        });
+    bench::time_once("wire/table_dump_v2_decode_4000", || {
+        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut decoded = 0usize;
+        while let Some(record) = reader.next_record().unwrap() {
+            black_box(&record);
+            decoded += 1;
+        }
+        decoded
     });
     let start = Instant::now();
     let mut reader = MrtReader::new(bytes.as_slice());
@@ -178,16 +169,14 @@ fn bench_table_dump_codec(c: &mut Criterion) {
         start.elapsed(),
     );
 
-    c.bench_function("wire/streaming_import_4000", |b| {
-        b.iter(|| {
-            let mut stream = DailyDumpStream::new(bytes.as_slice());
-            let mut days = 0usize;
-            while let Some(day) = stream.next_day().unwrap() {
-                black_box(&day);
-                days += 1;
-            }
-            days
-        });
+    bench::time_once("wire/streaming_import_4000", || {
+        let mut stream = DailyDumpStream::new(bytes.as_slice());
+        let mut days = 0usize;
+        while let Some(day) = stream.next_day().unwrap() {
+            black_box(&day);
+            days += 1;
+        }
+        days
     });
     let start = Instant::now();
     let mut stream = DailyDumpStream::new(bytes.as_slice());
@@ -202,5 +191,7 @@ fn bench_table_dump_codec(c: &mut Criterion) {
     );
 }
 
-criterion_group!(wire_codec, bench_update_codec, bench_table_dump_codec);
-criterion_main!(wire_codec);
+fn main() {
+    bench_update_codec();
+    bench_table_dump_codec();
+}

@@ -1,52 +1,27 @@
-//! Shared helpers for the figure-regeneration benchmarks.
+//! Shared helpers for the figure-regeneration benches.
 //!
 //! Each bench target regenerates one table/figure of the paper's evaluation:
-//! it prints the reproduced series once (the rows EXPERIMENTS.md records) and
-//! then benchmarks the underlying computation with Criterion.
+//! it prints the reproduced series (the rows EXPERIMENTS.md records) and then
+//! times one pass over the underlying computation. Performance is measured
+//! by `moasbench` (see `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Once;
+use std::time::Instant;
 
-use experiments::json::Json;
-
-/// Prints a reproduction banner plus body exactly once per process, so
-/// Criterion's repeated calls don't spam the log.
-pub fn print_figure_once(once: &'static Once, header: &str, body: &str) {
-    once.call_once(|| {
-        println!("\n================================================================");
-        println!("{header}");
-        println!("================================================================");
-        println!("{body}");
-    });
+/// Prints a reproduction banner plus body.
+pub fn print_figure(header: &str, body: &str) {
+    println!("\n================================================================");
+    println!("{header}");
+    println!("================================================================");
+    println!("{body}");
 }
 
-/// Read-modify-writes a benchmark record file co-owned by several bench
-/// targets (`BENCH_sweep.json`): parses the existing top-level object if the
-/// file is present and well-formed (starting fresh otherwise), replaces or
-/// appends each `(key, value)` pair in order, and writes the object back
-/// pretty-printed. Keys not named in `updates` survive untouched, so each
-/// bench rewrites only its own sections.
-pub fn upsert_bench_sections(path: &str, updates: Vec<(&str, Json)>) {
-    let mut fields = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|json| match json {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        })
-        .unwrap_or_default();
-    for (key, value) in updates {
-        match fields.iter_mut().find(|(k, _)| k == key) {
-            Some(slot) => slot.1 = value,
-            None => fields.push((key.to_string(), value)),
-        }
-    }
-    let mut out = Json::Obj(fields).pretty();
-    out.push('\n');
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+/// Runs `routine` once and prints its wall-clock time.
+pub fn time_once<O>(name: &str, routine: impl FnOnce() -> O) {
+    let start = Instant::now();
+    std::hint::black_box(routine());
+    let millis = start.elapsed().as_secs_f64() * 1e3;
+    println!("bench {name:<48} {millis:>10.3} ms (single pass)");
 }

@@ -1484,7 +1484,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_topology::{AsRole, InternetModel};
+    use as_topology::{AsRole, InternetModel, ScaleFreeModel};
     use sim_engine::fault::FaultPlan;
 
     fn figure1_graph() -> AsGraph {
@@ -1549,6 +1549,14 @@ mod tests {
             .build(2);
         let reference = observe(&graph, 1, 1);
         for shards in [2, 3, 4] {
+            assert_eq!(observe(&graph, shards, 1), reference, "shards={shards}");
+        }
+        // The same on the scale-free family the 70k-AS convergence runs use,
+        // at a size where a run fires tens of thousands of events.
+        let graph = ScaleFreeModel::new().as_count(5_000).build(9107);
+        let reference = observe(&graph, 1, 1);
+        assert!(reference.3 > 10_000, "{} events", reference.3);
+        for shards in [2, 4] {
             assert_eq!(observe(&graph, shards, 1), reference, "shards={shards}");
         }
     }

@@ -121,9 +121,8 @@ fn streaming_matches_in_memory_per_day() {
     }
 
     let in_memory = import_table_dumps(bytes.as_slice()).unwrap();
-    let streamed: Vec<_> = DailyDumpStream::new(bytes.as_slice())
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap();
+    let mut stream = DailyDumpStream::new(bytes.as_slice());
+    let streamed: Vec<_> = stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
 
     assert_eq!(in_memory.dumps.len(), DAYS as usize);
     assert_eq!(streamed.len(), DAYS as usize);
@@ -135,6 +134,13 @@ fn streaming_matches_in_memory_per_day() {
     }
     let total_entries: usize = streamed.iter().map(|d| d.rib_entries).sum();
     assert_eq!(total_entries, in_memory.routes.len());
+    // Every entry written is counted (one per prefix, a second on every
+    // third) and every byte of the archive is consumed.
+    assert_eq!(
+        total_entries,
+        (DAYS * (PREFIXES + PREFIXES.div_ceil(3))) as usize
+    );
+    assert_eq!(stream.bytes_read(), bytes.len() as u64);
 }
 
 #[test]

@@ -262,7 +262,8 @@ struct TrialResult {
     mrai_deferred: u64,
 }
 
-/// The aggregated report of one chaos run — the `BENCH_chaos.json` payload.
+/// The aggregated report of one chaos run — what `moas-lab chaos` prints
+/// (or writes with `--out FILE`) as JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
     /// Scenario name.

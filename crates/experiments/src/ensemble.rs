@@ -300,7 +300,8 @@ json::impl_json_struct!(EnsembleDeploymentPoint {
     detectors,
 });
 
-/// The full ensemble report — the `BENCH_ensemble.json` payload.
+/// The full ensemble report — what `moas-lab ensemble` prints (or writes
+/// with `--out FILE`) as JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleReport {
     /// Trials per workload.

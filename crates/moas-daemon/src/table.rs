@@ -556,9 +556,166 @@ impl DeltaRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::{AsPath, AsPathSegment, Route};
+    use bgp_wire::bgp::{PathAttributes, UpdateMessage};
+    use bgp_wire::day_to_timestamp;
+    use bgp_wire::mrt::{
+        Bgp4mpMessage, MrtRecord, MrtWriter, PeerEntry, RibEntry, RibIpv4Unicast, RibIpv6Unicast,
+    };
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    fn mrt_record(day: u32, body: MrtBody) -> MrtRecord {
+        MrtRecord {
+            timestamp: day_to_timestamp(day),
+            body,
+        }
+    }
+
+    /// A three-peer `PEER_INDEX_TABLE`.
+    fn mrt_peer_table(day: u32) -> MrtRecord {
+        let peers = [701, 1239, 3356]
+            .into_iter()
+            .map(|asn| PeerEntry {
+                bgp_id: asn,
+                addr: asn,
+                asn: Asn(asn),
+            })
+            .collect();
+        mrt_record(
+            day,
+            MrtBody::PeerIndexTable(PeerIndexTable {
+                collector_id: 0,
+                view_name: String::from("table-test"),
+                peers,
+            }),
+        )
+    }
+
+    fn mrt_entries(day: u32, prefix: Ipv4Prefix, paths: &[(u16, AsPath)]) -> Vec<RibEntry> {
+        paths
+            .iter()
+            .map(|(peer_index, path)| RibEntry {
+                peer_index: *peer_index,
+                originated_time: day_to_timestamp(day),
+                attrs: PathAttributes::from_route(&Route::new(prefix, path.clone())),
+            })
+            .collect()
+    }
+
+    fn mrt_rib(day: u32, prefix: Ipv4Prefix, paths: &[(u16, AsPath)]) -> MrtRecord {
+        mrt_record(
+            day,
+            MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: 0,
+                prefix,
+                entries: mrt_entries(day, prefix, paths),
+            }),
+        )
+    }
+
+    fn mrt_bytes(records: &[MrtRecord]) -> Vec<u8> {
+        let mut writer = MrtWriter::new(Vec::new());
+        for record in records {
+            writer.write_record(record).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    #[test]
+    fn from_mrt_matches_the_owned_importer() {
+        const DAYS: u32 = 3;
+        const PREFIXES: u32 = 20;
+        let aggregate = p("172.16.0.0/12");
+        let mut records = Vec::new();
+        for day in 0..DAYS {
+            records.push(mrt_peer_table(day));
+            for i in 0..PREFIXES {
+                // One origin every day (duplicates must collapse) and one
+                // that moves with the day (the list is the archive-wide
+                // union), so skipping either entry of a record loses one.
+                let steady = AsPath::from_sequence([Asn(701), Asn(1000 + i)]);
+                let moving = AsPath::from_sequence([Asn(1239), Asn(7018), Asn(2000 + i + day)]);
+                records.push(mrt_rib(
+                    day,
+                    Ipv4Prefix::new((10 << 24) | (i << 8), 24),
+                    &[((i % 3) as u16, steady), (((i + 1) % 3) as u16, moving)],
+                ));
+            }
+            // A path ending in an AS_SET has no single origin: both paths
+            // fall back to the ASN of the peer that reported it.
+            let aggregated = AsPath::from_segments([
+                AsPathSegment::Sequence(vec![Asn(3356), Asn(7018)]),
+                AsPathSegment::Set(vec![Asn(64_600), Asn(64_601)]),
+            ]);
+            records.push(mrt_rib(day, aggregate, &[(2, aggregated)]));
+            // Neither an IPv6 RIB record nor a BGP4MP update is tabulated.
+            let skipped = p("192.0.2.0/24");
+            let path = AsPath::from_sequence([Asn(701), Asn(64_999)]);
+            records.push(mrt_record(
+                day,
+                MrtBody::RibIpv6Unicast(RibIpv6Unicast {
+                    sequence: 0,
+                    prefix: "2001:db8::/32".parse().unwrap(),
+                    entries: mrt_entries(day, skipped, &[(0, path.clone())]),
+                }),
+            ));
+            records.push(mrt_record(
+                day,
+                MrtBody::Bgp4mpMessage(Bgp4mpMessage {
+                    peer_asn: Asn(701),
+                    local_asn: Asn(65_000),
+                    peer_addr: 701,
+                    local_addr: 1,
+                    message: UpdateMessage::announce(&Route::new(skipped, path)),
+                }),
+            ));
+        }
+        let bytes = mrt_bytes(&records);
+
+        let viewed = OriginTable::from_mrt(&bytes[..], 1).unwrap();
+        let owned = OriginTable::from_mrt_owned(&bytes[..], 1).unwrap();
+        assert_eq!(viewed.snapshot(), owned.snapshot());
+        assert_eq!(viewed.prefix_count(), owned.prefix_count());
+        assert_eq!(viewed.entry_count(), owned.entry_count());
+        // And the shared answer is the right one, not a shared omission.
+        assert_eq!(viewed.prefix_count(), PREFIXES as usize + 1);
+        assert_eq!(viewed.entry_count(), (PREFIXES * (1 + DAYS)) as usize + 1);
+        assert_eq!(
+            viewed.origins(aggregate).map(|list| list.iter().collect()),
+            Some(vec![Asn(3356)])
+        );
+        assert_eq!(viewed.origins(p("192.0.2.0/24")), None);
+
+        // Malformed archives fail the same way on both paths.
+        let kinds = |bytes: &[u8]| {
+            (
+                OriginTable::from_mrt(bytes, 1).err().map(|e| e.kind),
+                OriginTable::from_mrt_owned(bytes, 1).err().map(|e| e.kind),
+            )
+        };
+        let (viewed, owned) = kinds(&bytes[..bytes.len() - 5]);
+        assert!(
+            matches!(viewed, Some(WireErrorKind::Truncated { .. })),
+            "{viewed:?}"
+        );
+        assert_eq!(viewed, owned);
+
+        let rib = mrt_rib(0, aggregate, &[(0, AsPath::origination(Asn(1)))]);
+        let no_table = Some(WireErrorKind::MissingPeerIndexTable);
+        assert_eq!(
+            kinds(&mrt_bytes(std::slice::from_ref(&rib))),
+            (no_table.clone(), no_table)
+        );
+
+        let stray = mrt_rib(0, aggregate, &[(3, AsPath::origination(Asn(1)))]);
+        let bad_index = Some(WireErrorKind::BadPeerIndex(3));
+        assert_eq!(
+            kinds(&mrt_bytes(&[mrt_peer_table(0), stray])),
+            (bad_index.clone(), bad_index)
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use moas::topology::paper::PaperTopology;
 use moas::topology::GraphMetrics;
 use moas::types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, Update};
 use moas::wire::mrt::MrtWriter;
-use moas::wire::{export_rib_snapshot, export_update_stream, import_table_dumps, DailyDumpStream};
+use moas::wire::{export_rib_snapshot, export_update_stream, DailyDumpStream};
 
 const USAGE: &str = "\
 moas-lab — reproduction of 'Detection of Invalid Routing Announcement in the Internet' (DSN 2002)
@@ -93,9 +93,9 @@ COMMANDS:
     export-mrt --out FILE [--days N] [--topology N] [--seed S]
                                     Simulate a network and export daily RIB snapshots
                                     (and the day's update stream) as RFC 6396 MRT
-    import-mrt FILE [--offline-scan] [--in-memory]
+    import-mrt FILE [--offline-scan]
                                     Import MRT table dumps and report daily MOAS counts
-                                    (streams one day at a time unless --in-memory)
+                                    (streams one day at a time)
     session-replay --mrt FILE --bgp ADDR [--asn N] [--hold N] [--limit N]
                                     Stream an MRT archive's routes through a live BGP
                                     session into a running moas-labd --bgp listener
@@ -113,7 +113,7 @@ COMMANDS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    if let Err(message) = check_numeric_flags(&args).and_then(|()| check_shards(command, &args)) {
+    if let Err(message) = check_value_flags(&args).and_then(|()| check_shards(command, &args)) {
         eprintln!("{message}");
         return ExitCode::FAILURE;
     }
@@ -151,31 +151,72 @@ fn option<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     args.get(idx + 1)?.parse().ok()
 }
 
-/// Flags whose value must be a non-negative integer wherever they appear.
-const NUMERIC_FLAGS: [&str; 6] = [
-    "--jobs",
-    "--shards",
-    "--trials",
-    "--seed",
-    "--attackers",
-    "--origins",
+fn parses<T: std::str::FromStr>(value: &str) -> bool {
+    value.parse::<T>().is_ok()
+}
+
+fn is_fraction(value: &str) -> bool {
+    value.parse::<f64>().is_ok_and(|f| (0.0..=1.0).contains(&f))
+}
+
+const COUNT: &str = "a non-negative integer";
+
+/// A flag's name, what its value must be, and the check that it is.
+type ValueFlag = (&'static str, &'static str, fn(&str) -> bool);
+
+/// Every flag that takes a value, wherever it appears; the check is the type
+/// the command reads the value as, or a known variant name.
+const VALUE_FLAGS: &[ValueFlag] = &[
+    ("--jobs", COUNT, parses::<usize>),
+    ("--shards", COUNT, parses::<usize>),
+    ("--trials", COUNT, parses::<usize>),
+    ("--seed", COUNT, parses::<u64>),
+    ("--attackers", COUNT, parses::<usize>),
+    ("--origins", COUNT, parses::<usize>),
+    ("--days", COUNT, parses::<u32>),
+    ("--dwell", COUNT, parses::<u64>),
+    ("--limit", COUNT, parses::<u64>),
+    ("--connect-attempts", COUNT, parses::<u32>),
+    ("--asn", "an AS number", parses::<u32>),
+    ("--hold", "a hold time of 0..=65535 seconds", parses::<u16>),
+    ("--sibling-fraction", "a fraction in 0..=1", is_fraction),
+    ("--fractions", "comma-separated fractions in 0..=1", |v| {
+        v.split(',').all(is_fraction)
+    }),
+    ("--topology", "25, 46 or 63", |v| {
+        parse_topology(v).is_some()
+    }),
+    ("--deployment", "full, half or none", |v| {
+        matches!(v, "full" | "half" | "none")
+    }),
+    ("--scenario", "a chaos scenario name (see help)", |v| {
+        parses::<ChaosScenario>(v) || parses::<SessionChaosScenario>(v)
+    }),
+    (
+        "--community-policy",
+        "propagate, strip-moas, strip-all or rewrite",
+        parses::<CommunityPolicy>,
+    ),
+    ("--prefix", "an IPv4 prefix", parses::<Ipv4Prefix>),
+    ("--http", "HOST:PORT", parses::<std::net::SocketAddr>),
+    ("--feed", "HOST:PORT", parses::<std::net::SocketAddr>),
+    ("--bgp", "HOST:PORT", parses::<std::net::SocketAddr>),
+    ("--out", "a file path", |_| true),
+    ("--metrics", "a file path", |_| true),
+    ("--mrt", "a file path", |_| true),
 ];
 
 /// [`option`] treats a value that fails to parse like an absent flag, which
-/// would turn `--shards two` into a silent one-shard run; reject such values
-/// up front instead.
-fn check_numeric_flags(args: &[String]) -> Result<(), String> {
-    for name in NUMERIC_FLAGS {
+/// would turn `--shards two` into a silent one-shard run and `--deployment
+/// ful` into full deployment; reject such values up front instead.
+fn check_value_flags(args: &[String]) -> Result<(), String> {
+    for &(name, expects, valid) in VALUE_FLAGS {
         let Some(idx) = args.iter().position(|a| a == name) else {
             continue;
         };
         match args.get(idx + 1) {
-            Some(value) if value.parse::<u64>().is_ok() => {}
-            Some(value) => {
-                return Err(format!(
-                    "{name} expects a non-negative integer, got {value:?}"
-                ))
-            }
+            Some(value) if valid(value) => {}
+            Some(value) => return Err(format!("{name} expects {expects}, got {value:?}")),
             None => return Err(format!("{name} expects a value")),
         }
     }
@@ -522,16 +563,8 @@ fn chaos(args: &[String]) -> ExitCode {
 /// fractions, reporting accuracy vs coverage.
 fn chaos_deployment_sweep(args: &[String], config: &ChaosConfig) -> ExitCode {
     let fractions: Vec<f64> = match option::<String>(args, "--fractions") {
-        Some(list) => {
-            let parsed: Result<Vec<f64>, _> = list.split(',').map(str::parse).collect();
-            match parsed {
-                Ok(f) if !f.is_empty() && f.iter().all(|x| (0.0..=1.0).contains(x)) => f,
-                _ => {
-                    eprintln!("--fractions must be comma-separated values in 0..=1");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        // Every element already parsed once, in `check_value_flags`.
+        Some(list) => list.split(',').flat_map(str::parse).collect(),
         None => moas::experiments::DEPLOYMENT_SWEEP_FRACTIONS.to_vec(),
     };
 
@@ -574,21 +607,11 @@ fn ensemble(args: &[String]) -> ExitCode {
     if let Some(dwell) = option::<u64>(args, "--dwell") {
         config.dwell_ticks = dwell;
     }
-    if let Some(fraction) = option::<f64>(args, "--sibling-fraction") {
-        if !(0.0..=1.0).contains(&fraction) {
-            eprintln!("--sibling-fraction must be within 0..=1, got {fraction}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(fraction) = option(args, "--sibling-fraction") {
         config.sibling_fraction = fraction;
     }
-    if let Some(raw) = option::<String>(args, "--community-policy") {
-        match raw.parse::<CommunityPolicy>() {
-            Ok(policy) => config.policy = policy,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(policy) = option::<CommunityPolicy>(args, "--community-policy") {
+        config.policy = policy;
     }
 
     let (report, metrics) = run_ensemble(&config, jobs_option(args), metrics_path(args).is_some());
@@ -759,12 +782,10 @@ fn export_mrt(args: &[String]) -> ExitCode {
 /// `--offline-scan`) the offline monitor's findings.
 ///
 /// Streams the archive one day at a time (`DailyDumpStream`), so archives
-/// far larger than memory import in constant space; `--in-memory` uses the
-/// whole-archive importer instead (same output — it exists to cross-check
-/// the streaming path).
+/// far larger than memory import in constant space.
 fn import_mrt(args: &[String]) -> ExitCode {
     let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: moas-lab import-mrt FILE [--offline-scan] [--in-memory]");
+        eprintln!("usage: moas-lab import-mrt FILE [--offline-scan]");
         return ExitCode::FAILURE;
     };
     let file = match File::open(path) {
@@ -775,9 +796,6 @@ fn import_mrt(args: &[String]) -> ExitCode {
         }
     };
     let offline_scan = flag(args, "--offline-scan");
-    if flag(args, "--in-memory") {
-        return import_mrt_in_memory(path, file, offline_scan);
-    }
 
     let mut stream = DailyDumpStream::new(BufReader::new(file)).collect_routes(offline_scan);
     let monitor = OfflineMonitor::new();
@@ -819,8 +837,7 @@ fn import_mrt(args: &[String]) -> ExitCode {
         "total: {days} dumps, {rib_entries} routes, {event_count} origin events, {} skipped BGP4MP records",
         stream.skipped_messages()
     );
-    // Timing diagnostic on stderr: stdout must stay byte-identical to the
-    // --in-memory cross-check path.
+    // Timing diagnostic on stderr: stdout is a pure function of the archive.
     eprintln!(
         "throughput: {mib:.1} MiB in {elapsed:.2}s ({:.1} MiB/s, {:.0} routes/s)",
         mib / elapsed,
@@ -828,53 +845,6 @@ fn import_mrt(args: &[String]) -> ExitCode {
     );
     if offline_scan {
         println!("offline monitor: {findings} findings across {days} days");
-    }
-    ExitCode::SUCCESS
-}
-
-/// The pre-streaming import path: loads the whole archive before reporting.
-fn import_mrt_in_memory(path: &str, file: File, offline_scan: bool) -> ExitCode {
-    let imported = match import_table_dumps(BufReader::new(file)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot import {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    for dump in &imported.dumps {
-        println!(
-            "day {}: {} prefixes, {} moas",
-            dump.day(),
-            dump.prefix_count(),
-            dump.moas_count()
-        );
-    }
-    let events = moas::measurement::origin_events(&imported.dumps);
-    println!(
-        "total: {} dumps, {} routes, {} origin events, {} skipped BGP4MP records",
-        imported.dumps.len(),
-        imported.routes.len(),
-        events.len(),
-        imported.skipped_messages
-    );
-
-    if offline_scan {
-        let monitor = OfflineMonitor::new();
-        let mut findings = 0usize;
-        for dump in &imported.dumps {
-            let day = dump.day();
-            let routes = imported
-                .routes
-                .iter()
-                .filter(|(d, _)| *d == day)
-                .map(|(_, r)| r.clone());
-            findings += monitor.scan(routes).len();
-        }
-        println!(
-            "offline monitor: {findings} findings across {} days",
-            imported.dumps.len()
-        );
     }
     ExitCode::SUCCESS
 }

@@ -314,9 +314,25 @@ fn export_import_round_trip_preserves_daily_moas_counts() {
 
 #[test]
 fn unparseable_numeric_flags_are_errors_not_silent_defaults() {
-    // `--shards two` used to run unsharded and `--jobs x` to fall back to
-    // all cores, both without a word.
+    // `--shards two` used to run unsharded, `--jobs x` to fall back to all
+    // cores, `--topology 99 --deployment ful` to run the 46-AS topology at
+    // full deployment and `--days abc` to run 1,279 days, all without a word.
     for (args, flag) in [
+        (&["trial", "--topology", "99"][..], "--topology"),
+        (&["trial", "--deployment", "ful"][..], "--deployment"),
+        (&["measure", "--days", "abc"][..], "--days"),
+        (&["ensemble", "--quick", "--dwell", "x"][..], "--dwell"),
+        (
+            &["ensemble", "--quick", "--sibling-fraction", "1.5"][..],
+            "--sibling-fraction",
+        ),
+        (&["session-replay", "--hold", "70000"][..], "--hold"),
+        (&["session-replay", "--limit", "-3"][..], "--limit"),
+        (
+            &["daemon-probe", "--connect-attempts", "many"][..],
+            "--connect-attempts",
+        ),
+        (&["daemon-probe", "--asn", "AS1"][..], "--asn"),
         (&["figures", "--quick", "--shards", "two"][..], "--shards"),
         (&["figures", "--quick", "--jobs", "x"][..], "--jobs"),
         (&["trial", "--attackers", "-1"][..], "--attackers"),
@@ -335,6 +351,11 @@ fn unparseable_numeric_flags_are_errors_not_silent_defaults() {
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(flag), "{args:?}: stderr names the flag: {err}");
+        let value = args.last().expect("non-empty argument list");
+        assert!(
+            err.contains(value),
+            "{args:?}: stderr names the value: {err}"
+        );
     }
     // The scenario lookup still falls through from session to chaos names.
     let out = moas_lab(&[
