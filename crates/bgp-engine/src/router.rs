@@ -1,11 +1,20 @@
 //! A single AS-level BGP speaker.
 //!
+//! Both keys of a router's state are dense: the handful of prefixes a
+//! simulation announces, and the router's own peers. So the RIBs are laid out
+//! as one record per prefix ([`PrefixRib`], kept sorted in a `Vec`) holding
+//! one [`Slot`] per peer, parallel to the ascending peer list — Adj-RIB-In
+//! entry, cached decision key and advertisement flag side by side. The
+//! network addresses peers by that slot index, which is also the offset of
+//! the session's directed edge in the shared CSR topology, so neither side
+//! ever searches for an ASN on the event path.
+//!
 //! No `unwrap`/`expect` on data-dependent paths: routers are driven entirely
-//! by the network, and every lookup is restructured so the key provably
-//! exists or the miss is handled.
+//! by the network, slot indices are in range by construction (the network
+//! derives them from the same peer list), and every prefix lookup handles
+//! the miss.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bgp_types::{Asn, Ipv4Prefix, Route};
@@ -13,12 +22,65 @@ use bgp_types::{Asn, Ipv4Prefix, Route};
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
 use crate::update::SharedUpdate;
 
+/// Updates a router wants sent, each addressed by the peer's slot. The
+/// network owns one such buffer per shard and drains it after every call, so
+/// the event path allocates no list per update.
+pub(crate) type Outbox = Vec<(u32, SharedUpdate)>;
+
 /// The chosen best route for a prefix and where it came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct BestEntry {
     route: Arc<Route>,
-    /// `None` when the best route is locally originated.
-    learned_from: Option<Asn>,
+    /// Slot of the peer the route was learned from; `None` when the best
+    /// route is locally originated.
+    learned_from: Option<u32>,
+}
+
+/// A candidate route: the route, its installation stamp, and the two
+/// attributes the decision process ranks by, copied out at installation so
+/// a selection reads the slot array and nothing behind it. A peer's
+/// re-announcement of the *identical* route keeps the original stamp; a
+/// changed route counts as a fresh installation.
+#[derive(Debug, Clone)]
+struct RibEntry {
+    route: Arc<Route>,
+    installed_at: u64,
+    local_pref: u32,
+    /// Saturating: no path comes near `u32::MAX` hops.
+    selection_len: u32,
+}
+
+impl RibEntry {
+    fn new(route: Arc<Route>, installed_at: u64) -> Self {
+        RibEntry {
+            installed_at,
+            local_pref: route.local_pref(),
+            selection_len: u32::try_from(route.as_path().selection_len()).unwrap_or(u32::MAX),
+            route,
+        }
+    }
+}
+
+/// What a router holds about one peer for one prefix.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// The route learned from the peer, if any.
+    rib: Option<RibEntry>,
+    /// Whether the peer currently holds an announcement from us.
+    advertised: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
+
+/// Everything a router knows about one prefix. `slots` is parallel to
+/// [`Router::peers`]: ascending slot is ascending peer ASN.
+#[derive(Debug, Clone)]
+struct PrefixRib {
+    prefix: Ipv4Prefix,
+    /// The locally originated route, stamped 0: older than anything learned.
+    originated: Option<RibEntry>,
+    best: Option<BestEntry>,
+    slots: Box<[Slot]>,
 }
 
 /// One AS-level BGP router: per-peer Adj-RIB-In, locally originated routes,
@@ -36,10 +98,8 @@ struct BestEntry {
 pub struct Router {
     asn: Asn,
     peers: Vec<Asn>,
-    originated: BTreeMap<Ipv4Prefix, Arc<Route>>,
-    adj_in: BTreeMap<Ipv4Prefix, BTreeMap<Asn, RibEntry>>,
-    best: BTreeMap<Ipv4Prefix, BestEntry>,
-    advertised: BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
+    /// One record per prefix ever announced to or by this router, ascending.
+    ribs: Vec<PrefixRib>,
     /// Monotonic counter stamping Adj-RIB-In installations, for the
     /// oldest-route tiebreak.
     age_clock: u64,
@@ -47,14 +107,7 @@ pub struct Router {
     decisions: u64,
 }
 
-/// An Adj-RIB-In entry: the route plus its installation stamp. A peer's
-/// re-announcement of the *identical* route keeps the original stamp; a
-/// changed route counts as a fresh installation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RibEntry {
-    route: Arc<Route>,
-    installed_at: u64,
-}
+const _: () = assert!(std::mem::size_of::<Router>() <= 80);
 
 impl Router {
     pub(crate) fn new(asn: Asn, mut peers: Vec<Asn>) -> Self {
@@ -63,10 +116,7 @@ impl Router {
         Router {
             asn,
             peers,
-            originated: BTreeMap::new(),
-            adj_in: BTreeMap::new(),
-            best: BTreeMap::new(),
-            advertised: BTreeMap::new(),
+            ribs: Vec::new(),
             age_clock: 0,
             decisions: 0,
         }
@@ -87,21 +137,22 @@ impl Router {
     /// The best (Loc-RIB) route for a prefix, if any.
     #[must_use]
     pub fn best_route(&self, prefix: Ipv4Prefix) -> Option<&Route> {
-        self.best.get(&prefix).map(|e| e.route.as_ref())
+        self.best(prefix).map(|e| e.route.as_ref())
     }
 
     /// The peer the best route was learned from (`None` when locally
     /// originated or when there is no route).
     #[must_use]
     pub fn best_learned_from(&self, prefix: Ipv4Prefix) -> Option<Asn> {
-        self.best.get(&prefix).and_then(|e| e.learned_from)
+        let slot = self.best(prefix)?.learned_from?;
+        Some(self.peers[slot as usize])
     }
 
     /// The origin AS of the best route: the AS-path origin, or this router's
     /// own ASN for a locally originated route.
     #[must_use]
     pub fn best_origin(&self, prefix: Ipv4Prefix) -> Option<Asn> {
-        let entry = self.best.get(&prefix)?;
+        let entry = self.best(prefix)?;
         match entry.learned_from {
             None => Some(self.asn),
             Some(_) => entry.route.origin_as(),
@@ -111,12 +162,13 @@ impl Router {
     /// Returns `true` if this router originates `prefix` itself.
     #[must_use]
     pub fn originates(&self, prefix: Ipv4Prefix) -> bool {
-        self.originated.contains_key(&prefix)
+        self.rib(prefix).is_some_and(|rib| rib.originated.is_some())
     }
 
     /// All prefixes with a best route.
     pub fn prefixes(&self) -> impl Iterator<Item = Ipv4Prefix> + '_ {
-        self.best.keys().copied()
+        let routed = self.ribs.iter().filter(|rib| rib.best.is_some());
+        routed.map(|rib| rib.prefix)
     }
 
     /// Times the BGP decision process ran on this router.
@@ -129,70 +181,107 @@ impl Router {
     /// and peers.
     #[must_use]
     pub fn adj_rib_in_size(&self) -> usize {
-        self.adj_in.values().map(BTreeMap::len).sum()
+        let slots = self.ribs.iter().flat_map(|rib| rib.slots.iter());
+        slots.filter(|slot| slot.rib.is_some()).count()
     }
 
     /// The Adj-RIB-In entries for a prefix, as `(peer, route)` pairs.
     pub fn adj_rib_in(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Asn, &Route)> + '_ {
-        self.adj_in
-            .get(&prefix)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(&peer, entry)| (peer, entry.route.as_ref())))
+        self.rib(prefix).into_iter().flat_map(|rib| {
+            let held = self.peers.iter().zip(rib.slots.iter());
+            held.filter_map(|(&peer, slot)| Some((peer, slot.rib.as_ref()?.route.as_ref())))
+        })
+    }
+
+    /// Where `prefix`'s record is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, prefix: Ipv4Prefix) -> Result<usize, usize> {
+        match self.ribs.as_slice() {
+            // Every experiment announces one prefix per network (the
+            // sub-prefix ablation two): skip the search.
+            [only] if only.prefix == prefix => Ok(0),
+            ribs => ribs.binary_search_by_key(&prefix, |rib| rib.prefix),
+        }
+    }
+
+    fn rib(&self, prefix: Ipv4Prefix) -> Option<&PrefixRib> {
+        self.position(prefix).ok().map(|at| &self.ribs[at])
+    }
+
+    fn best(&self, prefix: Ipv4Prefix) -> Option<&BestEntry> {
+        self.rib(prefix)?.best.as_ref()
+    }
+
+    /// The index of `prefix`'s record, created empty on first mention.
+    fn position_or_insert(&mut self, prefix: Ipv4Prefix) -> usize {
+        self.position(prefix).unwrap_or_else(|at| {
+            let rib = PrefixRib {
+                prefix,
+                originated: None,
+                best: None,
+                slots: self.peers.iter().map(|_| Slot::default()).collect(),
+            };
+            self.ribs.insert(at, rib);
+            at
+        })
     }
 
     // ------------------------------------------------------------------
-    // Mutation (crate-internal, driven by Network)
+    // Mutation (crate-internal, driven by Network). Every method appends the
+    // updates to send to `out`, addressed by peer slot.
     // ------------------------------------------------------------------
 
-    /// Starts originating a route; returns the updates to send.
+    /// Starts originating a route.
     pub(crate) fn originate<M: RouteMonitor>(
         &mut self,
         route: Route,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        let prefix = route.prefix();
-        self.originated.insert(prefix, Arc::new(route));
-        self.reselect(prefix, monitor)
+        out: &mut Outbox,
+    ) {
+        let at = self.position_or_insert(route.prefix());
+        self.ribs[at].originated = Some(RibEntry::new(Arc::new(route), 0));
+        self.reselect(at, monitor, out);
     }
 
-    /// Stops originating a prefix; returns the updates to send.
+    /// Stops originating a prefix.
     pub(crate) fn withdraw_origin<M: RouteMonitor>(
         &mut self,
         prefix: Ipv4Prefix,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        if self.originated.remove(&prefix).is_none() {
-            return Vec::new();
+        out: &mut Outbox,
+    ) {
+        let Ok(at) = self.position(prefix) else {
+            return;
+        };
+        if self.ribs[at].originated.take().is_some() {
+            self.reselect(at, monitor, out);
         }
-        self.reselect(prefix, monitor)
     }
 
     /// The peering session to `peer` went down: every route learned from it
     /// is implicitly withdrawn, and our advertisement state toward it is
-    /// forgotten. Returns the updates to send to the *other* peers.
+    /// forgotten. Only updates for the *other* peers are appended.
     pub(crate) fn peer_down<M: RouteMonitor>(
         &mut self,
         peer: Asn,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        let mut affected: Vec<Ipv4Prefix> = Vec::new();
-        for (&prefix, rib) in &mut self.adj_in {
-            if rib.remove(&peer).is_some() {
-                affected.push(prefix);
+        out: &mut Outbox,
+    ) {
+        let Ok(slot) = self.peers.binary_search(&peer) else {
+            return;
+        };
+        let first = out.len();
+        for at in 0..self.ribs.len() {
+            let state = &mut self.ribs[at].slots[slot];
+            state.advertised = false;
+            if state.rib.take().is_some() {
+                self.reselect(at, monitor, out);
             }
         }
-        for advertised in self.advertised.values_mut() {
-            advertised.remove(&peer);
-        }
-        let mut out = Vec::new();
-        for prefix in affected {
-            out.extend(
-                self.reselect(prefix, monitor)
-                    .into_iter()
-                    .filter(|(to, _)| *to != peer),
-            );
-        }
-        out
+        // The export hooks still ran for the dead session (monitors count
+        // them); only what they addressed to it is dropped.
+        let mut sent = out.split_off(first);
+        sent.retain(|(to, _)| *to as usize != slot);
+        out.append(&mut sent);
     }
 
     /// The peering session to `peer` came (back) up: re-advertise every
@@ -201,176 +290,171 @@ impl Router {
         &mut self,
         peer: Asn,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        if !self.peers.contains(&peer) {
-            return Vec::new();
-        }
-        // Snapshot the best table up front: `on_export` needs `&mut self`
-        // state untouched, and cloning the entries clones `Arc`s, not routes.
-        let entries: Vec<(Ipv4Prefix, BestEntry)> = self
-            .best
-            .iter()
-            .map(|(&prefix, entry)| (prefix, entry.clone()))
-            .collect();
-        let mut out = Vec::new();
-        for (prefix, entry) in entries {
-            if entry.learned_from == Some(peer) {
+        out: &mut Outbox,
+    ) {
+        let Ok(slot) = self.peers.binary_search(&peer) else {
+            return;
+        };
+        for rib in &mut self.ribs {
+            let Some(best) = &rib.best else {
+                continue;
+            };
+            if best.learned_from == Some(slot as u32) {
                 continue; // split horizon
             }
-            let outbound = Arc::new(entry.route.propagated_by(self.asn));
-            match monitor.on_export(self.asn, peer, entry.learned_from, &outbound) {
-                ExportAction::Forward => {
-                    self.advertised.entry(prefix).or_default().insert(peer);
-                    out.push((peer, SharedUpdate::Announce(outbound)));
-                }
-                ExportAction::Replace(route) => {
-                    self.advertised.entry(prefix).or_default().insert(peer);
-                    out.push((peer, SharedUpdate::announce(route)));
-                }
-                ExportAction::Suppress => {}
-            }
+            let learned_from = best.learned_from.map(|s| self.peers[s as usize]);
+            let outbound = Arc::new(best.route.propagated_by(self.asn));
+            let update = match monitor.on_export(self.asn, peer, learned_from, &outbound) {
+                ExportAction::Forward => SharedUpdate::Announce(outbound),
+                ExportAction::Replace(route) => SharedUpdate::announce(route),
+                ExportAction::Suppress => continue,
+            };
+            rib.slots[slot].advertised = true;
+            out.push((slot as u32, update));
         }
-        out
     }
 
-    /// Processes an update from a peer; returns the updates to send onward.
+    /// Processes an update from the peer in slot `from`.
     pub(crate) fn handle_update<M: RouteMonitor>(
         &mut self,
-        from: Asn,
+        from: u32,
         update: SharedUpdate,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        let prefix = update.prefix();
-        match update {
-            SharedUpdate::Withdraw(_) => {
-                let removed = self
-                    .adj_in
-                    .get_mut(&prefix)
-                    .and_then(|m| m.remove(&from))
-                    .is_some();
-                if !removed {
-                    return Vec::new();
+        out: &mut Outbox,
+    ) {
+        let from = from as usize;
+        let route = match update {
+            SharedUpdate::Withdraw(prefix) => {
+                let Ok(at) = self.position(prefix) else {
+                    return;
+                };
+                if self.ribs[at].slots[from].rib.take().is_some() {
+                    monitor.on_withdraw(self.asn, self.peers[from], prefix);
+                    self.reselect(at, monitor, out);
                 }
-                monitor.on_withdraw(self.asn, from, prefix);
+                return;
             }
-            SharedUpdate::Announce(route) => {
-                // Loop suppression: never accept a path containing ourselves.
-                // The announcement still supersedes the peer's previous route
-                // (treat-as-withdraw), otherwise two routers can hold stale
-                // routes through each other forever.
-                if route.as_path().contains(self.asn) {
-                    let removed = self
-                        .adj_in
-                        .get_mut(&prefix)
-                        .and_then(|m| m.remove(&from))
-                        .is_some();
-                    if !removed {
-                        return Vec::new();
-                    }
-                    return self.reselect(prefix, monitor);
-                }
-                let decision = self.consult_monitor(from, &route, monitor);
-                self.apply_evictions(prefix, from, &decision);
-                self.age_clock += 1;
-                let stamp = self.age_clock;
-                let rib = self.adj_in.entry(prefix).or_default();
-                if decision.reject {
-                    // The newest word from this peer supersedes its previous
-                    // announcement even when we refuse to install it.
-                    rib.remove(&from);
-                } else {
-                    match rib.get_mut(&from) {
-                        // Identical re-announcement: keep the original age.
-                        Some(entry) if entry.route == route => {}
-                        Some(entry) => {
-                            entry.route = route;
-                            entry.installed_at = stamp;
-                        }
-                        None => {
-                            rib.insert(
-                                from,
-                                RibEntry {
-                                    route,
-                                    installed_at: stamp,
-                                },
-                            );
-                        }
-                    }
-                }
+            SharedUpdate::Announce(route) => route,
+        };
+        // Loop suppression: never accept a path containing ourselves. The
+        // announcement still supersedes the peer's previous route
+        // (treat-as-withdraw), otherwise two routers can hold stale routes
+        // through each other forever.
+        if route.as_path().contains(self.asn) {
+            let Ok(at) = self.position(route.prefix()) else {
+                return;
+            };
+            if self.ribs[at].slots[from].rib.take().is_some() {
+                self.reselect(at, monitor, out);
             }
+            return;
         }
-        self.reselect(prefix, monitor)
+        let at = self.position_or_insert(route.prefix());
+        let decision = self.consult_monitor(at, from, &route, monitor);
+        self.apply_evictions(at, from, &decision);
+        // Stamp every announcement that got this far, refused ones included:
+        // the oldest-route tiebreak orders installations by this clock.
+        self.age_clock += 1;
+        let held = &mut self.ribs[at].slots[from].rib;
+        if decision.reject {
+            // The newest word from this peer supersedes its previous
+            // announcement even when we refuse to install it.
+            *held = None;
+        } else if !matches!(held, Some(entry) if entry.route == route) {
+            // (An identical re-announcement keeps the original age.)
+            *held = Some(RibEntry::new(route, self.age_clock));
+        }
+        self.reselect(at, monitor, out);
     }
 
     fn consult_monitor<M: RouteMonitor>(
         &self,
-        from: Asn,
+        at: usize,
+        from: usize,
         route: &Route,
         monitor: &mut M,
     ) -> ImportDecision {
         // Borrow the RIB directly: the context is a Vec of references, so no
         // route is cloned just to be looked at.
+        let rib = &self.ribs[at];
         let mut existing: Vec<(Option<Asn>, &Route)> = Vec::new();
-        if let Some(own) = self.originated.get(&route.prefix()) {
-            existing.push((None, own.as_ref()));
+        if let Some(own) = &rib.originated {
+            existing.push((None, own.route.as_ref()));
         }
-        if let Some(rib) = self.adj_in.get(&route.prefix()) {
-            for (&peer, held) in rib {
-                if peer != from {
-                    existing.push((Some(peer), held.route.as_ref()));
-                }
+        for (slot, (&peer, state)) in self.peers.iter().zip(rib.slots.iter()).enumerate() {
+            if let (Some(held), true) = (&state.rib, slot != from) {
+                existing.push((Some(peer), held.route.as_ref()));
             }
         }
         monitor.on_import(&ImportContext {
             local: self.asn,
-            from_peer: from,
+            from_peer: self.peers[from],
             route,
             existing: &existing,
         })
     }
 
-    fn apply_evictions(&mut self, prefix: Ipv4Prefix, from: Asn, decision: &ImportDecision) {
-        if decision.evict_peers.is_empty() {
+    fn apply_evictions(&mut self, at: usize, from: usize, decision: &ImportDecision) {
+        for peer in &decision.evict_peers {
+            match self.peers.binary_search(peer) {
+                Ok(slot) if slot != from => self.ribs[at].slots[slot].rib = None,
+                _ => {}
+            }
+        }
+    }
+
+    /// Re-runs the decision process for the prefix record at `at` and, if
+    /// the best route changed, appends the updates to send to peers.
+    ///
+    /// A new best route is announced to every peer but its source (split
+    /// horizon), then peers that previously heard from us but are now
+    /// excluded get a withdrawal; with no route left that is every advertised
+    /// peer. The prepended outbound route is built **once** and shared by
+    /// every peer the monitor lets through unmodified; only an
+    /// [`ExportAction::Replace`] costs a fresh allocation.
+    fn reselect<M: RouteMonitor>(&mut self, at: usize, monitor: &mut M, out: &mut Outbox) {
+        self.decisions += 1;
+        let rib = &mut self.ribs[at];
+        let winner = rib.decide();
+        // `Arc` equality is pointer equality first, so an unchanged best
+        // costs no look at the route itself.
+        if winner == rib.best.as_ref().map(|e| (e.learned_from, &e.route)) {
             return;
         }
-        if let Some(rib) = self.adj_in.get_mut(&prefix) {
-            for &peer in &decision.evict_peers {
-                if peer != from {
-                    rib.remove(&peer);
+        let outbound = winner.map(|(_, route)| Arc::new(route.propagated_by(self.asn)));
+        let source = winner.and_then(|(slot, _)| slot);
+        let source_asn = source.map(|slot| self.peers[slot as usize]);
+        rib.best = winner.map(|(learned_from, route)| BestEntry {
+            route: Arc::clone(route),
+            learned_from,
+        });
+        let first = out.len();
+        for (slot, (&peer, state)) in self.peers.iter().zip(rib.slots.iter_mut()).enumerate() {
+            let slot = slot as u32;
+            let announcement = match &outbound {
+                Some(route) if source != Some(slot) => {
+                    match monitor.on_export(self.asn, peer, source_asn, route) {
+                        ExportAction::Forward => Some(SharedUpdate::Announce(Arc::clone(route))),
+                        ExportAction::Replace(route) => Some(SharedUpdate::announce(route)),
+                        ExportAction::Suppress => None,
+                    }
                 }
+                _ => None,
+            };
+            let was_advertised = std::mem::replace(&mut state.advertised, announcement.is_some());
+            match announcement {
+                Some(update) => out.push((slot, update)),
+                None if was_advertised => out.push((slot, SharedUpdate::withdraw(rib.prefix))),
+                None => {}
             }
         }
+        // Announcements go out first, then withdrawals, each in ascending
+        // slot order: the sort is stable (and one pass when nothing moves).
+        out[first..].sort_by_key(|(_, update)| update.is_withdrawal());
     }
+}
 
-    /// Re-runs the decision process for a prefix and computes the updates to
-    /// send to peers if the best route changed.
-    fn reselect<M: RouteMonitor>(
-        &mut self,
-        prefix: Ipv4Prefix,
-        monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        self.decisions += 1;
-        let new_best = self.decide(prefix);
-        let old_best = self.best.get(&prefix);
-        if old_best == new_best.as_ref() {
-            return Vec::new();
-        }
-        match new_best {
-            Some(entry) => {
-                self.best.insert(prefix, entry.clone());
-                self.export(prefix, &entry, monitor)
-            }
-            None => {
-                self.best.remove(&prefix);
-                let previously = self.advertised.remove(&prefix).unwrap_or_default();
-                previously
-                    .into_iter()
-                    .map(|peer| (peer, SharedUpdate::withdraw(prefix)))
-                    .collect()
-            }
-        }
-    }
-
+impl PrefixRib {
     /// The BGP decision process: highest `LOCAL_PREF`, then shortest AS path
     /// (locally originated routes have an empty path and win). Exact ties
     /// keep the currently selected route ("prefer oldest", the stability
@@ -381,78 +465,30 @@ impl Router {
     /// equally-long route must not displace a valid route that is already
     /// installed, exactly as in the paper's converged-network attack model.
     ///
-    /// Candidates are streamed straight out of the RIB — the only allocation
-    /// on a selection is the `Arc` bump for the winner. `min_by_key` keeps the
-    /// *first* minimum, so the iteration order (own route, then learned
-    /// routes by ascending peer ASN) is part of the tiebreak contract.
-    fn decide(&self, prefix: Ipv4Prefix) -> Option<BestEntry> {
-        let own = self
-            .originated
-            .get(&prefix)
-            .map(|route| (route, None, 0u64));
-        let learned = self.adj_in.get(&prefix).into_iter().flat_map(|rib| {
-            rib.iter()
-                .map(|(&peer, entry)| (&entry.route, Some(peer), entry.installed_at))
-        });
-        own.into_iter()
-            .chain(learned)
-            .min_by_key(|(route, learned_from, installed_at)| {
-                (
-                    Reverse(route.local_pref()),
-                    route.as_path().selection_len(),
-                    learned_from.is_some(),
-                    *installed_at,
-                    *learned_from,
-                )
+    /// Candidates are ranked from the keys cached beside them, so a selection
+    /// is one pass over contiguous memory that allocates nothing and never
+    /// follows a route pointer. `min_by_key` keeps the *first* minimum, so
+    /// the iteration order (own route, then learned routes by ascending
+    /// slot, i.e. ascending peer ASN) is part of the tiebreak contract.
+    /// Returns the winner's source slot and route.
+    fn decide(&self) -> Option<(Option<u32>, &Arc<Route>)> {
+        let own = self.originated.iter().map(|entry| (None, entry));
+        let learned = self.slots.iter().enumerate();
+        let learned =
+            learned.filter_map(|(slot, state)| Some((Some(slot as u32), state.rib.as_ref()?)));
+        own.chain(learned)
+            .min_by_key(|&(slot, entry)| {
+                let rank = (Reverse(entry.local_pref), entry.selection_len);
+                (rank, slot.is_some(), entry.installed_at, slot)
             })
-            .map(|(route, learned_from, _)| BestEntry {
-                route: Arc::clone(route),
-                learned_from,
-            })
-    }
-
-    /// Builds the per-peer announcements for a newly selected best route,
-    /// plus withdrawals for peers that previously heard from us but are now
-    /// excluded (split horizon toward the route's source).
-    ///
-    /// The prepended outbound route is built **once** and shared by every
-    /// peer the monitor lets through unmodified; only an
-    /// [`ExportAction::Replace`] costs a fresh allocation.
-    fn export<M: RouteMonitor>(
-        &mut self,
-        prefix: Ipv4Prefix,
-        entry: &BestEntry,
-        monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        let outbound = Arc::new(entry.route.propagated_by(self.asn));
-        let mut sent_to: BTreeSet<Asn> = BTreeSet::new();
-        let mut updates = Vec::with_capacity(self.peers.len());
-        for &peer in &self.peers {
-            if Some(peer) == entry.learned_from {
-                continue;
-            }
-            match monitor.on_export(self.asn, peer, entry.learned_from, &outbound) {
-                ExportAction::Forward => {
-                    sent_to.insert(peer);
-                    updates.push((peer, SharedUpdate::Announce(Arc::clone(&outbound))));
-                }
-                ExportAction::Replace(route) => {
-                    sent_to.insert(peer);
-                    updates.push((peer, SharedUpdate::announce(route)));
-                }
-                ExportAction::Suppress => {}
-            }
-        }
-        let previously = self
-            .advertised
-            .insert(prefix, sent_to.clone())
-            .unwrap_or_default();
-        for peer in previously.difference(&sent_to) {
-            updates.push((*peer, SharedUpdate::withdraw(prefix)));
-        }
-        updates
+            .map(|(slot, entry)| (slot, &entry.route))
     }
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 // AS-path sanity helper shared by tests.
 #[cfg(test)]
@@ -465,13 +501,52 @@ mod tests {
     use super::*;
     use crate::monitor::NoopMonitor;
     use bgp_types::AsPath;
+    use std::collections::BTreeSet;
+
+    /// The calling convention these tests (and the reference router) were
+    /// written against: peers named by ASN, one call's updates as a list.
+    #[derive(Debug)]
+    pub(super) struct ByAsn(pub(super) Router);
+
+    pub(super) type Sent = Vec<(Asn, SharedUpdate)>;
+
+    impl std::ops::Deref for ByAsn {
+        type Target = Router;
+        fn deref(&self) -> &Router {
+            &self.0
+        }
+    }
+
+    impl ByAsn {
+        pub(super) fn call(&mut self, f: impl FnOnce(&mut Router, &mut Outbox)) -> Sent {
+            let mut out = Outbox::new();
+            f(&mut self.0, &mut out);
+            let sent = out.into_iter();
+            sent.map(|(slot, update)| (self.0.peers[slot as usize], update))
+                .collect()
+        }
+
+        fn originate<M: RouteMonitor>(&mut self, route: Route, monitor: &mut M) -> Sent {
+            self.call(|r, out| r.originate(route, monitor, out))
+        }
+
+        pub(super) fn handle_update<M: RouteMonitor>(
+            &mut self,
+            from: Asn,
+            update: SharedUpdate,
+            monitor: &mut M,
+        ) -> Sent {
+            let slot = self.0.peers.binary_search(&from).unwrap() as u32;
+            self.call(|r, out| r.handle_update(slot, update, monitor, out))
+        }
+    }
 
     fn prefix() -> Ipv4Prefix {
         "10.0.0.0/16".parse().unwrap()
     }
 
-    fn router() -> Router {
-        Router::new(Asn(1), vec![Asn(2), Asn(3), Asn(4)])
+    fn router() -> ByAsn {
+        ByAsn(Router::new(Asn(1), vec![Asn(2), Asn(3), Asn(4)]))
     }
 
     #[test]

@@ -165,12 +165,27 @@ impl AsPath {
         }
     }
 
-    /// Returns a copy of the path with `asn` prepended.
+    /// Returns a copy of the path with `asn` prepended: [`AsPath::prepend`]
+    /// on a clone, with the grown leading sequence allocated once at its
+    /// final size.
     #[must_use]
     pub fn prepended(&self, asn: Asn) -> Self {
-        let mut out = self.clone();
-        out.prepend(asn);
-        out
+        let mut segments = Vec::with_capacity(self.segments.len() + 1);
+        let rest = match self.segments.split_first() {
+            Some((AsPathSegment::Sequence(head), rest)) => {
+                let mut grown = Vec::with_capacity(head.len() + 1);
+                grown.push(asn);
+                grown.extend_from_slice(head);
+                segments.push(AsPathSegment::Sequence(grown));
+                rest
+            }
+            _ => {
+                segments.push(AsPathSegment::Sequence(vec![asn]));
+                self.segments.as_slice()
+            }
+        };
+        segments.extend_from_slice(rest);
+        AsPath { segments }
     }
 
     /// Path length used by the BGP decision process: each `AS_SEQUENCE`
@@ -370,6 +385,17 @@ mod tests {
         p.prepend(Asn(7));
         assert_eq!(p.segments().len(), 2);
         assert_eq!(p.first(), Some(Asn(7)));
+    }
+
+    #[test]
+    fn prepended_is_prepend_on_a_clone() {
+        // Leading sequence, leading set, sequence after which a set follows,
+        // and the empty path.
+        for s in ["701 1239 4621", "{1 2} 3", "701 {4 226}", ""] {
+            let mut expected = path(s);
+            expected.prepend(Asn(7));
+            assert_eq!(path(s).prepended(Asn(7)), expected, "prepending to {s:?}");
+        }
     }
 
     #[test]

@@ -182,9 +182,13 @@ impl Route {
     /// through unchanged.
     #[must_use]
     pub fn propagated_by(&self, asn: Asn) -> Route {
-        let mut out = self.clone();
-        out.as_path = self.as_path.prepended(asn);
-        out
+        Route {
+            prefix: self.prefix,
+            as_path: self.as_path.prepended(asn),
+            origin: self.origin,
+            local_pref: self.local_pref,
+            communities: self.communities.clone(),
+        }
     }
 }
 
@@ -254,11 +258,20 @@ mod tests {
     #[test]
     fn propagation_prepends_and_keeps_communities() {
         let list: MoasList = [Asn(4), Asn(226)].into_iter().collect();
-        let r = Route::new(prefix(), AsPath::origination(Asn(4))).with_moas_list(list.clone());
+        let r = Route::new(prefix(), AsPath::origination(Asn(4)))
+            .with_moas_list(list.clone())
+            .with_community(Community::new(Asn(701), 120))
+            .with_local_pref(250)
+            .with_origin(RouteOrigin::Incomplete);
         let via_y = r.propagated_by(Asn(700));
         assert_eq!(via_y.as_path().to_string(), "700 4");
         assert_eq!(via_y.origin_as(), Some(Asn(4)));
         assert_eq!(via_y.moas_list(), Some(list));
+        // Everything but the path is carried through unchanged.
+        assert_eq!(via_y.prefix(), r.prefix());
+        assert_eq!(via_y.communities(), r.communities());
+        assert_eq!(via_y.local_pref(), 250);
+        assert_eq!(via_y.origin(), RouteOrigin::Incomplete);
     }
 
     #[test]
