@@ -1,5 +1,6 @@
 //! Analysis of daily dumps: Figures 4 and 5 and the §3.1 statistics.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -60,11 +61,13 @@ pub struct MeasurementSummary {
     pub one_day_cases: usize,
     /// `one_day_cases / total_cases` (0 when there are no cases).
     pub one_day_fraction: f64,
-    /// Of the one-day cases, how many had their single active day equal to
-    /// the biggest spike day — the paper's "82.7% of these short-lived MOAS
-    /// cases can be attributed to a configuration fault that occurred on
-    /// April 7th, 1998".
-    pub one_day_on_peak_spike: usize,
+    /// The day on which the most one-day cases were active (the earliest
+    /// such day on a tie; `peak_day` when there are none).
+    pub spike_day: u32,
+    /// How many one-day cases were active on `spike_day` — the paper's
+    /// "82.7% of these short-lived MOAS cases can be attributed to a
+    /// configuration fault that occurred on April 7th, 1998".
+    pub one_day_on_spike: usize,
     /// Day index with the highest MOAS count.
     pub peak_day: u32,
     /// MOAS count on the peak day.
@@ -109,14 +112,15 @@ impl MeasurementSummary {
         }
 
         let total_cases = days_per_prefix.len();
-        let one_day: Vec<u32> = days_per_prefix
-            .values()
-            .filter(|days| days.len() == 1)
-            .map(|days| days[0])
-            .collect();
-        let one_day_cases = one_day.len();
-        let spike_day = peak_spike(dumps);
-        let one_day_on_peak_spike = one_day.iter().filter(|&&d| d == spike_day).count();
+        let mut one_day_per_day: BTreeMap<u32, usize> = BTreeMap::new();
+        for days in days_per_prefix.values().filter(|days| days.len() == 1) {
+            *one_day_per_day.entry(days[0]).or_insert(0) += 1;
+        }
+        let one_day_cases: usize = one_day_per_day.values().sum();
+        let (spike_day, one_day_on_spike) = one_day_per_day
+            .iter()
+            .max_by_key(|&(&day, &n)| (n, Reverse(day)))
+            .map_or((peak_day, 0), |(&day, &n)| (day, n));
 
         let mut size_counts: BTreeMap<usize, usize> = BTreeMap::new();
         for &size in max_origins.values() {
@@ -132,7 +136,8 @@ impl MeasurementSummary {
             total_cases,
             one_day_cases,
             one_day_fraction: one_day_cases as f64 / total_cases.max(1) as f64,
-            one_day_on_peak_spike,
+            spike_day,
+            one_day_on_spike,
             peak_day,
             peak_count,
             median_first_year: median(&counts[..year]),
@@ -142,10 +147,10 @@ impl MeasurementSummary {
         }
     }
 
-    /// Fraction of one-day cases attributable to the biggest spike day.
+    /// Fraction of one-day cases that were active on `spike_day`.
     #[must_use]
     pub fn one_day_spike_fraction(&self) -> f64 {
-        self.one_day_on_peak_spike as f64 / self.one_day_cases.max(1) as f64
+        self.one_day_on_spike as f64 / self.one_day_cases.max(1) as f64
     }
 }
 
@@ -158,7 +163,7 @@ impl fmt::Display for MeasurementSummary {
             self.one_day_cases,
             100.0 * self.one_day_fraction,
             100.0 * self.one_day_spike_fraction(),
-            self.peak_day,
+            self.spike_day,
         )?;
         write!(
             f,
@@ -166,30 +171,6 @@ impl fmt::Display for MeasurementSummary {
             self.median_first_year, self.median_last_year, self.peak_count, self.peak_day
         )
     }
-}
-
-/// The day with the largest *excess* of one-day activity: the spike day used
-/// for attribution. For the calibrated timeline this is the 1998-04-07 fault
-/// day. Falls back to the global peak day.
-fn peak_spike(dumps: &[DailyDump]) -> u32 {
-    let counts = daily_moas_counts(dumps);
-    let mut best_day = 0u32;
-    let mut best_excess = 0isize;
-    for i in 0..counts.len() {
-        let prev = if i == 0 { counts[i] } else { counts[i - 1] };
-        let next = if i + 1 == counts.len() {
-            counts[i]
-        } else {
-            counts[i + 1]
-        };
-        let baseline = prev.min(next);
-        let excess = counts[i] as isize - baseline as isize;
-        if excess > best_excess {
-            best_excess = excess;
-            best_day = i as u32;
-        }
-    }
-    best_day
 }
 
 #[cfg(test)]
@@ -249,7 +230,8 @@ mod tests {
         assert_eq!(s.peak_count, 2);
         assert_eq!(s.max_simultaneous, 2);
         // Prefix 2's single day *is* the spike day.
-        assert_eq!(s.one_day_on_peak_spike, 1);
+        assert_eq!(s.spike_day, 1);
+        assert_eq!(s.one_day_on_spike, 1);
         assert!((s.one_day_spike_fraction() - 1.0).abs() < 1e-9);
     }
 

@@ -8,7 +8,7 @@
 //! $ moas-lab measure             # The §3 study (Figures 4-5)
 //! $ moas-lab topology 46         # Inspect a canonical topology
 //! $ moas-lab trial --attackers 5 # One simulation run, in detail
-//! $ moas-lab ablations           # §4.3 limitation studies
+//! $ moas-lab ablations           # §4.3-§4.4 limitation studies
 //! $ moas-lab overhead            # §4.3 list-size overhead
 //! $ moas-lab chaos --scenario failover   # Detector accuracy under churn/faults
 //! $ moas-lab export-mrt --out d.mrt   # Simulate and export MRT table dumps
@@ -25,12 +25,13 @@ use moas::experiments::{
     community_policy_ablation, experiment1, experiment2, experiment3, forgery_ablation,
     measure_moas_list_overhead, moas_list_overhead, overhead_snapshot, render_metrics_summary,
     run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos, run_trial_with,
-    subprefix_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig, Exec,
-    FigureReport, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
+    subprefix_ablation, unresolved_policy_ablation, valley_free_ablation, ChaosConfig,
+    ChaosScenario, EnsembleConfig, Exec, FigureReport, SessionChaosConfig, SessionChaosScenario,
+    SweepConfig, TrialConfig, WireModel,
 };
 use moas::measurement::{
-    daily_moas_counts, generate_timeline, median, MeasurementSummary, OriginEventTracker,
-    TimelineConfig,
+    daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
+    OriginEventTracker, TimelineConfig,
 };
 use moas::metrics::MetricsSnapshot;
 use moas::topology::paper::PaperTopology;
@@ -52,7 +53,7 @@ COMMANDS:
     topology <25|46|63>             Show a canonical experiment topology
     trial [--topology N] [--attackers N] [--origins N] [--deployment full|half|none] [--seed S]
           [--shards N]              Run one simulation trial and print the outcome
-    ablations [--jobs N]            Run the §4.3 limitation studies
+    ablations [--jobs N]            Run the §4.3-§4.4 limitation studies
     overhead [--jobs N]             Measure the MOAS-list table overhead
     chaos --scenario NAME [--trials N] [--seed S] [--jobs N] [--shards N] [--quick] [--out FILE]
                                     Replay a fault/churn scenario (failover, origin-flap,
@@ -113,7 +114,10 @@ COMMANDS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    if let Err(message) = check_value_flags(&args).and_then(|()| check_shards(command, &args)) {
+    let checked = check_unknown_flags(&args)
+        .and_then(|()| check_value_flags(&args))
+        .and_then(|()| check_shards(command, &args));
+    if let Err(message) = checked {
         eprintln!("{message}");
         return ExitCode::FAILURE;
     }
@@ -205,6 +209,29 @@ const VALUE_FLAGS: &[ValueFlag] = &[
     ("--metrics", "a file path", |_| true),
     ("--mrt", "a file path", |_| true),
 ];
+
+/// Every flag that takes no value.
+const BOOL_FLAGS: &[&str] = &[
+    "--quick",
+    "--deployment-sweep",
+    "--offline-scan",
+    "--read-only",
+];
+
+/// A misspelt flag would otherwise be ignored: `figures --quik` ran the full
+/// protocol. Rejects any `--` argument after the command that is in neither
+/// table and is not the value of a value flag.
+fn check_unknown_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.iter().any(|&(name, ..)| name == arg) {
+            rest.next();
+        } else if arg.starts_with("--") && !BOOL_FLAGS.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
+}
 
 /// [`option`] treats a value that fails to parse like an absent flag, which
 /// would turn `--shards two` into a silent one-shard run and `--deployment
@@ -343,10 +370,12 @@ fn figures(args: &[String]) -> ExitCode {
 }
 
 fn measure(args: &[String]) -> ExitCode {
-    let mut config = TimelineConfig::paper();
-    if let Some(days) = option::<u32>(args, "--days") {
-        config = config.with_days(days);
-    }
+    let days = option::<u32>(args, "--days");
+    let period = |config: TimelineConfig| match days {
+        Some(days) => config.with_days(days),
+        None => config,
+    };
+    let config = period(TimelineConfig::paper());
     println!("Generating {} daily dumps...", config.days);
     let timeline = generate_timeline(&config);
     let counts = daily_moas_counts(&timeline.dumps);
@@ -357,6 +386,55 @@ fn measure(args: &[String]) -> ExitCode {
         median(&counts[counts.len() - year..])
     );
     println!("{}", MeasurementSummary::compute(&timeline.dumps));
+
+    println!("\nFigure 4: daily MOAS cases per window (paper: median 683 in 1998 -> 1294 in 2001)");
+    println!("   window             median    min    max");
+    for (label, start, end) in [
+        ("1997-11..1998-11", 0, 365),
+        ("1998-11..1999-11", 365, 730),
+        ("1999-11..2000-11", 730, 1096),
+        ("2000-11..2001-07", 1096, counts.len()),
+    ] {
+        let window = &counts[start.min(counts.len())..end.min(counts.len())];
+        if let (Some(min), Some(max)) = (window.iter().min(), window.iter().max()) {
+            println!("   {label:<18} {:>6.0} {min:>6} {max:>6}", median(window));
+        }
+    }
+    if let Some(count) = counts.get(150) {
+        println!("   day 150 (1998-04-07, AS 8584): {count} cases");
+    }
+    if let Some(&count) = counts.get(1245) {
+        println!(
+            "   day 1245 (2001-04-06, AS 15412): {count} cases, event share {:.1}% (paper: 5532/6627 = 83.5%)",
+            100.0 * 5532.0 / count as f64
+        );
+    }
+
+    // The one-day statistics predate the 2001 event; see `duration_study`.
+    let study = period(TimelineConfig::duration_study());
+    let dumps = generate_timeline(&study).dumps;
+    let histogram = duration_histogram(&dumps);
+    println!("\nFigure 5: duration of MOAS cases, 1998 fault only (log-binned)");
+    println!("   duration (days)      cases");
+    let mut lo = 1;
+    while lo <= study.days {
+        let hi = lo.saturating_mul(4).min(study.days + 1);
+        let cases: usize = histogram.range(lo..hi).map(|(_, &n)| n).sum();
+        println!("   {lo:>6} - {:<6} {cases:>10}", hi - 1);
+        lo = hi;
+    }
+    let summary = MeasurementSummary::compute(&dumps);
+    println!(
+        "   one-day cases: {} of {} = {:.1}% (paper: 1373 = 35.9%)",
+        summary.one_day_cases,
+        summary.total_cases,
+        100.0 * summary.one_day_fraction
+    );
+    println!(
+        "   {:.1}% of them on the day-{} spike (paper: 82.7% on 1998-04-07)",
+        100.0 * summary.one_day_spike_fraction(),
+        summary.spike_day
+    );
     ExitCode::SUCCESS
 }
 
@@ -485,6 +563,11 @@ fn ablations(args: &[String]) -> ExitCode {
             "  {:<12} normal {:.2}% / full MOAS {:.2}% (suppressed ads {:.0})",
             p.routing, p.normal_adoption_pct, p.moas_adoption_pct, p.mean_suppressed
         );
+    }
+
+    println!("\nunresolved verification (no MOASRR record published):");
+    for (policy, adoption) in unresolved_policy_ablation(graph, 10, 0xAB4, exec.jobs) {
+        println!("  {policy:<24} adoption {adoption:.2}%");
     }
     // The snapshot covers the community-policy and forgery studies (the two
     // driven through the standard trial runner).

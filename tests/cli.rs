@@ -97,6 +97,65 @@ fn measure_short_period_reports_medians() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("daily MOAS count"));
     assert!(text.contains("MOAS cases"));
+    // Figure 4's windows clamp to the period; the later ones are empty.
+    assert!(text.contains("1997-11..1998-11"));
+    assert!(!text.contains("1998-11..1999-11"));
+    assert!(!text.contains("day 1245"));
+}
+
+#[test]
+fn measure_full_period_prints_figures_4_and_5() {
+    let out = moas_lab(&["measure"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    for window in [
+        "1997-11..1998-11",
+        "1998-11..1999-11",
+        "1999-11..2000-11",
+        "2000-11..2001-07",
+    ] {
+        assert!(text.contains(window), "missing Figure 4 window {window}");
+    }
+    assert!(text.contains("day 150 (1998-04-07"));
+    assert!(text.contains("day 1245 (2001-04-06"));
+    for bin in ["1 - 3 ", "64 - 255 ", "1024 - 1279 "] {
+        assert!(text.contains(bin), "missing Figure 5 bin {bin}");
+    }
+    assert!(text.contains("one-day cases:"));
+    // Both summaries attribute the one-day cases to the 1998 fault.
+    assert_eq!(text.matches("on the day-150 spike").count(), 2, "{text}");
+}
+
+#[test]
+fn ablations_report_unresolved_verification() {
+    let out = moas_lab(&["ablations", "--jobs", "2"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("valley-free policy routing"));
+    let (_, block) = text
+        .split_once("unresolved verification")
+        .expect("unresolved-verification block");
+    assert!(block.contains("accept-on-unresolved"));
+    assert!(block.contains("reject-on-unresolved"));
+}
+
+#[test]
+fn unknown_flags_are_errors_not_ignored() {
+    for args in [
+        &["figures", "--quik"][..],
+        &["measure", "--days", "60", "--bogus"][..],
+        &["topology", "46", "--qiuck"][..],
+    ] {
+        let out = moas_lab(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.last().expect("non-empty argument list");
+        assert!(
+            err.contains(&format!("unknown flag \"{flag}\"")),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //! §3.1 statistics the paper reports (within tolerance bands).
 
 use moas::measurement::{
-    daily_moas_counts, duration_histogram, generate_timeline, median, FaultEvent,
-    MeasurementSummary, TimelineConfig,
+    daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
+    TimelineConfig,
 };
-use moas::types::Asn;
 
 fn full_timeline() -> &'static moas::measurement::GeneratedTimeline {
     static CACHE: std::sync::OnceLock<moas::measurement::GeneratedTimeline> =
@@ -13,20 +12,11 @@ fn full_timeline() -> &'static moas::measurement::GeneratedTimeline {
     CACHE.get_or_init(|| generate_timeline(&TimelineConfig::paper()))
 }
 
-/// The duration-statistics period (Figure 5): the 1998 fault only; see the
-/// fig5 bench and DESIGN.md for why the two-day 2001 event is excluded from
-/// the one-day calibration.
+/// The duration-statistics period (Figure 5): the 1998 fault only.
 fn duration_timeline() -> &'static moas::measurement::GeneratedTimeline {
     static CACHE: std::sync::OnceLock<moas::measurement::GeneratedTimeline> =
         std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        generate_timeline(&TimelineConfig::paper().with_events(vec![FaultEvent {
-            day: 150,
-            faulty_as: Asn(8584),
-            prefix_count: 1135,
-            duration_days: 1,
-        }]))
-    })
+    CACHE.get_or_init(|| generate_timeline(&TimelineConfig::duration_study()))
 }
 
 #[test]
@@ -97,6 +87,20 @@ fn fig5_one_day_statistics_match_paper() {
         "spike share {spike_share:.3} (paper: 0.827)"
     );
     assert_eq!(summary.peak_day, 150);
+    assert_eq!(summary.spike_day, 150);
+}
+
+#[test]
+fn full_period_attributes_one_day_cases_to_the_1998_fault() {
+    // The 2001 event is the full period's peak but lasts two days, so the
+    // one-day share still belongs to 1998-04-07.
+    let summary = MeasurementSummary::compute(&full_timeline().dumps);
+    assert_eq!(summary.spike_day, 150);
+    let spike_share = summary.one_day_spike_fraction();
+    assert!(
+        (0.70..0.92).contains(&spike_share),
+        "spike share {spike_share:.3} (paper: 0.827)"
+    );
 }
 
 #[test]
