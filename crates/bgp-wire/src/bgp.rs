@@ -1,13 +1,14 @@
 //! RFC 4271 BGP UPDATE messages, with RFC 1997 communities.
 //!
-//! The encoder and decoder cover exactly the attributes the MOAS study
-//! needs: `ORIGIN`, `AS_PATH` (2- and 4-octet), `NEXT_HOP`, `LOCAL_PREF`,
-//! and `COMMUNITIES` — the attribute that carries the paper's MOAS list
-//! (one `asn:0x4d4c` community per list member, see
+//! The owned types cover exactly the attributes the MOAS study needs:
+//! `ORIGIN`, `AS_PATH` (2- and 4-octet), `NEXT_HOP`, `LOCAL_PREF`, and
+//! `COMMUNITIES` — the attribute that carries the paper's MOAS list (one
+//! `asn:0x4d4c` community per list member, see
 //! [`bgp_types::Community::moas_member`]).
 //!
-//! Decoding is panic-free on arbitrary bytes: every length field is
-//! bounds-checked and failures come back as [`WireError`] with the byte
+//! This module encodes. Decoding is [`UpdateView`]'s job — the crate's one
+//! parser — and [`UpdateMessage::decode`] is its owned rebuild: panic-free
+//! on arbitrary bytes, with failures reported as [`WireError`] at the byte
 //! offset of the problem.
 
 use bgp_types::{
@@ -15,6 +16,7 @@ use bgp_types::{
 };
 
 use crate::error::{WireError, WireErrorKind};
+use crate::view::UpdateView;
 
 /// BGP message type code for UPDATE.
 pub const MESSAGE_TYPE_UPDATE: u8 = 2;
@@ -293,26 +295,19 @@ impl UpdateMessage {
     }
 
     /// Decodes one full message (marker and header included) from the start
-    /// of `bytes`, requiring that nothing follows it.
+    /// of `bytes`, requiring that nothing follows it: the owned rebuild of
+    /// [`UpdateView::parse_exact`].
     ///
     /// # Errors
     ///
     /// Never panics; returns a [`WireError`] locating the first problem.
     pub fn decode(bytes: &[u8], encoding: AsnEncoding) -> Result<UpdateMessage, WireError> {
-        let (message, used) = Self::decode_prefix_of(bytes, encoding)?;
-        if used != bytes.len() {
-            return Err(WireError::new(
-                WireErrorKind::TrailingBytes {
-                    remaining: bytes.len() - used,
-                },
-                used as u64,
-            ));
-        }
-        Ok(message)
+        UpdateView::parse_exact(bytes, encoding).map(|view| view.to_message())
     }
 
     /// Decodes one message from the start of `bytes`, returning it and the
-    /// number of bytes it occupied (for reading back-to-back messages).
+    /// number of bytes it occupied (for reading back-to-back messages): the
+    /// owned rebuild of [`UpdateView::parse`].
     ///
     /// # Errors
     ///
@@ -321,132 +316,8 @@ impl UpdateMessage {
         bytes: &[u8],
         encoding: AsnEncoding,
     ) -> Result<(UpdateMessage, usize), WireError> {
-        let mut cur = Cursor::new(bytes);
-        let marker = cur.take(16)?;
-        if marker.iter().any(|&b| b != 0xFF) {
-            return Err(cur.error_at(0, WireErrorKind::BadMarker));
-        }
-        let total = usize::from(cur.u16()?);
-        let msg_type = cur.u8()?;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-            return Err(cur.error_at(16, WireErrorKind::BadMessageLength(total as u16)));
-        }
-        if msg_type != MESSAGE_TYPE_UPDATE {
-            return Err(cur.error_at(18, WireErrorKind::UnsupportedMessageType(msg_type)));
-        }
-        let body = cur.take(total - HEADER_LEN)?;
-        let message = decode_update_body(body, HEADER_LEN as u64, encoding)?;
-        Ok((message, total))
-    }
-}
-
-/// Decodes an UPDATE body (everything after the 19-byte header), reporting
-/// errors at `base` + local offset. Shared by [`UpdateMessage`] and the
-/// session-message dispatcher in [`crate::msg`].
-pub(crate) fn decode_update_body(
-    body: &[u8],
-    base: u64,
-    encoding: AsnEncoding,
-) -> Result<UpdateMessage, WireError> {
-    let mut body_cur = Cursor::with_base(body, base);
-    let withdrawn_len = usize::from(body_cur.u16()?);
-    let withdrawn_bytes = body_cur.take(withdrawn_len)?;
-    let withdrawn = decode_prefix_run(withdrawn_bytes, body_cur.base + 2)?;
-
-    let attrs_len = usize::from(body_cur.u16()?);
-    let attrs_base = body_cur.position();
-    let attr_bytes = body_cur.take(attrs_len)?;
-    let nlri_base = body_cur.position();
-    let nlri = decode_prefix_run(body_cur.rest(), nlri_base)?;
-
-    let attrs = decode_attributes(attr_bytes, attrs_base, encoding)?;
-    if attrs.is_none() && !nlri.is_empty() {
-        return Err(WireError::new(
-            WireErrorKind::MissingAttribute("AS_PATH"),
-            nlri_base,
-        ));
-    }
-
-    Ok(UpdateMessage {
-        withdrawn,
-        attrs,
-        nlri,
-    })
-}
-
-/// A bounds-checked reader over a byte slice, tracking the absolute offset
-/// (`base` + local position) for error reporting.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor {
-            bytes,
-            pos: 0,
-            base: 0,
-        }
-    }
-
-    pub(crate) fn with_base(bytes: &'a [u8], base: u64) -> Self {
-        Cursor {
-            bytes,
-            pos: 0,
-            base,
-        }
-    }
-
-    pub(crate) fn position(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        rest
-    }
-
-    fn error_at(&self, local: u64, kind: WireErrorKind) -> WireError {
-        WireError::new(kind, self.base + local)
-    }
-
-    pub(crate) fn truncated(&self, needed: usize) -> WireError {
-        WireError::new(
-            WireErrorKind::Truncated {
-                needed: needed - self.remaining(),
-            },
-            self.position(),
-        )
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(self.truncated(n));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        let (view, used) = UpdateView::parse(bytes, encoding)?;
+        Ok((view.to_message(), used))
     }
 }
 
@@ -461,61 +332,11 @@ pub(crate) fn prefix_octets(bits: u8) -> usize {
     usize::from(bits).div_ceil(8)
 }
 
-/// Reads one `<length, prefix>` tuple from a cursor.
-pub(crate) fn decode_one_prefix(cur: &mut Cursor<'_>) -> Result<Ipv4Prefix, WireError> {
-    let at = cur.position();
-    let bits = cur.u8()?;
-    if bits > 32 {
-        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
-    }
-    let body = cur.take(prefix_octets(bits))?;
-    let mut octets = [0u8; 4];
-    octets[..body.len()].copy_from_slice(body);
-    // try_new cannot fail (bits <= 32 was checked), but stay panic-free.
-    Ipv4Prefix::try_new(u32::from_be_bytes(octets), bits)
-        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
-}
-
-/// Decodes a back-to-back run of `<length, prefix>` tuples filling `bytes`.
-fn decode_prefix_run(bytes: &[u8], base: u64) -> Result<Vec<Ipv4Prefix>, WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    let mut out = Vec::new();
-    while cur.remaining() > 0 {
-        out.push(decode_one_prefix(&mut cur)?);
-    }
-    Ok(out)
-}
-
 /// Writes one IPv6 `<length, prefix>` tuple.
 pub(crate) fn encode_prefix6(out: &mut Vec<u8>, prefix: Ipv6Prefix) {
     out.push(prefix.len());
     let octets = prefix.network().to_be_bytes();
     out.extend_from_slice(&octets[..prefix_octets(prefix.len())]);
-}
-
-/// Reads one IPv6 `<length, prefix>` tuple from a cursor.
-pub(crate) fn decode_one_prefix6(cur: &mut Cursor<'_>) -> Result<Ipv6Prefix, WireError> {
-    let at = cur.position();
-    let bits = cur.u8()?;
-    if bits > 128 {
-        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
-    }
-    let body = cur.take(prefix_octets(bits))?;
-    let mut octets = [0u8; 16];
-    octets[..body.len()].copy_from_slice(body);
-    // try_new cannot fail (bits <= 128 was checked), but stay panic-free.
-    Ipv6Prefix::try_new(u128::from_be_bytes(octets), bits)
-        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
-}
-
-/// Decodes a back-to-back run of IPv6 `<length, prefix>` tuples.
-fn decode_prefix6_run(bytes: &[u8], base: u64) -> Result<Vec<Ipv6Prefix>, WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    let mut out = Vec::new();
-    while cur.remaining() > 0 {
-        out.push(decode_one_prefix6(&mut cur)?);
-    }
-    Ok(out)
 }
 
 /// Reserves a 2-byte length field in `out`, returning its offset for
@@ -623,7 +444,7 @@ fn encode_attributes_form(
         };
         // RFC 4271 caps a segment at 255 ASNs; split longer ones into
         // multiple segments of the same type (re-joined on decode, see
-        // `decode_as_path`). `chunks` yields at most 255 elements per
+        // `AttrsView::to_as_path`). `chunks` yields at most 255 elements per
         // chunk, so the count byte below cannot truncate.
         for chunk in asns.chunks(MAX_SEGMENT_ASNS) {
             path.push(seg_type);
@@ -702,236 +523,6 @@ fn encode_attributes_form(
         push_attr(out, FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, &body)?;
     }
     Ok(())
-}
-
-/// Decodes an attribute block. Returns `None` when the block is empty (a
-/// pure withdrawal). Multiprotocol attributes are expected in the full
-/// RFC 4760 form; see [`decode_attributes_rib`] for MRT RIB entries.
-pub(crate) fn decode_attributes(
-    bytes: &[u8],
-    base: u64,
-    encoding: AsnEncoding,
-) -> Result<Option<PathAttributes>, WireError> {
-    decode_attributes_form(bytes, base, encoding, false)
-}
-
-/// [`decode_attributes`] for `TABLE_DUMP_V2` RIB entries, where
-/// `MP_REACH_NLRI` is abbreviated to `<next-hop length, next hop>`
-/// (RFC 6396 §4.3.4).
-pub(crate) fn decode_attributes_rib(
-    bytes: &[u8],
-    base: u64,
-    encoding: AsnEncoding,
-) -> Result<Option<PathAttributes>, WireError> {
-    decode_attributes_form(bytes, base, encoding, true)
-}
-
-fn decode_attributes_form(
-    bytes: &[u8],
-    base: u64,
-    encoding: AsnEncoding,
-    rib_form: bool,
-) -> Result<Option<PathAttributes>, WireError> {
-    if bytes.is_empty() {
-        return Ok(None);
-    }
-    let mut cur = Cursor::with_base(bytes, base);
-    let mut origin = None;
-    let mut as_path = None;
-    let mut next_hop = None;
-    let mut local_pref = None;
-    let mut communities = Vec::new();
-    let mut mp_reach = None;
-    let mut mp_unreach = None;
-
-    while cur.remaining() > 0 {
-        let flags = cur.u8()?;
-        let type_code = cur.u8()?;
-        let len = if flags & FLAG_EXTENDED_LENGTH != 0 {
-            usize::from(cur.u16()?)
-        } else {
-            usize::from(cur.u8()?)
-        };
-        let at = cur.position();
-        let body = cur.take(len)?;
-        let bad_len = || {
-            WireError::new(
-                WireErrorKind::BadAttributeLength {
-                    type_code,
-                    length: len,
-                },
-                at,
-            )
-        };
-        match type_code {
-            ATTR_ORIGIN => {
-                let &[code] = body else { return Err(bad_len()) };
-                origin = Some(match code {
-                    0 => RouteOrigin::Igp,
-                    1 => RouteOrigin::Egp,
-                    2 => RouteOrigin::Incomplete,
-                    other => {
-                        return Err(WireError::new(WireErrorKind::BadOrigin(other), at));
-                    }
-                });
-            }
-            ATTR_AS_PATH => as_path = Some(decode_as_path(body, at, encoding)?),
-            ATTR_NEXT_HOP => {
-                let Ok(octets) = <[u8; 4]>::try_from(body) else {
-                    return Err(bad_len());
-                };
-                next_hop = Some(u32::from_be_bytes(octets));
-            }
-            ATTR_LOCAL_PREF => {
-                let Ok(octets) = <[u8; 4]>::try_from(body) else {
-                    return Err(bad_len());
-                };
-                local_pref = Some(u32::from_be_bytes(octets));
-            }
-            ATTR_COMMUNITIES => {
-                if body.len() % 4 != 0 {
-                    return Err(bad_len());
-                }
-                for chunk in body.chunks_exact(4) {
-                    communities.push(Community(u32::from_be_bytes([
-                        chunk[0], chunk[1], chunk[2], chunk[3],
-                    ])));
-                }
-            }
-            ATTR_MP_REACH_NLRI => {
-                mp_reach = decode_mp_reach(body, at, rib_form)?.or(mp_reach);
-            }
-            ATTR_MP_UNREACH_NLRI => {
-                mp_unreach = decode_mp_unreach(body, at)?.or(mp_unreach);
-            }
-            // Unrecognized attributes are skipped, as BGP speakers do with
-            // optional attributes they do not implement.
-            _ => {}
-        }
-    }
-
-    let end = cur.position();
-    let missing = |name| WireError::new(WireErrorKind::MissingAttribute(name), end);
-    let origin = origin.ok_or_else(|| missing("ORIGIN"))?;
-    let as_path = as_path.ok_or_else(|| missing("AS_PATH"))?;
-    // An IPv6-only update carries its next hop inside MP_REACH_NLRI and has
-    // no NEXT_HOP attribute at all (RFC 4760 §7); zero stands in for it.
-    let next_hop = match (next_hop, &mp_reach) {
-        (Some(nh), _) => nh,
-        (None, Some(_)) => 0,
-        (None, None) => return Err(missing("NEXT_HOP")),
-    };
-    Ok(Some(PathAttributes {
-        origin,
-        as_path,
-        next_hop,
-        local_pref,
-        communities,
-        mp_reach,
-        mp_unreach,
-    }))
-}
-
-/// Decodes an `MP_REACH_NLRI` body at absolute offset `base`. Returns
-/// `None` (skip, like any unimplemented optional attribute) for AFI/SAFI
-/// pairs other than IPv6 unicast; the abbreviated `rib_form` carries no
-/// AFI/SAFI and always decodes.
-fn decode_mp_reach(body: &[u8], base: u64, rib_form: bool) -> Result<Option<MpReach>, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    if rib_form {
-        let nh_at = cur.position();
-        let nh_len = usize::from(cur.u8()?);
-        let next_hop = cur.take(nh_len)?.to_vec();
-        if cur.remaining() > 0 {
-            return Err(WireError::new(
-                WireErrorKind::BadAttributeLength {
-                    type_code: ATTR_MP_REACH_NLRI,
-                    length: body.len(),
-                },
-                nh_at,
-            ));
-        }
-        return Ok(Some(MpReach {
-            next_hop,
-            nlri: Vec::new(),
-        }));
-    }
-    let afi = cur.u16()?;
-    let safi = cur.u8()?;
-    let nh_at = cur.position();
-    let nh_len = usize::from(cur.u8()?);
-    let next_hop = cur.take(nh_len)?.to_vec();
-    cur.u8()?; // reserved (SNPA count)
-    if afi != AFI_IPV6 || safi != SAFI_UNICAST {
-        return Ok(None);
-    }
-    if nh_len != 16 && nh_len != 32 {
-        return Err(WireError::new(
-            WireErrorKind::BadAttributeLength {
-                type_code: ATTR_MP_REACH_NLRI,
-                length: nh_len,
-            },
-            nh_at,
-        ));
-    }
-    let nlri_base = cur.position();
-    let nlri = decode_prefix6_run(cur.rest(), nlri_base)?;
-    Ok(Some(MpReach { next_hop, nlri }))
-}
-
-/// Decodes an `MP_UNREACH_NLRI` body at absolute offset `base`. Returns
-/// `None` for AFI/SAFI pairs other than IPv6 unicast.
-fn decode_mp_unreach(body: &[u8], base: u64) -> Result<Option<MpUnreach>, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let afi = cur.u16()?;
-    let safi = cur.u8()?;
-    if afi != AFI_IPV6 || safi != SAFI_UNICAST {
-        return Ok(None);
-    }
-    let run_base = cur.position();
-    let withdrawn = decode_prefix6_run(cur.rest(), run_base)?;
-    Ok(Some(MpUnreach { withdrawn }))
-}
-
-fn decode_as_path(bytes: &[u8], base: u64, encoding: AsnEncoding) -> Result<AsPath, WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    let mut segments: Vec<AsPathSegment> = Vec::new();
-    // Tracks whether the previous wire segment was full (exactly 255 ASNs):
-    // the encoder splits oversized logical segments into full chunks, so a
-    // full segment followed by one of the same type is re-joined here. A
-    // non-full predecessor is left alone — adjacent same-type segments can
-    // also appear legitimately (aggregated AS_SETs), and merging those
-    // would change path semantics.
-    let mut prev_full = false;
-    while cur.remaining() > 0 {
-        let at = cur.position();
-        let seg_type = cur.u8()?;
-        let count = usize::from(cur.u8()?);
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            let asn = match encoding {
-                AsnEncoding::TwoOctet => u32::from(cur.u16()?),
-                AsnEncoding::FourOctet => cur.u32()?,
-            };
-            asns.push(Asn(asn));
-        }
-        let segment = match seg_type {
-            SEGMENT_AS_SEQUENCE => AsPathSegment::Sequence(asns),
-            SEGMENT_AS_SET => AsPathSegment::Set(asns),
-            other => return Err(WireError::new(WireErrorKind::BadSegmentType(other), at)),
-        };
-        match (segments.last_mut(), prev_full, segment) {
-            (Some(AsPathSegment::Sequence(tail)), true, AsPathSegment::Sequence(next))
-            | (Some(AsPathSegment::Set(tail)), true, AsPathSegment::Set(next)) => {
-                tail.extend(next);
-            }
-            (_, _, segment) => segments.push(segment),
-        }
-        prev_full = count == MAX_SEGMENT_ASNS;
-    }
-    // from_segments canonicalizes (drops empties, merges adjacent
-    // sequences), matching what the simulator-side constructors produce.
-    Ok(AsPath::from_segments(segments))
 }
 
 #[cfg(test)]

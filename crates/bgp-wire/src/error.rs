@@ -74,6 +74,8 @@ pub enum WireErrorKind {
     },
     /// An MRT peer entry used an address family other than IPv4.
     UnsupportedPeerType(u8),
+    /// A `BGP4MP` record named an address family (AFI) other than IPv4.
+    UnsupportedAfi(u16),
     /// A RIB entry named a peer index absent from the peer index table.
     BadPeerIndex(u16),
     /// A RIB record arrived before any `PEER_INDEX_TABLE`.
@@ -169,6 +171,9 @@ impl fmt::Display for WireError {
             }
             WireErrorKind::UnsupportedPeerType(t) => {
                 write!(f, "unsupported MRT peer type 0x{t:02x} (IPv4 only)")
+            }
+            WireErrorKind::UnsupportedAfi(afi) => {
+                write!(f, "unsupported BGP4MP address family {afi} (IPv4 only)")
             }
             WireErrorKind::BadPeerIndex(i) => write!(f, "RIB entry names unknown peer index {i}"),
             WireErrorKind::MissingPeerIndexTable => {

@@ -153,7 +153,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mrt::MrtReader;
+    use crate::view::MrtViewReader;
     use bgp_types::Route;
 
     // as-topology is not a bgp-wire dependency, so building a real Network
@@ -173,10 +173,10 @@ mod tests {
         let n = export_update_stream(&mut writer, 3, updates.iter().map(|(a, u)| (*a, u))).unwrap();
         assert_eq!(n, 2);
         let bytes = writer.finish().unwrap();
-        let records: Vec<_> = MrtReader::new(&bytes[..])
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].timestamp, day_to_timestamp(3));
+        let mut reader = MrtViewReader::new(&bytes[..]);
+        let first = reader.next_record().unwrap().expect("two records");
+        assert!(reader.next_record().unwrap().is_some());
+        assert_eq!(reader.next_record().unwrap(), None);
+        assert_eq!(first.timestamp, day_to_timestamp(3));
     }
 }

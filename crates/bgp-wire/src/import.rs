@@ -24,7 +24,7 @@ use bgp_types::{Asn, Route, Update};
 use route_measurement::DailyDump;
 
 use crate::error::{WireError, WireErrorKind};
-use crate::mrt::{MrtBody, MrtReader, PeerIndexTable};
+use crate::mrt::{MrtBody, PeerIndexTable};
 use crate::timestamp_to_day;
 use crate::view::{AttrInterner, MrtBodyView, MrtViewReader};
 
@@ -292,7 +292,7 @@ pub fn import_table_dumps<R: io::Read>(reader: R) -> Result<ImportedTables, Wire
 /// Returns a [`WireError`] with stream offset on the first malformed
 /// record.
 pub fn import_update_stream<R: io::Read>(reader: R) -> Result<Vec<(u32, Asn, Update)>, WireError> {
-    let mut mrt = MrtReader::new(reader);
+    let mut mrt = MrtViewReader::new(reader);
     let mut out = Vec::new();
     while let Some(record) = mrt.next_record()? {
         if let MrtBody::Bgp4mpMessage(msg) = record.body {

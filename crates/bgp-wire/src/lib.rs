@@ -8,17 +8,23 @@
 //! bytes (ours or anyone's IPv4 table dumps) back into its native
 //! structures.
 //!
-//! Three layers:
+//! The layers:
 //!
-//! * [`bgp`] — RFC 4271 UPDATE messages with the RFC 1997 `COMMUNITIES`
-//!   attribute. The paper's MOAS list rides in communities (one
-//!   `asn:0x4d4c` value per list member), so a list attached by
-//!   `bgp_types::Route::with_moas_list` survives a trip through real BGP
-//!   bytes and back.
-//! * [`mrt`] — RFC 6396 record framing: `TABLE_DUMP_V2`
-//!   (`PEER_INDEX_TABLE`, `RIB_IPV4_UNICAST`) for table snapshots and
-//!   `BGP4MP` (`MESSAGE`, `MESSAGE_AS4`) for update streams, over any
-//!   `io::Read`/`io::Write`.
+//! * [`bgp`] / [`msg`] — RFC 4271 messages (UPDATE with the RFC 1997
+//!   `COMMUNITIES` attribute; OPEN, KEEPALIVE, NOTIFICATION) as owned
+//!   types, and their encoders. The paper's MOAS list rides in
+//!   communities (one `asn:0x4d4c` value per list member), so a list
+//!   attached by `bgp_types::Route::with_moas_list` survives a trip through
+//!   real BGP bytes and back.
+//! * [`mrt`] — RFC 6396 records, `TABLE_DUMP_V2` (`PEER_INDEX_TABLE`,
+//!   `RIB_IPV4_UNICAST`) for table snapshots and `BGP4MP` (`MESSAGE`,
+//!   `MESSAGE_AS4`) for update streams, written to any `io::Write` by
+//!   [`mrt::MrtWriter`].
+//! * [`view`] — the one decoder. Validated, borrowed views of messages and
+//!   records; [`MrtViewReader`] reads any `io::Read`. Each owned type is
+//!   its view's `to_*` rebuild: [`bgp::UpdateMessage::decode`],
+//!   [`msg::Message::decode`] and [`MrtViewReader::next_record`] are
+//!   exactly that.
 //! * [`export`] / [`import`] — the bridges: `bgp-engine` Loc-RIBs out to
 //!   MRT (batched through [`mrt::MrtWriter`]'s reusable buffer), MRT back
 //!   in to `route_measurement::DailyDump` streams and routes for the

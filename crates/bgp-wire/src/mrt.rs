@@ -9,16 +9,18 @@
 //! * `BGP4MP` / `MESSAGE` and `MESSAGE_AS4` — individual BGP UPDATEs in
 //!   flight, wrapping the [`crate::bgp`] codec.
 //!
-//! [`MrtReader`] and [`MrtWriter`] work over any [`io::Read`] /
-//! [`io::Write`]. Reading arbitrary bytes never panics; errors carry the
-//! absolute byte offset within the stream.
+//! [`MrtWriter`] writes records to any [`io::Write`]; reading is
+//! [`crate::view::MrtViewReader`]'s job, over any [`io::Read`], with
+//! [`MrtViewReader::next_record`](crate::view::MrtViewReader::next_record)
+//! rebuilding the owned [`MrtRecord`]. Reading arbitrary bytes never
+//! panics; errors carry the absolute byte offset within the stream.
 
 use std::io;
 
 use bgp_types::Asn;
 use bgp_types::{Ipv4Prefix, Ipv6Prefix};
 
-use crate::bgp::{self, AsnEncoding, Cursor, PathAttributes, UpdateMessage};
+use crate::bgp::{self, AsnEncoding, PathAttributes, UpdateMessage};
 use crate::error::{WireError, WireErrorKind};
 
 /// MRT type `TABLE_DUMP_V2`.
@@ -299,294 +301,6 @@ fn encode_bgp4mp(out: &mut Vec<u8>, msg: &Bgp4mpMessage, as4: bool) -> Result<()
     msg.message.encode_into(out, encoding)
 }
 
-fn decode_peer_index_table(body: &[u8], base: u64) -> Result<PeerIndexTable, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let collector_id = cur.u32()?;
-    let name_len = usize::from(cur.u16()?);
-    let name_bytes = cur.take(name_len)?;
-    let view_name = String::from_utf8_lossy(name_bytes).into_owned();
-    let peer_count = usize::from(cur.u16()?);
-    let mut peers = Vec::with_capacity(peer_count.min(1024));
-    for _ in 0..peer_count {
-        let at = cur.position();
-        let peer_type = cur.u8()?;
-        // Bit 0: IPv6 address; bit 1: 4-octet ASN. Only IPv4 is supported.
-        if peer_type & 0x01 != 0 {
-            return Err(WireError::new(
-                WireErrorKind::UnsupportedPeerType(peer_type),
-                at,
-            ));
-        }
-        let bgp_id = cur.u32()?;
-        let addr = cur.u32()?;
-        let asn = if peer_type & 0x02 != 0 {
-            cur.u32()?
-        } else {
-            u32::from(cur.u16()?)
-        };
-        peers.push(PeerEntry {
-            bgp_id,
-            addr,
-            asn: Asn(asn),
-        });
-    }
-    expect_consumed(&cur)?;
-    Ok(PeerIndexTable {
-        collector_id,
-        view_name,
-        peers,
-    })
-}
-
-fn decode_rib_entries(cur: &mut Cursor<'_>) -> Result<Vec<RibEntry>, WireError> {
-    let entry_count = usize::from(cur.u16()?);
-    let mut entries = Vec::with_capacity(entry_count.min(1024));
-    for _ in 0..entry_count {
-        let peer_index = cur.u16()?;
-        let originated_time = cur.u32()?;
-        let attr_len = usize::from(cur.u16()?);
-        let attrs_base = cur.position();
-        let attr_bytes = cur.take(attr_len)?;
-        let attrs = bgp::decode_attributes_rib(attr_bytes, attrs_base, AsnEncoding::FourOctet)?
-            .ok_or_else(|| {
-                WireError::new(WireErrorKind::MissingAttribute("AS_PATH"), attrs_base)
-            })?;
-        entries.push(RibEntry {
-            peer_index,
-            originated_time,
-            attrs,
-        });
-    }
-    Ok(entries)
-}
-
-fn decode_rib(body: &[u8], base: u64) -> Result<RibIpv4Unicast, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let sequence = cur.u32()?;
-    let prefix = bgp::decode_one_prefix(&mut cur)?;
-    let entries = decode_rib_entries(&mut cur)?;
-    expect_consumed(&cur)?;
-    Ok(RibIpv4Unicast {
-        sequence,
-        prefix,
-        entries,
-    })
-}
-
-fn decode_rib6(body: &[u8], base: u64) -> Result<RibIpv6Unicast, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let sequence = cur.u32()?;
-    let prefix = bgp::decode_one_prefix6(&mut cur)?;
-    let entries = decode_rib_entries(&mut cur)?;
-    expect_consumed(&cur)?;
-    Ok(RibIpv6Unicast {
-        sequence,
-        prefix,
-        entries,
-    })
-}
-
-fn decode_bgp4mp(body: &[u8], base: u64, as4: bool) -> Result<Bgp4mpMessage, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let (peer_asn, local_asn) = if as4 {
-        (cur.u32()?, cur.u32()?)
-    } else {
-        (u32::from(cur.u16()?), u32::from(cur.u16()?))
-    };
-    let _interface = cur.u16()?;
-    let afi_at = cur.position();
-    let afi = cur.u16()?;
-    if afi != 1 {
-        return Err(WireError::new(
-            WireErrorKind::UnsupportedPeerType(afi as u8),
-            afi_at,
-        ));
-    }
-    let peer_addr = cur.u32()?;
-    let local_addr = cur.u32()?;
-    let msg_base = cur.position();
-    let encoding = if as4 {
-        AsnEncoding::FourOctet
-    } else {
-        AsnEncoding::TwoOctet
-    };
-    let message = UpdateMessage::decode(cur.rest(), encoding).map_err(|e| e.at_base(msg_base))?;
-    Ok(Bgp4mpMessage {
-        peer_asn: Asn(peer_asn),
-        local_asn: Asn(local_asn),
-        peer_addr,
-        local_addr,
-        message,
-    })
-}
-
-fn expect_consumed(cur: &Cursor<'_>) -> Result<(), WireError> {
-    if cur.remaining() > 0 {
-        return Err(WireError::new(
-            WireErrorKind::TrailingBytes {
-                remaining: cur.remaining(),
-            },
-            cur.position(),
-        ));
-    }
-    Ok(())
-}
-
-/// Decodes one record from a complete in-memory body.
-///
-/// `base` is the absolute offset of the record header in the stream, used
-/// for error reporting.
-fn decode_record(
-    timestamp: u32,
-    mrt_type: u16,
-    subtype: u16,
-    body: &[u8],
-    base: u64,
-) -> Result<MrtRecord, WireError> {
-    let body_base = base + 12;
-    let body = match (mrt_type, subtype) {
-        (TYPE_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE) => {
-            MrtBody::PeerIndexTable(decode_peer_index_table(body, body_base)?)
-        }
-        (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) => {
-            MrtBody::RibIpv4Unicast(decode_rib(body, body_base)?)
-        }
-        (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV6_UNICAST) => {
-            MrtBody::RibIpv6Unicast(decode_rib6(body, body_base)?)
-        }
-        (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE) => {
-            MrtBody::Bgp4mpMessage(decode_bgp4mp(body, body_base, false)?)
-        }
-        (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => {
-            MrtBody::Bgp4mpMessage(decode_bgp4mp(body, body_base, true)?)
-        }
-        _ => {
-            return Err(WireError::new(
-                WireErrorKind::UnsupportedMrtType { mrt_type, subtype },
-                base + 4,
-            ));
-        }
-    };
-    Ok(MrtRecord { timestamp, body })
-}
-
-/// Streams MRT records out of any reader.
-///
-/// Iterate it directly; iteration ends at clean end-of-file and yields an
-/// `Err` (then stops) on the first malformed record.
-#[derive(Debug)]
-pub struct MrtReader<R> {
-    inner: R,
-    offset: u64,
-    failed: bool,
-}
-
-impl<R: io::Read> MrtReader<R> {
-    /// Wraps a reader positioned at the start of an MRT stream.
-    pub fn new(inner: R) -> Self {
-        MrtReader {
-            inner,
-            offset: 0,
-            failed: false,
-        }
-    }
-
-    /// Reads the next record; `Ok(None)` at clean end-of-file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] (with stream offset) on I/O failure or a
-    /// malformed record. After an error the reader refuses further reads,
-    /// since record boundaries are lost.
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, WireError> {
-        if self.failed {
-            return Ok(None);
-        }
-        match self.try_next() {
-            Ok(record) => Ok(record),
-            Err(e) => {
-                self.failed = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn try_next(&mut self) -> Result<Option<MrtRecord>, WireError> {
-        let mut header = [0u8; 12];
-        match read_exact_or_eof(&mut self.inner, &mut header) {
-            Ok(0) => return Ok(None),
-            Ok(n) if n < header.len() => {
-                return Err(WireError::new(
-                    WireErrorKind::Truncated {
-                        needed: header.len() - n,
-                    },
-                    self.offset + n as u64,
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                return Err(WireError::new(WireErrorKind::Io(e.kind()), self.offset));
-            }
-        }
-        let timestamp = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-        let mrt_type = u16::from_be_bytes([header[4], header[5]]);
-        let subtype = u16::from_be_bytes([header[6], header[7]]);
-        let length = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
-        if length > MAX_RECORD_LEN {
-            return Err(WireError::new(
-                WireErrorKind::BadFieldLength {
-                    length: length as usize,
-                    available: MAX_RECORD_LEN as usize,
-                },
-                self.offset + 8,
-            ));
-        }
-        let mut body = vec![0u8; length as usize];
-        match read_exact_or_eof(&mut self.inner, &mut body) {
-            Ok(n) if n < body.len() => {
-                return Err(WireError::new(
-                    WireErrorKind::Truncated {
-                        needed: body.len() - n,
-                    },
-                    self.offset + 12 + n as u64,
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                return Err(WireError::new(
-                    WireErrorKind::Io(e.kind()),
-                    self.offset + 12,
-                ));
-            }
-        }
-        let record = decode_record(timestamp, mrt_type, subtype, &body, self.offset)?;
-        self.offset += 12 + u64::from(length);
-        Ok(Some(record))
-    }
-}
-
-impl<R: io::Read> Iterator for MrtReader<R> {
-    type Item = Result<MrtRecord, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-}
-
-/// Reads until `buf` is full or EOF; returns bytes read.
-pub(crate) fn read_exact_or_eof<R: io::Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
 /// Default size at which [`MrtWriter`]'s batch buffer is handed to the
 /// underlying writer. Large enough to amortize write syscalls over hundreds
 /// of records, small enough to keep the writer's footprint negligible.
@@ -685,6 +399,7 @@ impl<W: io::Write> MrtWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::MrtViewReader;
     use bgp_types::{AsPath, Route};
 
     fn sample_records() -> Vec<MrtRecord> {
@@ -749,13 +464,20 @@ mod tests {
         writer.finish().unwrap()
     }
 
+    fn read_all(bytes: &[u8]) -> Result<Vec<MrtRecord>, WireError> {
+        let mut reader = MrtViewReader::new(bytes);
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record()? {
+            records.push(record);
+        }
+        Ok(records)
+    }
+
     #[test]
     fn records_round_trip() {
         let records = sample_records();
         let bytes = write_all(&records);
-        let back: Vec<MrtRecord> = MrtReader::new(&bytes[..])
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let back = read_all(&bytes).unwrap();
         assert_eq!(back, records);
     }
 
@@ -793,7 +515,7 @@ mod tests {
     fn truncated_streams_error_with_offset() {
         let bytes = write_all(&sample_records());
         for cut in [1, 11, 13, bytes.len() - 1] {
-            let result: Result<Vec<MrtRecord>, WireError> = MrtReader::new(&bytes[..cut]).collect();
+            let result = read_all(&bytes[..cut]);
             let err = result.unwrap_err();
             assert!(
                 matches!(err.kind, WireErrorKind::Truncated { .. }),
@@ -806,7 +528,7 @@ mod tests {
     fn unknown_record_types_are_rejected_not_panicked() {
         let mut bytes = write_all(&sample_records()[..1]);
         bytes[5] = 99; // type
-        let result: Result<Vec<MrtRecord>, WireError> = MrtReader::new(&bytes[..]).collect();
+        let result = read_all(&bytes);
         let err = result.unwrap_err();
         assert!(matches!(err.kind, WireErrorKind::UnsupportedMrtType { .. }));
         assert_eq!(err.offset, 4);
@@ -816,7 +538,7 @@ mod tests {
     fn oversized_length_field_is_rejected_without_allocation() {
         let mut bytes = write_all(&sample_records()[..1]);
         bytes[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
-        let result: Result<Vec<MrtRecord>, WireError> = MrtReader::new(&bytes[..]).collect();
+        let result = read_all(&bytes);
         let err = result.unwrap_err();
         assert!(matches!(err.kind, WireErrorKind::BadFieldLength { .. }));
     }
@@ -826,7 +548,7 @@ mod tests {
         let good = write_all(&sample_records());
         let mut bytes = vec![0xAAu8; 7]; // garbage shorter than a header
         bytes.extend_from_slice(&good);
-        let mut reader = MrtReader::new(&bytes[..]);
+        let mut reader = MrtViewReader::new(&bytes[..]);
         assert!(reader.next_record().is_err());
         assert!(reader.next_record().unwrap().is_none());
     }

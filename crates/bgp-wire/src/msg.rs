@@ -7,18 +7,14 @@
 //! KEEPALIVE heartbeats, and typed NOTIFICATION errors. [`Message`] is the
 //! dispatcher a session feeds raw bytes into.
 //!
-//! Decoding is panic-free on arbitrary input, with the same error-parity
-//! discipline as the rest of the crate: the zero-copy views in
-//! [`crate::view`] accept and reject exactly the same bytes at the same
-//! offsets.
+//! Decoding is [`MessageView`]'s job; [`Message::decode`] is its owned
+//! rebuild, panic-free on arbitrary input.
 
 use bgp_types::Asn;
 
-use crate::bgp::{
-    decode_update_body, AsnEncoding, Cursor, UpdateMessage, HEADER_LEN, MAX_MESSAGE_LEN,
-    MESSAGE_TYPE_UPDATE,
-};
+use crate::bgp::{AsnEncoding, UpdateMessage, HEADER_LEN, MAX_MESSAGE_LEN, MESSAGE_TYPE_UPDATE};
 use crate::error::{WireError, WireErrorKind};
+use crate::view::MessageView;
 
 /// BGP message type code for OPEN.
 pub const MESSAGE_TYPE_OPEN: u8 = 1;
@@ -109,50 +105,6 @@ impl Capability {
             }
         }
     }
-}
-
-/// Decodes one capability from a cursor positioned at its code byte.
-/// Shared verbatim with the view validator for error parity.
-pub(crate) fn decode_one_capability(cur: &mut Cursor<'_>) -> Result<Capability, WireError> {
-    let code = cur.u8()?;
-    let len_at = cur.position();
-    let len = cur.u8()?;
-    let body = cur.take(usize::from(len))?;
-    Ok(match code {
-        CAP_MULTIPROTOCOL => {
-            if len != 4 {
-                return Err(WireError::new(
-                    WireErrorKind::BadCapabilityLength { code, length: len },
-                    len_at,
-                ));
-            }
-            let afi = u16::from_be_bytes([body[0], body[1]]);
-            let safi = body[3];
-            match (afi, safi) {
-                (1, 1) => Capability::MultiprotocolIpv4Unicast,
-                (2, 1) => Capability::MultiprotocolIpv6Unicast,
-                _ => Capability::Unknown {
-                    code,
-                    data: body.to_vec(),
-                },
-            }
-        }
-        CAP_FOUR_OCTET_AS => {
-            if len != 4 {
-                return Err(WireError::new(
-                    WireErrorKind::BadCapabilityLength { code, length: len },
-                    len_at,
-                ));
-            }
-            Capability::FourOctetAs(Asn(u32::from_be_bytes([
-                body[0], body[1], body[2], body[3],
-            ])))
-        }
-        _ => Capability::Unknown {
-            code,
-            data: body.to_vec(),
-        },
-    })
 }
 
 /// A BGP OPEN message: the session handshake's identity card.
@@ -290,65 +242,6 @@ impl OpenMessage {
     }
 }
 
-/// Decodes an OPEN body (after the 19-byte header), reporting errors at
-/// `base` + local offset.
-pub(crate) fn decode_open_body(body: &[u8], base: u64) -> Result<OpenMessage, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let version_at = cur.position();
-    let version = cur.u8()?;
-    if version != BGP_VERSION {
-        return Err(WireError::new(
-            WireErrorKind::BadVersion(version),
-            version_at,
-        ));
-    }
-    let my_as = cur.u16()?;
-    let hold_at = cur.position();
-    let hold_time = cur.u16()?;
-    if hold_time == 1 || hold_time == 2 {
-        return Err(WireError::new(
-            WireErrorKind::BadHoldTime(hold_time),
-            hold_at,
-        ));
-    }
-    let bgp_id = cur.u32()?;
-    let opt_len = usize::from(cur.u8()?);
-    let opt_base = cur.position();
-    let opt = cur.take(opt_len)?;
-    if cur.remaining() > 0 {
-        return Err(WireError::new(
-            WireErrorKind::TrailingBytes {
-                remaining: cur.remaining(),
-            },
-            cur.position(),
-        ));
-    }
-
-    let mut capabilities = Vec::new();
-    let mut params = Cursor::with_base(opt, opt_base);
-    while params.remaining() > 0 {
-        let ptype = params.u8()?;
-        let plen = usize::from(params.u8()?);
-        let pbase = params.position();
-        let pbody = params.take(plen)?;
-        if ptype == PARAM_CAPABILITIES {
-            let mut caps = Cursor::with_base(pbody, pbase);
-            while caps.remaining() > 0 {
-                capabilities.push(decode_one_capability(&mut caps)?);
-            }
-        }
-        // Other parameter types (deprecated authentication, &c.) are
-        // skipped, length-validated only.
-    }
-
-    Ok(OpenMessage {
-        asn: Asn(u32::from(my_as)),
-        hold_time,
-        bgp_id,
-        capabilities,
-    })
-}
-
 /// A BGP NOTIFICATION: the typed error that closes a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotificationMessage {
@@ -436,29 +329,6 @@ impl NotificationMessage {
     }
 }
 
-/// Decodes a NOTIFICATION body (after the 19-byte header).
-pub(crate) fn decode_notification_body(
-    body: &[u8],
-    base: u64,
-) -> Result<NotificationMessage, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let code_at = cur.position();
-    let code = cur.u8()?;
-    if !(1..=6).contains(&code) {
-        return Err(WireError::new(
-            WireErrorKind::BadNotificationCode(code),
-            code_at,
-        ));
-    }
-    let subcode = cur.u8()?;
-    let data = cur.rest().to_vec();
-    Ok(NotificationMessage {
-        code,
-        subcode,
-        data,
-    })
-}
-
 /// Encodes the 19-byte KEEPALIVE message.
 #[must_use]
 pub fn encode_keepalive() -> [u8; HEADER_LEN] {
@@ -509,7 +379,7 @@ impl Message {
 
     /// Decodes one message from the start of `bytes`, returning it and the
     /// number of bytes it occupied (for reading back-to-back messages off a
-    /// TCP stream).
+    /// TCP stream): the owned rebuild of [`MessageView::parse`].
     ///
     /// # Errors
     ///
@@ -520,76 +390,18 @@ impl Message {
         bytes: &[u8],
         encoding: AsnEncoding,
     ) -> Result<(Message, usize), WireError> {
-        let mut cur = Cursor::new(bytes);
-        let marker = cur.take(16)?;
-        if marker.iter().any(|&b| b != 0xFF) {
-            return Err(WireError::new(WireErrorKind::BadMarker, 0));
-        }
-        let total = usize::from(cur.u16()?);
-        let msg_type = cur.u8()?;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-            return Err(WireError::new(
-                WireErrorKind::BadMessageLength(total as u16),
-                16,
-            ));
-        }
-        let body = cur.take(total - HEADER_LEN)?;
-        let base = HEADER_LEN as u64;
-        let message = match msg_type {
-            MESSAGE_TYPE_OPEN => {
-                if body.len() < MIN_OPEN_LEN - HEADER_LEN {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
-                }
-                Message::Open(decode_open_body(body, base)?)
-            }
-            MESSAGE_TYPE_UPDATE => Message::Update(decode_update_body(body, base, encoding)?),
-            MESSAGE_TYPE_NOTIFICATION => {
-                if body.len() < MIN_NOTIFICATION_LEN - HEADER_LEN {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
-                }
-                Message::Notification(decode_notification_body(body, base)?)
-            }
-            MESSAGE_TYPE_KEEPALIVE => {
-                if !body.is_empty() {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
-                }
-                Message::Keepalive
-            }
-            other => {
-                return Err(WireError::new(
-                    WireErrorKind::UnsupportedMessageType(other),
-                    18,
-                ));
-            }
-        };
-        Ok((message, total))
+        let (view, used) = MessageView::parse(bytes, encoding)?;
+        Ok((view.to_message(), used))
     }
 
-    /// Decodes one full message, requiring that nothing follows it.
+    /// Decodes one full message, requiring that nothing follows it: the
+    /// owned rebuild of [`MessageView::parse_exact`].
     ///
     /// # Errors
     ///
     /// Never panics; returns a [`WireError`] locating the first problem.
     pub fn decode(bytes: &[u8], encoding: AsnEncoding) -> Result<Message, WireError> {
-        let (message, used) = Self::decode_prefix_of(bytes, encoding)?;
-        if used != bytes.len() {
-            return Err(WireError::new(
-                WireErrorKind::TrailingBytes {
-                    remaining: bytes.len() - used,
-                },
-                used as u64,
-            ));
-        }
-        Ok(message)
+        MessageView::parse_exact(bytes, encoding).map(|view| view.to_message())
     }
 }
 

@@ -1,29 +1,24 @@
-//! Allocation-free (borrowed) decoding of BGP UPDATE and MRT bytes.
+//! The crate's one decoder: validated, borrowed views of BGP and MRT bytes.
 //!
-//! The owned decoders in [`crate::bgp`] and [`crate::mrt`] materialise a
-//! full object graph per record — `Vec<Ipv4Prefix>` runs, `AsPath` segment
-//! vectors, `String` view names — even when the consumer only wants each
-//! record's prefix and origin AS. Over a multi-year Route Views archive
-//! that is millions of allocations whose contents are immediately thrown
-//! away.
-//!
-//! This module is the zero-copy alternative: a *view* borrows the record's
-//! bytes and decodes fields lazily, on access. Parsing a view runs the
-//! **exact same validation, in the same order, producing the same
-//! [`WireError`] kinds and offsets** as the owned decoder — the property
-//! the differential tests in `tests/view_props.rs` pin down — so a view is
-//! never a weaker parse, just a cheaper one. Once a view exists, its
-//! iterators ([`UpdateView::nlri`], [`RibView::entries`],
-//! [`AttrsView::path_asns`], …) walk the validated bytes infallibly and
-//! without allocating; `to_*` conversions rebuild the owned types when a
-//! caller really needs them.
+//! Parsing a view runs every check the wire format needs, in a fixed order,
+//! and reports the first failure as a typed [`WireError`] at its byte
+//! offset. That order is part of the contract — a session buffers on
+//! [`WireErrorKind::Truncated`] and a CLI prints the offset — and
+//! `tests/view_props.rs` and `tests/msg_props.rs` pin it, kind and offset,
+//! against a separate spec decoder written from the RFCs
+//! (`tests/spec/mod.rs`). A view borrows the record's bytes and decodes
+//! fields lazily, on access: once it exists, its iterators
+//! ([`UpdateView::nlri`], [`RibView::entries`], [`AttrsView::path_asns`],
+//! …) walk the validated bytes infallibly and without allocating. The
+//! owned types are each view's `to_*` rebuild, which is all
+//! [`UpdateMessage::decode`], [`Message::decode`] and
+//! [`MrtViewReader::next_record`] do.
 //!
 //! Two companions complete the ingest path:
 //!
-//! * [`MrtViewReader`] — streams MRT records through one reusable buffer
-//!   (the owned [`crate::mrt::MrtReader`] allocates a fresh body `Vec` per
-//!   record), exposing the timestamp before the body is parsed so callers
-//!   can group by day without decoding;
+//! * [`MrtViewReader`] — streams MRT records through one reusable buffer,
+//!   exposing the timestamp before the body is parsed so callers can group
+//!   by day without decoding;
 //! * [`AttrInterner`] — hash-conses `AS_PATH` and `COMMUNITIES` wire bytes
 //!   into owned values via [`bgp_types::Interner`], so a RIB dump that
 //!   repeats the same path ten thousand times decodes it once.
@@ -35,31 +30,158 @@ use bgp_types::{
 };
 
 use crate::bgp::{
-    decode_one_prefix, decode_one_prefix6, prefix_octets, AsnEncoding, Cursor, MpReach, MpUnreach,
-    PathAttributes, UpdateMessage, AFI_IPV6, ATTR_AS_PATH, ATTR_COMMUNITIES, ATTR_LOCAL_PREF,
-    ATTR_MP_REACH_NLRI, ATTR_MP_UNREACH_NLRI, ATTR_NEXT_HOP, ATTR_ORIGIN, FLAG_EXTENDED_LENGTH,
-    HEADER_LEN, MAX_MESSAGE_LEN, MAX_SEGMENT_ASNS, MESSAGE_TYPE_UPDATE, SAFI_UNICAST,
-    SEGMENT_AS_SEQUENCE, SEGMENT_AS_SET,
+    prefix_octets, AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage, AFI_IPV6,
+    ATTR_AS_PATH, ATTR_COMMUNITIES, ATTR_LOCAL_PREF, ATTR_MP_REACH_NLRI, ATTR_MP_UNREACH_NLRI,
+    ATTR_NEXT_HOP, ATTR_ORIGIN, FLAG_EXTENDED_LENGTH, HEADER_LEN, MAX_MESSAGE_LEN,
+    MAX_SEGMENT_ASNS, MESSAGE_TYPE_UPDATE, SAFI_UNICAST, SEGMENT_AS_SEQUENCE, SEGMENT_AS_SET,
 };
 use crate::error::{WireError, WireErrorKind};
 use crate::mrt::{
-    read_exact_or_eof, Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry,
-    RibIpv4Unicast, RibIpv6Unicast, MAX_RECORD_LEN, SUBTYPE_BGP4MP_MESSAGE,
-    SUBTYPE_BGP4MP_MESSAGE_AS4, SUBTYPE_PEER_INDEX_TABLE, SUBTYPE_RIB_IPV4_UNICAST,
-    SUBTYPE_RIB_IPV6_UNICAST, TYPE_BGP4MP, TYPE_TABLE_DUMP_V2,
+    Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
+    RibIpv6Unicast, MAX_RECORD_LEN, SUBTYPE_BGP4MP_MESSAGE, SUBTYPE_BGP4MP_MESSAGE_AS4,
+    SUBTYPE_PEER_INDEX_TABLE, SUBTYPE_RIB_IPV4_UNICAST, SUBTYPE_RIB_IPV6_UNICAST, TYPE_BGP4MP,
+    TYPE_TABLE_DUMP_V2,
 };
 use crate::msg::{
-    decode_one_capability, Capability, Message, NotificationMessage, OpenMessage, BGP_VERSION,
-    CAP_FOUR_OCTET_AS, CAP_MULTIPROTOCOL, MESSAGE_TYPE_KEEPALIVE, MESSAGE_TYPE_NOTIFICATION,
-    MESSAGE_TYPE_OPEN, MIN_NOTIFICATION_LEN, MIN_OPEN_LEN, PARAM_CAPABILITIES,
+    Capability, Message, NotificationMessage, OpenMessage, BGP_VERSION, CAP_FOUR_OCTET_AS,
+    CAP_MULTIPROTOCOL, MESSAGE_TYPE_KEEPALIVE, MESSAGE_TYPE_NOTIFICATION, MESSAGE_TYPE_OPEN,
+    MIN_NOTIFICATION_LEN, MIN_OPEN_LEN, PARAM_CAPABILITIES,
 };
 
+/// MRT `BGP4MP` address family identifier for IPv4, the only one decoded.
+const AFI_IPV4: u16 = 1;
+
 // ---------------------------------------------------------------------------
-// Validation walks (no construction). Each mirrors its owned decoder
-// statement by statement so error kinds and offsets stay identical.
+// Validation walks (no construction). The order of checks inside each walk
+// fixes which error, at which offset, a malformed input reports.
 // ---------------------------------------------------------------------------
 
-/// Mirrors the prefix-run walk of the owned decoder without building a Vec.
+/// A bounds-checked reader over a byte slice, tracking the absolute offset
+/// (`base` + local position) for error reporting.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: u64,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Cursor::with_base(bytes, 0)
+    }
+
+    fn with_base(bytes: &'a [u8], base: u64) -> Self {
+        Cursor {
+            bytes,
+            pos: 0,
+            base,
+        }
+    }
+
+    fn position(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        rest
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.remaining() < n {
+            return Err(WireError::new(
+                WireErrorKind::Truncated {
+                    needed: n - self.remaining(),
+                },
+                self.position(),
+            ));
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        let b = self.take(2)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        let b = self.take(4)?;
+        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    }
+}
+
+/// Reads one `<length, prefix>` tuple from a cursor.
+fn decode_one_prefix(cur: &mut Cursor<'_>) -> Result<Ipv4Prefix, WireError> {
+    let at = cur.position();
+    let bits = cur.u8()?;
+    if bits > 32 {
+        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
+    }
+    let body = cur.take(prefix_octets(bits))?;
+    let mut octets = [0u8; 4];
+    octets[..body.len()].copy_from_slice(body);
+    // try_new cannot fail (bits <= 32 was checked), but stay panic-free.
+    Ipv4Prefix::try_new(u32::from_be_bytes(octets), bits)
+        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
+}
+
+/// Reads one IPv6 `<length, prefix>` tuple from a cursor.
+fn decode_one_prefix6(cur: &mut Cursor<'_>) -> Result<Ipv6Prefix, WireError> {
+    let at = cur.position();
+    let bits = cur.u8()?;
+    if bits > 128 {
+        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
+    }
+    let body = cur.take(prefix_octets(bits))?;
+    let mut octets = [0u8; 16];
+    octets[..body.len()].copy_from_slice(body);
+    // try_new cannot fail (bits <= 128 was checked), but stay panic-free.
+    Ipv6Prefix::try_new(u128::from_be_bytes(octets), bits)
+        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
+}
+
+/// Reads one capability from a cursor positioned at its code byte. The
+/// validator and [`CapabilityIter`] share it, so what validates is exactly
+/// what iterates.
+fn decode_one_capability(cur: &mut Cursor<'_>) -> Result<Capability, WireError> {
+    let code = cur.u8()?;
+    let len_at = cur.position();
+    let len = cur.u8()?;
+    let body = cur.take(usize::from(len))?;
+    if matches!(code, CAP_MULTIPROTOCOL | CAP_FOUR_OCTET_AS) && len != 4 {
+        return Err(WireError::new(
+            WireErrorKind::BadCapabilityLength { code, length: len },
+            len_at,
+        ));
+    }
+    Ok(match code {
+        CAP_MULTIPROTOCOL => match (read_u16(body, 0), body[3]) {
+            (1, 1) => Capability::MultiprotocolIpv4Unicast,
+            (2, 1) => Capability::MultiprotocolIpv6Unicast,
+            _ => Capability::Unknown {
+                code,
+                data: body.to_vec(),
+            },
+        },
+        CAP_FOUR_OCTET_AS => Capability::FourOctetAs(Asn(read_u32(body, 0))),
+        _ => Capability::Unknown {
+            code,
+            data: body.to_vec(),
+        },
+    })
+}
+
+/// Validates a back-to-back run of `<length, prefix>` tuples.
 fn validate_prefix_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
     let mut cur = Cursor::with_base(bytes, base);
     while cur.remaining() > 0 {
@@ -68,10 +190,9 @@ fn validate_prefix_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Mirrors `decode_as_path` without building segments: ASN octets are read
-/// (not skipped) so truncation errors land on the same offset, and the
-/// segment-type check happens after the ASNs exactly as the owned decoder
-/// orders it.
+/// Validates an `AS_PATH` body. ASN octets are read, not skipped, so a
+/// truncation is reported where the missing octets start, and each
+/// segment's type is checked only after its ASNs.
 fn validate_as_path(bytes: &[u8], base: u64, encoding: AsnEncoding) -> Result<(), WireError> {
     let mut cur = Cursor::with_base(bytes, base);
     while cur.remaining() > 0 {
@@ -95,7 +216,7 @@ fn validate_as_path(bytes: &[u8], base: u64, encoding: AsnEncoding) -> Result<()
     Ok(())
 }
 
-/// Mirrors the IPv6 prefix-run walk without building a Vec.
+/// Validates a back-to-back run of IPv6 `<length, prefix>` tuples.
 fn validate_prefix6_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
     let mut cur = Cursor::with_base(bytes, base);
     while cur.remaining() > 0 {
@@ -104,9 +225,9 @@ fn validate_prefix6_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Mirrors `decode_mp_reach` without building [`MpReach`]. Returns whether
-/// the attribute applied (`Some` in owned terms — IPv6 unicast, or any body
-/// in the abbreviated RIB form).
+/// Validates an `MP_REACH_NLRI` body. Returns whether the attribute applies:
+/// IPv6 unicast, or any body in the abbreviated RIB form. Other AFI/SAFI
+/// pairs are skipped like any unimplemented optional attribute.
 fn validate_mp_reach(body: &[u8], base: u64, rib_form: bool) -> Result<bool, WireError> {
     let mut cur = Cursor::with_base(body, base);
     if rib_form {
@@ -147,7 +268,7 @@ fn validate_mp_reach(body: &[u8], base: u64, rib_form: bool) -> Result<bool, Wir
     Ok(true)
 }
 
-/// Mirrors `decode_mp_unreach` without building [`MpUnreach`].
+/// Validates an `MP_UNREACH_NLRI` body (other AFI/SAFI pairs are skipped).
 fn validate_mp_unreach(body: &[u8], base: u64) -> Result<(), WireError> {
     let mut cur = Cursor::with_base(body, base);
     let afi = cur.u16()?;
@@ -159,8 +280,8 @@ fn validate_mp_unreach(body: &[u8], base: u64) -> Result<(), WireError> {
     validate_prefix6_run(cur.rest(), run_base)
 }
 
-/// Mirrors `decode_attributes` without building [`PathAttributes`]. Returns
-/// whether the block is non-empty (`Some` in owned terms).
+/// Validates an attribute block. Returns whether it is non-empty: an empty
+/// block is a pure withdrawal's.
 fn validate_attributes(
     bytes: &[u8],
     base: u64,
@@ -236,9 +357,9 @@ fn validate_attributes(
     Ok(true)
 }
 
-/// Mirrors `decode_open_body` without building [`OpenMessage`]. Capability
-/// bytes run through the owned per-capability decoder so errors stay
-/// identical by construction.
+/// Validates an OPEN body (the bytes after the 19-byte header). Parameters
+/// other than capabilities (deprecated authentication, &c.) are
+/// length-checked only.
 fn validate_open_body(body: &[u8], base: u64) -> Result<(), WireError> {
     let mut cur = Cursor::with_base(body, base);
     let version_at = cur.position();
@@ -467,10 +588,10 @@ impl<'a> Iterator for SegmentIter<'a> {
 
 /// A validated, borrowed path-attribute block.
 ///
-/// Accessors re-walk the (small) block on demand instead of caching spans;
-/// duplicate attributes follow the owned decoder's semantics exactly: the
-/// last `ORIGIN`/`AS_PATH`/`NEXT_HOP`/`LOCAL_PREF` wins, while multiple
-/// `COMMUNITIES` attributes concatenate.
+/// Accessors re-walk the (small) block on demand instead of caching spans.
+/// Duplicate attributes: the last `ORIGIN`/`AS_PATH`/`NEXT_HOP`/`LOCAL_PREF`
+/// and the last applicable `MP_REACH_NLRI`/`MP_UNREACH_NLRI` win, while
+/// multiple `COMMUNITIES` attributes concatenate.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrsView<'a> {
     bytes: &'a [u8],
@@ -488,6 +609,17 @@ impl<'a> AttrsView<'a> {
         }
     }
 
+    /// The body of the last attribute of `type_code`, the one that wins.
+    fn last(&self, type_code: u8) -> Option<&'a [u8]> {
+        let mut found = None;
+        for (code, body) in self.raw() {
+            if code == type_code {
+                found = Some(body);
+            }
+        }
+        found
+    }
+
     /// The ASN encoding this block was parsed under.
     #[must_use]
     pub fn encoding(&self) -> AsnEncoding {
@@ -503,58 +635,27 @@ impl<'a> AttrsView<'a> {
     /// The `ORIGIN` attribute.
     #[must_use]
     pub fn origin(&self) -> RouteOrigin {
-        let mut origin = RouteOrigin::Igp;
-        for (type_code, body) in self.raw() {
-            if type_code == ATTR_ORIGIN {
-                origin = match body.first() {
-                    Some(1) => RouteOrigin::Egp,
-                    Some(2) => RouteOrigin::Incomplete,
-                    _ => RouteOrigin::Igp,
-                };
-            }
-        }
-        origin
+        self.last(ATTR_ORIGIN).map_or(RouteOrigin::Igp, origin_of)
     }
 
-    /// The `NEXT_HOP` attribute as a raw IPv4 address.
+    /// The `NEXT_HOP` attribute as a raw IPv4 address (0 when absent, as in
+    /// an IPv6-only update).
     #[must_use]
     pub fn next_hop(&self) -> u32 {
-        let mut next_hop = 0;
-        for (type_code, body) in self.raw() {
-            if type_code == ATTR_NEXT_HOP {
-                if let Ok(octets) = <[u8; 4]>::try_from(body) {
-                    next_hop = u32::from_be_bytes(octets);
-                }
-            }
-        }
-        next_hop
+        self.last(ATTR_NEXT_HOP).map_or(0, |body| read_u32(body, 0))
     }
 
     /// The `LOCAL_PREF` attribute, when present.
     #[must_use]
     pub fn local_pref(&self) -> Option<u32> {
-        let mut local_pref = None;
-        for (type_code, body) in self.raw() {
-            if type_code == ATTR_LOCAL_PREF {
-                if let Ok(octets) = <[u8; 4]>::try_from(body) {
-                    local_pref = Some(u32::from_be_bytes(octets));
-                }
-            }
-        }
-        local_pref
+        self.last(ATTR_LOCAL_PREF).map(|body| read_u32(body, 0))
     }
 
     /// The wire bytes of the (winning) `AS_PATH` attribute body — the
     /// interning key for [`AttrInterner`].
     #[must_use]
     pub fn as_path_wire(&self) -> &'a [u8] {
-        let mut wire: &'a [u8] = &[];
-        for (type_code, body) in self.raw() {
-            if type_code == ATTR_AS_PATH {
-                wire = body;
-            }
-        }
-        wire
+        self.last(ATTR_AS_PATH).unwrap_or(&[])
     }
 
     /// The raw wire segments of the `AS_PATH`, pre-merge.
@@ -567,9 +668,9 @@ impl<'a> AttrsView<'a> {
     }
 
     /// Every ASN the path mentions, in path order (identical to the flat
-    /// order of [`AsPath::iter`] on the owned decode — canonicalization only
-    /// drops empty segments and merges adjacent ones, neither of which
-    /// changes flat order).
+    /// order of [`AsPath::iter`] on [`AttrsView::to_as_path`] —
+    /// canonicalization only drops empty segments and merges adjacent ones,
+    /// neither of which changes flat order).
     pub fn path_asns(&self) -> impl Iterator<Item = Asn> + 'a {
         self.segments().flat_map(|s| s.asns())
     }
@@ -577,9 +678,9 @@ impl<'a> AttrsView<'a> {
     /// The path's **origin AS** straight from the wire: the last ASN of the
     /// last non-empty segment when that segment is an `AS_SEQUENCE`, `None`
     /// for a set-terminated (aggregate) or empty path. Agrees with
-    /// [`AsPath::origin`] on the owned decode: segment merging never changes
-    /// the final element, and canonicalization drops exactly the empty
-    /// segments skipped here.
+    /// [`AsPath::origin`] on [`AttrsView::to_as_path`]: segment merging
+    /// never changes the final element, and canonicalization drops exactly
+    /// the empty segments skipped here.
     #[must_use]
     pub fn origin_asn(&self) -> Option<Asn> {
         let mut last: Option<AsPathSegmentView<'a>> = None;
@@ -597,15 +698,11 @@ impl<'a> AttrsView<'a> {
     }
 
     /// Every community carried, concatenated across `COMMUNITIES`
-    /// attributes in wire order (the owned decoder's append semantics).
+    /// attributes in wire order.
     pub fn communities(&self) -> impl Iterator<Item = Community> + 'a {
         self.raw()
             .filter(|&(type_code, _)| type_code == ATTR_COMMUNITIES)
-            .flat_map(|(_, body)| {
-                body.chunks_exact(4).map(|chunk| {
-                    Community(u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
-                })
-            })
+            .flat_map(|(_, body)| communities_of(body))
     }
 
     /// The wire bytes of the `COMMUNITIES` body when exactly one such
@@ -626,116 +723,195 @@ impl<'a> AttrsView<'a> {
     }
 
     /// The `MP_REACH_NLRI` attribute for IPv6 unicast, rebuilt owned (its
-    /// next hop is variable-length, so there is no borrowed form). Follows
-    /// the owned decoder's semantics: the last applicable attribute wins and
-    /// other AFI/SAFI pairs are skipped.
+    /// next hop is variable-length, so there is no borrowed form).
     #[must_use]
     pub fn mp_reach(&self) -> Option<MpReach> {
-        let mut found = None;
-        for (type_code, body) in self.raw() {
-            if type_code != ATTR_MP_REACH_NLRI {
-                continue;
-            }
-            if self.rib_form {
-                let nh_len = usize::from(*body.first().unwrap_or(&0));
-                let next_hop = body.get(1..1 + nh_len).unwrap_or(&[]).to_vec();
-                found = Some(MpReach {
-                    next_hop,
-                    nlri: Vec::new(),
-                });
-            } else {
-                if read_u16(body, 0) != AFI_IPV6 || *body.get(2).unwrap_or(&0) != SAFI_UNICAST {
-                    continue;
-                }
-                let nh_len = usize::from(*body.get(3).unwrap_or(&0));
-                let next_hop = body.get(4..4 + nh_len).unwrap_or(&[]).to_vec();
-                let nlri = Prefix6Iter {
-                    bytes: body.get(5 + nh_len..).unwrap_or(&[]),
-                    pos: 0,
-                };
-                found = Some(MpReach {
-                    next_hop,
-                    nlri: nlri.collect(),
-                });
-            }
-        }
-        found
+        self.raw()
+            .filter(|&(type_code, _)| type_code == ATTR_MP_REACH_NLRI)
+            .filter_map(|(_, body)| mp_reach_of(body, self.rib_form))
+            .last()
     }
 
-    /// The IPv6 prefixes withdrawn via `MP_UNREACH_NLRI` (last applicable
-    /// attribute wins, matching the owned decoder).
+    /// The IPv6 prefixes withdrawn via `MP_UNREACH_NLRI`.
     #[must_use]
     pub fn mp_unreach(&self) -> Option<MpUnreach> {
-        let mut found = None;
-        for (type_code, body) in self.raw() {
-            if type_code != ATTR_MP_UNREACH_NLRI {
-                continue;
-            }
-            if read_u16(body, 0) != AFI_IPV6 || *body.get(2).unwrap_or(&0) != SAFI_UNICAST {
-                continue;
-            }
-            let withdrawn = Prefix6Iter {
-                bytes: body.get(3..).unwrap_or(&[]),
-                pos: 0,
-            };
-            found = Some(MpUnreach {
-                withdrawn: withdrawn.collect(),
-            });
-        }
-        found
+        self.raw()
+            .filter(|&(type_code, _)| type_code == ATTR_MP_UNREACH_NLRI)
+            .filter_map(|(_, body)| mp_unreach_of(body))
+            .last()
     }
 
-    /// Rebuilds the owned [`AsPath`], re-joining encoder-split segments the
-    /// way the owned decoder does.
+    /// Rebuilds the owned [`AsPath`], re-joining encoder-split segments.
     #[must_use]
     pub fn to_as_path(&self) -> AsPath {
-        let mut segments: Vec<AsPathSegment> = Vec::new();
-        let mut prev_full = false;
-        for view in self.segments() {
-            let count = view.count();
-            let asns: Vec<Asn> = view.asns().collect();
-            let segment = if view.is_set {
-                AsPathSegment::Set(asns)
-            } else {
-                AsPathSegment::Sequence(asns)
-            };
-            match (segments.last_mut(), prev_full, segment) {
-                (Some(AsPathSegment::Sequence(tail)), true, AsPathSegment::Sequence(next))
-                | (Some(AsPathSegment::Set(tail)), true, AsPathSegment::Set(next)) => {
-                    tail.extend(next);
-                }
-                (_, _, segment) => segments.push(segment),
-            }
-            prev_full = count == MAX_SEGMENT_ASNS;
-        }
-        AsPath::from_segments(segments)
+        as_path_of(self.as_path_wire(), self.encoding)
     }
 
-    /// Rebuilds owned [`PathAttributes`], equal to what the owned decoder
-    /// returns for the same bytes.
+    /// Rebuilds owned [`PathAttributes`] in one walk of the block, with the
+    /// accessors' duplicate-attribute semantics.
     #[must_use]
     pub fn to_attributes(&self) -> PathAttributes {
+        let mut origin = RouteOrigin::Igp;
+        let mut path: &[u8] = &[];
+        let mut next_hop = 0;
+        let mut local_pref = None;
+        let mut communities = Vec::new();
+        let mut mp_reach = None;
+        let mut mp_unreach = None;
+        for (type_code, body) in self.raw() {
+            match type_code {
+                ATTR_ORIGIN => origin = origin_of(body),
+                ATTR_AS_PATH => path = body,
+                ATTR_NEXT_HOP => next_hop = read_u32(body, 0),
+                ATTR_LOCAL_PREF => local_pref = Some(read_u32(body, 0)),
+                ATTR_COMMUNITIES => communities.extend(communities_of(body)),
+                ATTR_MP_REACH_NLRI => mp_reach = mp_reach_of(body, self.rib_form).or(mp_reach),
+                ATTR_MP_UNREACH_NLRI => mp_unreach = mp_unreach_of(body).or(mp_unreach),
+                _ => {}
+            }
+        }
         PathAttributes {
-            origin: self.origin(),
-            as_path: self.to_as_path(),
-            next_hop: self.next_hop(),
-            local_pref: self.local_pref(),
-            communities: self.communities().collect(),
-            mp_reach: self.mp_reach(),
-            mp_unreach: self.mp_unreach(),
+            origin,
+            as_path: as_path_of(path, self.encoding),
+            next_hop,
+            local_pref,
+            communities,
+            mp_reach,
+            mp_unreach,
         }
     }
+}
+
+/// The route origin a validated `ORIGIN` body names.
+fn origin_of(body: &[u8]) -> RouteOrigin {
+    match body.first() {
+        Some(1) => RouteOrigin::Egp,
+        Some(2) => RouteOrigin::Incomplete,
+        _ => RouteOrigin::Igp,
+    }
+}
+
+/// The communities of one validated `COMMUNITIES` body.
+fn communities_of(body: &[u8]) -> impl Iterator<Item = Community> + '_ {
+    body.chunks_exact(4)
+        .map(|chunk| Community(read_u32(chunk, 0)))
+}
+
+/// Rebuilds the owned [`AsPath`] of a validated `AS_PATH` body. The encoder
+/// splits a logical segment past 255 ASNs into full wire segments, so a
+/// full segment followed by one of the same type is re-joined; a non-full
+/// predecessor is left alone, because adjacent same-type segments also
+/// appear legitimately (aggregated `AS_SET`s) and merging those would
+/// change path semantics.
+fn as_path_of(wire: &[u8], encoding: AsnEncoding) -> AsPath {
+    let wire_segments = SegmentIter {
+        bytes: wire,
+        encoding,
+    };
+    let mut segments: Vec<AsPathSegment> = Vec::new();
+    let mut prev_full = false;
+    for view in wire_segments {
+        let count = view.count();
+        let asns: Vec<Asn> = view.asns().collect();
+        let segment = if view.is_set {
+            AsPathSegment::Set(asns)
+        } else {
+            AsPathSegment::Sequence(asns)
+        };
+        match (segments.last_mut(), prev_full, segment) {
+            (Some(AsPathSegment::Sequence(tail)), true, AsPathSegment::Sequence(next))
+            | (Some(AsPathSegment::Set(tail)), true, AsPathSegment::Set(next)) => {
+                tail.extend(next);
+            }
+            (_, _, segment) => segments.push(segment),
+        }
+        prev_full = count == MAX_SEGMENT_ASNS;
+    }
+    // from_segments canonicalizes (drops empties, merges adjacent
+    // sequences), matching what the simulator-side constructors produce.
+    AsPath::from_segments(segments)
+}
+
+/// The `MP_REACH_NLRI` of a validated body; `None` for an AFI/SAFI pair
+/// other than IPv6 unicast (the abbreviated RIB form carries none and
+/// always applies).
+fn mp_reach_of(body: &[u8], rib_form: bool) -> Option<MpReach> {
+    if rib_form {
+        let nh_len = usize::from(*body.first()?);
+        return Some(MpReach {
+            next_hop: body.get(1..1 + nh_len)?.to_vec(),
+            nlri: Vec::new(),
+        });
+    }
+    if read_u16(body, 0) != AFI_IPV6 || *body.get(2)? != SAFI_UNICAST {
+        return None;
+    }
+    let nh_len = usize::from(*body.get(3)?);
+    let nlri = Prefix6Iter {
+        bytes: body.get(5 + nh_len..)?,
+        pos: 0,
+    };
+    Some(MpReach {
+        next_hop: body.get(4..4 + nh_len)?.to_vec(),
+        nlri: nlri.collect(),
+    })
+}
+
+/// The `MP_UNREACH_NLRI` of a validated body; `None` for an AFI/SAFI pair
+/// other than IPv6 unicast.
+fn mp_unreach_of(body: &[u8]) -> Option<MpUnreach> {
+    if read_u16(body, 0) != AFI_IPV6 || *body.get(2)? != SAFI_UNICAST {
+        return None;
+    }
+    let withdrawn = Prefix6Iter {
+        bytes: body.get(3..)?,
+        pos: 0,
+    };
+    Some(MpUnreach {
+        withdrawn: withdrawn.collect(),
+    })
 }
 
 // ---------------------------------------------------------------------------
 // UPDATE message view
 // ---------------------------------------------------------------------------
 
-/// A validated, borrowed BGP UPDATE message.
-///
-/// [`UpdateView::parse`] accepts and rejects **exactly** the inputs
-/// [`UpdateMessage::decode_prefix_of`] does, with identical errors; the
-/// difference is purely that nothing is materialised until asked.
+/// Reads the 19-byte BGP header: the all-ones marker, then the message
+/// length and type. The length is range-checked only once the type is read.
+fn parse_header(cur: &mut Cursor<'_>) -> Result<(usize, u8), WireError> {
+    let marker = cur.take(16)?;
+    if marker.iter().any(|&b| b != 0xFF) {
+        return Err(WireError::new(WireErrorKind::BadMarker, 0));
+    }
+    let total = usize::from(cur.u16()?);
+    let msg_type = cur.u8()?;
+    if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
+        return Err(bad_length(total));
+    }
+    Ok((total, msg_type))
+}
+
+/// The error for a header length field of `total` bytes that the message
+/// type cannot have.
+fn bad_length(total: usize) -> WireError {
+    WireError::new(WireErrorKind::BadMessageLength(total as u16), 16)
+}
+
+/// Requires that a parsed message fill all `len` input bytes.
+fn filled<T>((view, used): (T, usize), len: usize) -> Result<T, WireError> {
+    if used != len {
+        return Err(WireError::new(
+            WireErrorKind::TrailingBytes {
+                remaining: len - used,
+            },
+            used as u64,
+        ));
+    }
+    Ok(view)
+}
+
+/// A validated, borrowed BGP UPDATE message: nothing is materialised until
+/// asked, and [`UpdateView::to_message`] is [`UpdateMessage::decode`].
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateView<'a> {
     withdrawn: &'a [u8],
@@ -749,22 +925,10 @@ impl<'a> UpdateView<'a> {
     ///
     /// # Errors
     ///
-    /// The same [`WireError`]s, at the same offsets, as
-    /// [`UpdateMessage::decode_prefix_of`].
+    /// Never panics; returns a [`WireError`] locating the first problem.
     pub fn parse(bytes: &'a [u8], encoding: AsnEncoding) -> Result<(Self, usize), WireError> {
         let mut cur = Cursor::new(bytes);
-        let marker = cur.take(16)?;
-        if marker.iter().any(|&b| b != 0xFF) {
-            return Err(WireError::new(WireErrorKind::BadMarker, 0));
-        }
-        let total = usize::from(cur.u16()?);
-        let msg_type = cur.u8()?;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-            return Err(WireError::new(
-                WireErrorKind::BadMessageLength(total as u16),
-                16,
-            ));
-        }
+        let (total, msg_type) = parse_header(&mut cur)?;
         if msg_type != MESSAGE_TYPE_UPDATE {
             return Err(WireError::new(
                 WireErrorKind::UnsupportedMessageType(msg_type),
@@ -777,7 +941,8 @@ impl<'a> UpdateView<'a> {
     }
 
     /// Parses (and fully validates) an UPDATE body — the bytes after the
-    /// 19-byte header — mirroring `decode_update_body`.
+    /// 19-byte header. The NLRI is validated before the attribute block, so
+    /// a message bad in both reports its NLRI.
     pub(crate) fn parse_body(
         body: &'a [u8],
         base: u64,
@@ -814,24 +979,14 @@ impl<'a> UpdateView<'a> {
         })
     }
 
-    /// Parses one message filling all of `bytes`, mirroring
-    /// [`UpdateMessage::decode`] (trailing bytes are an error).
+    /// Parses one message filling all of `bytes` (trailing bytes are an
+    /// error).
     ///
     /// # Errors
     ///
-    /// The same [`WireError`]s, at the same offsets, as
-    /// [`UpdateMessage::decode`].
+    /// Never panics; returns a [`WireError`] locating the first problem.
     pub fn parse_exact(bytes: &'a [u8], encoding: AsnEncoding) -> Result<Self, WireError> {
-        let (view, used) = Self::parse(bytes, encoding)?;
-        if used != bytes.len() {
-            return Err(WireError::new(
-                WireErrorKind::TrailingBytes {
-                    remaining: bytes.len() - used,
-                },
-                used as u64,
-            ));
-        }
-        Ok(view)
+        filled(Self::parse(bytes, encoding)?, bytes.len())
     }
 
     /// The withdrawn prefixes.
@@ -858,8 +1013,7 @@ impl<'a> UpdateView<'a> {
         }
     }
 
-    /// Rebuilds the owned [`UpdateMessage`] through the lazy iterators,
-    /// equal to what the owned decoder returns for the same bytes.
+    /// Rebuilds the owned [`UpdateMessage`] through the lazy iterators.
     #[must_use]
     pub fn to_message(&self) -> UpdateMessage {
         UpdateMessage {
@@ -934,8 +1088,7 @@ impl<'a> OpenView<'a> {
             .unwrap_or(Asn(u32::from(self.my_as())))
     }
 
-    /// Rebuilds the owned [`OpenMessage`], equal to what the owned decoder
-    /// returns for the same bytes.
+    /// Rebuilds the owned [`OpenMessage`].
     #[must_use]
     pub fn to_open(&self) -> OpenMessage {
         OpenMessage {
@@ -948,8 +1101,7 @@ impl<'a> OpenView<'a> {
 }
 
 /// Iterates the capabilities of a validated OPEN's optional parameters,
-/// crossing parameter boundaries (several type-2 parameters concatenate,
-/// matching the owned decoder).
+/// crossing parameter boundaries (several type-2 parameters concatenate).
 #[derive(Debug, Clone, Copy)]
 pub struct CapabilityIter<'a> {
     params: &'a [u8],
@@ -960,35 +1112,7 @@ impl Iterator for CapabilityIter<'_> {
     type Item = Capability;
 
     fn next(&mut self) -> Option<Capability> {
-        loop {
-            if let Some(&code) = self.caps.first() {
-                let len = usize::from(*self.caps.get(1)?);
-                let body = self.caps.get(2..2 + len)?;
-                self.caps = &self.caps[2 + len..];
-                // Validated bytes: fixed-size codes are guaranteed len 4, so
-                // the mapping below agrees with `decode_one_capability`.
-                return Some(match code {
-                    CAP_MULTIPROTOCOL if body.len() == 4 => {
-                        match (u16::from_be_bytes([body[0], body[1]]), body[3]) {
-                            (1, 1) => Capability::MultiprotocolIpv4Unicast,
-                            (2, 1) => Capability::MultiprotocolIpv6Unicast,
-                            _ => Capability::Unknown {
-                                code,
-                                data: body.to_vec(),
-                            },
-                        }
-                    }
-                    CAP_FOUR_OCTET_AS if body.len() == 4 => {
-                        Capability::FourOctetAs(Asn(u32::from_be_bytes([
-                            body[0], body[1], body[2], body[3],
-                        ])))
-                    }
-                    _ => Capability::Unknown {
-                        code,
-                        data: body.to_vec(),
-                    },
-                });
-            }
+        while self.caps.is_empty() {
             let ptype = *self.params.first()?;
             let plen = usize::from(*self.params.get(1)?);
             let pbody = self.params.get(2..2 + plen)?;
@@ -997,6 +1121,10 @@ impl Iterator for CapabilityIter<'_> {
                 self.caps = pbody;
             }
         }
+        let mut cur = Cursor::new(self.caps);
+        let capability = decode_one_capability(&mut cur).ok()?;
+        self.caps = cur.rest();
+        Some(capability)
     }
 }
 
@@ -1070,31 +1198,17 @@ impl<'a> MessageView<'a> {
     ///
     /// # Errors
     ///
-    /// The same [`WireError`]s, at the same offsets, as
-    /// [`Message::decode_prefix_of`].
+    /// Never panics; returns a [`WireError`] locating the first problem. A
+    /// [`WireErrorKind::Truncated`] error means more bytes are needed.
     pub fn parse(bytes: &'a [u8], encoding: AsnEncoding) -> Result<(Self, usize), WireError> {
         let mut cur = Cursor::new(bytes);
-        let marker = cur.take(16)?;
-        if marker.iter().any(|&b| b != 0xFF) {
-            return Err(WireError::new(WireErrorKind::BadMarker, 0));
-        }
-        let total = usize::from(cur.u16()?);
-        let msg_type = cur.u8()?;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-            return Err(WireError::new(
-                WireErrorKind::BadMessageLength(total as u16),
-                16,
-            ));
-        }
+        let (total, msg_type) = parse_header(&mut cur)?;
         let body = cur.take(total - HEADER_LEN)?;
         let base = HEADER_LEN as u64;
         let view = match msg_type {
             MESSAGE_TYPE_OPEN => {
                 if body.len() < MIN_OPEN_LEN - HEADER_LEN {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
+                    return Err(bad_length(total));
                 }
                 MessageView::Open(OpenView::parse_body(body, base)?)
             }
@@ -1103,19 +1217,13 @@ impl<'a> MessageView<'a> {
             }
             MESSAGE_TYPE_NOTIFICATION => {
                 if body.len() < MIN_NOTIFICATION_LEN - HEADER_LEN {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
+                    return Err(bad_length(total));
                 }
                 MessageView::Notification(NotificationView::parse_body(body, base)?)
             }
             MESSAGE_TYPE_KEEPALIVE => {
                 if !body.is_empty() {
-                    return Err(WireError::new(
-                        WireErrorKind::BadMessageLength(total as u16),
-                        16,
-                    ));
+                    return Err(bad_length(total));
                 }
                 MessageView::Keepalive
             }
@@ -1129,23 +1237,14 @@ impl<'a> MessageView<'a> {
         Ok((view, total))
     }
 
-    /// Parses one message filling all of `bytes`, mirroring
-    /// [`Message::decode`] (trailing bytes are an error).
+    /// Parses one message filling all of `bytes` (trailing bytes are an
+    /// error).
     ///
     /// # Errors
     ///
-    /// The same [`WireError`]s, at the same offsets, as [`Message::decode`].
+    /// Never panics; returns a [`WireError`] locating the first problem.
     pub fn parse_exact(bytes: &'a [u8], encoding: AsnEncoding) -> Result<Self, WireError> {
-        let (view, used) = Self::parse(bytes, encoding)?;
-        if used != bytes.len() {
-            return Err(WireError::new(
-                WireErrorKind::TrailingBytes {
-                    remaining: bytes.len() - used,
-                },
-                used as u64,
-            ));
-        }
-        Ok(view)
+        filled(Self::parse(bytes, encoding)?, bytes.len())
     }
 
     /// The message's RFC 4271 type code.
@@ -1159,8 +1258,7 @@ impl<'a> MessageView<'a> {
         }
     }
 
-    /// Rebuilds the owned [`Message`], equal to what the owned decoder
-    /// returns for the same bytes.
+    /// Rebuilds the owned [`Message`].
     #[must_use]
     pub fn to_message(&self) -> Message {
         match self {
@@ -1192,6 +1290,7 @@ impl<'a> PeerIndexTableView<'a> {
         for _ in 0..peer_count {
             let at = cur.position();
             let peer_type = cur.u8()?;
+            // Bit 0: IPv6 address; bit 1: 4-octet ASN. Only IPv4 is supported.
             if peer_type & 0x01 != 0 {
                 return Err(WireError::new(
                     WireErrorKind::UnsupportedPeerType(peer_type),
@@ -1292,25 +1391,9 @@ impl<'a> RibView<'a> {
         let sequence = cur.u32()?;
         let prefix = decode_one_prefix(&mut cur)?;
         let entry_count = usize::from(cur.u16()?);
+        let entries_base = cur.position();
         let entries = cur.rest();
-        // Validate each entry in order; a per-entry error must surface
-        // before the trailing-bytes check, as the owned decoder orders it.
-        let entries_base = base + 4 + 1 + prefix_octets(prefix.len()) as u64 + 2;
-        let mut entry_cur = Cursor::with_base(entries, entries_base);
-        for _ in 0..entry_count {
-            entry_cur.u16()?; // peer index
-            entry_cur.u32()?; // originated time
-            let attr_len = usize::from(entry_cur.u16()?);
-            let attrs_base = entry_cur.position();
-            let attr_bytes = entry_cur.take(attr_len)?;
-            if !validate_attributes(attr_bytes, attrs_base, AsnEncoding::FourOctet, true)? {
-                return Err(WireError::new(
-                    WireErrorKind::MissingAttribute("AS_PATH"),
-                    attrs_base,
-                ));
-            }
-        }
-        expect_consumed(&entry_cur)?;
+        validate_rib_entries(entries, entries_base, entry_count)?;
         Ok(RibView {
             sequence,
             prefix,
@@ -1351,14 +1434,7 @@ impl<'a> RibView<'a> {
         RibIpv4Unicast {
             sequence: self.sequence,
             prefix: self.prefix,
-            entries: self
-                .entries()
-                .map(|entry| RibEntry {
-                    peer_index: entry.peer_index,
-                    originated_time: entry.originated_time,
-                    attrs: entry.attrs.to_attributes(),
-                })
-                .collect(),
+            entries: self.entries().map(RibEntryView::to_entry).collect(),
         }
     }
 }
@@ -1374,7 +1450,40 @@ pub struct RibEntryView<'a> {
     pub attrs: AttrsView<'a>,
 }
 
-/// Iterates the entries of a validated `RIB_IPV4_UNICAST` record.
+impl RibEntryView<'_> {
+    fn to_entry(self) -> RibEntry {
+        RibEntry {
+            peer_index: self.peer_index,
+            originated_time: self.originated_time,
+            attrs: self.attrs.to_attributes(),
+        }
+    }
+}
+
+/// Validates the `entry_count` entries of a RIB record, then that nothing
+/// follows them: an error inside an entry is reported before trailing
+/// bytes.
+fn validate_rib_entries(entries: &[u8], base: u64, entry_count: usize) -> Result<(), WireError> {
+    let mut cur = Cursor::with_base(entries, base);
+    for _ in 0..entry_count {
+        cur.u16()?; // peer index
+        cur.u32()?; // originated time
+        let attr_len = usize::from(cur.u16()?);
+        let attrs_base = cur.position();
+        let attr_bytes = cur.take(attr_len)?;
+        // RFC 6396 §4.3.4: 4-octet ASNs and the abbreviated MP_REACH_NLRI.
+        if !validate_attributes(attr_bytes, attrs_base, AsnEncoding::FourOctet, true)? {
+            return Err(WireError::new(
+                WireErrorKind::MissingAttribute("AS_PATH"),
+                attrs_base,
+            ));
+        }
+    }
+    expect_consumed(&cur)
+}
+
+/// Iterates the entries of a validated `RIB_IPV4_UNICAST` or
+/// `RIB_IPV6_UNICAST` record.
 #[derive(Debug, Clone, Copy)]
 pub struct RibEntryIter<'a> {
     bytes: &'a [u8],
@@ -1415,25 +1524,9 @@ impl<'a> Rib6View<'a> {
         let sequence = cur.u32()?;
         let prefix = decode_one_prefix6(&mut cur)?;
         let entry_count = usize::from(cur.u16()?);
+        let entries_base = cur.position();
         let entries = cur.rest();
-        // Validate each entry in order; a per-entry error must surface
-        // before the trailing-bytes check, as the owned decoder orders it.
-        let entries_base = base + 4 + 1 + prefix_octets(prefix.len()) as u64 + 2;
-        let mut entry_cur = Cursor::with_base(entries, entries_base);
-        for _ in 0..entry_count {
-            entry_cur.u16()?; // peer index
-            entry_cur.u32()?; // originated time
-            let attr_len = usize::from(entry_cur.u16()?);
-            let attrs_base = entry_cur.position();
-            let attr_bytes = entry_cur.take(attr_len)?;
-            if !validate_attributes(attr_bytes, attrs_base, AsnEncoding::FourOctet, true)? {
-                return Err(WireError::new(
-                    WireErrorKind::MissingAttribute("AS_PATH"),
-                    attrs_base,
-                ));
-            }
-        }
-        expect_consumed(&entry_cur)?;
+        validate_rib_entries(entries, entries_base, entry_count)?;
         Ok(Rib6View {
             sequence,
             prefix,
@@ -1474,14 +1567,7 @@ impl<'a> Rib6View<'a> {
         RibIpv6Unicast {
             sequence: self.sequence,
             prefix: self.prefix,
-            entries: self
-                .entries()
-                .map(|entry| RibEntry {
-                    peer_index: entry.peer_index,
-                    originated_time: entry.originated_time,
-                    attrs: entry.attrs.to_attributes(),
-                })
-                .collect(),
+            entries: self.entries().map(RibEntryView::to_entry).collect(),
         }
     }
 }
@@ -1511,11 +1597,8 @@ impl<'a> Bgp4mpView<'a> {
         let _interface = cur.u16()?;
         let afi_at = cur.position();
         let afi = cur.u16()?;
-        if afi != 1 {
-            return Err(WireError::new(
-                WireErrorKind::UnsupportedPeerType(afi as u8),
-                afi_at,
-            ));
+        if afi != AFI_IPV4 {
+            return Err(WireError::new(WireErrorKind::UnsupportedAfi(afi), afi_at));
         }
         let peer_addr = cur.u32()?;
         let local_addr = cur.u32()?;
@@ -1578,13 +1661,14 @@ pub struct MrtRecordView<'a> {
 }
 
 impl<'a> MrtRecordView<'a> {
-    /// Parses (and fully validates) one record body, mirroring the owned
-    /// record decoder. `base` is the absolute offset of the record *header*
-    /// in the stream; the body starts 12 bytes later.
+    /// Parses (and fully validates) one record body. `base` is the absolute
+    /// offset of the record *header* in the stream; the body starts 12 bytes
+    /// later.
     ///
     /// # Errors
     ///
-    /// The same [`WireError`]s, at the same offsets, as the owned decode.
+    /// Never panics; returns a [`WireError`] locating the first problem.
+    #[inline]
     pub fn parse(
         timestamp: u32,
         mrt_type: u16,
@@ -1619,8 +1703,7 @@ impl<'a> MrtRecordView<'a> {
         Ok(MrtRecordView { timestamp, body })
     }
 
-    /// Rebuilds the owned [`MrtRecord`], equal to what the owned decoder
-    /// returns for the same bytes.
+    /// Rebuilds the owned [`MrtRecord`].
     #[must_use]
     pub fn to_record(&self) -> MrtRecord {
         MrtRecord {
@@ -1671,17 +1754,16 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
 
 /// Streams MRT records out of any reader through **one reusable buffer**.
 ///
-/// Where [`crate::mrt::MrtReader`] allocates a fresh body `Vec` and decodes
-/// a full owned record per iteration, this reader splits the two steps:
-/// [`advance`](Self::advance) reads the next record's framing and body into
-/// the internal buffer (no parsing, no allocation after warm-up), then
-/// [`timestamp`](Self::timestamp) is available for day grouping and
-/// [`view`](Self::view) parses the buffered bytes into a borrowed
-/// [`MrtRecordView`] on demand.
+/// Reading is split in two steps: [`advance`](Self::advance) reads the next
+/// record's framing and body into the internal buffer (no parsing, no
+/// allocation after warm-up), then [`timestamp`](Self::timestamp) is
+/// available for day grouping and [`view`](Self::view) parses the buffered
+/// bytes into a borrowed [`MrtRecordView`] on demand.
+/// [`next_record`](Self::next_record) does both and rebuilds the owned
+/// [`MrtRecord`].
 ///
-/// Framing and parse errors match the owned reader's, offsets included, and
-/// like the owned reader it refuses further reads after the first error
-/// (record boundaries are lost).
+/// Errors carry stream offsets. The reader refuses further reads after the
+/// first error, framing or parse, because record boundaries are lost.
 #[derive(Debug)]
 pub struct MrtViewReader<R> {
     inner: R,
@@ -1716,9 +1798,9 @@ impl<R: io::Read> MrtViewReader<R> {
     ///
     /// # Errors
     ///
-    /// The same framing [`WireError`]s (with stream offsets) as the owned
-    /// reader. After any error — framing here or parse in
-    /// [`view`](Self::view) — further calls return `Ok(false)`.
+    /// A framing [`WireError`] (truncation, an oversized length field, or
+    /// I/O) with its stream offset. After any error — framing here or parse
+    /// in [`view`](Self::view) — further calls return `Ok(false)`.
     pub fn advance(&mut self) -> Result<bool, WireError> {
         if self.failed {
             return Ok(false);
@@ -1796,8 +1878,9 @@ impl<R: io::Read> MrtViewReader<R> {
     ///
     /// # Errors
     ///
-    /// The same parse [`WireError`]s as the owned decode; an error also
-    /// poisons the reader (matching the owned reader's post-error behavior).
+    /// The record's first parse [`WireError`]; an error also poisons the
+    /// reader.
+    #[inline]
     pub fn view(&mut self) -> Result<MrtRecordView<'_>, WireError> {
         match MrtRecordView::parse(
             self.timestamp,
@@ -1814,12 +1897,42 @@ impl<R: io::Read> MrtViewReader<R> {
         }
     }
 
+    /// Reads and decodes the next record into owned values:
+    /// [`advance`](Self::advance), [`view`](Self::view), then
+    /// [`MrtRecordView::to_record`]. `Ok(None)` at clean end-of-file, and
+    /// after an error.
+    ///
+    /// # Errors
+    ///
+    /// The framing or parse [`WireError`] of the record, with its stream
+    /// offset.
+    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, WireError> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        self.view().map(|view| Some(view.to_record()))
+    }
+
     /// Total stream bytes consumed so far (framing included) — the
     /// numerator for ingest throughput accounting.
     #[must_use]
     pub fn bytes_read(&self) -> u64 {
         self.offset
     }
+}
+
+/// Reads until `buf` is full or EOF; returns bytes read.
+fn read_exact_or_eof<R: io::Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 // ---------------------------------------------------------------------------
@@ -1961,10 +2074,12 @@ mod tests {
         let bytes = UpdateMessage::announce(&sample_route())
             .encode(AsnEncoding::FourOctet)
             .unwrap();
+        // The session dispatcher reads the header on its own path; both must
+        // stop at the same byte for the same reason.
         for cut in 0..bytes.len() {
-            let owned = UpdateMessage::decode(&bytes[..cut], AsnEncoding::FourOctet).unwrap_err();
+            let session = Message::decode(&bytes[..cut], AsnEncoding::FourOctet).unwrap_err();
             let view = UpdateView::parse_exact(&bytes[..cut], AsnEncoding::FourOctet).unwrap_err();
-            assert_eq!(owned, view, "cut {cut}");
+            assert_eq!(session, view, "cut {cut}");
         }
     }
 
@@ -2041,6 +2156,34 @@ mod tests {
         assert!(reader.advance().unwrap());
         assert!(reader.view().is_err());
         assert!(!reader.advance().unwrap(), "reader is poisoned");
+    }
+
+    #[test]
+    fn bgp4mp_names_an_unsupported_address_family() {
+        let record = MrtRecord {
+            timestamp: 1,
+            body: MrtBody::Bgp4mpMessage(Bgp4mpMessage {
+                peer_asn: Asn(701),
+                local_asn: Asn(65_000),
+                peer_addr: 1,
+                local_addr: 2,
+                message: UpdateMessage::withdraw("10.0.0.0/8".parse().unwrap()),
+            }),
+        };
+        // 12-byte MRT header, then 2-octet peer AS, local AS and interface.
+        let afi_at = 12 + 6;
+        for afi in [2u16, 257] {
+            let mut bytes = record.encode().unwrap();
+            bytes[afi_at..afi_at + 2].copy_from_slice(&afi.to_be_bytes());
+            let err = MrtViewReader::new(&bytes[..]).next_record().unwrap_err();
+            assert_eq!(err.kind, WireErrorKind::UnsupportedAfi(afi));
+            assert_eq!(err.offset, afi_at as u64);
+        }
+        let err = WireError::new(WireErrorKind::UnsupportedAfi(2), 18);
+        assert_eq!(
+            err.to_string(),
+            "unsupported BGP4MP address family 2 (IPv4 only) at byte 18"
+        );
     }
 
     #[test]

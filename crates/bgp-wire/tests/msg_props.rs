@@ -1,11 +1,13 @@
 //! Differential property tests for the session-message codecs
-//! (OPEN / KEEPALIVE / NOTIFICATION): the zero-copy [`MessageView`] must be
-//! observationally identical to the owned [`Message`] decoder — same
-//! accepted inputs, same rebuilt values, and the same `WireError` kind
-//! **and offset** on every rejected input, including truncations, random
-//! byte flips, and raw garbage. The framing walk (`decode_prefix_of` vs
-//! `MessageView::parse`) is held in lockstep too, because the session FSM
-//! buffers partial frames off exactly those errors.
+//! (OPEN / KEEPALIVE / NOTIFICATION): the zero-copy [`MessageView`] and the
+//! [`Message`] it rebuilds must be observationally identical to the spec
+//! decoder in `tests/spec` — same accepted inputs, same values, and the
+//! same `WireError` kind **and offset** on every rejected input, including
+//! truncations, random byte flips, and raw garbage. The framing walk
+//! (`MessageView::parse` on back-to-back messages) is held in lockstep too,
+//! because the session FSM buffers partial frames off exactly those errors.
+
+mod spec;
 
 use bgp_types::{AsPath, Asn, Ipv4Prefix, RouteOrigin};
 use bgp_wire::bgp::{AsnEncoding, PathAttributes, UpdateMessage};
@@ -92,17 +94,18 @@ fn message() -> impl Strategy<Value = Message> {
 
 // --- differential helpers -------------------------------------------------
 
-/// Decodes `bytes` both ways and asserts observational identity. On
-/// accept, every lazy accessor on the typed views is checked against the
-/// owned decomposition, not just `to_message`.
+/// Decodes `bytes` with the view and the spec decoder and asserts
+/// observational identity. On accept, every lazy accessor on the typed
+/// views is checked against the spec's decomposition, not just
+/// `to_message`.
 fn assert_message_parity(bytes: &[u8], encoding: AsnEncoding) {
-    let owned = Message::decode(bytes, encoding);
+    let expected = spec::message(bytes, encoding);
     let view = MessageView::parse_exact(bytes, encoding);
-    match (owned, view) {
-        (Ok(owned), Ok(view)) => {
-            prop_assert_eq!(view.type_code(), owned.type_code());
-            prop_assert_eq!(&view.to_message(), &owned);
-            match (&view, &owned) {
+    match (expected, view) {
+        (Ok(expected), Ok(view)) => {
+            prop_assert_eq!(view.type_code(), expected.type_code());
+            prop_assert_eq!(&view.to_message(), &expected);
+            match (&view, &expected) {
                 (MessageView::Open(v), Message::Open(o)) => {
                     prop_assert_eq!(v.my_as(), u16::try_from(o.asn.0).unwrap_or(23456));
                     prop_assert_eq!(v.hold_time(), o.hold_time);
@@ -121,16 +124,16 @@ fn assert_message_parity(bytes: &[u8], encoding: AsnEncoding) {
                 (v, o) => prop_assert!(false, "variant diverged: {v:?} vs {o:?}"),
             }
         }
-        (Err(owned), Err(view)) => prop_assert_eq!(view, owned),
-        (owned, view) => prop_assert!(
+        (Err(expected), Err(view)) => prop_assert_eq!(view, expected),
+        (expected, view) => prop_assert!(
             false,
-            "accept/reject diverged: owned {owned:?} vs view {view:?}"
+            "accept/reject diverged: spec {expected:?} vs view {view:?}"
         ),
     }
 }
 
-/// Walks a concatenated byte stream through `Message::decode_prefix_of`
-/// and `MessageView::parse` in lockstep — same messages, same consumed
+/// Walks a concatenated byte stream through the spec decoder and
+/// `MessageView::parse` in lockstep — same messages, same consumed
 /// lengths, same error (`Truncated` from both means "keep buffering").
 fn assert_frame_parity(bytes: &[u8], encoding: AsnEncoding) {
     let mut pos = 0usize;
@@ -139,9 +142,9 @@ fn assert_frame_parity(bytes: &[u8], encoding: AsnEncoding) {
             return;
         }
         let rest = &bytes[pos..];
-        let owned: Result<(Message, usize), WireError> = Message::decode_prefix_of(rest, encoding);
+        let expected: Result<(Message, usize), WireError> = spec::message_prefix(rest, encoding);
         let view = MessageView::parse(rest, encoding);
-        match (owned, view) {
+        match (expected, view) {
             (Ok((o, used_o)), Ok((v, used_v))) => {
                 prop_assert_eq!(used_o, used_v);
                 prop_assert_eq!(&v.to_message(), &o);
@@ -175,15 +178,15 @@ proptest! {
     }
 
     /// A 4-byte-ASN OPEN puts AS_TRANS on the wire and recovers the real
-    /// ASN through the capability, identically in both decoders.
+    /// ASN through the capability, identically in the decoder and the spec.
     #[test]
     fn four_octet_asn_survives_as_trans(asn in (1u32 << 16..u32::MAX).prop_map(Asn)) {
         let open = OpenMessage::new(asn, 90, 0x0A00_0001);
         let bytes = open.encode().expect("encodes");
-        let owned = Message::decode(&bytes, AsnEncoding::FourOctet).expect("decodes");
-        let Message::Open(owned) = owned else { panic!("not an OPEN") };
-        prop_assert_eq!(owned.asn, Asn(23456));
-        prop_assert_eq!(owned.effective_asn(), asn);
+        let expected = spec::message(&bytes, AsnEncoding::FourOctet).expect("decodes");
+        let Message::Open(expected) = expected else { panic!("not an OPEN") };
+        prop_assert_eq!(expected.asn, Asn(23456));
+        prop_assert_eq!(expected.effective_asn(), asn);
         let view = MessageView::parse_exact(&bytes, AsnEncoding::FourOctet).expect("parses");
         let MessageView::Open(view) = view else { panic!("not an OPEN") };
         prop_assert_eq!(view.effective_asn(), asn);
@@ -193,8 +196,12 @@ proptest! {
 // --- corrupted corpora: identical rejection --------------------------------
 
 proptest! {
+    // A flip lands on the one field a check guards only rarely, so these
+    // corpora run more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
     /// Every proper prefix of a valid message fails (or, for frame-level
-    /// truncation, buffers) identically in both decoders.
+    /// truncation, buffers) identically in the decoder and the spec.
     #[test]
     fn truncated_message_errors_identically(msg in message(), cut in 0usize..5000) {
         let bytes = msg.encode(AsnEncoding::FourOctet).expect("encodes");
@@ -204,7 +211,7 @@ proptest! {
     }
 
     /// A single flipped byte either stays decodable (same value) or fails
-    /// identically in both decoders.
+    /// identically in the decoder and the spec.
     #[test]
     fn mutated_message_decodes_identically(
         msg in message(),
@@ -233,8 +240,8 @@ proptest! {
 fn keepalive_is_nineteen_bytes_and_parses_both_ways() {
     let bytes = encode_keepalive();
     assert_eq!(bytes.len(), 19);
-    let owned = Message::decode(&bytes, AsnEncoding::FourOctet).expect("decodes");
-    assert_eq!(owned, Message::Keepalive);
+    let expected = spec::message(&bytes, AsnEncoding::FourOctet).expect("decodes");
+    assert_eq!(expected, Message::Keepalive);
     let view = MessageView::parse_exact(&bytes, AsnEncoding::FourOctet).expect("parses");
     assert!(matches!(view, MessageView::Keepalive));
 }
@@ -249,10 +256,10 @@ fn bad_hold_time_rejected_identically() {
             .encode()
             .expect("encodes");
         bytes[22..24].copy_from_slice(&hold.to_be_bytes());
-        let owned = Message::decode(&bytes, AsnEncoding::FourOctet).unwrap_err();
+        let expected = spec::message(&bytes, AsnEncoding::FourOctet).unwrap_err();
         let view = MessageView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap_err();
-        assert_eq!(owned, view);
-        assert!(matches!(owned.kind, WireErrorKind::BadHoldTime(h) if h == hold));
+        assert_eq!(expected, view);
+        assert!(matches!(expected.kind, WireErrorKind::BadHoldTime(h) if h == hold));
     }
 }
 
@@ -262,10 +269,10 @@ fn bad_version_rejected_identically() {
         .encode()
         .expect("encodes");
     bytes[19] = 3; // BGP-3 speaker
-    let owned = Message::decode(&bytes, AsnEncoding::FourOctet).unwrap_err();
+    let expected = spec::message(&bytes, AsnEncoding::FourOctet).unwrap_err();
     let view = MessageView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap_err();
-    assert_eq!(owned, view);
-    assert!(matches!(owned.kind, WireErrorKind::BadVersion(3)));
+    assert_eq!(expected, view);
+    assert!(matches!(expected.kind, WireErrorKind::BadVersion(3)));
 }
 
 #[test]
@@ -273,9 +280,9 @@ fn bad_notification_code_rejected_identically() {
     for code in [0u8, 7, 255] {
         let mut bytes = NotificationMessage::cease().encode().expect("encodes");
         bytes[19] = code;
-        let owned = Message::decode(&bytes, AsnEncoding::FourOctet).unwrap_err();
+        let expected = spec::message(&bytes, AsnEncoding::FourOctet).unwrap_err();
         let view = MessageView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap_err();
-        assert_eq!(owned, view);
-        assert!(matches!(owned.kind, WireErrorKind::BadNotificationCode(c) if c == code));
+        assert_eq!(expected, view);
+        assert!(matches!(expected.kind, WireErrorKind::BadNotificationCode(c) if c == code));
     }
 }

@@ -4,10 +4,10 @@
 use bgp_types::{AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, RouteOrigin};
 use bgp_wire::bgp::{AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage};
 use bgp_wire::mrt::{
-    Bgp4mpMessage, MrtBody, MrtReader, MrtRecord, PeerEntry, PeerIndexTable, RibEntry,
-    RibIpv4Unicast, RibIpv6Unicast,
+    Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
+    RibIpv6Unicast,
 };
-use bgp_wire::WireErrorKind;
+use bgp_wire::{MrtViewReader, WireErrorKind};
 use proptest::prelude::*;
 
 // --- strategies -----------------------------------------------------------
@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn mrt_record_round_trips(record in mrt_record()) {
         let bytes = record.encode().expect("encodes");
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         let back = reader.next_record().expect("decodes").expect("one record");
         prop_assert_eq!(back, record);
         prop_assert_eq!(reader.next_record().expect("clean EOF"), None);
@@ -205,7 +205,7 @@ proptest! {
         for record in &records {
             bytes.extend_from_slice(&record.encode().expect("encodes"));
         }
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         let mut back = Vec::new();
         while let Some(record) = reader.next_record().expect("decodes") {
             back.push(record);
@@ -293,7 +293,7 @@ proptest! {
             }),
         };
         let bytes = record.encode().expect("encodes");
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         let back = reader.next_record().expect("decodes").expect("one record");
         prop_assert_eq!(back, record);
         prop_assert_eq!(reader.next_record().expect("clean EOF"), None);
@@ -331,10 +331,10 @@ proptest! {
         let cut = cut % bytes.len().max(1);
         if cut == 0 {
             // An empty stream is a clean EOF, not an error.
-            let mut reader = MrtReader::new(&bytes[..0]);
+            let mut reader = MrtViewReader::new(&bytes[..0]);
             prop_assert_eq!(reader.next_record().expect("EOF"), None);
         } else {
-            let mut reader = MrtReader::new(&bytes[..cut]);
+            let mut reader = MrtViewReader::new(&bytes[..cut]);
             prop_assert!(reader.next_record().is_err());
         }
     }
@@ -348,7 +348,7 @@ proptest! {
         let mut bytes = record.encode().expect("encodes");
         let position = position % bytes.len().max(1);
         bytes[position] = value;
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         while let Ok(Some(_)) = reader.next_record() {}
     }
 
@@ -356,7 +356,7 @@ proptest! {
     fn random_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet);
         let _ = UpdateMessage::decode(&bytes, AsnEncoding::TwoOctet);
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         while let Ok(Some(_)) = reader.next_record() {}
     }
 }
@@ -459,7 +459,7 @@ proptest! {
             communities(n),
         ));
         let bytes = record.encode().expect("encodes");
-        let mut reader = MrtReader::new(bytes.as_slice());
+        let mut reader = MrtViewReader::new(bytes.as_slice());
         let back = reader.next_record().expect("decodes").expect("one record");
         prop_assert_eq!(back, record);
     }

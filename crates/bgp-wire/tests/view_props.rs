@@ -1,18 +1,20 @@
-//! Differential property tests: the zero-copy view decode
-//! (`UpdateView`/`MrtRecordView`/`MrtViewReader`) must be *observationally
-//! identical* to the owned decode — same accepted inputs, same rebuilt
-//! values, and the same `WireError` kind **and offset** on every rejected
-//! input, including truncations, random byte flips, and raw garbage. The
-//! owned decoder is the reference; these tests are what lets the hot path
-//! chase throughput without re-litigating correctness.
+//! Differential property tests: the crate's one decoder — the views
+//! (`UpdateView`/`MrtRecordView`/`MrtViewReader`) and the owned values they
+//! rebuild — must be *observationally identical* to the spec decoder in
+//! `tests/spec` — same accepted inputs, same values, and the same
+//! `WireError` kind **and offset** on every rejected input, including
+//! truncations, random byte flips, and raw garbage. These tests are what
+//! lets the hot path chase throughput without re-litigating correctness.
+
+mod spec;
 
 use bgp_types::{AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, RouteOrigin};
 use bgp_wire::bgp::{AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage};
 use bgp_wire::mrt::{
-    Bgp4mpMessage, MrtBody, MrtReader, MrtRecord, PeerEntry, PeerIndexTable, RibEntry,
-    RibIpv4Unicast, RibIpv6Unicast,
+    Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
+    RibIpv6Unicast,
 };
-use bgp_wire::{MrtViewReader, UpdateView, WireError};
+use bgp_wire::{MrtViewReader, UpdateView};
 use proptest::prelude::*;
 
 // --- strategies (same corpus shapes as tests/props.rs) --------------------
@@ -223,21 +225,21 @@ fn mrt_record() -> impl Strategy<Value = MrtRecord> {
 
 // --- differential helpers -------------------------------------------------
 
-/// Decodes `bytes` both ways and asserts observational identity: equal
-/// rebuilt messages on accept, equal `WireError` (kind and offset) on
-/// reject. On accept, every lazy accessor is checked against the owned
-/// decomposition, not just `to_message`.
+/// Decodes `bytes` with the view and the spec decoder and asserts
+/// observational identity: equal messages on accept, equal `WireError`
+/// (kind and offset) on reject. On accept, every lazy accessor is checked
+/// against the spec's decomposition, not just `to_message`.
 fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
-    let owned = UpdateMessage::decode(bytes, encoding);
+    let spec = spec::update(bytes, encoding);
     let view = UpdateView::parse_exact(bytes, encoding);
-    match (owned, view) {
-        (Ok(owned), Ok(view)) => {
-            prop_assert_eq!(&view.to_message(), &owned);
+    match (spec, view) {
+        (Ok(spec), Ok(view)) => {
+            prop_assert_eq!(&view.to_message(), &spec);
             let nlri: Vec<Ipv4Prefix> = view.nlri().collect();
             let withdrawn: Vec<Ipv4Prefix> = view.withdrawn().collect();
-            prop_assert_eq!(nlri, owned.nlri);
-            prop_assert_eq!(withdrawn, owned.withdrawn);
-            match (view.attrs(), owned.attrs) {
+            prop_assert_eq!(nlri, spec.nlri);
+            prop_assert_eq!(withdrawn, spec.withdrawn);
+            match (view.attrs(), spec.attrs) {
                 (Some(va), Some(oa)) => {
                     prop_assert_eq!(va.origin(), oa.origin);
                     prop_assert_eq!(va.next_hop(), oa.next_hop);
@@ -245,8 +247,8 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
                     prop_assert_eq!(va.origin_asn(), oa.as_path.origin());
                     prop_assert_eq!(va.to_as_path(), oa.as_path.clone());
                     let asns: Vec<Asn> = va.path_asns().collect();
-                    let owned_asns: Vec<Asn> = oa.as_path.iter().collect();
-                    prop_assert_eq!(asns, owned_asns);
+                    let spec_asns: Vec<Asn> = oa.as_path.iter().collect();
+                    prop_assert_eq!(asns, spec_asns);
                     let communities: Vec<Community> = va.communities().collect();
                     prop_assert_eq!(communities, oa.communities);
                     prop_assert_eq!(va.mp_reach(), oa.mp_reach);
@@ -256,40 +258,28 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
                 (va, oa) => prop_assert!(false, "attrs presence diverged: {va:?} vs {oa:?}"),
             }
         }
-        (Err(owned), Err(view)) => prop_assert_eq!(view, owned),
-        (owned, view) => prop_assert!(
+        (Err(spec), Err(view)) => prop_assert_eq!(view, spec),
+        (spec, view) => prop_assert!(
             false,
-            "accept/reject diverged: owned {owned:?} vs view {view:?}"
+            "accept/reject diverged: spec {spec:?} vs view {view:?}"
         ),
     }
 }
 
-/// Walks `bytes` through the owned and view MRT readers in lockstep,
-/// asserting each step yields the same record or the same error — and that
-/// both readers poison identically afterwards.
+/// Walks `bytes` through `MrtViewReader` and asserts it yields the spec
+/// decoder's records, then the spec's error (kind and offset) or a clean
+/// end — and that after an error it refuses further reads.
 fn assert_stream_parity(bytes: &[u8]) {
-    let mut owned = MrtReader::new(bytes);
-    let mut view = MrtViewReader::new(bytes);
-    loop {
-        let owned_step: Result<Option<MrtRecord>, WireError> = owned.next_record();
-        let view_step: Result<Option<MrtRecord>, WireError> = match view.advance() {
-            Ok(false) => Ok(None),
-            Ok(true) => view.view().map(|v| Some(v.to_record())),
-            Err(e) => Err(e),
-        };
-        match (owned_step, view_step) {
-            (Ok(Some(a)), Ok(Some(b))) => prop_assert_eq!(a, b),
-            (Ok(None), Ok(None)) => return,
-            (Err(a), Err(b)) => {
-                prop_assert_eq!(a, b);
-                // Both must refuse further reads identically.
-                prop_assert_eq!(owned.next_record(), Ok(None));
-                prop_assert!(matches!(view.advance(), Ok(false)));
-                return;
-            }
-            (a, b) => prop_assert!(false, "stream steps diverged: {a:?} vs {b:?}"),
-        }
+    let (records, error) = spec::mrt_stream(bytes);
+    let mut reader = MrtViewReader::new(bytes);
+    for record in records {
+        prop_assert_eq!(reader.next_record(), Ok(Some(record)));
     }
+    if let Some(error) = error {
+        prop_assert_eq!(reader.next_record(), Err(error));
+        prop_assert!(matches!(reader.advance(), Ok(false)));
+    }
+    prop_assert_eq!(reader.next_record(), Ok(None));
 }
 
 // --- well-formed corpora --------------------------------------------------
@@ -317,8 +307,8 @@ proptest! {
     }
 
     /// Encoder-split wire segments (paths past 255 ASNs) re-join through
-    /// the view's `to_as_path` exactly as the owned decoder re-joins them,
-    /// and the wire-level origin shortcut agrees with the owned origin.
+    /// the view's `to_as_path` exactly as the spec decoder re-joins them,
+    /// and the wire-level origin shortcut agrees with the rebuilt origin.
     #[test]
     fn view_rejoins_split_segments(hops in prop::collection::vec(asn32(), 256..700)) {
         let path = AsPath::from_sequence(hops);
@@ -374,7 +364,7 @@ proptest! {
     }
 
     /// IPv6-only UPDATEs (no IPv4 NLRI, reachability and withdrawals in
-    /// the MP attributes) decode identically in both decoders.
+    /// the MP attributes) decode identically in the decoder and the spec.
     #[test]
     fn view_matches_owned_ipv6_only_update(
         reach in prop_oneof![Just(None), mp_reach().prop_map(Some)],
@@ -402,7 +392,7 @@ proptest! {
 /// An UPDATE whose attribute block has MP_REACH_NLRI but *no* NEXT_HOP —
 /// the shape a real IPv6-only speaker sends (RFC 4760 makes NEXT_HOP
 /// redundant there). The encoder never produces this, so the wire image is
-/// built by hand; both decoders must accept it with the zero stand-in.
+/// built by hand; the decoder must accept it with the zero stand-in.
 #[test]
 fn ipv6_update_without_next_hop_decodes_identically() {
     let mut attrs = Vec::new();
@@ -435,7 +425,7 @@ fn ipv6_update_without_next_hop_decodes_identically() {
     assert_update_parity(&bytes, AsnEncoding::FourOctet);
 
     // Strip the MP_REACH attribute: now NEXT_HOP really is missing, and
-    // both decoders must say so at the same offset.
+    // the decoder must say so at the spec's offset.
     let attrs_no_mp = &bytes[23..23 + 13];
     let mut broken = vec![0xFF; 16];
     let total = 19 + 2 + 2 + attrs_no_mp.len();
@@ -455,6 +445,10 @@ fn ipv6_update_without_next_hop_decodes_identically() {
 // --- corrupted corpora: identical rejection --------------------------------
 
 proptest! {
+    // A flip lands on the one field a check guards only rarely, so these
+    // corpora run more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
     /// Every proper prefix of a valid message fails with the identical
     /// error, offset included.
     #[test]
@@ -465,7 +459,7 @@ proptest! {
     }
 
     /// A single flipped byte either stays decodable (same value) or fails
-    /// identically in both decoders.
+    /// identically in the decoder and the spec.
     #[test]
     fn mutated_update_decodes_identically(
         msg in update(asn32()),
@@ -496,7 +490,7 @@ proptest! {
     }
 
     /// Byte flips anywhere in a multi-record stream — including the framing
-    /// header and length fields — keep both readers in lockstep.
+    /// header and length fields — keep the reader in lockstep with the spec.
     #[test]
     fn mutated_mrt_stream_decodes_identically(
         records in prop::collection::vec(mrt_record(), 1..4),
@@ -516,5 +510,21 @@ proptest! {
     #[test]
     fn garbage_mrt_stream_decodes_identically(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         assert_stream_parity(&bytes);
+    }
+}
+
+proptest! {
+    /// Every byte set in turn to each boundary a length or type check
+    /// tests against: the off-by-one cases a random flip rarely hits.
+    #[test]
+    fn boundary_bytes_decode_identically(msg in update(asn32())) {
+        let bytes = msg.encode(AsnEncoding::FourOctet).expect("encodes");
+        for position in 0..bytes.len() {
+            for value in [0, 1, 2, 32, 33, 128, 129, 255] {
+                let mut mutated = bytes.clone();
+                mutated[position] = value;
+                assert_update_parity(&mutated, AsnEncoding::FourOctet);
+            }
+        }
     }
 }

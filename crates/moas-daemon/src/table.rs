@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 
 use bgp_types::{Asn, Covering, Ipv4Prefix, MoasList, PrefixTrie};
-use bgp_wire::mrt::{MrtBody, MrtReader, PeerIndexTable};
+use bgp_wire::mrt::{MrtBody, PeerIndexTable};
 use bgp_wire::{MrtBodyView, MrtViewReader, WireError, WireErrorKind};
 use experiments::json::{Json, JsonError};
 
@@ -314,9 +314,7 @@ impl OriginTable {
     /// reusable buffer ([`MrtViewReader`]), each RIB entry's origin is read
     /// straight off the wire, and the `(prefix, origin)` pairs are sorted
     /// and bulk-loaded into the trie in one pass
-    /// ([`PrefixTrie::extend_sorted`]). [`from_mrt_owned`](Self::from_mrt_owned)
-    /// is the per-record owned-decode equivalent kept as the differential
-    /// baseline; both produce identical tables.
+    /// ([`PrefixTrie::extend_sorted`]).
     ///
     /// # Errors
     ///
@@ -369,17 +367,18 @@ impl OriginTable {
         Ok(table)
     }
 
-    /// [`from_mrt`](Self::from_mrt) on the owned decode path: every record
-    /// is materialised by [`MrtReader`], origins accumulate in a
-    /// `BTreeMap`, and prefixes load one at a time. Kept as the
-    /// differential-testing and benchmarking baseline for the zero-copy
-    /// path — the two must return identical tables for any archive.
+    /// [`from_mrt`](Self::from_mrt) over owned records: every record is
+    /// rebuilt by [`MrtViewReader::next_record`], origins accumulate in a
+    /// `BTreeMap`, and prefixes load one at a time; the two return identical
+    /// tables for any archive. It exists only because the frozen `moasbench`
+    /// builds its `ingest_mrt` reference with it, and goes when that
+    /// benchmark may next be edited.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O or wire-decoding error.
     pub fn from_mrt_owned<R: io::Read>(reader: R, session_id: u16) -> Result<Self, WireError> {
-        let mut mrt = MrtReader::new(reader);
+        let mut mrt = MrtViewReader::new(reader);
         let mut peer_table: Option<PeerIndexTable> = None;
         let mut origins: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = BTreeMap::new();
         while let Some(record) = mrt.next_record()? {

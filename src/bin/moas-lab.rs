@@ -1160,7 +1160,8 @@ fn session_chaos(args: &[String], scenario: SessionChaosScenario) -> ExitCode {
 fn session_replay(args: &[String]) -> ExitCode {
     use moas::session::{replay_updates, ReplayConfig, SessionConfig};
     use moas::wire::bgp::UpdateMessage;
-    use moas::wire::mrt::{MrtBody, MrtReader};
+    use moas::wire::mrt::MrtBody;
+    use moas::wire::MrtViewReader;
 
     let (Some(path), Some(addr)) = (
         option::<String>(args, "--mrt"),
@@ -1191,7 +1192,7 @@ fn session_replay(args: &[String]) -> ExitCode {
     // Pull UPDATEs out of the archive lazily: BGP4MP records replay
     // verbatim; RIB snapshot entries become one announcement per (prefix,
     // first peer entry). Decode errors end the stream with a diagnostic.
-    let mut reader = MrtReader::new(BufReader::new(file));
+    let mut reader = MrtViewReader::new(BufReader::new(file));
     let mut records: u64 = 0;
     let mut produced: u64 = 0;
     let mut read_error: Option<String> = None;
