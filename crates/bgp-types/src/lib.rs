@@ -51,5 +51,5 @@ pub use intern::Interner;
 pub use moas_list::MoasList;
 pub use prefix::{Ipv4Prefix, Ipv6Prefix};
 pub use route::{Route, RouteOrigin};
-pub use trie::{Covering, CoveringIter, PrefixTrie};
+pub use trie::{Covering, CoveringIter, PrefixTrie, TrieIter};
 pub use update::Update;

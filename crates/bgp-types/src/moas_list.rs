@@ -1,9 +1,14 @@
 //! The MOAS list: the paper's core data structure.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::{Asn, Community};
+
+/// Members a list holds without a heap allocation. 96.14% of the paper's
+/// §3 MOAS cases have exactly two origins.
+const INLINE: usize = 2;
 
 /// The set of ASes entitled to originate a particular prefix (§4.1).
 ///
@@ -14,8 +19,11 @@ use crate::{Asn, Community};
 /// but the set of ASes included in each route announcement must be identical"
 /// (§4.2) — and raise an alarm on any inconsistency.
 ///
-/// The internal representation is an ordered set, so equality *is* the
-/// paper's consistency check.
+/// The members are kept sorted and free of duplicates, so equality *is* the
+/// paper's consistency check. Up to two members live inline; a longer list
+/// spills to one exactly-sized heap slice. Equality, ordering, hashing,
+/// iteration and formatting all read the sorted members, so they behave
+/// exactly as an ordered set of the same ASNs would.
 ///
 /// # Example
 ///
@@ -29,16 +37,62 @@ use crate::{Asn, Community};
 /// let forged: MoasList = [Asn(1), Asn(2), Asn(666)].into_iter().collect();
 /// assert_ne!(from_as1, forged); // inconsistency ⇒ alarm
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone)]
 pub struct MoasList {
-    members: BTreeSet<Asn>,
+    members: Members,
+}
+
+/// The storage behind a [`MoasList`]: strictly ascending ASNs, inline
+/// exactly when there are at most [`INLINE`] of them.
+#[derive(Clone)]
+enum Members {
+    /// `asns[..len]` are the members; the rest of the array is unused.
+    Inline { len: u8, asns: [Asn; INLINE] },
+    /// More than [`INLINE`] members.
+    Spilled(Box<[Asn]>),
+}
+
+// Every node of the daemon's `PrefixTrie` holds an `Option<MoasList>`:
+// keeping both at three words keeps a node at 32 bytes.
+const _: () = assert!(std::mem::size_of::<MoasList>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<MoasList>>() <= 24);
+
+impl Members {
+    const EMPTY: Members = Members::Inline {
+        len: 0,
+        asns: [Asn(0); INLINE],
+    };
+
+    fn as_slice(&self) -> &[Asn] {
+        match self {
+            Members::Inline { len, asns } => &asns[..usize::from(*len)],
+            Members::Spilled(asns) => asns,
+        }
+    }
+
+    /// Storage for strictly ascending `asns`: inline when they fit, else
+    /// the vector's own buffer (not copied when it is exactly sized).
+    fn from_sorted(asns: Vec<Asn>) -> Members {
+        if asns.len() <= INLINE {
+            let mut inline = [Asn(0); INLINE];
+            inline[..asns.len()].copy_from_slice(&asns);
+            Members::Inline {
+                len: asns.len() as u8,
+                asns: inline,
+            }
+        } else {
+            Members::Spilled(asns.into_boxed_slice())
+        }
+    }
 }
 
 impl MoasList {
     /// The empty list.
     #[must_use]
     pub fn new() -> Self {
-        MoasList::default()
+        MoasList {
+            members: Members::EMPTY,
+        }
     }
 
     /// The implicit list of a route that carries no MOAS communities.
@@ -47,38 +101,83 @@ impl MoasList {
     /// will be treated as if it carries a MOAS list containing the origin AS."
     #[must_use]
     pub fn implicit(origin: Asn) -> Self {
-        let mut members = BTreeSet::new();
-        members.insert(origin);
-        MoasList { members }
+        MoasList {
+            members: Members::Inline {
+                len: 1,
+                asns: [origin; INLINE],
+            },
+        }
     }
 
-    /// Adds a member, returning `true` if it was newly inserted.
+    fn as_slice(&self) -> &[Asn] {
+        self.members.as_slice()
+    }
+
+    /// Adds a member, returning `true` if it was newly inserted. Growing a
+    /// list to at most two members allocates nothing.
     pub fn insert(&mut self, asn: Asn) -> bool {
-        self.members.insert(asn)
+        let Err(at) = self.as_slice().binary_search(&asn) else {
+            return false;
+        };
+        match &mut self.members {
+            Members::Inline { len, asns } if usize::from(*len) < INLINE => {
+                asns.copy_within(at..usize::from(*len), at + 1);
+                asns[at] = asn;
+                *len += 1;
+            }
+            Members::Inline { asns, .. } => {
+                let mut spilled = Vec::with_capacity(INLINE + 1);
+                spilled.extend_from_slice(asns);
+                spilled.insert(at, asn);
+                self.members = Members::Spilled(spilled.into_boxed_slice());
+            }
+            Members::Spilled(asns) => {
+                // One exact `realloc`, which small lists usually get in place.
+                let mut grown = std::mem::take(asns).into_vec();
+                grown.reserve_exact(1);
+                grown.insert(at, asn);
+                *asns = grown.into_boxed_slice();
+            }
+        }
+        true
     }
 
     /// Removes a member, returning `true` if it was present.
     pub fn remove(&mut self, asn: Asn) -> bool {
-        self.members.remove(&asn)
+        let Ok(at) = self.as_slice().binary_search(&asn) else {
+            return false;
+        };
+        match &mut self.members {
+            Members::Inline { len, asns } => {
+                asns.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            Members::Spilled(asns) => {
+                let mut rest = std::mem::take(asns).into_vec();
+                rest.remove(at);
+                self.members = Members::from_sorted(rest);
+            }
+        }
+        true
     }
 
     /// Returns `true` if `asn` is entitled to originate the prefix.
     #[must_use]
     pub fn contains(&self, asn: Asn) -> bool {
-        self.members.contains(&asn)
+        self.as_slice().binary_search(&asn).is_ok()
     }
 
     /// Number of member ASes. The paper's measurements found 99% of MOAS
     /// cases involve 3 or fewer origins, so lists stay short in practice.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.as_slice().len()
     }
 
     /// Returns `true` if the list has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Set-equality consistency check from §4.2.
@@ -93,7 +192,7 @@ impl MoasList {
 
     /// Iterates over members in ascending ASN order.
     pub fn iter(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.members.iter().copied()
+        self.into_iter()
     }
 
     /// Encodes the list as `(X : MLVal)` communities, one per member (§4.2,
@@ -104,10 +203,7 @@ impl MoasList {
     /// round-trip. Real origin ASes can never carry that number.
     #[must_use]
     pub fn to_communities(&self) -> Vec<Community> {
-        self.members
-            .iter()
-            .map(|&a| Community::moas_member(a))
-            .collect()
+        self.iter().map(Community::moas_member).collect()
     }
 
     /// Decodes a MOAS list from the MOAS-member communities attached to a
@@ -116,39 +212,109 @@ impl MoasList {
     /// triggers the implicit-list rule instead).
     #[must_use]
     pub fn from_communities(communities: &[Community]) -> Option<Self> {
-        let members: BTreeSet<Asn> = communities
+        let list: MoasList = communities
             .iter()
             .filter(|c| c.is_moas_member())
             .map(|c| c.asn())
             .collect();
-        if members.is_empty() {
+        if list.is_empty() {
             None
         } else {
-            Some(MoasList { members })
+            Some(list)
         }
+    }
+}
+
+impl Default for MoasList {
+    fn default() -> Self {
+        MoasList::new()
+    }
+}
+
+impl PartialEq for MoasList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for MoasList {}
+
+impl PartialOrd for MoasList {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MoasList {
+    /// Lexicographic over the ascending members, as for an ordered set.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for MoasList {
+    /// Hashes the length, then each member in ascending order: the same
+    /// stream an ordered set of the members feeds the hasher.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for MoasList {
+    /// Formats as `MoasList { members: {Asn(1), Asn(2)} }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Set<'a>(&'a [Asn]);
+        impl fmt::Debug for Set<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("MoasList")
+            .field("members", &Set(self.as_slice()))
+            .finish()
     }
 }
 
 impl FromIterator<Asn> for MoasList {
     fn from_iter<I: IntoIterator<Item = Asn>>(iter: I) -> Self {
-        MoasList {
-            members: iter.into_iter().collect(),
-        }
+        let mut list = MoasList::new();
+        list.extend(iter);
+        list
     }
 }
 
 impl Extend<Asn> for MoasList {
+    /// Up to two distinct members allocate nothing. Beyond that, everything
+    /// is gathered in one buffer, sorted and deduplicated once, so a longer
+    /// list built from an exact-size iterator costs one allocation.
     fn extend<I: IntoIterator<Item = Asn>>(&mut self, iter: I) {
-        self.members.extend(iter);
+        let mut iter = iter.into_iter();
+        let overflow = loop {
+            match iter.next() {
+                None => return,
+                Some(asn) if self.contains(asn) => {}
+                Some(asn) if self.len() < INLINE => {
+                    self.insert(asn);
+                }
+                Some(asn) => break asn,
+            }
+        };
+        let mut all = Vec::with_capacity(self.len() + 1 + iter.size_hint().0);
+        all.extend_from_slice(self.as_slice());
+        all.push(overflow);
+        all.extend(iter);
+        all.sort_unstable();
+        all.dedup();
+        self.members = Members::from_sorted(all);
     }
 }
 
 impl<'a> IntoIterator for &'a MoasList {
     type Item = Asn;
-    type IntoIter = std::iter::Copied<std::collections::btree_set::Iter<'a, Asn>>;
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Asn>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.members.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
@@ -156,7 +322,7 @@ impl fmt::Display for MoasList {
     /// Formats as `{AS1, AS2}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, asn) in self.members.iter().enumerate() {
+        for (i, asn) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -238,5 +404,18 @@ mod tests {
         let honest: MoasList = [Asn(1), Asn(2)].into_iter().collect();
         let forged: MoasList = [Asn(1), Asn(2), Asn(3)].into_iter().collect();
         assert!(!honest.is_consistent_with(&forged));
+    }
+
+    #[test]
+    fn storage_is_inline_up_to_two_members() {
+        let inline = |l: &MoasList| matches!(l.members, Members::Inline { .. });
+        let mut l: MoasList = [Asn(9), Asn(3), Asn(9)].into_iter().collect();
+        assert!(inline(&l));
+        l.insert(Asn(5));
+        assert!(!inline(&l));
+        assert_eq!(l.iter().collect::<Vec<_>>(), [Asn(3), Asn(5), Asn(9)]);
+        l.remove(Asn(3));
+        assert!(inline(&l), "shrinking to two members frees the spill");
+        assert_eq!(l.iter().collect::<Vec<_>>(), [Asn(5), Asn(9)]);
     }
 }

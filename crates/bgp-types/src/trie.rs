@@ -217,9 +217,8 @@ impl<T> PrefixTrie<T> {
         Some(out)
     }
 
-    /// The value stored for exactly this prefix.
-    #[must_use]
-    pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
+    /// The index of the node at exactly `prefix`'s path, if the path exists.
+    fn find(&self, prefix: Ipv4Prefix) -> Option<usize> {
         let mut idx = ROOT;
         for i in 0..prefix.len() {
             let child = self.nodes[idx as usize].children[Self::bit(prefix.network(), i)];
@@ -228,7 +227,20 @@ impl<T> PrefixTrie<T> {
             }
             idx = child;
         }
-        self.nodes[idx as usize].value.as_ref()
+        Some(idx as usize)
+    }
+
+    /// The value stored for exactly this prefix.
+    #[must_use]
+    pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
+        self.nodes[self.find(prefix)?].value.as_ref()
+    }
+
+    /// The value stored for exactly this prefix, to change where it stands.
+    #[must_use]
+    pub fn get_mut(&mut self, prefix: Ipv4Prefix) -> Option<&mut T> {
+        let idx = self.find(prefix)?;
+        self.nodes[idx].value.as_mut()
     }
 
     /// Longest-prefix match for a 32-bit destination address: the most
@@ -299,29 +311,77 @@ impl<T> PrefixTrie<T> {
 
     /// All stored prefixes with their values, most-specific-last within each
     /// branch (pre-order). The order is canonical: it depends only on the
-    /// stored contents, never on insertion or removal history.
-    pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.walk(ROOT, 0, 0, &mut out);
-        out.into_iter()
-    }
-
-    fn walk<'a>(&'a self, idx: u32, addr: u32, depth: u8, out: &mut Vec<(Ipv4Prefix, &'a T)>) {
-        let node = &self.nodes[idx as usize];
-        if let Some(v) = node.value.as_ref() {
-            out.push((Ipv4Prefix::new(addr, depth), v));
-        }
-        if depth == 32 {
-            return;
-        }
-        if node.children[0] != NIL {
-            self.walk(node.children[0], addr, depth + 1, out);
-        }
-        if node.children[1] != NIL {
-            self.walk(node.children[1], addr | (1 << (31 - depth)), depth + 1, out);
+    /// stored contents, never on insertion or removal history. The walk is
+    /// lazy and allocates nothing: see [`TrieIter`].
+    pub fn iter(&self) -> TrieIter<'_, T> {
+        TrieIter {
+            nodes: &self.nodes,
+            // Slot 0 holds the root (the /0 at network 0); the rest are unused.
+            pending: [(ROOT, 0, 0); MAX_PENDING],
+            top: 1,
+            remaining: self.len,
         }
     }
 }
+
+/// The most nodes a [`TrieIter`] holds pending: a pre-order walk keeps at most
+/// one unvisited right sibling per depth 1-31 above a /31 node, plus that
+/// node's two /32 children.
+const MAX_PENDING: usize = 33;
+
+/// Pre-order iterator over a [`PrefixTrie`]'s entries — what
+/// [`PrefixTrie::iter`] returns.
+///
+/// The nodes still to visit sit on an explicit stack in a fixed array
+/// instead of a collected `Vec` of entries, so the iterator allocates
+/// nothing and a caller that stops early pays only for what it read. It
+/// stops as soon as every stored entry has been yielded.
+pub struct TrieIter<'a, T> {
+    nodes: &'a [Node<T>],
+    /// `(node, network, prefix length)` still to visit, the next on top.
+    pending: [(u32, u32, u8); MAX_PENDING],
+    /// Number of occupied `pending` slots.
+    top: usize,
+    /// Stored entries not yet yielded.
+    remaining: usize,
+}
+
+impl<'a, T> Iterator for TrieIter<'a, T> {
+    type Item = (Ipv4Prefix, &'a T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // Every entry not yet yielded lies below a pending node, so the
+        // stack cannot run dry while `remaining > 0`.
+        while self.remaining > 0 {
+            self.top -= 1;
+            let (idx, network, length) = self.pending[self.top];
+            let node = &self.nodes[idx as usize];
+            if length < 32 {
+                // Right child first, so the left one is visited next.
+                let right = network | (1 << (31 - length));
+                for (child, at) in [(node.children[1], right), (node.children[0], network)] {
+                    if child != NIL {
+                        self.pending[self.top] = (child, at, length + 1);
+                        self.top += 1;
+                    }
+                }
+            }
+            if let Some(value) = node.value.as_ref() {
+                self.remaining -= 1;
+                return Some((Ipv4Prefix::new(network, length), value));
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<T> ExactSizeIterator for TrieIter<'_, T> {}
+
+impl<T> std::iter::FusedIterator for TrieIter<'_, T> {}
 
 /// One slot per prefix length, /0 to /32.
 const MAX_COVERING: usize = 33;
@@ -673,6 +733,95 @@ mod tests {
         for e in entries {
             assert!(got.contains(&e));
         }
+    }
+
+    /// The eager recursive walk `iter` replaced: the reference order.
+    fn reference_walk<'a, T>(
+        t: &'a PrefixTrie<T>,
+        idx: u32,
+        addr: u32,
+        depth: u8,
+        out: &mut Vec<(Ipv4Prefix, &'a T)>,
+    ) {
+        let node = &t.nodes[idx as usize];
+        if let Some(v) = node.value.as_ref() {
+            out.push((Ipv4Prefix::new(addr, depth), v));
+        }
+        if depth == 32 {
+            return;
+        }
+        if node.children[0] != NIL {
+            reference_walk(t, node.children[0], addr, depth + 1, out);
+        }
+        if node.children[1] != NIL {
+            let right = addr | (1 << (31 - depth));
+            reference_walk(t, node.children[1], right, depth + 1, out);
+        }
+    }
+
+    fn assert_iter_matches_reference<T: PartialEq + std::fmt::Debug>(t: &PrefixTrie<T>) {
+        let mut expected = Vec::new();
+        reference_walk(t, ROOT, 0, 0, &mut expected);
+        let iter = t.iter();
+        assert_eq!(iter.len(), t.len());
+        assert_eq!(iter.collect::<Vec<_>>(), expected);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn iter_matches_recursive_walk(
+            ops in proptest::prop::collection::vec((0u8..3, 0u32..48, 0u8..=32, proptest::arbitrary::any::<bool>()), 0..200),
+        ) {
+            // Networks drawn from few leading-bit patterns (and their
+            // complements, for deep right-hand paths) so that inserts share
+            // stems and removals hit stored prefixes.
+            let mut t = PrefixTrie::new();
+            for (i, (op, x, len, flip)) in ops.into_iter().enumerate() {
+                let network = if flip { !x.reverse_bits() } else { x.reverse_bits() };
+                let prefix = Ipv4Prefix::new(network, len);
+                if op == 0 {
+                    t.remove(prefix);
+                } else {
+                    t.insert(prefix, i);
+                }
+                if i % 16 == 0 {
+                    assert_iter_matches_reference(&t);
+                }
+            }
+            assert_iter_matches_reference(&t);
+        }
+    }
+
+    #[test]
+    fn iter_survives_the_deepest_pending_stack() {
+        // A left spine from /1 to /31 with a right sibling at every depth,
+        // ending in both /32s: the walk holds all 33 pending at once.
+        let mut t = PrefixTrie::new();
+        for depth in 1..=32u8 {
+            t.insert(Ipv4Prefix::new(1 << (32 - depth), depth), depth);
+        }
+        t.insert(Ipv4Prefix::new(0, 32), 0);
+        assert_iter_matches_reference(&t);
+        assert_eq!(t.iter().next(), Some((Ipv4Prefix::new(0, 32), &0)));
+
+        let mut all_ones = PrefixTrie::new();
+        for depth in 0..=32u8 {
+            all_ones.insert(Ipv4Prefix::new(u32::MAX, depth), depth);
+            all_ones.insert(Ipv4Prefix::new(0, depth), depth);
+        }
+        assert_iter_matches_reference(&all_ones);
+    }
+
+    #[test]
+    fn get_mut_changes_the_value_in_place() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.0.0.0/8"), 1);
+        t.insert(p("10.1.0.0/16"), 2);
+        *t.get_mut(p("10.1.0.0/16")).unwrap() += 40;
+        assert_eq!(t.get(p("10.1.0.0/16")), Some(&42));
+        assert_eq!(t.get_mut(p("10.0.0.0/9")), None, "path node, no value");
+        assert_eq!(t.get_mut(p("11.0.0.0/8")), None, "no path");
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -100,6 +100,9 @@ pub fn serial_less(a: u32, b: u32) -> bool {
 #[derive(Debug, Clone)]
 pub struct OriginTable {
     trie: PrefixTrie<MoasList>,
+    /// Sum of the stored lists' lengths, kept by every mutation so that
+    /// [`entry_count`](Self::entry_count) is O(1).
+    entry_count: usize,
     serial: u32,
     session_id: u16,
 }
@@ -118,6 +121,7 @@ impl OriginTable {
     pub fn with_serial(session_id: u16, serial: u32) -> Self {
         OriginTable {
             trie: PrefixTrie::new(),
+            entry_count: 0,
             serial,
             session_id,
         }
@@ -145,17 +149,20 @@ impl OriginTable {
     /// Number of `(prefix, origin)` pairs — the feed's unit of transfer.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.trie.iter().map(|(_, list)| list.len()).sum()
+        self.entry_count
     }
 
     /// Replaces the origin set of `prefix` without touching the serial
     /// (bulk loading). An empty list removes the prefix.
     pub fn insert(&mut self, prefix: Ipv4Prefix, origins: MoasList) {
-        if origins.is_empty() {
-            self.trie.remove(prefix);
+        let added = origins.len();
+        let replaced = if origins.is_empty() {
+            self.trie.remove(prefix)
         } else {
-            self.trie.insert(prefix, origins);
-        }
+            self.trie.insert(prefix, origins)
+        };
+        self.entry_count -= replaced.map_or(0, |list| list.len());
+        self.entry_count += added;
     }
 
     /// The origin set stored for exactly `prefix`.
@@ -183,7 +190,7 @@ impl OriginTable {
     /// [`entries`](Self::entries), collected.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(Ipv4Prefix, Asn)> {
-        let mut out = Vec::with_capacity(self.trie.len());
+        let mut out = Vec::with_capacity(self.entry_count);
         out.extend(self.entries());
         out
     }
@@ -193,31 +200,28 @@ impl OriginTable {
     pub fn apply(&mut self, updates: &[TableUpdate]) -> TableDelta {
         let mut delta = TableDelta::default();
         for update in updates {
+            // The list changes where it stands in the trie; only a new
+            // prefix or a list's last withdrawal walks the trie again.
             if update.announce {
-                let added = if let Some(list) = self.trie.get(update.prefix) {
-                    let mut list = list.clone();
-                    let added = list.insert(update.asn);
-                    if added {
-                        self.trie.insert(update.prefix, list);
+                let added = match self.trie.get_mut(update.prefix) {
+                    Some(list) => list.insert(update.asn),
+                    None => {
+                        self.trie
+                            .insert(update.prefix, MoasList::implicit(update.asn));
+                        true
                     }
-                    added
-                } else {
-                    self.trie
-                        .insert(update.prefix, MoasList::implicit(update.asn));
-                    true
                 };
                 if added {
+                    self.entry_count += 1;
                     delta.announced.push((update.prefix, update.asn));
                 }
-            } else if let Some(list) = self.trie.get(update.prefix) {
-                let mut list = list.clone();
+            } else if let Some(list) = self.trie.get_mut(update.prefix) {
                 if list.remove(update.asn) {
-                    delta.withdrawn.push((update.prefix, update.asn));
                     if list.is_empty() {
                         self.trie.remove(update.prefix);
-                    } else {
-                        self.trie.insert(update.prefix, list);
                     }
+                    self.entry_count -= 1;
+                    delta.withdrawn.push((update.prefix, update.asn));
                 }
             }
         }
@@ -353,17 +357,16 @@ impl OriginTable {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut groups: Vec<(Ipv4Prefix, MoasList)> = Vec::new();
-        for (prefix, asn) in pairs {
-            match groups.last_mut() {
-                Some((last, list)) if *last == prefix => {
-                    list.insert(asn);
-                }
-                _ => groups.push((prefix, MoasList::implicit(asn))),
-            }
-        }
         let mut table = OriginTable::new(session_id);
-        table.trie.extend_sorted(groups);
+        table.entry_count = pairs.len();
+        // Each prefix's list is built once from its run of sorted origins:
+        // no allocation for up to two, one exactly-sized one beyond that.
+        table
+            .trie
+            .extend_sorted(pairs.chunk_by(|a, b| a.0 == b.0).map(|run| {
+                let origins: MoasList = run.iter().map(|&(_, asn)| asn).collect();
+                (run[0].0, origins)
+            }));
         Ok(table)
     }
 
@@ -715,6 +718,39 @@ mod tests {
             kinds(&mrt_bytes(&[mrt_peer_table(0), stray])),
             (bad_index.clone(), bad_index)
         );
+    }
+
+    /// Sum of the stored lists' lengths, counted the slow way.
+    fn recount(table: &OriginTable) -> usize {
+        table.trie.iter().map(|(_, list)| list.len()).sum()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn entry_count_matches_a_recount(
+            steps in proptest::prop::collection::vec((0u8..5, 0u32..6, 0u32..4, 0u32..4), 0..120),
+        ) {
+            // Six prefixes and four origins: announces of held origins,
+            // withdrawals of absent ones and of a prefix's last origin all
+            // happen, and so do bulk inserts of empty and of longer lists.
+            let mut table = OriginTable::new(1);
+            let mut batch = Vec::new();
+            for (kind, i, asn, count) in steps {
+                let prefix = Ipv4Prefix::new((10 << 24) | (i << 16), 16);
+                match kind {
+                    0 | 1 => batch.push(TableUpdate::announce(prefix, Asn(asn))),
+                    2 => batch.push(TableUpdate::withdraw(prefix, Asn(asn))),
+                    3 => table.insert(prefix, (asn..asn + count).map(Asn).collect()),
+                    _ => {
+                        table.apply(&std::mem::take(&mut batch));
+                    }
+                }
+                proptest::prop_assert_eq!(table.entry_count(), recount(&table));
+            }
+            table.apply(&batch);
+            proptest::prop_assert_eq!(table.entry_count(), recount(&table));
+            proptest::prop_assert_eq!(table.snapshot().len(), table.entry_count());
+        }
     }
 
     #[test]
