@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use as_topology::{AsGraph, Partition};
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use minimetrics::MetricsSink;
+use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sim_engine::fault::{FaultAction, FaultStats, LinkFaultModel, TimelineEntry};
@@ -89,6 +89,13 @@ impl Topo {
         let from = self.peer_start.partition_point(|&start| start <= e) - 1;
         let to = self.peer_idx[e] as usize;
         (self.asn_index[from], self.asn_index[to])
+    }
+
+    /// Edge `e`'s `(from, to)` ASN pair packed into one `u64`; ascending in
+    /// edge id, because rows and the ASNs they index are both ascending.
+    fn edge_key(&self, e: usize) -> u64 {
+        let (from, to) = self.edge_endpoints(e);
+        (u64::from(from.0) << 32) | u64::from(to.0)
     }
 
     fn directed_edges(&self, a: Asn, b: Asn) -> Result<(usize, usize), FaultPlanError> {
@@ -1279,22 +1286,24 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     /// receiver's), keyed `(from, to)` ascending by global edge id.
     #[must_use]
     pub fn session_counters(&self) -> Vec<((Asn, Asn), SessionCounters)> {
-        let edges = self.topo.peer_idx.len();
-        let mut out = Vec::new();
-        for e in 0..edges {
-            let mut c = SessionCounters::default();
-            for shard in &self.shards {
-                let s = &shard.sessions[e];
-                c.sent_announcements += s.sent_announcements;
-                c.sent_withdrawals += s.sent_withdrawals;
-                c.recv_announcements += s.recv_announcements;
-                c.recv_withdrawals += s.recv_withdrawals;
-            }
-            if !c.is_empty() {
-                out.push((self.topo.edge_endpoints(e), c));
-            }
+        (0..self.topo.peer_idx.len())
+            .map(|e| (e, self.session_total(e)))
+            .filter(|(_, c)| !c.is_empty())
+            .map(|(e, c)| (self.topo.edge_endpoints(e), c))
+            .collect()
+    }
+
+    /// Edge `e`'s session counters summed over the shards.
+    fn session_total(&self, e: usize) -> SessionCounters {
+        let mut c = SessionCounters::default();
+        for shard in &self.shards {
+            let s = &shard.sessions[e];
+            c.sent_announcements += s.sent_announcements;
+            c.sent_withdrawals += s.sent_withdrawals;
+            c.recv_announcements += s.recv_announcements;
+            c.recv_withdrawals += s.recv_withdrawals;
         }
-        out
+        c
     }
 
     /// Per-link fault statistics, merged field-wise across shards. Empty when
@@ -1304,20 +1313,22 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         if !self.plan_installed {
             return Vec::new();
         }
-        let edges = self.topo.peer_idx.len();
-        let mut out = Vec::new();
-        for e in 0..edges {
-            let mut total = FaultStats::default();
-            for shard in &self.shards {
-                if let Some(f) = shard.faults.as_deref() {
-                    total.merge(&f.stats[e]);
-                }
-            }
-            if total != FaultStats::default() {
-                out.push((self.topo.edge_endpoints(e), total));
+        (0..self.topo.peer_idx.len())
+            .map(|e| (e, self.fault_total(e)))
+            .filter(|(_, f)| *f != FaultStats::default())
+            .map(|(e, f)| (self.topo.edge_endpoints(e), f))
+            .collect()
+    }
+
+    /// Edge `e`'s fault statistics summed over the shards.
+    fn fault_total(&self, e: usize) -> FaultStats {
+        let mut total = FaultStats::default();
+        for shard in &self.shards {
+            if let Some(f) = shard.faults.as_deref() {
+                total.merge(&f.stats[e]);
             }
         }
-        out
+        total
     }
 
     /// All per-link fault statistics merged into one block.
@@ -1374,41 +1385,75 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             sink.record_by(rib_size, router.adj_rib_in_size() as u64);
         }
         sink.counter_add("net.decision_process.invocations", decisions);
-        // One reusable key buffer for the dynamic per-session/per-link keys:
-        // the `{kind}.{a}->{b}.` stem is formatted once per pair and each
-        // suffix is appended after truncating back to the stem.
-        let mut key = String::with_capacity(64);
-        let mut emit = |stem: std::fmt::Arguments<'_>, fields: &[(&str, u64)]| {
-            key.clear();
-            key.write_fmt(stem).expect("write to String cannot fail");
-            let stem = key.len();
-            for &(suffix, value) in fields {
-                key.truncate(stem);
-                key.push_str(suffix);
-                sink.counter_add(&key, value);
+        // Sessions and links are counter rows keyed by the `(from, to)` pair:
+        // nothing is named here, only when the sweep takes its snapshot.
+        // Edge ids walk `(from, to)` ascending, so rows arrive in key order.
+        let edges = self.topo.peer_idx.len();
+        let sessions = sink.row_table("", &SESSION_ROWS, edges);
+        for e in 0..edges {
+            let c = self.session_total(e);
+            if !c.is_empty() {
+                let values = [
+                    c.sent_announcements,
+                    c.sent_withdrawals,
+                    c.recv_announcements,
+                    c.recv_withdrawals,
+                ];
+                sink.row_add(sessions, self.topo.edge_key(e), &values);
             }
-        };
-        for ((a, b), c) in self.session_counters() {
-            let fields = [
-                ("sent_announcements", c.sent_announcements),
-                ("sent_withdrawals", c.sent_withdrawals),
-                ("recv_announcements", c.recv_announcements),
-                ("recv_withdrawals", c.recv_withdrawals),
-            ];
-            emit(format_args!("session.{a}->{b}."), &fields);
         }
-        for ((a, b), s) in self.fault_stats() {
-            let fields = [
-                ("delivered", s.delivered),
-                ("dropped", s.dropped),
-                ("duplicated", s.duplicated),
-                ("reordered", s.reordered),
-                ("corrupted", s.corrupted),
-                ("dropped_link_down", s.dropped_link_down),
-            ];
-            emit(format_args!("link.{a}->{b}."), &fields);
+        if self.plan_installed {
+            let links = sink.row_table("", &LINK_ROWS, edges);
+            for e in 0..edges {
+                let s = self.fault_total(e);
+                if s != FaultStats::default() {
+                    let values = [
+                        s.delivered,
+                        s.dropped,
+                        s.duplicated,
+                        s.reordered,
+                        s.corrupted,
+                        s.dropped_link_down,
+                    ];
+                    sink.row_add(links, self.topo.edge_key(e), &values);
+                }
+            }
         }
     }
+}
+
+/// `session.{from}->{to}.*`: one row per directed session that carried a
+/// message (see [`SessionCounters`]).
+static SESSION_ROWS: RowFamily = RowFamily {
+    name: "session",
+    fields: &[
+        "sent_announcements",
+        "sent_withdrawals",
+        "recv_announcements",
+        "recv_withdrawals",
+    ],
+    label: edge_label,
+};
+
+/// `link.{from}->{to}.*`: one row per directed link a fault plan touched
+/// (see [`FaultStats`]).
+static LINK_ROWS: RowFamily = RowFamily {
+    name: "link",
+    fields: &[
+        "delivered",
+        "dropped",
+        "duplicated",
+        "reordered",
+        "corrupted",
+        "dropped_link_down",
+    ],
+    label: edge_label,
+};
+
+/// Renders a [`Topo::edge_key`] as `AS{from}->AS{to}`.
+fn edge_label(key: u64, out: &mut String) {
+    let (from, to) = (Asn((key >> 32) as u32), Asn(key as u32));
+    write!(out, "{from}->{to}").expect("write to String cannot fail");
 }
 
 impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {

@@ -4,8 +4,9 @@
 //! index-addressed slots, and aggregates in plan order. The middle step is
 //! the same for all of them and lives here once: [`Exec::run_cells`] decides
 //! where the workers go, picks the sink — one `MetricsSink` monomorphisation
-//! per driver call, never per event — fans the cells out, and merges the
-//! per-cell snapshots in plan order.
+//! per driver call, never per event — fans the cells out, and folds the
+//! per-cell sinks into one in plan order as they finish. The merged sink is
+//! turned into a snapshot — its per-session rows named — once per call.
 
 use as_topology::AsGraph;
 use bgp_engine::{RouteMonitor, ShardedNetwork};
@@ -63,7 +64,7 @@ impl Exec {
 
     /// Runs `cell.run(_, 0) .. cell.run(_, count - 1)` and returns the
     /// outputs in index order plus the plan-order merge of the per-cell
-    /// snapshots (empty unless `self.metrics`).
+    /// sinks (empty unless `self.metrics`).
     pub(crate) fn run_cells<C: Cell>(
         self,
         count: usize,
@@ -84,20 +85,24 @@ impl Exec {
             let outs = minipool::map_indexed(across, count, |i| cell.run(layout, i, &mut NoopSink));
             return (outs, MetricsSnapshot::new());
         }
-        let recorded = minipool::map_indexed(across, count, |i| {
-            let mut sink = RecordingSink::new();
-            let out = cell.run(layout, i, &mut sink);
-            (out, sink.into_snapshot())
-        });
-        let mut snapshot = MetricsSnapshot::new();
-        let outs = recorded
-            .into_iter()
-            .map(|(out, cell_snapshot)| {
-                snapshot.merge(&cell_snapshot);
-                out
-            })
-            .collect();
-        (outs, snapshot)
+        // Each cell records into a fresh sink (its gauges are last-write
+        // within the cell) that folds into the merged sink as soon as its
+        // turn comes, so no finished cell's sink outlives its merge.
+        let (outs, merged) = minipool::fold_indexed(
+            across,
+            count,
+            (Vec::with_capacity(count), RecordingSink::new()),
+            |i| {
+                let mut sink = RecordingSink::new();
+                let out = cell.run(layout, i, &mut sink);
+                (out, sink)
+            },
+            |(outs, merged), (out, sink)| {
+                outs.push(out);
+                merged.merge(sink);
+            },
+        );
+        (outs, merged.into_snapshot())
     }
 }
 

@@ -87,6 +87,28 @@ impl FromJson for Log2Histogram {
                 offset: 0,
             });
         }
+        // The summary must agree with the buckets it summarises: an
+        // ordered range whose ends fall in the lowest and highest non-empty
+        // bucket. (Empty histograms carry no summary to check.)
+        let lowest = hist.nonzero_buckets().next().map(|(index, _)| index);
+        let highest = hist.nonzero_buckets().last().map(|(index, _)| index);
+        if let (Some(lowest), Some(highest)) = (lowest, highest) {
+            let contradiction = if min > max {
+                Some(format!("min {min} above max {max}"))
+            } else if Log2Histogram::bucket_index(min) != lowest {
+                Some(format!("min {min} outside lowest bucket {lowest}"))
+            } else if Log2Histogram::bucket_index(max) != highest {
+                Some(format!("max {max} outside highest bucket {highest}"))
+            } else {
+                None
+            };
+            if let Some(message) = contradiction {
+                return Err(JsonError {
+                    message: format!("histogram summary contradicts its buckets: {message}"),
+                    offset: 0,
+                });
+            }
+        }
         hist.set_summary(sum, min, max);
         Ok(hist)
     }
@@ -248,6 +270,25 @@ mod tests {
         assert!(from_str::<Log2Histogram>(bad_index).is_err());
         let bad_count = r#"{"count": 9, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}"#;
         assert!(from_str::<Log2Histogram>(bad_count).is_err());
+        // A summary that contradicts its buckets: min above max, and min or
+        // max outside the lowest / highest non-empty bucket.
+        let inverted = r#"{"count":1,"sum":0,"min":9,"max":2,"buckets":[[0,1]]}"#;
+        assert!(from_str::<Log2Histogram>(inverted).is_err());
+        let min_too_low = r#"{"count":2,"sum":9,"min":1,"max":5,"buckets":[[3,1],[3,1]]}"#;
+        assert!(from_str::<Log2Histogram>(min_too_low).is_err());
+        let min_too_high = r#"{"count":2,"sum":12,"min":5,"max":7,"buckets":[[2,1],[3,1]]}"#;
+        assert!(from_str::<Log2Histogram>(min_too_high).is_err());
+        let max_too_high = r#"{"count":2,"sum":9,"min":4,"max":9,"buckets":[[3,2]]}"#;
+        assert!(from_str::<Log2Histogram>(max_too_high).is_err());
+        let max_too_low = r#"{"count":2,"sum":9,"min":2,"max":3,"buckets":[[2,1],[3,1]]}"#;
+        assert!(from_str::<Log2Histogram>(max_too_low).is_err());
+        // The consistent neighbours of those cases still decode, empty
+        // histograms included.
+        let consistent = r#"{"count":2,"sum":9,"min":2,"max":7,"buckets":[[2,1],[3,1]]}"#;
+        let hist = from_str::<Log2Histogram>(consistent).unwrap();
+        assert_eq!((hist.min(), hist.max()), (Some(2), Some(7)));
+        let empty = r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#;
+        assert_eq!(from_str::<Log2Histogram>(empty).unwrap().count(), 0);
     }
 
     #[test]
