@@ -12,7 +12,6 @@ use moas_core::{
 };
 
 use crate::exec::Exec;
-use crate::json;
 use crate::stats::{mean, mean_by};
 use crate::trial::{run_trial, run_trials, TrialConfig, TrialOutcome};
 
@@ -34,13 +33,6 @@ pub struct SubPrefixAblation {
     /// cannot see.
     pub subprefix_traffic_capture_pct: f64,
 }
-
-json::impl_json_struct!(SubPrefixAblation {
-    subprefix_adoption_pct,
-    exact_prefix_adoption_pct,
-    subprefix_alarms,
-    subprefix_traffic_capture_pct,
-});
 
 /// The §4.3 boundary: full MOAS deployment against a more-specific-prefix
 /// hijacker. Expected result — reproduced here — is that detection never
@@ -144,13 +136,6 @@ pub struct ValleyFreePoint {
     /// Mean advertisements suppressed by the export policy per run.
     pub mean_suppressed: f64,
 }
-
-json::impl_json_struct!(ValleyFreePoint {
-    routing,
-    normal_adoption_pct,
-    moas_adoption_pct,
-    mean_suppressed,
-});
 
 /// Evaluates the MOAS mechanism under Gao-Rexford policy routing — the
 /// realism the paper's simulation abstracts away. Valley-free export
@@ -265,12 +250,6 @@ pub struct ForgeryPoint {
     /// Mean alarms per run.
     pub mean_alarms: f64,
 }
-
-json::impl_json_struct!(ForgeryPoint {
-    forgery,
-    mean_adoption_pct,
-    mean_alarms,
-});
 
 /// The forgery strategies [`forgery_ablation`] compares, in output order.
 const FORGERIES: [ListForgery; 3] = [
@@ -445,13 +424,6 @@ pub struct CommunityPolicyPoint {
     /// Mean verifier-confirmed alarms per run.
     pub mean_confirmed_alarms: f64,
 }
-
-json::impl_json_struct!(CommunityPolicyPoint {
-    policy,
-    mean_adoption_pct,
-    mean_false_alarms,
-    mean_confirmed_alarms,
-});
 
 /// The §4.3 community-dropping hazard over the Krenc et al. community
 /// handling classes: every transit AS applies one [`CommunityPolicy`] class

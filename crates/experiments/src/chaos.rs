@@ -35,7 +35,7 @@ use moas_core::{
 use sim_engine::fault::LinkFaultModel;
 
 use crate::exec::{Cell, Exec, Layout};
-use crate::json::{self, FromJson, Json, JsonError, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::stats::{mean, mean_by, ratio};
 
 /// Tick at which scripted churn begins.
@@ -144,21 +144,6 @@ impl ToJson for ChaosScenario {
     }
 }
 
-impl FromJson for ChaosScenario {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Str(s) => s.parse().map_err(|e: UnknownScenario| JsonError {
-                message: e.to_string(),
-                offset: 0,
-            }),
-            _ => Err(JsonError {
-                message: "expected a scenario name string".to_string(),
-                offset: 0,
-            }),
-        }
-    }
-}
-
 /// Configuration of a chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -176,15 +161,6 @@ pub struct ChaosConfig {
     /// Maximum per-link delay jitter.
     pub max_link_delay: u64,
 }
-
-json::impl_json_struct!(ChaosConfig {
-    scenario,
-    trials,
-    seed,
-    transit_count,
-    stub_count,
-    max_link_delay,
-});
 
 impl ChaosConfig {
     /// Default protocol: 30 trials on a ~32-AS topology with heavy
@@ -210,12 +186,6 @@ impl ChaosConfig {
             stub_count: 16,
             ..ChaosConfig::new(scenario)
         }
-    }
-
-    /// Serializes to pretty JSON (for report provenance).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::to_string_pretty(self)
     }
 }
 
@@ -1052,29 +1022,35 @@ mod tests {
         let mut config = ChaosConfig::quick(ChaosScenario::OriginFlap);
         config.trials = 2;
         let sweep = run_deployment_sweep(&config, &[0.0, 1.0], Exec::serial()).0;
-        let back: DeploymentSweep = crate::json::from_str(&sweep.to_json()).unwrap();
-        assert_eq!(back, sweep);
+        let text = sweep.to_json();
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.pretty(), text);
+        assert_eq!(doc.get("scenario"), Some(&Json::Str("origin-flap".into())));
+        let Some(Json::Arr(points)) = doc.get("points") else {
+            panic!("no points in {text}");
+        };
+        assert_eq!(points.len(), 2);
+        for (point, written) in sweep.points.iter().zip(points) {
+            let fraction = Json::Num(point.deployment_fraction);
+            assert_eq!(written.get("deployment_fraction"), Some(&fraction));
+            let report = written.get("report").unwrap();
+            assert_eq!(report.pretty(), point.report.to_json());
+        }
     }
 
     #[test]
     fn report_json_round_trips() {
-        let report = run_chaos(
-            &ChaosConfig::quick(ChaosScenario::OriginFlap),
-            Exec::serial(),
-        )
-        .0;
-        let json = report.to_json();
-        let back: ChaosReport = crate::json::from_str(&json).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn config_json_round_trips() {
-        let config = ChaosConfig::quick(ChaosScenario::LossyCore);
-        let json = config.to_json();
-        let back: ChaosConfig = crate::json::from_str(&json).unwrap();
-        assert_eq!(back.scenario, config.scenario);
-        assert_eq!(back.trials, config.trials);
-        assert_eq!(back.seed, config.seed);
+        let mut config = ChaosConfig::quick(ChaosScenario::OriginFlap);
+        config.seed = (1 << 53) + 1;
+        let report = run_chaos(&config, Exec::serial()).0;
+        let text = report.to_json();
+        // The seed is written exactly, so the report names the run it came
+        // from, although the parser reads it back as the nearest float.
+        assert!(text.contains("\"seed\": 9007199254740993,"), "{text}");
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("seed"), Some(&Json::Num(9_007_199_254_740_992.0)));
+        let rate = Json::Num(report.false_alarm_rate);
+        assert_eq!(doc.get("false_alarm_rate"), Some(&rate));
+        assert_eq!(doc.get("trials"), Some(&Json::Num(6.0)));
     }
 }

@@ -1,13 +1,19 @@
-//! Dependency-free JSON encoding for experiment provenance.
+//! Dependency-free JSON for the files `moas-lab` writes and reads.
 //!
-//! The experiment configs and figure reports are serialized to pretty JSON
-//! for EXPERIMENTS.md; with no crates.io access in the build environment this
-//! module replaces `serde`/`serde_json` with a small hand-rolled value type,
-//! printer, and parser covering exactly the shapes the reports need
-//! (objects, arrays, strings, finite numbers, booleans).
+//! With no crates.io access in the build environment this module replaces
+//! `serde`/`serde_json` with a small value type, printer and parser. The CLI
+//! writes five kinds of file as JSON: the `chaos`, `chaos
+//! --deployment-sweep`, session-layer `chaos` and `ensemble` reports
+//! (`--out FILE`, or stdout), and the `--metrics FILE` snapshot. [`ToJson`]
+//! is implemented only for the types inside those files. The snapshot is
+//! the one file read back, by `moas-lab metrics-summary`, through
+//! [`parse_snapshot`](crate::metrics::parse_snapshot). The daemon's
+//! MOAS-list and exception files, and the benchmark harness, use [`Json`]
+//! directly.
 //!
-//! Numbers round-trip exactly: they are printed with Rust's shortest
-//! round-trip `f64` formatting and parsed back with `str::parse::<f64>`.
+//! Floats print in Rust's shortest round-trip form, integral ones below
+//! 1e15 without a fraction. Integers ([`Json::Int`]) print exactly, so a
+//! 64-bit seed in a report reproduces its run.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -19,8 +25,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A finite number.
+    /// A finite number. [`Json::parse`] reads every number as this.
     Num(f64),
+    /// An unsigned integer, printed exactly. Only [`ToJson`] produces it.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -29,12 +37,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Why a JSON document failed to parse or decode.
+/// Why a JSON document failed to parse or did not have the expected shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
     pub message: String,
-    /// Byte offset the parser had reached (0 for decode errors).
+    /// Byte offset the parser had reached (0 for shape errors).
     pub offset: usize,
 }
 
@@ -45,13 +53,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-fn decode_err(message: impl Into<String>) -> JsonError {
-    JsonError {
-        message: message.into(),
-        offset: 0,
-    }
-}
 
 impl Json {
     /// Looks up a key in an object.
@@ -76,6 +77,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
+            Json::Int(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -348,34 +350,15 @@ impl Parser<'_> {
     }
 }
 
-/// Types encodable as JSON.
+/// Types written as JSON: the reports and snapshots `moas-lab` saves.
 pub trait ToJson {
     /// Converts to a JSON value.
     fn to_json_value(&self) -> Json;
 }
 
-/// Types decodable from JSON.
-pub trait FromJson: Sized {
-    /// Builds from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on a shape or domain mismatch.
-    fn from_json_value(value: &Json) -> Result<Self, JsonError>;
-}
-
 /// Pretty-prints any encodable value.
 pub fn to_string_pretty<T: ToJson>(value: &T) -> String {
     value.to_json_value().pretty()
-}
-
-/// Parses and decodes any decodable value.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] if the document does not parse or decode.
-pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
-    T::from_json_value(&Json::parse(input)?)
 }
 
 impl ToJson for f64 {
@@ -384,64 +367,21 @@ impl ToJson for f64 {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Num(n) => Ok(*n),
-            _ => Err(decode_err("expected number")),
-        }
-    }
-}
-
 macro_rules! impl_json_int {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json_value(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-                match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= (<$t>::MAX as f64) => {
-                        Ok(*n as $t)
-                    }
-                    _ => Err(decode_err(concat!("expected ", stringify!($t)))),
-                }
+                Json::Int(*self as u64)
             }
         }
     )*};
 }
 
-impl_json_int!(u32, u64, usize);
-
-impl ToJson for bool {
-    fn to_json_value(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(decode_err("expected boolean")),
-        }
-    }
-}
+impl_json_int!(u64, usize);
 
 impl ToJson for String {
     fn to_json_value(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(decode_err("expected string")),
-        }
     }
 }
 
@@ -451,16 +391,7 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Arr(items) => items.iter().map(T::from_json_value).collect(),
-            _ => Err(decode_err("expected array")),
-        }
-    }
-}
-
-impl<K: ToJson + Ord + fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
+impl<K: Ord + fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json_value(&self) -> Json {
         Json::Obj(
             self.iter()
@@ -470,28 +401,8 @@ impl<K: ToJson + Ord + fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
     }
 }
 
-impl<K, V> FromJson for BTreeMap<K, V>
-where
-    K: FromJson + Ord + std::str::FromStr,
-    V: FromJson,
-{
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| {
-                    let key = k
-                        .parse::<K>()
-                        .map_err(|_| decode_err(format!("bad map key '{k}'")))?;
-                    Ok((key, V::from_json_value(v)?))
-                })
-                .collect(),
-            _ => Err(decode_err("expected object")),
-        }
-    }
-}
-
-/// Derives [`ToJson`]/[`FromJson`] for a named-field struct.
+/// Derives [`ToJson`] for a named-field struct: an object with one key per
+/// field, in the order listed.
 macro_rules! impl_json_struct {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
@@ -499,23 +410,6 @@ macro_rules! impl_json_struct {
                 $crate::json::Json::Obj(vec![
                     $((stringify!($field).to_string(), self.$field.to_json_value())),+
                 ])
-            }
-        }
-
-        impl $crate::json::FromJson for $ty {
-            fn from_json_value(value: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok($ty {
-                    $($field: $crate::json::FromJson::from_json_value(
-                        value.get(stringify!($field)).ok_or_else(|| $crate::json::JsonError {
-                            message: format!(
-                                "missing field '{}' of {}",
-                                stringify!($field),
-                                stringify!($ty),
-                            ),
-                            offset: 0,
-                        })?,
-                    )?),+
-                })
             }
         }
     };
@@ -574,17 +468,29 @@ mod tests {
     #[test]
     fn map_codec() {
         let mut m = BTreeMap::new();
-        m.insert(2usize, 7usize);
         m.insert(3usize, 1usize);
-        let back: BTreeMap<usize, usize> = from_str(&to_string_pretty(&m)).unwrap();
-        assert_eq!(back, m);
+        m.insert(2usize, 7usize);
+        let text = to_string_pretty(&m);
+        assert_eq!(text, "{\n  \"2\": 7,\n  \"3\": 1\n}");
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("2"), Some(&Json::Num(7.0)));
+        assert_eq!(back.pretty(), text);
     }
 
     #[test]
-    fn decode_type_mismatch_fails() {
-        assert!(from_str::<f64>("\"nope\"").is_err());
-        assert!(from_str::<u64>("1.5").is_err());
-        assert!(from_str::<u64>("-3").is_err());
-        assert!(from_str::<Vec<f64>>("{}").is_err());
+    fn integers_print_exactly() {
+        for n in [
+            0u64,
+            683,
+            999_999_999_999_999,
+            9_007_199_254_740_993,
+            u64::MAX,
+        ] {
+            assert_eq!(n.to_json_value().pretty(), n.to_string());
+        }
+        // Below 1e15 an integer prints as the same number held as a float.
+        assert_eq!(Json::Int(683).pretty(), Json::Num(683.0).pretty());
+        // The parser never produces `Int`.
+        assert_eq!(Json::parse("683").unwrap(), Json::Num(683.0));
     }
 }

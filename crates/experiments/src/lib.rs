@@ -90,7 +90,7 @@ pub use ensemble::{
 };
 pub use exec::Exec;
 pub use figures::{experiment1, experiment2, experiment3};
-pub use metrics::{overhead_snapshot, render_metrics_summary};
+pub use metrics::{overhead_snapshot, parse_snapshot, render_metrics_summary};
 pub use overhead::{
     measure_moas_list_overhead, moas_list_overhead, OverheadReport, WireModel, MRT_FRAMING_BYTES,
 };

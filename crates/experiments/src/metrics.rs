@@ -1,10 +1,12 @@
-//! Serialization and rendering for observability snapshots.
+//! Writing, reading and rendering observability snapshots.
 //!
-//! `minimetrics` deliberately knows nothing about JSON; this module bridges
-//! its [`MetricsSnapshot`]/[`Log2Histogram`] types into the crate's
-//! hand-rolled [`json`](crate::json) codec (the local `ToJson`/`FromJson`
-//! traits let us implement the codec for the foreign types here) and renders
-//! snapshots as the human-readable summary behind `moas-lab metrics-summary`.
+//! `minimetrics` deliberately knows nothing about JSON; this module writes
+//! its [`MetricsSnapshot`]/[`Log2Histogram`] types through the crate's
+//! hand-rolled [`json`](crate::json) printer (the local [`ToJson`] trait
+//! lets us implement it for the foreign types here), reads a snapshot back
+//! with [`parse_snapshot`] — the only JSON document the program reads —
+//! and renders it as the human-readable summary behind `moas-lab
+//! metrics-summary`.
 //!
 //! # Serialized shape
 //!
@@ -24,19 +26,22 @@
 //! Histogram buckets serialize sparsely as `[bucket index, count]` pairs
 //! (see [`Log2Histogram::bucket_index`] for the value → bucket mapping).
 //!
-//! JSON numbers are `f64`, so counter/sum values above 2^53 would lose
-//! precision in a round-trip; simulation counters stay far below that.
+//! Values are written as exact integers, but [`Json::parse`] reads numbers
+//! as `f64`, so a counter or sum above 2^53 reads back rounded; simulation
+//! counters stay far below that.
+
+use std::collections::BTreeMap;
 
 use minimetrics::{Log2Histogram, MetricsSnapshot};
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, JsonError, ToJson};
 use crate::overhead::OverheadReport;
 
 impl ToJson for Log2Histogram {
     fn to_json_value(&self) -> Json {
         let buckets: Vec<Json> = self
             .nonzero_buckets()
-            .map(|(index, count)| Json::Arr(vec![Json::Num(index as f64), Json::Num(count as f64)]))
+            .map(|(index, count)| Json::Arr(vec![Json::Int(index as u64), Json::Int(count)]))
             .collect();
         Json::Obj(vec![
             ("count".into(), self.count().to_json_value()),
@@ -45,72 +50,6 @@ impl ToJson for Log2Histogram {
             ("max".into(), self.max().unwrap_or(0).to_json_value()),
             ("buckets".into(), Json::Arr(buckets)),
         ])
-    }
-}
-
-impl FromJson for Log2Histogram {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            value.get(name).ok_or_else(|| JsonError {
-                message: format!("missing histogram field '{name}'"),
-                offset: 0,
-            })
-        };
-        let count = u64::from_json_value(field("count")?)?;
-        let sum = u64::from_json_value(field("sum")?)?;
-        let min = u64::from_json_value(field("min")?)?;
-        let max = u64::from_json_value(field("max")?)?;
-        let pairs = Vec::<Vec<u64>>::from_json_value(field("buckets")?)?;
-
-        let mut hist = Log2Histogram::new();
-        for pair in &pairs {
-            let [index, bucket_count] = pair.as_slice() else {
-                return Err(JsonError {
-                    message: "histogram bucket is not an [index, count] pair".into(),
-                    offset: 0,
-                });
-            };
-            if *index as usize >= minimetrics::HISTOGRAM_BUCKETS {
-                return Err(JsonError {
-                    message: format!("histogram bucket index {index} out of range"),
-                    offset: 0,
-                });
-            }
-            hist.add_bucket(*index as usize, *bucket_count);
-        }
-        if hist.count() != count {
-            return Err(JsonError {
-                message: format!(
-                    "histogram count {count} disagrees with bucket total {}",
-                    hist.count()
-                ),
-                offset: 0,
-            });
-        }
-        // The summary must agree with the buckets it summarises: an
-        // ordered range whose ends fall in the lowest and highest non-empty
-        // bucket. (Empty histograms carry no summary to check.)
-        let lowest = hist.nonzero_buckets().next().map(|(index, _)| index);
-        let highest = hist.nonzero_buckets().last().map(|(index, _)| index);
-        if let (Some(lowest), Some(highest)) = (lowest, highest) {
-            let contradiction = if min > max {
-                Some(format!("min {min} above max {max}"))
-            } else if Log2Histogram::bucket_index(min) != lowest {
-                Some(format!("min {min} outside lowest bucket {lowest}"))
-            } else if Log2Histogram::bucket_index(max) != highest {
-                Some(format!("max {max} outside highest bucket {highest}"))
-            } else {
-                None
-            };
-            if let Some(message) = contradiction {
-                return Err(JsonError {
-                    message: format!("histogram summary contradicts its buckets: {message}"),
-                    offset: 0,
-                });
-            }
-        }
-        hist.set_summary(sum, min, max);
-        Ok(hist)
     }
 }
 
@@ -124,20 +63,117 @@ impl ToJson for MetricsSnapshot {
     }
 }
 
-impl FromJson for MetricsSnapshot {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            value.get(name).ok_or_else(|| JsonError {
-                message: format!("missing snapshot field '{name}'"),
-                offset: 0,
-            })
-        };
-        Ok(MetricsSnapshot {
-            counters: FromJson::from_json_value(field("counters")?)?,
-            gauges: FromJson::from_json_value(field("gauges")?)?,
-            histograms: FromJson::from_json_value(field("histograms")?)?,
-        })
+/// Reads a snapshot back from the JSON [`ToJson`] writes for it.
+///
+/// Keys beyond the ones written are ignored. A histogram must agree with
+/// itself: bucket indices in range, a bucket total that fits a `u64` and
+/// equals `count`, and `min`/`max` an ordered range falling in the lowest
+/// and highest non-empty bucket.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] if the text does not parse, a field is missing or
+/// of the wrong type, or a histogram contradicts its buckets.
+pub fn parse_snapshot(text: &str) -> Result<MetricsSnapshot, JsonError> {
+    let doc = Json::parse(text)?;
+    Ok(MetricsSnapshot {
+        counters: map(field(&doc, "counters")?, uint)?,
+        gauges: map(field(&doc, "gauges")?, uint)?,
+        histograms: map(field(&doc, "histograms")?, histogram)?,
+    })
+}
+
+fn shape_err(message: impl Into<String>) -> JsonError {
+    JsonError {
+        message: message.into(),
+        offset: 0,
     }
+}
+
+fn field<'a>(value: &'a Json, name: &str) -> Result<&'a Json, JsonError> {
+    value
+        .get(name)
+        .ok_or_else(|| shape_err(format!("missing field '{name}'")))
+}
+
+/// An object whose values all decode; a repeated key keeps its last value.
+fn map<V>(
+    value: &Json,
+    decode: fn(&Json) -> Result<V, JsonError>,
+) -> Result<BTreeMap<String, V>, JsonError> {
+    let Json::Obj(fields) = value else {
+        return Err(shape_err("expected object"));
+    };
+    fields
+        .iter()
+        .map(|(key, value)| Ok((key.clone(), decode(value)?)))
+        .collect()
+}
+
+fn uint(value: &Json) -> Result<u64, JsonError> {
+    match value {
+        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => Ok(*n as u64),
+        _ => Err(shape_err("expected an unsigned integer")),
+    }
+}
+
+fn array(value: &Json) -> Result<&[Json], JsonError> {
+    match value {
+        Json::Arr(items) => Ok(items),
+        _ => Err(shape_err("expected array")),
+    }
+}
+
+fn histogram(value: &Json) -> Result<Log2Histogram, JsonError> {
+    let count = uint(field(value, "count")?)?;
+    let sum = uint(field(value, "sum")?)?;
+    let min = uint(field(value, "min")?)?;
+    let max = uint(field(value, "max")?)?;
+    let mut hist = Log2Histogram::new();
+    for pair in array(field(value, "buckets")?)? {
+        let [index, bucket_count] = array(pair)? else {
+            return Err(shape_err("histogram bucket is not an [index, count] pair"));
+        };
+        let (index, bucket_count) = (uint(index)?, uint(bucket_count)?);
+        if index >= minimetrics::HISTOGRAM_BUCKETS as u64 {
+            return Err(shape_err(format!(
+                "histogram bucket index {index} out of range"
+            )));
+        }
+        if hist.count().checked_add(bucket_count).is_none() {
+            return Err(shape_err("histogram bucket counts overflow u64"));
+        }
+        hist.add_bucket(index as usize, bucket_count);
+    }
+    if hist.count() != count {
+        return Err(shape_err(format!(
+            "histogram count {count} disagrees with bucket total {}",
+            hist.count()
+        )));
+    }
+    // The summary must agree with the buckets it summarises: an
+    // ordered range whose ends fall in the lowest and highest non-empty
+    // bucket. (Empty histograms carry no summary to check.)
+    let lowest = hist.nonzero_buckets().next().map(|(index, _)| index);
+    let highest = hist.nonzero_buckets().last().map(|(index, _)| index);
+    if let (Some(lowest), Some(highest)) = (lowest, highest) {
+        let contradiction = if min > max {
+            Some(format!("min {min} above max {max}"))
+        } else if Log2Histogram::bucket_index(min) != lowest {
+            Some(format!("min {min} outside lowest bucket {lowest}"))
+        } else if Log2Histogram::bucket_index(max) != highest {
+            Some(format!("max {max} outside highest bucket {highest}"))
+        } else {
+            None
+        };
+        if let Some(message) = contradiction {
+            return Err(shape_err(format!(
+                "histogram summary contradicts its buckets: {message}"
+            )));
+        }
+    }
+    hist.set_summary(sum, min, max);
+    Ok(hist)
 }
 
 /// Renders a snapshot as the aligned plain-text table behind
@@ -230,8 +266,7 @@ pub fn overhead_snapshot(report: &OverheadReport) -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{from_str, to_string_pretty, FromJson};
-    use std::collections::BTreeMap;
+    use crate::json::to_string_pretty;
 
     fn sample() -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
@@ -247,48 +282,67 @@ mod tests {
         s
     }
 
+    /// Reads one histogram through a snapshot document holding only it.
+    fn parse_histogram(text: &str) -> Result<Log2Histogram, JsonError> {
+        let doc = format!(r#"{{"counters": {{}}, "gauges": {{}}, "histograms": {{"h": {text}}}}}"#);
+        parse_snapshot(&doc).map(|mut snapshot| snapshot.histograms.remove("h").unwrap())
+    }
+
     #[test]
     fn snapshot_round_trips_through_json() {
         let snapshot = sample();
         let text = to_string_pretty(&snapshot);
-        let back: MetricsSnapshot = from_str(&text).unwrap();
+        let back = parse_snapshot(&text).unwrap();
         assert_eq!(back, snapshot);
+        assert_eq!(to_string_pretty(&back), text);
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
         let text = to_string_pretty(&MetricsSnapshot::new());
-        let back: MetricsSnapshot = from_str(&text).unwrap();
-        assert!(back.is_empty());
+        assert!(parse_snapshot(&text).unwrap().is_empty());
+        // Every section is required, and values must be unsigned integers.
+        assert!(parse_snapshot(r#"{"counters": {}, "gauges": {}}"#).is_err());
+        assert!(
+            parse_snapshot(r#"{"counters": {"a": 1.5}, "gauges": {}, "histograms": {}}"#).is_err()
+        );
+        assert!(
+            parse_snapshot(r#"{"counters": {"a": -3}, "gauges": {}, "histograms": {}}"#).is_err()
+        );
+        assert!(parse_snapshot(r#"{"counters": [], "gauges": {}, "histograms": {}}"#).is_err());
     }
 
     #[test]
     fn histogram_decode_rejects_malformed_buckets() {
         let no_pair = r#"{"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[3]]}"#;
-        assert!(from_str::<Log2Histogram>(no_pair).is_err());
+        assert!(parse_histogram(no_pair).is_err());
         let bad_index = r#"{"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[65, 1]]}"#;
-        assert!(from_str::<Log2Histogram>(bad_index).is_err());
+        assert!(parse_histogram(bad_index).is_err());
         let bad_count = r#"{"count": 9, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}"#;
-        assert!(from_str::<Log2Histogram>(bad_count).is_err());
+        assert!(parse_histogram(bad_count).is_err());
         // A summary that contradicts its buckets: min above max, and min or
         // max outside the lowest / highest non-empty bucket.
         let inverted = r#"{"count":1,"sum":0,"min":9,"max":2,"buckets":[[0,1]]}"#;
-        assert!(from_str::<Log2Histogram>(inverted).is_err());
+        assert!(parse_histogram(inverted).is_err());
         let min_too_low = r#"{"count":2,"sum":9,"min":1,"max":5,"buckets":[[3,1],[3,1]]}"#;
-        assert!(from_str::<Log2Histogram>(min_too_low).is_err());
+        assert!(parse_histogram(min_too_low).is_err());
         let min_too_high = r#"{"count":2,"sum":12,"min":5,"max":7,"buckets":[[2,1],[3,1]]}"#;
-        assert!(from_str::<Log2Histogram>(min_too_high).is_err());
+        assert!(parse_histogram(min_too_high).is_err());
         let max_too_high = r#"{"count":2,"sum":9,"min":4,"max":9,"buckets":[[3,2]]}"#;
-        assert!(from_str::<Log2Histogram>(max_too_high).is_err());
+        assert!(parse_histogram(max_too_high).is_err());
         let max_too_low = r#"{"count":2,"sum":9,"min":2,"max":3,"buckets":[[2,1],[3,1]]}"#;
-        assert!(from_str::<Log2Histogram>(max_too_low).is_err());
+        assert!(parse_histogram(max_too_low).is_err());
+        // Counts whose total overflows are rejected, not wrapped.
+        let overflow =
+            r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[[0,18446744073709551615],[0,1]]}"#;
+        assert!(parse_histogram(overflow).is_err());
         // The consistent neighbours of those cases still decode, empty
         // histograms included.
         let consistent = r#"{"count":2,"sum":9,"min":2,"max":7,"buckets":[[2,1],[3,1]]}"#;
-        let hist = from_str::<Log2Histogram>(consistent).unwrap();
+        let hist = parse_histogram(consistent).unwrap();
         assert_eq!((hist.min(), hist.max()), (Some(2), Some(7)));
         let empty = r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#;
-        assert_eq!(from_str::<Log2Histogram>(empty).unwrap().count(), 0);
+        assert_eq!(parse_histogram(empty).unwrap().count(), 0);
     }
 
     #[test]
@@ -296,7 +350,7 @@ mod tests {
         let mut h = Log2Histogram::new();
         h.observe(14);
         h.observe(1000);
-        let back = Log2Histogram::from_json_value(&h.to_json_value()).unwrap();
+        let back = parse_histogram(&h.to_json_value().pretty()).unwrap();
         assert_eq!(back.sum(), 1014);
         assert_eq!(back.min(), Some(14));
         assert_eq!(back.max(), Some(1000));

@@ -15,8 +15,6 @@ use bgp_wire::bgp::PathAttributes;
 use bgp_wire::mrt::{MrtBody, MrtRecord, RibEntry, RibIpv4Unicast};
 use route_measurement::DailyDump;
 
-use crate::json;
-
 /// Wire-size assumptions for the estimate, in bytes.
 ///
 /// A community attribute value is exactly 4 octets (RFC 1997); the attribute
@@ -32,12 +30,6 @@ pub struct WireModel {
     /// One-time attribute header bytes per route carrying a list.
     pub attribute_header_bytes: u64,
 }
-
-json::impl_json_struct!(WireModel {
-    baseline_route_bytes,
-    bytes_per_member,
-    attribute_header_bytes,
-});
 
 impl Default for WireModel {
     fn default() -> Self {
@@ -63,14 +55,6 @@ pub struct OverheadReport {
     /// Estimated table size without lists.
     pub baseline_bytes: u64,
 }
-
-json::impl_json_struct!(OverheadReport {
-    total_routes,
-    multi_origin_routes,
-    list_size_distribution,
-    added_bytes,
-    baseline_bytes,
-});
 
 impl OverheadReport {
     /// Added bytes relative to the baseline table size.

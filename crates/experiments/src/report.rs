@@ -1,8 +1,7 @@
-//! Figure reports: plain-text tables and JSON.
+//! Figure reports, rendered as plain-text tables.
 
 use std::fmt;
 
-use crate::json;
 use crate::sweep::SweepPoint;
 
 /// One curve of a figure, e.g. "46-AS Normal BGP".
@@ -14,8 +13,6 @@ pub struct SeriesReport {
     pub points: Vec<SweepPoint>,
 }
 
-json::impl_json_struct!(SeriesReport { label, points });
-
 /// A reproduced figure: several curves over the same X axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureReport {
@@ -26,8 +23,6 @@ pub struct FigureReport {
     /// The curves.
     pub series: Vec<SeriesReport>,
 }
-
-json::impl_json_struct!(FigureReport { id, title, series });
 
 impl FigureReport {
     /// Creates a figure report.
@@ -79,12 +74,6 @@ impl FigureReport {
             out.push('\n');
         }
         out
-    }
-
-    /// Serializes the full figure to pretty JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::to_string_pretty(self)
     }
 }
 
@@ -138,13 +127,6 @@ mod tests {
         // Row 2 has no point for the second series: dash.
         assert!(table.contains('-'));
         assert_eq!(table.lines().count(), 4);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let fig = figure();
-        let back: FigureReport = crate::json::from_str(&fig.to_json()).unwrap();
-        assert_eq!(back, fig);
     }
 
     #[test]

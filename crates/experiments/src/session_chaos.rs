@@ -24,7 +24,7 @@ use bgp_wire::bgp::{PathAttributes, UpdateMessage};
 use bgp_wire::msg::{encode_keepalive, NotificationMessage, OpenMessage};
 use rand::Rng;
 
-use crate::json::{self, FromJson, Json, JsonError, ToJson};
+use crate::json::{self, Json, ToJson};
 
 /// The session-fault families `moas-lab chaos` can replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,21 +105,6 @@ impl ToJson for SessionChaosScenario {
     }
 }
 
-impl FromJson for SessionChaosScenario {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Str(s) => s.parse().map_err(|e: UnknownSessionScenario| JsonError {
-                message: e.to_string(),
-                offset: 0,
-            }),
-            _ => Err(JsonError {
-                message: "expected a session scenario name string".to_string(),
-                offset: 0,
-            }),
-        }
-    }
-}
-
 /// Configuration of a session-chaos run.
 #[derive(Debug, Clone)]
 pub struct SessionChaosConfig {
@@ -135,14 +120,6 @@ pub struct SessionChaosConfig {
     /// calm windows between faults.
     pub updates_per_trial: usize,
 }
-
-json::impl_json_struct!(SessionChaosConfig {
-    scenario,
-    trials,
-    seed,
-    faults_per_trial,
-    updates_per_trial,
-});
 
 impl SessionChaosConfig {
     /// Default protocol: 30 pairs, 4 faults and 24 updates each.
@@ -166,12 +143,6 @@ impl SessionChaosConfig {
             updates_per_trial: 8,
             ..SessionChaosConfig::new(scenario)
         }
-    }
-
-    /// Serializes to pretty JSON (for report provenance).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::to_string_pretty(self)
     }
 }
 
@@ -535,9 +506,13 @@ mod tests {
     fn report_round_trips_through_json() {
         let config = SessionChaosConfig::quick(SessionChaosScenario::TcpReset);
         let report = run_session_chaos(&config, 1);
-        let parsed =
-            SessionChaosReport::from_json_value(&Json::parse(&report.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, report);
+        let text = report.to_json();
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.pretty(), text);
+        let scenario = Json::Str("session-tcp-reset".into());
+        assert_eq!(doc.get("scenario"), Some(&scenario));
+        let rate = Json::Num(report.recovery_rate);
+        assert_eq!(doc.get("recovery_rate"), Some(&rate));
     }
 
     #[test]

@@ -9,7 +9,6 @@ use moas_core::{Deployment, ListForgery, UnresolvedPolicy};
 use minimetrics::MetricsSnapshot;
 
 use crate::exec::Exec;
-use crate::json::{self, FromJson, Json, JsonError, ToJson};
 use crate::stats::{mean, mean_by, stddev};
 use crate::trial::{run_trials, TrialConfig, TrialOutcome};
 
@@ -37,46 +36,6 @@ pub struct SweepConfig {
     /// Master seed; all trial seeds derive from it.
     pub seed: u64,
 }
-
-// ListForgery lives in moas-core without JSON support; encode it here as a
-// variant-name string.
-impl ToJson for ListForgery {
-    fn to_json_value(&self) -> Json {
-        Json::Str(
-            match self {
-                ListForgery::None => "None",
-                ListForgery::IncludeSelf => "IncludeSelf",
-                ListForgery::CopyValid => "CopyValid",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for ListForgery {
-    fn from_json_value(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Str(s) if s == "None" => Ok(ListForgery::None),
-            Json::Str(s) if s == "IncludeSelf" => Ok(ListForgery::IncludeSelf),
-            Json::Str(s) if s == "CopyValid" => Ok(ListForgery::CopyValid),
-            _ => Err(JsonError {
-                message: "expected a ListForgery variant name".to_string(),
-                offset: 0,
-            }),
-        }
-    }
-}
-
-json::impl_json_struct!(SweepConfig {
-    origin_count,
-    deployment_fraction,
-    forgery,
-    attacker_fractions,
-    origin_set_count,
-    attacker_set_count,
-    max_link_delay,
-    seed,
-});
 
 impl SweepConfig {
     /// The paper's protocol: 15 runs per point (3 origin sets × 5 attacker
@@ -288,25 +247,6 @@ fn aggregate_points(n: usize, config: &SweepConfig, outcomes: &[TrialOutcome]) -
     points
 }
 
-json::impl_json_struct!(SweepPoint {
-    requested_fraction,
-    attacker_count,
-    attacker_pct,
-    mean_adoption_pct,
-    stddev_adoption_pct,
-    mean_alarms,
-    mean_queries,
-    mean_messages,
-});
-
-impl SweepConfig {
-    /// Serializes to pretty JSON (for EXPERIMENTS.md provenance).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::to_string_pretty(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,15 +335,6 @@ mod tests {
         let points = run_sweep(graph, &config, Exec::serial()).0;
         assert!(points[0].mean_alarms > 0.0);
         assert!(points[0].mean_queries > 0.0);
-    }
-
-    #[test]
-    fn config_json_round_trips() {
-        let config = SweepConfig::paper();
-        let json = config.to_json();
-        let back: SweepConfig = crate::json::from_str(&json).unwrap();
-        assert_eq!(back.origin_count, config.origin_count);
-        assert_eq!(back.attacker_fractions, config.attacker_fractions);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Each row runs one driver over the grid `jobs ∈ {1, 4}` × `shards ∈ {1, 2,
 //! 4}` × `metrics ∈ {off, on}` (restricted to the axes the driver has) and
-//! compares rendered bytes — report JSON and snapshot JSON:
+//! compares rendered bytes — the report's `Debug` rendering and the
+//! snapshot's JSON:
 //!
 //! * identical across `jobs` and across shard counts (report and snapshot);
 //! * report identical with metrics on and off; snapshot empty exactly when
@@ -14,6 +15,12 @@
 //! intrinsically. So nothing about worker scheduling or shard layout can
 //! leak into a figure, and these rows pin that. The engine rows at the end
 //! pin the same for the raw network state, `Network` included.
+//!
+//! `Debug` is the stricter rendering for reports: it prints every `f64` in
+//! shortest round-trip form and keeps `-0.0` apart from `0.0`, which the
+//! JSON writer prints alike.
+
+use std::fmt::Debug;
 
 use as_topology::paper::PaperTopology;
 use as_topology::{AsGraph, InternetModel};
@@ -21,12 +28,12 @@ use bgp_engine::{
     ConvergenceError, FaultEvent, NetFaultPlan, Network, NetworkStats, NoopMonitor, ShardedNetwork,
 };
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-use experiments::json::{from_str, to_string_pretty, ToJson};
+use experiments::json::to_string_pretty;
 use experiments::{
     community_policy_ablation, experiment1, experiment1_metrics_jobs, experiment2,
     experiment2_metrics_jobs, experiment3, experiment3_metrics_jobs, forgery_ablation,
-    measure_moas_list_overhead, run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos,
-    run_sweep, run_sweep_jobs, run_trial, run_trial_with, subprefix_ablation,
+    measure_moas_list_overhead, parse_snapshot, run_chaos, run_deployment_sweep, run_ensemble,
+    run_session_chaos, run_sweep, run_sweep_jobs, run_trial, run_trial_with, subprefix_ablation,
     unresolved_policy_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig,
     Exec, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig,
 };
@@ -58,12 +65,12 @@ const JOBS_ONLY: Axes = Axes {
     metrics: false,
 };
 
-fn json<T: ToJson>((report, snapshot): (T, MetricsSnapshot)) -> Rendered {
-    (to_string_pretty(&report), to_string_pretty(&snapshot))
+fn render<T: Debug>((report, snapshot): (T, MetricsSnapshot)) -> Rendered {
+    (format!("{report:?}"), to_string_pretty(&snapshot))
 }
 
-fn no_snapshot<T: ToJson>(report: T) -> Rendered {
-    json((report, MetricsSnapshot::new()))
+fn no_snapshot<T: Debug>(report: T) -> Rendered {
+    render((report, MetricsSnapshot::new()))
 }
 
 /// Walks one driver over its grid and asserts the contract in the module
@@ -138,7 +145,7 @@ fn sweep_and_trial_rows() {
     let graph = PaperTopology::As46.graph();
     let config = SweepConfig::quick();
     check("run_sweep", EXEC, |exec| {
-        json(run_sweep(graph, &config, exec))
+        render(run_sweep(graph, &config, exec))
     });
 
     // One hand-built trial (explicit attacker, full deployment) for sharper
@@ -150,8 +157,7 @@ fn sweep_and_trial_rows() {
         Deployment::Full,
     );
     check("run_trial_with", EXEC, |exec| {
-        let (outcome, snapshot) = run_trial_with(graph, &trial, exec);
-        (format!("{outcome:?}"), to_string_pretty(&snapshot))
+        render(run_trial_with(graph, &trial, exec))
     });
     // The canonical no-frills entry point is the serial run.
     assert_eq!(
@@ -164,13 +170,13 @@ fn sweep_and_trial_rows() {
 fn figure_rows() {
     let base = tiny_sweep();
     check("experiment1", EXEC, |exec| {
-        json(experiment1(2, &base, exec))
+        render(experiment1(2, &base, exec))
     });
     check("experiment2", EXEC, |exec| {
-        json(experiment2(1, &base, exec))
+        render(experiment2(1, &base, exec))
     });
     check("experiment3", EXEC, |exec| {
-        json(experiment3(PaperTopology::As25, &base, exec))
+        render(experiment3(PaperTopology::As25, &base, exec))
     });
 }
 
@@ -179,10 +185,10 @@ fn ablation_rows() {
     let as46 = PaperTopology::As46.graph();
     let as25 = PaperTopology::As25.graph();
     check("forgery_ablation", EXEC, |exec| {
-        json(forgery_ablation(as46, 3, 0xAB3, exec))
+        render(forgery_ablation(as46, 3, 0xAB3, exec))
     });
     check("community_policy_ablation", EXEC, |exec| {
-        json(community_policy_ablation(as25, 2, 31, exec))
+        render(community_policy_ablation(as25, 2, 31, exec))
     });
     check("subprefix_ablation", JOBS_ONLY, |exec| {
         no_snapshot(subprefix_ablation(as25, 3, 11, exec.jobs))
@@ -191,11 +197,7 @@ fn ablation_rows() {
         no_snapshot(valley_free_ablation(3, 23, exec.jobs))
     });
     check("unresolved_policy_ablation", JOBS_ONLY, |exec| {
-        let rows = unresolved_policy_ablation(as25, 3, 19, exec.jobs);
-        (
-            format!("{rows:?}"),
-            to_string_pretty(&MetricsSnapshot::new()),
-        )
+        no_snapshot(unresolved_policy_ablation(as25, 3, 19, exec.jobs))
     });
 }
 
@@ -204,12 +206,12 @@ fn chaos_rows() {
     for scenario in ChaosScenario::all() {
         let config = chaos_config(scenario);
         check(&format!("run_chaos {scenario}"), EXEC, |exec| {
-            json(run_chaos(&config, exec))
+            render(run_chaos(&config, exec))
         });
     }
     let config = ChaosConfig::quick(ChaosScenario::SessionReset);
     check("run_deployment_sweep", EXEC, |exec| {
-        json(run_deployment_sweep(&config, &[0.0, 0.5], exec))
+        render(run_deployment_sweep(&config, &[0.0, 0.5], exec))
     });
 }
 
@@ -221,7 +223,7 @@ fn ensemble_session_and_overhead_rows() {
         metrics: true,
     };
     check("run_ensemble", ensemble_axes, |exec| {
-        json(run_ensemble(&config, exec.jobs, exec.metrics))
+        render(run_ensemble(&config, exec.jobs, exec.metrics))
     });
 
     for scenario in SessionChaosScenario::ALL {
@@ -560,7 +562,7 @@ fn chaos_snapshot_round_trips_through_json() {
     let (_, metrics) = run_chaos(&config, Exec::jobs(2).metrics());
     assert!(!metrics.is_empty());
     let text = to_string_pretty(&metrics);
-    let back: MetricsSnapshot = from_str(&text).unwrap();
+    let back = parse_snapshot(&text).unwrap();
     assert_eq!(back, metrics);
     // Re-rendering the decoded snapshot reproduces the bytes exactly.
     assert_eq!(to_string_pretty(&back), text);
@@ -569,10 +571,7 @@ fn chaos_snapshot_round_trips_through_json() {
 #[test]
 fn ensemble_snapshot_holds_run_metrics_and_verdict_counters() {
     let config = ensemble_config();
-    let (report, metrics) = run_ensemble(&config, 2, true);
-    let back: experiments::EnsembleReport =
-        from_str(&report.to_json()).expect("self-produced JSON parses");
-    assert_eq!(back, report);
+    let (_, metrics) = run_ensemble(&config, 2, true);
 
     // Per-run network metrics and the per-detector verdict counters are both
     // present in one snapshot.

@@ -23,11 +23,11 @@ use moas::bgp::CommunityPolicy;
 use moas::detection::{Deployment, OfflineMonitor};
 use moas::experiments::{
     community_policy_ablation, experiment1, experiment2, experiment3, forgery_ablation,
-    measure_moas_list_overhead, moas_list_overhead, overhead_snapshot, render_metrics_summary,
-    run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos, run_trial_with,
-    subprefix_ablation, unresolved_policy_ablation, valley_free_ablation, ChaosConfig,
-    ChaosScenario, EnsembleConfig, Exec, FigureReport, SessionChaosConfig, SessionChaosScenario,
-    SweepConfig, TrialConfig, WireModel,
+    measure_moas_list_overhead, moas_list_overhead, overhead_snapshot, parse_snapshot,
+    render_metrics_summary, run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos,
+    run_trial_with, subprefix_ablation, unresolved_policy_ablation, valley_free_ablation,
+    ChaosConfig, ChaosScenario, EnsembleConfig, Exec, FigureReport, SessionChaosConfig,
+    SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
 };
 use moas::measurement::{
     daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
@@ -1108,7 +1108,7 @@ fn metrics_summary(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let snapshot: MetricsSnapshot = match moas::experiments::json::from_str(&text) {
+    let snapshot = match parse_snapshot(&text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");

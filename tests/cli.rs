@@ -285,6 +285,83 @@ fn chaos_out_flag_writes_the_report_file() {
 }
 
 #[test]
+fn chaos_report_writes_a_large_seed_exactly() {
+    // 2^53 + 1 has no f64: the report must still name the seed that ran.
+    let out = moas_lab(&[
+        "chaos",
+        "--scenario",
+        "failover",
+        "--quick",
+        "--trials",
+        "1",
+        "--seed",
+        "9007199254740993",
+    ]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("seed 0x20000000000001"), "{text}");
+    assert!(text.contains("\"seed\": 9007199254740993,"), "{text}");
+}
+
+#[test]
+fn metrics_summary_renders_a_chaos_snapshot() {
+    let path = std::env::temp_dir().join(format!("moas-summary-{}.json", std::process::id()));
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = moas_lab(&[
+        "chaos",
+        "--scenario",
+        "failover",
+        "--quick",
+        "--trials",
+        "2",
+        "--metrics",
+        path_str,
+    ]);
+    assert!(out.status.success());
+    let summary = moas_lab(&["metrics-summary", path_str]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        summary.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&summary.stderr)
+    );
+    let text = String::from_utf8_lossy(&summary.stdout);
+    assert!(text.contains("chaos.trials"), "{text}");
+    assert!(text.contains("histograms ("), "{text}");
+}
+
+#[test]
+fn metrics_summary_rejects_inconsistent_snapshots() {
+    // One histogram holding the value 5 (bucket 3), claiming `count` values.
+    let snapshot = |count: u64| {
+        let histogram =
+            format!(r#"{{"count": {count}, "sum": 5, "min": 5, "max": 5, "buckets": [[3, 1]]}}"#);
+        format!(r#"{{"counters": {{}}, "gauges": {{}}, "histograms": {{"h": {histogram}}}}}"#)
+    };
+    for (name, doc) in [
+        ("consistent", snapshot(1)),
+        ("count-mismatch", snapshot(2)),
+        (
+            "no-gauges",
+            r#"{"counters": {"a": 1}, "histograms": {}}"#.to_string(),
+        ),
+    ] {
+        let path = std::env::temp_dir().join(format!("moas-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, doc).unwrap();
+        let out = moas_lab(&["metrics-summary", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if name == "consistent" {
+            assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        } else {
+            assert_eq!(out.status.code(), Some(1), "{name}");
+            assert!(stderr.contains("cannot parse"), "{name}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn export_mrt_requires_out_path() {
     let out = moas_lab(&["export-mrt"]);
     assert!(!out.status.success());
