@@ -61,9 +61,12 @@ mod valley_free;
 pub use error::{ConvergenceError, FaultPlanError, UnknownAsError};
 pub use fault::{FaultEvent, NetFaultPlan};
 pub use forwarding::{ForwardOutcome, ForwardingPlane};
-pub use monitor::{ExportAction, ImportContext, ImportDecision, NoopMonitor, RouteMonitor};
+pub use monitor::{
+    ExportAction, HeldIter, HeldRoutes, ImportContext, ImportDecision, NoopMonitor, RouteMonitor,
+};
 pub use network::Network;
 pub use policy::{CommunityPolicies, CommunityPolicy, CommunityPolicyMap, REWRITE_MARKER_VALUE};
+pub use queue::QueueStats;
 pub use router::Router;
 pub use sharded::ShardedNetwork;
 pub use stats::{NetworkStats, SessionCounters};

@@ -1,7 +1,18 @@
 //! The route-monitor extension point.
+//!
+//! A [`RouteMonitor`] sees every import and export of every router it
+//! serves. An import hands it an [`ImportContext`]: the arriving route and
+//! [`HeldRoutes`], a `Copy` view of the routes the router already holds for
+//! the prefix. That view borrows the router's tables and is walked lazily,
+//! so a monitor that never looks at it (the "Normal BGP" [`NoopMonitor`])
+//! costs nothing, and one that does reads the routes in place.
+
+use std::fmt;
 
 use bgp_types::{Asn, Ipv4Prefix, Route};
 use sim_engine::SimTime;
+
+use crate::router::Slot;
 
 /// Everything a monitor can see when a router imports a route.
 #[derive(Debug)]
@@ -15,10 +26,123 @@ pub struct ImportContext<'a> {
     /// Routes currently held for the same prefix: the locally originated
     /// route (peer `None`) and Adj-RIB-In entries from *other* peers
     /// (peer `Some`). The previous route from `from_peer`, if any, is being
-    /// replaced and is not included. Entries borrow the router's RIB
-    /// directly — building this context allocates one small `Vec` of
-    /// references, never a clone of the routes themselves.
-    pub existing: &'a [(Option<Asn>, &'a Route)],
+    /// replaced and is not included.
+    pub existing: HeldRoutes<'a>,
+}
+
+/// The routes a router holds for one prefix, as `(learned-from peer, route)`
+/// pairs: the locally originated route first (peer `None`), then the
+/// Adj-RIB-In entries in ascending peer order, never the sender's.
+///
+/// A borrowed view, not a list: iterating it walks the router's tables in
+/// place, and copying it copies a few pointers. Outside a router it can
+/// also wrap a plain slice of pairs, which is how a test builds a context.
+#[derive(Clone, Copy)]
+pub struct HeldRoutes<'a>(Held<'a>);
+
+#[derive(Clone, Copy)]
+enum Held<'a> {
+    /// Straight out of a router's tables: `slots` is parallel to `peers`,
+    /// and the session in slot `sender` is left out.
+    Rib {
+        own: Option<&'a Route>,
+        peers: &'a [Asn],
+        slots: &'a [Slot],
+        sender: usize,
+    },
+    List(&'a [(Option<Asn>, &'a Route)]),
+}
+
+impl<'a> HeldRoutes<'a> {
+    /// A view of caller-built `(peer, route)` pairs, yielded as given.
+    #[must_use]
+    pub fn from_slice(list: &'a [(Option<Asn>, &'a Route)]) -> Self {
+        HeldRoutes(Held::List(list))
+    }
+
+    pub(crate) fn rib(
+        own: Option<&'a Route>,
+        peers: &'a [Asn],
+        slots: &'a [Slot],
+        sender: usize,
+    ) -> Self {
+        HeldRoutes(Held::Rib {
+            own,
+            peers,
+            slots,
+            sender,
+        })
+    }
+
+    /// Walks the held routes.
+    #[must_use]
+    pub fn iter(&self) -> HeldIter<'a> {
+        HeldIter(match self.0 {
+            Held::Rib {
+                own,
+                peers,
+                slots,
+                sender,
+            } => Walk::Rib {
+                own,
+                held: peers.iter().zip(slots).enumerate(),
+                sender,
+            },
+            Held::List(list) => Walk::List(list.iter()),
+        })
+    }
+}
+
+impl fmt::Debug for HeldRoutes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for HeldRoutes<'a> {
+    type Item = (Option<Asn>, &'a Route);
+    type IntoIter = HeldIter<'a>;
+
+    fn into_iter(self) -> HeldIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator over [`HeldRoutes`].
+#[derive(Debug, Clone)]
+pub struct HeldIter<'a>(Walk<'a>);
+
+type Sessions<'a> =
+    std::iter::Enumerate<std::iter::Zip<std::slice::Iter<'a, Asn>, std::slice::Iter<'a, Slot>>>;
+
+#[derive(Debug, Clone)]
+enum Walk<'a> {
+    Rib {
+        own: Option<&'a Route>,
+        held: Sessions<'a>,
+        sender: usize,
+    },
+    List(std::slice::Iter<'a, (Option<Asn>, &'a Route)>),
+}
+
+impl<'a> Iterator for HeldIter<'a> {
+    type Item = (Option<Asn>, &'a Route);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Walk::Rib { own, held, sender } => {
+                if let Some(route) = own.take() {
+                    return Some((None, route));
+                }
+                let sender = *sender;
+                held.find_map(|(slot, (&peer, state))| {
+                    let route = state.route().filter(|_| slot != sender)?;
+                    Some((Some(peer), route))
+                })
+            }
+            Walk::List(list) => list.next().copied(),
+        }
+    }
 }
 
 /// What a monitor decided about an import.
@@ -160,7 +284,7 @@ mod tests {
             local: Asn(1),
             from_peer: Asn(2),
             route: &route,
-            existing: &[],
+            existing: HeldRoutes::from_slice(&[]),
         };
         assert_eq!(m.on_import(&ctx), ImportDecision::accept());
         assert_eq!(

@@ -14,7 +14,6 @@ use proptest::prelude::*;
 
 use super::reference;
 use super::tests::{ByAsn, Sent};
-use super::Router;
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
 use crate::update::SharedUpdate;
 
@@ -51,7 +50,7 @@ impl RouteMonitor for Scripted {
             let rivals = ctx.existing.iter().filter(|(_, r)| r.origin_as() != origin);
             decision
                 .evict_peers
-                .extend(rivals.filter_map(|(peer, _)| *peer));
+                .extend(rivals.filter_map(|(peer, _)| peer));
             decision.evict_peers.push(STRANGER);
         }
         decision
@@ -153,7 +152,7 @@ impl Pair {
             prefixes: (0..prefix_count)
                 .map(|k| format!("10.{k}.0.0/16").parse().unwrap())
                 .collect(),
-            dense: ByAsn(Router::new(LOCAL, peers.clone())),
+            dense: ByAsn::new(LOCAL, peers.clone()),
             dense_monitor: monitor(),
             oracle: reference::Router::new(LOCAL, peers.clone()),
             oracle_monitor: monitor(),
@@ -234,11 +233,12 @@ impl Pair {
 
     /// Everything the read accessors say, on both sides.
     fn assert_same_state(&self, step: &str) {
-        let (dense, oracle) = (&self.dense, &self.oracle);
+        let (dense, oracle) = (self.dense.view(), &self.oracle);
         assert_eq!(dense.decision_count(), oracle.decision_count(), "{step}");
         // Not observable through the accessors (any monotone stamping keeps
         // the age order), but the clock is pinned to tick where it always has.
-        assert_eq!(dense.0.age_clock, oracle.age_clock(), "{step}");
+        assert_eq!(self.dense.age_clock(), oracle.age_clock(), "{step}");
+        assert!(self.dense.untouched_elsewhere(), "{step}");
         assert_eq!(dense.adj_rib_in_size(), oracle.adj_rib_in_size(), "{step}");
         assert_eq!(
             dense.prefixes().collect::<Vec<_>>(),

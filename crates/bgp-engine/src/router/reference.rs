@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use bgp_types::{Asn, Ipv4Prefix, Route};
 
-use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
+use crate::monitor::{ExportAction, HeldRoutes, ImportContext, ImportDecision, RouteMonitor};
 use crate::update::SharedUpdate;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,7 +260,7 @@ impl Router {
             local: self.asn,
             from_peer: from,
             route,
-            existing: &existing,
+            existing: HeldRoutes::from_slice(&existing),
         })
     }
 

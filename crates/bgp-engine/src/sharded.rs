@@ -29,13 +29,13 @@ use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use sim_engine::fault::{FaultAction, FaultStats, LinkFaultModel, TimelineEntry};
-use sim_engine::{QueueStats, SimTime};
+use sim_engine::SimTime;
 
 use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
 use crate::fault::{FaultEvent, NetFaultPlan};
 use crate::monitor::{NoopMonitor, RouteMonitor};
-use crate::queue::{Agenda, Scheduled};
-use crate::router::{Outbox, Router};
+use crate::queue::{Agenda, QueueStats, Scheduled};
+use crate::router::{Node, Outbox, Rib, Router, Speaker};
 use crate::stats::{NetworkStats, SessionCounters};
 use crate::update::SharedUpdate;
 
@@ -63,6 +63,9 @@ struct Topo {
     peer_start: Vec<usize>,
     /// CSR column data: neighbor node index per directed edge.
     peer_idx: Vec<u32>,
+    /// Per directed edge: the neighbor's ASN. A node's row of it is its
+    /// router's peer list, ascending.
+    peer_asn: Vec<Asn>,
     /// Per directed edge `a -> b`: the id of the opposite edge `b -> a`. The
     /// offset of an edge in its row is the peer's slot in the sending router,
     /// so `rev[e] - peer_start[b]` is the sender's slot in the receiver.
@@ -76,6 +79,17 @@ struct Topo {
 impl Topo {
     fn index_of(&self, asn: Asn) -> Option<usize> {
         self.asn_index.binary_search(&asn).ok()
+    }
+
+    /// Where node `index`'s router sits: its ASN and CSR row.
+    fn node(&self, index: usize) -> Node<'_> {
+        let (first, end) = (self.peer_start[index], self.peer_start[index + 1]);
+        Node {
+            asn: self.asn_index[index],
+            index,
+            first,
+            peers: &self.peer_asn[first..end],
+        }
     }
 
     fn edge_between(&self, from: usize, to: usize) -> Option<usize> {
@@ -134,7 +148,12 @@ enum ShardEvent {
         update: SharedUpdate,
     },
     /// An MRAI window for a directed session expired: flush pending updates.
-    MraiFlush { from: u32, to: u32 },
+    MraiFlush {
+        /// Flat id of the directed edge `from -> to`, as for `Deliver`.
+        edge: u32,
+        from: u32,
+        to: u32,
+    },
     /// A fault-plan timeline entry fires (index into the installed plan).
     Fault { entry: u32 },
 }
@@ -186,9 +205,9 @@ struct MraiWindow {
 struct Shard<M> {
     id: u32,
     topo: Arc<Topo>,
-    /// Full-size router table; only owned routers are ever read or driven,
-    /// the rest are peerless placeholders.
-    routers: Vec<Router>,
+    /// The routing state, in full-width tables parallel to the topology;
+    /// only owned nodes' entries are ever read or written.
+    rib: Rib,
     /// What the router driven last wants sent; drained by `enqueue`.
     out: Outbox,
     queue: Agenda<ShardEvent>,
@@ -386,15 +405,10 @@ impl<M: RouteMonitor> Shard<M> {
                     }
                 }
                 let slot = self.topo.rev[edge] - self.topo.peer_start[to] as u32;
-                self.routers[to].handle_update(slot, update, &mut self.monitor, &mut self.out);
-                self.enqueue(to);
+                self.drive(to, |r, m, out| r.handle_update(slot, update, m, out));
             }
-            ShardEvent::MraiFlush { from, to } => {
-                let (from, to) = (from as usize, to as usize);
-                let edge = self
-                    .topo
-                    .edge_between(from, to)
-                    .expect("MRAI state only exists on real sessions");
+            ShardEvent::MraiFlush { edge, from, to } => {
+                let edge = edge as usize;
                 let window = &mut self.mrai_windows[edge];
                 let pending = std::mem::take(&mut window.pending);
                 if pending.is_empty() {
@@ -402,7 +416,7 @@ impl<M: RouteMonitor> Shard<M> {
                 }
                 window.gate = self.now + self.mrai;
                 for (_, update) in pending {
-                    self.schedule_delivery(edge, from as u32, to as u32, update);
+                    self.schedule_delivery(edge, from, to, update);
                 }
             }
             ShardEvent::Fault { entry } => {
@@ -449,27 +463,26 @@ impl<M: RouteMonitor> Shard<M> {
             FaultEvent::ResetSession(a, b) => self.reset_session(a, b),
             FaultEvent::Announce { asn, route } => {
                 if let Some(idx) = self.owned(asn) {
-                    self.routers[idx].originate(route, &mut self.monitor, &mut self.out);
-                    self.enqueue(idx);
+                    self.drive(idx, |r, m, out| r.originate(route, m, out));
                 }
             }
             FaultEvent::Withdraw { asn, prefix } => {
                 if let Some(idx) = self.owned(asn) {
-                    self.routers[idx].withdraw_origin(prefix, &mut self.monitor, &mut self.out);
-                    self.enqueue(idx);
+                    self.drive(idx, |r, m, out| r.withdraw_origin(prefix, m, out));
                 }
             }
             FaultEvent::ToggleOrigin { asn, route } => {
                 let Some(idx) = self.owned(asn) else {
                     return;
                 };
-                let prefix = route.prefix();
-                if self.routers[idx].originates(prefix) {
-                    self.routers[idx].withdraw_origin(prefix, &mut self.monitor, &mut self.out);
-                } else {
-                    self.routers[idx].originate(route, &mut self.monitor, &mut self.out);
-                }
-                self.enqueue(idx);
+                self.drive(idx, |r, m, out| {
+                    let prefix = route.prefix();
+                    if r.view().originates(prefix) {
+                        r.withdraw_origin(prefix, m, out);
+                    } else {
+                        r.originate(route, m, out);
+                    }
+                });
             }
         }
     }
@@ -489,8 +502,7 @@ impl<M: RouteMonitor> Shard<M> {
         }
         for (local, peer) in [(a, b), (b, a)] {
             if let Some(idx) = self.owned(local) {
-                self.routers[idx].peer_down(peer, &mut self.monitor, &mut self.out);
-                self.enqueue(idx);
+                self.drive(idx, |r, m, out| r.peer_down(peer, m, out));
             }
         }
     }
@@ -501,8 +513,7 @@ impl<M: RouteMonitor> Shard<M> {
         }
         for (local, peer) in [(a, b), (b, a)] {
             if let Some(idx) = self.owned(local) {
-                self.routers[idx].refresh_peer(peer, &mut self.monitor, &mut self.out);
-                self.enqueue(idx);
+                self.drive(idx, |r, m, out| r.refresh_peer(peer, m, out));
             }
         }
     }
@@ -527,14 +538,12 @@ impl<M: RouteMonitor> Shard<M> {
         self.epochs_active = true;
         for (idx, peer) in [(ia, b), (ib, a)] {
             if self.owns(idx) {
-                self.routers[idx].peer_down(peer, &mut self.monitor, &mut self.out);
-                self.enqueue(idx);
+                self.drive(idx, |r, m, out| r.peer_down(peer, m, out));
             }
         }
         for (idx, peer) in [(ia, b), (ib, a)] {
             if self.owns(idx) {
-                self.routers[idx].refresh_peer(peer, &mut self.monitor, &mut self.out);
-                self.enqueue(idx);
+                self.drive(idx, |r, m, out| r.refresh_peer(peer, m, out));
             }
         }
     }
@@ -551,6 +560,19 @@ impl<M: RouteMonitor> Shard<M> {
         if let Some(f) = self.faults.as_deref_mut() {
             f.stats[edge].dropped_link_down += 1;
         }
+    }
+
+    /// Runs `f` on node `idx`'s router with this shard's monitor and
+    /// outbox, then sends what it left there.
+    fn drive(&mut self, idx: usize, f: impl FnOnce(&mut Speaker<'_>, &mut M, &mut Outbox)) {
+        let mut speaker = Speaker::new(self.topo.node(idx), &mut self.rib);
+        f(&mut speaker, &mut self.monitor, &mut self.out);
+        self.enqueue(idx);
+    }
+
+    /// The read-only view of node `idx`'s router in this shard's tables.
+    fn router(&self, idx: usize) -> Router<'_> {
+        Router::new(self.topo.node(idx), &self.rib)
     }
 
     /// Sends what router `from` just left in `out`. A router addresses its
@@ -583,13 +605,13 @@ impl<M: RouteMonitor> Shard<M> {
                 // Schedule the flush the first time the batch forms.
                 if window.pending.len() == 1 {
                     let wait = gate.ticks().saturating_sub(now.ticks()).max(1);
-                    let from = from as u32;
+                    let (edge, from) = (edge as u32, from as u32);
                     self.push(Scheduled::new(
                         now + wait,
                         MRAI_FLUSH,
-                        edge as u32,
+                        edge,
                         0,
-                        ShardEvent::MraiFlush { from, to },
+                        ShardEvent::MraiFlush { edge, from, to },
                     ));
                 }
             }
@@ -665,10 +687,11 @@ impl<M: RouteMonitor> Shard<M> {
             (h ^ word).wrapping_mul(PRIME)
         }
         let mut total = 0u64;
-        for (node, router) in self.routers.iter().enumerate() {
+        for node in 0..self.topo.asn_index.len() {
             if !self.owns(node) {
                 continue;
             }
+            let router = self.router(node);
             let mut h = OFFSET;
             h = mix(h, node as u64);
             for prefix in router.prefixes() {
@@ -889,19 +912,22 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
                 partition.cut_links(),
             )
         };
+        let edges = 2 * graph.link_count();
         let mut peer_start = Vec::with_capacity(n + 1);
         peer_start.push(0);
-        let mut peer_idx = Vec::new();
+        let mut peer_idx = Vec::with_capacity(edges);
+        let mut peer_asn = Vec::with_capacity(edges);
         for &asn in &asn_index {
             for peer in graph.neighbors(asn) {
                 let idx = asn_index
                     .binary_search(&peer)
                     .expect("graph links only name graph ASes");
                 peer_idx.push(idx as u32);
+                peer_asn.push(peer);
             }
             peer_start.push(peer_idx.len());
         }
-        let edges = peer_idx.len();
+        debug_assert_eq!(peer_idx.len(), edges);
         // Rows are ascending and links symmetric, so walking the edges in id
         // order meets the edges *into* each node in that node's row order:
         // the k-th edge into `b` is the reverse of the k-th edge out of it.
@@ -916,6 +942,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             asn_index,
             peer_start,
             peer_idx,
+            peer_asn,
             rev,
             delays: vec![1; edges],
             assignment,
@@ -936,14 +963,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             .map(|id| Shard {
                 id,
                 topo: Arc::clone(&topo),
-                routers: (topo.asn_index.iter().zip(&topo.assignment))
-                    .map(|(&asn, &owner)| {
-                        // Only the owner's copy is ever read; the others keep
-                        // node indices global and hold no peer list.
-                        let peers = (owner == id).then(|| graph.neighbors(asn).collect());
-                        Router::new(asn, peers.unwrap_or_default())
-                    })
-                    .collect(),
+                rib: Rib::new(n, edges),
                 out: Outbox::new(),
                 queue: Agenda::new(),
                 now: SimTime::ZERO,
@@ -1028,12 +1048,15 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         self.topo.asn_index.iter().copied()
     }
 
-    /// Read access to a router (served by its owning shard).
+    /// Read access to a router: a view of its owning shard's tables.
     #[must_use]
-    pub fn router(&self, asn: Asn) -> Option<&Router> {
-        let idx = self.topo.index_of(asn)?;
-        let shard = self.topo.assignment[idx] as usize;
-        Some(&self.shards[shard].routers[idx])
+    pub fn router(&self, asn: Asn) -> Option<Router<'_>> {
+        self.topo.index_of(asn).map(|idx| self.router_at(idx))
+    }
+
+    /// The router of node `idx`, read from its owning shard.
+    fn router_at(&self, idx: usize) -> Router<'_> {
+        self.shards[self.topo.assignment[idx] as usize].router(idx)
     }
 
     /// The best route an AS holds for `prefix`.
@@ -1100,8 +1123,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     pub fn try_originate_route(&mut self, asn: Asn, route: Route) -> Result<(), UnknownAsError> {
         let idx = self.topo.index_of(asn).ok_or(UnknownAsError { asn })?;
         let shard = &mut self.shards[self.topo.assignment[idx] as usize];
-        shard.routers[idx].originate(route, &mut shard.monitor, &mut shard.out);
-        shard.enqueue(idx);
+        shard.drive(idx, |r, m, out| r.originate(route, m, out));
         Ok(())
     }
 
@@ -1124,8 +1146,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     pub fn try_withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) -> Result<(), UnknownAsError> {
         let idx = self.topo.index_of(asn).ok_or(UnknownAsError { asn })?;
         let shard = &mut self.shards[self.topo.assignment[idx] as usize];
-        shard.routers[idx].withdraw_origin(prefix, &mut shard.monitor, &mut shard.out);
-        shard.enqueue(idx);
+        shard.drive(idx, |r, m, out| r.withdraw_origin(prefix, m, out));
         Ok(())
     }
 
@@ -1379,8 +1400,8 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         // the histogram observation sequence is layout-independent too. One
         // token resolution keeps the per-router loop free of key hashing.
         let rib_size = sink.record_token("net.adj_rib_in.size");
-        for (idx, &owner) in self.topo.assignment.iter().enumerate() {
-            let router = &self.shards[owner as usize].routers[idx];
+        for idx in 0..self.topo.asn_index.len() {
+            let router = self.router_at(idx);
             decisions += router.decision_count();
             sink.record_by(rib_size, router.adj_rib_in_size() as u64);
         }
@@ -1595,12 +1616,16 @@ mod tests {
         "208.8.0.0/16".parse().unwrap()
     }
 
+    /// What one AS's [`Router`] view reports: peers, the Adj-RIB-In for the
+    /// prefix as `(peer, AS path)` pairs, and the decision count.
+    type RouterView = (Vec<Asn>, Vec<(Asn, AsPath)>, u64);
+
     /// Everything a trial observes, collected from one sharded run.
     fn observe(
         graph: &AsGraph,
         shards: usize,
         jobs: usize,
-    ) -> (Vec<Option<Asn>>, NetworkStats, u64, u64) {
+    ) -> (Vec<Option<Asn>>, NetworkStats, u64, u64, Vec<RouterView>) {
         let victim = graph.stub_asns()[0];
         let attacker = *graph.stub_asns().last().unwrap();
         let prefix = as_topology::prefix_for_asn(victim);
@@ -1612,11 +1637,24 @@ mod tests {
         net.originate(attacker, prefix, None);
         net.run().unwrap();
         let origins = graph.asns().map(|a| net.best_origin(a, prefix)).collect();
+        // Read through the public view, which must serve every AS from its
+        // owner's tables: a view of another shard's would come back empty.
+        let views = graph.asns().map(|asn| {
+            let router = net.router(asn).unwrap();
+            let held = router.adj_rib_in(prefix);
+            let held = held.map(|(peer, route)| (peer, route.as_path().clone()));
+            (
+                router.peers().to_vec(),
+                held.collect(),
+                router.decision_count(),
+            )
+        });
         (
             origins,
             net.stats(),
             net.routing_fingerprint(),
             net.events_fired(),
+            views.collect(),
         )
     }
 
@@ -1649,7 +1687,7 @@ mod tests {
         // The absolute outcome, recorded from a build of the parent commit
         // 0a3f4e6 (the map-keyed router): a shifted tie-break fails here, not
         // only in a `cmp` against an old binary.
-        let (_, stats, fingerprint, events) = &reference;
+        let (_, stats, fingerprint, events, _) = &reference;
         assert_eq!(
             (
                 *events,

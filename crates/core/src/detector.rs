@@ -1,5 +1,6 @@
 //! The §4.2 consistency check, as a pure function.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use bgp_types::{Asn, Ipv4Prefix, MoasList, Route};
@@ -53,16 +54,38 @@ impl fmt::Display for Conflict {
     }
 }
 
+/// One route held for the prefix, as [`find_conflict`] reads it: the peer
+/// it was learned from (`None` for a locally originated route) and the
+/// route. Implemented for `(Option<Asn>, R)` pairs with any
+/// [`Borrow<Route>`](Borrow) route side, and for references to them, so
+/// owned lists, lists of references and a router's lazily walked
+/// [`HeldRoutes`](bgp_engine::HeldRoutes) all qualify without cloning.
+pub trait HeldRoute {
+    /// The `(learned-from peer, route)` pair.
+    fn held(&self) -> (Option<Asn>, &Route);
+}
+
+impl<R: Borrow<Route>> HeldRoute for (Option<Asn>, R) {
+    fn held(&self) -> (Option<Asn>, &Route) {
+        (self.0, self.1.borrow())
+    }
+}
+
+impl<H: HeldRoute + ?Sized> HeldRoute for &H {
+    fn held(&self) -> (Option<Asn>, &Route) {
+        (**self).held()
+    }
+}
+
 /// Checks an arriving route against the routes already held for its prefix,
 /// returning the first conflict found.
 ///
-/// `existing` entries are `(learned-from peer, route)` pairs; `None` marks a
-/// locally originated route. The route side is generic over
-/// [`Borrow<Route>`](std::borrow::Borrow), so callers can pass owned routes
-/// or `&Route` references straight out of a RIB without cloning. Routes
-/// without an attached list are treated as carrying the implicit `{origin}`
-/// list (footnote 3). Routes with no well-defined origin and no list (empty
-/// path aggregates) cannot be checked and never conflict.
+/// `existing` yields `(learned-from peer, route)` pairs (see [`HeldRoute`]);
+/// `None` marks a locally originated route. It is walked once, in order, and
+/// only as far as the first conflict. Routes without an attached list are
+/// treated as carrying the implicit `{origin}` list (footnote 3). Routes
+/// with no well-defined origin and no list (empty path aggregates) cannot
+/// be checked and never conflict.
 ///
 /// This is deliberately a pure function: the in-line [`MoasMonitor`]
 /// (§4.2's modified-BGP deployment) and the [`OfflineMonitor`] (§4.2's
@@ -71,10 +94,11 @@ impl fmt::Display for Conflict {
 /// [`MoasMonitor`]: crate::MoasMonitor
 /// [`OfflineMonitor`]: crate::OfflineMonitor
 #[must_use]
-pub fn find_conflict<R: std::borrow::Borrow<Route>>(
-    route: &Route,
-    existing: &[(Option<Asn>, R)],
-) -> Option<Conflict> {
+pub fn find_conflict<I>(route: &Route, existing: I) -> Option<Conflict>
+where
+    I: IntoIterator,
+    I::Item: HeldRoute,
+{
     let incoming_list = route.effective_moas_list()?;
 
     // Self-test: a route whose origin is not in its own list is malformed.
@@ -91,8 +115,8 @@ pub fn find_conflict<R: std::borrow::Borrow<Route>>(
     }
 
     // Pairwise set comparison against every held route for this prefix.
-    for (peer, held) in existing {
-        let held = held.borrow();
+    for entry in existing {
+        let (peer, held) = entry.held();
         if held.prefix() != route.prefix() {
             continue;
         }
@@ -105,7 +129,7 @@ pub fn find_conflict<R: std::borrow::Borrow<Route>>(
                 kind: ConflictKind::InconsistentLists,
                 incoming_origin: route.origin_as(),
                 incoming_list,
-                conflicting_with: Some((*peer, held.origin_as())),
+                conflicting_with: Some((peer, held.origin_as())),
             });
         }
     }
@@ -116,6 +140,8 @@ pub fn find_conflict<R: std::borrow::Borrow<Route>>(
 mod tests {
     use super::*;
     use bgp_types::AsPath;
+
+    const NOTHING_HELD: [(Option<Asn>, Route); 0] = [];
 
     fn p() -> Ipv4Prefix {
         "208.8.0.0/16".parse().unwrap()
@@ -171,7 +197,7 @@ mod tests {
     fn copying_the_honest_list_fails_the_self_test() {
         // Attacker copies {1, 2} exactly but originates from AS 3.
         let forged = route(3, Some(&[1, 2]));
-        let conflict = find_conflict::<Route>(&forged, &[]).unwrap();
+        let conflict = find_conflict(&forged, NOTHING_HELD).unwrap();
         assert_eq!(conflict.kind, ConflictKind::OriginNotInList);
         assert_eq!(conflict.incoming_origin, Some(Asn(3)));
     }
@@ -190,7 +216,7 @@ mod tests {
     #[test]
     fn no_origin_and_no_list_is_uncheckable() {
         let aggregate = Route::new(p(), AsPath::new());
-        assert!(find_conflict::<Route>(&aggregate, &[]).is_none());
+        assert!(find_conflict(&aggregate, NOTHING_HELD).is_none());
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod verifier;
 pub use alarm::{Alarm, AlarmLog, Resolution};
 pub use attack::{FalseOriginAttack, ListForgery, SubPrefixHijack};
 pub use deployment::Deployment;
-pub use detector::{find_conflict, Conflict, ConflictKind};
+pub use detector::{find_conflict, Conflict, ConflictKind, HeldRoute};
 pub use monitor::{MoasConfig, MoasMonitor, UnresolvedPolicy};
 pub use offline::{OfflineFinding, OfflineMonitor};
 pub use verifier::{DnsMoasVerifier, OriginVerifier, RegistryVerifier};

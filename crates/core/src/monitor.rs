@@ -195,7 +195,7 @@ impl<V: OriginVerifier> RouteMonitor for MoasMonitor<V> {
                     if !held_valid {
                         any_confirmed = true;
                         if let Some(peer) = peer {
-                            decision = decision.with_eviction(*peer);
+                            decision = decision.with_eviction(peer);
                         }
                     }
                 }
@@ -253,6 +253,7 @@ impl<V: OriginVerifier> RouteMonitor for MoasMonitor<V> {
 mod tests {
     use super::*;
     use crate::verifier::RegistryVerifier;
+    use bgp_engine::HeldRoutes;
     use bgp_types::{AsPath, Ipv4Prefix, MoasList};
 
     fn p() -> Ipv4Prefix {
@@ -275,7 +276,7 @@ mod tests {
             local: Asn(100),
             from_peer: Asn(200),
             route,
-            existing,
+            existing: HeldRoutes::from_slice(existing),
         }
     }
 

@@ -4,9 +4,9 @@
 //! simulator. This crate provides the substrate that plays SSFnet's role in
 //! the reproduction: simulated time ([`SimTime`]), seeded random-number
 //! helpers ([`rng`]) so every experiment is exactly reproducible from a `u64`
-//! seed, deterministic fault plans ([`fault`]), and the counters an event
-//! queue reports ([`QueueStats`]). The event queue itself lives with its one
-//! user, `bgp-engine`, whose same-timestamp order is part of the BGP model.
+//! seed, and deterministic fault plans ([`fault`]). The event queue and its
+//! counters live with their one user, `bgp-engine`, whose same-timestamp
+//! order is part of the BGP model.
 //!
 //! # Example
 //!
@@ -29,10 +29,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod fault;
-mod queue;
 pub mod rng;
 mod time;
 
 pub use fault::{FaultAction, FaultPlan, FaultStats, LinkFaultModel, TimelineEntry};
-pub use queue::QueueStats;
 pub use time::SimTime;
