@@ -5,8 +5,10 @@
 //! speaking BGP to its peers, with per-peer Adj-RIB-In tables, a
 //! deterministic decision process (highest `LOCAL_PREF`, then shortest AS
 //! path, then lowest peer ASN), AS-path loop suppression, split-horizon
-//! advertisement, and event-driven propagation over a [`sim_engine`]
-//! discrete-event queue with per-link delays.
+//! advertisement, and event-driven propagation over a deterministic
+//! discrete-event queue with per-link delays, timed in [`sim_engine`]'s
+//! ticks. Lossy links, link failures, session resets and scripted origin
+//! churn are injected reproducibly through a [`NetFaultPlan`].
 //!
 //! Route validation — the paper's MOAS-list checking — plugs in through the
 //! [`RouteMonitor`] trait, which sees every import and export. The `moas-core`
@@ -59,7 +61,7 @@ mod update;
 mod valley_free;
 
 pub use error::{ConvergenceError, FaultPlanError, UnknownAsError};
-pub use fault::{FaultEvent, NetFaultPlan};
+pub use fault::{FaultEvent, FaultStats, LinkFaultModel, NetFaultPlan};
 pub use forwarding::{ForwardOutcome, ForwardingPlane};
 pub use monitor::{
     ExportAction, HeldIter, HeldRoutes, ImportContext, ImportDecision, NoopMonitor, RouteMonitor,

@@ -135,10 +135,9 @@ impl<M> DerefMut for Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultEvent, FaultPlanError, NetFaultPlan};
+    use crate::{FaultEvent, FaultPlanError, LinkFaultModel, NetFaultPlan};
     use as_topology::{AsRole, InternetModel};
     use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
-    use sim_engine::fault::LinkFaultModel;
 
     fn figure1_graph() -> AsGraph {
         // AS 4 originates; AS Y (=2) and AS Z (=3) transit to AS X (=1).

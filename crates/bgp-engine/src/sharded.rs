@@ -28,11 +28,12 @@ use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use sim_engine::fault::{FaultAction, FaultStats, LinkFaultModel, TimelineEntry};
 use sim_engine::SimTime;
 
 use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
-use crate::fault::{FaultEvent, NetFaultPlan};
+use crate::fault::{
+    FaultAction, FaultEvent, FaultStats, LinkFaultModel, NetFaultPlan, TimelineEntry,
+};
 use crate::monitor::{NoopMonitor, RouteMonitor};
 use crate::queue::{Agenda, QueueStats, Scheduled};
 use crate::router::{Node, Outbox, Rib, Router, Speaker};
@@ -184,7 +185,7 @@ struct ShardFaults {
     rngs: BTreeMap<u32, SmallRng>,
     models: BTreeMap<usize, LinkFaultModel>,
     stats: Vec<FaultStats>,
-    timeline: Vec<TimelineEntry<FaultEvent>>,
+    timeline: Vec<TimelineEntry>,
     remaining: Vec<Option<u64>>,
 }
 
@@ -1200,7 +1201,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         if self.plan_installed {
             return Err(FaultPlanError::AlreadyInstalled);
         }
-        for entry in plan.timeline() {
+        for entry in &plan.timeline {
             for asn in entry.event.actors() {
                 if self.topo.index_of(asn).is_none() {
                     return Err(FaultPlanError::UnknownAs(asn));
@@ -1214,12 +1215,12 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             }
         }
         let mut models = BTreeMap::new();
-        for (&(a, b), &model) in plan.link_models() {
+        for (&(a, b), &model) in &plan.link_models {
             let (ab, ba) = self.topo.directed_edges(a, b)?;
             models.insert(ab, model);
             models.insert(ba, model);
         }
-        let timeline: Vec<TimelineEntry<FaultEvent>> = plan.timeline().to_vec();
+        let timeline = plan.timeline;
         let remaining: Vec<Option<u64>> = timeline.iter().map(|e| e.count).collect();
         let edges = self.topo.peer_idx.len();
         for shard in &mut self.shards {
@@ -1232,7 +1233,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
                 shard.push(Scheduled::new(at, FAULT, i as u32, 0, event));
             }
             shard.faults = Some(Box::new(ShardFaults {
-                seed: plan.seed(),
+                seed: plan.seed,
                 rngs: BTreeMap::new(),
                 models: models.clone(),
                 stats: vec![FaultStats::default(); edges],
@@ -1597,7 +1598,6 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
 mod tests {
     use super::*;
     use as_topology::{AsRole, InternetModel, ScaleFreeModel};
-    use sim_engine::fault::FaultPlan;
 
     fn figure1_graph() -> AsGraph {
         let mut g = AsGraph::new();
@@ -1724,7 +1724,7 @@ mod tests {
         let run = |shards: usize| {
             let mut net =
                 ShardedNetwork::with_monitor_and_jitter(&graph, shards, 1, 3, 4, || NoopMonitor);
-            let mut plan = FaultPlan::new(77);
+            let mut plan = NetFaultPlan::new(77);
             plan.set_link_model(
                 (hub, hub_peer),
                 LinkFaultModel {
@@ -1812,7 +1812,7 @@ mod tests {
             let mut net =
                 ShardedNetwork::with_monitor_and_jitter(&graph, shards, 1, 2, 3, || NoopMonitor);
             net.set_watchdog(64);
-            let mut plan = FaultPlan::new(5);
+            let mut plan = NetFaultPlan::new(5);
             plan.every(
                 4,
                 8,

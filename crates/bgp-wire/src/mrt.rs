@@ -368,12 +368,6 @@ impl<W: io::Write> MrtWriter<W> {
         self.records
     }
 
-    /// Bytes currently batched but not yet handed to the underlying writer.
-    #[must_use]
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Hands any batched bytes to the underlying writer and flushes it.
     ///
     /// # Errors

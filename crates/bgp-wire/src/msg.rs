@@ -151,12 +151,6 @@ impl OpenMessage {
             .unwrap_or(self.asn)
     }
 
-    /// Whether a given capability was announced.
-    #[must_use]
-    pub fn has_capability(&self, cap: &Capability) -> bool {
-        self.capabilities.contains(cap)
-    }
-
     /// Encodes the full message, marker and header included.
     ///
     /// # Errors

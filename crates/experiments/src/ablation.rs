@@ -69,19 +69,14 @@ pub fn subprefix_ablation(
         let sub = SubPrefixHijack::new().launch(&mut net, attacker, victim_prefix);
         net.run().expect("ablation networks converge");
 
-        let eligible = graph.len() - 1; // exclude the attacker
-        let fooled = graph
-            .asns()
-            .filter(|&asn| asn != attacker)
-            .filter(|&asn| net.best_origin(asn, sub) == Some(attacker))
-            .count();
-        let adoption = 100.0 * fooled as f64 / eligible as f64;
+        let adoption = adoption_pct(graph, &net, sub, &[attacker]);
         let alarms = net.monitor().alarms().len() as f64;
 
         // Data plane: where do packets addressed inside the hijacked half go?
         let plane = ForwardingPlane::snapshot(&net);
         let exclude: std::collections::BTreeSet<Asn> = [attacker].into_iter().collect();
         let (_, to_attacker_or_other, _) = plane.capture_census(sub.network(), victim, &exclude);
+        let eligible = graph.len() - 1; // exclude the attacker
         let traffic = 100.0 * to_attacker_or_other as f64 / eligible as f64;
 
         // Exact-prefix control run with the same parties.

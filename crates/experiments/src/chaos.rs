@@ -25,14 +25,15 @@ use std::fmt;
 use std::str::FromStr;
 
 use as_topology::{AsGraph, InternetModel};
-use bgp_engine::{ConvergenceError, FaultEvent, NetFaultPlan, ShardedNetwork};
+use bgp_engine::{
+    ConvergenceError, FaultEvent, LinkFaultModel, NetFaultPlan, RouteMonitor, ShardedNetwork,
+};
 use bgp_types::{AsPath, Asn, MoasList, Route};
 use minimetrics::{MetricsSink, MetricsSnapshot, Scoped};
 use moas_core::{
     Deployment, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier,
     Resolution, UnresolvedPolicy,
 };
-use sim_engine::fault::LinkFaultModel;
 
 use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, Json, ToJson};
@@ -536,38 +537,40 @@ fn aggregate(config: &ChaosConfig, results: &[TrialResult]) -> ChaosReport {
     }
 }
 
-/// The scenario-specific parts of one trial's setup.
+/// One scripted churn run, fully described: who originates what at tick 0,
+/// the fault timeline, the engine knobs, and the trial seed. Chaos builds
+/// one per trial from its scenario class ([`build_scenario`]); the ensemble
+/// replays the same ones and adds its long-lived-MOAS arm.
 pub(crate) struct Scenario {
+    /// The legitimate originations, each with the MOAS list it attaches
+    /// (`None` = implicit).
+    pub(crate) origins: Vec<(Asn, Option<MoasList>)>,
     /// The churn timeline (without the attack injection).
     pub(crate) plan: NetFaultPlan,
-    /// MOAS lists attached by the legitimate origins (`None` = implicit).
-    pub(crate) origin_list: Option<MoasList>,
-    /// Whether the partner originates from the start (vs only via timeline).
-    pub(crate) partner_originates: bool,
-    /// Transit ASes that strip MOAS communities on export.
-    pub(crate) strippers: BTreeSet<Asn>,
     /// MRAI ticks (0 = disabled).
     pub(crate) mrai: u64,
     /// Watchdog interval (0 = off); set only where oscillation is expected.
     pub(crate) watchdog: u64,
+    /// Transit ASes that strip MOAS communities on export.
+    pub(crate) strippers: BTreeSet<Asn>,
     /// Whether the churn run is expected to end in oscillation.
     pub(crate) expect_oscillation: bool,
+    /// Per-trial seed of the link-delay jitter.
+    pub(crate) seed: u64,
 }
 
+/// The run of one chaos trial: `config.scenario`'s churn script played by
+/// `cast`.
 pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &TrialPlan) -> Scenario {
     let prefix = crate::victim_prefix();
     let bare = Route::new(prefix, AsPath::new());
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
     let mut plan = NetFaultPlan::new(sim_engine::rng::derive_seed(cast.seed, 0xFA17));
-    let mut scenario = Scenario {
-        plan: NetFaultPlan::new(0),
-        origin_list: Some(valid_list),
-        partner_originates: true,
-        strippers: BTreeSet::new(),
-        mrai: 0,
-        watchdog: 0,
-        expect_oscillation: false,
-    };
+    // Both origins announce the proper list from the start unless the
+    // scenario is about the partner coming and going with an implicit one.
+    let mut partner_originates = true;
+    let mut strippers = BTreeSet::new();
+    let (mut mrai, mut watchdog) = (0, 0);
     match config.scenario {
         ChaosScenario::Failover => {
             // Primary provider dies; the partner starts backup origination
@@ -592,8 +595,7 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
                     prefix,
                 },
             );
-            scenario.origin_list = None;
-            scenario.partner_originates = false;
+            partner_originates = false;
         }
         ChaosScenario::OriginFlap => {
             // The backup origin flaps six times, implicit lists, MRAI on:
@@ -607,9 +609,8 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
                     route: bare,
                 },
             );
-            scenario.origin_list = None;
-            scenario.partner_originates = false;
-            scenario.mrai = 20;
+            partner_originates = false;
+            mrai = 20;
         }
         ChaosScenario::LossyCore => {
             // Proper lists everywhere; the transit core misbehaves. Every
@@ -639,7 +640,7 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
                 Some(3),
                 FaultEvent::ResetSession(cast.victim, cast.provider),
             );
-            scenario.strippers.insert(cast.provider);
+            strippers.insert(cast.provider);
         }
         ChaosScenario::FlapStorm => {
             // Unbounded flap, MRAI off: never converges. Only the watchdog
@@ -653,10 +654,8 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
                     route: bare,
                 },
             );
-            scenario.origin_list = None;
-            scenario.partner_originates = false;
-            scenario.watchdog = WATCHDOG_EVERY;
-            scenario.expect_oscillation = true;
+            partner_originates = false;
+            watchdog = WATCHDOG_EVERY;
         }
         ChaosScenario::MraiDeferral => {
             // Six flap edges 10 ticks apart under a 30-tick MRAI window:
@@ -673,13 +672,25 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
                     route: bare,
                 },
             );
-            scenario.origin_list = None;
-            scenario.partner_originates = false;
-            scenario.mrai = 30;
+            partner_originates = false;
+            mrai = 30;
         }
     }
-    scenario.plan = plan;
-    scenario
+    let list = partner_originates.then_some(valid_list);
+    let mut origins = vec![(cast.victim, list.clone())];
+    if partner_originates {
+        origins.push((cast.partner, list));
+    }
+    Scenario {
+        origins,
+        plan,
+        mrai,
+        watchdog,
+        strippers,
+        // The watchdog is armed exactly where the run must oscillate.
+        expect_oscillation: watchdog > 0,
+        seed: cast.seed,
+    }
 }
 
 /// The transit-transit links of the topology — the "core" the lossy-core
@@ -729,19 +740,32 @@ fn run_one<S: MetricsSink>(
 ) -> TrialResult {
     let prefix = crate::victim_prefix();
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-
+    let scenario = build_scenario(graph, config, cast);
     let deployment = deployment_for(graph, cast, deployment_fraction);
 
+    // One monitor per shard, all from the same config and registry, so the
+    // union of the per-shard alarm logs is the same for any partition.
+    let monitor = || {
+        let mut registry = RegistryVerifier::new();
+        registry.register(prefix, valid_list.clone());
+        MoasMonitor::new(
+            MoasConfig {
+                deployment: deployment.clone(),
+                strippers: scenario.strippers.clone(),
+                on_unresolved: UnresolvedPolicy::Accept,
+            },
+            registry,
+        )
+    };
+
     // Churn-only run: every alarm is noise.
-    let scenario = build_scenario(graph, config, cast);
     let (churn_net, churn_err) = run_scenario(
         layout,
         graph,
-        config,
-        cast,
+        config.max_link_delay,
         &scenario,
-        deployment.clone(),
         None,
+        &monitor,
     );
     let oscillated = matches!(churn_err, Some(ConvergenceError::Oscillating { .. }));
     assert_eq!(
@@ -778,22 +802,13 @@ fn run_one<S: MetricsSink>(
     let latency = if scenario.expect_oscillation {
         None
     } else {
-        let forged = FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(
-            prefix,
-            cast.attacker,
-            &valid_list,
-        );
         let (attack_net, attack_err) = run_scenario(
             layout,
             graph,
-            config,
-            cast,
+            config.max_link_delay,
             &scenario,
-            deployment,
-            Some(FaultEvent::Announce {
-                asn: cast.attacker,
-                route: forged,
-            }),
+            Some(forged_announcement(cast.attacker, &valid_list)),
+            &monitor,
         );
         assert!(
             attack_err.is_none(),
@@ -835,40 +850,36 @@ fn run_one<S: MetricsSink>(
     }
 }
 
-/// Builds the network for one run, installs the (possibly attack-augmented)
-/// plan, and drives it. Returns the network for inspection plus the
-/// convergence error, if any — budget exhaustion is a driver bug and panics;
-/// oscillation is a legitimate verdict the caller interprets.
-fn run_scenario(
+/// The attack of every churn+attack run: `attacker` announces the victim
+/// prefix with the §4.1 strongest forgery, a list that includes itself.
+pub(crate) fn forged_announcement(attacker: Asn, valid_list: &MoasList) -> FaultEvent {
+    let route = FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(
+        crate::victim_prefix(),
+        attacker,
+        valid_list,
+    );
+    FaultEvent::Announce {
+        asn: attacker,
+        route,
+    }
+}
+
+/// The one scenario runner of chaos and the ensemble: builds the network
+/// over `graph` through `layout` (`monitor` is called once per shard), arms
+/// MRAI and the watchdog, installs the scenario's plan plus `attack` at
+/// [`T_ATTACK`], originates, and drives it. Returns the network for
+/// inspection plus the convergence error, if any — budget exhaustion is a
+/// driver bug and panics; oscillation is a legitimate verdict the caller
+/// interprets.
+pub(crate) fn run_scenario<M: RouteMonitor + Send + 'static>(
     layout: Layout,
     graph: &AsGraph,
-    config: &ChaosConfig,
-    cast: &TrialPlan,
+    max_link_delay: u64,
     scenario: &Scenario,
-    deployment: Deployment,
     attack: Option<FaultEvent>,
-) -> (
-    ShardedNetwork<MoasMonitor<RegistryVerifier>>,
-    Option<ConvergenceError>,
-) {
-    let prefix = crate::victim_prefix();
-    let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-
-    // One monitor per shard, all from the same config and registry, so the
-    // union of the per-shard alarm logs is the same for any partition.
-    let monitor = || {
-        let mut registry = RegistryVerifier::new();
-        registry.register(prefix, valid_list.clone());
-        MoasMonitor::new(
-            MoasConfig {
-                deployment: deployment.clone(),
-                strippers: scenario.strippers.clone(),
-                on_unresolved: UnresolvedPolicy::Accept,
-            },
-            registry,
-        )
-    };
-    let mut net = layout.build(graph, cast.seed, config.max_link_delay, monitor);
+    monitor: impl FnMut() -> M,
+) -> (ShardedNetwork<M>, Option<ConvergenceError>) {
+    let mut net = layout.build(graph, scenario.seed, max_link_delay, monitor);
     net.set_mrai(scenario.mrai);
     net.set_watchdog(scenario.watchdog);
 
@@ -878,15 +889,15 @@ fn run_scenario(
     }
     net.set_fault_plan(plan).expect("planned casts are valid");
 
-    net.originate(cast.victim, prefix, scenario.origin_list.clone());
-    if scenario.partner_originates {
-        net.originate(cast.partner, prefix, scenario.origin_list.clone());
+    let prefix = crate::victim_prefix();
+    for (origin, list) in &scenario.origins {
+        net.originate(*origin, prefix, list.clone());
     }
 
     let err = match net.run() {
         Ok(_) => None,
         Err(err @ ConvergenceError::Oscillating { .. }) => Some(err),
-        Err(err) => panic!("chaos trial blew its event budget: {err}"),
+        Err(err) => panic!("scenario run blew its event budget: {err}"),
     };
     (net, err)
 }

@@ -38,11 +38,11 @@ use std::collections::BTreeSet;
 use as_topology::{AsGraph, OrgAnnotations};
 use bgp_engine::{
     CommunityPolicy, CommunityPolicyMap, ExportAction, FaultEvent, ImportContext, ImportDecision,
-    NetFaultPlan, Network, RouteMonitor,
+    NetFaultPlan, RouteMonitor,
 };
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, Scoped};
-use moas_core::{Deployment, FalseOriginAttack, ListForgery};
+use moas_core::Deployment;
 use rand::Rng;
 use route_measurement::{
     CommunitiesAnomalyDetector, CommunitiesConfig, Detector, DetectorAlarm, FlapDampingDetector,
@@ -51,15 +51,14 @@ use route_measurement::{
 use sim_engine::SimTime;
 
 use crate::chaos::{
-    build_scenario, chaos_graph, plan_casts, ChaosConfig, ChaosScenario, TrialPlan, T_ATTACK,
-    T_CHURN,
+    build_scenario, chaos_graph, forged_announcement, plan_casts, run_scenario, ChaosConfig,
+    ChaosScenario, Scenario, TrialPlan, T_ATTACK, T_CHURN,
 };
 use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, Json, ToJson};
 use crate::stats::{mean, ratio};
 
 use std::fmt;
-use std::str::FromStr;
 
 /// One workload class of the ensemble run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,33 +114,6 @@ impl EnsembleWorkload {
 impl fmt::Display for EnsembleWorkload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Parse error for [`EnsembleWorkload`], naming the valid workloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownWorkload(String);
-
-impl fmt::Display for UnknownWorkload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown workload '{}' (expected one of: failover, origin-flap, session-reset, long-lived-moas)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownWorkload {}
-
-impl FromStr for EnsembleWorkload {
-    type Err = UnknownWorkload;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        EnsembleWorkload::all()
-            .into_iter()
-            .find(|w| w.name() == s)
-            .ok_or_else(|| UnknownWorkload(s.to_string()))
     }
 }
 
@@ -425,15 +397,6 @@ enum CellPlan {
     LongLived(LongLivedPlan),
 }
 
-impl CellPlan {
-    fn seed(&self) -> u64 {
-        match self {
-            CellPlan::Chaos { cast, .. } => cast.seed,
-            CellPlan::LongLived(plan) => plan.seed,
-        }
-    }
-}
-
 /// The cast of one long-lived-MOAS trial.
 struct LongLivedPlan {
     /// The legitimate co-originating ASes (sibling pair or anycast group).
@@ -539,145 +502,94 @@ fn policy_map(
     map
 }
 
-/// Everything one recorded run needs: who originates what, the fault
-/// timeline, and the export-time community handling.
-struct RunSpec {
-    origins: Vec<(Asn, Option<MoasList>)>,
-    plan: NetFaultPlan,
-    mrai: u64,
-    policies: CommunityPolicyMap,
-    seed: u64,
-    max_link_delay: u64,
-}
-
-/// Runs one network under the tap and returns the recorded observations.
-/// Network metrics land in `sink` (no-op with [`NoopSink`]).
-fn record_run<S: MetricsSink>(
-    graph: &AsGraph,
-    spec: &RunSpec,
-    attack: Option<FaultEvent>,
-    sink: &mut S,
-    scope: &str,
-) -> Vec<RouteObservation> {
-    let prefix = crate::victim_prefix();
-    let monitor = TapMonitor::new(spec.policies.clone());
-    let mut net = Network::with_monitor_and_jitter(graph, monitor, spec.seed, spec.max_link_delay);
-    net.set_mrai(spec.mrai);
-
-    let mut plan = spec.plan.clone();
-    if let Some(event) = attack {
-        plan.at(T_ATTACK, event);
+/// The long-lived-MOAS trial as a scenario: every origin announces from
+/// the start (with the shared list when anycast), and the toggling member
+/// leaves and rejoins the origin set every dwell window (CDN-style
+/// handoff), four edges in total, so the run stays bounded and converges
+/// after the last edge.
+fn long_lived_scenario(
+    config: &EnsembleConfig,
+    plan: &LongLivedPlan,
+    valid_list: &MoasList,
+) -> Scenario {
+    let origin_list = plan.explicit_list.then(|| valid_list.clone());
+    let mut toggle_route = Route::new(crate::victim_prefix(), AsPath::new());
+    if let Some(list) = &origin_list {
+        toggle_route.set_moas_list(Some(list));
     }
-    net.set_fault_plan(plan).expect("planned casts are valid");
-
-    for (origin, list) in &spec.origins {
-        net.originate(*origin, prefix, list.clone());
+    let mut fault_plan = NetFaultPlan::new(sim_engine::rng::derive_seed(plan.seed, 0xFA17));
+    fault_plan.every(
+        T_CHURN,
+        config.dwell_ticks.max(1),
+        Some(4),
+        FaultEvent::ToggleOrigin {
+            asn: plan.toggler,
+            route: toggle_route,
+        },
+    );
+    Scenario {
+        origins: plan
+            .origins
+            .iter()
+            .map(|&o| (o, origin_list.clone()))
+            .collect(),
+        plan: fault_plan,
+        mrai: 0,
+        watchdog: 0,
+        strippers: BTreeSet::new(),
+        expect_oscillation: false,
+        seed: plan.seed,
     }
-    net.run().expect("ensemble scenarios converge");
-    if S::ENABLED {
-        net.export_metrics(&mut Scoped::new(sink, scope));
-    }
-    std::mem::take(&mut net.monitor_mut().observations)
 }
 
 /// Phase 2 (per cell): records the churn-only and churn+attack streams of
-/// one trial. The attack is always the §4.1 strongest adversary — a forged
-/// announcement whose list includes the attacker.
+/// one trial under the tap, on one shard. The attack is always the §4.1
+/// strongest adversary — a forged announcement whose list includes the
+/// attacker. Network metrics land in `sink` (no-op with [`NoopSink`]).
 fn record_cell<S: MetricsSink>(
     graph: &AsGraph,
     config: &EnsembleConfig,
     cell: &CellPlan,
     sink: &mut S,
 ) -> TrialStreams {
-    let prefix = crate::victim_prefix();
-    let (spec, valid_list, attacker) = match cell {
-        CellPlan::Chaos { scenario, cast } => {
-            let chaos = config.chaos_config(*scenario);
-            let scenario = build_scenario(graph, &chaos, cast);
-            assert!(
-                !scenario.expect_oscillation,
-                "ensemble workloads must converge"
-            );
-            let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-            let mut origins = vec![(cast.victim, scenario.origin_list.clone())];
-            if scenario.partner_originates {
-                origins.push((cast.partner, scenario.origin_list.clone()));
-            }
-            (
-                RunSpec {
-                    origins,
-                    plan: scenario.plan,
-                    mrai: scenario.mrai,
-                    policies: policy_map(graph, &scenario.strippers, config.policy),
-                    seed: cast.seed,
-                    max_link_delay: config.max_link_delay,
-                },
-                valid_list,
-                cast.attacker,
-            )
-        }
+    let (scenario, valid_list, attacker) = match cell {
+        CellPlan::Chaos { scenario, cast } => (
+            build_scenario(graph, &config.chaos_config(*scenario), cast),
+            [cast.victim, cast.partner].into_iter().collect(),
+            cast.attacker,
+        ),
         CellPlan::LongLived(plan) => {
             let valid_list: MoasList = plan.origins.iter().copied().collect();
-            let origin_list = plan.explicit_list.then(|| valid_list.clone());
-            let mut toggle_route = Route::new(prefix, AsPath::new());
-            if let Some(list) = &origin_list {
-                toggle_route.set_moas_list(Some(list));
-            }
-            // CDN-style handoff: the toggling member leaves the origin set
-            // and rejoins every dwell window, four edges in total, so the
-            // run stays bounded and converges after the last edge.
-            let mut fault_plan = NetFaultPlan::new(sim_engine::rng::derive_seed(plan.seed, 0xFA17));
-            fault_plan.every(
-                T_CHURN,
-                config.dwell_ticks.max(1),
-                Some(4),
-                FaultEvent::ToggleOrigin {
-                    asn: plan.toggler,
-                    route: toggle_route,
-                },
-            );
-            (
-                RunSpec {
-                    origins: plan
-                        .origins
-                        .iter()
-                        .map(|&o| (o, origin_list.clone()))
-                        .collect(),
-                    plan: fault_plan,
-                    mrai: 0,
-                    policies: policy_map(graph, &BTreeSet::new(), config.policy),
-                    seed: plan.seed,
-                    max_link_delay: config.max_link_delay,
-                },
-                valid_list,
-                plan.attacker,
-            )
+            let scenario = long_lived_scenario(config, plan, &valid_list);
+            (scenario, valid_list, plan.attacker)
         }
     };
-
-    let churn = record_run(graph, &spec, None, sink, "churn");
-    let forged = FalseOriginAttack::new(ListForgery::IncludeSelf).forged_route(
-        prefix,
-        attacker,
-        &valid_list,
-    );
-    let attack = record_run(
-        graph,
-        &spec,
-        Some(FaultEvent::Announce {
-            asn: attacker,
-            route: forged,
-        }),
-        sink,
-        "attack",
-    );
+    let policies = policy_map(graph, &scenario.strippers, config.policy);
+    let mut record = |attack: Option<FaultEvent>, scope: &str| {
+        let (mut net, err) = run_scenario(
+            Layout::SERIAL,
+            graph,
+            config.max_link_delay,
+            &scenario,
+            attack,
+            || TapMonitor::new(policies.clone()),
+        );
+        assert!(err.is_none(), "ensemble scenarios converge: {err:?}");
+        if S::ENABLED {
+            net.export_metrics(&mut Scoped::new(&mut *sink, scope));
+        }
+        let tap = net.monitors_mut().next().expect("one shard");
+        std::mem::take(&mut tap.observations)
+    };
+    let churn = record(None, "churn");
+    let attack = record(Some(forged_announcement(attacker, &valid_list)), "attack");
     if S::ENABLED {
         sink.counter_add("ensemble.trials", 1);
         sink.counter_add("ensemble.observations", (churn.len() + attack.len()) as u64);
     }
     TrialStreams {
         attacker,
-        seed: cell.seed(),
+        seed: scenario.seed,
         churn,
         attack,
     }
@@ -919,13 +831,17 @@ mod tests {
 
     #[test]
     fn workload_names_round_trip() {
+        let names: BTreeSet<&str> = EnsembleWorkload::all().map(EnsembleWorkload::name).into();
+        assert_eq!(
+            names.len(),
+            EnsembleWorkload::all().len(),
+            "names are unique"
+        );
         for workload in EnsembleWorkload::all() {
-            let parsed: EnsembleWorkload = workload.name().parse().unwrap();
-            assert_eq!(parsed, workload);
+            assert_eq!(workload.to_string(), workload.name());
+            let written = workload.to_json_value();
+            assert_eq!(written, Json::Str(workload.name().to_string()));
         }
-        let err = "tsunami".parse::<EnsembleWorkload>().unwrap_err();
-        assert!(err.to_string().contains("tsunami"));
-        assert!(err.to_string().contains("long-lived-moas"));
     }
 
     #[test]

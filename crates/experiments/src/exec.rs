@@ -112,8 +112,9 @@ impl Exec {
 pub(crate) trait Cell: Sync {
     /// What one cell produces.
     type Out: Send;
-    /// Runs cell `i`. Cells that build their own network (the ensemble's
-    /// tap monitor) ignore `layout`.
+    /// Runs cell `i`. The ensemble ignores `layout`: its tap monitor needs
+    /// the one global observation order, so it always runs
+    /// [`Layout::SERIAL`].
     fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> Self::Out;
 }
 

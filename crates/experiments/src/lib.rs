@@ -86,7 +86,7 @@ pub use compat::{
 };
 pub use ensemble::{
     run_ensemble, DetectorReport, EnsembleConfig, EnsembleDeploymentPoint, EnsembleReport,
-    EnsembleWorkload, UnknownWorkload, WorkloadReport, ENSEMBLE_DEPLOYMENT_FRACTIONS,
+    EnsembleWorkload, WorkloadReport, ENSEMBLE_DEPLOYMENT_FRACTIONS,
 };
 pub use exec::Exec;
 pub use figures::{experiment1, experiment2, experiment3};

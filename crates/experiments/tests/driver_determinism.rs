@@ -25,7 +25,8 @@ use std::fmt::Debug;
 use as_topology::paper::PaperTopology;
 use as_topology::{AsGraph, InternetModel};
 use bgp_engine::{
-    ConvergenceError, FaultEvent, NetFaultPlan, Network, NetworkStats, NoopMonitor, ShardedNetwork,
+    ConvergenceError, FaultEvent, FaultStats, LinkFaultModel, NetFaultPlan, Network, NetworkStats,
+    NoopMonitor, ShardedNetwork,
 };
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use experiments::json::to_string_pretty;
@@ -39,7 +40,6 @@ use experiments::{
 };
 use minimetrics::{MetricsSnapshot, RecordingSink};
 use moas_core::{Alarm, Deployment, FalseOriginAttack, ListForgery, MoasMonitor, RegistryVerifier};
-use sim_engine::fault::{FaultStats, LinkFaultModel};
 
 const JOBS: [usize; 2] = [1, 4];
 const SHARDS: [usize; 3] = [1, 2, 4];

@@ -6,6 +6,10 @@
 //!   other is a two-trial `lossy-core` chaos run, the only path with
 //!   `link.*` rows and the `churn.`/`attack.` scopes. Any change to a name,
 //!   a field, a merge rule or the JSON shape moves them.
+//! * Absolute pins of the chaos and ensemble reports: every chaos scenario's
+//!   quick JSON report, and the quick ensemble report with its snapshot.
+//!   Both drivers build, arm and run their networks through one scenario
+//!   runner; these pins hold the bytes that runner must keep producing.
 //! * A property: on small generated graphs, with and without a fault plan
 //!   and a [`Scoped`] prefix, `export_metrics` and a sink-to-sink merge give
 //!   exactly the snapshot of a reference exporter that formats every key
@@ -15,15 +19,16 @@
 
 use as_topology::paper::PaperTopology;
 use as_topology::{AsGraph, InternetModel};
-use bgp_engine::{NetFaultPlan, Network, NoopMonitor};
+use bgp_engine::{LinkFaultModel, NetFaultPlan, Network, NoopMonitor};
 use bgp_types::Ipv4Prefix;
 use experiments::json::to_string_pretty;
+use experiments::json::ToJson;
 use experiments::{
-    experiment1, experiment2, experiment3, run_chaos, ChaosConfig, ChaosScenario, Exec, SweepConfig,
+    experiment1, experiment2, experiment3, run_chaos, run_ensemble, ChaosConfig, ChaosScenario,
+    EnsembleConfig, Exec, SweepConfig,
 };
 use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, RowFamily, Scoped};
 use proptest::prelude::*;
-use sim_engine::fault::LinkFaultModel;
 
 /// FNV-1a 64 of `bytes`.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -32,10 +37,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// `(fnv64, length)` of the snapshot as `--metrics` writes it (less the
-/// final newline).
-fn pin(snapshot: &MetricsSnapshot) -> (u64, usize) {
-    let text = to_string_pretty(snapshot);
+/// `(fnv64, length)` of a snapshot or report as `--metrics` or `--out`
+/// writes it (less the final newline).
+fn pin<T: ToJson>(value: &T) -> (u64, usize) {
+    let text = to_string_pretty(value);
     (fnv64(text.as_bytes()), text.len())
 }
 
@@ -73,6 +78,31 @@ fn lossy_core_chaos_snapshot_bytes_are_pinned() {
         .keys()
         .any(|k| k.starts_with("attack.session.")));
     assert_eq!(pin(&metrics), (0x90a6_2be5_73c0_d2f4, 50_570));
+}
+
+#[test]
+fn chaos_reports_are_pinned() {
+    // `moas-lab chaos --scenario NAME --quick` for each scenario.
+    let pins = [
+        (ChaosScenario::Failover, (0x4ecc_0d1a_804a_2f01, 429)),
+        (ChaosScenario::OriginFlap, (0xa8ca_cb4d_7b4f_5253, 422)),
+        (ChaosScenario::LossyCore, (0x7554_52a5_6f40_a8af, 464)),
+        (ChaosScenario::SessionReset, (0x545a_e80d_5643_25b4, 420)),
+        (ChaosScenario::FlapStorm, (0x10da_d874_2cc8_85f6, 445)),
+        (ChaosScenario::MraiDeferral, (0x94a1_4970_48f8_a303, 435)),
+    ];
+    for (scenario, expected) in pins {
+        let (report, _) = run_chaos(&ChaosConfig::quick(scenario), Exec::serial());
+        assert_eq!(pin(&report), expected, "{scenario}");
+    }
+}
+
+#[test]
+fn ensemble_quick_report_and_snapshot_are_pinned() {
+    // `moas-lab ensemble --quick --metrics F`.
+    let (report, metrics) = run_ensemble(&EnsembleConfig::quick(), 1, true);
+    assert_eq!(pin(&report), (0x308f_312e_91af_2e99, 5_746));
+    assert_eq!(pin(&metrics), (0xce38_e4c6_cebf_5d05, 40_025));
 }
 
 /// The per-session and per-link keys of `net`, formatted one by one the way

@@ -317,12 +317,6 @@ impl Daemon {
         self.feed_server.stats()
     }
 
-    /// Socket-level counters of the BGP listener, when one was configured.
-    #[must_use]
-    pub fn bgp_stats(&self) -> Option<ServerStats> {
-        self.bgp_server.as_ref().map(Server::stats)
-    }
-
     /// Stops all listeners gracefully (pending output drains first).
     pub fn shutdown(self) {
         self.http_server.shutdown();

@@ -197,27 +197,6 @@ impl TimelineConfig {
         self.events.retain(|e| e.day < days);
         self
     }
-
-    /// Replaces the event list.
-    #[must_use]
-    pub fn with_events(mut self, events: Vec<FaultEvent>) -> Self {
-        self.events = events;
-        self
-    }
-
-    /// Replaces the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables the modern long-lived MOAS behaviours.
-    #[must_use]
-    pub fn with_modern(mut self, modern: ModernMoasConfig) -> Self {
-        self.modern = modern;
-        self
-    }
 }
 
 impl Default for TimelineConfig {
@@ -569,7 +548,10 @@ mod tests {
 
     #[test]
     fn origin_set_sizes_match_paper_split() {
-        let mut config = TimelineConfig::paper().with_days(200).with_events(vec![]);
+        let mut config = TimelineConfig {
+            events: vec![],
+            ..TimelineConfig::paper().with_days(200)
+        };
         config.active_start = 800;
         config.active_end = 900;
         let t = generate_timeline(&config);

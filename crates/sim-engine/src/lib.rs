@@ -1,12 +1,11 @@
-//! Deterministic discrete-event simulation core.
+//! Simulated time and seeded randomness for the MOAS reproduction.
 //!
-//! The paper evaluates the MOAS-list mechanism on a modified SSFnet BGP
-//! simulator. This crate provides the substrate that plays SSFnet's role in
-//! the reproduction: simulated time ([`SimTime`]), seeded random-number
-//! helpers ([`rng`]) so every experiment is exactly reproducible from a `u64`
-//! seed, and deterministic fault plans ([`fault`]). The event queue and its
-//! counters live with their one user, `bgp-engine`, whose same-timestamp
-//! order is part of the BGP model.
+//! Every experiment is exactly reproducible from one `u64` seed. This crate
+//! holds what every simulating crate shares: simulated time ([`SimTime`])
+//! and seeded random-number helpers ([`rng`]). The discrete-event engine
+//! that plays SSFnet's role — event queue, counters, fault plans — is
+//! `bgp-engine`, whose same-timestamp order and BGP events are part of the
+//! model.
 //!
 //! # Example
 //!
@@ -28,9 +27,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod fault;
 pub mod rng;
 mod time;
 
-pub use fault::{FaultAction, FaultPlan, FaultStats, LinkFaultModel, TimelineEntry};
 pub use time::SimTime;
