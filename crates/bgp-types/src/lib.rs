@@ -48,7 +48,7 @@ pub use asn::Asn;
 pub use community::{Community, MOAS_LIST_VALUE};
 pub use error::{ParseAsPathError, ParseAsnError, ParsePrefixError};
 pub use intern::Interner;
-pub use moas_list::MoasList;
+pub use moas_list::{first_conflict, ConflictKind, MoasList};
 pub use prefix::{Ipv4Prefix, Ipv6Prefix};
 pub use route::{Route, RouteOrigin};
 pub use trie::{Covering, CoveringIter, PrefixTrie, TrieIter};

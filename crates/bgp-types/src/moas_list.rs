@@ -1,5 +1,6 @@
 //! The MOAS list: the paper's core data structure.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -180,16 +181,6 @@ impl MoasList {
         self.as_slice().is_empty()
     }
 
-    /// Set-equality consistency check from §4.2.
-    ///
-    /// Two announcements for the same prefix are consistent exactly when
-    /// their lists contain the same set of ASes. This is just `==`, but the
-    /// named method keeps call sites readable and mirrors the paper's text.
-    #[must_use]
-    pub fn is_consistent_with(&self, other: &MoasList) -> bool {
-        self == other
-    }
-
     /// Iterates over members in ascending ASN order.
     pub fn iter(&self) -> impl Iterator<Item = Asn> + '_ {
         self.into_iter()
@@ -229,6 +220,99 @@ impl Default for MoasList {
     fn default() -> Self {
         MoasList::new()
     }
+}
+
+/// Why two announcements for the same prefix conflict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ConflictKind {
+    /// A route's origin AS is not a member of its own (effective) MOAS list.
+    ///
+    /// §4.1: "a faulty route's origin AS will not be in p's MOAS list" — the
+    /// self-test form, detectable from a single announcement when the
+    /// attacker copies the honest list verbatim without adding itself.
+    OriginNotInList,
+    /// Two announcements carry different MOAS list sets (§4.2: "the set of
+    /// ASes included in each route announcement must be identical").
+    InconsistentLists,
+}
+
+impl fmt::Display for ConflictKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ConflictKind::OriginNotInList => "origin AS not in its own MOAS list",
+            ConflictKind::InconsistentLists => "inconsistent MOAS lists",
+        })
+    }
+}
+
+/// The effective list of an announcement as sorted members: its advertised
+/// list, else the implicit `{origin}` (footnote 3), else nothing to check.
+fn effective<'a>(origin: &'a Option<Asn>, list: Option<&'a MoasList>) -> Option<&'a [Asn]> {
+    match list {
+        Some(list) => Some(list.as_slice()),
+        None => origin.as_ref().map(std::slice::from_ref),
+    }
+}
+
+/// The §4.2 consistency check: the one place the paper's rule is written.
+///
+/// An announcement is its origin AS (`None` for an aggregate path) and the
+/// MOAS list it carries (`None` when it carries none). The incoming
+/// announcement first takes the self-test: an origin missing from its own
+/// explicit list is faulty (§4.1). Then it is compared with each `held`
+/// announcement in order, each tagged with a caller's key `K`: two
+/// announcements conflict unless their effective lists — the explicit
+/// list, or `{origin}` without one — are the same set. An announcement
+/// with neither origin nor list cannot be checked and never conflicts. A
+/// held announcement's origin is read only when it carries no list, so a
+/// caller may leave it `None` then.
+///
+/// Returns the first conflict's kind, with the key of the held announcement
+/// that caused it (`None` for the self-test). `held` is walked only up to
+/// that conflict, and nothing is allocated.
+///
+/// # Example
+///
+/// ```
+/// use bgp_types::{first_conflict, Asn, ConflictKind, MoasList};
+///
+/// let honest: MoasList = [Asn(1), Asn(2)].into_iter().collect();
+/// let held = [("AS1's route", Some(Asn(1)), Some(&honest))];
+/// // AS 2 announces the same list: consistent.
+/// assert_eq!(first_conflict(Some(Asn(2)), Some(&honest), held), None);
+/// // AS 3 announces with no list: implicit {3} differs from {1, 2}.
+/// assert_eq!(
+///     first_conflict(Some(Asn(3)), None, held),
+///     Some((ConflictKind::InconsistentLists, Some("AS1's route")))
+/// );
+/// // AS 3 copies the honest list verbatim: it fails the self-test.
+/// assert_eq!(
+///     first_conflict(Some(Asn(3)), Some(&honest), held),
+///     Some((ConflictKind::OriginNotInList, None))
+/// );
+/// ```
+pub fn first_conflict<K, L, H>(
+    origin: Option<Asn>,
+    list: Option<&MoasList>,
+    held: H,
+) -> Option<(ConflictKind, Option<K>)>
+where
+    L: Borrow<MoasList>,
+    H: IntoIterator<Item = (K, Option<Asn>, Option<L>)>,
+{
+    let incoming = effective(&origin, list)?;
+    if let (Some(origin), Some(list)) = (origin, list) {
+        if !list.contains(origin) {
+            return Some((ConflictKind::OriginNotInList, None));
+        }
+    }
+    for (key, held_origin, held_list) in held {
+        let held_list = held_list.as_ref().map(Borrow::borrow);
+        if effective(&held_origin, held_list).is_some_and(|held| held != incoming) {
+            return Some((ConflictKind::InconsistentLists, Some(key)));
+        }
+    }
+    None
 }
 
 impl PartialEq for MoasList {
@@ -340,9 +424,9 @@ mod tests {
     fn consistency_is_set_equality() {
         let a: MoasList = [Asn(1), Asn(2)].into_iter().collect();
         let b: MoasList = [Asn(2), Asn(1), Asn(2)].into_iter().collect();
-        assert!(a.is_consistent_with(&b));
+        assert_eq!(a, b);
         let c: MoasList = [Asn(1)].into_iter().collect();
-        assert!(!a.is_consistent_with(&c));
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -403,7 +487,76 @@ mod tests {
         // §4.1: attacker AS 3 attaches {1, 2, 3}; honest list is {1, 2}.
         let honest: MoasList = [Asn(1), Asn(2)].into_iter().collect();
         let forged: MoasList = [Asn(1), Asn(2), Asn(3)].into_iter().collect();
-        assert!(!honest.is_consistent_with(&forged));
+        assert_ne!(honest, forged);
+    }
+
+    #[test]
+    fn first_conflict_is_the_papers_rule() {
+        use ConflictKind::{InconsistentLists, OriginNotInList};
+        type Announcement<'a> = (Option<u32>, Option<&'a [u32]>);
+        let cases: [(&str, Announcement, Announcement, Option<ConflictKind>); 8] = [
+            (
+                "explicit-consistent across two origins",
+                (Some(1), Some(&[1, 2])),
+                (Some(2), Some(&[2, 1])),
+                None,
+            ),
+            (
+                "implicit, same origin twice",
+                (Some(4), None),
+                (Some(4), None),
+                None,
+            ),
+            (
+                "implicit, different origins (Figure 3)",
+                (Some(52), None),
+                (Some(4), None),
+                Some(InconsistentLists),
+            ),
+            (
+                "forged superset (§4.1)",
+                (Some(3), Some(&[1, 2, 3])),
+                (Some(1), Some(&[1, 2])),
+                Some(InconsistentLists),
+            ),
+            (
+                "verbatim copy fails the self-test",
+                (Some(3), Some(&[1, 2])),
+                (Some(1), Some(&[1, 2])),
+                Some(OriginNotInList),
+            ),
+            (
+                "same origin, implicit against explicit (§4.3 stripping)",
+                (Some(1), None),
+                (Some(1), Some(&[1, 2])),
+                Some(InconsistentLists),
+            ),
+            (
+                "same origin, two different explicit lists",
+                (Some(1), Some(&[1, 2])),
+                (Some(1), Some(&[1, 3])),
+                Some(InconsistentLists),
+            ),
+            (
+                "no origin and no list is uncheckable",
+                (None, None),
+                (Some(4), None),
+                None,
+            ),
+        ];
+        let list = |members: Option<&[u32]>| {
+            members.map(|m| m.iter().map(|&a| Asn(a)).collect::<MoasList>())
+        };
+        for (case, (origin, members), (held_origin, held_members), expected) in cases {
+            let incoming = list(members);
+            let held = [("held", held_origin.map(Asn), list(held_members))];
+            let got = first_conflict(origin.map(Asn), incoming.as_ref(), held);
+            assert_eq!(got.map(|(kind, _)| kind), expected, "{case}");
+            if let Some((kind, key)) = got {
+                let blamed = (kind == InconsistentLists).then_some("held");
+                assert_eq!(key, blamed, "{case}: conflicting entry");
+            }
+        }
     }
 
     #[test]

@@ -1,32 +1,12 @@
-//! The §4.2 consistency check, as a pure function.
+//! The §4.2 consistency check over routes: [`find_conflict`] applies
+//! [`bgp_types::first_conflict`] to a route and the routes held for it.
 
 use std::borrow::Borrow;
 use std::fmt;
 
-use bgp_types::{Asn, Ipv4Prefix, MoasList, Route};
+use bgp_types::{first_conflict, Asn, Ipv4Prefix, MoasList, Route};
 
-/// Why two announcements for the same prefix conflict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConflictKind {
-    /// A route's origin AS is not a member of its own (effective) MOAS list.
-    ///
-    /// §4.1: "a faulty route's origin AS will not be in p's MOAS list" — the
-    /// self-test form, detectable from a single announcement when the
-    /// attacker copies the honest list verbatim without adding itself.
-    OriginNotInList,
-    /// Two announcements carry different MOAS list sets (§4.2: "the set of
-    /// ASes included in each route announcement must be identical").
-    InconsistentLists,
-}
-
-impl fmt::Display for ConflictKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ConflictKind::OriginNotInList => "origin AS not in its own MOAS list",
-            ConflictKind::InconsistentLists => "inconsistent MOAS lists",
-        })
-    }
-}
+pub use bgp_types::ConflictKind;
 
 /// A detected MOAS conflict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,9 +67,12 @@ impl<H: HeldRoute + ?Sized> HeldRoute for &H {
 /// with no well-defined origin and no list (empty path aggregates) cannot
 /// be checked and never conflict.
 ///
-/// This is deliberately a pure function: the in-line [`MoasMonitor`]
-/// (§4.2's modified-BGP deployment) and the [`OfflineMonitor`] (§4.2's
-/// monitoring-process deployment) both call it.
+/// The rule itself is [`bgp_types::first_conflict`]; this adapter decodes
+/// each route's list once and names the conflicting entry. All three users
+/// of the check run that one rule: the in-line [`MoasMonitor`] (§4.2's
+/// modified-BGP deployment) and the [`OfflineMonitor`] (§4.2's
+/// monitoring-process deployment) through this function, and the
+/// ensemble's passive `route_measurement::MoasListDetector` directly.
 ///
 /// [`MoasMonitor`]: crate::MoasMonitor
 /// [`OfflineMonitor`]: crate::OfflineMonitor
@@ -99,41 +82,30 @@ where
     I: IntoIterator,
     I::Item: HeldRoute,
 {
-    let incoming_list = route.effective_moas_list()?;
-
-    // Self-test: a route whose origin is not in its own list is malformed.
-    if let Some(origin) = route.origin_as() {
-        if !incoming_list.contains(origin) {
-            return Some(Conflict {
-                prefix: route.prefix(),
-                kind: ConflictKind::OriginNotInList,
-                incoming_origin: Some(origin),
-                incoming_list,
-                conflicting_with: None,
-            });
+    let prefix = route.prefix();
+    let origin = route.origin_as();
+    let list = route.moas_list();
+    let held = existing.into_iter().filter_map(|entry| {
+        let (_, held) = entry.held();
+        if held.prefix() != prefix {
+            return None;
         }
-    }
-
-    // Pairwise set comparison against every held route for this prefix.
-    for entry in existing {
-        let (peer, held) = entry.held();
-        if held.prefix() != route.prefix() {
-            continue;
-        }
-        let Some(held_list) = held.effective_moas_list() else {
-            continue;
-        };
-        if !incoming_list.is_consistent_with(&held_list) {
-            return Some(Conflict {
-                prefix: route.prefix(),
-                kind: ConflictKind::InconsistentLists,
-                incoming_origin: route.origin_as(),
-                incoming_list,
-                conflicting_with: Some((peer, held.origin_as())),
-            });
-        }
-    }
-    None
+        let held_list = held.moas_list();
+        // The rule reads a held route's origin only for its implicit list.
+        let held_origin = held_list.is_none().then(|| held.origin_as()).flatten();
+        Some((entry, held_origin, held_list))
+    });
+    let (kind, conflicting) = first_conflict(origin, list.as_ref(), held)?;
+    Some(Conflict {
+        prefix,
+        kind,
+        incoming_origin: origin,
+        incoming_list: list.or_else(|| origin.map(MoasList::implicit))?,
+        conflicting_with: conflicting.map(|entry| {
+            let (peer, held) = entry.held();
+            (peer, held.origin_as())
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -83,13 +83,12 @@ impl OfflineMonitor {
         for (prefix, routes) in by_prefix {
             let mut kind: Option<ConflictKind> = None;
             for (i, route) in routes.iter().enumerate() {
-                let others: Vec<(Option<Asn>, Route)> = routes
+                let others = routes
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i)
-                    .map(|(_, r)| (None, r.clone()))
-                    .collect();
-                if let Some(conflict) = find_conflict(route, &others) {
+                    .map(|(_, r)| (None, r));
+                if let Some(conflict) = find_conflict(route, others) {
                     kind = Some(conflict.kind);
                     break;
                 }

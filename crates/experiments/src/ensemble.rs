@@ -338,11 +338,11 @@ impl RouteMonitor for TapMonitor {
             self.observations.push(RouteObservation {
                 time: self.now,
                 observer: ctx.local,
-                from_peer: Some(ctx.from_peer),
+                from_peer: ctx.from_peer,
                 prefix: ctx.route.prefix(),
                 kind: ObservationKind::Announce {
                     origin,
-                    moas_list: ctx.route.moas_list().map(|l| l.iter().collect()),
+                    moas_list: ctx.route.moas_list(),
                     communities: ctx.route.communities().to_vec(),
                 },
             });
@@ -367,7 +367,7 @@ impl RouteMonitor for TapMonitor {
         self.observations.push(RouteObservation {
             time: self.now,
             observer: local,
-            from_peer: Some(from_peer),
+            from_peer,
             prefix,
             kind: ObservationKind::Withdraw,
         });

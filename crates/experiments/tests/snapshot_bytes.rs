@@ -101,8 +101,8 @@ fn chaos_reports_are_pinned() {
 fn ensemble_quick_report_and_snapshot_are_pinned() {
     // `moas-lab ensemble --quick --metrics F`.
     let (report, metrics) = run_ensemble(&EnsembleConfig::quick(), 1, true);
-    assert_eq!(pin(&report), (0x308f_312e_91af_2e99, 5_746));
-    assert_eq!(pin(&metrics), (0xce38_e4c6_cebf_5d05, 40_025));
+    assert_eq!(pin(&report), (0x6811_8456_10e3_c422, 5_743));
+    assert_eq!(pin(&metrics), (0x2081_c065_7be7_50f4, 40_025));
 }
 
 /// The per-session and per-link keys of `net`, formatted one by one the way

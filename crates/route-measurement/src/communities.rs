@@ -124,7 +124,7 @@ mod tests {
         RouteObservation {
             time,
             observer: Asn(1),
-            from_peer: Some(Asn(10)),
+            from_peer: Asn(10),
             prefix: p(),
             kind: ObservationKind::Announce {
                 origin: Asn(origin),

@@ -6,8 +6,9 @@
 //! become signal. This module defines the neutral event stream every detector
 //! consumes ([`RouteObservation`]), the alarm record they emit
 //! ([`DetectorAlarm`]), and the [`Detector`] trait itself, plus the passive
-//! [`MoasListDetector`] — the paper's check re-expressed over observation
-//! streams so it can be replayed offline against the same input as its rivals.
+//! [`MoasListDetector`] — the paper's check, [`bgp_types::first_conflict`],
+//! run over observation streams so it can be replayed offline against the
+//! same input as its rivals.
 //!
 //! Times are plain `u64` so both tick-level simulator taps and day-level
 //! Route Views timelines feed the same detectors unchanged.
@@ -15,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use bgp_types::{Asn, Community, Ipv4Prefix};
+use bgp_types::{first_conflict, Asn, Community, Ipv4Prefix, MoasList};
 
 /// One route event as seen by an observation point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,9 +25,8 @@ pub struct RouteObservation {
     pub time: u64,
     /// The AS at which the event was observed.
     pub observer: Asn,
-    /// The peer the route came from; `None` when the stream has no per-peer
-    /// resolution (day-level table dumps).
-    pub from_peer: Option<Asn>,
+    /// The peer the route came from.
+    pub from_peer: Asn,
     /// The affected prefix.
     pub prefix: Ipv4Prefix,
     /// What happened.
@@ -41,7 +41,7 @@ pub enum ObservationKind {
         /// The origin AS of the announcement.
         origin: Asn,
         /// The explicit MOAS list attached, if any (§4.2).
-        moas_list: Option<Vec<Asn>>,
+        moas_list: Option<MoasList>,
         /// Every community on the route, MOAS markers included.
         communities: Vec<Community>,
     },
@@ -99,32 +99,21 @@ pub trait Detector {
     fn observe(&mut self, obs: &RouteObservation, alarms: &mut Vec<DetectorAlarm>);
 }
 
-/// One peer's currently held announcement at one observation point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Held {
-    origin: Asn,
-    moas_list: Option<Vec<Asn>>,
-}
-
-impl Held {
-    /// §4.2's effective list: the explicit list, or implicitly `{origin}`.
-    fn effective(&self) -> Vec<Asn> {
-        self.moas_list.clone().unwrap_or_else(|| vec![self.origin])
-    }
-}
+/// One peer's latest announcement at one observation point: its origin and
+/// the MOAS list it carried.
+type Held = (Asn, Option<MoasList>);
 
 /// The paper's MOAS-list consistency check as a passive [`Detector`] — the
 /// §4.2 "monitoring process" mode, with no verifier and no route filtering.
 ///
 /// Per `(observer, prefix)` it remembers the latest announcement from each
-/// peer; a new announcement conflicts when its origin differs from a held
-/// origin and the two effective MOAS lists fail the mutual-containment check
-/// (each origin must appear in the other's list, and two explicit lists must
-/// agree). Streams without per-peer resolution use a single slot per prior
-/// origin.
+/// peer, as its origin and the MOAS list it carried. A new announcement
+/// alarms when [`first_conflict`] finds a conflict against the other peers'
+/// announcements: its origin is missing from its own list, or its effective
+/// list is not the same set as one of theirs.
 #[derive(Debug, Clone, Default)]
 pub struct MoasListDetector {
-    rib: BTreeMap<(Asn, Ipv4Prefix), BTreeMap<Option<Asn>, Held>>,
+    rib: BTreeMap<(Asn, Ipv4Prefix), BTreeMap<Asn, Held>>,
     /// `(observer, prefix, origin)` triples already alarmed on, so a flapping
     /// conflict does not dominate alarm counts.
     alarmed: BTreeSet<(Asn, Ipv4Prefix, Asn)>,
@@ -157,15 +146,13 @@ impl Detector for MoasListDetector {
             ObservationKind::Announce {
                 origin, moas_list, ..
             } => {
-                let incoming = Held {
-                    origin: *origin,
-                    moas_list: moas_list.clone(),
-                };
                 let held = self.rib.entry(slot).or_default();
-                let conflict = held.iter().any(|(peer, existing)| {
-                    *peer != obs.from_peer && conflicts(&incoming, existing)
-                });
-                if conflict && self.alarmed.insert((obs.observer, obs.prefix, *origin)) {
+                let others = held
+                    .iter()
+                    .filter(|(peer, _)| **peer != obs.from_peer)
+                    .map(|(_, (origin, list))| ((), Some(*origin), list.as_ref()));
+                let conflict = first_conflict(Some(*origin), moas_list.as_ref(), others);
+                if conflict.is_some() && self.alarmed.insert((obs.observer, obs.prefix, *origin)) {
                     alarms.push(DetectorAlarm {
                         time: obs.time,
                         observer: obs.observer,
@@ -174,32 +161,10 @@ impl Detector for MoasListDetector {
                         kind: AlarmKind::MoasConflict,
                     });
                 }
-                held.insert(obs.from_peer, incoming);
+                held.insert(obs.from_peer, (*origin, moas_list.clone()));
             }
         }
     }
-}
-
-/// The §4.2 pairwise check between an arriving and a held announcement.
-fn conflicts(incoming: &Held, existing: &Held) -> bool {
-    if incoming.origin == existing.origin {
-        // Same origin can still disagree about the list (InconsistentLists).
-        return match (&incoming.moas_list, &existing.moas_list) {
-            (Some(a), Some(b)) => a != b,
-            _ => false,
-        };
-    }
-    let incoming_eff = incoming.effective();
-    let existing_eff = existing.effective();
-    // Mutual containment: each origin must be sanctioned by the other's list.
-    if !incoming_eff.contains(&existing.origin) || !existing_eff.contains(&incoming.origin) {
-        return true;
-    }
-    // Two explicit lists must be identical (§4.2's consistency requirement).
-    matches!(
-        (&incoming.moas_list, &existing.moas_list),
-        (Some(a), Some(b)) if a != b
-    )
 }
 
 #[cfg(test)]
@@ -214,7 +179,7 @@ mod tests {
         RouteObservation {
             time,
             observer: Asn(1),
-            from_peer: Some(Asn(peer)),
+            from_peer: Asn(peer),
             prefix: p(),
             kind: ObservationKind::Announce {
                 origin: Asn(origin),
@@ -228,7 +193,7 @@ mod tests {
         RouteObservation {
             time,
             observer: Asn(1),
-            from_peer: Some(Asn(peer)),
+            from_peer: Asn(peer),
             prefix: p(),
             kind: ObservationKind::Withdraw,
         }
@@ -304,6 +269,24 @@ mod tests {
             announce(1, 10, 4, Some(&[4, 226])),
             announce(2, 11, 226, None),
         ]);
+        assert_eq!(alarms.len(), 1);
+    }
+
+    #[test]
+    fn one_origin_stripped_and_listed_is_a_conflict() {
+        // §4.3: a transit stripped origin 4's list on one path only; the
+        // implicit {4} and the explicit {4, 226} are different sets.
+        let alarms = run(&[
+            announce(1, 10, 4, Some(&[4, 226])),
+            announce(2, 11, 4, None),
+        ]);
+        assert_eq!(alarms.len(), 1);
+        assert_eq!((alarms[0].time, alarms[0].origin), (2, Some(Asn(4))));
+    }
+
+    #[test]
+    fn self_test_needs_nothing_held() {
+        let alarms = run(&[announce(1, 10, 66, Some(&[4, 226]))]);
         assert_eq!(alarms.len(), 1);
     }
 

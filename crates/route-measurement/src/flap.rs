@@ -83,7 +83,7 @@ impl FlapState {
 #[derive(Debug, Clone)]
 pub struct FlapDampingDetector {
     config: FlapDampingConfig,
-    state: BTreeMap<(Asn, Ipv4Prefix, Option<Asn>), FlapState>,
+    state: BTreeMap<(Asn, Ipv4Prefix, Asn), FlapState>,
 }
 
 impl FlapDampingDetector {
@@ -105,13 +105,7 @@ impl FlapDampingDetector {
     /// Current penalty for one `(observer, prefix, peer)` route, decayed to
     /// `now` — exposed for the differential reference test.
     #[must_use]
-    pub fn penalty_at(
-        &self,
-        observer: Asn,
-        prefix: Ipv4Prefix,
-        peer: Option<Asn>,
-        now: u64,
-    ) -> f64 {
+    pub fn penalty_at(&self, observer: Asn, prefix: Ipv4Prefix, peer: Asn, now: u64) -> f64 {
         let Some(state) = self.state.get(&(observer, prefix, peer)) else {
             return 0.0;
         };
@@ -194,7 +188,7 @@ mod tests {
         RouteObservation {
             time,
             observer: Asn(1),
-            from_peer: Some(Asn(10)),
+            from_peer: Asn(10),
             prefix: p(),
             kind: ObservationKind::Announce {
                 origin: Asn(origin),
@@ -208,7 +202,7 @@ mod tests {
         RouteObservation {
             time,
             observer: Asn(1),
-            from_peer: Some(Asn(10)),
+            from_peer: Asn(10),
             prefix: p(),
             kind: ObservationKind::Withdraw,
         }
@@ -221,7 +215,7 @@ mod tests {
         d.observe(&announce(0, 4), &mut alarms);
         d.observe(&announce(500, 4), &mut alarms);
         assert!(alarms.is_empty());
-        assert_eq!(d.penalty_at(Asn(1), p(), Some(Asn(10)), 500), 0.0);
+        assert_eq!(d.penalty_at(Asn(1), p(), Asn(10), 500), 0.0);
     }
 
     #[test]
@@ -244,7 +238,7 @@ mod tests {
         d.observe(&announce(0, 4), &mut alarms);
         d.observe(&withdraw(10), &mut alarms);
         let now = 10 + d.config().half_life as u64;
-        let decayed = d.penalty_at(Asn(1), p(), Some(Asn(10)), now);
+        let decayed = d.penalty_at(Asn(1), p(), Asn(10), now);
         assert!(
             (decayed - 0.5).abs() < 1e-9,
             "one half-life after a 1.0 penalty: got {decayed}"
@@ -291,6 +285,6 @@ mod tests {
         let mut alarms = Vec::new();
         d.observe(&withdraw(5), &mut alarms);
         assert!(alarms.is_empty());
-        assert_eq!(d.penalty_at(Asn(1), p(), Some(Asn(10)), 5), 0.0);
+        assert_eq!(d.penalty_at(Asn(1), p(), Asn(10), 5), 0.0);
     }
 }

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod classifier;
 mod communities;
 mod detector;
 mod dump;
@@ -40,7 +39,6 @@ mod stats;
 mod stream;
 mod timeline;
 
-pub use classifier::{classify, score, ClassifiedCase, ClassifierConfig, ClassifierScore, Verdict};
 pub use communities::{CommunitiesAnomalyDetector, CommunitiesConfig};
 pub use detector::{
     AlarmKind, Detector, DetectorAlarm, MoasListDetector, ObservationKind, RouteObservation,

@@ -33,15 +33,6 @@ pub enum Cause {
     Fault(Asn),
 }
 
-impl Cause {
-    /// Returns `true` for causes where packets still reach the destination
-    /// (valid MOAS, §3.2) and `false` for faults (§3.3).
-    #[must_use]
-    pub fn is_valid(self) -> bool {
-        !matches!(self, Cause::Fault(_))
-    }
-}
-
 /// A mass-misorigination event, like AS 8584 on 1998-04-07 or the
 /// (AS 3561, AS 15412) event on 2001-04-06.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -542,7 +533,7 @@ mod tests {
             assert_eq!(f.origins.len(), 2);
             assert!(f.origins.contains(&Asn(8584)));
             assert_eq!(f.duration(), 1);
-            assert!(!f.cause.is_valid());
+            assert!(matches!(f.cause, Cause::Fault(_)));
         }
     }
 
@@ -617,7 +608,7 @@ mod tests {
         assert_eq!(anycast.len(), 5);
         for c in anycast {
             assert_eq!(c.origins.len(), 4);
-            assert!(c.cause.is_valid());
+            assert!(!matches!(c.cause, Cause::Fault(_)));
             // presence_prob = 1.0 in quick(): active every single day.
             assert_eq!(c.duration(), 60);
         }
@@ -636,7 +627,7 @@ mod tests {
             assert_eq!(c.origins.len(), 2);
             let origins: Vec<Asn> = c.origins.iter().copied().collect();
             assert_eq!(origins[1].0, origins[0].0 + 1, "{origins:?}");
-            assert!(c.cause.is_valid());
+            assert!(!matches!(c.cause, Cause::Fault(_)));
         }
     }
 

@@ -29,7 +29,7 @@ struct RefState {
 
 struct ReferenceModel {
     config: FlapDampingConfig,
-    state: BTreeMap<(Asn, Ipv4Prefix, Option<Asn>), RefState>,
+    state: BTreeMap<(Asn, Ipv4Prefix, Asn), RefState>,
 }
 
 impl ReferenceModel {
@@ -40,7 +40,7 @@ impl ReferenceModel {
         }
     }
 
-    fn penalty_at(&self, key: (Asn, Ipv4Prefix, Option<Asn>), now: u64) -> f64 {
+    fn penalty_at(&self, key: (Asn, Ipv4Prefix, Asn), now: u64) -> f64 {
         let Some(state) = self.state.get(&key) else {
             return 0.0;
         };
@@ -146,7 +146,7 @@ fn to_observations(raw: &[RawEvent]) -> Vec<RouteObservation> {
             RouteObservation {
                 time: now,
                 observer: Asn(100 + e.observer),
-                from_peer: Some(Asn(200 + e.peer)),
+                from_peer: Asn(200 + e.peer),
                 prefix: prefix(),
                 kind: match e.origin {
                     None => ObservationKind::Withdraw,
@@ -206,7 +206,7 @@ proptest! {
         let fresh = RouteObservation {
             time: t,
             observer: Asn(999),
-            from_peer: Some(Asn(998)),
+            from_peer: Asn(998),
             prefix: prefix(),
             kind: ObservationKind::Announce {
                 origin: Asn(666),
@@ -217,6 +217,6 @@ proptest! {
         let before = alarms.len();
         detector.observe(&fresh, &mut alarms);
         prop_assert_eq!(alarms.len(), before, "one-shot announcement alarmed");
-        prop_assert_eq!(detector.penalty_at(Asn(999), prefix(), Some(Asn(998)), t), 0.0);
+        prop_assert_eq!(detector.penalty_at(Asn(999), prefix(), Asn(998), t), 0.0);
     }
 }

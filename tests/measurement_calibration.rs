@@ -171,18 +171,6 @@ fn update_stream_onsets_spike_on_fault_days() {
 }
 
 #[test]
-fn cause_classifier_separates_faults_from_multihoming_at_paper_scale() {
-    use moas::measurement::{classify, score, ClassifierConfig};
-    let timeline = duration_timeline();
-    let classified = classify(&timeline.dumps, &ClassifierConfig::default());
-    let s = score(&classified, &timeline.cases);
-    assert!(s.total > 3000, "scored {} cases", s.total);
-    assert!(s.accuracy() > 0.9, "{s}");
-    assert!(s.invalid_recall > 0.9, "{s}");
-    assert!(s.invalid_precision > 0.9, "{s}");
-}
-
-#[test]
 fn ground_truth_and_analysis_agree_on_durations() {
     let timeline = duration_timeline();
     let histogram = duration_histogram(&timeline.dumps);
