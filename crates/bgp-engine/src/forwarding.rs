@@ -13,7 +13,7 @@ use std::fmt;
 use bgp_types::{Asn, Ipv4Prefix, PrefixTrie};
 
 use crate::monitor::RouteMonitor;
-use crate::network::Network;
+use crate::sharded::ShardedNetwork;
 
 /// Where a traced packet ended up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +109,7 @@ pub struct ForwardingPlane {
 impl ForwardingPlane {
     /// Captures the FIB of every router in the network.
     #[must_use]
-    pub fn snapshot<M: RouteMonitor>(net: &Network<M>) -> Self {
+    pub fn snapshot<M: RouteMonitor>(net: &ShardedNetwork<M>) -> Self {
         let mut fibs = std::collections::BTreeMap::new();
         for asn in net.asns() {
             let router = net.router(asn).expect("asns() yields live routers");
@@ -185,6 +185,7 @@ impl ForwardingPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Network;
     use as_topology::{AsGraph, AsRole};
     use bgp_types::Ipv4Prefix;
 

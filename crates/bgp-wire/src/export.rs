@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 use std::io;
 
-use bgp_engine::{Network, RouteMonitor};
+use bgp_engine::{RouteMonitor, ShardedNetwork};
 use bgp_types::{Asn, Ipv4Prefix, Update};
 
 use crate::bgp::{PathAttributes, UpdateMessage};
@@ -66,7 +66,7 @@ pub fn peer_table(vantages: &[Asn]) -> PeerIndexTable {
 /// absent routers simply contribute nothing).
 pub fn export_rib_snapshot<W: io::Write, M: RouteMonitor>(
     writer: &mut MrtWriter<W>,
-    network: &Network<M>,
+    network: &ShardedNetwork<M>,
     vantages: &[Asn],
     day: u32,
 ) -> Result<ExportSummary, WireError> {

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use bgp_engine::{Network, RouteMonitor};
+use bgp_engine::{RouteMonitor, ShardedNetwork};
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 
 /// How a false-origin attacker manipulates the MOAS list on its bogus
@@ -90,14 +90,14 @@ impl FalseOriginAttack {
     }
 
     /// Injects the attack into a running network: `attacker` starts
-    /// originating `prefix`. Call [`Network::run`] afterwards to propagate.
+    /// originating `prefix`. Call [`ShardedNetwork::run`] afterwards to propagate.
     ///
     /// # Panics
     ///
     /// Panics if `attacker` is not part of the network.
     pub fn launch<M: RouteMonitor>(
         &self,
-        net: &mut Network<M>,
+        net: &mut ShardedNetwork<M>,
         attacker: Asn,
         prefix: Ipv4Prefix,
         valid_list: &MoasList,
@@ -141,7 +141,7 @@ impl SubPrefixHijack {
     /// prefix is a /32 (nothing more specific exists).
     pub fn launch<M: RouteMonitor>(
         &self,
-        net: &mut Network<M>,
+        net: &mut ShardedNetwork<M>,
         attacker: Asn,
         victim_prefix: Ipv4Prefix,
     ) -> Ipv4Prefix {
@@ -158,6 +158,7 @@ mod tests {
     use super::*;
     use crate::{MoasMonitor, RegistryVerifier};
     use as_topology::{AsGraph, AsRole};
+    use bgp_engine::Network;
 
     fn p() -> Ipv4Prefix {
         "208.8.0.0/16".parse().unwrap()

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bgp_engine::{Network, RouteMonitor};
+use bgp_engine::{RouteMonitor, ShardedNetwork};
 use bgp_types::{Asn, Ipv4Prefix, MoasList, Route};
 
 use crate::detector::{find_conflict, ConflictKind};
@@ -126,7 +126,7 @@ impl OfflineMonitor {
     #[must_use]
     pub fn scan_network<M: RouteMonitor>(
         &self,
-        net: &Network<M>,
+        net: &ShardedNetwork<M>,
         vantages: &[Asn],
         prefix: Ipv4Prefix,
     ) -> Vec<OfflineFinding> {
@@ -142,6 +142,7 @@ impl OfflineMonitor {
 mod tests {
     use super::*;
     use as_topology::{AsGraph, AsRole};
+    use bgp_engine::Network;
     use bgp_types::AsPath;
 
     fn p() -> Ipv4Prefix {

@@ -1,19 +1,19 @@
 //! Ablations probing the §4.3 limitations and design choices.
 
-use as_topology::{AsGraph, InternetModel};
+use as_topology::{AsGraph, AsRelationships, InternetModel};
 use bgp_engine::{
-    CommunityPolicy, CommunityPolicyMap, ForwardingPlane, Network, RouteMonitor, ValleyFree,
+    CommunityPolicy, CommunityPolicyMap, ForwardingPlane, RouteMonitor, ShardedNetwork, ValleyFree,
 };
 use bgp_types::{Asn, Ipv4Prefix, MoasList};
-use minimetrics::MetricsSnapshot;
+use minimetrics::{MetricsSink, MetricsSnapshot, Scoped};
 use moas_core::{
-    Deployment, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier, SubPrefixHijack,
-    UnresolvedPolicy,
+    Deployment, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier,
+    SubPrefixHijack, UnresolvedPolicy,
 };
 
-use crate::exec::Exec;
+use crate::exec::{Cell, Exec, Layout};
 use crate::stats::{mean, mean_by};
-use crate::trial::{run_trial, run_trials, TrialConfig, TrialOutcome};
+use crate::trial::{run_trials, trial_on, TrialConfig, TrialOutcome, CONVERGES};
 
 /// Outcome of the sub-prefix hijack ablation on one topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,71 +39,92 @@ pub struct SubPrefixAblation {
 /// fires and the hijack succeeds everywhere, while the same attacker
 /// announcing the exact prefix is caught.
 ///
-/// The independent runs fan across up to `jobs` worker threads. Every run
-/// seeds its own RNG from `(seed, run)`, so the per-run samples — and the
-/// index-ordered aggregation — are identical for every `jobs` value.
+/// Run `r` seeds its own RNG from `(seed, r)` and runs under `exec`; report
+/// and snapshot (the metrics of every network the study builds, under the
+/// `subprefix.` prefix; empty unless `exec.metrics`) are bit-identical for
+/// every `exec.jobs` and every `exec.shards`.
 #[must_use]
 pub fn subprefix_ablation(
     graph: &AsGraph,
     runs: usize,
     seed: u64,
-    jobs: usize,
-) -> SubPrefixAblation {
-    let stubs = graph.stub_asns();
-    let victim_prefix = crate::victim_prefix();
+    exec: Exec,
+) -> (SubPrefixAblation, MetricsSnapshot) {
+    struct Runs<'a> {
+        graph: &'a AsGraph,
+        stubs: Vec<Asn>,
+        seed: u64,
+    }
+    impl Cell for Runs<'_> {
+        /// One run's (sub adoption, alarms, traffic, exact).
+        type Out = [f64; 4];
+        fn run<S: MetricsSink>(&self, layout: Layout, run: usize, sink: &mut S) -> Self::Out {
+            let sink = &mut Scoped::new(sink, "subprefix");
+            let graph = self.graph;
+            let victim_prefix = crate::victim_prefix();
+            let run_seed = sim_engine::rng::derive_seed(self.seed, run as u64);
+            let mut rng = sim_engine::rng::from_seed(run_seed);
+            let picked = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 2);
+            let (victim, attacker) = (picked[0], picked[1]);
+            let valid_list = MoasList::implicit(victim);
 
-    // Each slot holds one run's (sub adoption, alarms, traffic, exact).
-    let samples = minipool::map_indexed(jobs, runs, |run| {
-        let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
-        let mut rng = sim_engine::rng::from_seed(run_seed);
-        let picked = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
-        let (victim, attacker) = (picked[0], picked[1]);
-        let valid_list = MoasList::implicit(victim);
+            // Sub-prefix run: attacker announces the more-specific half.
+            let mut net = layout.build(graph, run_seed, 4, || {
+                let mut registry = RegistryVerifier::new();
+                registry.register(victim_prefix, valid_list.clone());
+                MoasMonitor::full(registry)
+            });
+            net.originate(victim, victim_prefix, Some(valid_list.clone()));
+            let sub = SubPrefixHijack::new().launch(&mut net, attacker, victim_prefix);
+            net.run().expect(CONVERGES);
+            if S::ENABLED {
+                net.export_metrics(sink);
+            }
 
-        // Sub-prefix run: attacker announces the more-specific half.
-        let mut registry = RegistryVerifier::new();
-        registry.register(victim_prefix, valid_list.clone());
-        let monitor = MoasMonitor::full(registry);
-        let mut net = Network::with_monitor_and_jitter(graph, monitor, run_seed, 4);
-        net.originate(victim, victim_prefix, Some(valid_list.clone()));
-        let sub = SubPrefixHijack::new().launch(&mut net, attacker, victim_prefix);
-        net.run().expect("ablation networks converge");
+            let adoption = adoption_pct(graph, &net, sub, &[attacker]);
+            let alarms = net.monitors().map(|m| m.alarms().len()).sum::<usize>() as f64;
 
-        let adoption = adoption_pct(graph, &net, sub, &[attacker]);
-        let alarms = net.monitor().alarms().len() as f64;
+            // Data plane: where do packets addressed inside the hijacked half go?
+            let plane = ForwardingPlane::snapshot(&net);
+            let exclude = std::collections::BTreeSet::from([attacker]);
+            let (_, to_attacker_or_other, _) =
+                plane.capture_census(sub.network(), victim, &exclude);
+            let eligible = graph.len() - 1; // exclude the attacker
+            let traffic = 100.0 * to_attacker_or_other as f64 / eligible as f64;
 
-        // Data plane: where do packets addressed inside the hijacked half go?
-        let plane = ForwardingPlane::snapshot(&net);
-        let exclude: std::collections::BTreeSet<Asn> = [attacker].into_iter().collect();
-        let (_, to_attacker_or_other, _) = plane.capture_census(sub.network(), victim, &exclude);
-        let eligible = graph.len() - 1; // exclude the attacker
-        let traffic = 100.0 * to_attacker_or_other as f64 / eligible as f64;
+            // Exact-prefix control run with the same parties.
+            let control = TrialConfig {
+                seed: run_seed,
+                ..TrialConfig::new(vec![victim], vec![attacker], Deployment::Full)
+            };
+            let outcome = trial_on(layout, graph, &control, sink);
+            let exact = 100.0 * outcome.adoption_fraction();
 
-        // Exact-prefix control run with the same parties.
-        let control = TrialConfig {
-            seed: run_seed,
-            ..TrialConfig::new(vec![victim], vec![attacker], Deployment::Full)
-        };
-        let outcome = run_trial(graph, &control);
-        let exact = 100.0 * outcome.adoption_fraction();
-
-        [adoption, alarms, traffic, exact]
-    });
+            [adoption, alarms, traffic, exact]
+        }
+    }
+    let cell = Runs {
+        graph,
+        stubs: graph.stub_asns(),
+        seed,
+    };
+    let (samples, snapshot) = exec.run_cells(runs, &cell);
 
     let column = |i: usize| samples.iter().map(|s| s[i]).collect::<Vec<f64>>();
-    SubPrefixAblation {
+    let report = SubPrefixAblation {
         subprefix_adoption_pct: mean(&column(0)),
         exact_prefix_adoption_pct: mean(&column(3)),
         subprefix_alarms: mean(&column(1)),
         subprefix_traffic_capture_pct: mean(&column(2)),
-    }
+    };
+    (report, snapshot)
 }
 
 /// Percentage of the remaining (non-attacker) ASes whose best route for
 /// `prefix` originates at one of `attackers`.
 fn adoption_pct<M: RouteMonitor>(
     graph: &AsGraph,
-    net: &Network<M>,
+    net: &ShardedNetwork<M>,
     prefix: Ipv4Prefix,
     attackers: &[Asn],
 ) -> f64 {
@@ -141,85 +162,105 @@ pub struct ValleyFreePoint {
 /// needs the relationship annotations, which the §5.1 sampling pipeline does
 /// not preserve).
 ///
-/// The `2 × runs` independent `(routing policy, run)` cells fan across up to
-/// `jobs` worker threads. Each cell seeds its own RNG from
-/// `(seed, run, policy)`, and the per-policy aggregates fold cell results in
-/// run order — bit-identical for every `jobs` value.
+/// Each of the `2 × runs` `(routing policy, run)` cells seeds its own RNG
+/// from `(seed, run, policy)` and runs under `exec`; the per-policy
+/// aggregates fold cell results in run order. Points and snapshot (under
+/// the `valley_free.` prefix; empty unless `exec.metrics`) are
+/// bit-identical for every `exec.jobs` and every `exec.shards`.
 #[must_use]
-pub fn valley_free_ablation(runs: usize, seed: u64, jobs: usize) -> Vec<ValleyFreePoint> {
+pub fn valley_free_ablation(
+    runs: usize,
+    seed: u64,
+    exec: Exec,
+) -> (Vec<ValleyFreePoint>, MetricsSnapshot) {
+    struct Cells {
+        graph: AsGraph,
+        rels: AsRelationships,
+        stubs: Vec<Asn>,
+        runs: usize,
+        seed: u64,
+    }
+    impl Cell for Cells {
+        /// Adoption % and suppressed ads, per deployment (none, full).
+        type Out = ([f64; 2], [f64; 2]);
+        // Cell i: policy_on = i / runs, run = i % runs. Each cell simulates
+        // both deployments.
+        fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> Self::Out {
+            let sink = &mut Scoped::new(sink, "valley_free");
+            let graph = &self.graph;
+            let prefix = crate::victim_prefix();
+            let policy_on = i >= self.runs;
+            let run = i % self.runs;
+            let run_seed =
+                sim_engine::rng::derive_seed(self.seed, (run * 2 + usize::from(policy_on)) as u64);
+            let mut rng = sim_engine::rng::from_seed(run_seed);
+            let picked = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 1);
+            let victim = picked[0];
+            let candidates: Vec<Asn> = graph.asns().filter(|&a| a != victim).collect();
+            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 3);
+            let valid = MoasList::implicit(victim);
+
+            let (mut adoption, mut suppressed) = ([0.0; 2], [0.0; 2]);
+            for (di, deployment) in [Deployment::None, Deployment::Full].into_iter().enumerate() {
+                let mut net = layout.build(graph, run_seed, 4, || {
+                    let mut registry = RegistryVerifier::new();
+                    registry.register(prefix, valid.clone());
+                    let monitor = MoasMonitor::new(
+                        MoasConfig {
+                            deployment: deployment.clone(),
+                            ..MoasConfig::default()
+                        },
+                        registry,
+                    );
+                    let rels = if policy_on {
+                        self.rels.clone()
+                    } else {
+                        AsRelationships::new()
+                    };
+                    ValleyFree::wrapping(rels, monitor)
+                });
+                net.originate(victim, prefix, Some(valid.clone()));
+                net.run().expect(CONVERGES);
+                let attack = FalseOriginAttack::new(ListForgery::IncludeSelf);
+                for &attacker in &attackers {
+                    attack.launch(&mut net, attacker, prefix, &valid);
+                }
+                net.run().expect(CONVERGES);
+                if S::ENABLED {
+                    net.export_metrics(sink);
+                }
+
+                adoption[di] = adoption_pct(graph, &net, prefix, &attackers);
+                suppressed[di] = net
+                    .monitors()
+                    .map(ValleyFree::suppressed_count)
+                    .sum::<u64>() as f64;
+            }
+            (adoption, suppressed)
+        }
+    }
     let (graph, rels) = InternetModel::new()
         .transit_count(15)
         .stub_count(60)
         .build_with_relationships(seed);
-    let stubs = graph.stub_asns();
-    let asns: Vec<Asn> = graph.asns().collect();
-    let prefix = crate::victim_prefix();
-
-    // Cell i: policy_on = i / runs, run = i % runs. Each cell simulates both
-    // deployments and yields (normal pct, moas pct, suppressed per deployment).
-    let cells = minipool::map_indexed(jobs, 2 * runs, |i| {
-        let policy_on = i >= runs;
-        let run = i % runs;
-        let run_seed =
-            sim_engine::rng::derive_seed(seed, (run * 2 + usize::from(policy_on)) as u64);
-        let mut rng = sim_engine::rng::from_seed(run_seed);
-        let picked = sim_engine::rng::sample_distinct(&mut rng, &stubs, 1);
-        let victim = picked[0];
-        let candidates: Vec<Asn> = asns.iter().copied().filter(|&a| a != victim).collect();
-        let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 3);
-        let valid = MoasList::implicit(victim);
-
-        let mut normal_pct = 0.0;
-        let mut moas_pct = 0.0;
-        let mut suppressed = [0.0; 2];
-        for (di, deployment) in [Deployment::None, Deployment::Full].into_iter().enumerate() {
-            let mut registry = RegistryVerifier::new();
-            registry.register(prefix, valid.clone());
-            let monitor = MoasMonitor::new(
-                MoasConfig {
-                    deployment: deployment.clone(),
-                    ..MoasConfig::default()
-                },
-                registry,
-            );
-            let rels_for_run = if policy_on {
-                rels.clone()
-            } else {
-                as_topology::AsRelationships::new()
-            };
-            let mut net = Network::with_monitor_and_jitter(
-                &graph,
-                ValleyFree::wrapping(rels_for_run, monitor),
-                run_seed,
-                4,
-            );
-            net.originate(victim, prefix, Some(valid.clone()));
-            net.run().expect("converges");
-            let attack = moas_core::FalseOriginAttack::new(ListForgery::IncludeSelf);
-            for &attacker in &attackers {
-                attack.launch(&mut net, attacker, prefix, &valid);
-            }
-            net.run().expect("converges");
-
-            let pct = adoption_pct(&graph, &net, prefix, &attackers);
-            match deployment {
-                Deployment::Full => moas_pct = pct,
-                _ => normal_pct = pct,
-            }
-            suppressed[di] = net.monitor().suppressed_count() as f64;
-        }
-        (normal_pct, moas_pct, suppressed)
-    });
+    let cell = Cells {
+        stubs: graph.stub_asns(),
+        graph,
+        rels,
+        runs,
+        seed,
+    };
+    let (cells, snapshot) = exec.run_cells(2 * runs, &cell);
 
     let mut out = Vec::new();
     for policy_on in [false, true] {
         let offset = if policy_on { runs } else { 0 };
         let policy_cells = &cells[offset..offset + runs];
-        let normal: Vec<f64> = policy_cells.iter().map(|c| c.0).collect();
-        let moas: Vec<f64> = policy_cells.iter().map(|c| c.1).collect();
+        let normal: Vec<f64> = policy_cells.iter().map(|c| c.0[0]).collect();
+        let moas: Vec<f64> = policy_cells.iter().map(|c| c.0[1]).collect();
         // The serial loop pushed suppression counts per deployment within
         // each run; keep that interleaving for the fold.
-        let suppressed: Vec<f64> = policy_cells.iter().flat_map(|c| c.2).collect();
+        let suppressed: Vec<f64> = policy_cells.iter().flat_map(|c| c.1).collect();
         out.push(ValleyFreePoint {
             routing: if policy_on {
                 "valley-free"
@@ -232,7 +273,7 @@ pub fn valley_free_ablation(runs: usize, seed: u64, jobs: usize) -> Vec<ValleyFr
             mean_suppressed: mean(&suppressed),
         });
     }
-    out
+    (out, snapshot)
 }
 
 /// Outcome of the list-forgery ablation for one strategy.
@@ -343,58 +384,75 @@ pub fn forgery_ablation(
 /// reachability but loses protection; `RejectIncoming` keeps protection at
 /// the risk of rejecting valid routes on false alarms.
 ///
-/// The `2 × runs` independent `(policy, run)` cells fan across up to `jobs`
-/// worker threads; per-policy aggregates fold in run order, bit-identical
-/// for every `jobs` value.
+/// The `2 × runs` `(policy, run)` cells run under `exec`; per-policy
+/// aggregates fold in run order. Points and snapshot (under the
+/// `unresolved.` prefix; empty unless `exec.metrics`) are bit-identical for
+/// every `exec.jobs` and every `exec.shards`.
 #[must_use]
 pub fn unresolved_policy_ablation(
     graph: &AsGraph,
     runs: usize,
     seed: u64,
-    jobs: usize,
-) -> Vec<(String, f64)> {
+    exec: Exec,
+) -> (Vec<(String, f64)>, MetricsSnapshot) {
     const POLICIES: [UnresolvedPolicy; 2] =
         [UnresolvedPolicy::Accept, UnresolvedPolicy::RejectIncoming];
-    let stubs = graph.stub_asns();
-    let asns: Vec<Asn> = graph.asns().collect();
-
-    // Cell i: policy index i / runs, run = i % runs. The run seed depends
-    // only on the run, so both policies face the same parties.
-    let cells = minipool::map_indexed(jobs, POLICIES.len() * runs, |i| {
-        let (policy, run) = (POLICIES[i / runs], i % runs);
-        let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
-        let mut rng = sim_engine::rng::from_seed(run_seed);
-        let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 1);
-        let candidates: Vec<Asn> = asns
-            .iter()
-            .copied()
-            .filter(|a| !origins.contains(a))
-            .collect();
-        let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 2);
-        // Empty registry: every conflict is unresolved.
-        let monitor = MoasMonitor::new(
-            MoasConfig {
-                deployment: Deployment::Full,
-                on_unresolved: policy,
-                ..MoasConfig::default()
-            },
-            RegistryVerifier::new(),
-        );
-        let prefix = crate::victim_prefix();
-        let valid_list: MoasList = origins.iter().copied().collect();
-        let mut net = Network::with_monitor_and_jitter(graph, monitor, run_seed, 4);
-        for &origin in &origins {
-            net.originate(origin, prefix, Some(valid_list.clone()));
+    struct Cells<'a> {
+        graph: &'a AsGraph,
+        stubs: Vec<Asn>,
+        runs: usize,
+        seed: u64,
+    }
+    impl Cell for Cells<'_> {
+        /// The run's adoption percentage.
+        type Out = f64;
+        // Cell i: policy index i / runs, run = i % runs. The run seed
+        // depends only on the run, so both policies face the same parties.
+        fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> Self::Out {
+            let sink = &mut Scoped::new(sink, "unresolved");
+            let graph = self.graph;
+            let (policy, run) = (POLICIES[i / self.runs], i % self.runs);
+            let run_seed = sim_engine::rng::derive_seed(self.seed, run as u64);
+            let mut rng = sim_engine::rng::from_seed(run_seed);
+            let origins = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 1);
+            let candidates: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
+            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 2);
+            let prefix = crate::victim_prefix();
+            let valid_list: MoasList = origins.iter().copied().collect();
+            let mut net = layout.build(graph, run_seed, 4, || {
+                // Empty registry: every conflict is unresolved.
+                MoasMonitor::new(
+                    MoasConfig {
+                        deployment: Deployment::Full,
+                        on_unresolved: policy,
+                        ..MoasConfig::default()
+                    },
+                    RegistryVerifier::new(),
+                )
+            });
+            for &origin in &origins {
+                net.originate(origin, prefix, Some(valid_list.clone()));
+            }
+            let attack = FalseOriginAttack::new(ListForgery::IncludeSelf);
+            for &attacker in &attackers {
+                attack.launch(&mut net, attacker, prefix, &valid_list);
+            }
+            net.run().expect(CONVERGES);
+            if S::ENABLED {
+                net.export_metrics(sink);
+            }
+            adoption_pct(graph, &net, prefix, &attackers)
         }
-        let attack = moas_core::FalseOriginAttack::new(ListForgery::IncludeSelf);
-        for &attacker in &attackers {
-            attack.launch(&mut net, attacker, prefix, &valid_list);
-        }
-        net.run().expect("converges");
-        adoption_pct(graph, &net, prefix, &attackers)
-    });
+    }
+    let cell = Cells {
+        graph,
+        stubs: graph.stub_asns(),
+        runs,
+        seed,
+    };
+    let (cells, snapshot) = exec.run_cells(POLICIES.len() * runs, &cell);
 
-    POLICIES
+    let points = POLICIES
         .iter()
         .enumerate()
         .map(|(px, policy)| {
@@ -404,7 +462,8 @@ pub fn unresolved_policy_ablation(
             };
             (label.to_string(), mean(&cells[px * runs..(px + 1) * runs]))
         })
-        .collect()
+        .collect();
+    (points, snapshot)
 }
 
 /// Outcome of the community-policy ablation for one Krenc-style class.
@@ -478,7 +537,7 @@ mod tests {
     #[test]
     fn subprefix_hijack_beats_moas_but_exact_does_not() {
         let graph = PaperTopology::As25.graph();
-        let result = subprefix_ablation(graph, 3, 11, 1);
+        let result = subprefix_ablation(graph, 3, 11, Exec::serial()).0;
         assert_eq!(result.subprefix_alarms, 0.0, "no conflict is ever visible");
         assert!(
             result.subprefix_adoption_pct > 90.0,
@@ -509,7 +568,7 @@ mod tests {
 
     #[test]
     fn valley_free_policy_does_not_break_detection() {
-        let points = valley_free_ablation(3, 23, 1);
+        let points = valley_free_ablation(3, 23, Exec::serial()).0;
         assert_eq!(points.len(), 2);
         let policy_free = &points[0];
         let valley_free = &points[1];
@@ -529,7 +588,7 @@ mod tests {
     #[test]
     fn subprefix_traffic_capture_exceeds_control_plane_view() {
         let graph = PaperTopology::As25.graph();
-        let result = subprefix_ablation(graph, 3, 11, 1);
+        let result = subprefix_ablation(graph, 3, 11, Exec::serial()).0;
         // The data plane confirms the §4.3 damage: traffic inside the
         // hijacked half is captured at (at least) the rate the control
         // plane shows for the sub-prefix itself.
@@ -573,7 +632,7 @@ mod tests {
     #[test]
     fn reject_policy_protects_more_when_verifier_is_blind() {
         let graph = PaperTopology::As25.graph();
-        let results = unresolved_policy_ablation(graph, 3, 19, 1);
+        let results = unresolved_policy_ablation(graph, 3, 19, Exec::serial()).0;
         let accept = results[0].1;
         let reject = results[1].1;
         assert!(reject <= accept, "reject {reject} !<= accept {accept}");

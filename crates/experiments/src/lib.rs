@@ -22,9 +22,8 @@
 //! (1 by default), `metrics` on or off — and return
 //! `(report, MetricsSnapshot)`; the snapshot is empty when `metrics` is off.
 //! Drivers with their own harness and nothing to shard
-//! ([`subprefix_ablation`], [`valley_free_ablation`],
-//! [`unresolved_policy_ablation`], [`run_session_chaos`],
-//! [`measure_moas_list_overhead`], [`run_ensemble`]) take a bare `jobs`.
+//! ([`run_session_chaos`], [`measure_moas_list_overhead`],
+//! [`run_ensemble`]) take a bare `jobs`.
 //!
 //! Every driver works in three phases: trials are *planned* sequentially (so
 //! no RNG draw order changes), *run* into index-addressed slots — fanned

@@ -161,15 +161,17 @@ pub(crate) fn run_trials(
     exec.run_cells(trials.len(), &cell)
 }
 
+/// What every experiment network does: converge within the event budget.
+pub(crate) const CONVERGES: &str = "experiment networks always converge";
+
 /// The trial body, once, for any layout and any sink. With [`NoopSink`] the
 /// instrumentation compiles away.
-fn trial_on<S: MetricsSink>(
+pub(crate) fn trial_on<S: MetricsSink>(
     layout: Layout,
     graph: &AsGraph,
     config: &TrialConfig,
     sink: &mut S,
 ) -> TrialOutcome {
-    const CONVERGES: &str = "experiment networks always converge";
     let valid_list: MoasList = config.origins.iter().copied().collect();
 
     // One monitor per shard. §4.4: the verifier knows the true origin set (oracle registry,
@@ -206,10 +208,7 @@ fn trial_on<S: MetricsSink>(
     }
     let attack = FalseOriginAttack::new(config.forgery);
     for &attacker in &config.attackers {
-        net.originate_route(
-            attacker,
-            attack.forged_route(config.prefix, attacker, &valid_list),
-        );
+        attack.launch(&mut net, attacker, config.prefix, &valid_list);
     }
     let attack_converged = net.run().expect(CONVERGES);
     if S::ENABLED {

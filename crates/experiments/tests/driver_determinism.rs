@@ -190,14 +190,14 @@ fn ablation_rows() {
     check("community_policy_ablation", EXEC, |exec| {
         render(community_policy_ablation(as25, 2, 31, exec))
     });
-    check("subprefix_ablation", JOBS_ONLY, |exec| {
-        no_snapshot(subprefix_ablation(as25, 3, 11, exec.jobs))
+    check("subprefix_ablation", EXEC, |exec| {
+        render(subprefix_ablation(as25, 3, 11, exec))
     });
-    check("valley_free_ablation", JOBS_ONLY, |exec| {
-        no_snapshot(valley_free_ablation(3, 23, exec.jobs))
+    check("valley_free_ablation", EXEC, |exec| {
+        render(valley_free_ablation(3, 23, exec))
     });
-    check("unresolved_policy_ablation", JOBS_ONLY, |exec| {
-        no_snapshot(unresolved_policy_ablation(as25, 3, 19, exec.jobs))
+    check("unresolved_policy_ablation", EXEC, |exec| {
+        render(unresolved_policy_ablation(as25, 3, 19, exec))
     });
 }
 

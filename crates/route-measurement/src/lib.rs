@@ -50,6 +50,5 @@ pub use stream::{
     daily_moas_onsets, origin_events, OriginEvent, OriginEventKind, OriginEventTracker,
 };
 pub use timeline::{
-    generate_timeline, CaseRecord, Cause, FaultEvent, GeneratedTimeline, ModernMoasConfig,
-    TimelineConfig,
+    generate_timeline, CaseRecord, Cause, FaultEvent, GeneratedTimeline, TimelineConfig,
 };

@@ -267,7 +267,6 @@ mod tests {
                 prefix_count: 25,
                 duration_days: 1,
             }],
-            modern: crate::timeline::ModernMoasConfig::default(),
             seed: 3,
         };
         let timeline = generate_timeline(&config);

@@ -18,17 +18,6 @@ pub enum Cause {
     ExchangePoint,
     /// Short-lived operational churn (brief reconfigurations).
     Churn,
-    /// Anycast service: one organization originating the same prefix from
-    /// several sites under distinct ASNs, simultaneously and indefinitely
-    /// (Sediqi et al. 2023 — the dominant long-lived legitimate MOAS class
-    /// the 2002 paper could not anticipate).
-    Anycast,
-    /// Sibling ASes: two ASNs of the same organization co-originating,
-    /// typically numerically adjacent registrations.
-    Sibling,
-    /// CDN origin handoff: the prefix alternates between two origins with a
-    /// configured dwell time, both visible only on handoff days.
-    CdnHandoff,
     /// A fault or attack: the named AS announced prefixes it cannot reach.
     Fault(Asn),
 }
@@ -70,38 +59,6 @@ impl CaseRecord {
     }
 }
 
-/// Knobs for the long-lived legitimate MOAS behaviours of the modern
-/// literature (Sediqi et al. 2023). The default is all-zero, which reproduces
-/// the 2002-era generator exactly — both the dump contents and the RNG
-/// consumption sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModernMoasConfig {
-    /// Permanent anycast cases spawned on day 0.
-    pub anycast_cases: usize,
-    /// Origin-set size of each anycast case (clamped to at least 2).
-    pub anycast_set_size: usize,
-    /// Fraction of newly birthed long-lived cases converted into permanent
-    /// sibling-AS pairs (two adjacent ASNs, one organization).
-    pub sibling_fraction: f64,
-    /// Permanent CDN-handoff cases spawned on day 0.
-    pub cdn_cases: usize,
-    /// Days each CDN origin holds the prefix before handing off (clamped to
-    /// at least 1 when `cdn_cases > 0`).
-    pub cdn_dwell_days: u32,
-}
-
-impl Default for ModernMoasConfig {
-    fn default() -> Self {
-        ModernMoasConfig {
-            anycast_cases: 0,
-            anycast_set_size: 3,
-            sibling_fraction: 0.0,
-            cdn_cases: 0,
-            cdn_dwell_days: 7,
-        }
-    }
-}
-
 /// Configuration of the synthetic collection period.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineConfig {
@@ -123,9 +80,6 @@ pub struct TimelineConfig {
     pub background_prefixes: usize,
     /// Mass-misorigination events.
     pub events: Vec<FaultEvent>,
-    /// Long-lived legitimate MOAS behaviours (anycast, siblings, CDN
-    /// handoffs). Zero by default: the 2002-era generator unchanged.
-    pub modern: ModernMoasConfig,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -164,7 +118,6 @@ impl TimelineConfig {
                     duration_days: 2,
                 },
             ],
-            modern: ModernMoasConfig::default(),
             seed: 0x1998_0407,
         }
     }
@@ -294,53 +247,13 @@ pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
             });
         }
 
-        // Modern long-lived legitimate MOAS (Sediqi et al.): permanent
-        // anycast sets and CDN handoff pairs join the population on day 0,
-        // before the ramp births, so they count toward the same target.
-        if day == 0 {
-            for _ in 0..config.modern.anycast_cases {
-                let mut origins = BTreeSet::new();
-                while origins.len() < config.modern.anycast_set_size.max(2) {
-                    origins.insert(owner_asn(&mut rng));
-                }
-                live.push(LiveCase {
-                    prefix: new_prefix(&mut next_prefix_index),
-                    origins,
-                    cause: Cause::Anycast,
-                    ends_on: u32::MAX,
-                    active_days: Vec::new(),
-                });
-            }
-            for _ in 0..config.modern.cdn_cases {
-                let owner = owner_asn(&mut rng);
-                let cdn = isp_asn(&mut rng);
-                let origins: BTreeSet<Asn> = [owner, cdn].into_iter().collect();
-                live.push(LiveCase {
-                    prefix: new_prefix(&mut next_prefix_index),
-                    origins,
-                    cause: Cause::CdnHandoff,
-                    ends_on: u32::MAX,
-                    active_days: Vec::new(),
-                });
-            }
-        }
-
         // Birth long-lived cases toward the linear ramp target.
         let target = config.active_start as f64
             + (config.active_end as f64 - config.active_start as f64) * f64::from(day)
                 / f64::from(config.days.max(2) - 1);
         let long_lived_now = live
             .iter()
-            .filter(|c| {
-                matches!(
-                    c.cause,
-                    Cause::Multihoming
-                        | Cause::ExchangePoint
-                        | Cause::Anycast
-                        | Cause::Sibling
-                        | Cause::CdnHandoff
-                )
-            })
+            .filter(|c| matches!(c.cause, Cause::Multihoming | Cause::ExchangePoint))
             .count();
         for _ in long_lived_now..(target.round() as usize) {
             // A small slice of the long-lived population is exchange-point
@@ -348,17 +261,6 @@ pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
             let mut case = spawn_multihoming(&mut rng, &mut next_prefix_index, day);
             if rng.gen::<f64>() < 0.01 {
                 case.cause = Cause::ExchangePoint;
-            }
-            // Sibling conversion (guarded so a zero fraction consumes no RNG
-            // draws and the legacy stream is bit-identical).
-            if config.modern.sibling_fraction > 0.0
-                && case.cause == Cause::Multihoming
-                && rng.gen::<f64>() < config.modern.sibling_fraction
-            {
-                let base = owner_asn(&mut rng);
-                case.origins = [base, Asn(base.0 + 1)].into_iter().collect();
-                case.cause = Cause::Sibling;
-                case.ends_on = u32::MAX;
             }
             live.push(case);
         }
@@ -394,25 +296,6 @@ pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
             dump.observe(*prefix, *origin);
         }
         for case in &mut live {
-            // CDN handoff cases are deterministic: one origin holds the
-            // prefix per dwell period; both are visible only on the handoff
-            // day itself, which is the only day the case is in MOAS state.
-            if case.cause == Cause::CdnHandoff {
-                let dwell = config.modern.cdn_dwell_days.max(1);
-                let handoff = day > 0 && day % dwell == 0;
-                if handoff {
-                    for &origin in &case.origins {
-                        dump.observe(case.prefix, origin);
-                    }
-                    case.active_days.push(day);
-                } else {
-                    let phase = ((day / dwell) % 2) as usize;
-                    if let Some(&holder) = case.origins.iter().nth(phase) {
-                        dump.observe(case.prefix, holder);
-                    }
-                }
-                continue;
-            }
             let present = match case.cause {
                 // Fault announcements are loud and unmissable.
                 Cause::Fault(_) => true,
@@ -469,21 +352,7 @@ mod tests {
                 prefix_count: 40,
                 duration_days: 1,
             }],
-            modern: ModernMoasConfig::default(),
             seed: 7,
-        }
-    }
-
-    fn quick_modern() -> TimelineConfig {
-        TimelineConfig {
-            modern: ModernMoasConfig {
-                anycast_cases: 5,
-                anycast_set_size: 4,
-                sibling_fraction: 0.3,
-                cdn_cases: 3,
-                cdn_dwell_days: 7,
-            },
-            ..quick()
         }
     }
 
@@ -579,86 +448,6 @@ mod tests {
         let before = prefixes.len();
         prefixes.dedup();
         assert_eq!(prefixes.len(), before);
-    }
-
-    #[test]
-    fn default_modern_config_changes_nothing() {
-        // The all-zero modern config must not even perturb the RNG stream.
-        let legacy = generate_timeline(&quick());
-        let modern_off = generate_timeline(&TimelineConfig {
-            modern: ModernMoasConfig {
-                anycast_cases: 0,
-                sibling_fraction: 0.0,
-                cdn_cases: 0,
-                ..ModernMoasConfig::default()
-            },
-            ..quick()
-        });
-        assert_eq!(legacy, modern_off);
-    }
-
-    #[test]
-    fn anycast_cases_are_permanent_with_configured_set_size() {
-        let t = generate_timeline(&quick_modern());
-        let anycast: Vec<&CaseRecord> = t
-            .cases
-            .iter()
-            .filter(|c| c.cause == Cause::Anycast)
-            .collect();
-        assert_eq!(anycast.len(), 5);
-        for c in anycast {
-            assert_eq!(c.origins.len(), 4);
-            assert!(!matches!(c.cause, Cause::Fault(_)));
-            // presence_prob = 1.0 in quick(): active every single day.
-            assert_eq!(c.duration(), 60);
-        }
-    }
-
-    #[test]
-    fn sibling_cases_use_adjacent_asns() {
-        let t = generate_timeline(&quick_modern());
-        let siblings: Vec<&CaseRecord> = t
-            .cases
-            .iter()
-            .filter(|c| c.cause == Cause::Sibling)
-            .collect();
-        assert!(!siblings.is_empty(), "0.3 fraction must convert some cases");
-        for c in siblings {
-            assert_eq!(c.origins.len(), 2);
-            let origins: Vec<Asn> = c.origins.iter().copied().collect();
-            assert_eq!(origins[1].0, origins[0].0 + 1, "{origins:?}");
-            assert!(!matches!(c.cause, Cause::Fault(_)));
-        }
-    }
-
-    #[test]
-    fn cdn_cases_are_moas_only_on_handoff_days() {
-        let t = generate_timeline(&quick_modern());
-        let cdn: Vec<&CaseRecord> = t
-            .cases
-            .iter()
-            .filter(|c| c.cause == Cause::CdnHandoff)
-            .collect();
-        assert_eq!(cdn.len(), 3);
-        for c in cdn {
-            assert_eq!(c.origins.len(), 2);
-            // Handoffs at days 7, 14, ..., 56 within the 60-day horizon.
-            assert_eq!(c.active_days, vec![7, 14, 21, 28, 35, 42, 49, 56]);
-            // Every day shows at least one origin, never a third.
-            for d in &t.dumps {
-                let origins = d.origins_of(c.prefix);
-                assert!(!origins.is_empty(), "day {} lost the prefix", d.day());
-                assert!(origins.is_subset(&c.origins));
-            }
-        }
-    }
-
-    #[test]
-    fn modern_generation_is_deterministic() {
-        assert_eq!(
-            generate_timeline(&quick_modern()),
-            generate_timeline(&quick_modern())
-        );
     }
 
     #[test]

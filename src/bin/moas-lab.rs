@@ -53,7 +53,8 @@ COMMANDS:
     topology <25|46|63>             Show a canonical experiment topology
     trial [--topology N] [--attackers N] [--origins N] [--deployment full|half|none] [--seed S]
           [--shards N]              Run one simulation trial and print the outcome
-    ablations [--jobs N]            Run the §4.3-§4.4 limitation studies
+    ablations [--jobs N] [--shards N]
+                                    Run the §4.3-§4.4 limitation studies
     overhead [--jobs N]             Measure the MOAS-list table overhead
     chaos --scenario NAME [--trials N] [--seed S] [--jobs N] [--shards N] [--quick] [--out FILE]
                                     Replay a fault/churn scenario (failover, origin-flap,
@@ -103,11 +104,13 @@ COMMANDS:
                                     (RIB snapshot entries replay as announcements,
                                     BGP4MP records as-is)
     daemon-probe --http ADDR --feed ADDR [--prefix P --asn N] [--read-only]
+                 [--connect-attempts N]
                                     Drive a full round against a running moas-labd:
                                     status, a validity query, feed full-sync, an
                                     ingest + diff-sync + cache-reset exercise (the
                                     probe announces and withdraws 203.0.113.0/24 so
-                                    the table is left unchanged), and /metrics
+                                    the table is left unchanged), and /metrics;
+                                    connects up to N times (default 3)
     help                            Show this message
 ";
 
@@ -526,7 +529,8 @@ fn ablations(args: &[String]) -> ExitCode {
     let exec = exec_option(args);
     let mut metrics = MetricsSnapshot::new();
 
-    let sub = subprefix_ablation(graph, 10, 0xAB1, exec.jobs);
+    let (sub, m) = subprefix_ablation(graph, 10, 0xAB1, exec);
+    metrics.merge(&m);
     println!("sub-prefix hijack (full MOAS deployment):");
     println!(
         "  control-plane adoption {:.1}%, data-plane traffic capture {:.1}%, alarms {:.1}",
@@ -558,7 +562,9 @@ fn ablations(args: &[String]) -> ExitCode {
     }
 
     println!("\nvalley-free policy routing:");
-    for p in valley_free_ablation(8, 0xAB5, exec.jobs) {
+    let (valley_free, m) = valley_free_ablation(8, 0xAB5, exec);
+    metrics.merge(&m);
+    for p in valley_free {
         println!(
             "  {:<12} normal {:.2}% / full MOAS {:.2}% (suppressed ads {:.0})",
             p.routing, p.normal_adoption_pct, p.moas_adoption_pct, p.mean_suppressed
@@ -566,11 +572,11 @@ fn ablations(args: &[String]) -> ExitCode {
     }
 
     println!("\nunresolved verification (no MOASRR record published):");
-    for (policy, adoption) in unresolved_policy_ablation(graph, 10, 0xAB4, exec.jobs) {
+    let (unresolved, m) = unresolved_policy_ablation(graph, 10, 0xAB4, exec);
+    metrics.merge(&m);
+    for (policy, adoption) in unresolved {
         println!("  {policy:<24} adoption {adoption:.2}%");
     }
-    // The snapshot covers the community-policy and forgery studies (the two
-    // driven through the standard trial runner).
     if write_metrics(args, &metrics) {
         ExitCode::SUCCESS
     } else {
@@ -942,7 +948,7 @@ fn daemon_probe(args: &[String]) -> ExitCode {
     ) else {
         eprintln!(
             "usage: moas-lab daemon-probe --http HOST:PORT --feed HOST:PORT \
-             [--prefix P --asn N] [--read-only]"
+             [--prefix P --asn N] [--read-only] [--connect-attempts N]"
         );
         return ExitCode::FAILURE;
     };

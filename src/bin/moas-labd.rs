@@ -45,11 +45,42 @@ OPTIONS:
     --bgp ADDR          Also listen for live BGP sessions on ADDR; decoded
                         UPDATEs are ingested like POST /ingest batches
     --bgp-asn N         Local ASN in the BGP OPEN  [default: 64512]
-    --session N         Feed session id         [default: derived from table]
-    --ring N            Delta-ring capacity     [default: 256]
+    --session N         Feed session id         [default: 1]
+    --ring N            Delta-ring capacity     [default: 64]
     --max-conns N       Per-listener connection cap [default: 64]
     --help              Show this message
 ";
+
+/// Every flag that takes a value (`--help` is the one that takes none).
+const VALUE_FLAGS: &[&str] = &[
+    "--moas-list",
+    "--mrt",
+    "--exceptions",
+    "--http",
+    "--feed",
+    "--bgp",
+    "--bgp-asn",
+    "--session",
+    "--ring",
+    "--max-conns",
+];
+
+/// A misspelt flag would otherwise be ignored: `--rign 8` started the
+/// daemon with the default ring. Rejects any `--` argument that is not in
+/// [`VALUE_FLAGS`] or the value of one, and a value flag with no value.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} expects a value"));
+            }
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
+}
 
 fn option<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let idx = args.iter().position(|a| a == name)?;
@@ -82,6 +113,10 @@ fn main() -> ExitCode {
         } else {
             ExitCode::SUCCESS
         };
+    }
+    if let Err(message) = check_flags(&args) {
+        eprintln!("{message}");
+        return ExitCode::FAILURE;
     }
 
     let session: u16 = match option(&args, "--session").map(str::parse).transpose() {

@@ -9,6 +9,13 @@ fn moas_lab(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+fn moas_labd(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_moas-labd"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
 #[test]
 fn help_prints_usage() {
     let out = moas_lab(&["help"]);
@@ -571,4 +578,83 @@ fn shards_zero_and_commands_with_nothing_to_shard_are_errors() {
             plain.stdout
         );
     }
+}
+
+#[test]
+fn ablations_are_identical_for_every_shard_count_and_record_every_study() {
+    let plain = moas_lab(&["ablations", "--jobs", "2"]);
+    assert!(plain.status.success());
+    let sharded = moas_lab(&["ablations", "--jobs", "2", "--shards", "2"]);
+    assert!(sharded.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&sharded.stdout),
+        String::from_utf8_lossy(&plain.stdout)
+    );
+
+    let path = std::env::temp_dir().join(format!("moas-abl-metrics-{}.json", std::process::id()));
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let recorded = moas_lab(&["ablations", "--jobs", "2", "--metrics", path_str]);
+    assert!(
+        recorded.status.success(),
+        "{}",
+        String::from_utf8_lossy(&recorded.stderr)
+    );
+    let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
+    std::fs::remove_file(&path).ok();
+    for scope in [
+        "subprefix",
+        "community_policy",
+        "forgery",
+        "valley_free",
+        "unresolved",
+    ] {
+        let key = format!("\"{scope}.sim.events.fired\"");
+        assert!(snapshot.contains(&key), "no {key} in the snapshot");
+    }
+}
+
+#[test]
+fn daemon_rejects_unknown_and_valueless_flags_before_binding() {
+    for (args, message) in [
+        (
+            &["--rign", "8", "--moas-list", "missing.json"][..],
+            "unknown flag \"--rign\"",
+        ),
+        (
+            &["--moas-list", "missing.json", "--ring"][..],
+            "--ring expects a value",
+        ),
+    ] {
+        let out = moas_labd(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        // The bound addresses would be the first stdout line.
+        assert!(out.stdout.is_empty(), "{args:?} must not bind");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn daemon_help_states_the_real_defaults() {
+    let out = moas_labd(&["--help"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let default_of = |flag: &str| {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(flag))
+            .unwrap_or_else(|| panic!("{flag} undocumented:\n{text}"));
+        line.rsplit_once("[default: ")
+            .and_then(|(_, rest)| rest.strip_suffix(']'))
+            .unwrap_or_else(|| panic!("{flag} states no default: {line}"))
+            .to_string()
+    };
+    let config = moas::daemon::DaemonConfig::loopback();
+    assert_eq!(default_of("--ring"), config.delta_ring_capacity.to_string());
+    assert_eq!(
+        default_of("--max-conns"),
+        config.max_connections.to_string()
+    );
+    assert_eq!(default_of("--bgp-asn"), config.bgp_asn.0.to_string());
+    assert_eq!(default_of("--session"), "1");
 }
