@@ -1,52 +1,150 @@
 //! Decoding MRT streams into the measurement pipeline's types.
 //!
-//! Table-dump records regroup by timestamp into per-day
-//! [`DailyDump`]s — the same structures the simulated Route Views collector
-//! produces — and into full [`Route`]s for the offline monitor
-//! (`moas_core::OfflineMonitor::scan`). `BGP4MP` records decode back into
-//! simulator [`Update`]s.
+//! A table dump is read one way: [`TableDumpWalk`] resolves every
+//! `RIB_IPV4_UNICAST` entry's origin against the peer table in force, and
+//! each consumer folds the entries its own way.
 //!
-//! Two consumption styles:
-//!
-//! * [`DailyDumpStream`] — constant-memory streaming: one [`DayImport`] is
-//!   yielded each time the record timestamps cross a day boundary, and the
-//!   importer never holds more than the day in progress. This is how
-//!   archives far larger than memory (years of Route Views dumps) are
+//! * [`DailyDumpStream`] regroups them by timestamp into per-day
+//!   [`DailyDump`]s — the same structures the simulated Route Views
+//!   collector produces — and, on request, full [`Route`]s for the offline
+//!   monitor (`moas_core::OfflineMonitor::scan`). It yields one
+//!   [`DayImport`] at a time and holds only the day in progress, which is
+//!   how archives far larger than memory (years of Route Views dumps) are
 //!   processed.
-//! * [`import_table_dumps`] — whole-archive convenience built on the
-//!   stream: collects every day (merging same-day groups of an unordered
-//!   stream) into one [`ImportedTables`].
+//! * `moas_daemon::OriginTable::from_mrt` unions them archive-wide into the
+//!   daemon's MOAS lists.
+//!
+//! `BGP4MP` records decode back into simulator [`Update`]s
+//! ([`import_update_stream`]).
 
-use std::collections::BTreeMap;
 use std::io;
 
-use bgp_types::{Asn, Route, Update};
+use bgp_types::{Asn, Ipv4Prefix, Route, Update};
 use route_measurement::DailyDump;
 
 use crate::error::{WireError, WireErrorKind};
-use crate::mrt::{MrtBody, PeerIndexTable};
+use crate::mrt::MrtBody;
 use crate::timestamp_to_day;
-use crate::view::{AttrInterner, MrtBodyView, MrtViewReader};
+use crate::view::{AttrInterner, AttrsView, MrtBodyView, MrtViewReader};
 
-/// Everything a table-dump import recovers.
-#[derive(Debug, Clone, Default)]
-pub struct ImportedTables {
-    /// Per-day origin observations, sorted by day — feed these to
-    /// `route_measurement::origin_events` / `daily_moas_counts`.
-    pub dumps: Vec<DailyDump>,
-    /// Every RIB route, with the day it was dumped on — feed these to
-    /// `moas_core::OfflineMonitor::scan`.
-    pub routes: Vec<(u32, Route)>,
-    /// `BGP4MP` records encountered (and skipped) along the way.
-    pub skipped_messages: usize,
+/// Walks an MRT table-dump archive record by record, handing the caller
+/// each IPv4 RIB entry with its prefix and resolved origin: the entry's
+/// `AS_PATH` origin, or — when the path has no well-defined origin (empty,
+/// or ending in an `AS_SET`) — the ASN of the peer that reported it.
+///
+/// Reading is two steps, as in [`MrtViewReader`]:
+/// [`advance`](Self::advance) buffers the next record and
+/// [`timestamp`](Self::timestamp) reads its time before anything is parsed,
+/// so day grouping can defer a record across a day boundary;
+/// [`visit`](Self::visit) then parses it. A `PEER_INDEX_TABLE` replaces the
+/// peer table in force; `RIB_IPV6_UNICAST` records are validated but skipped
+/// (the paper's study is IPv4-only); `BGP4MP` records are skipped and
+/// counted in [`skipped_messages`](Self::skipped_messages).
+///
+/// Every error carries its stream offset and ends the walk: afterwards
+/// [`advance`](Self::advance) returns `Ok(false)`.
+#[derive(Debug)]
+pub struct TableDumpWalk<R> {
+    mrt: MrtViewReader<R>,
+    /// Each peer's ASN by peer index, from the peer table in force; `None`
+    /// before the first `PEER_INDEX_TABLE`.
+    peers: Option<Vec<Asn>>,
+    skipped_messages: usize,
+    /// A RIB record named a peer the walk could not resolve.
+    failed: bool,
 }
 
-impl ImportedTables {
-    /// Total number of daily MOAS cases, summed over days (the quantity the
-    /// round-trip tests compare against the exporting simulation).
+impl<R: io::Read> TableDumpWalk<R> {
+    /// Wraps a reader positioned at the start of an MRT stream.
+    pub fn new(reader: R) -> Self {
+        TableDumpWalk {
+            mrt: MrtViewReader::new(reader),
+            peers: None,
+            skipped_messages: 0,
+            failed: false,
+        }
+    }
+
+    /// Buffers the next record without parsing it. Returns `false` at clean
+    /// end of stream and after any error.
+    ///
+    /// # Errors
+    ///
+    /// A framing [`WireError`] (truncation, an oversized length field, or
+    /// I/O) with its stream offset.
+    pub fn advance(&mut self) -> Result<bool, WireError> {
+        if self.failed {
+            return Ok(false);
+        }
+        self.mrt.advance()
+    }
+
+    /// The buffered record's timestamp, readable before it is parsed.
     #[must_use]
-    pub fn total_moas_count(&self) -> usize {
-        self.dumps.iter().map(DailyDump::moas_count).sum()
+    pub fn timestamp(&self) -> u32 {
+        self.mrt.timestamp()
+    }
+
+    /// Parses the buffered record. For a `RIB_IPV4_UNICAST` record, calls
+    /// `on_entry(prefix, origin, attrs)` for each entry in record order and
+    /// returns the record's prefix; any other record returns `None`.
+    ///
+    /// # Errors
+    ///
+    /// The record's parse [`WireError`]; or, at the record's header offset,
+    /// [`WireErrorKind::MissingPeerIndexTable`] for a RIB record before any
+    /// peer table and [`WireErrorKind::BadPeerIndex`] for an entry naming a
+    /// peer outside the table in force (entries before it have been
+    /// handed over).
+    pub fn visit(
+        &mut self,
+        mut on_entry: impl FnMut(Ipv4Prefix, Asn, &AttrsView<'_>),
+    ) -> Result<Option<Ipv4Prefix>, WireError> {
+        let at = self.mrt.record_offset();
+        let rib = match self.mrt.view()?.body {
+            MrtBodyView::PeerIndexTable(table) => {
+                self.peers = Some(table.peers().map(|peer| peer.asn).collect());
+                return Ok(None);
+            }
+            MrtBodyView::RibIpv4Unicast(rib) => rib,
+            MrtBodyView::RibIpv6Unicast(_) => return Ok(None),
+            MrtBodyView::Bgp4mpMessage(_) => {
+                self.skipped_messages += 1;
+                return Ok(None);
+            }
+        };
+        let Some(peers) = &self.peers else {
+            self.failed = true;
+            return Err(WireError::new(WireErrorKind::MissingPeerIndexTable, at));
+        };
+        let prefix = rib.prefix();
+        for entry in rib.entries() {
+            let Some(&peer_asn) = peers.get(usize::from(entry.peer_index)) else {
+                self.failed = true;
+                return Err(WireError::new(
+                    WireErrorKind::BadPeerIndex(entry.peer_index),
+                    at,
+                ));
+            };
+            on_entry(
+                prefix,
+                entry.attrs.origin_asn().unwrap_or(peer_asn),
+                &entry.attrs,
+            );
+        }
+        Ok(Some(prefix))
+    }
+
+    /// `BGP4MP` records skipped so far.
+    #[must_use]
+    pub fn skipped_messages(&self) -> usize {
+        self.skipped_messages
+    }
+
+    /// Total stream bytes consumed so far.
+    #[must_use]
+    pub fn bytes_read(&self) -> u64 {
+        self.mrt.bytes_read()
     }
 }
 
@@ -67,44 +165,36 @@ pub struct DayImport {
 
 /// Streams an MRT table-dump archive one day at a time, in constant memory.
 ///
-/// Where [`import_table_dumps`] accumulates every day of the archive before
-/// returning, this iterator yields a [`DayImport`] each time record
-/// timestamps cross a day boundary and then drops the day — the working set
-/// is one day's table regardless of how many years the archive spans.
-/// Day grouping and origin extraction are identical to
-/// [`import_table_dumps`]: origins come from each RIB entry's `AS_PATH`,
-/// falling back to the owning peer's ASN when the path has no well-defined
-/// origin.
+/// This iterator groups a [`TableDumpWalk`]'s entries by day: it yields a
+/// [`DayImport`] each time record timestamps cross a day boundary and then
+/// drops the day — the working set is one day's table regardless of how
+/// many years the archive spans.
 ///
-/// `BGP4MP` records are skipped (counted in
-/// [`DailyDumpStream::skipped_messages`]); a record whose timestamp falls on
-/// a different day than the day in progress — in either direction — closes
-/// that day. Archives with one group of records per day (how Route Views
-/// archives and [`crate::export_rib_snapshot`] lay days out) therefore come
-/// back exactly as the whole-archive importer would return them; an archive
-/// that interleaves days yields one `DayImport` per contiguous group, which
-/// callers can merge via [`DailyDump::merge`] (as `import_table_dumps`
-/// does).
+/// A record whose timestamp falls on a different day than the day in
+/// progress — in either direction — closes that day. Archives with one
+/// group of records per day (how Route Views archives and
+/// [`crate::export_rib_snapshot`] lay days out) therefore yield one
+/// `DayImport` per day; an archive that interleaves days yields one per
+/// contiguous group. A day opens at its first `RIB_IPV4_UNICAST` record.
 ///
-/// Internally the stream runs on the allocation-free decode path: records
-/// are framed into one reusable buffer ([`MrtViewReader`]), origins are
-/// read straight off the wire via [`crate::view::AttrsView::origin_asn`],
-/// and when routes are collected their `AS_PATH`s are hash-consed through
-/// an [`AttrInterner`] so each distinct path in a dump is decoded once.
+/// The first error ends the stream: it is returned once, the day in
+/// progress is dropped with it, and every later call returns `Ok(None)`.
+///
+/// When routes are collected their `AS_PATH`s are hash-consed through an
+/// [`AttrInterner`], so each distinct path in a dump is decoded once.
 #[derive(Debug)]
 pub struct DailyDumpStream<R> {
-    mrt: MrtViewReader<R>,
-    peer_table: Option<PeerIndexTable>,
+    walk: TableDumpWalk<R>,
     pending: Option<DayImport>,
     /// The buffered record belongs to the next day group; re-process it
     /// (without advancing) on the next call.
     deferred: bool,
     interner: AttrInterner,
-    /// Per-record origin batch, reused across records.
-    scratch_origins: Vec<Asn>,
-    skipped_messages: usize,
+    /// One record's origins and (when collected) routes, reused across
+    /// records.
+    origins: Vec<Asn>,
+    routes: Vec<Route>,
     collect_routes: bool,
-    day_entries: usize,
     peak_day_entries: usize,
 }
 
@@ -112,15 +202,13 @@ impl<R: io::Read> DailyDumpStream<R> {
     /// Wraps a reader positioned at the start of an MRT table-dump stream.
     pub fn new(reader: R) -> Self {
         DailyDumpStream {
-            mrt: MrtViewReader::new(reader),
-            peer_table: None,
+            walk: TableDumpWalk::new(reader),
             pending: None,
             deferred: false,
             interner: AttrInterner::new(),
-            scratch_origins: Vec::new(),
-            skipped_messages: 0,
+            origins: Vec::new(),
+            routes: Vec::new(),
             collect_routes: false,
-            day_entries: 0,
             peak_day_entries: 0,
         }
     }
@@ -138,7 +226,7 @@ impl<R: io::Read> DailyDumpStream<R> {
     /// `BGP4MP` records skipped so far.
     #[must_use]
     pub fn skipped_messages(&self) -> usize {
-        self.skipped_messages
+        self.walk.skipped_messages()
     }
 
     /// The largest number of RIB entries buffered for any single day — the
@@ -150,92 +238,78 @@ impl<R: io::Read> DailyDumpStream<R> {
     }
 
     /// Reads up to the next day boundary (or end of stream) and returns the
-    /// completed day; `Ok(None)` once the archive is exhausted.
+    /// completed day; `Ok(None)` once the archive is exhausted or after an
+    /// error.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] with stream offset on the first malformed
-    /// record, a RIB record preceding any peer table, or a RIB entry naming
-    /// a peer index outside the table. After an error the underlying reader
-    /// refuses further reads.
+    /// The [`TableDumpWalk`]'s first [`WireError`], with its stream offset.
     pub fn next_day(&mut self) -> Result<Option<DayImport>, WireError> {
-        loop {
-            if self.deferred {
-                // The buffered record opened a new day last call; consume it
-                // now without reading another.
-                self.deferred = false;
-            } else if !self.mrt.advance()? {
-                return Ok(self.take_pending());
-            }
-
-            let day = timestamp_to_day(self.mrt.timestamp());
-            if let Some(pending) = &self.pending {
-                if pending.day != day {
-                    // Day boundary: hand the finished day out and re-process
-                    // the buffered record on the next call.
-                    self.deferred = true;
-                    return Ok(self.take_pending());
-                }
-            }
-            self.process(day)?;
+        let day = self.read_day();
+        if day.is_err() {
+            // The walk has ended, so the day in progress never completes.
+            self.pending = None;
         }
+        day
     }
 
     /// Total stream bytes consumed so far — the numerator for ingest
     /// throughput reporting.
     #[must_use]
     pub fn bytes_read(&self) -> u64 {
-        self.mrt.bytes_read()
+        self.walk.bytes_read()
+    }
+
+    fn read_day(&mut self) -> Result<Option<DayImport>, WireError> {
+        loop {
+            if self.deferred {
+                // The buffered record opened a new day last call; consume it
+                // now without reading another.
+                self.deferred = false;
+            } else if !self.walk.advance()? {
+                return Ok(self.take_pending());
+            }
+
+            let day = timestamp_to_day(self.walk.timestamp());
+            if self
+                .pending
+                .as_ref()
+                .is_some_and(|pending| pending.day != day)
+            {
+                // Day boundary: hand the finished day out and re-process the
+                // buffered record on the next call.
+                self.deferred = true;
+                return Ok(self.take_pending());
+            }
+            self.process(day)?;
+        }
     }
 
     fn take_pending(&mut self) -> Option<DayImport> {
-        self.peak_day_entries = self.peak_day_entries.max(self.day_entries);
-        self.day_entries = 0;
-        self.pending.take()
+        let day = self.pending.take()?;
+        self.peak_day_entries = self.peak_day_entries.max(day.rib_entries);
+        Some(day)
     }
 
     fn process(&mut self, day: u32) -> Result<(), WireError> {
-        let view = self.mrt.view()?;
-        match view.body {
-            MrtBodyView::PeerIndexTable(table) => self.peer_table = Some(table.to_table()),
-            MrtBodyView::RibIpv4Unicast(rib) => {
-                let table = self
-                    .peer_table
-                    .as_ref()
-                    .ok_or_else(|| WireError::new(WireErrorKind::MissingPeerIndexTable, 0))?;
-                let pending = self.pending.get_or_insert_with(|| DayImport {
-                    day,
-                    dump: DailyDump::new(day),
-                    rib_entries: 0,
-                    routes: Vec::new(),
-                });
-                self.scratch_origins.clear();
-                for entry in rib.entries() {
-                    let peer = table
-                        .peers
-                        .get(usize::from(entry.peer_index))
-                        .ok_or_else(|| {
-                            WireError::new(WireErrorKind::BadPeerIndex(entry.peer_index), 0)
-                        })?;
-                    let origin = entry.attrs.origin_asn().unwrap_or(peer.asn);
-                    self.scratch_origins.push(origin);
-                    if self.collect_routes {
-                        pending
-                            .routes
-                            .push(self.interner.to_route(&entry.attrs, rib.prefix()));
-                    }
-                    pending.rib_entries += 1;
-                    self.day_entries += 1;
-                }
-                pending
-                    .dump
-                    .observe_all(rib.prefix(), self.scratch_origins.iter().copied());
+        let Some(prefix) = self.walk.visit(|prefix, origin, attrs| {
+            self.origins.push(origin);
+            if self.collect_routes {
+                self.routes.push(self.interner.to_route(attrs, prefix));
             }
-            // The measurement pipeline is IPv4-only (§2 of the paper); IPv6
-            // RIB records decode and validate but do not enter daily dumps.
-            MrtBodyView::RibIpv6Unicast(_) => {}
-            MrtBodyView::Bgp4mpMessage(_) => self.skipped_messages += 1,
-        }
+        })?
+        else {
+            return Ok(());
+        };
+        let pending = self.pending.get_or_insert_with(|| DayImport {
+            day,
+            dump: DailyDump::new(day),
+            rib_entries: 0,
+            routes: Vec::new(),
+        });
+        pending.rib_entries += self.origins.len();
+        pending.dump.observe_all(prefix, self.origins.drain(..));
+        pending.routes.append(&mut self.routes);
         Ok(())
     }
 }
@@ -246,42 +320,6 @@ impl<R: io::Read> Iterator for DailyDumpStream<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_day().transpose()
     }
-}
-
-/// Reads a whole MRT stream of table dumps.
-///
-/// Records regroup by timestamp, so a stream holding several daily
-/// snapshots (each introduced by its own `PEER_INDEX_TABLE`) comes back as
-/// one [`DailyDump`] per day. Origins are taken from each RIB entry's
-/// `AS_PATH`; entries whose path has no well-defined origin (empty, or
-/// ending in an `AS_SET`) fall back to the owning peer's ASN.
-///
-/// Built on [`DailyDumpStream`]; use the stream directly when the archive
-/// may not fit in memory.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] with stream offset on the first malformed
-/// record, a RIB record preceding any peer table, or a RIB entry naming a
-/// peer index outside the table.
-pub fn import_table_dumps<R: io::Read>(reader: R) -> Result<ImportedTables, WireError> {
-    let mut stream = DailyDumpStream::new(reader).collect_routes(true);
-    let mut dumps: BTreeMap<u32, DailyDump> = BTreeMap::new();
-    let mut routes = Vec::new();
-
-    while let Some(imported) = stream.next_day()? {
-        dumps
-            .entry(imported.day)
-            .and_modify(|dump| dump.merge(&imported.dump))
-            .or_insert(imported.dump);
-        routes.extend(imported.routes.into_iter().map(|r| (imported.day, r)));
-    }
-
-    Ok(ImportedTables {
-        dumps: dumps.into_values().collect(),
-        routes,
-        skipped_messages: stream.skipped_messages(),
-    })
 }
 
 /// Reads a `BGP4MP` stream back into simulator updates, each tagged with
@@ -315,7 +353,7 @@ mod tests {
     use crate::export::{export_update_stream, peer_table};
     use crate::mrt::{Bgp4mpMessage, MrtRecord, MrtWriter, RibEntry, RibIpv4Unicast};
     use crate::{day_to_timestamp, COLLECTOR_ASN};
-    use bgp_types::{AsPath, Ipv4Prefix, MoasList};
+    use bgp_types::{AsPath, MoasList};
 
     fn rib_record(day: u32, prefix: Ipv4Prefix, origins: &[Asn]) -> MrtRecord {
         let entries = origins
@@ -332,7 +370,7 @@ mod tests {
             .collect();
         MrtRecord {
             timestamp: day_to_timestamp(day),
-            body: crate::mrt::MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+            body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
                 sequence: 0,
                 prefix,
                 entries,
@@ -340,11 +378,42 @@ mod tests {
         }
     }
 
-    fn table_record(day: u32) -> MrtRecord {
+    fn table_record(day: u32, peers: &[Asn]) -> MrtRecord {
         MrtRecord {
             timestamp: day_to_timestamp(day),
-            body: crate::mrt::MrtBody::PeerIndexTable(peer_table(&[Asn(701), Asn(1239)])),
+            body: MrtBody::PeerIndexTable(peer_table(peers)),
         }
+    }
+
+    fn message_record(day: u32) -> MrtRecord {
+        MrtRecord {
+            timestamp: day_to_timestamp(day),
+            body: MrtBody::Bgp4mpMessage(Bgp4mpMessage {
+                peer_asn: Asn(4),
+                local_asn: COLLECTOR_ASN,
+                peer_addr: 0,
+                local_addr: 0,
+                message: UpdateMessage::withdraw("10.0.0.0/8".parse().unwrap()),
+            }),
+        }
+    }
+
+    /// The archive's bytes, and the stream offset of each record's header.
+    fn encode(records: &[MrtRecord]) -> (Vec<u8>, Vec<u64>) {
+        let mut bytes = Vec::new();
+        let mut offsets = Vec::new();
+        for record in records {
+            offsets.push(bytes.len() as u64);
+            bytes.extend_from_slice(&record.encode().unwrap());
+        }
+        (bytes, offsets)
+    }
+
+    fn days(bytes: &[u8], collect_routes: bool) -> Vec<DayImport> {
+        DailyDumpStream::new(bytes)
+            .collect_routes(collect_routes)
+            .collect::<Result<_, _>>()
+            .unwrap()
     }
 
     #[test]
@@ -353,7 +422,9 @@ mod tests {
         let p2: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
         let mut writer = MrtWriter::new(Vec::new());
         for day in 0..2u32 {
-            writer.write_record(&table_record(day)).unwrap();
+            writer
+                .write_record(&table_record(day, &[Asn(701), Asn(1239)]))
+                .unwrap();
             writer
                 .write_record(&rib_record(day, p1, &[Asn(4), Asn(226)]))
                 .unwrap();
@@ -362,40 +433,99 @@ mod tests {
                 .unwrap();
         }
         let bytes = writer.finish().unwrap();
-        let imported = import_table_dumps(&bytes[..]).unwrap();
-        assert_eq!(imported.dumps.len(), 2);
-        for (day, dump) in imported.dumps.iter().enumerate() {
-            assert_eq!(dump.day(), day as u32);
-            assert_eq!(dump.prefix_count(), 2);
-            assert_eq!(dump.moas_count(), 1, "only p1 is MOAS");
+        let imported = days(&bytes, true);
+        assert_eq!(imported.len(), 2);
+        for (day, import) in imported.iter().enumerate() {
+            assert_eq!(import.day, day as u32);
+            assert_eq!(import.dump.day(), day as u32);
+            assert_eq!(import.dump.prefix_count(), 2);
+            assert_eq!(import.dump.moas_count(), 1, "only p1 is MOAS");
+            assert_eq!(import.rib_entries, 3);
+            assert_eq!(import.routes.len(), 3);
         }
-        assert_eq!(imported.total_moas_count(), 2);
-        assert_eq!(imported.routes.len(), 6);
     }
 
     #[test]
     fn rib_before_peer_table_is_rejected() {
-        let mut writer = MrtWriter::new(Vec::new());
-        writer
-            .write_record(&rib_record(0, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]))
-            .unwrap();
-        let bytes = writer.finish().unwrap();
-        let err = import_table_dumps(&bytes[..]).unwrap_err();
+        // A BGP4MP record first, so the failing record does not start at
+        // byte 0; a valid peer table and RIB follow, which must not be read.
+        let prefix = "10.0.0.0/8".parse().unwrap();
+        let (bytes, offsets) = encode(&[
+            message_record(0),
+            rib_record(0, prefix, &[Asn(1)]),
+            table_record(0, &[Asn(701), Asn(1239)]),
+            rib_record(0, prefix, &[Asn(1)]),
+        ]);
+        let mut stream = DailyDumpStream::new(&bytes[..]);
+        let err = stream.next_day().unwrap_err();
         assert_eq!(err.kind, WireErrorKind::MissingPeerIndexTable);
+        assert_eq!(err.offset, offsets[1]);
+        assert!(err.offset > 0);
+        assert!(stream.next_day().unwrap().is_none());
+
+        let mut items = DailyDumpStream::new(&bytes[..]);
+        assert!(items.next().unwrap().is_err());
+        assert!(items.next().is_none());
     }
 
     #[test]
     fn out_of_range_peer_index_is_rejected() {
-        let mut writer = MrtWriter::new(Vec::new());
-        writer.write_record(&table_record(0)).unwrap();
-        let mut rib = rib_record(0, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]);
-        if let crate::mrt::MrtBody::RibIpv4Unicast(r) = &mut rib.body {
-            r.entries[0].peer_index = 40;
+        // Day 1 is in progress (one good record read) when a record names
+        // peer 7 of a one-peer table; a good record follows it.
+        let (bytes, offsets) = encode(&[
+            table_record(0, &[Asn(701)]),
+            rib_record(0, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]),
+            rib_record(1, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]),
+            {
+                let mut stray = rib_record(1, "11.0.0.0/8".parse().unwrap(), &[Asn(2)]);
+                if let MrtBody::RibIpv4Unicast(rib) = &mut stray.body {
+                    rib.entries[0].peer_index = 7;
+                }
+                stray
+            },
+            rib_record(1, "12.0.0.0/8".parse().unwrap(), &[Asn(3)]),
+        ]);
+        let mut stream = DailyDumpStream::new(&bytes[..]);
+        assert_eq!(stream.next_day().unwrap().unwrap().day, 0);
+        let err = stream.next_day().unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::BadPeerIndex(7));
+        assert_eq!(err.offset, offsets[3]);
+        assert!(stream.next_day().unwrap().is_none());
+
+        let items: Vec<_> = DailyDumpStream::new(&bytes[..]).collect();
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert!(items[0].is_ok());
+        assert!(items[1].is_err());
+    }
+
+    #[test]
+    fn walk_resolves_origins_from_the_path_or_the_peer() {
+        let prefix: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
+        let mut empty_path = rib_record(0, prefix, &[Asn(1)]);
+        if let MrtBody::RibIpv4Unicast(rib) = &mut empty_path.body {
+            rib.entries[0].attrs = PathAttributes::from_route(&Route::new(prefix, AsPath::new()));
         }
-        writer.write_record(&rib).unwrap();
-        let bytes = writer.finish().unwrap();
-        let err = import_table_dumps(&bytes[..]).unwrap_err();
-        assert_eq!(err.kind, WireErrorKind::BadPeerIndex(40));
+        let (bytes, _) = encode(&[
+            table_record(0, &[Asn(701), Asn(1239)]),
+            rib_record(0, prefix, &[Asn(4), Asn(226)]),
+            empty_path,
+        ]);
+        let mut walk = TableDumpWalk::new(&bytes[..]);
+        let mut seen = Vec::new();
+        let mut prefixes = Vec::new();
+        while walk.advance().unwrap() {
+            prefixes.push(
+                walk.visit(|prefix, origin, _| seen.push((prefix, origin)))
+                    .unwrap(),
+            );
+        }
+        assert_eq!(prefixes, [None, Some(prefix), Some(prefix)]);
+        assert_eq!(
+            seen,
+            [(prefix, Asn(4)), (prefix, Asn(226)), (prefix, Asn(701))],
+            "an empty path falls back to the peer's ASN"
+        );
+        assert_eq!(walk.bytes_read(), bytes.len() as u64);
     }
 
     #[test]
@@ -407,11 +537,13 @@ mod tests {
         let route = Route::new(prefix, AsPath::from_sequence([Asn(701), Asn(4)]))
             .with_moas_list(list.clone());
         let mut writer = MrtWriter::new(Vec::new());
-        writer.write_record(&table_record(0)).unwrap();
+        writer
+            .write_record(&table_record(0, &[Asn(701), Asn(1239)]))
+            .unwrap();
         writer
             .write_record(&MrtRecord {
                 timestamp: day_to_timestamp(0),
-                body: crate::mrt::MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+                body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
                     sequence: 0,
                     prefix,
                     entries: vec![RibEntry {
@@ -423,9 +555,10 @@ mod tests {
             })
             .unwrap();
         let bytes = writer.finish().unwrap();
-        let imported = import_table_dumps(&bytes[..]).unwrap();
-        assert_eq!(imported.routes.len(), 1);
-        assert_eq!(imported.routes[0].1.moas_list(), Some(list));
+        let imported = days(&bytes, true);
+        assert_eq!(imported.len(), 1);
+        assert_eq!(imported[0].routes.len(), 1);
+        assert_eq!(imported[0].routes[0].moas_list(), Some(list));
     }
 
     #[test]
@@ -449,26 +582,14 @@ mod tests {
 
     #[test]
     fn import_skips_interleaved_message_records() {
-        let mut writer = MrtWriter::new(Vec::new());
-        writer.write_record(&table_record(0)).unwrap();
-        writer
-            .write_record(&MrtRecord {
-                timestamp: day_to_timestamp(0),
-                body: crate::mrt::MrtBody::Bgp4mpMessage(Bgp4mpMessage {
-                    peer_asn: Asn(4),
-                    local_asn: COLLECTOR_ASN,
-                    peer_addr: 0,
-                    local_addr: 0,
-                    message: UpdateMessage::withdraw("10.0.0.0/8".parse().unwrap()),
-                }),
-            })
-            .unwrap();
-        writer
-            .write_record(&rib_record(0, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]))
-            .unwrap();
-        let bytes = writer.finish().unwrap();
-        let imported = import_table_dumps(&bytes[..]).unwrap();
-        assert_eq!(imported.skipped_messages, 1);
-        assert_eq!(imported.dumps.len(), 1);
+        let (bytes, _) = encode(&[
+            table_record(0, &[Asn(701), Asn(1239)]),
+            message_record(0),
+            rib_record(0, "10.0.0.0/8".parse().unwrap(), &[Asn(1)]),
+        ]);
+        let mut stream = DailyDumpStream::new(&bytes[..]);
+        let imported: Vec<_> = stream.by_ref().collect::<Result<_, _>>().unwrap();
+        assert_eq!(stream.skipped_messages(), 1);
+        assert_eq!(imported.len(), 1);
     }
 }

@@ -27,9 +27,10 @@
 //!   exactly that.
 //! * [`export`] / [`import`] — the bridges: `bgp-engine` Loc-RIBs out to
 //!   MRT (batched through [`mrt::MrtWriter`]'s reusable buffer), MRT back
-//!   in to `route_measurement::DailyDump` streams and routes for the
-//!   offline monitor — either whole-archive ([`import_table_dumps`]) or
-//!   one day at a time in constant memory ([`DailyDumpStream`]).
+//!   in through one table-dump reading ([`TableDumpWalk`], which resolves
+//!   each RIB entry's origin) to `route_measurement::DailyDump`s and routes
+//!   for the offline monitor, one day at a time in constant memory
+//!   ([`DailyDumpStream`]).
 //!
 //! Decoding is panic-free on arbitrary input: every failure is a typed
 //! [`WireError`] carrying the byte offset of the problem.
@@ -70,9 +71,7 @@ pub mod view;
 
 pub use error::{WireError, WireErrorKind};
 pub use export::{export_rib_snapshot, export_update_stream, ExportSummary};
-pub use import::{
-    import_table_dumps, import_update_stream, DailyDumpStream, DayImport, ImportedTables,
-};
+pub use import::{import_update_stream, DailyDumpStream, DayImport, TableDumpWalk};
 pub use view::{
     AttrInterner, AttrsView, Bgp4mpView, CapabilityIter, MessageView, MrtBodyView, MrtRecordView,
     MrtViewReader, NotificationView, OpenView, PeerIndexTableView, Prefix6Iter, Rib6View,

@@ -1874,6 +1874,12 @@ impl<R: io::Read> MrtViewReader<R> {
         self.timestamp
     }
 
+    /// Stream offset of the buffered record's header — where an error about
+    /// the record as a whole is reported.
+    pub(crate) fn record_offset(&self) -> u64 {
+        self.record_base
+    }
+
     /// Parses the buffered record into a borrowed view.
     ///
     /// # Errors

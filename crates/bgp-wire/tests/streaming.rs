@@ -1,6 +1,6 @@
-//! Streaming-import behavior: `DailyDumpStream` yields the same per-day
-//! picture as the whole-archive importer, and its working set is bounded by
-//! the largest day — not the archive length.
+//! Streaming-import behavior: `DailyDumpStream` yields each day's origins as
+//! written, one import per contiguous day group, and its working set is
+//! bounded by the largest day — not the archive length.
 
 use std::io::{self, Read};
 
@@ -9,8 +9,8 @@ use bgp_wire::bgp::PathAttributes;
 use bgp_wire::mrt::{
     MrtBody, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
 };
-use bgp_wire::{day_to_timestamp, import_table_dumps, DailyDumpStream};
-use route_measurement::{origin_events, OriginEventTracker};
+use bgp_wire::{day_to_timestamp, DailyDumpStream};
+use route_measurement::DailyDump;
 
 /// Two peers, as a real collector would have several.
 fn table_record(day: u32) -> MrtRecord {
@@ -111,6 +111,19 @@ impl Read for ArchiveGenerator {
     }
 }
 
+/// The day's origins as [`rib_record`] writes them, observed in memory.
+fn expected_dump(day: u32, prefixes: u32) -> DailyDump {
+    let mut dump = DailyDump::new(day);
+    for i in 0..prefixes {
+        let prefix = Ipv4Prefix::new((10 << 24) | (i << 8), 24);
+        dump.observe(prefix, Asn(1000 + i));
+        if i.is_multiple_of(3) {
+            dump.observe(prefix, Asn(8584 + (day + i) % 2));
+        }
+    }
+    dump
+}
+
 #[test]
 fn streaming_matches_in_memory_per_day() {
     const DAYS: u32 = 6;
@@ -120,20 +133,17 @@ fn streaming_matches_in_memory_per_day() {
         bytes.extend_from_slice(&day_bytes(day, PREFIXES));
     }
 
-    let in_memory = import_table_dumps(bytes.as_slice()).unwrap();
-    let mut stream = DailyDumpStream::new(bytes.as_slice());
+    let mut stream = DailyDumpStream::new(bytes.as_slice()).collect_routes(true);
     let streamed: Vec<_> = stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
 
-    assert_eq!(in_memory.dumps.len(), DAYS as usize);
     assert_eq!(streamed.len(), DAYS as usize);
-    for (batch, day) in in_memory.dumps.iter().zip(&streamed) {
-        assert_eq!(batch.day(), day.day);
-        assert_eq!(batch.prefix_count(), day.dump.prefix_count());
-        assert_eq!(batch.moas_count(), day.dump.moas_count());
-        assert!(day.dump.moas_count() > 0, "synthetic days carry MOAS");
+    for (day, import) in (0..DAYS).zip(&streamed) {
+        assert_eq!(import.day, day);
+        assert_eq!(import.dump, expected_dump(day, PREFIXES));
+        assert!(import.dump.moas_count() > 0, "synthetic days carry MOAS");
+        assert_eq!(import.routes.len(), import.rib_entries);
     }
     let total_entries: usize = streamed.iter().map(|d| d.rib_entries).sum();
-    assert_eq!(total_entries, in_memory.routes.len());
     // Every entry written is counted (one per prefix, a second on every
     // third) and every byte of the archive is consumed.
     assert_eq!(
@@ -141,26 +151,6 @@ fn streaming_matches_in_memory_per_day() {
         (DAYS * (PREFIXES + PREFIXES.div_ceil(3))) as usize
     );
     assert_eq!(stream.bytes_read(), bytes.len() as u64);
-}
-
-#[test]
-fn streaming_origin_events_match_batch() {
-    const DAYS: u32 = 5;
-    let mut bytes = Vec::new();
-    for day in 0..DAYS {
-        bytes.extend_from_slice(&day_bytes(day, 30));
-    }
-
-    let in_memory = import_table_dumps(bytes.as_slice()).unwrap();
-    let batch_events = origin_events(&in_memory.dumps);
-
-    let mut tracker = OriginEventTracker::new();
-    let mut streamed_events = Vec::new();
-    for day in DailyDumpStream::new(bytes.as_slice()) {
-        tracker.advance(&day.unwrap().dump, &mut streamed_events);
-    }
-    assert_eq!(streamed_events, batch_events);
-    assert!(!streamed_events.is_empty());
 }
 
 #[test]
@@ -194,9 +184,9 @@ fn working_set_is_bounded_by_largest_day() {
 }
 
 #[test]
-fn unordered_archives_merge_per_day_in_memory() {
-    // Interleave two groups of the same day: the stream yields two groups,
-    // the in-memory importer merges them into one dump.
+fn unordered_archives_yield_one_import_per_contiguous_day_group() {
+    // Two groups of the same day with another day between them come back as
+    // three imports, each holding only its own group's prefixes.
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&day_bytes(0, 10));
     bytes.extend_from_slice(&day_bytes(1, 10));
@@ -206,12 +196,10 @@ fn unordered_archives_merge_per_day_in_memory() {
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     assert_eq!(
-        streamed.iter().map(|d| d.day).collect::<Vec<_>>(),
-        vec![0, 1, 0]
+        streamed
+            .iter()
+            .map(|d| (d.day, d.dump.prefix_count()))
+            .collect::<Vec<_>>(),
+        vec![(0, 10), (1, 10), (0, 20)]
     );
-
-    let in_memory = import_table_dumps(bytes.as_slice()).unwrap();
-    let days: Vec<u32> = in_memory.dumps.iter().map(|d| d.day()).collect();
-    assert_eq!(days, vec![0, 1]);
-    assert_eq!(in_memory.dumps[0].prefix_count(), 20);
 }

@@ -6,7 +6,7 @@ use std::io;
 
 use bgp_types::{Asn, Covering, Ipv4Prefix, MoasList, PrefixTrie};
 use bgp_wire::mrt::{MrtBody, PeerIndexTable};
-use bgp_wire::{MrtBodyView, MrtViewReader, WireError, WireErrorKind};
+use bgp_wire::{MrtViewReader, TableDumpWalk, WireError, WireErrorKind};
 use experiments::json::{Json, JsonError};
 
 /// One `(prefix, origin)` change to apply to the table.
@@ -310,50 +310,25 @@ impl OriginTable {
     }
 
     /// Derives a table from an MRT table-dump archive: a prefix's MOAS list
-    /// is the union of origins observed across the whole archive (the
-    /// paper's derivation of MOAS lists from route collectors, applied
-    /// archive-wide).
+    /// is the union, over every day, of each RIB entry's origin — the
+    /// `AS_PATH` origin, else the reporting peer's ASN, as
+    /// [`TableDumpWalk`] resolves it (the paper's derivation of MOAS lists
+    /// from route collectors, applied archive-wide). MOAS lists carried in
+    /// communities are not read.
     ///
     /// Runs on the allocation-free ingest path: records stream through one
-    /// reusable buffer ([`MrtViewReader`]), each RIB entry's origin is read
-    /// straight off the wire, and the `(prefix, origin)` pairs are sorted
-    /// and bulk-loaded into the trie in one pass
-    /// ([`PrefixTrie::extend_sorted`]).
+    /// reusable buffer, each RIB entry's origin is read straight off the
+    /// wire, and the `(prefix, origin)` pairs are sorted and bulk-loaded
+    /// into the trie in one pass ([`PrefixTrie::extend_sorted`]).
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O or wire-decoding error.
+    /// The [`TableDumpWalk`]'s first I/O or wire-decoding error.
     pub fn from_mrt<R: io::Read>(reader: R, session_id: u16) -> Result<Self, WireError> {
-        let mut mrt = MrtViewReader::new(reader);
-        let mut peer_table: Option<PeerIndexTable> = None;
+        let mut walk = TableDumpWalk::new(reader);
         let mut pairs: Vec<(Ipv4Prefix, Asn)> = Vec::new();
-        while mrt.advance()? {
-            let view = mrt.view()?;
-            match view.body {
-                MrtBodyView::PeerIndexTable(table) => peer_table = Some(table.to_table()),
-                MrtBodyView::RibIpv4Unicast(rib) => {
-                    let table = peer_table.as_ref().ok_or(WireError {
-                        kind: WireErrorKind::MissingPeerIndexTable,
-                        offset: 0,
-                    })?;
-                    for entry in rib.entries() {
-                        let peer =
-                            table
-                                .peers
-                                .get(usize::from(entry.peer_index))
-                                .ok_or(WireError {
-                                    kind: WireErrorKind::BadPeerIndex(entry.peer_index),
-                                    offset: 0,
-                                })?;
-                        let origin = entry.attrs.origin_asn().unwrap_or(peer.asn);
-                        pairs.push((rib.prefix(), origin));
-                    }
-                }
-                // The daemon serves the paper's IPv4 MOAS lists; IPv6 RIB
-                // records are validated but not tabulated.
-                MrtBodyView::RibIpv6Unicast(_) => {}
-                MrtBodyView::Bgp4mpMessage(_) => {}
-            }
+        while walk.advance()? {
+            walk.visit(|prefix, origin, _| pairs.push((prefix, origin)))?;
         }
         pairs.sort_unstable();
         pairs.dedup();
@@ -561,6 +536,7 @@ mod tests {
     use bgp_types::{AsPath, AsPathSegment, Route};
     use bgp_wire::bgp::{PathAttributes, UpdateMessage};
     use bgp_wire::day_to_timestamp;
+    use bgp_wire::export::peer_table;
     use bgp_wire::mrt::{
         Bgp4mpMessage, MrtRecord, MrtWriter, PeerEntry, RibEntry, RibIpv4Unicast, RibIpv6Unicast,
     };
@@ -717,6 +693,73 @@ mod tests {
         assert_eq!(
             kinds(&mrt_bytes(&[mrt_peer_table(0), stray])),
             (bad_index.clone(), bad_index)
+        );
+    }
+
+    #[test]
+    fn from_mrt_reports_peer_table_errors_at_the_rib_record() {
+        let prefix = p("10.0.0.0/8");
+        let rib =
+            |day, peer_index| mrt_rib(day, prefix, &[(peer_index, AsPath::origination(Asn(1)))]);
+        let one_peer = mrt_record(0, MrtBody::PeerIndexTable(peer_table(&[Asn(701)])));
+        let update = mrt_record(
+            0,
+            MrtBody::Bgp4mpMessage(Bgp4mpMessage {
+                peer_asn: Asn(701),
+                local_asn: Asn(65_000),
+                peer_addr: 701,
+                local_addr: 1,
+                message: UpdateMessage::withdraw(prefix),
+            }),
+        );
+        // Each case: the records before the failing RIB record, that
+        // record, and a valid tail that must not rescue the load.
+        let cases = [
+            (
+                vec![update],
+                rib(0, 0),
+                WireErrorKind::MissingPeerIndexTable,
+            ),
+            (
+                vec![one_peer.clone(), rib(0, 0), rib(1, 0)],
+                rib(1, 7),
+                WireErrorKind::BadPeerIndex(7),
+            ),
+        ];
+        for (before, failing, kind) in cases {
+            let offset = mrt_bytes(&before).len() as u64;
+            let mut records = before;
+            records.extend([failing, one_peer.clone(), rib(1, 0)]);
+            let err = OriginTable::from_mrt(&mrt_bytes(&records)[..], 1).unwrap_err();
+            assert_eq!((err.kind, err.offset), (kind, offset));
+            assert!(offset > 0);
+        }
+    }
+
+    #[test]
+    fn from_mrt_loads_observed_origins_not_community_lists() {
+        // The entry's MOAS-list community names AS 226, which is not on its
+        // path: the loaded list holds the path's origin alone.
+        let prefix = p("208.8.0.0/16");
+        let list: MoasList = [Asn(4), Asn(226)].into_iter().collect();
+        let route =
+            Route::new(prefix, AsPath::from_sequence([Asn(701), Asn(4)])).with_moas_list(list);
+        let rib = mrt_record(
+            0,
+            MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: 0,
+                prefix,
+                entries: vec![RibEntry {
+                    peer_index: 0,
+                    originated_time: day_to_timestamp(0),
+                    attrs: PathAttributes::from_route(&route),
+                }],
+            }),
+        );
+        let table = OriginTable::from_mrt(&mrt_bytes(&[mrt_peer_table(0), rib])[..], 1).unwrap();
+        assert_eq!(
+            table.origins(prefix).map(|list| list.iter().collect()),
+            Some(vec![Asn(4)])
         );
     }
 

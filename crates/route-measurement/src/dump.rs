@@ -67,15 +67,6 @@ impl DailyDump {
         set.extend(origins);
     }
 
-    /// Folds another dump's observations into this one (set union per
-    /// prefix). Used by streaming importers that encounter one day's records
-    /// in several runs; the day index of `other` is ignored.
-    pub fn merge(&mut self, other: &DailyDump) {
-        for (prefix, origins) in other.iter() {
-            self.origins.entry(prefix).or_default().extend(origins);
-        }
-    }
-
     /// The origin set observed for a prefix (empty if unseen).
     #[must_use]
     pub fn origins_of(&self, prefix: Ipv4Prefix) -> BTreeSet<Asn> {

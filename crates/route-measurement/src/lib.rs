@@ -46,9 +46,7 @@ pub use detector::{
 pub use dump::DailyDump;
 pub use flap::{FlapDampingConfig, FlapDampingDetector};
 pub use stats::{daily_moas_counts, duration_histogram, median, MeasurementSummary};
-pub use stream::{
-    daily_moas_onsets, origin_events, OriginEvent, OriginEventKind, OriginEventTracker,
-};
+pub use stream::{OriginEvent, OriginEventKind, OriginEventTracker};
 pub use timeline::{
     generate_timeline, CaseRecord, Cause, FaultEvent, GeneratedTimeline, TimelineConfig,
 };

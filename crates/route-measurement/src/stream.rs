@@ -5,7 +5,9 @@
 //! dump interval — the paper's own footnote 2 calls this out. This module
 //! derives the *update-level* view: one [`OriginEvent`] per (prefix, origin)
 //! appearance or disappearance, which is what an on-line monitoring process
-//! (§4.2) would consume.
+//! (§4.2) would consume. [`OriginEventTracker`] derives it one day at a
+//! time, so it follows a streamed archive (`bgp_wire::DailyDumpStream`)
+//! without holding more than a day.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -67,46 +69,13 @@ impl fmt::Display for OriginEvent {
     }
 }
 
-/// Reconstructs the origin-level update stream from consecutive daily dumps:
-/// a diff per day, in (day, prefix, origin) order.
+/// Reconstructs the origin-level update stream from consecutive daily
+/// dumps, one day at a time: each [`advance`](Self::advance) appends that
+/// day's diff against the previous day, in (prefix, origin) order.
 ///
-/// # Example
-///
-/// ```
-/// use bgp_types::Asn;
-/// use route_measurement::{origin_events, DailyDump};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let prefix = "208.8.0.0/16".parse()?;
-/// let mut day0 = DailyDump::new(0);
-/// day0.observe(prefix, Asn(4));
-/// let mut day1 = DailyDump::new(1);
-/// day1.observe(prefix, Asn(4));
-/// day1.observe(prefix, Asn(8584)); // the fault appears
-///
-/// let events = origin_events(&[day0, day1]);
-/// assert_eq!(events.len(), 2); // day-0 appearance of AS4, day-1 of AS8584
-/// assert!(events[1].enters_moas());
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn origin_events(dumps: &[DailyDump]) -> Vec<OriginEvent> {
-    let mut tracker = OriginEventTracker::new();
-    let mut events = Vec::new();
-    for dump in dumps {
-        tracker.advance(dump, &mut events);
-    }
-    events
-}
-
-/// Incremental form of [`origin_events`]: feed dumps one day at a time and
-/// collect each day's events as they emerge.
-///
-/// Streaming consumers (an MRT importer walking an archive far larger than
-/// memory) cannot hand the whole dump series to [`origin_events`]; this
-/// tracker holds only the previous day's origin table — the working set is
-/// one day regardless of archive length.
+/// The tracker holds only the previous day's origin table, so a streaming
+/// consumer (an MRT importer walking an archive far larger than memory)
+/// keeps a working set of one day regardless of archive length.
 ///
 /// # Example
 ///
@@ -120,13 +89,13 @@ pub fn origin_events(dumps: &[DailyDump]) -> Vec<OriginEvent> {
 /// day0.observe(prefix, Asn(4));
 /// let mut day1 = DailyDump::new(1);
 /// day1.observe(prefix, Asn(4));
-/// day1.observe(prefix, Asn(8584));
+/// day1.observe(prefix, Asn(8584)); // the fault appears
 ///
 /// let mut tracker = OriginEventTracker::new();
 /// let mut events = Vec::new();
 /// tracker.advance(&day0, &mut events);
 /// tracker.advance(&day1, &mut events);
-/// assert_eq!(events.len(), 2);
+/// assert_eq!(events.len(), 2); // day-0 appearance of AS4, day-1 of AS8584
 /// assert!(events[1].enters_moas());
 /// # Ok(())
 /// # }
@@ -184,19 +153,6 @@ impl OriginEventTracker {
     }
 }
 
-/// Per-day count of prefixes *entering* MOAS state: the on-line alarm rate an
-/// operator would see, as opposed to Figure 4's standing daily count.
-#[must_use]
-pub fn daily_moas_onsets(dumps: &[DailyDump]) -> BTreeMap<u32, usize> {
-    let mut out = BTreeMap::new();
-    for event in origin_events(dumps) {
-        if event.enters_moas() {
-            *out.entry(event.day).or_insert(0) += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,9 +162,18 @@ mod tests {
         Ipv4Prefix::new(i << 16, 16)
     }
 
+    fn tracked_events(dumps: &[DailyDump]) -> Vec<OriginEvent> {
+        let mut tracker = OriginEventTracker::new();
+        let mut events = Vec::new();
+        for dump in dumps {
+            tracker.advance(dump, &mut events);
+        }
+        events
+    }
+
     #[test]
     fn empty_stream() {
-        assert!(origin_events(&[]).is_empty());
+        assert!(tracked_events(&[]).is_empty());
     }
 
     #[test]
@@ -217,7 +182,7 @@ mod tests {
         d0.observe(p(1), Asn(10));
         d0.observe(p(1), Asn(11));
         let d1 = DailyDump::new(1); // everything withdrawn
-        let events = origin_events(&[d0, d1]);
+        let events = tracked_events(&[d0, d1]);
         assert_eq!(events.len(), 4);
         let announced = events
             .iter()
@@ -243,7 +208,7 @@ mod tests {
         d1.observe(p(1), Asn(11));
         let mut d2 = DailyDump::new(2);
         d2.observe(p(1), Asn(10));
-        let events = origin_events(&[d0, d1, d2]);
+        let events = tracked_events(&[d0, d1, d2]);
         let onsets: Vec<&OriginEvent> = events.iter().filter(|e| e.enters_moas()).collect();
         assert_eq!(onsets.len(), 1);
         assert_eq!(onsets[0].day, 1);
@@ -270,10 +235,16 @@ mod tests {
             seed: 3,
         };
         let timeline = generate_timeline(&config);
-        let onsets = daily_moas_onsets(&timeline.dumps);
-        let spike = onsets.get(&20).copied().unwrap_or(0);
+        let events = tracked_events(&timeline.dumps);
+        let onsets = |day: u32| {
+            events
+                .iter()
+                .filter(|e| e.day == day && e.enters_moas())
+                .count()
+        };
+        let spike = onsets(20);
         assert!(spike >= 25, "onset spike {spike}");
-        let quiet = onsets.get(&10).copied().unwrap_or(0);
+        let quiet = onsets(10);
         assert!(quiet < 5, "quiet day onsets {quiet}");
     }
 

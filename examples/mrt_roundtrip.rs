@@ -11,7 +11,7 @@ use moas::detection::OfflineMonitor;
 use moas::topology::paper::PaperTopology;
 use moas::types::MoasList;
 use moas::wire::mrt::MrtWriter;
-use moas::wire::{export_rib_snapshot, import_table_dumps};
+use moas::wire::{export_rib_snapshot, DailyDumpStream};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's 46-AS topology; two stubs legitimately multihome one
@@ -46,21 +46,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         archive.len()
     );
 
-    // Import: the measurement side reads the same bytes back.
-    let imported = import_table_dumps(archive.as_slice())?;
-    let dump = &imported.dumps[0];
+    // Import: the measurement side reads the same bytes back one day at a
+    // time, as it would a Route Views archive, keeping each day's routes.
+    let mut stream = DailyDumpStream::new(archive.as_slice()).collect_routes(true);
+    let day = stream.next_day()?.ok_or("the archive holds no day")?;
     println!(
         "imported day {}: {} prefixes, {} MOAS cases",
-        dump.day(),
-        dump.prefix_count(),
-        dump.moas_count()
+        day.day,
+        day.dump.prefix_count(),
+        day.dump.moas_count()
     );
 
-    // The off-line monitor (§4.2) scans the imported routes: the benign
+    // The off-line monitor (§4.2) scans the day's routes: the benign
     // multihomed prefix carries a consistent two-member list everywhere,
     // while the disputed prefix shows conflicting implicit lists.
-    let findings =
-        OfflineMonitor::new().scan(imported.routes.iter().map(|(_, route)| route.clone()));
+    let findings = OfflineMonitor::new().scan(day.routes);
     for finding in &findings {
         println!("FINDING: {finding}");
     }

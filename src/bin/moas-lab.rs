@@ -52,7 +52,7 @@ COMMANDS:
     measure [--days N]              Run the §3 measurement study (Figures 4-5)
     topology <25|46|63>             Show a canonical experiment topology
     trial [--topology N] [--attackers N] [--origins N] [--deployment full|half|none] [--seed S]
-          [--shards N]              Run one simulation trial and print the outcome
+          [--jobs N] [--shards N]   Run one simulation trial and print the outcome
     ablations [--jobs N] [--shards N]
                                     Run the §4.3-§4.4 limitation studies
     overhead [--jobs N]             Measure the MOAS-list table overhead
@@ -64,7 +64,8 @@ COMMANDS:
                                     session-notification-storm, session-capability-mismatch,
                                     session-tcp-reset, session-corruption) replay seeded fault
                                     campaigns against live RFC 4271 FSM pairs instead and
-                                    report recovery/delivery rates (same flags minus --shards)
+                                    report recovery/delivery rates (same flags minus
+                                    --shards and --metrics)
     chaos --scenario NAME --deployment-sweep [--fractions a,b,c] ...
                                     Same scenario at several detector deployment
                                     fractions (default 0,0.25,0.5,0.75,1): accuracy
@@ -82,9 +83,11 @@ COMMANDS:
                                     misses per detector
     metrics-summary FILE            Render a --metrics snapshot as a readable table
 
-    figures, ablations, overhead and chaos accept --metrics FILE: write a
-    JSON metrics snapshot (event counts, per-session update counters,
-    convergence histograms, per-link fault stats) alongside the report.
+    figures, ablations, overhead, ensemble and chaos (but not its
+    session-layer scenarios) accept --metrics FILE: write a JSON metrics
+    snapshot (event counts, per-session update counters, convergence
+    histograms, per-link fault stats) alongside the report. A flag the
+    command does not read is an error.
     --jobs N defaults to the available hardware parallelism; results —
     including --metrics snapshots — are bit-identical for every N (trials
     fan out, aggregation order is fixed).
@@ -117,9 +120,7 @@ COMMANDS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let checked = check_unknown_flags(&args)
-        .and_then(|()| check_value_flags(&args))
-        .and_then(|()| check_shards(command, &args));
+    let checked = check_flags(command, &args).and_then(|()| check_value_flags(&args));
     if let Err(message) = checked {
         eprintln!("{message}");
         return ExitCode::FAILURE;
@@ -213,24 +214,85 @@ const VALUE_FLAGS: &[ValueFlag] = &[
     ("--mrt", "a file path", |_| true),
 ];
 
-/// Every flag that takes no value.
-const BOOL_FLAGS: &[&str] = &[
-    "--quick",
-    "--deployment-sweep",
-    "--offline-scan",
-    "--read-only",
+/// The flags each command reads, space-separated. `chaos` has three rows —
+/// its network scenarios, their deployment sweep and the session-layer
+/// scenarios — each named as the error messages name it ([`command_row`]).
+/// A `--` argument in no row is an unknown flag.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("figures", "--quick --jobs --shards --metrics"),
+    ("measure", "--days"),
+    ("topology", ""),
+    (
+        "trial",
+        "--topology --attackers --origins --deployment --seed --jobs --shards",
+    ),
+    ("ablations", "--jobs --shards --metrics"),
+    ("overhead", "--jobs --metrics"),
+    (
+        "chaos",
+        "--scenario --trials --seed --jobs --shards --quick --out --metrics",
+    ),
+    (
+        "chaos --deployment-sweep",
+        "--scenario --deployment-sweep --fractions --trials --seed --jobs --shards --quick --out \
+         --metrics",
+    ),
+    (
+        "the session-layer chaos scenarios",
+        "--scenario --trials --seed --jobs --quick --out",
+    ),
+    (
+        "ensemble",
+        "--quick --trials --seed --jobs --out --metrics --dwell --sibling-fraction \
+         --community-policy",
+    ),
+    ("metrics-summary", ""),
+    ("export-mrt", "--out --days --topology --seed"),
+    ("import-mrt", "--offline-scan"),
+    (
+        "daemon-probe",
+        "--http --feed --prefix --asn --read-only --connect-attempts",
+    ),
+    ("session-replay", "--mrt --bgp --asn --hold --limit"),
+    ("help", ""),
 ];
 
-/// A misspelt flag would otherwise be ignored: `figures --quik` ran the full
-/// protocol. Rejects any `--` argument after the command that is in neither
-/// table and is not the value of a value flag.
-fn check_unknown_flags(args: &[String]) -> Result<(), String> {
-    let mut rest = args.iter().skip(1);
+/// The [`COMMAND_FLAGS`] row that `command` with these arguments runs as.
+fn command_row<'a>(command: &'a str, args: &[String]) -> &'a str {
+    match command {
+        "chaos" if option::<SessionChaosScenario>(args, "--scenario").is_some() => {
+            "the session-layer chaos scenarios"
+        }
+        "chaos" if flag(args, "--deployment-sweep") => "chaos --deployment-sweep",
+        other => other,
+    }
+}
+
+/// A flag a command does not read would otherwise be ignored: `figures
+/// --quik` ran the full protocol, `trial --metrics t.json` wrote nothing and
+/// `chaos --fractions 0.5` without `--deployment-sweep` dropped the
+/// fractions. Rejects any `--` argument after the command, other than a
+/// value flag's value, that is in no [`COMMAND_FLAGS`] row, or not in the
+/// command's row.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let row = command_row(command, args);
+    let reads = |flags: &str, arg: &str| flags.split_whitespace().any(|flag| flag == arg);
+    let row_flags = COMMAND_FLAGS
+        .iter()
+        .find(|&&(name, _)| name == row)
+        .map(|&(_, flags)| flags);
+    let mut rest = args.iter().skip(1).map(String::as_str);
     while let Some(arg) = rest.next() {
         if VALUE_FLAGS.iter().any(|&(name, ..)| name == arg) {
             rest.next();
-        } else if arg.starts_with("--") && !BOOL_FLAGS.contains(&arg.as_str()) {
+        } else if !arg.starts_with("--") {
+            continue;
+        }
+        if !COMMAND_FLAGS.iter().any(|&(_, flags)| reads(flags, arg)) {
             return Err(format!("unknown flag {arg:?}"));
+        }
+        if row_flags.is_some_and(|flags| !reads(flags, arg)) {
+            return Err(format!("{arg} does not apply to {row}"));
         }
     }
     Ok(())
@@ -238,7 +300,8 @@ fn check_unknown_flags(args: &[String]) -> Result<(), String> {
 
 /// [`option`] treats a value that fails to parse like an absent flag, which
 /// would turn `--shards two` into a silent one-shard run and `--deployment
-/// ful` into full deployment; reject such values up front instead.
+/// ful` into full deployment; reject such values up front instead, and
+/// `--shards 0`, which names no layout.
 fn check_value_flags(args: &[String]) -> Result<(), String> {
     for &(name, expects, valid) in VALUE_FLAGS {
         let Some(idx) = args.iter().position(|a| a == name) else {
@@ -250,26 +313,8 @@ fn check_value_flags(args: &[String]) -> Result<(), String> {
             None => return Err(format!("{name} expects a value")),
         }
     }
-    Ok(())
-}
-
-/// `--shards 0` names no layout, and `ensemble`, `overhead` and the
-/// session-layer chaos scenarios have no network to partition; both would
-/// otherwise run as if the flag were absent.
-fn check_shards(command: &str, args: &[String]) -> Result<(), String> {
-    let Some(shards) = option::<u64>(args, "--shards") else {
-        return Ok(());
-    };
-    if shards == 0 {
+    if option::<u64>(args, "--shards") == Some(0) {
         return Err("--shards expects a positive integer, got 0".to_string());
-    }
-    let session_chaos =
-        command == "chaos" && option::<SessionChaosScenario>(args, "--scenario").is_some();
-    if session_chaos {
-        return Err("--shards does not apply to the session-layer chaos scenarios".to_string());
-    }
-    if matches!(command, "ensemble" | "overhead") {
-        return Err(format!("--shards does not apply to {command}"));
     }
     Ok(())
 }

@@ -36,8 +36,9 @@ USAGE:
 OPTIONS:
     --moas-list FILE    Load the table from a JSON MOAS-list file
                         ({ \"moasLists\": [{ \"prefix\": \"10.0.0.0/16\", \"origins\": [65001, 65002] }] })
-    --mrt FILE          Derive the table from an MRT table-dump archive
-                        (all days merged; MOAS lists carried in communities win)
+    --mrt FILE          Derive the table from an MRT table-dump archive: a
+                        prefix's origins are the union, over every day, of each
+                        RIB entry's AS_PATH origin (else its peer's ASN)
     --exceptions FILE   SLURM-style exception file applied to verdicts
                         (hot-reloadable via POST /reload-exceptions)
     --http ADDR         HTTP bind address       [default: 127.0.0.1:8323]

@@ -166,6 +166,58 @@ fn unknown_flags_are_errors_not_ignored() {
 }
 
 #[test]
+fn flags_a_command_does_not_read_are_errors() {
+    // Each of these used to exit 0 with the flag ignored.
+    let metrics = std::env::temp_dir().join(format!("moas-unread-{}.json", std::process::id()));
+    let m = metrics.to_str().expect("utf-8 temp path");
+    for (args, flag, command) in [
+        (
+            &["chaos", "--scenario", "session-tcp-reset", "--metrics", m][..],
+            "--metrics",
+            "session-layer",
+        ),
+        (
+            &[
+                "chaos",
+                "--scenario",
+                "session-tcp-reset",
+                "--deployment-sweep",
+                "--fractions",
+                "0.5",
+            ][..],
+            "--deployment-sweep",
+            "session-layer",
+        ),
+        (&["trial", "--metrics", m][..], "--metrics", "trial"),
+        (
+            &["figures", "--quick", "--seed", "3", "--trials", "2"][..],
+            "--seed",
+            "figures",
+        ),
+        (
+            &["measure", "--jobs", "3", "--shards", "2"][..],
+            "--jobs",
+            "measure",
+        ),
+        (
+            &["chaos", "--scenario", "failover", "--fractions", "0.5"][..],
+            "--fractions",
+            "chaos",
+        ),
+    ] {
+        let out = moas_lab(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} does not apply to")) && err.contains(command),
+            "{args:?}: {err}"
+        );
+        assert!(!metrics.exists(), "{args:?} wrote {m}");
+    }
+}
+
+#[test]
 fn overhead_reports_costs() {
     let out = moas_lab(&["overhead"]);
     assert!(out.status.success());
@@ -402,6 +454,62 @@ fn import_mrt_garbage_file_fails_cleanly() {
         err.contains("at byte"),
         "error should carry an offset: {err}"
     );
+}
+
+#[test]
+fn import_mrt_reports_a_bad_peer_index_at_its_record_and_stops() {
+    use moas::types::{AsPath, Asn, Ipv4Prefix, Route};
+    use moas::wire::bgp::PathAttributes;
+    use moas::wire::day_to_timestamp;
+    use moas::wire::export::peer_table;
+    use moas::wire::mrt::{MrtBody, MrtRecord, RibEntry, RibIpv4Unicast};
+
+    let rib = |day: u32, prefix: &str, peer_index: u16| {
+        let prefix: Ipv4Prefix = prefix.parse().unwrap();
+        MrtRecord {
+            timestamp: day_to_timestamp(day),
+            body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: 0,
+                prefix,
+                entries: vec![RibEntry {
+                    peer_index,
+                    originated_time: day_to_timestamp(day),
+                    attrs: PathAttributes::from_route(&Route::new(
+                        prefix,
+                        AsPath::from_sequence([Asn(701), Asn(4)]),
+                    )),
+                }],
+            }),
+        }
+    };
+    // Day 0 imports; on day 1 a record names peer 7 of a one-peer table.
+    let mut archive = MrtRecord {
+        timestamp: day_to_timestamp(0),
+        body: MrtBody::PeerIndexTable(peer_table(&[Asn(701)])),
+    }
+    .encode()
+    .unwrap();
+    for record in [rib(0, "10.0.0.0/8", 0), rib(1, "10.0.0.0/8", 0)] {
+        archive.extend_from_slice(&record.encode().unwrap());
+    }
+    let offset = archive.len();
+    for record in [rib(1, "11.0.0.0/8", 7), rib(1, "12.0.0.0/8", 0)] {
+        archive.extend_from_slice(&record.encode().unwrap());
+    }
+    let path = std::env::temp_dir().join(format!("moas-cli-peer-{}.mrt", std::process::id()));
+    std::fs::write(&path, &archive).unwrap();
+    let out = moas_lab(&["import-mrt", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("peer index 7") && err.contains(&format!("at byte {offset}")),
+        "{err}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("day 0:"), "{stdout}");
+    assert!(!stdout.contains("day 1:"), "{stdout}");
 }
 
 #[test]

@@ -13,7 +13,7 @@ use moas::topology::{AsGraph, AsRole};
 use moas::types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use moas::wire::bgp::PathAttributes;
 use moas::wire::mrt::{MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast};
-use moas::wire::{day_to_timestamp, import_table_dumps, WireErrorKind};
+use moas::wire::{day_to_timestamp, DailyDumpStream, WireError, WireErrorKind};
 
 fn prefix() -> Ipv4Prefix {
     "208.8.0.0/16".parse().unwrap()
@@ -263,15 +263,27 @@ fn archive_with_conflict() -> Vec<u8> {
     bytes
 }
 
+/// Streams an archive the way `moas-lab import-mrt --offline-scan` does:
+/// every day's RIB routes, and the daily MOAS counts summed.
+fn import(bytes: &[u8]) -> Result<(Vec<Route>, usize), WireError> {
+    let mut routes = Vec::new();
+    let mut moas = 0;
+    for day in DailyDumpStream::new(bytes).collect_routes(true) {
+        let day = day?;
+        moas += day.dump.moas_count();
+        routes.extend(day.routes);
+    }
+    Ok((routes, moas))
+}
+
 #[test]
 fn intact_archive_reaches_the_offline_monitor() {
     // Baseline for the corruption tests: the clean archive imports, and the
     // off-line monitor flags the inconsistent-list MOAS conflict.
-    let imported = import_table_dumps(archive_with_conflict().as_slice()).unwrap();
-    assert_eq!(imported.routes.len(), 3);
-    assert_eq!(imported.total_moas_count(), 1);
-    let findings =
-        OfflineMonitor::new().scan(imported.routes.iter().map(|(_, route)| route.clone()));
+    let (routes, moas) = import(archive_with_conflict().as_slice()).unwrap();
+    assert_eq!(routes.len(), 3);
+    assert_eq!(moas, 1);
+    let findings = OfflineMonitor::new().scan(routes);
     assert_eq!(findings.len(), 1, "the forged list must be flagged");
     assert!(findings[0].origins.contains(&Asn(52)));
 }
@@ -285,8 +297,8 @@ fn corrupt_mrt_archive_errors_cleanly_at_every_byte() {
     for position in 0..bytes.len() {
         let mut mutated = bytes.clone();
         mutated[position] ^= 0x55;
-        match import_table_dumps(mutated.as_slice()) {
-            Ok(imported) => assert!(imported.routes.len() <= 3),
+        match import(mutated.as_slice()) {
+            Ok((routes, _)) => assert!(routes.len() <= 3),
             Err(err) => assert!(
                 err.offset <= bytes.len() as u64 + 1,
                 "offset {} beyond archive at flipped byte {position}: {err}",
@@ -302,8 +314,8 @@ fn truncated_mrt_archive_errors_or_imports_the_intact_prefix() {
     // mid-record must produce a Truncated error, not a panic.
     let bytes = archive_with_conflict();
     for cut in 0..bytes.len() {
-        match import_table_dumps(&bytes[..cut]) {
-            Ok(imported) => assert!(imported.routes.len() < 3),
+        match import(&bytes[..cut]) {
+            Ok((routes, _)) => assert!(routes.len() < 3),
             Err(err) => assert!(
                 matches!(err.kind, WireErrorKind::Truncated { .. }),
                 "cut at {cut}: unexpected {err}"
@@ -320,6 +332,6 @@ fn rib_before_peer_table_is_a_typed_error() {
     // The MRT record length field (bytes 8..12 of the header) gives the
     // first record's full extent without re-encoding it.
     let body_len = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let err = import_table_dumps(&bytes[12 + body_len..]).unwrap_err();
+    let err = import(&bytes[12 + body_len..]).unwrap_err();
     assert!(matches!(err.kind, WireErrorKind::MissingPeerIndexTable));
 }

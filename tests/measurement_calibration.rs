@@ -158,15 +158,26 @@ fn simultaneous_moas_stays_under_3000_outside_fault_days() {
 
 #[test]
 fn update_stream_onsets_spike_on_fault_days() {
-    use moas::measurement::daily_moas_onsets;
+    use moas::measurement::OriginEventTracker;
     let timeline = full_timeline();
-    let onsets = daily_moas_onsets(&timeline.dumps);
-    let fault98 = onsets.get(&150).copied().unwrap_or(0);
-    let fault01 = onsets.get(&1245).copied().unwrap_or(0);
+    // Prefixes entering MOAS state per day, one day at a time, as an
+    // on-line monitor would see them.
+    let mut tracker = OriginEventTracker::new();
+    let mut events = Vec::new();
+    let onsets: Vec<usize> = timeline
+        .dumps
+        .iter()
+        .map(|dump| {
+            events.clear();
+            tracker.advance(dump, &mut events);
+            events.iter().filter(|e| e.enters_moas()).count()
+        })
+        .collect();
+    let (fault98, fault01) = (onsets[150], onsets[1245]);
     assert!(fault98 >= 1000, "1998 onset burst {fault98}");
     assert!(fault01 >= 5000, "2001 onset burst {fault01}");
     // A typical quiet day sees only churn/jitter-scale onsets.
-    let quiet = onsets.get(&400).copied().unwrap_or(0);
+    let quiet = onsets[400];
     assert!(quiet < 100, "quiet-day onsets {quiet}");
 }
 
