@@ -15,8 +15,6 @@ pub enum DeriveError {
     NoStubs,
     /// Pruning removed everything (e.g. a degenerate input graph).
     Degenerate,
-    /// The pipeline's final inspection failed: the result is not connected.
-    Disconnected,
 }
 
 impl fmt::Display for DeriveError {
@@ -24,7 +22,6 @@ impl fmt::Display for DeriveError {
         let s = match self {
             DeriveError::NoStubs => "input graph has no stub ASes to sample",
             DeriveError::Degenerate => "pruning removed every AS",
-            DeriveError::Disconnected => "derived topology is not connected",
         };
         f.write_str(s)
     }
@@ -45,9 +42,7 @@ impl Error for DeriveError {}
 ///
 /// Stubs whose providers were all pruned away are removed with them (they
 /// would otherwise be isolated), and if the final graph is disconnected only
-/// the largest component survives the paper's inspection step — callers that
-/// need the strict behaviour can treat [`DeriveError::Disconnected`] from
-/// [`derive_strict`] as a resample signal.
+/// the largest component survives the paper's inspection step.
 ///
 /// # Errors
 ///
@@ -78,26 +73,6 @@ pub fn derive(graph: &AsGraph, stub_fraction: f64, seed: u64) -> Result<AsGraph,
     }
     debug_assert!(result.is_connected());
     Ok(result)
-}
-
-/// Like [`fn@derive`] but fails instead of repairing when the sampled topology
-/// is disconnected — the literal reading of the paper's "inspect" step.
-///
-/// # Errors
-///
-/// [`DeriveError::Disconnected`] when inspection fails, plus the same errors
-/// as [`fn@derive`].
-pub fn derive_strict(
-    graph: &AsGraph,
-    stub_fraction: f64,
-    seed: u64,
-) -> Result<AsGraph, DeriveError> {
-    let candidate = derive_raw(graph, stub_fraction, seed)?;
-    if candidate.is_connected() {
-        Ok(candidate)
-    } else {
-        Err(DeriveError::Disconnected)
-    }
 }
 
 fn derive_raw(graph: &AsGraph, stub_fraction: f64, seed: u64) -> Result<AsGraph, DeriveError> {
@@ -260,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_reports_disconnection() {
+    fn disconnected_sample_keeps_one_island() {
         // Two disjoint provider islands: sampling both sides disconnects.
         let mut g = AsGraph::new();
         for t in [1, 2, 3, 4] {
@@ -272,11 +247,8 @@ mod tests {
             g.add_as(Asn(s), AsRole::Stub);
             g.add_link(Asn(s), Asn(p));
         }
-        match derive_strict(&g, 1.0, 1) {
-            Err(DeriveError::Disconnected) => {}
-            other => panic!("expected Disconnected, got {other:?}"),
-        }
-        // The repairing variant returns one island.
+        assert!(!derive_raw(&g, 1.0, 1).unwrap().is_connected());
+        // The inspection step keeps one island.
         let repaired = derive(&g, 1.0, 1).unwrap();
         assert!(repaired.is_connected());
         assert!(repaired.len() < g.len());

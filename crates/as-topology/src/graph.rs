@@ -226,41 +226,6 @@ impl AsGraph {
         seen
     }
 
-    /// Breadth-first shortest path (in AS hops) from `from` to `to`.
-    ///
-    /// Returns the full path including both endpoints, or `None` when
-    /// unreachable. Ties are broken toward lower ASNs, deterministically.
-    #[must_use]
-    pub fn shortest_path(&self, from: Asn, to: Asn) -> Option<Vec<Asn>> {
-        if !self.contains(from) || !self.contains(to) {
-            return None;
-        }
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut parent: BTreeMap<Asn, Asn> = BTreeMap::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(asn) = queue.pop_front() {
-            for peer in self.neighbors(asn) {
-                if peer != from && !parent.contains_key(&peer) {
-                    parent.insert(peer, asn);
-                    if peer == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while cur != from {
-                            cur = parent[&cur];
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(peer);
-                }
-            }
-        }
-        None
-    }
-
     /// Retains only the ASes in `keep` (and links among them).
     #[must_use]
     pub fn induced_subgraph(&self, keep: &BTreeSet<Asn>) -> AsGraph {
@@ -363,27 +328,6 @@ mod tests {
     #[test]
     fn reachable_from_absent_is_empty() {
         assert!(line(3).reachable_from(Asn(42)).is_empty());
-    }
-
-    #[test]
-    fn shortest_path_on_line() {
-        let g = line(4);
-        assert_eq!(
-            g.shortest_path(Asn(1), Asn(4)).unwrap(),
-            vec![Asn(1), Asn(2), Asn(3), Asn(4)]
-        );
-        assert_eq!(g.shortest_path(Asn(2), Asn(2)).unwrap(), vec![Asn(2)]);
-        assert!(g.shortest_path(Asn(1), Asn(99)).is_none());
-    }
-
-    #[test]
-    fn shortest_path_prefers_fewer_hops() {
-        let mut g = line(4);
-        g.add_link(Asn(1), Asn(4));
-        assert_eq!(
-            g.shortest_path(Asn(1), Asn(4)).unwrap(),
-            vec![Asn(1), Asn(4)]
-        );
     }
 
     #[test]

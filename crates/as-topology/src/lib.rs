@@ -46,7 +46,7 @@ mod partition;
 mod relationships;
 mod table;
 
-pub use derive::{derive, derive_strict, DeriveError};
+pub use derive::{derive, DeriveError};
 pub use gen::{InternetModel, ScaleFreeModel};
 pub use graph::{AsGraph, AsRole};
 pub use infer::infer_graph;

@@ -9,8 +9,6 @@
 //! seeded assignment on top of a built graph; the ensemble workloads use it
 //! to pick legitimate multi-origin casts.
 
-use std::collections::BTreeMap;
-
 use bgp_types::Asn;
 use rand::Rng;
 
@@ -23,9 +21,6 @@ pub struct OrgAnnotations {
     siblings: Vec<(Asn, Asn)>,
     /// Disjoint anycast groups, members sorted.
     anycast: Vec<Vec<Asn>>,
-    /// Reverse index: member AS -> organization id (sibling pairs and
-    /// anycast groups share one id space; siblings first).
-    member_org: BTreeMap<Asn, usize>,
 }
 
 impl OrgAnnotations {
@@ -58,9 +53,6 @@ impl OrgAnnotations {
                 break;
             };
             let pair = if a <= b { (a, b) } else { (b, a) };
-            let org = annotations.siblings.len();
-            annotations.member_org.insert(pair.0, org);
-            annotations.member_org.insert(pair.1, org);
             annotations.siblings.push(pair);
         }
         for _ in 0..anycast_groups {
@@ -69,10 +61,6 @@ impl OrgAnnotations {
                 break;
             }
             group.sort_unstable();
-            let org = annotations.siblings.len() + annotations.anycast.len();
-            for &member in &group {
-                annotations.member_org.insert(member, org);
-            }
             annotations.anycast.push(group);
         }
         // Consume the RNG no further: callers deriving more randomness from
@@ -93,40 +81,16 @@ impl OrgAnnotations {
         &self.anycast
     }
 
-    /// The other half of `asn`'s sibling pair, if it is in one.
-    #[must_use]
-    pub fn sibling_of(&self, asn: Asn) -> Option<Asn> {
-        self.siblings.iter().find_map(|&(a, b)| {
-            if a == asn {
-                Some(b)
-            } else if b == asn {
-                Some(a)
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Whether two ASes belong to the same organization (sibling pair or
-    /// anycast group).
-    #[must_use]
-    pub fn same_org(&self, a: Asn, b: Asn) -> bool {
-        match (self.member_org.get(&a), self.member_org.get(&b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
     /// Total annotated ASes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.member_org.len()
+        2 * self.siblings.len() + self.anycast.iter().map(Vec::len).sum::<usize>()
     }
 
     /// `true` when nothing was annotated (e.g. an all-transit graph).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.member_org.is_empty()
+        self.siblings.is_empty() && self.anycast.is_empty()
     }
 }
 
@@ -159,33 +123,13 @@ mod tests {
         // 4*2 + 2*3 distinct members.
         assert_eq!(ann.len(), 14);
         assert!(!ann.is_empty());
-    }
-
-    #[test]
-    fn sibling_lookup_is_symmetric() {
-        let g = graph();
-        let ann = OrgAnnotations::sample(&g, 3, 0, 3, 5);
+        let mut members = std::collections::BTreeSet::new();
         for &(a, b) in ann.sibling_pairs() {
-            assert!(a < b);
-            assert_eq!(ann.sibling_of(a), Some(b));
-            assert_eq!(ann.sibling_of(b), Some(a));
-            assert!(ann.same_org(a, b));
+            assert!(a < b, "pairs are sorted low-ASN-first");
+            members.extend([a, b]);
         }
-        assert_eq!(ann.sibling_of(Asn(999_999)), None);
-    }
-
-    #[test]
-    fn different_orgs_are_not_same_org() {
-        let g = graph();
-        let ann = OrgAnnotations::sample(&g, 2, 1, 3, 5);
-        let (a, _) = ann.sibling_pairs()[0];
-        let (c, _) = ann.sibling_pairs()[1];
-        assert!(!ann.same_org(a, c));
-        let anycast_member = ann.anycast_groups()[0][0];
-        assert!(!ann.same_org(a, anycast_member));
-        // Anycast members share an org among themselves.
-        let g0 = &ann.anycast_groups()[0];
-        assert!(ann.same_org(g0[0], g0[1]));
+        members.extend(ann.anycast_groups().iter().flatten().copied());
+        assert_eq!(members.len(), ann.len());
     }
 
     #[test]

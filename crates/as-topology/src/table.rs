@@ -97,17 +97,6 @@ impl RouteTable {
         map
     }
 
-    /// Prefixes announced by more than one origin AS: the MOAS cases visible
-    /// in this table.
-    #[must_use]
-    pub fn moas_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.origins_by_prefix()
-            .into_iter()
-            .filter(|(_, origins)| origins.len() > 1)
-            .map(|(prefix, _)| prefix)
-            .collect()
-    }
-
     /// Synthesizes the table a Route Views-style collector would record for a
     /// ground-truth topology.
     ///
@@ -242,17 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn moas_prefixes_finds_conflicts_only() {
-        let table = RouteTable::from_entries([
-            entry("10.0.0.0/16", "1 4"),
-            entry("10.0.0.0/16", "2 52"),
-            entry("10.1.0.0/16", "1 4"),
-            entry("10.1.0.0/16", "2 4"),
-        ]);
-        assert_eq!(table.moas_prefixes(), vec!["10.0.0.0/16".parse().unwrap()]);
-    }
-
-    #[test]
     fn synthesized_table_covers_all_stubs() {
         let truth = InternetModel::new()
             .transit_count(8)
@@ -262,7 +240,7 @@ mod tests {
         // Each vantage sees every stub (the generator guarantees connectivity).
         assert_eq!(table.len(), 3 * truth.stub_asns().len());
         // No MOAS in a fault-free table: one origin per prefix.
-        assert!(table.moas_prefixes().is_empty());
+        assert!(table.origins_by_prefix().values().all(|o| o.len() == 1));
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl ConvergenceError {
             ConvergenceError::Oscillating { .. } => None,
         }
     }
-
-    /// Returns `true` for the watchdog's oscillation verdict.
-    #[must_use]
-    pub fn is_oscillating(&self) -> bool {
-        matches!(self, ConvergenceError::Oscillating { .. })
-    }
 }
 
 impl fmt::Display for ConvergenceError {
@@ -122,7 +116,6 @@ mod tests {
             pending: 3,
         };
         assert_eq!(e.processed(), Some(10));
-        assert!(!e.is_oscillating());
         assert!(e.to_string().contains("10"));
         assert!(e.to_string().contains('3'));
     }
@@ -131,7 +124,6 @@ mod tests {
     fn oscillating_display_and_accessors() {
         let e = ConvergenceError::Oscillating { cycle_len: 48 };
         assert_eq!(e.processed(), None);
-        assert!(e.is_oscillating());
         assert!(e.to_string().contains("48"));
         assert!(e.to_string().contains("oscillating"));
     }

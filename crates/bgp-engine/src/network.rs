@@ -87,12 +87,6 @@ impl<M: RouteMonitor> Network<M> {
         self.0.monitors().next().expect("exactly one shard")
     }
 
-    /// Mutable access to the monitor (e.g. to reconfigure between phases).
-    #[must_use]
-    pub fn monitor_mut(&mut self) -> &mut M {
-        self.0.monitors_mut().next().expect("exactly one shard")
-    }
-
     /// [`ShardedNetwork::run`], for any monitor type.
     ///
     /// # Errors

@@ -118,17 +118,6 @@ impl CommunityPolicyMap {
         CommunityPolicyMap::default()
     }
 
-    /// The legacy binary-stripper configuration: every AS in `strippers`
-    /// gets [`CommunityPolicy::StripMoas`], everyone else propagates.
-    #[must_use]
-    pub fn from_strippers<I: IntoIterator<Item = Asn>>(strippers: I) -> Self {
-        let mut map = CommunityPolicyMap::new();
-        for asn in strippers {
-            map.set(asn, CommunityPolicy::StripMoas);
-        }
-        map
-    }
-
     /// Assigns a policy class to one AS. [`CommunityPolicy::Propagate`]
     /// removes the entry (it is the default anyway), keeping the map minimal.
     pub fn set(&mut self, asn: Asn, policy: CommunityPolicy) {
@@ -279,6 +268,28 @@ mod tests {
         // No list attached: nothing to strip, fast path.
         let bare = Route::new(p(), AsPath::origination(Asn(4)));
         assert_eq!(CommunityPolicy::StripMoas.apply(Asn(9), &bare), None);
+
+        // A stripper set as a map: the listed ASes strip, everyone else
+        // propagates, and the wrapper sends exactly what the class builds.
+        let mut map = CommunityPolicyMap::new();
+        for asn in [Asn(3), Asn(9)] {
+            map.set(asn, CommunityPolicy::StripMoas);
+        }
+        assert_eq!(map.policy_of(Asn(4)), CommunityPolicy::Propagate);
+        assert_eq!(map.iter().count(), 2);
+        let mut monitor = CommunityPolicies::wrapping(map, NoopMonitor);
+        assert_eq!(
+            monitor.on_export(Asn(9), Asn(2), None, &r),
+            ExportAction::Replace(stripped)
+        );
+        assert_eq!(
+            monitor.on_export(Asn(9), Asn(2), None, &bare),
+            ExportAction::Forward
+        );
+        assert_eq!(
+            monitor.on_export(Asn(4), Asn(2), None, &r),
+            ExportAction::Forward
+        );
     }
 
     #[test]
@@ -319,15 +330,6 @@ mod tests {
         assert_eq!(map.len(), 1);
         map.set(Asn(7), CommunityPolicy::Propagate);
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn from_strippers_assigns_strip_moas() {
-        let map = CommunityPolicyMap::from_strippers([Asn(3), Asn(5)]);
-        assert_eq!(map.policy_of(Asn(3)), CommunityPolicy::StripMoas);
-        assert_eq!(map.policy_of(Asn(5)), CommunityPolicy::StripMoas);
-        assert_eq!(map.policy_of(Asn(4)), CommunityPolicy::Propagate);
-        assert_eq!(map.iter().count(), 2);
     }
 
     #[test]

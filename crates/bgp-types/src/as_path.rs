@@ -135,17 +135,6 @@ impl AsPath {
         }
     }
 
-    /// All ASes that may have originated the route: the single origin for a
-    /// sequence-terminated path, or every member of a trailing `AS_SET`.
-    #[must_use]
-    pub fn possible_origins(&self) -> Vec<Asn> {
-        match self.segments.last() {
-            None => Vec::new(),
-            Some(AsPathSegment::Sequence(v)) => v.last().map(|&a| vec![a]).unwrap_or_default(),
-            Some(AsPathSegment::Set(v)) => v.clone(),
-        }
-    }
-
     /// The first (most recently prepended) AS, i.e. the neighbor a receiver
     /// learned the route from.
     #[must_use]
@@ -405,7 +394,10 @@ mod tests {
             AsPathSegment::Set(vec![Asn(4), Asn(226)]),
         ]);
         assert_eq!(p.origin(), None);
-        assert_eq!(p.possible_origins(), vec![Asn(4), Asn(226)]);
+        assert_eq!(
+            p.segments().last(),
+            Some(&AsPathSegment::Set(vec![Asn(4), Asn(226)]))
+        );
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl Asn {
         (Self::PRIVATE_START..=Self::PRIVATE_END).contains(&self)
     }
 
-    /// Returns `true` if the number fits in the 2-octet space of 2001-era BGP.
-    #[must_use]
-    pub fn is_16bit(self) -> bool {
-        self <= Self::MAX_16BIT
-    }
-
     /// The raw numeric value.
     #[must_use]
     pub fn value(self) -> u32 {
@@ -131,12 +125,6 @@ mod tests {
         assert!(Asn(64_512).is_private());
         assert!(Asn(65_534).is_private());
         assert!(!Asn(65_535).is_private());
-    }
-
-    #[test]
-    fn sixteen_bit_boundary() {
-        assert!(Asn(65_535).is_16bit());
-        assert!(!Asn(65_536).is_16bit());
     }
 
     #[test]

@@ -13,17 +13,13 @@
 //!   processed.
 //! * `moas_daemon::OriginTable::from_mrt` unions them archive-wide into the
 //!   daemon's MOAS lists.
-//!
-//! `BGP4MP` records decode back into simulator [`Update`]s
-//! ([`import_update_stream`]).
 
 use std::io;
 
-use bgp_types::{Asn, Ipv4Prefix, Route, Update};
+use bgp_types::{Asn, Ipv4Prefix, Route};
 use route_measurement::DailyDump;
 
 use crate::error::{WireError, WireErrorKind};
-use crate::mrt::MrtBody;
 use crate::timestamp_to_day;
 use crate::view::{AttrInterner, AttrsView, MrtBodyView, MrtViewReader};
 
@@ -322,38 +318,14 @@ impl<R: io::Read> Iterator for DailyDumpStream<R> {
     }
 }
 
-/// Reads a `BGP4MP` stream back into simulator updates, each tagged with
-/// its day and sending peer. Table-dump records in the stream are skipped.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] with stream offset on the first malformed
-/// record.
-pub fn import_update_stream<R: io::Read>(reader: R) -> Result<Vec<(u32, Asn, Update)>, WireError> {
-    let mut mrt = MrtViewReader::new(reader);
-    let mut out = Vec::new();
-    while let Some(record) = mrt.next_record()? {
-        if let MrtBody::Bgp4mpMessage(msg) = record.body {
-            let day = timestamp_to_day(record.timestamp);
-            out.extend(
-                msg.message
-                    .updates()
-                    .into_iter()
-                    .map(|update| (day, msg.peer_asn, update)),
-            );
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bgp::{PathAttributes, UpdateMessage};
     use crate::export::{export_update_stream, peer_table};
-    use crate::mrt::{Bgp4mpMessage, MrtRecord, MrtWriter, RibEntry, RibIpv4Unicast};
+    use crate::mrt::{Bgp4mpMessage, MrtBody, MrtRecord, MrtWriter, RibEntry, RibIpv4Unicast};
     use crate::{day_to_timestamp, COLLECTOR_ASN};
-    use bgp_types::{AsPath, MoasList};
+    use bgp_types::{AsPath, MoasList, Update};
 
     fn rib_record(day: u32, prefix: Ipv4Prefix, origins: &[Asn]) -> MrtRecord {
         let entries = origins
@@ -574,7 +546,17 @@ mod tests {
         let mut writer = MrtWriter::new(Vec::new());
         export_update_stream(&mut writer, 5, updates.iter().map(|(a, u)| (*a, u))).unwrap();
         let bytes = writer.finish().unwrap();
-        let back = import_update_stream(&bytes[..]).unwrap();
+        let mut reader = MrtViewReader::new(&bytes[..]);
+        let mut back = Vec::new();
+        while reader.advance().unwrap() {
+            let view = reader.view().unwrap();
+            let MrtBodyView::Bgp4mpMessage(msg) = view.body else {
+                panic!("an update stream holds only BGP4MP records");
+            };
+            let day = timestamp_to_day(view.timestamp);
+            let updates = msg.update().to_message().updates();
+            back.extend(updates.into_iter().map(|u| (day, msg.peer_asn, u)));
+        }
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], (5, Asn(4), updates[0].1.clone()));
         assert_eq!(back[1], (5, Asn(70_000), updates[1].1.clone()));

@@ -71,7 +71,7 @@ pub mod view;
 
 pub use error::{WireError, WireErrorKind};
 pub use export::{export_rib_snapshot, export_update_stream, ExportSummary};
-pub use import::{import_update_stream, DailyDumpStream, DayImport, TableDumpWalk};
+pub use import::{DailyDumpStream, DayImport, TableDumpWalk};
 pub use view::{
     AttrInterner, AttrsView, Bgp4mpView, CapabilityIter, MessageView, MrtBodyView, MrtRecordView,
     MrtViewReader, NotificationView, OpenView, PeerIndexTableView, Prefix6Iter, Rib6View,

@@ -120,11 +120,6 @@ impl AlarmLog {
         self.alarms.iter()
     }
 
-    /// Alarms concerning one prefix.
-    pub fn for_prefix(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = &Alarm> {
-        self.alarms.iter().filter(move |a| a.prefix == prefix)
-    }
-
     /// Distinct ASes that raised at least one alarm, ascending.
     pub fn observers(&self) -> impl Iterator<Item = Asn> {
         let set: std::collections::BTreeSet<Asn> = self.alarms.iter().map(|a| a.observer).collect();
@@ -212,16 +207,6 @@ mod tests {
         log.record(alarm(1, Resolution::Confirmed));
         log.record(alarm(3, Resolution::Confirmed));
         assert_eq!(log.observers().collect::<Vec<_>>(), vec![Asn(1), Asn(3)]);
-    }
-
-    #[test]
-    fn for_prefix_filters() {
-        let mut log = AlarmLog::new();
-        log.record(alarm(1, Resolution::Confirmed));
-        let mut other = alarm(2, Resolution::Confirmed);
-        other.prefix = "10.1.0.0/16".parse().unwrap();
-        log.record(other);
-        assert_eq!(log.for_prefix("10.0.0.0/16".parse().unwrap()).count(), 1);
     }
 
     #[test]

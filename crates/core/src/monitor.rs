@@ -136,22 +136,10 @@ impl<V: OriginVerifier> MoasMonitor<V> {
         &self.alarms
     }
 
-    /// Mutable alarm log (e.g. to clear between phases).
-    #[must_use]
-    pub fn alarms_mut(&mut self) -> &mut AlarmLog {
-        &mut self.alarms
-    }
-
     /// The configured verifier.
     #[must_use]
     pub fn verifier(&self) -> &V {
         &self.verifier
-    }
-
-    /// Mutable verifier access (e.g. to publish records mid-run).
-    #[must_use]
-    pub fn verifier_mut(&mut self) -> &mut V {
-        &mut self.verifier
     }
 
     /// The monitor configuration.
@@ -436,11 +424,9 @@ mod tests {
 
     #[test]
     fn accessors_expose_state() {
-        let mut m = MoasMonitor::full(registry(&[4]));
+        let m = MoasMonitor::full(registry(&[4]));
         assert_eq!(m.config().deployment, Deployment::Full);
-        m.alarms_mut().clear();
-        m.verifier_mut()
-            .register("10.0.0.0/8".parse().unwrap(), MoasList::implicit(Asn(1)));
-        assert_eq!(m.verifier().len(), 2);
+        assert!(m.alarms().is_empty());
+        assert_eq!(m.verifier().len(), 1);
     }
 }

@@ -73,11 +73,6 @@ impl RegistryVerifier {
         self.records.insert(prefix, origins);
     }
 
-    /// Removes a record, returning it if present. Models registry decay.
-    pub fn unregister(&mut self, prefix: Ipv4Prefix) -> Option<MoasList> {
-        self.records.remove(&prefix)
-    }
-
     /// Number of registered prefixes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -201,9 +196,8 @@ mod tests {
         let list: MoasList = [Asn(1), Asn(2)].into_iter().collect();
         reg.register(p(), list.clone());
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.valid_origins(p()), Some(list.clone()));
-        assert_eq!(reg.unregister(p()), Some(list));
-        assert_eq!(reg.valid_origins(p()), None);
+        assert_eq!(reg.valid_origins(p()), Some(list));
+        assert_eq!(reg.valid_origins("10.9.0.0/16".parse().unwrap()), None);
         assert_eq!(reg.query_count(), 2);
     }
 

@@ -1,10 +1,8 @@
 //! Ablations probing the §4.3 limitations and design choices.
 
 use as_topology::{AsGraph, AsRelationships, InternetModel};
-use bgp_engine::{
-    CommunityPolicy, CommunityPolicyMap, ForwardingPlane, RouteMonitor, ShardedNetwork, ValleyFree,
-};
-use bgp_types::{Asn, Ipv4Prefix, MoasList};
+use bgp_engine::{CommunityPolicy, CommunityPolicyMap, ForwardingPlane, ValleyFree};
+use bgp_types::{Asn, MoasList};
 use minimetrics::{MetricsSink, MetricsSnapshot, Scoped};
 use moas_core::{
     Deployment, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, RegistryVerifier,
@@ -12,8 +10,9 @@ use moas_core::{
 };
 
 use crate::exec::{Cell, Exec, Layout};
+use crate::score::{census, Census};
 use crate::stats::{mean, mean_by};
-use crate::trial::{run_trials, trial_on, TrialConfig, TrialOutcome, CONVERGES};
+use crate::trial::{draw_parties, run_trials, trial_on, TrialConfig, TrialOutcome, CONVERGES};
 
 /// Outcome of the sub-prefix hijack ablation on one topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +80,9 @@ pub fn subprefix_ablation(
                 net.export_metrics(sink);
             }
 
-            let adoption = adoption_pct(graph, &net, sub, &[attacker]);
+            let Census { eligible, adopted } =
+                census(graph.asns(), &[attacker], |a| net.best_origin(a, sub));
+            let adoption = 100.0 * adopted as f64 / eligible as f64;
             let alarms = net.monitors().map(|m| m.alarms().len()).sum::<usize>() as f64;
 
             // Data plane: where do packets addressed inside the hijacked half go?
@@ -89,7 +90,6 @@ pub fn subprefix_ablation(
             let exclude = std::collections::BTreeSet::from([attacker]);
             let (_, to_attacker_or_other, _) =
                 plane.capture_census(sub.network(), victim, &exclude);
-            let eligible = graph.len() - 1; // exclude the attacker
             let traffic = 100.0 * to_attacker_or_other as f64 / eligible as f64;
 
             // Exact-prefix control run with the same parties.
@@ -118,26 +118,6 @@ pub fn subprefix_ablation(
         subprefix_traffic_capture_pct: mean(&column(2)),
     };
     (report, snapshot)
-}
-
-/// Percentage of the remaining (non-attacker) ASes whose best route for
-/// `prefix` originates at one of `attackers`.
-fn adoption_pct<M: RouteMonitor>(
-    graph: &AsGraph,
-    net: &ShardedNetwork<M>,
-    prefix: Ipv4Prefix,
-    attackers: &[Asn],
-) -> f64 {
-    let eligible = graph.len() - attackers.len();
-    let fooled = graph
-        .asns()
-        .filter(|a| !attackers.contains(a))
-        .filter(|&a| {
-            net.best_origin(a, prefix)
-                .is_some_and(|o| attackers.contains(&o))
-        })
-        .count();
-    100.0 * fooled as f64 / eligible as f64
 }
 
 /// Outcome of the valley-free policy-routing ablation.
@@ -176,7 +156,6 @@ pub fn valley_free_ablation(
     struct Cells {
         graph: AsGraph,
         rels: AsRelationships,
-        stubs: Vec<Asn>,
         runs: usize,
         seed: u64,
     }
@@ -193,11 +172,8 @@ pub fn valley_free_ablation(
             let run = i % self.runs;
             let run_seed =
                 sim_engine::rng::derive_seed(self.seed, (run * 2 + usize::from(policy_on)) as u64);
-            let mut rng = sim_engine::rng::from_seed(run_seed);
-            let picked = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 1);
-            let victim = picked[0];
-            let candidates: Vec<Asn> = graph.asns().filter(|&a| a != victim).collect();
-            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 3);
+            let (origins, attackers) = draw_parties(graph, run_seed, 1, 3);
+            let victim = origins[0];
             let valid = MoasList::implicit(victim);
 
             let (mut adoption, mut suppressed) = ([0.0; 2], [0.0; 2]);
@@ -230,7 +206,9 @@ pub fn valley_free_ablation(
                     net.export_metrics(sink);
                 }
 
-                adoption[di] = adoption_pct(graph, &net, prefix, &attackers);
+                let Census { eligible, adopted } =
+                    census(graph.asns(), &attackers, |a| net.best_origin(a, prefix));
+                adoption[di] = 100.0 * adopted as f64 / eligible as f64;
                 suppressed[di] = net
                     .monitors()
                     .map(ValleyFree::suppressed_count)
@@ -244,7 +222,6 @@ pub fn valley_free_ablation(
         .stub_count(60)
         .build_with_relationships(seed);
     let cell = Cells {
-        stubs: graph.stub_asns(),
         graph,
         rels,
         runs,
@@ -310,19 +287,10 @@ fn variant_study(
     exec: Exec,
     configure: impl Fn(usize, TrialConfig) -> TrialConfig,
 ) -> (Vec<TrialOutcome>, MetricsSnapshot) {
-    let stubs = graph.stub_asns();
-    let asns: Vec<Asn> = graph.asns().collect();
     let parties: Vec<TrialConfig> = (0..runs)
         .map(|run| {
             let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
-            let mut rng = sim_engine::rng::from_seed(run_seed);
-            let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, 2);
-            let candidates: Vec<Asn> = asns
-                .iter()
-                .copied()
-                .filter(|a| !origins.contains(a))
-                .collect();
-            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, attackers);
+            let (origins, attackers) = draw_parties(graph, run_seed, 2, attackers);
             TrialConfig {
                 seed: run_seed,
                 ..TrialConfig::new(origins, attackers, Deployment::Full)
@@ -399,7 +367,6 @@ pub fn unresolved_policy_ablation(
         [UnresolvedPolicy::Accept, UnresolvedPolicy::RejectIncoming];
     struct Cells<'a> {
         graph: &'a AsGraph,
-        stubs: Vec<Asn>,
         runs: usize,
         seed: u64,
     }
@@ -413,10 +380,7 @@ pub fn unresolved_policy_ablation(
             let graph = self.graph;
             let (policy, run) = (POLICIES[i / self.runs], i % self.runs);
             let run_seed = sim_engine::rng::derive_seed(self.seed, run as u64);
-            let mut rng = sim_engine::rng::from_seed(run_seed);
-            let origins = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 1);
-            let candidates: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
-            let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, 2);
+            let (origins, attackers) = draw_parties(graph, run_seed, 1, 2);
             let prefix = crate::victim_prefix();
             let valid_list: MoasList = origins.iter().copied().collect();
             let mut net = layout.build(graph, run_seed, 4, || {
@@ -441,15 +405,12 @@ pub fn unresolved_policy_ablation(
             if S::ENABLED {
                 net.export_metrics(sink);
             }
-            adoption_pct(graph, &net, prefix, &attackers)
+            let Census { eligible, adopted } =
+                census(graph.asns(), &attackers, |a| net.best_origin(a, prefix));
+            100.0 * adopted as f64 / eligible as f64
         }
     }
-    let cell = Cells {
-        graph,
-        stubs: graph.stub_asns(),
-        runs,
-        seed,
-    };
+    let cell = Cells { graph, runs, seed };
     let (cells, snapshot) = exec.run_cells(POLICIES.len() * runs, &cell);
 
     let points = POLICIES

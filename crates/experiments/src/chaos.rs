@@ -37,7 +37,8 @@ use moas_core::{
 
 use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, Json, ToJson};
-use crate::stats::{mean, mean_by, ratio};
+use crate::score::{accuracy, detection_latency, Verdict};
+use crate::stats::{mean, mean_by};
 
 /// Tick at which scripted churn begins.
 pub(crate) const T_CHURN: u64 = 40;
@@ -210,11 +211,9 @@ pub(crate) struct TrialPlan {
 /// What one trial (both runs) produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TrialResult {
-    /// Alarms in the churn-only run (all of them are noise by construction).
-    churn_alarms: u64,
-    /// Detection in the attack run: ticks from injection to the first
-    /// confirmed alarm, or `None` for a missed detection.
-    latency: Option<u64>,
+    /// Churn-only alarms, and the first confirmed alarm's latency in the
+    /// attack run.
+    verdict: Verdict,
     /// The churn-only run ended with the watchdog's oscillation verdict.
     oscillated: bool,
     /// The oscillation period in events (0 when `!oscillated`).
@@ -387,6 +386,7 @@ fn run_chaos_at(
 ) -> (ChaosReport, MetricsSnapshot) {
     struct ChaosTrials<'a> {
         graph: &'a AsGraph,
+        asns: Vec<Asn>,
         config: &'a ChaosConfig,
         casts: &'a [TrialPlan],
         deployment_fraction: f64,
@@ -394,14 +394,9 @@ fn run_chaos_at(
     impl Cell for ChaosTrials<'_> {
         type Out = TrialResult;
         fn run<S: MetricsSink>(&self, layout: Layout, i: usize, sink: &mut S) -> TrialResult {
-            run_one(
-                layout,
-                self.graph,
-                self.config,
-                &self.casts[i],
-                self.deployment_fraction,
-                sink,
-            )
+            let cast = &self.casts[i];
+            let deployment = trial_deployment(&self.asns, self.deployment_fraction, cast.seed);
+            run_one(layout, self.graph, self.config, cast, deployment, sink)
         }
     }
     let graph = chaos_graph(config);
@@ -410,6 +405,7 @@ fn run_chaos_at(
         casts.len(),
         &ChaosTrials {
             graph: &graph,
+            asns: graph.asns().collect(),
             config,
             casts: &casts,
             deployment_fraction,
@@ -498,19 +494,12 @@ pub(crate) fn plan_casts(graph: &AsGraph, config: &ChaosConfig) -> Vec<TrialPlan
 
 /// Phase 3: aggregates trial results **in planning order** into a report.
 fn aggregate(config: &ChaosConfig, results: &[TrialResult]) -> ChaosReport {
-    let noisy = results.iter().filter(|r| r.churn_alarms > 0).count();
-    let false_alarms: Vec<f64> = results.iter().map(|r| r.churn_alarms as f64).collect();
     let attack_trials = if config.scenario == ChaosScenario::FlapStorm {
         0
     } else {
         results.len()
     };
-    let latencies: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.latency)
-        .map(|l| l as f64)
-        .collect();
-    let missed = attack_trials.saturating_sub(latencies.len());
+    let score = accuracy(results.iter().map(|r| r.verdict), attack_trials);
     let cycles: Vec<f64> = results
         .iter()
         .filter(|r| r.oscillated)
@@ -521,11 +510,11 @@ fn aggregate(config: &ChaosConfig, results: &[TrialResult]) -> ChaosReport {
         scenario: config.scenario,
         trials: results.len(),
         seed: config.seed,
-        false_alarm_rate: ratio(noisy, results.len()),
-        mean_false_alarms: mean(&false_alarms),
-        missed_detection_rate: ratio(missed, attack_trials),
-        mean_detection_latency_ticks: mean(&latencies),
-        detected_trials: latencies.len(),
+        false_alarm_rate: score.false_alarm_rate,
+        mean_false_alarms: score.mean_false_alarms,
+        missed_detection_rate: score.missed_detection_rate,
+        mean_detection_latency_ticks: score.mean_detection_latency_ticks,
+        detected_trials: score.detected_trials,
         oscillating_trials: cycles.len(),
         mean_cycle_len: mean(&cycles),
         mean_messages: mean_by(results, |r| r.messages as f64),
@@ -704,23 +693,16 @@ fn core_links(graph: &AsGraph) -> Vec<(Asn, Asn)> {
         .collect()
 }
 
-/// The detector deployment of one trial: exactly `Full`/`None` at the
-/// extremes (so fraction 1.0 reproduces the original runs bit-for-bit), a
-/// per-trial seeded sample in between — different trials deploy different
-/// subsets, like real incremental rollout.
-fn deployment_for(graph: &AsGraph, cast: &TrialPlan, fraction: f64) -> Deployment {
-    if fraction >= 1.0 {
-        Deployment::Full
-    } else if fraction <= 0.0 {
-        Deployment::None
-    } else {
-        let asns: Vec<Asn> = graph.asns().collect();
-        Deployment::sample(
-            &asns,
-            fraction,
-            sim_engine::rng::derive_seed(cast.seed, 0xDE91),
-        )
-    }
+/// The detector deployment of one trial at `fraction` of `asns`: a sample
+/// seeded from the trial's own seed, so different trials deploy different
+/// subsets, like real incremental rollout. [`Deployment::sample`] gives
+/// exactly `None` at 0.0 and `Full` at 1.0.
+pub(crate) fn trial_deployment(asns: &[Asn], fraction: f64, trial_seed: u64) -> Deployment {
+    Deployment::sample(
+        asns,
+        fraction,
+        sim_engine::rng::derive_seed(trial_seed, 0xDE91),
+    )
 }
 
 /// Runs one chaos trial. Network metrics of the churn-only run land in
@@ -735,13 +717,12 @@ fn run_one<S: MetricsSink>(
     graph: &AsGraph,
     config: &ChaosConfig,
     cast: &TrialPlan,
-    deployment_fraction: f64,
+    deployment: Deployment,
     sink: &mut S,
 ) -> TrialResult {
     let prefix = crate::victim_prefix();
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
     let scenario = build_scenario(graph, config, cast);
-    let deployment = deployment_for(graph, cast, deployment_fraction);
 
     // One monitor per shard, all from the same config and registry, so the
     // union of the per-shard alarm logs is the same for any partition.
@@ -814,14 +795,13 @@ fn run_one<S: MetricsSink>(
             attack_err.is_none(),
             "attack run must converge: {attack_err:?}"
         );
-        let latency = attack_net
-            .monitors()
-            .flat_map(|m| m.alarms().iter())
-            .filter(|a| a.resolution == Resolution::Confirmed)
-            .map(|a| a.at.ticks())
-            .filter(|&at| at >= T_ATTACK)
-            .min()
-            .map(|at| at - T_ATTACK);
+        let latency = detection_latency(
+            attack_net
+                .monitors()
+                .flat_map(|m| m.alarms().iter())
+                .filter(|a| a.resolution == Resolution::Confirmed)
+                .map(|a| a.at.ticks()),
+        );
         if S::ENABLED {
             attack_net.export_metrics(&mut Scoped::new(sink, "attack"));
             sink.record(
@@ -837,8 +817,10 @@ fn run_one<S: MetricsSink>(
     };
 
     TrialResult {
-        churn_alarms,
-        latency,
+        verdict: Verdict {
+            churn_alarms,
+            latency,
+        },
         oscillated,
         cycle_len,
         messages: churn_stats.total_messages(),

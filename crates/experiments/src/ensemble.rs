@@ -51,12 +51,12 @@ use route_measurement::{
 use sim_engine::SimTime;
 
 use crate::chaos::{
-    build_scenario, chaos_graph, forged_announcement, plan_casts, run_scenario, ChaosConfig,
-    ChaosScenario, Scenario, TrialPlan, T_ATTACK, T_CHURN,
+    build_scenario, chaos_graph, forged_announcement, plan_casts, run_scenario, trial_deployment,
+    ChaosConfig, ChaosScenario, Scenario, TrialPlan, T_CHURN,
 };
 use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, Json, ToJson};
-use crate::stats::{mean, ratio};
+use crate::score::{accuracy, detection_latency, Accuracy, Verdict};
 
 use std::fmt;
 
@@ -595,13 +595,6 @@ fn record_cell<S: MetricsSink>(
     }
 }
 
-/// What one detector produced on one trial's pair of streams.
-#[derive(Debug, Clone, Copy)]
-struct DetectorTrial {
-    churn_alarms: u64,
-    latency: Option<u64>,
-}
-
 /// Replays a stream through a fresh detector, optionally filtered to the
 /// observers a partial deployment actually taps.
 fn replay(
@@ -619,117 +612,108 @@ fn replay(
     alarms
 }
 
-/// Detection criterion: the first alarm implicating the attacker's origin at
-/// or after the injection tick, as latency from injection.
-fn detection_latency(alarms: &[DetectorAlarm], attacker: Asn) -> Option<u64> {
-    alarms
-        .iter()
-        .filter(|a| a.origin == Some(attacker) && a.time >= T_ATTACK)
-        .map(|a| a.time)
-        .min()
-        .map(|t| t - T_ATTACK)
-}
-
-/// Replays one trial's streams through one detector at one deployment.
+/// Replays one trial's streams through one detector at one deployment. An
+/// attack alarm qualifies for detection when it names the attacker's origin.
 fn evaluate_trial(
     streams: &TrialStreams,
     detector_index: usize,
     deployment: &Deployment,
-) -> DetectorTrial {
+) -> Verdict {
     let churn_alarms = replay(&streams.churn, detector_index, deployment).len() as u64;
     let attack_alarms = replay(&streams.attack, detector_index, deployment);
-    DetectorTrial {
+    let latency = detection_latency(
+        attack_alarms
+            .iter()
+            .filter(|a| a.origin == Some(streams.attacker))
+            .map(|a| a.time),
+    );
+    Verdict {
         churn_alarms,
-        latency: detection_latency(&attack_alarms, streams.attacker),
+        latency,
     }
 }
 
-/// Folds per-trial detector outcomes into one report row.
-fn aggregate_detector(detector_index: usize, trials: &[DetectorTrial]) -> DetectorReport {
-    let noisy = trials.iter().filter(|t| t.churn_alarms > 0).count();
-    let false_alarms: Vec<f64> = trials.iter().map(|t| t.churn_alarms as f64).collect();
-    let latencies: Vec<f64> = trials
+/// Scores every detector over `trials`, each trial replayed at the
+/// deployment `deployment_of` gives it. Every trial ran an attack.
+fn score_detectors(
+    trials: &[TrialStreams],
+    deployment_of: impl Fn(&TrialStreams) -> Deployment,
+) -> Vec<Accuracy> {
+    (0..DETECTOR_COUNT)
+        .map(|dx| {
+            let verdicts = trials
+                .iter()
+                .map(|s| evaluate_trial(s, dx, &deployment_of(s)));
+            accuracy(verdicts, trials.len())
+        })
+        .collect()
+}
+
+/// One report row per detector, in catalog order.
+fn detector_reports(scores: &[Accuracy]) -> Vec<DetectorReport> {
+    scores
         .iter()
-        .filter_map(|t| t.latency)
-        .map(|l| l as f64)
-        .collect();
-    let total = trials.len();
-    let missed = total.saturating_sub(latencies.len());
-    DetectorReport {
-        detector: detector_name(detector_index).to_string(),
-        false_alarm_rate: ratio(noisy, total),
-        mean_false_alarms: mean(&false_alarms),
-        missed_detection_rate: ratio(missed, total),
-        mean_detection_latency_ticks: mean(&latencies),
-        detected_trials: latencies.len(),
-    }
+        .enumerate()
+        .map(|(dx, score)| DetectorReport {
+            detector: detector_name(dx).to_string(),
+            false_alarm_rate: score.false_alarm_rate,
+            mean_false_alarms: score.mean_false_alarms,
+            missed_detection_rate: score.missed_detection_rate,
+            mean_detection_latency_ticks: score.mean_detection_latency_ticks,
+            detected_trials: score.detected_trials,
+        })
+        .collect()
 }
 
 /// Phase 3: replays every recorded stream through every detector (serially,
 /// in plan order — replay is cheap) and folds the outcomes into the report.
+/// Also returns each workload's scores, which the verdict counters read.
 fn aggregate_ensemble(
     graph: &AsGraph,
     config: &EnsembleConfig,
     streams: &[TrialStreams],
-) -> EnsembleReport {
-    let asns: Vec<Asn> = graph.asns().collect();
-    let workloads = EnsembleWorkload::all()
-        .into_iter()
-        .enumerate()
-        .map(|(wx, workload)| {
-            let slice = &streams[wx * config.trials..(wx + 1) * config.trials];
-            let detectors = (0..DETECTOR_COUNT)
-                .map(|dx| {
-                    let trials: Vec<DetectorTrial> = slice
-                        .iter()
-                        .map(|s| evaluate_trial(s, dx, &Deployment::Full))
-                        .collect();
-                    aggregate_detector(dx, &trials)
-                })
-                .collect();
-            WorkloadReport {
-                workload,
-                detectors,
-            }
-        })
-        .collect();
+) -> (EnsembleReport, Vec<Vec<Accuracy>>) {
+    let (workloads, workload_scores): (Vec<WorkloadReport>, Vec<Vec<Accuracy>>) =
+        EnsembleWorkload::all()
+            .into_iter()
+            .enumerate()
+            .map(|(wx, workload)| {
+                let slice = &streams[wx * config.trials..(wx + 1) * config.trials];
+                let scores = score_detectors(slice, |_| Deployment::Full);
+                let detectors = detector_reports(&scores);
+                (
+                    WorkloadReport {
+                        workload,
+                        detectors,
+                    },
+                    scores,
+                )
+            })
+            .unzip();
 
     // Deployment sweep over the failover streams (workload index 0): replay
     // costs no extra simulation, so partial deployment is pure filtering.
+    let asns: Vec<Asn> = graph.asns().collect();
     let failover = &streams[0..config.trials];
     let deployment = ENSEMBLE_DEPLOYMENT_FRACTIONS
         .iter()
         .map(|&fraction| {
-            let detectors = (0..DETECTOR_COUNT)
-                .map(|dx| {
-                    let trials: Vec<DetectorTrial> = failover
-                        .iter()
-                        .map(|s| {
-                            let deployment = Deployment::sample(
-                                &asns,
-                                fraction,
-                                sim_engine::rng::derive_seed(s.seed, 0xDE91),
-                            );
-                            evaluate_trial(s, dx, &deployment)
-                        })
-                        .collect();
-                    aggregate_detector(dx, &trials)
-                })
-                .collect();
+            let scores = score_detectors(failover, |s| trial_deployment(&asns, fraction, s.seed));
             EnsembleDeploymentPoint {
                 deployment_fraction: fraction,
-                detectors,
+                detectors: detector_reports(&scores),
             }
         })
         .collect();
 
-    EnsembleReport {
+    let report = EnsembleReport {
         trials: config.trials,
         seed: config.seed,
         policy: config.policy.to_string(),
         workloads,
         deployment,
-    }
+    };
+    (report, workload_scores)
 }
 
 /// Runs the ensemble and returns the report plus a metrics snapshot (empty
@@ -784,31 +768,27 @@ pub fn run_ensemble(
             cells: &cells,
         },
     );
-    let report = aggregate_ensemble(&graph, config, &streams);
+    let (report, workload_scores) = aggregate_ensemble(&graph, config, &streams);
     if !metrics {
         return (report, snapshot);
     }
 
     let mut verdicts = RecordingSink::new();
-    for workload in &report.workloads {
-        for detector in &workload.detectors {
+    for (workload, scores) in EnsembleWorkload::all().into_iter().zip(&workload_scores) {
+        for (dx, score) in scores.iter().enumerate() {
             let key = |metric: &str| {
                 format!(
                     "ensemble.{}.{}.{metric}",
-                    workload.workload.name(),
-                    detector.detector
+                    workload.name(),
+                    detector_name(dx)
                 )
             };
-            verdicts.counter_add(&key("detections"), detector.detected_trials as u64);
+            verdicts.counter_add(&key("detections"), score.detected_trials as u64);
             verdicts.counter_add(
                 &key("missed"),
-                (report.trials - detector.detected_trials) as u64,
+                (report.trials - score.detected_trials) as u64,
             );
-            #[allow(clippy::cast_sign_loss)]
-            verdicts.counter_add(
-                &key("churn_alarms"),
-                (detector.mean_false_alarms * report.trials as f64).round() as u64,
-            );
+            verdicts.counter_add(&key("churn_alarms"), score.churn_alarms);
         }
     }
     snapshot.merge(&verdicts.into_snapshot());

@@ -21,9 +21,9 @@
 //! take an [`Exec`] — `jobs` worker threads, `shards` partitions per trial
 //! (1 by default), `metrics` on or off — and return
 //! `(report, MetricsSnapshot)`; the snapshot is empty when `metrics` is off.
-//! Drivers with their own harness and nothing to shard
-//! ([`run_session_chaos`], [`measure_moas_list_overhead`],
-//! [`run_ensemble`]) take a bare `jobs`.
+//! Drivers with their own harness and nothing to shard take a bare `jobs`
+//! ([`run_session_chaos`], [`measure_moas_list_overhead`]) or, in
+//! [`run_ensemble`]'s case, `jobs` and `metrics`.
 //!
 //! Every driver works in three phases: trials are *planned* sequentially (so
 //! no RNG draw order changes), *run* into index-addressed slots — fanned
@@ -67,6 +67,7 @@ pub mod json;
 pub mod metrics;
 mod overhead;
 mod report;
+mod score;
 pub mod session_chaos;
 mod stats;
 mod sweep;

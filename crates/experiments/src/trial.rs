@@ -12,6 +12,7 @@ use moas_core::{
 };
 
 use crate::exec::{Cell, Exec, Layout};
+use crate::score::{census, Census};
 
 /// Configuration of a single run: who originates, who attacks, who checks.
 #[derive(Debug, Clone)]
@@ -26,11 +27,14 @@ pub struct TrialConfig {
     pub forgery: ListForgery,
     /// ASes that strip community attributes on export (§4.3 hazard).
     pub strippers: BTreeSet<Asn>,
-    /// Per-AS community-handling classes applied on export (Krenc-style),
-    /// layered on top of `strippers`' list-dropping. Empty = everyone
-    /// propagates unchanged.
+    /// Per-AS community-handling classes applied on export (Krenc-style).
+    /// An AS's policy runs first; the MOAS monitor then sees the
+    /// policy-modified route, and `strippers` drop its list after that.
+    /// Empty = everyone propagates unchanged.
     pub policies: CommunityPolicyMap,
-    /// Behaviour when the verifier cannot adjudicate.
+    /// Behaviour when the verifier cannot adjudicate. A trial's registry
+    /// always knows `prefix`, so no conflict stays unresolved and this field
+    /// has no effect on [`run_trial`] or [`run_trial_with`].
     pub unresolved: UnresolvedPolicy,
     /// Maximum per-link message delay (jitter explores propagation races).
     pub max_link_delay: u64,
@@ -161,6 +165,22 @@ pub(crate) fn run_trials(
     exec.run_cells(trials.len(), &cell)
 }
 
+/// The parties of one trial, from one RNG seeded with `seed`: `origins`
+/// distinct stubs of `graph`, then `attackers` distinct ASes from all the
+/// others.
+pub(crate) fn draw_parties(
+    graph: &AsGraph,
+    seed: u64,
+    origins: usize,
+    attackers: usize,
+) -> (Vec<Asn>, Vec<Asn>) {
+    let mut rng = sim_engine::rng::from_seed(seed);
+    let origins = sim_engine::rng::sample_distinct(&mut rng, &graph.stub_asns(), origins);
+    let candidates: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
+    let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, attackers);
+    (origins, attackers)
+}
+
 /// What every experiment network does: converge within the event budget.
 pub(crate) const CONVERGES: &str = "experiment networks always converge";
 
@@ -222,27 +242,16 @@ pub(crate) fn trial_on<S: MetricsSink>(
         sink.counter_add("trial.count", 1);
     }
 
-    let attacker_set: BTreeSet<Asn> = config.attackers.iter().copied().collect();
-    let mut eligible = 0usize;
-    let mut adopted_false = 0usize;
-    for asn in graph.asns() {
-        if attacker_set.contains(&asn) {
-            continue;
-        }
-        eligible += 1;
-        if let Some(origin) = net.best_origin(asn, config.prefix) {
-            if attacker_set.contains(&origin) {
-                adopted_false += 1;
-            }
-        }
-    }
+    let Census { eligible, adopted } = census(graph.asns(), &config.attackers, |asn| {
+        net.best_origin(asn, config.prefix)
+    });
 
     // Alarms and verifier queries are observer-scoped, so summing the
     // per-monitor logs gives the same totals for any partition of the
     // observers.
     let mut outcome = TrialOutcome {
         eligible,
-        adopted_false,
+        adopted_false: adopted,
         messages: net.stats().total_messages(),
         ..TrialOutcome::default()
     };
@@ -269,19 +278,10 @@ mod tests {
             .build(5)
     }
 
-    fn pick(graph: &AsGraph, seed: u64, origins: usize, attackers: usize) -> (Vec<Asn>, Vec<Asn>) {
-        let mut rng = sim_engine::rng::from_seed(seed);
-        let stubs = graph.stub_asns();
-        let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, origins);
-        let all: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
-        let attackers = sim_engine::rng::sample_distinct(&mut rng, &all, attackers);
-        (origins, attackers)
-    }
-
     #[test]
     fn no_attackers_means_no_adoption_and_no_alarms() {
         let g = graph();
-        let (origins, _) = pick(&g, 1, 2, 0);
+        let (origins, _) = draw_parties(&g, 1, 2, 0);
         let outcome = run_trial(&g, &TrialConfig::new(origins, vec![], Deployment::Full));
         assert_eq!(outcome.adopted_false, 0);
         assert_eq!(outcome.alarms, 0);
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn normal_bgp_lets_false_routes_spread() {
         let g = graph();
-        let (origins, attackers) = pick(&g, 2, 1, 5);
+        let (origins, attackers) = draw_parties(&g, 2, 1, 5);
         let outcome = run_trial(&g, &TrialConfig::new(origins, attackers, Deployment::None));
         assert!(outcome.adopted_false > 0, "some ASes must be fooled");
         assert_eq!(outcome.alarms, 0, "nobody checks under Normal BGP");
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn full_deployment_suppresses_adoption() {
         let g = graph();
-        let (origins, attackers) = pick(&g, 2, 1, 5);
+        let (origins, attackers) = draw_parties(&g, 2, 1, 5);
         let normal = run_trial(
             &g,
             &TrialConfig::new(origins.clone(), attackers.clone(), Deployment::None),
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn trials_are_deterministic() {
         let g = PaperTopology::As25.graph();
-        let (origins, attackers) = pick(g, 3, 1, 3);
+        let (origins, attackers) = draw_parties(g, 3, 1, 3);
         let config = TrialConfig::new(origins, attackers, Deployment::Full);
         assert_eq!(run_trial(g, &config), run_trial(g, &config));
     }
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn eligible_excludes_attackers() {
         let g = graph();
-        let (origins, attackers) = pick(&g, 4, 1, 6);
+        let (origins, attackers) = draw_parties(&g, 4, 1, 6);
         let outcome = run_trial(&g, &TrialConfig::new(origins, attackers, Deployment::None));
         assert_eq!(outcome.eligible, g.len() - 6);
     }
