@@ -21,8 +21,10 @@
 //!   `MESSAGE_AS4`) for update streams, written to any `io::Write` by
 //!   [`mrt::MrtWriter`].
 //! * [`view`] — the one decoder. Validated, borrowed views of messages and
-//!   records; [`MrtViewReader`] reads any `io::Read`. Each owned type is
-//!   its view's `to_*` rebuild: [`bgp::UpdateMessage::decode`],
+//!   records; [`MrtViewReader`] reads any `io::Read`. Each wire element has
+//!   one reader: validating a view runs it to completion, and the view's
+//!   iterators and accessors run it again over the validated bytes. Each
+//!   owned type is its view's `to_*` rebuild: [`bgp::UpdateMessage::decode`],
 //!   [`msg::Message::decode`] and [`MrtViewReader::next_record`] are
 //!   exactly that.
 //! * [`export`] / [`import`] — the bridges: `bgp-engine` Loc-RIBs out to
@@ -74,8 +76,8 @@ pub use export::{export_rib_snapshot, export_update_stream, ExportSummary};
 pub use import::{DailyDumpStream, DayImport, TableDumpWalk};
 pub use view::{
     AttrInterner, AttrsView, Bgp4mpView, CapabilityIter, MessageView, MrtBodyView, MrtRecordView,
-    MrtViewReader, NotificationView, OpenView, PeerIndexTableView, Prefix6Iter, Rib6View,
-    RibEntryView, RibView, UpdateView,
+    MrtViewReader, NotificationView, OpenView, PeerIndexTableView, RibEntryView, RibView,
+    UpdateView,
 };
 
 use bgp_types::Asn;

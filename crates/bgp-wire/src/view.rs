@@ -1,17 +1,20 @@
 //! The crate's one decoder: validated, borrowed views of BGP and MRT bytes.
 //!
-//! Parsing a view runs every check the wire format needs, in a fixed order,
-//! and reports the first failure as a typed [`WireError`] at its byte
-//! offset. That order is part of the contract — a session buffers on
+//! Each wire element — a prefix, an `AS_PATH` segment, a path attribute, a
+//! capability, a peer, a RIB entry — has exactly one reader, a function
+//! over a bounds-checked cursor that returns the element or a typed
+//! [`WireError`] at its byte offset. Parsing a view is that reader run to
+//! completion over every element, in a fixed order, reporting the first
+//! failure. That order is part of the contract — a session buffers on
 //! [`WireErrorKind::Truncated`] and a CLI prints the offset — and
 //! `tests/view_props.rs` and `tests/msg_props.rs` pin it, kind and offset,
 //! against a separate spec decoder written from the RFCs
 //! (`tests/spec/mod.rs`). A view borrows the record's bytes and decodes
 //! fields lazily, on access: once it exists, its iterators
 //! ([`UpdateView::nlri`], [`RibView::entries`], [`AttrsView::path_asns`],
-//! …) walk the validated bytes infallibly and without allocating. The
-//! owned types are each view's `to_*` rebuild, which is all
-//! [`UpdateMessage::decode`], [`Message::decode`] and
+//! …) run the same readers again over the validated bytes, never panicking
+//! and never allocating. The owned types are each view's `to_*` rebuild,
+//! which is all [`UpdateMessage::decode`], [`Message::decode`] and
 //! [`MrtViewReader::next_record`] do.
 //!
 //! Two companions complete the ingest path:
@@ -19,11 +22,12 @@
 //! * [`MrtViewReader`] — streams MRT records through one reusable buffer,
 //!   exposing the timestamp before the body is parsed so callers can group
 //!   by day without decoding;
-//! * [`AttrInterner`] — hash-conses `AS_PATH` and `COMMUNITIES` wire bytes
-//!   into owned values via [`bgp_types::Interner`], so a RIB dump that
-//!   repeats the same path ten thousand times decodes it once.
+//! * [`AttrInterner`] — hash-conses `AS_PATH` wire bytes into owned paths
+//!   via [`bgp_types::Interner`], so a RIB dump that repeats the same path
+//!   ten thousand times decodes it once.
 
 use std::io;
+use std::marker::PhantomData;
 
 use bgp_types::{
     AsPath, AsPathSegment, Asn, Community, Interner, Ipv4Prefix, Ipv6Prefix, Route, RouteOrigin,
@@ -52,460 +56,482 @@ use crate::msg::{
 const AFI_IPV4: u16 = 1;
 
 // ---------------------------------------------------------------------------
-// Validation walks (no construction). The order of checks inside each walk
+// The cursor and the element readers. The order of checks inside each reader
 // fixes which error, at which offset, a malformed input reports.
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked reader over a byte slice, tracking the absolute offset
-/// (`base` + local position) for error reporting.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    base: u64,
+/// What a failed read becomes. Validation runs each reader for the
+/// [`WireError`] it reports; the iterators, accessors and rebuilds run the
+/// same reader over bytes that already passed for [`Stop`], which carries
+/// nothing, so that path never builds an error.
+trait Failure {
+    fn at(kind: WireErrorKind, offset: u64) -> Self;
 }
 
-impl<'a> Cursor<'a> {
+impl Failure for WireError {
+    fn at(kind: WireErrorKind, offset: u64) -> Self {
+        WireError::new(kind, offset)
+    }
+}
+
+/// The failure of a read over validated bytes: it only ends an iterator.
+#[derive(Debug)]
+struct Stop;
+
+impl Failure for Stop {
+    fn at(_: WireErrorKind, _: u64) -> Self {
+        Stop
+    }
+}
+
+/// A bounds-checked reader over a byte slice: the bytes not yet read, and
+/// the absolute offset of the first of them for error reporting. A read
+/// that fails returns an `E`.
+#[derive(Debug)]
+struct Cursor<'a, E = WireError> {
+    bytes: &'a [u8],
+    at: u64,
+    failure: PhantomData<fn() -> E>,
+}
+
+impl<E> Clone for Cursor<'_, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<E> Copy for Cursor<'_, E> {}
+
+impl<'a, E: Failure> Cursor<'a, E> {
     fn new(bytes: &'a [u8]) -> Self {
-        Cursor::with_base(bytes, 0)
+        Cursor::starting_at(bytes, 0)
     }
 
-    fn with_base(bytes: &'a [u8], base: u64) -> Self {
+    fn starting_at(bytes: &'a [u8], at: u64) -> Self {
         Cursor {
             bytes,
-            pos: 0,
-            base,
+            at,
+            failure: PhantomData,
         }
     }
 
-    fn position(&self) -> u64 {
-        self.base + self.pos as u64
+    /// The same cursor, failing with an `F`.
+    fn to<F: Failure>(self) -> Cursor<'a, F> {
+        Cursor::starting_at(self.bytes, self.at)
     }
 
     fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.bytes.len()
     }
 
-    fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
+    /// The unread bytes as a cursor of their own, consuming them.
+    fn rest(&mut self) -> Self {
+        let rest = *self;
+        self.bytes = &[];
         rest
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// The failure for `n` bytes wanted where fewer remain.
+    fn short(&self, n: usize) -> E {
+        E::at(
+            WireErrorKind::Truncated {
+                needed: n - self.remaining(),
+            },
+            self.at,
+        )
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], E> {
         if self.remaining() < n {
-            return Err(WireError::new(
-                WireErrorKind::Truncated {
-                    needed: n - self.remaining(),
-                },
-                self.position(),
-            ));
+            return Err(self.short(n));
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let (slice, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        self.at += n as u64;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    /// Takes `n` bytes as a cursor of their own.
+    fn sub(&mut self, n: usize) -> Result<Self, E> {
+        let at = self.at;
+        Ok(Cursor::starting_at(self.take(n)?, at))
+    }
+
+    fn u8(&mut self) -> Result<u8, E> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
+    fn u16(&mut self) -> Result<u16, E> {
         let b = self.take(2)?;
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    fn u32(&mut self) -> Result<u32, E> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
-}
 
-/// Reads one `<length, prefix>` tuple from a cursor.
-fn decode_one_prefix(cur: &mut Cursor<'_>) -> Result<Ipv4Prefix, WireError> {
-    let at = cur.position();
-    let bits = cur.u8()?;
-    if bits > 32 {
-        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
+    fn asn(&mut self, encoding: AsnEncoding) -> Result<Asn, E> {
+        Ok(Asn(match encoding {
+            AsnEncoding::TwoOctet => u32::from(self.u16()?),
+            AsnEncoding::FourOctet => self.u32()?,
+        }))
     }
-    let body = cur.take(prefix_octets(bits))?;
-    let mut octets = [0u8; 4];
-    octets[..body.len()].copy_from_slice(body);
-    // try_new cannot fail (bits <= 32 was checked), but stay panic-free.
-    Ipv4Prefix::try_new(u32::from_be_bytes(octets), bits)
-        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
 }
 
-/// Reads one IPv6 `<length, prefix>` tuple from a cursor.
-fn decode_one_prefix6(cur: &mut Cursor<'_>) -> Result<Ipv6Prefix, WireError> {
-    let at = cur.position();
-    let bits = cur.u8()?;
-    if bits > 128 {
-        return Err(WireError::new(WireErrorKind::BadPrefixLength(bits), at));
+impl Cursor<'_> {
+    /// Requires that every byte has been read.
+    fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            remaining => Err(WireError::new(
+                WireErrorKind::TrailingBytes { remaining },
+                self.at,
+            )),
+        }
     }
-    let body = cur.take(prefix_octets(bits))?;
-    let mut octets = [0u8; 16];
-    octets[..body.len()].copy_from_slice(body);
-    // try_new cannot fail (bits <= 128 was checked), but stay panic-free.
-    Ipv6Prefix::try_new(u128::from_be_bytes(octets), bits)
-        .map_err(|_| WireError::new(WireErrorKind::BadPrefixLength(bits), at))
+
+    /// Runs `read` until the bytes are used up: how a run of elements is
+    /// validated.
+    fn read_to_end<T>(
+        mut self,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<(), WireError> {
+        while self.remaining() > 0 {
+            read(&mut self)?;
+        }
+        Ok(())
+    }
+
+    /// Runs `read` `count` times, then requires the bytes used up: an error
+    /// inside an element is reported before trailing bytes.
+    fn read_exactly<T>(
+        mut self,
+        count: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<(), WireError> {
+        for _ in 0..count {
+            read(&mut self)?;
+        }
+        self.finish()
+    }
 }
 
-/// Reads one capability from a cursor positioned at its code byte. The
-/// validator and [`CapabilityIter`] share it, so what validates is exactly
-/// what iterates.
-fn decode_one_capability(cur: &mut Cursor<'_>) -> Result<Capability, WireError> {
+impl Cursor<'_, Stop> {
+    /// Runs `read` once for an iterator over validated bytes: `None` at the
+    /// end, and on a misread (impossible on validated bytes), which also
+    /// ends the iteration.
+    fn next_item<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T, Stop>) -> Option<T> {
+        if self.remaining() == 0 {
+            return None;
+        }
+        let item = read(self);
+        if item.is_err() {
+            self.bytes = &[];
+        }
+        item.ok()
+    }
+}
+
+/// An address family whose prefixes ride in `<length, prefix>` tuples.
+trait Family: Copy {
+    /// The longest valid prefix length.
+    const MAX_BITS: u8;
+
+    /// The prefix whose leading address octets are `octets`.
+    fn from_octets(octets: &[u8], bits: u8) -> Option<Self>;
+}
+
+impl Family for Ipv4Prefix {
+    const MAX_BITS: u8 = 32;
+
+    fn from_octets(octets: &[u8], bits: u8) -> Option<Self> {
+        let mut addr = [0u8; 4];
+        addr.get_mut(..octets.len())?.copy_from_slice(octets);
+        Ipv4Prefix::try_new(u32::from_be_bytes(addr), bits).ok()
+    }
+}
+
+impl Family for Ipv6Prefix {
+    const MAX_BITS: u8 = 128;
+
+    fn from_octets(octets: &[u8], bits: u8) -> Option<Self> {
+        let mut addr = [0u8; 16];
+        addr.get_mut(..octets.len())?.copy_from_slice(octets);
+        Ipv6Prefix::try_new(u128::from_be_bytes(addr), bits).ok()
+    }
+}
+
+/// Reads one `<length, prefix>` tuple.
+fn read_prefix<P: Family, E: Failure>(cur: &mut Cursor<'_, E>) -> Result<P, E> {
+    let at = cur.at;
+    let bits = cur.u8()?;
+    let bad = || E::at(WireErrorKind::BadPrefixLength(bits), at);
+    if bits > P::MAX_BITS {
+        return Err(bad());
+    }
+    let octets = cur.take(prefix_octets(bits))?;
+    P::from_octets(octets, bits).ok_or_else(bad)
+}
+
+/// Octets per ASN under `encoding`.
+fn asn_width(encoding: AsnEncoding) -> usize {
+    match encoding {
+        AsnEncoding::TwoOctet => 2,
+        AsnEncoding::FourOctet => 4,
+    }
+}
+
+/// Reads one `AS_PATH` segment. Its type is checked only after its ASNs,
+/// and a truncation is reported at the first ASN that does not fit, as
+/// reading them one at a time would.
+fn read_segment<'a, E: Failure>(
+    cur: &mut Cursor<'a, E>,
+    encoding: AsnEncoding,
+) -> Result<AsPathSegmentView<'a>, E> {
+    let at = cur.at;
+    let seg_type = cur.u8()?;
+    let width = asn_width(encoding);
+    let len = usize::from(cur.u8()?) * width;
+    if cur.remaining() < len {
+        cur.take(cur.remaining() / width * width)?;
+        return Err(cur.short(width));
+    }
+    let asns = cur.take(len)?;
+    if seg_type != SEGMENT_AS_SEQUENCE && seg_type != SEGMENT_AS_SET {
+        return Err(E::at(WireErrorKind::BadSegmentType(seg_type), at));
+    }
+    Ok(AsPathSegmentView {
+        is_set: seg_type == SEGMENT_AS_SET,
+        asns,
+        encoding,
+    })
+}
+
+/// Reads one path attribute's header: its type code and its body. Every
+/// accessor walks the block through it, so it is inlined into the walks.
+#[inline(always)]
+fn read_attr<'a, E: Failure>(cur: &mut Cursor<'a, E>) -> Result<(u8, Cursor<'a, E>), E> {
+    let flags = cur.u8()?;
+    let type_code = cur.u8()?;
+    let len = if flags & FLAG_EXTENDED_LENGTH != 0 {
+        usize::from(cur.u16()?)
+    } else {
+        usize::from(cur.u8()?)
+    };
+    Ok((type_code, cur.sub(len)?))
+}
+
+/// The error for an attribute body its type cannot have the length of.
+fn bad_attr_length<E: Failure>(type_code: u8, length: usize, at: u64) -> E {
+    E::at(WireErrorKind::BadAttributeLength { type_code, length }, at)
+}
+
+/// Reads an `ORIGIN` body.
+fn read_origin<E: Failure>(body: Cursor<'_, E>) -> Result<RouteOrigin, E> {
+    match *body.bytes {
+        [0] => Ok(RouteOrigin::Igp),
+        [1] => Ok(RouteOrigin::Egp),
+        [2] => Ok(RouteOrigin::Incomplete),
+        [code] => Err(E::at(WireErrorKind::BadOrigin(code), body.at)),
+        _ => Err(bad_attr_length(ATTR_ORIGIN, body.bytes.len(), body.at)),
+    }
+}
+
+/// Reads a `NEXT_HOP` or `LOCAL_PREF` body: one 4-octet value.
+fn read_u32_attr<E: Failure>(type_code: u8, mut body: Cursor<'_, E>) -> Result<u32, E> {
+    if body.bytes.len() != 4 {
+        return Err(bad_attr_length(type_code, body.bytes.len(), body.at));
+    }
+    body.u32()
+}
+
+/// Reads a `COMMUNITIES` body: whole 4-octet values.
+fn read_communities<E: Failure>(
+    body: Cursor<'_, E>,
+) -> Result<impl Iterator<Item = Community> + '_, E> {
+    if !body.bytes.len().is_multiple_of(4) {
+        return Err(bad_attr_length(ATTR_COMMUNITIES, body.bytes.len(), body.at));
+    }
+    Ok(body
+        .bytes
+        .chunks_exact(4)
+        .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]]))))
+}
+
+/// An applicable `MP_REACH_NLRI`: its next hop and its unread NLRI.
+type Reach<'a, E> = (&'a [u8], Cursor<'a, E>);
+
+/// Reads an `MP_REACH_NLRI` body up to its NLRI. `None` when the attribute
+/// does not apply: it applies to IPv6 unicast, and always in the
+/// abbreviated RIB form (RFC 6396 §4.3.4, a next hop alone); other AFI/SAFI
+/// pairs are skipped like any unimplemented optional attribute.
+fn read_mp_reach<E: Failure>(
+    mut body: Cursor<'_, E>,
+    rib_form: bool,
+) -> Result<Option<Reach<'_, E>>, E> {
+    let len = body.remaining();
+    let family = if rib_form {
+        (AFI_IPV6, SAFI_UNICAST)
+    } else {
+        (body.u16()?, body.u8()?)
+    };
+    let nh_at = body.at;
+    let nh_len = usize::from(body.u8()?);
+    let next_hop = body.take(nh_len)?;
+    if rib_form {
+        if body.remaining() > 0 {
+            return Err(bad_attr_length(ATTR_MP_REACH_NLRI, len, nh_at));
+        }
+    } else {
+        body.u8()?; // reserved (SNPA count)
+        if family != (AFI_IPV6, SAFI_UNICAST) {
+            return Ok(None);
+        }
+        if nh_len != 16 && nh_len != 32 {
+            return Err(bad_attr_length(ATTR_MP_REACH_NLRI, nh_len, nh_at));
+        }
+    }
+    Ok(Some((next_hop, body.rest())))
+}
+
+/// Reads an `MP_UNREACH_NLRI` body up to its withdrawn prefixes; `None` for
+/// an AFI/SAFI pair other than IPv6 unicast.
+fn read_mp_unreach<E: Failure>(mut body: Cursor<'_, E>) -> Result<Option<Cursor<'_, E>>, E> {
+    let family = (body.u16()?, body.u8()?);
+    Ok((family == (AFI_IPV6, SAFI_UNICAST)).then(|| body.rest()))
+}
+
+/// Reads one OPEN optional parameter: its type and its body.
+fn read_param<'a, E: Failure>(cur: &mut Cursor<'a, E>) -> Result<(u8, Cursor<'a, E>), E> {
+    let ptype = cur.u8()?;
+    let len = usize::from(cur.u8()?);
+    Ok((ptype, cur.sub(len)?))
+}
+
+/// Reads one capability from a cursor positioned at its code byte.
+fn read_capability<E: Failure>(cur: &mut Cursor<'_, E>) -> Result<Capability, E> {
     let code = cur.u8()?;
-    let len_at = cur.position();
+    let len_at = cur.at;
     let len = cur.u8()?;
-    let body = cur.take(usize::from(len))?;
+    let data = cur.take(usize::from(len))?;
     if matches!(code, CAP_MULTIPROTOCOL | CAP_FOUR_OCTET_AS) && len != 4 {
-        return Err(WireError::new(
+        return Err(E::at(
             WireErrorKind::BadCapabilityLength { code, length: len },
             len_at,
         ));
     }
-    Ok(match code {
-        CAP_MULTIPROTOCOL => match (read_u16(body, 0), body[3]) {
-            (1, 1) => Capability::MultiprotocolIpv4Unicast,
-            (2, 1) => Capability::MultiprotocolIpv6Unicast,
-            _ => Capability::Unknown {
-                code,
-                data: body.to_vec(),
-            },
-        },
-        CAP_FOUR_OCTET_AS => Capability::FourOctetAs(Asn(read_u32(body, 0))),
+    Ok(match (code, data) {
+        (CAP_MULTIPROTOCOL, [0, 1, _, 1]) => Capability::MultiprotocolIpv4Unicast,
+        (CAP_MULTIPROTOCOL, [0, 2, _, 1]) => Capability::MultiprotocolIpv6Unicast,
+        (CAP_FOUR_OCTET_AS, &[a, b, c, d]) => {
+            Capability::FourOctetAs(Asn(u32::from_be_bytes([a, b, c, d])))
+        }
         _ => Capability::Unknown {
             code,
-            data: body.to_vec(),
+            data: data.to_vec(),
         },
     })
 }
 
-/// Validates a back-to-back run of `<length, prefix>` tuples.
-fn validate_prefix_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    while cur.remaining() > 0 {
-        decode_one_prefix(&mut cur)?;
+/// Reads one `PEER_INDEX_TABLE` entry. Peer type bit 0 marks an IPv6
+/// address, which is unsupported; bit 1 a 4-octet ASN.
+fn read_peer<E: Failure>(cur: &mut Cursor<'_, E>) -> Result<PeerEntry, E> {
+    let at = cur.at;
+    let peer_type = cur.u8()?;
+    if peer_type & 0x01 != 0 {
+        return Err(E::at(WireErrorKind::UnsupportedPeerType(peer_type), at));
     }
-    Ok(())
+    let bgp_id = cur.u32()?;
+    let addr = cur.u32()?;
+    let encoding = if peer_type & 0x02 != 0 {
+        AsnEncoding::FourOctet
+    } else {
+        AsnEncoding::TwoOctet
+    };
+    Ok(PeerEntry {
+        bgp_id,
+        addr,
+        asn: cur.asn(encoding)?,
+    })
 }
 
-/// Validates an `AS_PATH` body. ASN octets are read, not skipped, so a
-/// truncation is reported where the missing octets start, and each
-/// segment's type is checked only after its ASNs.
-fn validate_as_path(bytes: &[u8], base: u64, encoding: AsnEncoding) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    while cur.remaining() > 0 {
-        let at = cur.position();
-        let seg_type = cur.u8()?;
-        let count = usize::from(cur.u8()?);
-        for _ in 0..count {
-            match encoding {
-                AsnEncoding::TwoOctet => {
-                    cur.u16()?;
-                }
-                AsnEncoding::FourOctet => {
-                    cur.u32()?;
-                }
-            }
-        }
-        if seg_type != SEGMENT_AS_SEQUENCE && seg_type != SEGMENT_AS_SET {
-            return Err(WireError::new(WireErrorKind::BadSegmentType(seg_type), at));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a back-to-back run of IPv6 `<length, prefix>` tuples.
-fn validate_prefix6_run(bytes: &[u8], base: u64) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(bytes, base);
-    while cur.remaining() > 0 {
-        decode_one_prefix6(&mut cur)?;
-    }
-    Ok(())
-}
-
-/// Validates an `MP_REACH_NLRI` body. Returns whether the attribute applies:
-/// IPv6 unicast, or any body in the abbreviated RIB form. Other AFI/SAFI
-/// pairs are skipped like any unimplemented optional attribute.
-fn validate_mp_reach(body: &[u8], base: u64, rib_form: bool) -> Result<bool, WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    if rib_form {
-        let nh_at = cur.position();
-        let nh_len = usize::from(cur.u8()?);
-        cur.take(nh_len)?;
-        if cur.remaining() > 0 {
-            return Err(WireError::new(
-                WireErrorKind::BadAttributeLength {
-                    type_code: ATTR_MP_REACH_NLRI,
-                    length: body.len(),
-                },
-                nh_at,
-            ));
-        }
-        return Ok(true);
-    }
-    let afi = cur.u16()?;
-    let safi = cur.u8()?;
-    let nh_at = cur.position();
-    let nh_len = usize::from(cur.u8()?);
-    cur.take(nh_len)?;
-    cur.u8()?; // reserved (SNPA count)
-    if afi != AFI_IPV6 || safi != SAFI_UNICAST {
-        return Ok(false);
-    }
-    if nh_len != 16 && nh_len != 32 {
-        return Err(WireError::new(
-            WireErrorKind::BadAttributeLength {
-                type_code: ATTR_MP_REACH_NLRI,
-                length: nh_len,
-            },
-            nh_at,
-        ));
-    }
-    let nlri_base = cur.position();
-    validate_prefix6_run(cur.rest(), nlri_base)?;
-    Ok(true)
-}
-
-/// Validates an `MP_UNREACH_NLRI` body (other AFI/SAFI pairs are skipped).
-fn validate_mp_unreach(body: &[u8], base: u64) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let afi = cur.u16()?;
-    let safi = cur.u8()?;
-    if afi != AFI_IPV6 || safi != SAFI_UNICAST {
-        return Ok(());
-    }
-    let run_base = cur.position();
-    validate_prefix6_run(cur.rest(), run_base)
-}
-
-/// Validates an attribute block. Returns whether it is non-empty: an empty
-/// block is a pure withdrawal's.
-fn validate_attributes(
-    bytes: &[u8],
-    base: u64,
-    encoding: AsnEncoding,
-    rib_form: bool,
-) -> Result<bool, WireError> {
-    if bytes.is_empty() {
-        return Ok(false);
-    }
-    let mut cur = Cursor::with_base(bytes, base);
-    let mut has_origin = false;
-    let mut has_as_path = false;
-    let mut has_next_hop = false;
-    let mut has_mp_reach = false;
-    while cur.remaining() > 0 {
-        let flags = cur.u8()?;
-        let type_code = cur.u8()?;
-        let len = if flags & FLAG_EXTENDED_LENGTH != 0 {
-            usize::from(cur.u16()?)
-        } else {
-            usize::from(cur.u8()?)
-        };
-        let at = cur.position();
-        let body = cur.take(len)?;
-        let bad_len = || {
-            WireError::new(
-                WireErrorKind::BadAttributeLength {
-                    type_code,
-                    length: len,
-                },
-                at,
-            )
-        };
-        match type_code {
-            ATTR_ORIGIN => {
-                let &[code] = body else { return Err(bad_len()) };
-                if code > 2 {
-                    return Err(WireError::new(WireErrorKind::BadOrigin(code), at));
-                }
-                has_origin = true;
-            }
-            ATTR_AS_PATH => {
-                validate_as_path(body, at, encoding)?;
-                has_as_path = true;
-            }
-            ATTR_NEXT_HOP => {
-                if body.len() != 4 {
-                    return Err(bad_len());
-                }
-                has_next_hop = true;
-            }
-            ATTR_LOCAL_PREF if body.len() != 4 => return Err(bad_len()),
-            ATTR_COMMUNITIES if body.len() % 4 != 0 => return Err(bad_len()),
-            ATTR_MP_REACH_NLRI => {
-                has_mp_reach = validate_mp_reach(body, at, rib_form)? || has_mp_reach;
-            }
-            ATTR_MP_UNREACH_NLRI => validate_mp_unreach(body, at)?,
-            _ => {}
-        }
-    }
-    let end = cur.position();
-    let missing = |name| WireError::new(WireErrorKind::MissingAttribute(name), end);
-    if !has_origin {
-        return Err(missing("ORIGIN"));
-    }
-    if !has_as_path {
-        return Err(missing("AS_PATH"));
-    }
-    // An IPv6-only update carries its next hop inside MP_REACH_NLRI.
-    if !has_next_hop && !has_mp_reach {
-        return Err(missing("NEXT_HOP"));
-    }
-    Ok(true)
-}
-
-/// Validates an OPEN body (the bytes after the 19-byte header). Parameters
-/// other than capabilities (deprecated authentication, &c.) are
-/// length-checked only.
-fn validate_open_body(body: &[u8], base: u64) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(body, base);
-    let version_at = cur.position();
-    let version = cur.u8()?;
-    if version != BGP_VERSION {
-        return Err(WireError::new(
-            WireErrorKind::BadVersion(version),
-            version_at,
-        ));
-    }
-    cur.u16()?; // my_as
-    let hold_at = cur.position();
-    let hold_time = cur.u16()?;
-    if hold_time == 1 || hold_time == 2 {
-        return Err(WireError::new(
-            WireErrorKind::BadHoldTime(hold_time),
-            hold_at,
-        ));
-    }
-    cur.u32()?; // bgp id
-    let opt_len = usize::from(cur.u8()?);
-    let opt_base = cur.position();
-    let opt = cur.take(opt_len)?;
-    if cur.remaining() > 0 {
-        return Err(WireError::new(
-            WireErrorKind::TrailingBytes {
-                remaining: cur.remaining(),
-            },
-            cur.position(),
-        ));
-    }
-    let mut params = Cursor::with_base(opt, opt_base);
-    while params.remaining() > 0 {
-        let ptype = params.u8()?;
-        let plen = usize::from(params.u8()?);
-        let pbase = params.position();
-        let pbody = params.take(plen)?;
-        if ptype == PARAM_CAPABILITIES {
-            let mut caps = Cursor::with_base(pbody, pbase);
-            while caps.remaining() > 0 {
-                decode_one_capability(&mut caps)?;
-            }
-        }
-    }
-    Ok(())
+/// Reads one RIB entry up to its attribute block, which
+/// [`AttrsView::check`] walks.
+fn read_rib_entry<'a, E: Failure>(cur: &mut Cursor<'a, E>) -> Result<RibEntryView<'a>, E> {
+    let peer_index = cur.u16()?;
+    let originated_time = cur.u32()?;
+    let attr_len = usize::from(cur.u16()?);
+    Ok(RibEntryView {
+        peer_index,
+        originated_time,
+        // RFC 6396 §4.3.4: 4-octet ASNs and the abbreviated MP_REACH_NLRI.
+        attrs: AttrsView {
+            cur: cur.sub(attr_len)?.to(),
+            encoding: AsnEncoding::FourOctet,
+            rib_form: true,
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Infallible iterators over validated bytes.
-//
-// Each iterator trusts that its input passed the validation walk above, so
-// its bounds checks cannot fire; they still use `get` (never indexing) so a
-// misuse degrades to early iterator exhaustion, not a panic.
+// Iterators over validated bytes: each runs its element's reader once per
+// item, through `Cursor::next_item`.
 // ---------------------------------------------------------------------------
 
-/// Iterates a validated run of `<length, prefix>` tuples.
+/// Iterates a validated run of `<length, prefix>` tuples: IPv4 by default,
+/// IPv6 inside `MP_REACH_NLRI` and `MP_UNREACH_NLRI`.
 #[derive(Debug, Clone, Copy)]
-pub struct PrefixIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+pub struct PrefixIter<'a, P = Ipv4Prefix> {
+    cur: Cursor<'a, Stop>,
+    family: PhantomData<P>,
 }
 
-impl Iterator for PrefixIter<'_> {
-    type Item = Ipv4Prefix;
-
-    fn next(&mut self) -> Option<Ipv4Prefix> {
-        let bits = *self.bytes.get(self.pos)?;
-        let octets = prefix_octets(bits);
-        let body = self.bytes.get(self.pos + 1..self.pos + 1 + octets)?;
-        self.pos += 1 + octets;
-        let mut buf = [0u8; 4];
-        buf[..body.len()].copy_from_slice(body);
-        Ipv4Prefix::try_new(u32::from_be_bytes(buf), bits).ok()
+impl<'a, P> PrefixIter<'a, P> {
+    fn new(bytes: &'a [u8]) -> Self {
+        PrefixIter {
+            cur: Cursor::new(bytes),
+            family: PhantomData,
+        }
     }
 }
 
-/// Iterates a validated run of IPv6 `<length, prefix>` tuples.
-#[derive(Debug, Clone, Copy)]
-pub struct Prefix6Iter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+impl<P: Family> Iterator for PrefixIter<'_, P> {
+    type Item = P;
 
-impl Iterator for Prefix6Iter<'_> {
-    type Item = Ipv6Prefix;
-
-    fn next(&mut self) -> Option<Ipv6Prefix> {
-        let bits = *self.bytes.get(self.pos)?;
-        let octets = prefix_octets(bits);
-        let body = self.bytes.get(self.pos + 1..self.pos + 1 + octets)?;
-        self.pos += 1 + octets;
-        let mut buf = [0u8; 16];
-        buf[..body.len()].copy_from_slice(body);
-        Ipv6Prefix::try_new(u128::from_be_bytes(buf), bits).ok()
+    #[inline]
+    fn next(&mut self) -> Option<P> {
+        self.cur.next_item(read_prefix)
     }
 }
 
-/// Raw attribute walk: yields `(type_code, body)` per attribute.
+/// The attributes of a validated block: type code and body.
 #[derive(Debug, Clone, Copy)]
-struct RawAttrIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+struct AttrIter<'a>(Cursor<'a, Stop>);
 
-impl<'a> Iterator for RawAttrIter<'a> {
-    type Item = (u8, &'a [u8]);
+impl<'a> Iterator for AttrIter<'a> {
+    type Item = (u8, Cursor<'a, Stop>);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let flags = *self.bytes.get(self.pos)?;
-        let type_code = *self.bytes.get(self.pos + 1)?;
-        let (len, header) = if flags & FLAG_EXTENDED_LENGTH != 0 {
-            let hi = *self.bytes.get(self.pos + 2)?;
-            let lo = *self.bytes.get(self.pos + 3)?;
-            (usize::from(u16::from_be_bytes([hi, lo])), 4)
-        } else {
-            (usize::from(*self.bytes.get(self.pos + 2)?), 3)
-        };
-        let body = self.bytes.get(self.pos + header..self.pos + header + len)?;
-        self.pos += header + len;
-        Some((type_code, body))
+        self.0.next_item(read_attr)
     }
 }
 
 /// Iterates the ASNs of one wire segment.
 #[derive(Debug, Clone, Copy)]
 pub struct AsnIter<'a> {
-    bytes: &'a [u8],
+    cur: Cursor<'a, Stop>,
     encoding: AsnEncoding,
 }
 
 impl Iterator for AsnIter<'_> {
     type Item = Asn;
 
+    #[inline]
     fn next(&mut self) -> Option<Asn> {
-        match self.encoding {
-            AsnEncoding::TwoOctet => {
-                let b = self.bytes.get(..2)?;
-                self.bytes = &self.bytes[2..];
-                Some(Asn(u32::from(u16::from_be_bytes([b[0], b[1]]))))
-            }
-            AsnEncoding::FourOctet => {
-                let b = self.bytes.get(..4)?;
-                self.bytes = &self.bytes[4..];
-                Some(Asn(u32::from_be_bytes([b[0], b[1], b[2], b[3]])))
-            }
-        }
+        let encoding = self.encoding;
+        self.cur.next_item(|cur| cur.asn(encoding))
     }
 }
 
@@ -520,37 +546,12 @@ pub struct AsPathSegmentView<'a> {
 }
 
 impl<'a> AsPathSegmentView<'a> {
-    /// Number of ASNs in this wire segment (0..=255).
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.asns.len() / self.encoding_width()
-    }
-
     /// The segment's ASNs in wire order.
     #[must_use]
     pub fn asns(&self) -> AsnIter<'a> {
         AsnIter {
-            bytes: self.asns,
+            cur: Cursor::new(self.asns),
             encoding: self.encoding,
-        }
-    }
-
-    /// The final ASN of the segment, without iterating.
-    #[must_use]
-    pub fn last_asn(&self) -> Option<Asn> {
-        let width = self.encoding_width();
-        let tail = self.asns.get(self.asns.len().checked_sub(width)?..)?;
-        AsnIter {
-            bytes: tail,
-            encoding: self.encoding,
-        }
-        .next()
-    }
-
-    fn encoding_width(&self) -> usize {
-        match self.encoding {
-            AsnEncoding::TwoOctet => 2,
-            AsnEncoding::FourOctet => 4,
         }
     }
 }
@@ -558,27 +559,17 @@ impl<'a> AsPathSegmentView<'a> {
 /// Iterates the raw wire segments of a validated `AS_PATH` body.
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentIter<'a> {
-    bytes: &'a [u8],
+    cur: Cursor<'a, Stop>,
     encoding: AsnEncoding,
 }
 
 impl<'a> Iterator for SegmentIter<'a> {
     type Item = AsPathSegmentView<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let seg_type = *self.bytes.first()?;
-        let count = usize::from(*self.bytes.get(1)?);
-        let width = match self.encoding {
-            AsnEncoding::TwoOctet => 2,
-            AsnEncoding::FourOctet => 4,
-        };
-        let asns = self.bytes.get(2..2 + count * width)?;
-        self.bytes = &self.bytes[2 + count * width..];
-        Some(AsPathSegmentView {
-            is_set: seg_type == SEGMENT_AS_SET,
-            asns,
-            encoding: self.encoding,
-        })
+        let encoding = self.encoding;
+        self.cur.next_item(|cur| read_segment(cur, encoding))
     }
 }
 
@@ -594,7 +585,7 @@ impl<'a> Iterator for SegmentIter<'a> {
 /// multiple `COMMUNITIES` attributes concatenate.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrsView<'a> {
-    bytes: &'a [u8],
+    cur: Cursor<'a>,
     encoding: AsnEncoding,
     /// Whether `MP_REACH_NLRI` bodies use the abbreviated `TABLE_DUMP_V2`
     /// RIB-entry form (RFC 6396 §4.3.4) instead of the full RFC 4760 one.
@@ -602,17 +593,76 @@ pub struct AttrsView<'a> {
 }
 
 impl<'a> AttrsView<'a> {
-    fn raw(&self) -> RawAttrIter<'a> {
-        RawAttrIter {
-            bytes: self.bytes,
-            pos: 0,
+    /// Validates the block: every attribute, then the mandatory ones.
+    /// Returns whether it is non-empty: an empty block is a pure
+    /// withdrawal's.
+    fn check(&self) -> Result<bool, WireError> {
+        if self.cur.remaining() == 0 {
+            return Ok(false);
         }
+        let mut cur = self.cur;
+        let mut has_origin = false;
+        let mut has_as_path = false;
+        let mut has_next_hop = false;
+        let mut has_mp_reach = false;
+        while cur.remaining() > 0 {
+            let (type_code, body) = read_attr(&mut cur)?;
+            match type_code {
+                ATTR_ORIGIN => {
+                    read_origin(body)?;
+                    has_origin = true;
+                }
+                ATTR_AS_PATH => {
+                    body.read_to_end(|cur| read_segment(cur, self.encoding))?;
+                    has_as_path = true;
+                }
+                ATTR_NEXT_HOP => {
+                    read_u32_attr(type_code, body)?;
+                    has_next_hop = true;
+                }
+                ATTR_LOCAL_PREF => {
+                    read_u32_attr(type_code, body)?;
+                }
+                ATTR_COMMUNITIES => {
+                    let _ = read_communities(body)?;
+                }
+                ATTR_MP_REACH_NLRI => {
+                    if let Some((_, nlri)) = read_mp_reach(body, self.rib_form)? {
+                        nlri.read_to_end(read_prefix::<Ipv6Prefix, _>)?;
+                        has_mp_reach = true;
+                    }
+                }
+                ATTR_MP_UNREACH_NLRI => {
+                    if let Some(withdrawn) = read_mp_unreach(body)? {
+                        withdrawn.read_to_end(read_prefix::<Ipv6Prefix, _>)?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let missing = |name| WireError::new(WireErrorKind::MissingAttribute(name), cur.at);
+        if !has_origin {
+            return Err(missing("ORIGIN"));
+        }
+        if !has_as_path {
+            return Err(missing("AS_PATH"));
+        }
+        // An IPv6-only update carries its next hop inside MP_REACH_NLRI.
+        if !has_next_hop && !has_mp_reach {
+            return Err(missing("NEXT_HOP"));
+        }
+        Ok(true)
+    }
+
+    fn walk(&self) -> AttrIter<'a> {
+        AttrIter(self.cur.to())
     }
 
     /// The body of the last attribute of `type_code`, the one that wins.
-    fn last(&self, type_code: u8) -> Option<&'a [u8]> {
+    fn last(&self, type_code: u8) -> Option<Cursor<'a, Stop>> {
+        let mut cur = self.cur.to();
         let mut found = None;
-        for (code, body) in self.raw() {
+        while let Ok((code, body)) = read_attr(&mut cur) {
             if code == type_code {
                 found = Some(body);
             }
@@ -620,49 +670,41 @@ impl<'a> AttrsView<'a> {
         found
     }
 
-    /// The ASN encoding this block was parsed under.
-    #[must_use]
-    pub fn encoding(&self) -> AsnEncoding {
-        self.encoding
-    }
-
-    /// The raw bytes of the whole attribute block.
-    #[must_use]
-    pub fn wire(&self) -> &'a [u8] {
-        self.bytes
-    }
-
     /// The `ORIGIN` attribute.
     #[must_use]
     pub fn origin(&self) -> RouteOrigin {
-        self.last(ATTR_ORIGIN).map_or(RouteOrigin::Igp, origin_of)
+        self.last(ATTR_ORIGIN)
+            .and_then(|body| read_origin(body).ok())
+            .unwrap_or(RouteOrigin::Igp)
     }
 
     /// The `NEXT_HOP` attribute as a raw IPv4 address (0 when absent, as in
     /// an IPv6-only update).
     #[must_use]
     pub fn next_hop(&self) -> u32 {
-        self.last(ATTR_NEXT_HOP).map_or(0, |body| read_u32(body, 0))
+        self.last(ATTR_NEXT_HOP)
+            .and_then(|body| read_u32_attr(ATTR_NEXT_HOP, body).ok())
+            .unwrap_or(0)
     }
 
     /// The `LOCAL_PREF` attribute, when present.
     #[must_use]
     pub fn local_pref(&self) -> Option<u32> {
-        self.last(ATTR_LOCAL_PREF).map(|body| read_u32(body, 0))
+        self.last(ATTR_LOCAL_PREF)
+            .and_then(|body| read_u32_attr(ATTR_LOCAL_PREF, body).ok())
     }
 
     /// The wire bytes of the (winning) `AS_PATH` attribute body — the
     /// interning key for [`AttrInterner`].
-    #[must_use]
-    pub fn as_path_wire(&self) -> &'a [u8] {
-        self.last(ATTR_AS_PATH).unwrap_or(&[])
+    fn as_path_wire(&self) -> &'a [u8] {
+        self.last(ATTR_AS_PATH).map_or(&[], |body| body.bytes)
     }
 
     /// The raw wire segments of the `AS_PATH`, pre-merge.
     #[must_use]
     pub fn segments(&self) -> SegmentIter<'a> {
         SegmentIter {
-            bytes: self.as_path_wire(),
+            cur: Cursor::new(self.as_path_wire()),
             encoding: self.encoding,
         }
     }
@@ -685,116 +727,97 @@ impl<'a> AttrsView<'a> {
     pub fn origin_asn(&self) -> Option<Asn> {
         let mut last: Option<AsPathSegmentView<'a>> = None;
         for segment in self.segments() {
-            if segment.count() > 0 {
+            if !segment.asns.is_empty() {
                 last = Some(segment);
             }
         }
-        let segment = last?;
-        if segment.is_set {
-            None
-        } else {
-            segment.last_asn()
-        }
+        let segment = last.filter(|segment| !segment.is_set)?;
+        let width = asn_width(segment.encoding);
+        let tail = segment.asns.get(segment.asns.len().checked_sub(width)?..)?;
+        Cursor::<Stop>::new(tail).asn(segment.encoding).ok()
     }
 
     /// Every community carried, concatenated across `COMMUNITIES`
     /// attributes in wire order.
     pub fn communities(&self) -> impl Iterator<Item = Community> + 'a {
-        self.raw()
+        self.walk()
             .filter(|&(type_code, _)| type_code == ATTR_COMMUNITIES)
-            .flat_map(|(_, body)| communities_of(body))
-    }
-
-    /// The wire bytes of the `COMMUNITIES` body when exactly one such
-    /// attribute is present (the interning key); `None` when there are zero
-    /// or several (fall back to [`AttrsView::communities`]).
-    #[must_use]
-    pub fn communities_wire(&self) -> Option<&'a [u8]> {
-        let mut found = None;
-        for (type_code, body) in self.raw() {
-            if type_code == ATTR_COMMUNITIES {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(body);
-            }
-        }
-        found
+            .filter_map(|(_, body)| read_communities(body).ok())
+            .flatten()
     }
 
     /// The `MP_REACH_NLRI` attribute for IPv6 unicast, rebuilt owned (its
     /// next hop is variable-length, so there is no borrowed form).
     #[must_use]
     pub fn mp_reach(&self) -> Option<MpReach> {
-        self.raw()
+        self.walk()
             .filter(|&(type_code, _)| type_code == ATTR_MP_REACH_NLRI)
-            .filter_map(|(_, body)| mp_reach_of(body, self.rib_form))
+            .filter_map(|(_, body)| read_mp_reach(body, self.rib_form).ok().flatten())
             .last()
+            .map(owned_reach)
     }
 
     /// The IPv6 prefixes withdrawn via `MP_UNREACH_NLRI`.
     #[must_use]
     pub fn mp_unreach(&self) -> Option<MpUnreach> {
-        self.raw()
+        self.walk()
             .filter(|&(type_code, _)| type_code == ATTR_MP_UNREACH_NLRI)
-            .filter_map(|(_, body)| mp_unreach_of(body))
+            .filter_map(|(_, body)| read_mp_unreach(body).ok().flatten())
             .last()
+            .map(owned_unreach)
     }
 
     /// Rebuilds the owned [`AsPath`], re-joining encoder-split segments.
     #[must_use]
     pub fn to_as_path(&self) -> AsPath {
-        as_path_of(self.as_path_wire(), self.encoding)
+        as_path_of(self.segments())
     }
 
     /// Rebuilds owned [`PathAttributes`] in one walk of the block, with the
     /// accessors' duplicate-attribute semantics.
     #[must_use]
     pub fn to_attributes(&self) -> PathAttributes {
-        let mut origin = RouteOrigin::Igp;
-        let mut path: &[u8] = &[];
-        let mut next_hop = 0;
+        let mut origin = Ok(RouteOrigin::Igp);
+        let mut path = Cursor::new(&[]);
+        let mut next_hop = Ok(0);
         let mut local_pref = None;
         let mut communities = Vec::new();
         let mut mp_reach = None;
         let mut mp_unreach = None;
-        for (type_code, body) in self.raw() {
+        for (type_code, body) in self.walk() {
             match type_code {
-                ATTR_ORIGIN => origin = origin_of(body),
+                ATTR_ORIGIN => origin = read_origin(body),
                 ATTR_AS_PATH => path = body,
-                ATTR_NEXT_HOP => next_hop = read_u32(body, 0),
-                ATTR_LOCAL_PREF => local_pref = Some(read_u32(body, 0)),
-                ATTR_COMMUNITIES => communities.extend(communities_of(body)),
-                ATTR_MP_REACH_NLRI => mp_reach = mp_reach_of(body, self.rib_form).or(mp_reach),
-                ATTR_MP_UNREACH_NLRI => mp_unreach = mp_unreach_of(body).or(mp_unreach),
+                ATTR_NEXT_HOP => next_hop = read_u32_attr(type_code, body),
+                ATTR_LOCAL_PREF => local_pref = read_u32_attr(type_code, body).ok(),
+                ATTR_COMMUNITIES => {
+                    communities.extend(read_communities(body).into_iter().flatten())
+                }
+                ATTR_MP_REACH_NLRI => {
+                    mp_reach = read_mp_reach(body, self.rib_form)
+                        .ok()
+                        .flatten()
+                        .or(mp_reach);
+                }
+                ATTR_MP_UNREACH_NLRI => {
+                    mp_unreach = read_mp_unreach(body).ok().flatten().or(mp_unreach);
+                }
                 _ => {}
             }
         }
         PathAttributes {
-            origin,
-            as_path: as_path_of(path, self.encoding),
-            next_hop,
+            origin: origin.unwrap_or(RouteOrigin::Igp),
+            as_path: as_path_of(SegmentIter {
+                cur: path,
+                encoding: self.encoding,
+            }),
+            next_hop: next_hop.unwrap_or(0),
             local_pref,
             communities,
-            mp_reach,
-            mp_unreach,
+            mp_reach: mp_reach.map(owned_reach),
+            mp_unreach: mp_unreach.map(owned_unreach),
         }
     }
-}
-
-/// The route origin a validated `ORIGIN` body names.
-fn origin_of(body: &[u8]) -> RouteOrigin {
-    match body.first() {
-        Some(1) => RouteOrigin::Egp,
-        Some(2) => RouteOrigin::Incomplete,
-        _ => RouteOrigin::Igp,
-    }
-}
-
-/// The communities of one validated `COMMUNITIES` body.
-fn communities_of(body: &[u8]) -> impl Iterator<Item = Community> + '_ {
-    body.chunks_exact(4)
-        .map(|chunk| Community(read_u32(chunk, 0)))
 }
 
 /// Rebuilds the owned [`AsPath`] of a validated `AS_PATH` body. The encoder
@@ -803,16 +826,12 @@ fn communities_of(body: &[u8]) -> impl Iterator<Item = Community> + '_ {
 /// predecessor is left alone, because adjacent same-type segments also
 /// appear legitimately (aggregated `AS_SET`s) and merging those would
 /// change path semantics.
-fn as_path_of(wire: &[u8], encoding: AsnEncoding) -> AsPath {
-    let wire_segments = SegmentIter {
-        bytes: wire,
-        encoding,
-    };
+fn as_path_of(wire_segments: SegmentIter<'_>) -> AsPath {
     let mut segments: Vec<AsPathSegment> = Vec::new();
     let mut prev_full = false;
     for view in wire_segments {
-        let count = view.count();
         let asns: Vec<Asn> = view.asns().collect();
+        let full = asns.len() == MAX_SEGMENT_ASNS;
         let segment = if view.is_set {
             AsPathSegment::Set(asns)
         } else {
@@ -825,60 +844,47 @@ fn as_path_of(wire: &[u8], encoding: AsnEncoding) -> AsPath {
             }
             (_, _, segment) => segments.push(segment),
         }
-        prev_full = count == MAX_SEGMENT_ASNS;
+        prev_full = full;
     }
     // from_segments canonicalizes (drops empties, merges adjacent
     // sequences), matching what the simulator-side constructors produce.
     AsPath::from_segments(segments)
 }
 
-/// The `MP_REACH_NLRI` of a validated body; `None` for an AFI/SAFI pair
-/// other than IPv6 unicast (the abbreviated RIB form carries none and
-/// always applies).
-fn mp_reach_of(body: &[u8], rib_form: bool) -> Option<MpReach> {
-    if rib_form {
-        let nh_len = usize::from(*body.first()?);
-        return Some(MpReach {
-            next_hop: body.get(1..1 + nh_len)?.to_vec(),
-            nlri: Vec::new(),
-        });
+fn owned_reach((next_hop, nlri): Reach<'_, Stop>) -> MpReach {
+    MpReach {
+        next_hop: next_hop.to_vec(),
+        nlri: PrefixIter::new(nlri.bytes).collect(),
     }
-    if read_u16(body, 0) != AFI_IPV6 || *body.get(2)? != SAFI_UNICAST {
-        return None;
-    }
-    let nh_len = usize::from(*body.get(3)?);
-    let nlri = Prefix6Iter {
-        bytes: body.get(5 + nh_len..)?,
-        pos: 0,
-    };
-    Some(MpReach {
-        next_hop: body.get(4..4 + nh_len)?.to_vec(),
-        nlri: nlri.collect(),
-    })
 }
 
-/// The `MP_UNREACH_NLRI` of a validated body; `None` for an AFI/SAFI pair
-/// other than IPv6 unicast.
-fn mp_unreach_of(body: &[u8]) -> Option<MpUnreach> {
-    if read_u16(body, 0) != AFI_IPV6 || *body.get(2)? != SAFI_UNICAST {
-        return None;
+fn owned_unreach(withdrawn: Cursor<'_, Stop>) -> MpUnreach {
+    MpUnreach {
+        withdrawn: PrefixIter::new(withdrawn.bytes).collect(),
     }
-    let withdrawn = Prefix6Iter {
-        bytes: body.get(3..)?,
-        pos: 0,
-    };
-    Some(MpUnreach {
-        withdrawn: withdrawn.collect(),
-    })
 }
 
 // ---------------------------------------------------------------------------
-// UPDATE message view
+// BGP message views
 // ---------------------------------------------------------------------------
 
-/// Reads the 19-byte BGP header: the all-ones marker, then the message
-/// length and type. The length is range-checked only once the type is read.
-fn parse_header(cur: &mut Cursor<'_>) -> Result<(usize, u8), WireError> {
+/// The error for a header length field of `total` bytes that the message
+/// type cannot have.
+fn bad_length(total: usize) -> WireError {
+    WireError::new(WireErrorKind::BadMessageLength(total as u16), 16)
+}
+
+/// The error for a message type the parser does not take.
+fn unsupported_type(msg_type: u8) -> WireError {
+    WireError::new(WireErrorKind::UnsupportedMessageType(msg_type), 18)
+}
+
+/// Reads a message's 19-byte header — the all-ones marker, then the length,
+/// range-checked only once the type is read — and takes the body the length
+/// names. A type other than `only`, when given, is refused before the body
+/// is read. Returns the type, the body and the bytes the message fills.
+fn read_frame(bytes: &[u8], only: Option<u8>) -> Result<(u8, Cursor<'_>, usize), WireError> {
+    let mut cur = Cursor::new(bytes);
     let marker = cur.take(16)?;
     if marker.iter().any(|&b| b != 0xFF) {
         return Err(WireError::new(WireErrorKind::BadMarker, 0));
@@ -888,13 +894,10 @@ fn parse_header(cur: &mut Cursor<'_>) -> Result<(usize, u8), WireError> {
     if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
         return Err(bad_length(total));
     }
-    Ok((total, msg_type))
-}
-
-/// The error for a header length field of `total` bytes that the message
-/// type cannot have.
-fn bad_length(total: usize) -> WireError {
-    WireError::new(WireErrorKind::BadMessageLength(total as u16), 16)
+    if only.is_some_and(|only| only != msg_type) {
+        return Err(unsupported_type(msg_type));
+    }
+    Ok((msg_type, cur.sub(total - HEADER_LEN)?, total))
 }
 
 /// Requires that a parsed message fill all `len` input bytes.
@@ -925,57 +928,39 @@ impl<'a> UpdateView<'a> {
     ///
     /// # Errors
     ///
-    /// Never panics; returns a [`WireError`] locating the first problem.
+    /// Never panics; returns a [`WireError`] locating the first problem. A
+    /// message of another type is refused right after its header.
     pub fn parse(bytes: &'a [u8], encoding: AsnEncoding) -> Result<(Self, usize), WireError> {
-        let mut cur = Cursor::new(bytes);
-        let (total, msg_type) = parse_header(&mut cur)?;
-        if msg_type != MESSAGE_TYPE_UPDATE {
-            return Err(WireError::new(
-                WireErrorKind::UnsupportedMessageType(msg_type),
-                18,
-            ));
-        }
-        let body = cur.take(total - HEADER_LEN)?;
-        let view = Self::parse_body(body, HEADER_LEN as u64, encoding)?;
-        Ok((view, total))
+        let (_, body, used) = read_frame(bytes, Some(MESSAGE_TYPE_UPDATE))?;
+        Ok((Self::parse_body(body, encoding)?, used))
     }
 
     /// Parses (and fully validates) an UPDATE body — the bytes after the
     /// 19-byte header. The NLRI is validated before the attribute block, so
     /// a message bad in both reports its NLRI.
-    pub(crate) fn parse_body(
-        body: &'a [u8],
-        base: u64,
-        encoding: AsnEncoding,
-    ) -> Result<Self, WireError> {
-        let mut body_cur = Cursor::with_base(body, base);
-        let withdrawn_len = usize::from(body_cur.u16()?);
-        let withdrawn = body_cur.take(withdrawn_len)?;
-        validate_prefix_run(withdrawn, base + 2)?;
-
-        let attrs_len = usize::from(body_cur.u16()?);
-        let attrs_base = body_cur.position();
-        let attr_bytes = body_cur.take(attrs_len)?;
-        let nlri_base = body_cur.position();
-        let nlri = body_cur.rest();
-        validate_prefix_run(nlri, nlri_base)?;
-
-        let has_attrs = validate_attributes(attr_bytes, attrs_base, encoding, false)?;
-        if !has_attrs && !nlri.is_empty() {
+    fn parse_body(mut cur: Cursor<'a>, encoding: AsnEncoding) -> Result<Self, WireError> {
+        let withdrawn_len = usize::from(cur.u16()?);
+        let withdrawn = cur.sub(withdrawn_len)?;
+        withdrawn.read_to_end(read_prefix::<Ipv4Prefix, _>)?;
+        let attrs_len = usize::from(cur.u16()?);
+        let attrs = AttrsView {
+            cur: cur.sub(attrs_len)?,
+            encoding,
+            rib_form: false,
+        };
+        let nlri = cur.rest();
+        nlri.read_to_end(read_prefix::<Ipv4Prefix, _>)?;
+        let has_attrs = attrs.check()?;
+        if !has_attrs && nlri.remaining() > 0 {
             return Err(WireError::new(
                 WireErrorKind::MissingAttribute("AS_PATH"),
-                nlri_base,
+                nlri.at,
             ));
         }
-
         Ok(UpdateView {
-            withdrawn,
-            attrs: has_attrs.then_some(AttrsView {
-                bytes: attr_bytes,
-                encoding,
-                rib_form: false,
-            }),
-            nlri,
+            withdrawn: withdrawn.bytes,
+            attrs: has_attrs.then_some(attrs),
+            nlri: nlri.bytes,
         })
     }
 
@@ -992,10 +977,7 @@ impl<'a> UpdateView<'a> {
     /// The withdrawn prefixes.
     #[must_use]
     pub fn withdrawn(&self) -> PrefixIter<'a> {
-        PrefixIter {
-            bytes: self.withdrawn,
-            pos: 0,
-        }
+        PrefixIter::new(self.withdrawn)
     }
 
     /// The shared path attributes (`None` for a pure withdrawal).
@@ -1007,10 +989,7 @@ impl<'a> UpdateView<'a> {
     /// The announced prefixes.
     #[must_use]
     pub fn nlri(&self) -> PrefixIter<'a> {
-        PrefixIter {
-            bytes: self.nlri,
-            pos: 0,
-        }
+        PrefixIter::new(self.nlri)
     }
 
     /// Rebuilds the owned [`UpdateMessage`] through the lazy iterators.
@@ -1024,54 +1003,81 @@ impl<'a> UpdateView<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Session message views (OPEN / NOTIFICATION / KEEPALIVE)
-// ---------------------------------------------------------------------------
-
 /// A validated, borrowed BGP OPEN message body.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenView<'a> {
-    body: &'a [u8],
+    my_as: u16,
+    hold_time: u16,
+    bgp_id: u32,
+    params: Cursor<'a>,
 }
 
 impl<'a> OpenView<'a> {
-    fn parse_body(body: &'a [u8], base: u64) -> Result<Self, WireError> {
-        validate_open_body(body, base)?;
-        Ok(OpenView { body })
-    }
-
-    /// The BGP version field (always 4 on validated bytes).
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        *self.body.first().unwrap_or(&0)
+    /// Parses an OPEN body (the bytes after the 19-byte header). Parameters
+    /// other than capabilities (deprecated authentication, &c.) are
+    /// length-checked only.
+    fn parse_body(mut cur: Cursor<'a>) -> Result<Self, WireError> {
+        let version_at = cur.at;
+        let version = cur.u8()?;
+        if version != BGP_VERSION {
+            return Err(WireError::new(
+                WireErrorKind::BadVersion(version),
+                version_at,
+            ));
+        }
+        let my_as = cur.u16()?;
+        let hold_at = cur.at;
+        let hold_time = cur.u16()?;
+        if hold_time == 1 || hold_time == 2 {
+            return Err(WireError::new(
+                WireErrorKind::BadHoldTime(hold_time),
+                hold_at,
+            ));
+        }
+        let bgp_id = cur.u32()?;
+        let opt_len = usize::from(cur.u8()?);
+        let params = cur.sub(opt_len)?;
+        cur.finish()?;
+        params.read_to_end(|cur| {
+            let (ptype, body) = read_param(cur)?;
+            if ptype == PARAM_CAPABILITIES {
+                body.read_to_end(read_capability)?;
+            }
+            Ok(())
+        })?;
+        Ok(OpenView {
+            my_as,
+            hold_time,
+            bgp_id,
+            params,
+        })
     }
 
     /// The raw 2-octet My-AS field ([`crate::msg::AS_TRANS`] when the real
     /// ASN rides in a capability — see [`OpenView::effective_asn`]).
     #[must_use]
     pub fn my_as(&self) -> u16 {
-        read_u16(self.body, 1)
+        self.my_as
     }
 
     /// Proposed hold time in seconds.
     #[must_use]
     pub fn hold_time(&self) -> u16 {
-        read_u16(self.body, 3)
+        self.hold_time
     }
 
     /// The sender's BGP identifier.
     #[must_use]
     pub fn bgp_id(&self) -> u32 {
-        read_u32(self.body, 5)
+        self.bgp_id
     }
 
     /// The announced capabilities, in wire order.
     #[must_use]
     pub fn capabilities(&self) -> CapabilityIter<'a> {
-        let opt_len = usize::from(*self.body.get(9).unwrap_or(&0));
         CapabilityIter {
-            params: self.body.get(10..10 + opt_len).unwrap_or(&[]),
-            caps: &[],
+            params: self.params.to(),
+            caps: Cursor::new(&[]),
         }
     }
 
@@ -1085,16 +1091,16 @@ impl<'a> OpenView<'a> {
                 Capability::FourOctetAs(asn) => Some(asn),
                 _ => None,
             })
-            .unwrap_or(Asn(u32::from(self.my_as())))
+            .unwrap_or(Asn(u32::from(self.my_as)))
     }
 
     /// Rebuilds the owned [`OpenMessage`].
     #[must_use]
     pub fn to_open(&self) -> OpenMessage {
         OpenMessage {
-            asn: Asn(u32::from(self.my_as())),
-            hold_time: self.hold_time(),
-            bgp_id: self.bgp_id(),
+            asn: Asn(u32::from(self.my_as)),
+            hold_time: self.hold_time,
+            bgp_id: self.bgp_id,
             capabilities: self.capabilities().collect(),
         }
     }
@@ -1104,40 +1110,40 @@ impl<'a> OpenView<'a> {
 /// crossing parameter boundaries (several type-2 parameters concatenate).
 #[derive(Debug, Clone, Copy)]
 pub struct CapabilityIter<'a> {
-    params: &'a [u8],
-    caps: &'a [u8],
+    params: Cursor<'a, Stop>,
+    caps: Cursor<'a, Stop>,
 }
 
 impl Iterator for CapabilityIter<'_> {
     type Item = Capability;
 
+    #[inline]
     fn next(&mut self) -> Option<Capability> {
-        while self.caps.is_empty() {
-            let ptype = *self.params.first()?;
-            let plen = usize::from(*self.params.get(1)?);
-            let pbody = self.params.get(2..2 + plen)?;
-            self.params = &self.params[2 + plen..];
+        while self.caps.remaining() == 0 {
+            let (ptype, body) = self.params.next_item(read_param)?;
             if ptype == PARAM_CAPABILITIES {
-                self.caps = pbody;
+                self.caps = body;
             }
         }
-        let mut cur = Cursor::new(self.caps);
-        let capability = decode_one_capability(&mut cur).ok()?;
-        self.caps = cur.rest();
-        Some(capability)
+        let capability = self.caps.next_item(read_capability);
+        if capability.is_none() {
+            self.params = Cursor::new(&[]);
+        }
+        capability
     }
 }
 
 /// A validated, borrowed BGP NOTIFICATION message body.
 #[derive(Debug, Clone, Copy)]
 pub struct NotificationView<'a> {
-    body: &'a [u8],
+    code: u8,
+    subcode: u8,
+    data: &'a [u8],
 }
 
 impl<'a> NotificationView<'a> {
-    fn parse_body(body: &'a [u8], base: u64) -> Result<Self, WireError> {
-        let mut cur = Cursor::with_base(body, base);
-        let code_at = cur.position();
+    fn parse_body(mut cur: Cursor<'a>) -> Result<Self, WireError> {
+        let code_at = cur.at;
         let code = cur.u8()?;
         if !(1..=6).contains(&code) {
             return Err(WireError::new(
@@ -1145,35 +1151,38 @@ impl<'a> NotificationView<'a> {
                 code_at,
             ));
         }
-        cur.u8()?; // subcode
-        Ok(NotificationView { body })
+        Ok(NotificationView {
+            code,
+            subcode: cur.u8()?,
+            data: cur.rest().bytes,
+        })
     }
 
     /// Error code (see [`crate::msg::notif`]).
     #[must_use]
     pub fn code(&self) -> u8 {
-        *self.body.first().unwrap_or(&0)
+        self.code
     }
 
     /// Error subcode.
     #[must_use]
     pub fn subcode(&self) -> u8 {
-        *self.body.get(1).unwrap_or(&0)
+        self.subcode
     }
 
     /// Diagnostic data, verbatim.
     #[must_use]
     pub fn data(&self) -> &'a [u8] {
-        self.body.get(2..).unwrap_or(&[])
+        self.data
     }
 
     /// Rebuilds the owned [`NotificationMessage`].
     #[must_use]
     pub fn to_notification(&self) -> NotificationMessage {
         NotificationMessage {
-            code: self.code(),
-            subcode: self.subcode(),
-            data: self.data().to_vec(),
+            code: self.code,
+            subcode: self.subcode,
+            data: self.data.to_vec(),
         }
     }
 }
@@ -1201,40 +1210,23 @@ impl<'a> MessageView<'a> {
     /// Never panics; returns a [`WireError`] locating the first problem. A
     /// [`WireErrorKind::Truncated`] error means more bytes are needed.
     pub fn parse(bytes: &'a [u8], encoding: AsnEncoding) -> Result<(Self, usize), WireError> {
-        let mut cur = Cursor::new(bytes);
-        let (total, msg_type) = parse_header(&mut cur)?;
-        let body = cur.take(total - HEADER_LEN)?;
-        let base = HEADER_LEN as u64;
+        let (msg_type, body, used) = read_frame(bytes, None)?;
+        let too_short = |min: usize| body.remaining() < min - HEADER_LEN;
         let view = match msg_type {
-            MESSAGE_TYPE_OPEN => {
-                if body.len() < MIN_OPEN_LEN - HEADER_LEN {
-                    return Err(bad_length(total));
-                }
-                MessageView::Open(OpenView::parse_body(body, base)?)
-            }
-            MESSAGE_TYPE_UPDATE => {
-                MessageView::Update(UpdateView::parse_body(body, base, encoding)?)
+            MESSAGE_TYPE_OPEN if too_short(MIN_OPEN_LEN) => return Err(bad_length(used)),
+            MESSAGE_TYPE_OPEN => MessageView::Open(OpenView::parse_body(body)?),
+            MESSAGE_TYPE_UPDATE => MessageView::Update(UpdateView::parse_body(body, encoding)?),
+            MESSAGE_TYPE_NOTIFICATION if too_short(MIN_NOTIFICATION_LEN) => {
+                return Err(bad_length(used));
             }
             MESSAGE_TYPE_NOTIFICATION => {
-                if body.len() < MIN_NOTIFICATION_LEN - HEADER_LEN {
-                    return Err(bad_length(total));
-                }
-                MessageView::Notification(NotificationView::parse_body(body, base)?)
+                MessageView::Notification(NotificationView::parse_body(body)?)
             }
-            MESSAGE_TYPE_KEEPALIVE => {
-                if !body.is_empty() {
-                    return Err(bad_length(total));
-                }
-                MessageView::Keepalive
-            }
-            other => {
-                return Err(WireError::new(
-                    WireErrorKind::UnsupportedMessageType(other),
-                    18,
-                ));
-            }
+            MESSAGE_TYPE_KEEPALIVE if body.remaining() > 0 => return Err(bad_length(used)),
+            MESSAGE_TYPE_KEEPALIVE => MessageView::Keepalive,
+            other => return Err(unsupported_type(other)),
         };
-        Ok((view, total))
+        Ok((view, used))
     }
 
     /// Parses one message filling all of `bytes` (trailing bytes are an
@@ -1277,73 +1269,38 @@ impl<'a> MessageView<'a> {
 /// A validated, borrowed `PEER_INDEX_TABLE` record body.
 #[derive(Debug, Clone, Copy)]
 pub struct PeerIndexTableView<'a> {
-    body: &'a [u8],
+    collector_id: u32,
+    view_name: &'a [u8],
+    peers: Cursor<'a>,
 }
 
 impl<'a> PeerIndexTableView<'a> {
-    fn parse(body: &'a [u8], base: u64) -> Result<Self, WireError> {
-        let mut cur = Cursor::with_base(body, base);
-        cur.u32()?; // collector id
+    fn parse(mut cur: Cursor<'a>) -> Result<Self, WireError> {
+        let collector_id = cur.u32()?;
         let name_len = usize::from(cur.u16()?);
-        cur.take(name_len)?;
+        let view_name = cur.take(name_len)?;
         let peer_count = usize::from(cur.u16()?);
-        for _ in 0..peer_count {
-            let at = cur.position();
-            let peer_type = cur.u8()?;
-            // Bit 0: IPv6 address; bit 1: 4-octet ASN. Only IPv4 is supported.
-            if peer_type & 0x01 != 0 {
-                return Err(WireError::new(
-                    WireErrorKind::UnsupportedPeerType(peer_type),
-                    at,
-                ));
-            }
-            cur.u32()?; // bgp id
-            cur.u32()?; // addr
-            if peer_type & 0x02 != 0 {
-                cur.u32()?;
-            } else {
-                cur.u16()?;
-            }
-        }
-        expect_consumed(&cur)?;
-        Ok(PeerIndexTableView { body })
-    }
-
-    /// The collector's BGP identifier.
-    #[must_use]
-    pub fn collector_id(&self) -> u32 {
-        read_u32(self.body, 0)
-    }
-
-    /// The raw view-name bytes.
-    #[must_use]
-    pub fn view_name_bytes(&self) -> &'a [u8] {
-        let name_len = usize::from(read_u16(self.body, 4));
-        self.body.get(6..6 + name_len).unwrap_or(&[])
-    }
-
-    /// Number of peers in the roster.
-    #[must_use]
-    pub fn peer_count(&self) -> usize {
-        let name_len = usize::from(read_u16(self.body, 4));
-        usize::from(read_u16(self.body, 6 + name_len))
+        let peers = cur.rest();
+        peers.read_exactly(peer_count, read_peer)?;
+        Ok(PeerIndexTableView {
+            collector_id,
+            view_name,
+            peers,
+        })
     }
 
     /// The peers, in index order.
     #[must_use]
     pub fn peers(&self) -> PeerIter<'a> {
-        let name_len = usize::from(read_u16(self.body, 4));
-        PeerIter {
-            bytes: self.body.get(8 + name_len..).unwrap_or(&[]),
-        }
+        PeerIter(self.peers.to())
     }
 
     /// Rebuilds the owned [`PeerIndexTable`].
     #[must_use]
     pub fn to_table(&self) -> PeerIndexTable {
         PeerIndexTable {
-            collector_id: self.collector_id(),
-            view_name: String::from_utf8_lossy(self.view_name_bytes()).into_owned(),
+            collector_id: self.collector_id,
+            view_name: String::from_utf8_lossy(self.view_name).into_owned(),
             peers: self.peers().collect(),
         }
     }
@@ -1351,90 +1308,90 @@ impl<'a> PeerIndexTableView<'a> {
 
 /// Iterates the peers of a validated `PEER_INDEX_TABLE`.
 #[derive(Debug, Clone, Copy)]
-pub struct PeerIter<'a> {
-    bytes: &'a [u8],
-}
+pub struct PeerIter<'a>(Cursor<'a, Stop>);
 
 impl Iterator for PeerIter<'_> {
     type Item = PeerEntry;
 
+    #[inline]
     fn next(&mut self) -> Option<PeerEntry> {
-        let peer_type = *self.bytes.first()?;
-        let wide = peer_type & 0x02 != 0;
-        let entry_len = if wide { 13 } else { 11 };
-        let entry = self.bytes.get(..entry_len)?;
-        self.bytes = &self.bytes[entry_len..];
-        Some(PeerEntry {
-            bgp_id: read_u32(entry, 1),
-            addr: read_u32(entry, 5),
-            asn: Asn(if wide {
-                read_u32(entry, 9)
-            } else {
-                u32::from(read_u16(entry, 9))
-            }),
-        })
+        self.0.next_item(read_peer)
     }
 }
 
-/// A validated, borrowed `RIB_IPV4_UNICAST` record body.
+/// A validated, borrowed `RIB_IPV4_UNICAST` record body, or with
+/// [`Ipv6Prefix`] a `RIB_IPV6_UNICAST` one.
 #[derive(Debug, Clone, Copy)]
-pub struct RibView<'a> {
+pub struct RibView<'a, P = Ipv4Prefix> {
     sequence: u32,
-    prefix: Ipv4Prefix,
-    entry_count: usize,
-    entries: &'a [u8],
+    prefix: P,
+    entries: Cursor<'a>,
 }
 
-impl<'a> RibView<'a> {
-    fn parse(body: &'a [u8], base: u64) -> Result<Self, WireError> {
-        let mut cur = Cursor::with_base(body, base);
+impl<'a, P: Copy> RibView<'a, P> {
+    fn parse(mut cur: Cursor<'a>) -> Result<Self, WireError>
+    where
+        P: Family,
+    {
         let sequence = cur.u32()?;
-        let prefix = decode_one_prefix(&mut cur)?;
+        let prefix = read_prefix(&mut cur)?;
         let entry_count = usize::from(cur.u16()?);
-        let entries_base = cur.position();
         let entries = cur.rest();
-        validate_rib_entries(entries, entries_base, entry_count)?;
+        entries.read_exactly(entry_count, |cur| {
+            let attrs = read_rib_entry(cur)?.attrs;
+            if attrs.check()? {
+                Ok(())
+            } else {
+                Err(WireError::new(
+                    WireErrorKind::MissingAttribute("AS_PATH"),
+                    attrs.cur.at,
+                ))
+            }
+        })?;
         Ok(RibView {
             sequence,
             prefix,
-            entry_count,
             entries,
         })
     }
 
-    /// Record sequence number.
-    #[must_use]
-    pub fn sequence(&self) -> u32 {
-        self.sequence
-    }
-
     /// The prefix all entries describe.
     #[must_use]
-    pub fn prefix(&self) -> Ipv4Prefix {
+    pub fn prefix(&self) -> P {
         self.prefix
-    }
-
-    /// Number of per-peer entries.
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        self.entry_count
     }
 
     /// The per-peer entries, in record order.
     #[must_use]
     pub fn entries(&self) -> RibEntryIter<'a> {
-        RibEntryIter {
-            bytes: self.entries,
-        }
+        RibEntryIter(self.entries.to())
     }
 
+    fn owned_entries(&self) -> Vec<RibEntry> {
+        self.entries().map(RibEntryView::to_entry).collect()
+    }
+}
+
+impl RibView<'_> {
     /// Rebuilds the owned [`RibIpv4Unicast`].
     #[must_use]
     pub fn to_rib(&self) -> RibIpv4Unicast {
         RibIpv4Unicast {
             sequence: self.sequence,
             prefix: self.prefix,
-            entries: self.entries().map(RibEntryView::to_entry).collect(),
+            entries: self.owned_entries(),
+        }
+    }
+}
+
+impl RibView<'_, Ipv6Prefix> {
+    /// Rebuilds the owned [`RibIpv6Unicast`].
+    #[must_use]
+    pub fn to_rib(&self) -> RibIpv6Unicast {
+        RibIpv6Unicast {
+            sequence: self.sequence,
+            prefix: self.prefix,
+            entries: self.owned_entries(),
         }
     }
 }
@@ -1460,115 +1417,16 @@ impl RibEntryView<'_> {
     }
 }
 
-/// Validates the `entry_count` entries of a RIB record, then that nothing
-/// follows them: an error inside an entry is reported before trailing
-/// bytes.
-fn validate_rib_entries(entries: &[u8], base: u64, entry_count: usize) -> Result<(), WireError> {
-    let mut cur = Cursor::with_base(entries, base);
-    for _ in 0..entry_count {
-        cur.u16()?; // peer index
-        cur.u32()?; // originated time
-        let attr_len = usize::from(cur.u16()?);
-        let attrs_base = cur.position();
-        let attr_bytes = cur.take(attr_len)?;
-        // RFC 6396 §4.3.4: 4-octet ASNs and the abbreviated MP_REACH_NLRI.
-        if !validate_attributes(attr_bytes, attrs_base, AsnEncoding::FourOctet, true)? {
-            return Err(WireError::new(
-                WireErrorKind::MissingAttribute("AS_PATH"),
-                attrs_base,
-            ));
-        }
-    }
-    expect_consumed(&cur)
-}
-
-/// Iterates the entries of a validated `RIB_IPV4_UNICAST` or
-/// `RIB_IPV6_UNICAST` record.
+/// Iterates the entries of a validated RIB record.
 #[derive(Debug, Clone, Copy)]
-pub struct RibEntryIter<'a> {
-    bytes: &'a [u8],
-}
+pub struct RibEntryIter<'a>(Cursor<'a, Stop>);
 
 impl<'a> Iterator for RibEntryIter<'a> {
     type Item = RibEntryView<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let head = self.bytes.get(..8)?;
-        let attr_len = usize::from(read_u16(head, 6));
-        let attrs = self.bytes.get(8..8 + attr_len)?;
-        self.bytes = &self.bytes[8 + attr_len..];
-        Some(RibEntryView {
-            peer_index: read_u16(head, 0),
-            originated_time: read_u32(head, 2),
-            attrs: AttrsView {
-                bytes: attrs,
-                encoding: AsnEncoding::FourOctet,
-                rib_form: true,
-            },
-        })
-    }
-}
-
-/// A validated, borrowed `RIB_IPV6_UNICAST` record body.
-#[derive(Debug, Clone, Copy)]
-pub struct Rib6View<'a> {
-    sequence: u32,
-    prefix: Ipv6Prefix,
-    entry_count: usize,
-    entries: &'a [u8],
-}
-
-impl<'a> Rib6View<'a> {
-    fn parse(body: &'a [u8], base: u64) -> Result<Self, WireError> {
-        let mut cur = Cursor::with_base(body, base);
-        let sequence = cur.u32()?;
-        let prefix = decode_one_prefix6(&mut cur)?;
-        let entry_count = usize::from(cur.u16()?);
-        let entries_base = cur.position();
-        let entries = cur.rest();
-        validate_rib_entries(entries, entries_base, entry_count)?;
-        Ok(Rib6View {
-            sequence,
-            prefix,
-            entry_count,
-            entries,
-        })
-    }
-
-    /// Record sequence number.
-    #[must_use]
-    pub fn sequence(&self) -> u32 {
-        self.sequence
-    }
-
-    /// The prefix all entries describe.
-    #[must_use]
-    pub fn prefix(&self) -> Ipv6Prefix {
-        self.prefix
-    }
-
-    /// Number of per-peer entries.
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        self.entry_count
-    }
-
-    /// The per-peer entries, in record order.
-    #[must_use]
-    pub fn entries(&self) -> RibEntryIter<'a> {
-        RibEntryIter {
-            bytes: self.entries,
-        }
-    }
-
-    /// Rebuilds the owned [`RibIpv6Unicast`].
-    #[must_use]
-    pub fn to_rib(&self) -> RibIpv6Unicast {
-        RibIpv6Unicast {
-            sequence: self.sequence,
-            prefix: self.prefix,
-            entries: self.entries().map(RibEntryView::to_entry).collect(),
-        }
+        self.0.next_item(read_rib_entry)
     }
 }
 
@@ -1587,32 +1445,23 @@ pub struct Bgp4mpView<'a> {
 }
 
 impl<'a> Bgp4mpView<'a> {
-    fn parse(body: &'a [u8], base: u64, as4: bool) -> Result<Self, WireError> {
-        let mut cur = Cursor::with_base(body, base);
-        let (peer_asn, local_asn) = if as4 {
-            (cur.u32()?, cur.u32()?)
-        } else {
-            (u32::from(cur.u16()?), u32::from(cur.u16()?))
-        };
+    fn parse(mut cur: Cursor<'a>, encoding: AsnEncoding) -> Result<Self, WireError> {
+        let peer_asn = cur.asn(encoding)?;
+        let local_asn = cur.asn(encoding)?;
         let _interface = cur.u16()?;
-        let afi_at = cur.position();
+        let afi_at = cur.at;
         let afi = cur.u16()?;
         if afi != AFI_IPV4 {
             return Err(WireError::new(WireErrorKind::UnsupportedAfi(afi), afi_at));
         }
         let peer_addr = cur.u32()?;
         let local_addr = cur.u32()?;
-        let msg_base = cur.position();
-        let encoding = if as4 {
-            AsnEncoding::FourOctet
-        } else {
-            AsnEncoding::TwoOctet
-        };
+        let message = cur.rest();
         let update =
-            UpdateView::parse_exact(cur.rest(), encoding).map_err(|e| e.at_base(msg_base))?;
+            UpdateView::parse_exact(message.bytes, encoding).map_err(|e| e.at_base(message.at))?;
         Ok(Bgp4mpView {
-            peer_asn: Asn(peer_asn),
-            local_asn: Asn(local_asn),
+            peer_asn,
+            local_asn,
             peer_addr,
             local_addr,
             update,
@@ -1646,7 +1495,7 @@ pub enum MrtBodyView<'a> {
     /// `TABLE_DUMP_V2` / `RIB_IPV4_UNICAST`.
     RibIpv4Unicast(RibView<'a>),
     /// `TABLE_DUMP_V2` / `RIB_IPV6_UNICAST`.
-    RibIpv6Unicast(Rib6View<'a>),
+    RibIpv6Unicast(RibView<'a, Ipv6Prefix>),
     /// `BGP4MP` / `MESSAGE` or `MESSAGE_AS4`.
     Bgp4mpMessage(Bgp4mpView<'a>),
 }
@@ -1676,22 +1525,22 @@ impl<'a> MrtRecordView<'a> {
         body: &'a [u8],
         base: u64,
     ) -> Result<Self, WireError> {
-        let body_base = base + 12;
+        let cur = Cursor::starting_at(body, base + 12);
         let body = match (mrt_type, subtype) {
             (TYPE_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE) => {
-                MrtBodyView::PeerIndexTable(PeerIndexTableView::parse(body, body_base)?)
+                MrtBodyView::PeerIndexTable(PeerIndexTableView::parse(cur)?)
             }
             (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) => {
-                MrtBodyView::RibIpv4Unicast(RibView::parse(body, body_base)?)
+                MrtBodyView::RibIpv4Unicast(RibView::parse(cur)?)
             }
             (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV6_UNICAST) => {
-                MrtBodyView::RibIpv6Unicast(Rib6View::parse(body, body_base)?)
+                MrtBodyView::RibIpv6Unicast(RibView::parse(cur)?)
             }
             (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE) => {
-                MrtBodyView::Bgp4mpMessage(Bgp4mpView::parse(body, body_base, false)?)
+                MrtBodyView::Bgp4mpMessage(Bgp4mpView::parse(cur, AsnEncoding::TwoOctet)?)
             }
             (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => {
-                MrtBodyView::Bgp4mpMessage(Bgp4mpView::parse(body, body_base, true)?)
+                MrtBodyView::Bgp4mpMessage(Bgp4mpView::parse(cur, AsnEncoding::FourOctet)?)
             }
             _ => {
                 return Err(WireError::new(
@@ -1715,36 +1564,6 @@ impl<'a> MrtRecordView<'a> {
                 MrtBodyView::Bgp4mpMessage(v) => MrtBody::Bgp4mpMessage(v.to_bgp4mp()),
             },
         }
-    }
-}
-
-fn expect_consumed(cur: &Cursor<'_>) -> Result<(), WireError> {
-    if cur.remaining() > 0 {
-        return Err(WireError::new(
-            WireErrorKind::TrailingBytes {
-                remaining: cur.remaining(),
-            },
-            cur.position(),
-        ));
-    }
-    Ok(())
-}
-
-/// Big-endian `u16` at `at`; 0 on out-of-bounds (unreachable on validated
-/// bytes).
-fn read_u16(bytes: &[u8], at: usize) -> u16 {
-    match bytes.get(at..at + 2) {
-        Some(b) => u16::from_be_bytes([b[0], b[1]]),
-        None => 0,
-    }
-}
-
-/// Big-endian `u32` at `at`; 0 on out-of-bounds (unreachable on validated
-/// bytes).
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    match bytes.get(at..at + 4) {
-        Some(b) => u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-        None => 0,
     }
 }
 
@@ -1945,17 +1764,16 @@ fn read_exact_or_eof<R: io::Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<
 // Attribute interning
 // ---------------------------------------------------------------------------
 
-/// Hash-conses decoded attribute values across records.
+/// Hash-conses decoded AS paths across records.
 ///
-/// A table dump repeats the same `AS_PATH` and `COMMUNITIES` bytes across
-/// huge numbers of RIB entries; this interner keys each attribute's wire
-/// bytes (per encoding, so a 2-octet and a 4-octet block can never collide)
-/// and materialises the owned value once per distinct key.
+/// A table dump repeats the same `AS_PATH` bytes across huge numbers of RIB
+/// entries; this interner keys each path's wire bytes (per encoding, so a
+/// 2-octet and a 4-octet path can never collide) and materialises the owned
+/// path once per distinct key.
 #[derive(Debug, Clone, Default)]
 pub struct AttrInterner {
     paths_two: Interner<AsPath>,
     paths_four: Interner<AsPath>,
-    communities: Interner<Vec<Community>>,
 }
 
 impl AttrInterner {
@@ -1968,24 +1786,11 @@ impl AttrInterner {
     /// The interned [`AsPath`] for this block's `AS_PATH` bytes, decoding
     /// it only on first sight.
     pub fn as_path(&mut self, attrs: &AttrsView<'_>) -> &AsPath {
-        let table = match attrs.encoding() {
+        let table = match attrs.encoding {
             AsnEncoding::TwoOctet => &mut self.paths_two,
             AsnEncoding::FourOctet => &mut self.paths_four,
         };
         table.intern(attrs.as_path_wire(), |_| attrs.to_as_path())
-    }
-
-    /// The communities of this block, cloned from the interned value (or
-    /// collected directly in the no-/multi-attribute corner cases).
-    pub fn communities(&mut self, attrs: &AttrsView<'_>) -> Vec<Community> {
-        match attrs.communities_wire() {
-            Some([]) => Vec::new(),
-            Some(bytes) => self
-                .communities
-                .intern(bytes, |_| attrs.communities().collect())
-                .clone(),
-            None => attrs.communities().collect(),
-        }
     }
 
     /// Builds the simulator [`Route`] for `prefix` from a borrowed
@@ -2001,12 +1806,6 @@ impl AttrInterner {
             route = route.with_community(community);
         }
         route
-    }
-
-    /// Number of distinct AS paths interned so far (both encodings).
-    #[must_use]
-    pub fn unique_paths(&self) -> usize {
-        self.paths_two.len() + self.paths_four.len()
     }
 }
 
@@ -2099,7 +1898,7 @@ mod tests {
         let attrs = view.attrs().unwrap();
         let from_view: Vec<Community> = attrs.communities().collect();
         assert_eq!(from_view, route.communities());
-        assert!(attrs.communities_wire().is_some());
+        assert_eq!(attrs.to_attributes().communities, from_view);
         let list = MoasList::from_communities(&from_view).unwrap();
         assert!(list.contains(Asn(4)) && list.contains(Asn(226)));
     }
@@ -2206,13 +2005,19 @@ mod tests {
             let rebuilt = interner.to_route(&attrs, route.prefix());
             assert_eq!(rebuilt, route);
         }
-        assert_eq!(interner.unique_paths(), 1);
+        assert_eq!(
+            (interner.paths_two.len(), interner.paths_four.len()),
+            (0, 1)
+        );
         // Same bytes under the other encoding key a separate entry.
         let two = UpdateMessage::announce(&route)
             .encode(AsnEncoding::TwoOctet)
             .unwrap();
         let view2 = UpdateView::parse_exact(&two, AsnEncoding::TwoOctet).unwrap();
         interner.as_path(view2.attrs().unwrap());
-        assert_eq!(interner.unique_paths(), 2);
+        assert_eq!(
+            (interner.paths_two.len(), interner.paths_four.len()),
+            (1, 1)
+        );
     }
 }

@@ -180,7 +180,10 @@ impl Pdu {
             }
             Pdu::CacheReset => header(out, TYPE_CACHE_RESET, 0, 8),
             Pdu::Error { code, message } => {
-                let msg = message.as_bytes();
+                // The decoder refuses a PDU past MAX_PDU_LEN, so a longer
+                // message is cut to fit, at a char boundary.
+                let fit = message.floor_char_boundary(MAX_PDU_LEN as usize - HEADER_LEN - 4);
+                let msg = &message.as_bytes()[..fit];
                 let length = (HEADER_LEN + 4 + msg.len()) as u32;
                 header(out, TYPE_ERROR, *code, length);
                 out.extend_from_slice(&(msg.len() as u32).to_be_bytes());
@@ -200,96 +203,119 @@ impl Pdu {
     /// Decodes one PDU from the front of `buf`.
     ///
     /// Returns `Ok(None)` when `buf` holds only part of a PDU (read more
-    /// bytes and retry), or `Ok(Some((pdu, consumed)))` on success.
+    /// bytes and retry), or `Ok(Some((pdu, consumed)))` on success. Fields
+    /// are judged in wire order as soon as all their bytes are in, so
+    /// `Ok(None)` means every complete field is valid, and which error a
+    /// bad PDU gets does not depend on how its bytes were split.
     ///
     /// # Errors
     ///
     /// Returns a [`FeedError`] when the bytes cannot be a valid PDU; the
     /// stream is unrecoverable at that point and should be closed.
     pub fn decode(buf: &[u8]) -> Result<Option<(Pdu, usize)>, FeedError> {
-        if buf.len() < HEADER_LEN {
+        let Some(&version) = buf.first() else {
             return Ok(None);
+        };
+        if version != VERSION {
+            return Err(FeedError::BadVersion(version));
         }
-        if buf[0] != VERSION {
-            return Err(FeedError::BadVersion(buf[0]));
-        }
-        let pdu_type = buf[1];
-        let session = u16::from_be_bytes([buf[2], buf[3]]);
-        let length = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if length < HEADER_LEN as u32 || length > MAX_PDU_LEN {
-            return Err(FeedError::BadLength { pdu_type, length });
-        }
-        let expected = match pdu_type {
+        let Some(&pdu_type) = buf.get(1) else {
+            return Ok(None);
+        };
+        let fixed = match pdu_type {
             TYPE_SERIAL_NOTIFY | TYPE_SERIAL_QUERY | TYPE_END_OF_DATA => Some(12),
             TYPE_RESET_QUERY | TYPE_CACHE_RESPONSE | TYPE_CACHE_RESET => Some(8),
             TYPE_PREFIX => Some(20),
             TYPE_ERROR => None,
             other => return Err(FeedError::BadType(other)),
         };
-        if let Some(expected) = expected {
-            if length != expected {
-                return Err(FeedError::BadLength { pdu_type, length });
-            }
+        let Some(header) = buf.get(..HEADER_LEN) else {
+            return Ok(None);
+        };
+        let session = u16::from_be_bytes([header[2], header[3]]);
+        let length = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        let fits = match fixed {
+            Some(fixed) => length == fixed,
+            // An error PDU carries at least its message length.
+            None => (HEADER_LEN as u32 + 4..=MAX_PDU_LEN).contains(&length),
+        };
+        if !fits {
+            return Err(FeedError::BadLength { pdu_type, length });
         }
         let length = length as usize;
-        if buf.len() < length {
-            return Ok(None);
-        }
-        let body = &buf[HEADER_LEN..length];
-        let read_u32 =
-            |at: usize| u32::from_be_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
-        let pdu = match pdu_type {
-            TYPE_SERIAL_NOTIFY => Pdu::SerialNotify {
-                session,
-                serial: read_u32(0),
-            },
-            TYPE_SERIAL_QUERY => Pdu::SerialQuery {
-                session,
-                serial: read_u32(0),
-            },
-            TYPE_RESET_QUERY => Pdu::ResetQuery,
-            TYPE_CACHE_RESPONSE => Pdu::CacheResponse { session },
-            TYPE_PREFIX => {
-                let prefix_len = body[1];
-                let prefix = Ipv4Prefix::try_new(read_u32(4), prefix_len)
-                    .map_err(|_| FeedError::BadPrefix(prefix_len))?;
-                Pdu::Prefix(PrefixEntry {
-                    announce: body[0] & 1 == 1,
-                    prefix,
-                    asn: Asn(read_u32(8)),
-                })
-            }
-            TYPE_END_OF_DATA => Pdu::EndOfData {
-                session,
-                serial: read_u32(0),
-            },
-            TYPE_CACHE_RESET => Pdu::CacheReset,
-            TYPE_ERROR => {
-                if body.len() < 4 {
-                    return Err(FeedError::BadLength {
-                        pdu_type,
-                        length: length as u32,
-                    });
-                }
-                let msg_len = read_u32(0) as usize;
-                if body.len() != 4 + msg_len {
-                    return Err(FeedError::BadLength {
-                        pdu_type,
-                        length: length as u32,
-                    });
-                }
-                let message = std::str::from_utf8(&body[4..])
-                    .map_err(|_| FeedError::BadText)?
-                    .to_string();
-                Pdu::Error {
-                    code: session,
-                    message,
-                }
-            }
-            _ => unreachable!("type validated above"),
-        };
-        Ok(Some((pdu, length)))
+        let body = &buf[HEADER_LEN..buf.len().min(length)];
+        Ok(decode_body(pdu_type, session, body, length)
+            .transpose()?
+            .map(|pdu| (pdu, length)))
     }
+}
+
+/// Reads the body of a PDU whose header is valid from as much of it as has
+/// arrived: `None` at the first field not yet complete. Every field is read
+/// only once the bytes before it were, so the whole body is in when this
+/// returns a PDU.
+fn decode_body(
+    pdu_type: u8,
+    session: u16,
+    body: &[u8],
+    length: usize,
+) -> Option<Result<Pdu, FeedError>> {
+    let read_u32 = |at: usize| {
+        body.get(at..at + 4)
+            .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    };
+    let pdu = match pdu_type {
+        TYPE_SERIAL_NOTIFY => Pdu::SerialNotify {
+            session,
+            serial: read_u32(0)?,
+        },
+        TYPE_SERIAL_QUERY => Pdu::SerialQuery {
+            session,
+            serial: read_u32(0)?,
+        },
+        TYPE_RESET_QUERY => Pdu::ResetQuery,
+        TYPE_CACHE_RESPONSE => Pdu::CacheResponse { session },
+        TYPE_PREFIX => {
+            let flags = *body.first()?;
+            let prefix_len = *body.get(1)?;
+            if prefix_len > 32 {
+                return Some(Err(FeedError::BadPrefix(prefix_len)));
+            }
+            Pdu::Prefix(PrefixEntry {
+                announce: flags & 1 == 1,
+                prefix: Ipv4Prefix::new(read_u32(4)?, prefix_len),
+                asn: Asn(read_u32(8)?),
+            })
+        }
+        TYPE_END_OF_DATA => Pdu::EndOfData {
+            session,
+            serial: read_u32(0)?,
+        },
+        TYPE_CACHE_RESET => Pdu::CacheReset,
+        TYPE_ERROR => {
+            let msg_len = read_u32(0)? as usize;
+            if msg_len != length - HEADER_LEN - 4 {
+                return Some(Err(FeedError::BadLength {
+                    pdu_type,
+                    length: length as u32,
+                }));
+            }
+            let text = body.get(4..)?;
+            let message = match std::str::from_utf8(text) {
+                Ok(message) if text.len() == msg_len => message.to_string(),
+                Err(e) if e.error_len().is_some() || text.len() == msg_len => {
+                    return Some(Err(FeedError::BadText));
+                }
+                _ => return None,
+            };
+            Pdu::Error {
+                code: session,
+                message,
+            }
+        }
+        other => return Some(Err(FeedError::BadType(other))),
+    };
+    Some(Ok(pdu))
 }
 
 #[cfg(test)]
@@ -374,6 +400,77 @@ mod tests {
         assert_eq!(pdus.len(), 3);
         assert!(matches!(pdus[0], Pdu::CacheResponse { session: 3 }));
         assert!(matches!(pdus[2], Pdu::EndOfData { serial: 1, .. }));
+    }
+
+    #[test]
+    fn long_error_messages_are_cut_to_fit() {
+        // 5,000 ASCII bytes: cut to the 4,084 that fit beside the header and
+        // the message length.
+        let message = "x".repeat(5_000);
+        let bytes = Pdu::Error {
+            code: 1,
+            message: message.clone(),
+        }
+        .to_bytes();
+        assert_eq!(bytes.len(), MAX_PDU_LEN as usize);
+        let (back, used) = Pdu::decode(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(
+            back,
+            Pdu::Error {
+                code: 1,
+                message: message[..4_084].to_string(),
+            }
+        );
+        // A two-byte char straddling the limit is dropped whole.
+        let message = format!("x{}", "é".repeat(2_500));
+        let bytes = Pdu::Error {
+            code: 1,
+            message: message.clone(),
+        }
+        .to_bytes();
+        let Some((Pdu::Error { message: back, .. }, _)) = Pdu::decode(&bytes).unwrap() else {
+            panic!("not an error PDU");
+        };
+        assert_eq!(back, message[..4_083]);
+    }
+
+    #[test]
+    fn fields_are_judged_as_soon_as_they_arrive() {
+        assert_eq!(Pdu::decode(&[9]), Err(FeedError::BadVersion(9)));
+        assert_eq!(Pdu::decode(&[VERSION, 99]), Err(FeedError::BadType(99)));
+        // An error PDU whose message length disagrees with its PDU length
+        // is refused before the message arrives.
+        let mut bytes = Pdu::Error {
+            code: 0,
+            message: "corrupt".to_string(),
+        }
+        .to_bytes();
+        bytes[7] += 1;
+        assert_eq!(
+            Pdu::decode(&bytes[..12]),
+            Err(FeedError::BadLength {
+                pdu_type: TYPE_ERROR,
+                length: u32::from(bytes[7]),
+            })
+        );
+        // Bytes that are not UTF-8 whatever follows, before the rest.
+        let mut bytes = Pdu::Error {
+            code: 0,
+            message: "corrupt".to_string(),
+        }
+        .to_bytes();
+        bytes[12] = 0xFF;
+        assert_eq!(Pdu::decode(&bytes[..13]), Err(FeedError::BadText));
+        // A message cut inside a char is complete, and not UTF-8.
+        let mut bytes = Pdu::Error {
+            code: 0,
+            message: "ab".to_string(),
+        }
+        .to_bytes();
+        bytes[13] = 0xC3;
+        assert_eq!(Pdu::decode(&bytes), Err(FeedError::BadText));
+        assert_eq!(Pdu::decode(&bytes[..13]), Ok(None));
     }
 
     #[test]

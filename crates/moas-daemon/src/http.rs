@@ -1,7 +1,8 @@
 //! A minimal hand-rolled HTTP/1.1 layer: just enough server-side parsing
 //! for the daemon's query/control endpoints and just enough formatting for
-//! its JSON and text responses. Persistent connections are supported;
-//! chunked transfer encoding and everything else is not.
+//! its JSON and text responses. Persistent connections are supported; a
+//! body is framed by `Content-Length` alone, so a request with
+//! `Transfer-Encoding` is refused.
 
 use std::error::Error;
 use std::fmt;
@@ -78,6 +79,8 @@ impl Request {
     ///
     /// Returns `Ok(None)` when `buf` does not yet hold the complete head
     /// and body (read more and retry), or `Ok(Some((request, consumed)))`.
+    /// A head still arriving is judged line by line, so `Ok(None)` means
+    /// every complete line is well-formed.
     ///
     /// # Errors
     ///
@@ -85,9 +88,7 @@ impl Request {
     /// caller should answer 400 and close.
     pub fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
         let Some(head_end) = find_head_end(buf) else {
-            if buf.len() > MAX_HEAD {
-                return Err(too_large("request head too large"));
-            }
+            refuse_partial_head(buf)?;
             return Ok(None);
         };
         if head_end > MAX_HEAD {
@@ -95,75 +96,13 @@ impl Request {
         }
         let head =
             std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("request head is not UTF-8"))?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or_else(|| bad("empty request"))?;
-        let mut parts = request_line.split(' ');
-        let method = parts
-            .next()
-            .filter(|m| !m.is_empty())
-            .ok_or_else(|| bad("missing method"))?
-            .to_ascii_uppercase();
-        let target = parts.next().ok_or_else(|| bad("missing request target"))?;
-        let version = parts.next().ok_or_else(|| bad("missing HTTP version"))?;
-        if !matches!(version, "HTTP/1.1" | "HTTP/1.0") {
-            return Err(bad(format!("unsupported version '{version}'")));
-        }
-
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| bad(format!("malformed header line '{line}'")))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| bad("unparsable Content-Length"))?,
-            None => 0,
-        };
-        if content_length > MAX_BODY {
-            return Err(too_large("body too large"));
-        }
+        let (mut request, content_length) = parse_head(head)?;
         let total = head_end + 4 + content_length;
-        if buf.len() < total {
+        let Some(body) = buf.get(head_end + 4..total) else {
             return Ok(None);
-        }
-        let body = buf[head_end + 4..total].to_vec();
-
-        let (raw_path, raw_query) = match target.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
-            None => (target, None),
         };
-        let path = percent_decode(raw_path)?;
-        let mut query = Vec::new();
-        if let Some(raw_query) = raw_query {
-            for pair in raw_query.split('&').filter(|p| !p.is_empty()) {
-                let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
-                query.push((percent_decode(name)?, percent_decode(value)?));
-            }
-        }
-
-        let keep_alive = match headers.iter().find(|(n, _)| n == "connection") {
-            Some((_, v)) => !v.eq_ignore_ascii_case("close"),
-            None => version == "HTTP/1.1",
-        };
-
-        Ok(Some((
-            Request {
-                method,
-                path,
-                query,
-                headers,
-                body,
-                keep_alive,
-            },
-            total,
-        )))
+        request.body = body.to_vec();
+        Ok(Some((request, total)))
     }
 
     /// The first query parameter named `name`.
@@ -180,6 +119,108 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Reads a request head (without its blank last line) into a request with
+/// an empty body, and the length of the body to come.
+fn parse_head(head: &str) -> Result<(Request, usize), HttpError> {
+    let mut lines = head.split("\r\n");
+    let request_line = lines.next().ok_or_else(|| bad("empty request"))?;
+    let mut parts = request_line.split(' ');
+    let method = parts
+        .next()
+        .filter(|m| !m.is_empty())
+        .ok_or_else(|| bad("missing method"))?
+        .to_ascii_uppercase();
+    let target = parts.next().ok_or_else(|| bad("missing request target"))?;
+    let version = parts.next().ok_or_else(|| bad("missing HTTP version"))?;
+    if !matches!(version, "HTTP/1.1" | "HTTP/1.0") {
+        return Err(bad(format!("unsupported version '{version}'")));
+    }
+
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| bad(format!("malformed header line '{line}'")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+
+    // Only a Content-Length frames a body here: a transfer-coded body could
+    // not be told from the next request.
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(bad("Transfer-Encoding is not supported"));
+    }
+    let mut content_length = None;
+    for (_, value) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let length = value
+            .parse::<usize>()
+            .map_err(|_| bad("unparsable Content-Length"))?;
+        if content_length.is_some_and(|first| first != length) {
+            return Err(bad("conflicting Content-Length values"));
+        }
+        content_length = Some(length);
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Err(too_large("body too large"));
+    }
+
+    let (raw_path, raw_query) = match target.split_once('?') {
+        Some((p, q)) => (p, Some(q)),
+        None => (target, None),
+    };
+    let path = percent_decode(raw_path)?;
+    let mut query = Vec::new();
+    if let Some(raw_query) = raw_query {
+        for pair in raw_query.split('&').filter(|p| !p.is_empty()) {
+            let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
+            query.push((percent_decode(name)?, percent_decode(value)?));
+        }
+    }
+
+    let keep_alive = match headers.iter().find(|(n, _)| n == "connection") {
+        Some((_, v)) => !v.eq_ignore_ascii_case("close"),
+        None => version == "HTTP/1.1",
+    };
+
+    let request = Request {
+        method,
+        path,
+        query,
+        headers,
+        body: Vec::new(),
+        keep_alive,
+    };
+    Ok((request, content_length))
+}
+
+/// Refuses a head still arriving that no further bytes can complete: one
+/// already past the size limit, one that is not UTF-8, or one with a
+/// complete line that is malformed. The line still arriving is not judged.
+fn refuse_partial_head(buf: &[u8]) -> Result<(), HttpError> {
+    // The blank line may start where the buffer ends with part of one.
+    let partial_end = (1..4)
+        .rev()
+        .find(|&n| buf.ends_with(&b"\r\n\r\n"[..n]))
+        .unwrap_or(0);
+    if buf.len() - partial_end > MAX_HEAD {
+        return Err(too_large("request head too large"));
+    }
+    if std::str::from_utf8(buf).is_err_and(|e| e.error_len().is_some()) {
+        return Err(bad("request head is not UTF-8"));
+    }
+    match buf.windows(2).rposition(|w| w == b"\r\n") {
+        Some(lines_end) => {
+            let lines = std::str::from_utf8(&buf[..lines_end])
+                .map_err(|_| bad("request head is not UTF-8"))?;
+            parse_head(lines).map(drop)
+        }
+        None => Ok(()),
+    }
+}
+
 /// Decodes `%xx` escapes and `+`-as-space.
 fn percent_decode(input: &str) -> Result<String, HttpError> {
     let bytes = input.as_bytes();
@@ -191,9 +232,15 @@ fn percent_decode(input: &str) -> Result<String, HttpError> {
                 let hex = bytes
                     .get(i + 1..i + 3)
                     .ok_or_else(|| bad("truncated percent escape"))?;
-                let hex = std::str::from_utf8(hex).map_err(|_| bad("bad percent escape"))?;
-                let value = u8::from_str_radix(hex, 16).map_err(|_| bad("bad percent escape"))?;
-                out.push(value);
+                // Exactly two hex digits: `u8::from_str_radix` would also
+                // take a sign, so `%+F` would decode.
+                let value = hex
+                    .iter()
+                    .try_fold(0, |value, &b| {
+                        Some(value * 16 + char::from(b).to_digit(16)?)
+                    })
+                    .ok_or_else(|| bad("bad percent escape"))?;
+                out.push(value as u8);
                 i += 3;
             }
             b'+' => {
@@ -316,6 +363,71 @@ mod tests {
         );
         assert!(Request::parse(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n").is_err());
         assert!(Request::parse(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn percent_escapes_take_exactly_two_hex_digits() {
+        let (req, _) = Request::parse(b"GET /a%2Fb%2f HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.path, "/a/b/");
+        for raw in ["GET /a%+F HTTP/1.1\r\n\r\n", "GET /?k=%-1 HTTP/1.1\r\n\r\n"] {
+            let err = Request::parse(raw.as_bytes()).unwrap_err();
+            assert_eq!(
+                (err.status, err.message.as_str()),
+                (400, "bad percent escape")
+            );
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused() {
+        // The chunked body must not be read as the next request.
+        let raw = b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(Request::parse(raw).unwrap_err().status, 400);
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde";
+        let err = Request::parse(raw).unwrap_err();
+        assert_eq!(
+            (err.status, err.message.as_str()),
+            (400, "conflicting Content-Length values")
+        );
+        // Repeating the same value is harmless.
+        let raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc";
+        let (req, used) = Request::parse(raw).unwrap().unwrap();
+        assert_eq!((req.body.as_slice(), used), (&b"abc"[..], raw.len()));
+    }
+
+    #[test]
+    fn a_head_still_arriving_is_judged_line_by_line() {
+        // A complete line that is malformed can never become a request…
+        assert_eq!(
+            Request::parse(b"GET / HTTP/2.0\r\nHost: x")
+                .unwrap_err()
+                .status,
+            400
+        );
+        assert!(Request::parse(b"GET / HTTP/1.1\r\nbroken\r\n").is_err());
+        assert!(Request::parse(b"GET / HTTP/1.1\r\nHost: \xFFx").is_err());
+        // …while the line still arriving, or a char cut short, may.
+        assert_eq!(Request::parse(b"GET / HTTP/1.1\r\nbroken").unwrap(), None);
+        assert_eq!(
+            Request::parse(b"GET / HTTP/1.1\r\nHost: \xC3").unwrap(),
+            None
+        );
+        // A head of exactly the limit may still get its blank line.
+        let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(MAX_HEAD, b'a');
+        for end in ["", "\r", "\r\n", "\r\n\r"] {
+            let buf = [head.as_slice(), end.as_bytes()].concat();
+            assert_eq!(Request::parse(&buf).unwrap(), None, "{end:?}");
+        }
+        let buf = [head.as_slice(), b"a"].concat();
+        assert_eq!(Request::parse(&buf).unwrap_err().status, 431);
     }
 
     #[test]
