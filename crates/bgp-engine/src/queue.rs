@@ -26,20 +26,22 @@ pub struct QueueStats {
 /// `(event kind, global edge id or timeline index, per-edge send sequence)`.
 /// Every component is derived from the event itself, not from scheduling
 /// order, so any shard holding the same event set processes it in the same
-/// order regardless of how the events arrived. Kind and id share one word
-/// (`kind << 32 | id`), which keeps a comparison to two words.
+/// order regardless of how the events arrived. The three share one integer
+/// (`kind << 96 | id << 64 | seq`), so a comparison is one wide compare
+/// without a branch.
 #[derive(Debug, Clone)]
 pub(crate) struct Scheduled<E> {
     pub(crate) time: SimTime,
-    key: (u64, u64),
+    key: u128,
     pub(crate) event: E,
 }
 
 impl<E> Scheduled<E> {
     pub(crate) fn new(time: SimTime, kind: u64, id: u32, seq: u64, event: E) -> Self {
+        let high = kind << 32 | u64::from(id);
         Scheduled {
             time,
-            key: (kind << 32 | u64::from(id), seq),
+            key: u128::from(high) << 64 | u128::from(seq),
             event,
         }
     }

@@ -10,7 +10,8 @@
 //! sessions are the edge ids `first..first + degree` of its CSR row, so the
 //! slot of the session a delivery arrived on is the receiver-side edge id,
 //! and neither side ever searches for an ASN on the event path. The age
-//! clock and the decision count live in one per-node array.
+//! clock and the decision count live in the `NodeRib`, per prefix, so a
+//! delivery touches the event, its slot and one cache line of its node.
 //!
 //! A router is therefore not a value but a place in those tables: [`Router`]
 //! is the read-only, `Copy` view the network hands out, and `Speaker` the
@@ -37,13 +38,29 @@ use crate::update::SharedUpdate;
 /// the event path allocates no list per update.
 pub(crate) type Outbox = Vec<(u32, SharedUpdate)>;
 
-/// The chosen best route for a prefix and where it came from.
-#[derive(Debug, Clone)]
+/// The chosen best route for a prefix, named by where it is held rather than
+/// by a second pointer to it: the source and the installation stamp identify
+/// the entry, and its rank is copied beside them, so a selection compares a
+/// changed candidate with the incumbent without reading the incumbent's slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BestEntry {
-    route: Arc<Route>,
     /// Slot of the peer the route was learned from; `None` when the best
     /// route is locally originated.
     learned_from: Option<u32>,
+    installed_at: u64,
+    local_pref: u32,
+    selection_len: u32,
+}
+
+impl BestEntry {
+    /// The decision process's ranking key: the lowest key wins. Highest
+    /// `LOCAL_PREF`, then shortest AS path, then the originated route, then
+    /// the oldest installation, then the lowest slot (ascending peer ASN).
+    fn key(self) -> (Reverse<u32>, u32, bool, u64, Option<u32>) {
+        let (pref, len) = (Reverse(self.local_pref), self.selection_len);
+        let learned = self.learned_from.is_some();
+        (pref, len, learned, self.installed_at, self.learned_from)
+    }
 }
 
 /// A candidate route: the route, its installation stamp, and the two
@@ -69,6 +86,16 @@ impl RibEntry {
             route,
         }
     }
+
+    /// This entry as a candidate held in `learned_from`.
+    fn candidate(&self, learned_from: Option<u32>) -> BestEntry {
+        BestEntry {
+            learned_from,
+            installed_at: self.installed_at,
+            local_pref: self.local_pref,
+            selection_len: self.selection_len,
+        }
+    }
 }
 
 /// What a router holds about one session for one prefix.
@@ -89,15 +116,45 @@ impl Slot {
     }
 }
 
-/// What one node holds for one prefix besides its sessions.
+/// What one node holds for one prefix besides its sessions: everything a
+/// delivery touches apart from its slot, in one cache line.
 #[derive(Debug, Clone, Default)]
+#[repr(align(64))]
 struct NodeRib {
     /// The locally originated route, stamped 0: older than anything learned.
     originated: Option<RibEntry>,
     best: Option<BestEntry>,
+    /// Monotonic counter stamping this prefix's Adj-RIB-In installations,
+    /// for the oldest-route tiebreak (which compares stamps of one prefix
+    /// only). Summed over prefixes it is the node's count of stamps.
+    age_clock: u64,
+    /// Times the decision process ran for this prefix.
+    decisions: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<NodeRib>() <= 40);
+const _: () = assert!(std::mem::size_of::<NodeRib>() == 64);
+
+impl NodeRib {
+    /// The entry a candidate named `learned_from` is held in, given the
+    /// node's `slots`.
+    fn held<'s>(&'s self, slots: &'s [Slot], learned_from: Option<u32>) -> Option<&'s RibEntry> {
+        match learned_from {
+            None => self.originated.as_ref(),
+            Some(slot) => slots[slot as usize].rib.as_ref(),
+        }
+    }
+}
+
+/// Which of a node's candidates for a prefix changed since its last
+/// selection.
+#[derive(Debug, Clone, Copy)]
+enum Changed {
+    /// Only the entry learned over this slot: installed, replaced or gone.
+    Slot(usize),
+    /// Possibly several: after evictions, a lost session, or a change to the
+    /// originated route.
+    Several,
+}
 
 /// One prefix's routing state across the shard: `nodes` is indexed by dense
 /// node, `slots` by receiving-side edge id.
@@ -108,24 +165,14 @@ struct PrefixTable {
     slots: Box<[Slot]>,
 }
 
-/// Per-node counters that span prefixes.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    /// Monotonic counter stamping Adj-RIB-In installations, for the
-    /// oldest-route tiebreak.
-    age_clock: u64,
-    /// Times the decision process ran.
-    decisions: u64,
-}
-
 /// A shard's routing state: one table per prefix ever announced to or by a
-/// node the shard owns, ascending, plus the per-node counters. Tables are
-/// full width (every node, every edge) so node and edge ids index them
-/// directly; only the owned entries are ever written.
+/// node the shard owns, ascending. Tables are full width (every node, every
+/// edge) so node and edge ids index them directly; only the owned entries
+/// are ever written.
 #[derive(Debug)]
 pub(crate) struct Rib {
     tables: Vec<PrefixTable>,
-    counters: Box<[Counters]>,
+    nodes: usize,
     edges: usize,
 }
 
@@ -133,7 +180,7 @@ impl Rib {
     pub(crate) fn new(nodes: usize, edges: usize) -> Self {
         Rib {
             tables: Vec::new(),
-            counters: vec![Counters::default(); nodes].into_boxed_slice(),
+            nodes,
             edges,
         }
     }
@@ -157,7 +204,7 @@ impl Rib {
         self.position(prefix).unwrap_or_else(|at| {
             let table = PrefixTable {
                 prefix,
-                nodes: vec![NodeRib::default(); self.counters.len()].into_boxed_slice(),
+                nodes: vec![NodeRib::default(); self.nodes].into_boxed_slice(),
                 slots: vec![Slot::default(); self.edges].into_boxed_slice(),
             };
             self.tables.insert(at, table);
@@ -232,7 +279,10 @@ impl<'a> Router<'a> {
     /// The best (Loc-RIB) route for a prefix, if any.
     #[must_use]
     pub fn best_route(self, prefix: Ipv4Prefix) -> Option<&'a Route> {
-        self.best(prefix).map(|e| e.route.as_ref())
+        let table = self.rib.table(prefix)?;
+        let node = &table.nodes[self.node.index];
+        let held = node.held(&table.slots[self.node.sessions()], node.best?.learned_from);
+        held.map(|entry| entry.route.as_ref())
     }
 
     /// The peer the best route was learned from (`None` when locally
@@ -247,10 +297,9 @@ impl<'a> Router<'a> {
     /// own ASN for a locally originated route.
     #[must_use]
     pub fn best_origin(self, prefix: Ipv4Prefix) -> Option<Asn> {
-        let entry = self.best(prefix)?;
-        match entry.learned_from {
+        match self.best(prefix)?.learned_from {
             None => Some(self.node.asn),
-            Some(_) => entry.route.origin_as(),
+            Some(_) => self.best_route(prefix)?.origin_as(),
         }
     }
 
@@ -271,7 +320,10 @@ impl<'a> Router<'a> {
     /// Times the BGP decision process ran on this router.
     #[must_use]
     pub fn decision_count(self) -> u64 {
-        self.rib.counters[self.node.index].decisions
+        let tables = self.rib.tables.iter();
+        tables
+            .map(|table| table.nodes[self.node.index].decisions)
+            .sum()
     }
 
     /// Total routes currently held in the Adj-RIB-In, across all prefixes
@@ -299,8 +351,8 @@ impl<'a> Router<'a> {
         })
     }
 
-    fn best(self, prefix: Ipv4Prefix) -> Option<&'a BestEntry> {
-        self.rib.table(prefix)?.nodes[self.node.index].best.as_ref()
+    fn best(self, prefix: Ipv4Prefix) -> Option<BestEntry> {
+        self.rib.table(prefix)?.nodes[self.node.index].best
     }
 }
 
@@ -336,8 +388,18 @@ impl<'a> Speaker<'a> {
     ) {
         let at = self.rib.position_or_insert(route.prefix());
         let node = &mut self.rib.tables[at].nodes[self.node.index];
+        // The originated entry is always stamped 0, so a changed route would
+        // pass for the same winner: forget an originated incumbent so that
+        // its successor is exported.
+        let changed = node
+            .originated
+            .as_ref()
+            .is_none_or(|held| *held.route != route);
+        if changed && node.best.is_some_and(|best| best.learned_from.is_none()) {
+            node.best = None;
+        }
         node.originated = Some(RibEntry::new(Arc::new(route), 0));
-        self.reselect(at, monitor, out);
+        self.reselect(at, Changed::Several, monitor, out);
     }
 
     /// Stops originating a prefix.
@@ -352,7 +414,7 @@ impl<'a> Speaker<'a> {
         };
         let node = &mut self.rib.tables[at].nodes[self.node.index];
         if node.originated.take().is_some() {
-            self.reselect(at, monitor, out);
+            self.reselect(at, Changed::Several, monitor, out);
         }
     }
 
@@ -373,7 +435,7 @@ impl<'a> Speaker<'a> {
             let state = self.slot_mut(at, slot);
             state.advertised = false;
             if state.rib.take().is_some() {
-                self.reselect(at, monitor, out);
+                self.reselect(at, Changed::Several, monitor, out);
             }
         }
         // The export hooks still ran for the dead session (monitors count
@@ -398,14 +460,19 @@ impl<'a> Speaker<'a> {
             asn, index, first, ..
         } = self.node;
         for table in &mut self.rib.tables {
-            let Some(best) = &table.nodes[index].best else {
+            let node = &table.nodes[index];
+            let Some(best) = node.best else {
                 continue;
             };
             if best.learned_from == Some(slot as u32) {
                 continue; // split horizon
             }
+            let Some(held) = node.held(&table.slots[self.node.sessions()], best.learned_from)
+            else {
+                continue;
+            };
             let learned_from = best.learned_from.map(|s| self.node.peers[s as usize]);
-            let outbound = Arc::new(best.route.propagated_by(asn));
+            let outbound = Arc::new(held.route.propagated_by(asn));
             let update = match monitor.on_export(asn, peer, learned_from, &outbound) {
                 ExportAction::Forward => SharedUpdate::Announce(outbound),
                 ExportAction::Replace(route) => SharedUpdate::announce(route),
@@ -432,7 +499,7 @@ impl<'a> Speaker<'a> {
                 };
                 if self.slot_mut(at, from).rib.take().is_some() {
                     monitor.on_withdraw(self.node.asn, self.node.peers[from], prefix);
-                    self.reselect(at, monitor, out);
+                    self.reselect(at, Changed::Slot(from), monitor, out);
                 }
                 return;
             }
@@ -447,16 +514,20 @@ impl<'a> Speaker<'a> {
                 return;
             };
             if self.slot_mut(at, from).rib.take().is_some() {
-                self.reselect(at, monitor, out);
+                self.reselect(at, Changed::Slot(from), monitor, out);
             }
             return;
         }
         let at = self.rib.position_or_insert(route.prefix());
         let decision = self.consult_monitor(at, from, &route, monitor);
-        self.apply_evictions(at, from, &decision);
+        let changed = if self.apply_evictions(at, from, &decision) {
+            Changed::Several
+        } else {
+            Changed::Slot(from)
+        };
         // Stamp every announcement that got this far, refused ones included:
         // the oldest-route tiebreak orders installations by this clock.
-        let clock = &mut self.rib.counters[self.node.index].age_clock;
+        let clock = &mut self.rib.tables[at].nodes[self.node.index].age_clock;
         *clock += 1;
         let stamp = *clock;
         let held = &mut self.slot_mut(at, from).rib;
@@ -468,7 +539,7 @@ impl<'a> Speaker<'a> {
             // (An identical re-announcement keeps the original age.)
             *held = Some(RibEntry::new(route, stamp));
         }
-        self.reselect(at, monitor, out);
+        self.reselect(at, changed, monitor, out);
     }
 
     fn consult_monitor<M: RouteMonitor>(
@@ -495,17 +566,22 @@ impl<'a> Speaker<'a> {
         })
     }
 
-    fn apply_evictions(&mut self, at: usize, from: usize, decision: &ImportDecision) {
+    /// Drops the routes `decision` evicts, except the sender's; returns
+    /// whether any was held.
+    fn apply_evictions(&mut self, at: usize, from: usize, decision: &ImportDecision) -> bool {
+        let mut evicted = false;
         for peer in &decision.evict_peers {
             match self.node.peers.binary_search(peer) {
-                Ok(slot) if slot != from => self.slot_mut(at, slot).rib = None,
+                Ok(slot) if slot != from => evicted |= self.slot_mut(at, slot).rib.take().is_some(),
                 _ => {}
             }
         }
+        evicted
     }
 
-    /// Re-runs the decision process for the prefix table at `at` and, if
-    /// the best route changed, appends the updates to send to peers.
+    /// Re-runs the decision process for the prefix table at `at` after the
+    /// `changed` candidates changed and, if the best route changed, appends
+    /// the updates to send to peers.
     ///
     /// A new best route is announced to every peer but its source (split
     /// horizon), then peers that previously heard from us but are now
@@ -513,28 +589,32 @@ impl<'a> Speaker<'a> {
     /// peer. The prepended outbound route is built **once** and shared by
     /// every peer the monitor lets through unmodified; only an
     /// [`ExportAction::Replace`] costs a fresh allocation.
-    fn reselect<M: RouteMonitor>(&mut self, at: usize, monitor: &mut M, out: &mut Outbox) {
+    fn reselect<M: RouteMonitor>(
+        &mut self,
+        at: usize,
+        changed: Changed,
+        monitor: &mut M,
+        out: &mut Outbox,
+    ) {
         let Node {
             asn, index, peers, ..
         } = self.node;
-        self.rib.counters[index].decisions += 1;
         let table = &mut self.rib.tables[at];
         let prefix = table.prefix;
         let node = &mut table.nodes[index];
+        node.decisions += 1;
         let slots = &mut table.slots[self.node.sessions()];
-        let winner = decide(node.originated.as_ref(), slots);
-        // `Arc` equality is pointer equality first, so an unchanged best
-        // costs no look at the route itself.
-        if winner == node.best.as_ref().map(|e| (e.learned_from, &e.route)) {
+        let winner = select(node, slots, changed);
+        // The winner is named by source and stamp, and an entry keeps its
+        // stamp exactly while its route stays the same.
+        if winner == node.best {
             return;
         }
-        let outbound = winner.map(|(_, route)| Arc::new(route.propagated_by(asn)));
-        let source = winner.and_then(|(slot, _)| slot);
+        let held = winner.and_then(|best| node.held(slots, best.learned_from));
+        let outbound = held.map(|entry| Arc::new(entry.route.propagated_by(asn)));
+        let source = winner.and_then(|best| best.learned_from);
         let source_asn = source.map(|slot| peers[slot as usize]);
-        node.best = winner.map(|(learned_from, route)| BestEntry {
-            route: Arc::clone(route),
-            learned_from,
-        });
+        node.best = winner;
         let first = out.len();
         for (slot, (&peer, state)) in peers.iter().zip(slots.iter_mut()).enumerate() {
             let slot = slot as u32;
@@ -561,6 +641,47 @@ impl<'a> Speaker<'a> {
     }
 }
 
+/// The best of `node`'s candidates after the `changed` ones changed.
+///
+/// When only one learned slot changed, the incumbent and that slot's entry
+/// settle it: every other candidate lost to the incumbent before and still
+/// does. Only when the incumbent itself got worse or left, or several
+/// candidates changed, does the full scan ([`decide`]) run. Debug builds
+/// check every shortcut against the scan.
+fn select(node: &NodeRib, slots: &[Slot], changed: Changed) -> Option<BestEntry> {
+    let winner = match changed {
+        Changed::Slot(slot) => {
+            let source = Some(slot as u32);
+            let challenger = slots[slot]
+                .rib
+                .as_ref()
+                .map(|entry| entry.candidate(source));
+            match node.best {
+                // No incumbent means nothing was held: the slot is alone.
+                None => challenger,
+                // The incumbent itself changed: it stays ahead only if it got
+                // no worse (an unchanged entry keeps its stamp, so its key).
+                Some(best) if best.learned_from == source => match challenger {
+                    Some(new) if new.key() <= best.key() => challenger,
+                    _ => decide(node.originated.as_ref(), slots),
+                },
+                // Everyone else lost to the incumbent: only the slot can win.
+                Some(best) => match challenger {
+                    Some(new) if new.key() < best.key() => challenger,
+                    _ => Some(best),
+                },
+            }
+        }
+        Changed::Several => decide(node.originated.as_ref(), slots),
+    };
+    debug_assert_eq!(
+        winner,
+        decide(node.originated.as_ref(), slots),
+        "the incremental selection disagrees with the full scan"
+    );
+    winner
+}
+
 /// The BGP decision process over one node's candidates for one prefix:
 /// highest `LOCAL_PREF`, then shortest AS path (locally originated routes
 /// have an empty path and win). Exact ties keep the currently selected route
@@ -572,27 +693,18 @@ impl<'a> Speaker<'a> {
 /// equally-long route must not displace a valid route that is already
 /// installed, exactly as in the paper's converged-network attack model.
 ///
-/// Candidates are ranked from the keys cached beside them, so a selection
-/// is one pass over contiguous memory that allocates nothing and never
-/// follows a route pointer. `min_by_key` keeps the *first* minimum, so the
-/// iteration order (own route, then learned routes by ascending slot, i.e.
-/// ascending peer ASN) is part of the tiebreak contract. Returns the
-/// winner's source slot and route.
-fn decide<'r>(
-    originated: Option<&'r RibEntry>,
-    slots: &'r [Slot],
-) -> Option<(Option<u32>, &'r Arc<Route>)> {
-    let own = originated.map(|entry| (None, entry));
+/// Candidates are ranked from the keys cached beside them ([`BestEntry::key`]),
+/// so the scan is one pass over the node's row of slots that allocates
+/// nothing and never follows a route pointer. Every key ends in the
+/// candidate's source, so no two are equal and the minimum is unique.
+fn decide(originated: Option<&RibEntry>, slots: &[Slot]) -> Option<BestEntry> {
+    let own = originated.map(|entry| entry.candidate(None));
     let learned = slots.iter().enumerate();
-    let learned =
-        learned.filter_map(|(slot, state)| Some((Some(slot as u32), state.rib.as_ref()?)));
-    own.into_iter()
-        .chain(learned)
-        .min_by_key(|&(slot, entry)| {
-            let rank = (Reverse(entry.local_pref), entry.selection_len);
-            (rank, slot.is_some(), entry.installed_at, slot)
-        })
-        .map(|(slot, entry)| (slot, &entry.route))
+    let learned = learned.filter_map(|(slot, state)| {
+        let entry = state.rib.as_ref()?;
+        Some(entry.candidate(Some(slot as u32)))
+    });
+    own.into_iter().chain(learned).min_by_key(|best| best.key())
 }
 
 #[cfg(test)]
@@ -655,7 +767,11 @@ mod tests {
         }
 
         pub(super) fn age_clock(&self) -> u64 {
-            self.rib.counters[INDEX].age_clock
+            self.rib
+                .tables
+                .iter()
+                .map(|t| t.nodes[INDEX].age_clock)
+                .sum()
         }
 
         /// Whether every table entry outside this router's node and
@@ -665,9 +781,14 @@ mod tests {
             self.rib.tables.iter().all(|table| {
                 let mut nodes = table.nodes.iter().enumerate();
                 let mut slots = table.slots.iter().enumerate();
-                nodes.all(|(k, n)| k == INDEX || (n.originated.is_none() && n.best.is_none()))
-                    && slots
-                        .all(|(e, s)| sessions.contains(&e) || (s.rib.is_none() && !s.advertised))
+                nodes.all(|(k, n)| {
+                    k == INDEX
+                        || (n.originated.is_none()
+                            && n.best.is_none()
+                            && n.age_clock == 0
+                            && n.decisions == 0)
+                }) && slots
+                    .all(|(e, s)| sessions.contains(&e) || (s.rib.is_none() && !s.advertised))
             })
         }
 

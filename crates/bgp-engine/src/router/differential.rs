@@ -5,12 +5,19 @@
 //! scripted monitor. After every call the updates they send (in order), the
 //! monitor hooks they invoked (in order, arguments included) and everything
 //! the read accessors report must be equal.
+//!
+//! The dense router selects incrementally and falls back to a full scan
+//! when its incumbent gets worse or leaves (and debug builds check every
+//! shortcut against the scan). The generator reaches each such case, and
+//! `generator_reaches_every_fallback` checks that it does.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use bgp_types::{AsPath, Asn, Ipv4Prefix, Route};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use super::reference;
 use super::tests::{ByAsn, Sent};
@@ -83,7 +90,11 @@ impl RouteMonitor for Scripted {
 /// pools, taken modulo the pool size; peer index `n` names [`STRANGER`].
 #[derive(Debug, Clone)]
 enum Op {
-    Originate(usize),
+    /// Originate a prefix with MOAS list number `list` ([`origination`]).
+    Originate {
+        prefix: usize,
+        list: u8,
+    },
     WithdrawOrigin(usize),
     /// An announcement whose path is the peer followed by `tail`.
     Announce {
@@ -116,7 +127,7 @@ fn op() -> impl Strategy<Value = Op> {
         local_pref,
     };
     prop_oneof![
-        (0usize..3).prop_map(Op::Originate),
+        (0usize..3, 0u8..3).prop_map(|(prefix, list)| Op::Originate { prefix, list }),
         (0usize..3).prop_map(Op::WithdrawOrigin),
         (0usize..6, 0usize..3, tail, local_pref).prop_map(announce),
         // Loop-free, default preference, one or two hops: the shape that ties.
@@ -127,6 +138,48 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..7).prop_map(Op::RefreshPeer),
     ]
 }
+
+/// The route originated by [`Op::Originate`]: no MOAS list for `list` 0,
+/// else a list naming the router and one of two partners.
+fn origination(prefix: Ipv4Prefix, list: u8) -> Route {
+    let route = Route::new(prefix, AsPath::new());
+    match list {
+        0 => route,
+        _ => route.with_moas_list(MoasList::from_iter([LOCAL, Asn(40 + u32::from(list))])),
+    }
+}
+
+/// The ways a call can make the incremental selection fall back to a scan,
+/// plus the re-origination that must re-export although the originated
+/// entry's stamp stays 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fallback {
+    /// The incumbent's peer withdraws.
+    Withdrawn,
+    /// The incumbent's peer sends a path through this router.
+    Looped,
+    /// The incumbent's peer sends a route of lower rank.
+    Worse,
+    /// The incumbent's peer sends another route of the same rank, which
+    /// is installed with a newer stamp.
+    Restamped,
+    /// The monitor evicts the incumbent on another peer's announcement.
+    Evicted,
+    /// The incumbent's session goes down.
+    SessionLost,
+    /// The originated incumbent is replaced with a different MOAS list.
+    Reoriginated,
+}
+
+const FALLBACKS: [Fallback; 7] = [
+    Fallback::Withdrawn,
+    Fallback::Looped,
+    Fallback::Worse,
+    Fallback::Restamped,
+    Fallback::Evicted,
+    Fallback::SessionLost,
+    Fallback::Reoriginated,
+];
 
 /// Both routers, their monitors, and what each peer announced last.
 struct Pair {
@@ -161,73 +214,155 @@ impl Pair {
         }
     }
 
-    /// Applies `op` to both routers; returns what each sent.
-    fn apply(&mut self, op: &Op) -> (Sent, Sent) {
-        let Pair {
-            peers,
-            prefixes,
-            dense,
-            dense_monitor: m,
-            oracle,
-            oracle_monitor: om,
-            announced,
-        } = self;
-        let peer = |index: usize| peers[index % peers.len()];
-        let peer_or_stranger = |index: usize| {
-            let pool = peers.len() + 1;
-            peers.get(index % pool).copied().unwrap_or(STRANGER)
-        };
-        let prefix = |index: usize| prefixes[index % prefixes.len()];
-        let (from, update) = match *op {
-            Op::Originate(at) => {
-                let route = Route::new(prefix(at), AsPath::new());
-                return (
-                    dense.call(|r, out| r.originate(route.clone(), m, out)),
-                    oracle.originate(route, om),
-                );
-            }
-            Op::WithdrawOrigin(at) => {
-                return (
-                    dense.call(|r, out| r.withdraw_origin(prefix(at), m, out)),
-                    oracle.withdraw_origin(prefix(at), om),
-                );
+    fn peer(&self, index: usize) -> Asn {
+        self.peers[index % self.peers.len()]
+    }
+
+    fn peer_or_stranger(&self, index: usize) -> Asn {
+        let pool = self.peers.len() + 1;
+        self.peers.get(index % pool).copied().unwrap_or(STRANGER)
+    }
+
+    fn prefix(&self, index: usize) -> Ipv4Prefix {
+        self.prefixes[index % self.prefixes.len()]
+    }
+
+    /// The fallback `op` drives, judged from the dense router's state
+    /// before it runs; an eviction shows only after ([`Pair::evicted`]).
+    fn fallback(&self, op: &Op) -> Option<Fallback> {
+        let view = self.dense.view();
+        match *op {
+            Op::Originate { prefix, list } => {
+                let prefix = self.prefix(prefix);
+                let incumbent = view.best_route(prefix)?;
+                let originated = view.best_learned_from(prefix).is_none();
+                (originated && *incumbent != origination(prefix, list))
+                    .then_some(Fallback::Reoriginated)
             }
             Op::PeerDown(at) => {
-                return (
-                    dense.call(|r, out| r.peer_down(peer_or_stranger(at), m, out)),
-                    oracle.peer_down(peer_or_stranger(at), om),
-                );
+                let peer = Some(self.peer_or_stranger(at));
+                let mut prefixes = self.prefixes.iter();
+                prefixes
+                    .any(|&prefix| view.best_learned_from(prefix) == peer)
+                    .then_some(Fallback::SessionLost)
             }
-            Op::RefreshPeer(at) => {
-                return (
-                    dense.call(|r, out| r.refresh_peer(peer_or_stranger(at), m, out)),
-                    oracle.refresh_peer(peer_or_stranger(at), om),
-                );
+            Op::Withdraw { peer, prefix } => {
+                let held = view.best_learned_from(self.prefix(prefix)) == Some(self.peer(peer));
+                held.then_some(Fallback::Withdrawn)
             }
             Op::Announce {
-                peer: from,
-                prefix: at,
+                peer,
+                prefix,
                 ref tail,
                 local_pref,
             } => {
-                let path = std::iter::once(peer(from)).chain(tail.iter().map(|&asn| Asn(asn)));
-                let route =
-                    Route::new(prefix(at), AsPath::from_sequence(path)).with_local_pref(local_pref);
-                announced.insert((peer(from), prefix(at)), route.clone());
-                (peer(from), SharedUpdate::announce(route))
+                let prefix = self.prefix(prefix);
+                if view.best_learned_from(prefix) != Some(self.peer(peer)) {
+                    return None;
+                }
+                let incumbent = view.best_route(prefix)?;
+                let rank =
+                    |route: &Route| (Reverse(route.local_pref()), route.as_path().selection_len());
+                let route = self.announcement(peer, prefix, tail, local_pref);
+                if tail.contains(&LOCAL.0) {
+                    Some(Fallback::Looped)
+                } else if rank(&route) > rank(incumbent) {
+                    Some(Fallback::Worse)
+                } else if rank(&route) == rank(incumbent) && route != *incumbent {
+                    Some(Fallback::Restamped)
+                } else {
+                    None
+                }
             }
-            Op::Repeat(at) => match announced.iter().nth(at % announced.len().max(1)) {
+            Op::WithdrawOrigin(_) | Op::Repeat(_) | Op::RefreshPeer(_) => None,
+        }
+    }
+
+    /// Whether an announcement's evictions removed an incumbent: `before`
+    /// is the best route's source per prefix before the call.
+    fn evicted(&self, op: &Op, before: &[Option<Asn>]) -> bool {
+        let Op::Announce { peer, .. } = *op else {
+            return false;
+        };
+        let view = self.dense.view();
+        self.prefixes.iter().zip(before).any(|(&prefix, &source)| {
+            source.is_some_and(|source| {
+                source != self.peer(peer) && view.adj_rib_in(prefix).all(|(held, _)| held != source)
+            })
+        })
+    }
+
+    /// The route [`Op::Announce`] sends: the peer followed by `tail`.
+    fn announcement(
+        &self,
+        peer: usize,
+        prefix: Ipv4Prefix,
+        tail: &[u32],
+        local_pref: u32,
+    ) -> Route {
+        let path = std::iter::once(self.peer(peer)).chain(tail.iter().map(|&asn| Asn(asn)));
+        Route::new(prefix, AsPath::from_sequence(path)).with_local_pref(local_pref)
+    }
+
+    /// Applies `op` to both routers; returns what each sent.
+    fn apply(&mut self, op: &Op) -> (Sent, Sent) {
+        let (from, update) = match *op {
+            Op::Originate { prefix, list } => {
+                let route = origination(self.prefix(prefix), list);
+                let (m, om) = (&mut self.dense_monitor, &mut self.oracle_monitor);
+                return (
+                    self.dense.call(|r, out| r.originate(route.clone(), m, out)),
+                    self.oracle.originate(route, om),
+                );
+            }
+            Op::WithdrawOrigin(at) => {
+                let prefix = self.prefix(at);
+                let (m, om) = (&mut self.dense_monitor, &mut self.oracle_monitor);
+                return (
+                    self.dense.call(|r, out| r.withdraw_origin(prefix, m, out)),
+                    self.oracle.withdraw_origin(prefix, om),
+                );
+            }
+            Op::PeerDown(at) => {
+                let peer = self.peer_or_stranger(at);
+                let (m, om) = (&mut self.dense_monitor, &mut self.oracle_monitor);
+                return (
+                    self.dense.call(|r, out| r.peer_down(peer, m, out)),
+                    self.oracle.peer_down(peer, om),
+                );
+            }
+            Op::RefreshPeer(at) => {
+                let peer = self.peer_or_stranger(at);
+                let (m, om) = (&mut self.dense_monitor, &mut self.oracle_monitor);
+                return (
+                    self.dense.call(|r, out| r.refresh_peer(peer, m, out)),
+                    self.oracle.refresh_peer(peer, om),
+                );
+            }
+            Op::Announce {
+                peer,
+                prefix,
+                ref tail,
+                local_pref,
+            } => {
+                let route = self.announcement(peer, self.prefix(prefix), tail, local_pref);
+                let from = self.peer(peer);
+                self.announced.insert((from, route.prefix()), route.clone());
+                (from, SharedUpdate::announce(route))
+            }
+            Op::Repeat(at) => match self.announced.iter().nth(at % self.announced.len().max(1)) {
                 Some((&(from, _), route)) => (from, SharedUpdate::announce(route.clone())),
                 None => return (Sent::new(), Sent::new()),
             },
-            Op::Withdraw {
-                peer: from,
-                prefix: at,
-            } => (peer(from), SharedUpdate::withdraw(prefix(at))),
+            Op::Withdraw { peer, prefix } => {
+                (self.peer(peer), SharedUpdate::withdraw(self.prefix(prefix)))
+            }
         };
         (
-            dense.handle_update(from, update.clone(), m),
-            oracle.handle_update(from, update, om),
+            self.dense
+                .handle_update(from, update.clone(), &mut self.dense_monitor),
+            self.oracle
+                .handle_update(from, update, &mut self.oracle_monitor),
         )
     }
 
@@ -275,23 +410,74 @@ impl Pair {
     }
 }
 
+/// Runs one generated case, asserting both routers agree after every call,
+/// and records the fallbacks it drove in `seen`.
+fn check_case(
+    peer_count: usize,
+    prefix_count: usize,
+    mode: u8,
+    ops: &[Op],
+    seen: &mut BTreeSet<Fallback>,
+) {
+    let mut pair = Pair::new(peer_count, prefix_count, mode);
+    for (n, op) in ops.iter().enumerate() {
+        let step = format!("step {n} {op:?} (peers {peer_count}, mode {mode})");
+        let fallback = pair.fallback(op);
+        let before: Vec<Option<Asn>> = pair
+            .prefixes
+            .iter()
+            .map(|&prefix| pair.dense.view().best_learned_from(prefix))
+            .collect();
+        let exports_before = pair.dense_monitor.log.matches("export ").count();
+        let (sent, expected) = pair.apply(op);
+        assert_eq!(sent, expected, "{step}");
+        assert_eq!(pair.dense_monitor.log, pair.oracle_monitor.log, "{step}");
+        pair.assert_same_state(&step);
+        if fallback == Some(Fallback::Reoriginated) {
+            // The new originated route wins as the old one did, and every
+            // peer's export hook must see it.
+            let exports = pair.dense_monitor.log.matches("export ").count() - exports_before;
+            assert_eq!(
+                exports, peer_count,
+                "{step}: a changed origination re-exports"
+            );
+        }
+        seen.extend(fallback);
+        if pair.evicted(op, &before) {
+            seen.insert(Fallback::Evicted);
+        }
+    }
+}
+
+fn case() -> impl Strategy<Value = (usize, usize, u8, Vec<Op>)> {
+    (
+        1usize..=6,
+        2usize..=3,
+        0u8..8,
+        prop::collection::vec(op(), 1..60),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn dense_router_matches_the_reference(
-        peer_count in 1usize..=6,
-        prefix_count in 2usize..=3,
-        mode in 0u8..8,
-        ops in prop::collection::vec(op(), 1..60),
+        (peer_count, prefix_count, mode, ops) in case(),
     ) {
-        let mut pair = Pair::new(peer_count, prefix_count, mode);
-        for (n, op) in ops.iter().enumerate() {
-            let step = format!("step {n} {op:?} (peers {peer_count}, mode {mode})");
-            let (sent, expected) = pair.apply(op);
-            prop_assert_eq!(sent, expected, "{}", step);
-            prop_assert_eq!(&pair.dense_monitor.log, &pair.oracle_monitor.log, "{}", step);
-            pair.assert_same_state(&step);
-        }
+        check_case(peer_count, prefix_count, mode, &ops, &mut BTreeSet::new());
     }
+}
+
+/// The generator is only as good as the cases it reaches: 256 of its cases
+/// drive every fallback of the incremental selection.
+#[test]
+fn generator_reaches_every_fallback() {
+    let mut rng = TestRng::from_seed(proptest::seed_for("generator_reaches_every_fallback"));
+    let mut seen = BTreeSet::new();
+    for _ in 0..256 {
+        let (peer_count, prefix_count, mode, ops) = case().generate(&mut rng);
+        check_case(peer_count, prefix_count, mode, &ops, &mut seen);
+    }
+    assert_eq!(seen, BTreeSet::from(FALLBACKS));
 }

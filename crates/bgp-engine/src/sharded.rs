@@ -58,52 +58,76 @@ const WATCHDOG_STRIKES: u32 = 3;
 /// per-edge fault RNG streams invariant under re-sharding.
 #[derive(Debug)]
 struct Topo {
-    /// Sorted ASNs; position = dense node index.
-    asn_index: Vec<Asn>,
-    /// CSR row starts into `peer_idx`/`delays`; len `n + 1`.
-    peer_start: Vec<usize>,
+    /// Per dense node, ascending by ASN, and one sentinel: the node's ASN
+    /// and the start of its CSR row into the per-edge vectors, so a node's
+    /// row is `rows[i].first..rows[i + 1].first`. Side by side, a delivery
+    /// reads both from one line.
+    rows: Vec<Row>,
     /// CSR column data: neighbor node index per directed edge.
     peer_idx: Vec<u32>,
     /// Per directed edge: the neighbor's ASN. A node's row of it is its
     /// router's peer list, ascending.
     peer_asn: Vec<Asn>,
-    /// Per directed edge `a -> b`: the id of the opposite edge `b -> a`. The
-    /// offset of an edge in its row is the peer's slot in the sending router,
-    /// so `rev[e] - peer_start[b]` is the sender's slot in the receiver.
-    rev: Vec<u32>,
+    /// Per directed edge `a -> b`: the offset of the opposite edge `b -> a`
+    /// in `b`'s row. The offset of an edge in its row is the peer's slot in
+    /// the sending router, so this is `a`'s slot in `b`, which a sender
+    /// reads from its own row and stamps on the delivery.
+    rev_slot: Vec<u32>,
     /// Per directed edge: link delay in ticks (all >= 1).
     delays: Vec<u64>,
     /// Per dense node index: owning shard.
     assignment: Vec<u32>,
 }
 
+/// One node of the CSR topology: see [`Topo::rows`].
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    asn: Asn,
+    first: u32,
+}
+
 impl Topo {
+    fn node_count(&self) -> usize {
+        self.rows.len() - 1
+    }
+
+    fn asn(&self, index: usize) -> Asn {
+        self.rows[index].asn
+    }
+
+    /// Node `index`'s sessions: its range of edge ids.
+    fn edges(&self, index: usize) -> std::ops::Range<usize> {
+        self.rows[index].first as usize..self.rows[index + 1].first as usize
+    }
+
     fn index_of(&self, asn: Asn) -> Option<usize> {
-        self.asn_index.binary_search(&asn).ok()
+        let nodes = &self.rows[..self.node_count()];
+        nodes.binary_search_by_key(&asn, |row| row.asn).ok()
     }
 
     /// Where node `index`'s router sits: its ASN and CSR row.
     fn node(&self, index: usize) -> Node<'_> {
-        let (first, end) = (self.peer_start[index], self.peer_start[index + 1]);
+        let edges = self.edges(index);
         Node {
-            asn: self.asn_index[index],
+            asn: self.asn(index),
             index,
-            first,
-            peers: &self.peer_asn[first..end],
+            first: edges.start,
+            peers: &self.peer_asn[edges],
         }
     }
 
     fn edge_between(&self, from: usize, to: usize) -> Option<usize> {
-        let row = &self.peer_idx[self.peer_start[from]..self.peer_start[from + 1]];
+        let edges = self.edges(from);
+        let row = &self.peer_idx[edges.clone()];
         row.binary_search(&(to as u32))
             .ok()
-            .map(|k| self.peer_start[from] + k)
+            .map(|k| edges.start + k)
     }
 
     fn edge_endpoints(&self, e: usize) -> (Asn, Asn) {
-        let from = self.peer_start.partition_point(|&start| start <= e) - 1;
+        let from = self.rows.partition_point(|row| row.first as usize <= e) - 1;
         let to = self.peer_idx[e] as usize;
-        (self.asn_index[from], self.asn_index[to])
+        (self.asn(from), self.asn(to))
     }
 
     /// Edge `e`'s `(from, to)` ASN pair packed into one `u64`; ascending in
@@ -142,6 +166,9 @@ enum ShardEvent {
         edge: u32,
         from: u32,
         to: u32,
+        /// The sender's slot in the receiver (`rev_slot[edge]`), stamped at
+        /// send time so delivery reads nothing of the topology for it.
+        slot: u32,
         epoch: u32,
         /// The link's fault model damaged this message in flight; the
         /// receiver detects the damage, discards it, and counts it.
@@ -304,7 +331,7 @@ impl<M: RouteMonitor> Shard<M> {
     /// ASN, which is looked up only while some link is failed.
     fn session_is_down(&self, a: usize, b: usize) -> bool {
         !self.failed_links.is_empty() && {
-            let (a, b) = (self.topo.asn_index[a], self.topo.asn_index[b]);
+            let (a, b) = (self.topo.asn(a), self.topo.asn(b));
             self.failed_links.contains(&link_key(a, b))
         }
     }
@@ -367,6 +394,7 @@ impl<M: RouteMonitor> Shard<M> {
                 edge,
                 from,
                 to,
+                slot,
                 epoch,
                 corrupt,
                 update,
@@ -405,7 +433,6 @@ impl<M: RouteMonitor> Shard<M> {
                         self.sessions[edge].recv_withdrawals += 1;
                     }
                 }
-                let slot = self.topo.rev[edge] - self.topo.peer_start[to] as u32;
                 self.drive(to, |r, m, out| r.handle_update(slot, update, m, out));
             }
             ShardEvent::MraiFlush { edge, from, to } => {
@@ -581,7 +608,7 @@ impl<M: RouteMonitor> Shard<M> {
     fn enqueue(&mut self, from: usize) {
         let mut out = std::mem::take(&mut self.out);
         for (slot, update) in out.drain(..) {
-            let edge = self.topo.peer_start[from] + slot as usize;
+            let edge = self.topo.edges(from).start + slot as usize;
             let to = self.topo.peer_idx[edge];
             if self.session_is_down(from, to as usize) {
                 continue;
@@ -623,6 +650,9 @@ impl<M: RouteMonitor> Shard<M> {
     /// The single choke point for deliveries: stamps the epoch, applies the
     /// edge's fault model, assigns the intrinsic send sequence, and routes
     /// the event to the receiver's queue — local push or cross-shard outbox.
+    /// The update moves into the last copy, so a delivery costs no refcount
+    /// round trip; inlined into the send loop, the move stays in registers.
+    #[inline(always)]
     fn schedule_delivery(&mut self, edge: usize, from: u32, to: u32, update: SharedUpdate) {
         match &update {
             SharedUpdate::Announce(_) => self.sessions[edge].sent_announcements += 1,
@@ -631,7 +661,7 @@ impl<M: RouteMonitor> Shard<M> {
         let epoch = self.epochs[edge];
         let mut delay = self.topo.delays[edge];
         let mut corrupt = false;
-        let mut copies = 1u8;
+        let mut duplicate = false;
         if let Some(faults) = self.faults.as_deref_mut() {
             if let Some(model) = faults.models.get(&edge) {
                 let seed = faults.seed;
@@ -646,7 +676,7 @@ impl<M: RouteMonitor> Shard<M> {
                     }
                     FaultAction::Duplicate => {
                         faults.stats[edge].duplicated += 1;
-                        copies = 2;
+                        duplicate = true;
                     }
                     FaultAction::Delay(extra) => {
                         faults.stats[edge].reordered += 1;
@@ -657,16 +687,19 @@ impl<M: RouteMonitor> Shard<M> {
             }
         }
         let dest = self.topo.assignment[to as usize];
-        for _ in 0..copies {
+        let slot = self.topo.rev_slot[edge];
+        let duplicate = duplicate.then(|| update.clone());
+        for update in duplicate.into_iter().chain([update]) {
             let seq = self.edge_seq[edge];
             self.edge_seq[edge] += 1;
             let event = ShardEvent::Deliver {
                 edge: edge as u32,
                 from,
                 to,
+                slot,
                 epoch,
                 corrupt,
-                update: update.clone(),
+                update,
             };
             let time = self.now + delay;
             let sch = Scheduled::new(time, DELIVER, edge as u32, seq, event);
@@ -688,7 +721,7 @@ impl<M: RouteMonitor> Shard<M> {
             (h ^ word).wrapping_mul(PRIME)
         }
         let mut total = 0u64;
-        for node in 0..self.topo.asn_index.len() {
+        for node in 0..self.topo.node_count() {
             if !self.owns(node) {
                 continue;
             }
@@ -899,9 +932,10 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         jitter: Option<(u64, u64)>,
         mut monitor: impl FnMut() -> M,
     ) -> Self {
-        let asn_index: Vec<Asn> = graph.asns().collect();
-        debug_assert!(asn_index.windows(2).all(|w| w[0] < w[1]));
-        let n = asn_index.len();
+        let mut rows: Vec<Row> = Vec::with_capacity(graph.len() + 1);
+        rows.extend(graph.asns().map(|asn| Row { asn, first: 0 }));
+        debug_assert!(rows.windows(2).all(|w| w[0].asn < w[1].asn));
+        let n = rows.len();
         // One shard owns everything and cuts nothing: no need to partition.
         let (shard_count, assignment, cut_links) = if shard_count <= 1 {
             (1, vec![0; n], 0)
@@ -913,50 +947,79 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
                 partition.cut_links(),
             )
         };
+        // Graphs number their ASes densely as a rule; then a table from ASN
+        // to node replaces a binary search per directed edge.
+        let dense = match rows.last() {
+            Some(last) if (last.asn.0 as usize) < 4 * n => {
+                let mut dense = vec![u32::MAX; last.asn.0 as usize + 1];
+                for (index, row) in rows.iter().enumerate() {
+                    dense[row.asn.0 as usize] = index as u32;
+                }
+                dense
+            }
+            _ => Vec::new(),
+        };
+        let index_of = |rows: &[Row], asn: Asn| match dense.get(asn.0 as usize) {
+            Some(&index) => index,
+            None => {
+                let found = rows.binary_search_by_key(&asn, |row| row.asn);
+                found.expect("graph links only name graph ASes") as u32
+            }
+        };
         let edges = 2 * graph.link_count();
-        let mut peer_start = Vec::with_capacity(n + 1);
-        peer_start.push(0);
+        let first = |edge: usize| u32::try_from(edge).expect("fewer than 2^32 directed edges");
         let mut peer_idx = Vec::with_capacity(edges);
         let mut peer_asn = Vec::with_capacity(edges);
-        for &asn in &asn_index {
-            for peer in graph.neighbors(asn) {
-                let idx = asn_index
-                    .binary_search(&peer)
-                    .expect("graph links only name graph ASes");
-                peer_idx.push(idx as u32);
+        for node in 0..n {
+            rows[node].first = first(peer_idx.len());
+            for peer in graph.neighbors(rows[node].asn) {
+                peer_idx.push(index_of(&rows, peer));
                 peer_asn.push(peer);
             }
-            peer_start.push(peer_idx.len());
         }
         debug_assert_eq!(peer_idx.len(), edges);
+        // Not a node: it closes the last node's row.
+        rows.push(Row {
+            asn: Asn(u32::MAX),
+            first: first(edges),
+        });
         // Rows are ascending and links symmetric, so walking the edges in id
         // order meets the edges *into* each node in that node's row order:
         // the k-th edge into `b` is the reverse of the k-th edge out of it.
-        let mut next_out = peer_start.clone();
-        let mut rev = Vec::with_capacity(edges);
+        let mut into = vec![0u32; n];
+        let mut rev_slot = Vec::with_capacity(edges);
         for &to in &peer_idx {
-            rev.push(next_out[to as usize] as u32);
-            next_out[to as usize] += 1;
+            rev_slot.push(into[to as usize]);
+            into[to as usize] += 1;
         }
-        debug_assert!((0..edges).all(|e| rev[rev[e] as usize] as usize == e));
         let mut topo = Topo {
-            asn_index,
-            peer_start,
+            rows,
             peer_idx,
             peer_asn,
-            rev,
+            rev_slot,
             delays: vec![1; edges],
             assignment,
         };
+        debug_assert!((0..n).all(|a| topo.edges(a).all(|e| {
+            let b = topo.peer_idx[e] as usize;
+            topo.peer_idx[topo.edges(b).start + topo.rev_slot[e] as usize] as usize == a
+        })));
         if let Some((seed, max_delay)) = jitter {
+            // One draw per direction per link, in `graph.links()` order:
+            // ascending `(low, high)` pairs, which is each row's edges to
+            // higher-numbered peers, rows in order. So the walk needs no
+            // search, and the draws land where they always have.
             let max_delay = max_delay.max(1);
             let mut rng = sim_engine::rng::from_seed(seed);
-            for (a, b) in graph.links() {
-                let (ab, ba) = topo
-                    .directed_edges(a, b)
-                    .expect("graph links join graph ASes");
-                topo.delays[ab] = rng.gen_range(1..=max_delay);
-                topo.delays[ba] = rng.gen_range(1..=max_delay);
+            for from in 0..n {
+                for ab in topo.edges(from) {
+                    let to = topo.peer_idx[ab] as usize;
+                    if to > from {
+                        let ba = topo.edges(to).start + topo.rev_slot[ab] as usize;
+                        topo.delays[ab] = rng.gen_range(1..=max_delay);
+                        topo.delays[ba] = rng.gen_range(1..=max_delay);
+                    }
+                }
             }
         }
         let topo = Arc::new(topo);
@@ -1046,7 +1109,8 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
 
     /// The ASes in the network, ascending.
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.topo.asn_index.iter().copied()
+        let nodes = &self.topo.rows[..self.topo.node_count()];
+        nodes.iter().map(|row| row.asn)
     }
 
     /// Read access to a router: a view of its owning shard's tables.
@@ -1401,7 +1465,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         // the histogram observation sequence is layout-independent too. One
         // token resolution keeps the per-router loop free of key hashing.
         let rib_size = sink.record_token("net.adj_rib_in.size");
-        for idx in 0..self.topo.asn_index.len() {
+        for idx in 0..self.topo.node_count() {
             let router = self.router_at(idx);
             decisions += router.decision_count();
             sink.record_by(rib_size, router.adj_rib_in_size() as u64);

@@ -2,12 +2,17 @@
 //!
 //! A shard's routing state is a handful of tables parallel to the CSR
 //! topology, so building a network allocates a fixed number of buffers
-//! whatever the graph's size, and no router owns heap memory. On the event
-//! path an import allocates nothing: the monitor's view of the held routes
-//! borrows the tables. What remains is the route a router builds when its
-//! best route changes (the `Arc` and the two vectors of its prepended AS
-//! path), the per-prefix table on first mention, and the event queue's
-//! buckets. Run alone with `cargo test -p bgp-engine --test event_alloc`.
+//! whatever the graph's size (link delays are drawn by walking the CSR
+//! rows, which allocates nothing), and no router owns heap memory. On the
+//! event path an import allocates nothing: the monitor's view of the held
+//! routes borrows the tables, the AS path's summary answers the loop check
+//! and the selection length, the best route is named by slot and stamp
+//! rather than by a second pointer, and an incremental selection compares
+//! one slot with the incumbent. What remains is the route a router builds
+//! when its best route changes (the `Arc` and the two vectors of its
+//! prepended AS path), the per-prefix table on first mention, and the event
+//! queue's buckets. Run alone with `cargo test -p bgp-engine --test
+//! event_alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -1,6 +1,7 @@
 //! AS paths.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::error::ParseAsPathError;
@@ -56,9 +57,46 @@ impl AsPathSegment {
 /// assert_eq!(path.hop_len(), 2);
 /// assert!(path.contains(Asn(4)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Beside its segments a path keeps a one-word summary of them: its
+/// [selection length](AsPath::selection_len) and a 48-bit filter with one
+/// bit set per member ASN. Every constructor and [`AsPath::prepend`] keep it
+/// current, so the decision process and the loop check read one cache line
+/// of the path and walk the segments only when the filter's bit is set.
+/// Equality, hashing and `Debug` see the segments alone.
+#[derive(Clone, Default)]
 pub struct AsPath {
     segments: Vec<AsPathSegment>,
+    /// The low [`LEN_BITS`] bits: [`AsPath::selection_len`], saturated at
+    /// [`LEN_MASK`]. The high bits: the union of [`member_bit`] over every
+    /// ASN of every segment.
+    summary: u64,
+}
+
+/// One word more than the segments alone.
+const _: () = assert!(std::mem::size_of::<AsPath>() == 32);
+
+/// Bits of the summary that hold the selection length.
+const LEN_BITS: u32 = 16;
+/// The selection length's field, and its saturated value: a path that long
+/// counts its segments again when asked.
+const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
+
+/// The filter bit of `asn`: a multiplicative hash whose top bits are scaled
+/// onto the 48 bits above the length, so ASNs numbered densely from 1
+/// spread over all of them.
+fn member_bit(asn: Asn) -> u64 {
+    let hash = u64::from(asn.0.wrapping_mul(0x9E37_79B9));
+    1 << (u64::from(LEN_BITS) + ((hash * 48) >> 32))
+}
+
+/// [`AsPath::selection_len`] counted from the segments.
+fn count_selection_len(segments: &[AsPathSegment]) -> usize {
+    let lens = segments.iter().map(|s| match s {
+        AsPathSegment::Sequence(v) => v.len(),
+        AsPathSegment::Set(_) => 1,
+    });
+    lens.sum()
 }
 
 impl AsPath {
@@ -72,9 +110,7 @@ impl AsPath {
     /// sequence holding the origin AS, as in Figure 1 of the paper.
     #[must_use]
     pub fn origination(origin: Asn) -> Self {
-        AsPath {
-            segments: vec![AsPathSegment::Sequence(vec![origin])],
-        }
+        AsPath::summarised(vec![AsPathSegment::Sequence(vec![origin])])
     }
 
     /// Builds a pure-`AS_SEQUENCE` path from neighbor-first order.
@@ -84,9 +120,7 @@ impl AsPath {
         if v.is_empty() {
             AsPath::new()
         } else {
-            AsPath {
-                segments: vec![AsPathSegment::Sequence(v)],
-            }
+            AsPath::summarised(vec![AsPathSegment::Sequence(v)])
         }
     }
 
@@ -106,7 +140,22 @@ impl AsPath {
                 (_, segment) => out.push(segment),
             }
         }
-        AsPath { segments: out }
+        AsPath::summarised(out)
+    }
+
+    /// A path of canonical `segments`, with its summary computed.
+    fn summarised(segments: Vec<AsPathSegment>) -> Self {
+        let len =
+            u64::try_from(count_selection_len(&segments)).map_or(LEN_MASK, |n| n.min(LEN_MASK));
+        let members = segments.iter().flat_map(AsPathSegment::asns);
+        let summary = members.fold(len, |bits, &asn| bits | member_bit(asn));
+        AsPath { segments, summary }
+    }
+
+    /// Updates the summary for `asn` prepended as one more hop.
+    fn note_prepended(&mut self, asn: Asn) {
+        let len = ((self.summary & LEN_MASK) + 1).min(LEN_MASK);
+        self.summary = (self.summary & !LEN_MASK) | len | member_bit(asn);
     }
 
     /// The segments of the path.
@@ -152,6 +201,7 @@ impl AsPath {
             Some(AsPathSegment::Sequence(v)) => v.insert(0, asn),
             _ => self.segments.insert(0, AsPathSegment::Sequence(vec![asn])),
         }
+        self.note_prepended(asn);
     }
 
     /// Returns a copy of the path with `asn` prepended: [`AsPath::prepend`]
@@ -174,21 +224,21 @@ impl AsPath {
             }
         };
         segments.extend_from_slice(rest);
-        AsPath { segments }
+        let mut path = AsPath { segments, ..*self };
+        path.note_prepended(asn);
+        path
     }
 
     /// Path length used by the BGP decision process: each `AS_SEQUENCE`
     /// element counts 1 and each `AS_SET` segment counts 1 in total (RFC 4271
-    /// §9.1.2.2 semantics).
+    /// §9.1.2.2 semantics). Read from the path's summary unless the path
+    /// is too long for it.
     #[must_use]
     pub fn selection_len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                AsPathSegment::Sequence(v) => v.len(),
-                AsPathSegment::Set(_) => 1,
-            })
-            .sum()
+        match self.summary & LEN_MASK {
+            LEN_MASK => count_selection_len(&self.segments),
+            len => len as usize,
+        }
     }
 
     /// Total number of AS hops mentioned, counting every member of every
@@ -201,10 +251,11 @@ impl AsPath {
     /// Returns `true` if the path mentions `asn` anywhere.
     ///
     /// This is BGP's loop-prevention check: an AS rejects routes whose path
-    /// already contains its own number.
+    /// already contains its own number. A clear bit in the member filter
+    /// answers `false` without walking the segments.
     #[must_use]
     pub fn contains(&self, asn: Asn) -> bool {
-        self.segments.iter().any(|s| s.contains(asn))
+        self.summary & member_bit(asn) != 0 && self.segments.iter().any(|s| s.contains(asn))
     }
 
     /// Iterates over every AS mentioned, in path order.
@@ -252,6 +303,30 @@ impl AsPath {
         } else {
             flat[1..flat.len() - 1].to_vec()
         }
+    }
+}
+
+impl PartialEq for AsPath {
+    fn eq(&self, other: &Self) -> bool {
+        // The summary is a function of the segments: comparing it first
+        // settles most unequal pairs without following the segment pointer.
+        self.summary == other.summary && self.segments == other.segments
+    }
+}
+
+impl Eq for AsPath {}
+
+impl Hash for AsPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.segments.hash(state);
+    }
+}
+
+impl fmt::Debug for AsPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AsPath")
+            .field("segments", &self.segments)
+            .finish()
     }
 }
 
@@ -331,7 +406,7 @@ impl FromStr for AsPath {
         if !seq.is_empty() {
             segments.push(AsPathSegment::Sequence(seq));
         }
-        Ok(AsPath { segments })
+        Ok(AsPath::summarised(segments))
     }
 }
 
@@ -398,6 +473,21 @@ mod tests {
             p.segments().last(),
             Some(&AsPathSegment::Set(vec![Asn(4), Asn(226)]))
         );
+    }
+
+    #[test]
+    fn selection_len_survives_saturating_the_summary() {
+        // A sequence too long for the summary's length field, then a set:
+        // the length is counted again, and a prepend keeps it exact.
+        let long = (1..=70_000).map(Asn);
+        let mut p = AsPath::from_segments([
+            AsPathSegment::Sequence(long.collect()),
+            AsPathSegment::Set(vec![Asn(1), Asn(2)]),
+        ]);
+        assert_eq!(p.selection_len(), 70_001);
+        p.prepend(Asn(9));
+        assert_eq!(p.selection_len(), 70_002);
+        assert!(p.contains(Asn(69_999)));
     }
 
     #[test]

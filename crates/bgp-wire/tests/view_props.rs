@@ -246,6 +246,7 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
                     prop_assert_eq!(va.local_pref(), oa.local_pref);
                     prop_assert_eq!(va.origin_asn(), oa.as_path.origin());
                     prop_assert_eq!(va.to_as_path(), oa.as_path.clone());
+                    assert_path_summary(&va.to_as_path());
                     let asns: Vec<Asn> = va.path_asns().collect();
                     let spec_asns: Vec<Asn> = oa.as_path.iter().collect();
                     prop_assert_eq!(asns, spec_asns);
@@ -263,6 +264,28 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
             false,
             "accept/reject diverged: spec {spec:?} vs view {view:?}"
         ),
+    }
+}
+
+/// The decoded path's cached summary against its segments: the selection
+/// length counted again, and `contains` against a scan for every member and
+/// for a few numbers that are not (see bgp-types' `as_path_summary.rs`).
+fn assert_path_summary(path: &AsPath) {
+    let members: Vec<Asn> = path.iter().collect();
+    let lens = path.segments().iter().map(|segment| match segment {
+        AsPathSegment::Sequence(asns) => asns.len(),
+        AsPathSegment::Set(_) => 1,
+    });
+    prop_assert_eq!(path.selection_len(), lens.sum::<usize>());
+    let strangers = members.iter().map(|asn| Asn(asn.0 ^ 0x8000_0001));
+    for asn in members.iter().copied().chain(strangers) {
+        prop_assert_eq!(
+            path.contains(asn),
+            members.contains(&asn),
+            "{} / {}",
+            path,
+            asn
+        );
     }
 }
 
@@ -331,6 +354,7 @@ proptest! {
         // More than one raw wire segment, but one logical segment back.
         prop_assert!(va.segments().count() >= 2);
         prop_assert_eq!(va.to_as_path(), path.clone());
+        assert_path_summary(&va.to_as_path());
         prop_assert_eq!(va.origin_asn(), path.origin());
         assert_update_parity(&bytes, AsnEncoding::FourOctet);
     }
