@@ -147,12 +147,18 @@ impl Extend<RouteTableEntry> for RouteTable {
     }
 }
 
-/// The deterministic prefix originated by an AS in synthetic workloads: each
-/// AS gets a distinct /16 (its ASN shifted into the high bits), so prefixes
-/// of different ASes never overlap.
+/// The deterministic prefix originated by an AS in synthetic workloads,
+/// distinct for every ASN. An AS below 65,536 gets the /16 holding its ASN
+/// in the high bits, so those prefixes never overlap. A wider AS gets the
+/// /32 of its ASN with the halves swapped: a more-specific inside the /16
+/// of the 2-octet AS its low half names, and never equal to any other
+/// AS's prefix.
 #[must_use]
 pub fn prefix_for_asn(asn: Asn) -> Ipv4Prefix {
-    Ipv4Prefix::new(asn.0 << 16, 16)
+    match u16::try_from(asn.0) {
+        Ok(narrow) => Ipv4Prefix::new(u32::from(narrow) << 16, 16),
+        Err(_) => Ipv4Prefix::new(asn.0.rotate_left(16), 32),
+    }
 }
 
 /// BFS shortest path with randomized neighbor order, so equal-length paths
@@ -263,6 +269,36 @@ mod tests {
         let b = prefix_for_asn(Asn(2));
         assert_ne!(a, b);
         assert!(!a.overlaps(b));
+        // The 2-octet range keeps its /16s.
+        assert_eq!(prefix_for_asn(Asn(226)), "0.226.0.0/16".parse().unwrap());
+        // A wider ASN no longer aliases the AS its low half names: it gets
+        // a /32 inside that AS's /16.
+        let wide = prefix_for_asn(Asn(65_537));
+        assert_eq!(wide, "0.1.0.1/32".parse().unwrap());
+        assert_ne!(wide, a);
+        assert!(a.contains(wide));
+        let mut seen = std::collections::BTreeSet::new();
+        for asn in (0..70_000).chain([u32::MAX - 1, u32::MAX]) {
+            assert!(seen.insert(prefix_for_asn(Asn(asn))), "AS{asn} aliases");
+        }
+    }
+
+    #[test]
+    fn synthesized_tables_with_wide_asns_have_no_false_moas() {
+        // Stubs AS 1, AS 65,537 and AS 131,073 share their low 16 bits.
+        let mut truth = AsGraph::new();
+        truth.add_as(Asn(10), AsRole::Transit);
+        for stub in [1, 2, 65_537, 131_073] {
+            truth.add_as(Asn(stub), AsRole::Stub);
+            truth.add_link(Asn(10), Asn(stub));
+        }
+        let table = RouteTable::synthesize(&truth, &[0], 3);
+        assert_eq!(table.len(), 4);
+        let mut origins = std::collections::BTreeMap::new();
+        for row in table.entries() {
+            let origin = row.path.origin().unwrap();
+            assert_eq!(*origins.entry(row.prefix).or_insert(origin), origin);
+        }
     }
 
     #[test]

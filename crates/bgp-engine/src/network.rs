@@ -363,7 +363,7 @@ mod tests {
         net.originate(Asn(4), p(), Some(list.clone()));
         net.run().unwrap();
         let at_x = net.best_route(Asn(1), p()).unwrap();
-        assert_eq!(at_x.moas_list(), Some(list));
+        assert_eq!(at_x.moas_list(), Some(&list));
     }
 
     #[test]

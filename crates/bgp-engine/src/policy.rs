@@ -4,7 +4,7 @@
 //! attributes are not transparently transitive in practice: some ASes
 //! propagate them, some strip everything, some strip selectively, and some
 //! rewrite the set with their own markers. The original reproduction modelled
-//! only a binary "stripper" set (drop MOAS markers on export, §4.3); this
+//! only a binary "stripper" set (drop the MOAS list on export, §4.3); this
 //! module generalizes that to a per-AS [`CommunityPolicy`] class applied at
 //! export time by the [`CommunityPolicies`] wrapper monitor. The legacy
 //! stripper behaviour is exactly the [`CommunityPolicy::StripMoas`] class.
@@ -19,9 +19,8 @@ use sim_engine::SimTime;
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
 
 /// The value half of the marker community a [`CommunityPolicy::Rewrite`] AS
-/// attaches in place of the communities it removed (`"RW"` in ASCII, chosen
-/// the same way as the MOAS-list marker `"ML"`). It is deliberately not
-/// [`bgp_types::MOAS_LIST_VALUE`], so a rewritten route carries no MOAS list.
+/// attaches in place of the communities and the MOAS list it removed
+/// (`"RW"` in ASCII, chosen the same way as the MOAS-list marker `"ML"`).
 pub const REWRITE_MARKER_VALUE: u16 = 0x5257;
 
 /// How one AS handles community attributes on routes it exports — the
@@ -31,13 +30,13 @@ pub enum CommunityPolicy {
     /// Forward every community untouched (transparent transit; the default).
     #[default]
     Propagate,
-    /// Remove only MOAS-list marker communities — the legacy binary
-    /// "stripper" of §4.3, kept as its own class.
+    /// Remove only the MOAS list — the legacy binary "stripper" of §4.3,
+    /// kept as its own class.
     StripMoas,
-    /// Remove every community attribute on export.
+    /// Remove every community on export, the MOAS list with them.
     StripAll,
-    /// Replace the community set with a single local marker community
-    /// `(local AS : RW)` — the "informational rewrite" class.
+    /// Replace the communities and the MOAS list with a single local marker
+    /// community `(local AS : RW)` — the "informational rewrite" class.
     Rewrite,
 }
 
@@ -62,18 +61,26 @@ impl CommunityPolicy {
                 stripped.set_moas_list(None);
                 stripped
             }),
-            CommunityPolicy::StripAll => (!route.communities().is_empty()).then(|| {
+            CommunityPolicy::StripAll => has_communities(route).then(|| {
                 let mut stripped = route.clone();
                 stripped.set_communities(Vec::new());
+                stripped.set_moas_list(None);
                 stripped
             }),
-            CommunityPolicy::Rewrite => (!route.communities().is_empty()).then(|| {
+            CommunityPolicy::Rewrite => has_communities(route).then(|| {
                 let mut rewritten = route.clone();
                 rewritten.set_communities(vec![Community::new(local, REWRITE_MARKER_VALUE)]);
+                rewritten.set_moas_list(None);
                 rewritten
             }),
         }
     }
+}
+
+/// Whether `route` carries anything a community policy acts on: a
+/// community or a MOAS list (which travels as communities).
+fn has_communities(route: &Route) -> bool {
+    !route.communities().is_empty() || route.moas_list().is_some()
 }
 
 impl fmt::Display for CommunityPolicy {
@@ -297,8 +304,13 @@ mod tests {
         let r = listed_route();
         let stripped = CommunityPolicy::StripAll.apply(Asn(9), &r).unwrap();
         assert!(stripped.communities().is_empty());
+        assert!(stripped.moas_list().is_none());
         let bare = Route::new(p(), AsPath::origination(Asn(4)));
         assert_eq!(CommunityPolicy::StripAll.apply(Asn(9), &bare), None);
+        // A list alone is enough to strip.
+        let list_only = bare.with_moas_list(MoasList::implicit(Asn(4)));
+        let stripped = CommunityPolicy::StripAll.apply(Asn(9), &list_only).unwrap();
+        assert!(stripped.moas_list().is_none());
     }
 
     #[test]
@@ -310,6 +322,14 @@ mod tests {
             &[Community::new(Asn(9), REWRITE_MARKER_VALUE)]
         );
         assert!(rewritten.moas_list().is_none(), "marker is not a MOAS list");
+        let list_only =
+            Route::new(p(), AsPath::origination(Asn(4))).with_moas_list(MoasList::implicit(Asn(4)));
+        let rewritten = CommunityPolicy::Rewrite.apply(Asn(9), &list_only).unwrap();
+        assert_eq!(
+            rewritten.communities(),
+            &[Community::new(Asn(9), REWRITE_MARKER_VALUE)]
+        );
+        assert!(rewritten.moas_list().is_none());
     }
 
     #[test]

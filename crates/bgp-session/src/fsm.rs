@@ -814,6 +814,7 @@ mod tests {
                 next_hop: 1,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: None,
                 mp_unreach: None,
             }),

@@ -420,6 +420,7 @@ mod tests {
                 next_hop: 0x0A00_0002,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: None,
                 mp_unreach: None,
             }),

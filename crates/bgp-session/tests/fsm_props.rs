@@ -38,6 +38,7 @@ fn update_bytes() -> Vec<u8> {
             next_hop: 0x0A00_0001,
             local_pref: None,
             communities: Vec::new(),
+            large_communities: Vec::new(),
             mp_reach: None,
             mp_unreach: None,
         }),

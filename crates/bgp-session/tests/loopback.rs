@@ -57,6 +57,7 @@ fn announce(prefix: Ipv4Prefix, origin: Asn) -> UpdateMessage {
             next_hop: 0x0A00_0001,
             local_pref: None,
             communities: Vec::new(),
+            large_communities: Vec::new(),
             mp_reach: None,
             mp_unreach: None,
         }),

@@ -1,35 +1,27 @@
-//! BGP community attributes and the MOAS-list community encoding.
+//! BGP community attributes.
 
 use std::fmt;
 
 use crate::Asn;
 
-/// The reserved low-octet-pair value that marks a community as a MOAS-list
-/// member (`MLVal` in §4.2 of the paper).
-///
-/// The paper proposes reserving one of the 2^16 values available in the last
-/// two octets of a community; the concrete number is arbitrary as long as it
-/// is consistently used, so we pick a stable constant.
-pub const MOAS_LIST_VALUE: u16 = 0x4d4c; // "ML"
-
 /// A BGP community attribute value (RFC 1997): four octets, conventionally
 /// displayed as `ASN:value`.
 ///
 /// The first two octets encode an AS number and the semantics of the final two
-/// octets are defined by that AS. The paper's MOAS list is carried as a set of
-/// communities `(X : MLVal)`, each meaning "AS X may originate a route to this
-/// prefix".
+/// octets are defined by that AS. The paper's MOAS list rides in communities
+/// on the wire, but a [`Route`](crate::Route) keeps it as a field of its own:
+/// `bgp_wire` alone reads and writes that encoding.
 ///
 /// # Example
 ///
 /// ```
-/// use bgp_types::{Asn, Community, MOAS_LIST_VALUE};
+/// use bgp_types::{Asn, Community};
 ///
-/// let c = Community::moas_member(Asn(226));
-/// assert_eq!(c.asn(), Asn(226));
-/// assert_eq!(c.value(), MOAS_LIST_VALUE);
-/// assert!(c.is_moas_member());
-/// assert_eq!(c.to_string(), format!("226:{}", MOAS_LIST_VALUE));
+/// let c = Community::new(Asn(701), 120);
+/// assert_eq!(c.asn(), Asn(701));
+/// assert_eq!(c.value(), 120);
+/// assert!(!c.is_well_known());
+/// assert_eq!(c.to_string(), "701:120");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Community(pub u32);
@@ -50,13 +42,6 @@ impl Community {
         Community(((asn.0 & 0xFFFF) << 16) | u32::from(value))
     }
 
-    /// Builds the MOAS-list membership community `(asn : MLVal)` for an AS
-    /// entitled to originate the prefix.
-    #[must_use]
-    pub fn moas_member(asn: Asn) -> Self {
-        Community::new(asn, MOAS_LIST_VALUE)
-    }
-
     /// The AS-number half (first two octets).
     #[must_use]
     pub fn asn(self) -> Asn {
@@ -67,12 +52,6 @@ impl Community {
     #[must_use]
     pub fn value(self) -> u16 {
         (self.0 & 0xFFFF) as u16
-    }
-
-    /// Returns `true` if this community is a MOAS-list membership marker.
-    #[must_use]
-    pub fn is_moas_member(self) -> bool {
-        self.value() == MOAS_LIST_VALUE && !self.is_well_known()
     }
 
     /// Returns `true` for RFC 1997 well-known communities (high octets
@@ -118,36 +97,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn moas_member_round_trips_asn() {
-        // AS 65535 is reserved and collides with the well-known range, so it
-        // is deliberately excluded here and covered by the well-known test.
-        for asn in [0u32, 1, 226, 8584, 65_534] {
-            let c = Community::moas_member(Asn(asn));
-            assert_eq!(c.asn(), Asn(asn));
-            assert_eq!(c.value(), MOAS_LIST_VALUE);
-            assert!(c.is_moas_member());
-        }
-    }
-
-    #[test]
     fn four_byte_asn_is_truncated_to_low_16_bits() {
         let c = Community::new(Asn(0x0001_0002), 7);
         assert_eq!(c.asn(), Asn(2));
-    }
-
-    #[test]
-    fn well_known_are_not_moas_members() {
-        assert!(Community::NO_EXPORT.is_well_known());
-        assert!(!Community::NO_EXPORT.is_moas_member());
-        // Even a 0xFFFF-prefixed community with the MLVal low bits is not a
-        // MOAS marker: AS 65535 cannot claim origination via a well-known.
-        let odd = Community::new(Asn(0xFFFF), MOAS_LIST_VALUE);
-        assert!(!odd.is_moas_member());
-    }
-
-    #[test]
-    fn ordinary_communities_are_not_moas_members() {
-        assert!(!Community::new(Asn(701), 120).is_moas_member());
     }
 
     #[test]

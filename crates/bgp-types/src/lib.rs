@@ -45,7 +45,7 @@ mod update;
 
 pub use as_path::{AsPath, AsPathSegment};
 pub use asn::Asn;
-pub use community::{Community, MOAS_LIST_VALUE};
+pub use community::Community;
 pub use error::{ParseAsPathError, ParseAsnError, ParsePrefixError};
 pub use intern::Interner;
 pub use moas_list::{first_conflict, ConflictKind, MoasList};

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::{Asn, Community};
+use crate::Asn;
 
 /// Members a list holds without a heap allocation. 96.14% of the paper's
 /// §3 MOAS cases have exactly two origins.
@@ -14,8 +14,9 @@ const INLINE: usize = 2;
 /// The set of ASes entitled to originate a particular prefix (§4.1).
 ///
 /// Every AS that legitimately originates a multi-origin prefix attaches an
-/// *identical* MOAS list to its announcements, encoded as one
-/// `(X : MLVal)` community per member AS. Receivers compare the lists from
+/// *identical* MOAS list to its announcements; a [`Route`](crate::Route)
+/// holds it as a field, and `bgp_wire` carries it as one community per
+/// member (§4.2). Receivers compare the lists from
 /// different announcements **as sets** — "the order in the list may differ,
 /// but the set of ASes included in each route announcement must be identical"
 /// (§4.2) — and raise an alarm on any inconsistency.
@@ -184,35 +185,6 @@ impl MoasList {
     /// Iterates over members in ascending ASN order.
     pub fn iter(&self) -> impl Iterator<Item = Asn> + '_ {
         self.into_iter()
-    }
-
-    /// Encodes the list as `(X : MLVal)` communities, one per member (§4.2,
-    /// Figure 7).
-    ///
-    /// AS 65535 is IANA-reserved and its encoding collides with the RFC 1997
-    /// well-known community range; such a member would not survive a decode
-    /// round-trip. Real origin ASes can never carry that number.
-    #[must_use]
-    pub fn to_communities(&self) -> Vec<Community> {
-        self.iter().map(Community::moas_member).collect()
-    }
-
-    /// Decodes a MOAS list from the MOAS-member communities attached to a
-    /// route. Returns `None` when no MOAS communities are present, which
-    /// callers must distinguish from an *empty* advertised list (absence
-    /// triggers the implicit-list rule instead).
-    #[must_use]
-    pub fn from_communities(communities: &[Community]) -> Option<Self> {
-        let list: MoasList = communities
-            .iter()
-            .filter(|c| c.is_moas_member())
-            .map(|c| c.asn())
-            .collect();
-        if list.is_empty() {
-            None
-        } else {
-            Some(list)
-        }
     }
 }
 
@@ -434,33 +406,6 @@ mod tests {
         let l = MoasList::implicit(Asn(52));
         assert_eq!(l.len(), 1);
         assert!(l.contains(Asn(52)));
-    }
-
-    #[test]
-    fn community_round_trip() {
-        let l: MoasList = [Asn(1), Asn(2), Asn(226)].into_iter().collect();
-        let communities = l.to_communities();
-        assert_eq!(communities.len(), 3);
-        let back = MoasList::from_communities(&communities).unwrap();
-        assert_eq!(back, l);
-    }
-
-    #[test]
-    fn from_communities_ignores_non_moas_values() {
-        let mixed = vec![
-            Community::new(Asn(701), 120),
-            Community::moas_member(Asn(4)),
-            Community::NO_EXPORT,
-        ];
-        let l = MoasList::from_communities(&mixed).unwrap();
-        assert_eq!(l.len(), 1);
-        assert!(l.contains(Asn(4)));
-    }
-
-    #[test]
-    fn from_communities_none_when_no_moas_markers() {
-        assert!(MoasList::from_communities(&[Community::new(Asn(701), 120)]).is_none());
-        assert!(MoasList::from_communities(&[]).is_none());
     }
 
     #[test]

@@ -56,8 +56,15 @@ pub struct Route {
     as_path: AsPath,
     origin: RouteOrigin,
     local_pref: u32,
-    communities: Vec<Community>,
+    /// Exactly sized: a route's communities are set once, and most routes
+    /// carry none.
+    communities: Box<[Community]>,
+    moas_list: Option<MoasList>,
 }
+
+// The engine shares each exported route behind an `Arc`: 16 bytes of
+// counts plus this, so 104 bytes an allocation.
+const _: () = assert!(std::mem::size_of::<Route>() <= 88);
 
 /// Default `LOCAL_PREF` applied when none is configured.
 pub(crate) const DEFAULT_LOCAL_PREF: u32 = 100;
@@ -72,7 +79,8 @@ impl Route {
             as_path,
             origin: RouteOrigin::Igp,
             local_pref: DEFAULT_LOCAL_PREF,
-            communities: Vec::new(),
+            communities: Box::default(),
+            moas_list: None,
         }
     }
 
@@ -100,7 +108,9 @@ impl Route {
         self.local_pref
     }
 
-    /// The attached communities, including any MOAS-list markers.
+    /// The attached communities. The MOAS list is not among them: it is a
+    /// field of its own ([`Route::moas_list`]), whatever form it takes on
+    /// the wire.
     #[must_use]
     pub fn communities(&self) -> &[Community] {
         &self.communities
@@ -130,40 +140,39 @@ impl Route {
     /// Adds a single community (builder style).
     #[must_use]
     pub fn with_community(mut self, community: Community) -> Self {
-        self.communities.push(community);
+        let mut communities = std::mem::take(&mut self.communities).into_vec();
+        communities.push(community);
+        self.set_communities(communities);
         self
     }
 
-    /// Attaches a MOAS list, replacing any previously attached list but
-    /// preserving unrelated communities (builder style).
+    /// Attaches a MOAS list, replacing any previously attached one
+    /// (builder style). An empty list attaches nothing.
     #[must_use]
     pub fn with_moas_list(mut self, list: MoasList) -> Self {
-        self.set_moas_list(Some(&list));
+        self.set_moas_list(Some(list));
         self
     }
 
     /// Replaces the whole community set in place — the primitive behind
-    /// per-AS community-handling policies (strip-all, rewrite) that act on
-    /// more than the MOAS markers.
+    /// per-AS community-handling policies (strip-all, rewrite). The MOAS
+    /// list is left alone.
     pub fn set_communities(&mut self, communities: Vec<Community>) {
-        self.communities = communities;
+        self.communities = communities.into_boxed_slice();
     }
 
-    /// Replaces the MOAS list in place. `None` strips all MOAS communities —
-    /// the "optional transitive attribute dropped by a router" behavior of
-    /// §4.3.
-    pub fn set_moas_list(&mut self, list: Option<&MoasList>) {
-        self.communities.retain(|c| !c.is_moas_member());
-        if let Some(list) = list {
-            self.communities.extend(list.to_communities());
-        }
+    /// Replaces the MOAS list in place. `None` drops it — the "optional
+    /// transitive attribute dropped by a router" behavior of §4.3. An empty
+    /// list is stored as `None`: a route carries a list with members or
+    /// none at all, so the implicit-list rule (footnote 3) applies to both.
+    pub fn set_moas_list(&mut self, list: Option<MoasList>) {
+        self.moas_list = list.filter(|list| !list.is_empty());
     }
 
-    /// The explicitly advertised MOAS list, if any MOAS communities are
-    /// attached.
+    /// The explicitly advertised MOAS list, if one is attached.
     #[must_use]
-    pub fn moas_list(&self) -> Option<MoasList> {
-        MoasList::from_communities(&self.communities)
+    pub fn moas_list(&self) -> Option<&MoasList> {
+        self.moas_list.as_ref()
     }
 
     /// The list used in the §4.2 consistency check: the advertised list, or
@@ -173,13 +182,14 @@ impl Route {
     /// path or trailing `AS_SET`) *and* no advertised list.
     #[must_use]
     pub fn effective_moas_list(&self) -> Option<MoasList> {
-        self.moas_list()
+        self.moas_list
+            .clone()
             .or_else(|| self.origin_as().map(MoasList::implicit))
     }
 
     /// Returns the route as propagated by `asn` to an external peer: the AS
-    /// prepends itself to the path. Communities are transitive and carried
-    /// through unchanged.
+    /// prepends itself to the path. Communities and the MOAS list are
+    /// transitive and carried through unchanged.
     #[must_use]
     pub fn propagated_by(&self, asn: Asn) -> Route {
         Route {
@@ -188,6 +198,7 @@ impl Route {
             origin: self.origin,
             local_pref: self.local_pref,
             communities: self.communities.clone(),
+            moas_list: self.moas_list.clone(),
         }
     }
 }
@@ -230,7 +241,7 @@ mod tests {
     fn attached_list_overrides_implicit() {
         let list: MoasList = [Asn(4), Asn(226)].into_iter().collect();
         let r = Route::new(prefix(), AsPath::origination(Asn(4))).with_moas_list(list.clone());
-        assert_eq!(r.moas_list(), Some(list.clone()));
+        assert_eq!(r.moas_list(), Some(&list));
         assert_eq!(r.effective_moas_list(), Some(list));
     }
 
@@ -252,7 +263,7 @@ mod tests {
         let r = Route::new(prefix(), AsPath::origination(Asn(1)))
             .with_moas_list(first)
             .with_moas_list(second.clone());
-        assert_eq!(r.moas_list(), Some(second));
+        assert_eq!(r.moas_list(), Some(&second));
     }
 
     #[test]
@@ -266,7 +277,7 @@ mod tests {
         let via_y = r.propagated_by(Asn(700));
         assert_eq!(via_y.as_path().to_string(), "700 4");
         assert_eq!(via_y.origin_as(), Some(Asn(4)));
-        assert_eq!(via_y.moas_list(), Some(list));
+        assert_eq!(via_y.moas_list(), Some(&list));
         // Everything but the path is carried through unchanged.
         assert_eq!(via_y.prefix(), r.prefix());
         assert_eq!(via_y.communities(), r.communities());

@@ -1,13 +1,13 @@
 //! Differential test of `MoasList` against the ordered set it is specified
 //! as: every operation and every observable — membership, length, order,
-//! equality, ordering, hash, `Debug`, `Display` and the community encoding —
-//! must match a `BTreeSet<Asn>` model, across the two-member inline/spill
+//! equality, ordering, hash, `Debug`, `Display` and the route field — must
+//! match a `BTreeSet<Asn>` model, across the two-member inline/spill
 //! boundary in both directions.
 
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-use bgp_types::{Asn, Community, MoasList};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use proptest::prelude::*;
 
 /// The list as it was declared when it wrapped an ordered set: its derived
@@ -21,9 +21,9 @@ mod set_version {
     }
 }
 
-/// Eight 16-bit ASNs (AS 65535 has no MOAS community encoding), so random
-/// operations keep lists between 0 and 8 members and often revisit one.
-const DOMAIN: [u32; 8] = [0, 1, 2, 7, 226, 4_000, 64_512, 65_534];
+/// Eight ASNs on both sides of the 16-bit boundary, so random operations
+/// keep lists between 0 and 8 members and often revisit one.
+const DOMAIN: [u32; 8] = [0, 1, 2, 7, 226, 64_512, 65_536, 70_000];
 
 fn hash_of<T: Hash>(value: &T) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -48,11 +48,8 @@ fn assert_matches(list: &MoasList, model: &BTreeSet<Asn>) {
     let shown: Vec<String> = model.iter().map(ToString::to_string).collect();
     assert_eq!(list.to_string(), format!("{{{}}}", shown.join(", ")));
 
-    let communities = list.to_communities();
-    let expected: Vec<Community> = model.iter().map(|&a| Community::moas_member(a)).collect();
-    assert_eq!(communities, expected);
-    let back = MoasList::from_communities(&communities);
-    assert_eq!(back.as_ref(), (!model.is_empty()).then_some(list));
+    let route = Route::new(Ipv4Prefix::new(0, 0), AsPath::new()).with_moas_list(list.clone());
+    assert_eq!(route.moas_list(), (!model.is_empty()).then_some(list));
 
     // Rebuilt from the model in any order, with duplicates, it is equal.
     let rebuilt: MoasList = model.iter().rev().chain(model.iter()).copied().collect();

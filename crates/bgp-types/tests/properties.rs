@@ -6,9 +6,8 @@ use bgp_types::{
 use proptest::prelude::*;
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
-    // AS 65535 is IANA-reserved (RFC 7300) and its community encoding falls
-    // in the RFC 1997 well-known range, so it can never appear in a MOAS
-    // list; the generators exclude it like real origin ASNs do.
+    // 2-octet ASNs, AS 65535 (IANA-reserved, RFC 7300) aside, so classic
+    // communities built from them keep their ASN.
     (0u32..=65_534).prop_map(Asn)
 }
 
@@ -108,14 +107,19 @@ proptest! {
     }
 
     #[test]
-    fn moas_list_community_round_trip(list in arb_moas_list()) {
-        let encoded = list.to_communities();
-        let decoded = MoasList::from_communities(&encoded);
-        if list.is_empty() {
-            prop_assert!(decoded.is_none());
-        } else {
-            prop_assert_eq!(decoded.unwrap(), list);
-        }
+    fn moas_list_is_the_route_field(
+        members in prop::collection::btree_set(any::<u32>(), 0..6),
+        origin in any::<u32>(),
+    ) {
+        // Any 4-octet members: the field stores the list, and an empty list
+        // reads back as none (the implicit-list rule then applies).
+        let list: MoasList = members.iter().map(|&a| Asn(a)).collect();
+        let route = Route::new(Ipv4Prefix::new(0xC000_0200, 24), AsPath::origination(Asn(origin)))
+            .with_moas_list(list.clone());
+        prop_assert_eq!(route.moas_list(), (!list.is_empty()).then_some(&list));
+        prop_assert!(route.communities().is_empty());
+        let effective = if list.is_empty() { MoasList::implicit(Asn(origin)) } else { list };
+        prop_assert_eq!(route.effective_moas_list(), Some(effective));
     }
 
     #[test]

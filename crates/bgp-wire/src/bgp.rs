@@ -1,10 +1,10 @@
-//! RFC 4271 BGP UPDATE messages, with RFC 1997 communities.
+//! RFC 4271 BGP UPDATE messages, with RFC 1997 and RFC 8092 communities.
 //!
 //! The owned types cover exactly the attributes the MOAS study needs:
-//! `ORIGIN`, `AS_PATH` (2- and 4-octet), `NEXT_HOP`, `LOCAL_PREF`, and
-//! `COMMUNITIES` — the attribute that carries the paper's MOAS list (one
-//! `asn:0x4d4c` community per list member, see
-//! [`bgp_types::Community::moas_member`]).
+//! `ORIGIN`, `AS_PATH` (2- and 4-octet), `NEXT_HOP`, `LOCAL_PREF`,
+//! `COMMUNITIES` and `LARGE_COMMUNITY` — the two attributes that carry the
+//! paper's MOAS list (one community per list member; see
+//! [`crate::MOAS_LIST_VALUE`]).
 //!
 //! This module encodes. Decoding is [`UpdateView`]'s job — the crate's one
 //! parser — and [`UpdateMessage::decode`] is its owned rebuild: panic-free
@@ -15,6 +15,7 @@ use bgp_types::{
     AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, Route, RouteOrigin, Update,
 };
 
+use crate::community::{read_moas_list, write_moas_list, LargeCommunity};
 use crate::error::{WireError, WireErrorKind};
 use crate::view::UpdateView;
 
@@ -32,6 +33,7 @@ pub(crate) const ATTR_LOCAL_PREF: u8 = 5;
 pub(crate) const ATTR_COMMUNITIES: u8 = 8;
 pub(crate) const ATTR_MP_REACH_NLRI: u8 = 14;
 pub(crate) const ATTR_MP_UNREACH_NLRI: u8 = 15;
+pub(crate) const ATTR_LARGE_COMMUNITIES: u8 = 32;
 
 /// RFC 4760 address family identifier for IPv6.
 pub(crate) const AFI_IPV6: u16 = 2;
@@ -101,8 +103,12 @@ pub struct PathAttributes {
     pub next_hop: u32,
     /// `LOCAL_PREF` (type 5), when present.
     pub local_pref: Option<u32>,
-    /// `COMMUNITIES` (type 8); carries the MOAS list members.
+    /// `COMMUNITIES` (type 8), concatenated across repeats: the MOAS-list
+    /// members that fit a classic community, and every other community.
     pub communities: Vec<Community>,
+    /// `LARGE_COMMUNITY` (type 32, RFC 8092), concatenated across repeats:
+    /// the MOAS-list members too wide for a classic community.
+    pub large_communities: Vec<LargeCommunity>,
     /// `MP_REACH_NLRI` (type 14) for IPv6 unicast, when present. Other
     /// AFI/SAFI pairs are skipped like any unimplemented optional attribute.
     pub mp_reach: Option<MpReach>,
@@ -111,15 +117,22 @@ pub struct PathAttributes {
 }
 
 impl PathAttributes {
-    /// Captures a simulator route's attributes.
+    /// Captures a simulator route's attributes: its communities, then its
+    /// MOAS list in wire form.
     #[must_use]
     pub fn from_route(route: &Route) -> Self {
+        let mut communities = route.communities().to_vec();
+        let mut large_communities = Vec::new();
+        if let Some(list) = route.moas_list() {
+            write_moas_list(list, &mut communities, &mut large_communities);
+        }
         PathAttributes {
             origin: route.origin(),
             as_path: route.as_path().clone(),
             next_hop: Self::synthetic_next_hop(route.as_path().first()),
             local_pref: Some(route.local_pref()),
-            communities: route.communities().to_vec(),
+            communities,
+            large_communities,
             mp_reach: None,
             mp_unreach: None,
         }
@@ -137,17 +150,19 @@ impl PathAttributes {
         }
     }
 
-    /// Rebuilds a simulator route for `prefix` from these attributes.
+    /// Rebuilds a simulator route for `prefix` from these attributes, with
+    /// the MOAS-list members of both community forms as its list.
     #[must_use]
     pub fn to_route(&self, prefix: Ipv4Prefix) -> Route {
         let mut route = Route::new(prefix, self.as_path.clone()).with_origin(self.origin);
         if let Some(lp) = self.local_pref {
             route = route.with_local_pref(lp);
         }
-        for &community in &self.communities {
-            route = route.with_community(community);
-        }
-        route
+        read_moas_list(
+            route,
+            self.communities.iter().copied(),
+            self.large_communities.iter().copied(),
+        )
     }
 }
 
@@ -522,6 +537,20 @@ fn encode_attributes_form(
         }
         push_attr(out, FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, &body)?;
     }
+    if !attrs.large_communities.is_empty() {
+        let mut body = Vec::with_capacity(12 * attrs.large_communities.len());
+        for large in &attrs.large_communities {
+            for field in [large.global, large.local1, large.local2] {
+                body.extend_from_slice(&field.to_be_bytes());
+            }
+        }
+        push_attr(
+            out,
+            FLAG_OPTIONAL | FLAG_TRANSITIVE,
+            ATTR_LARGE_COMMUNITIES,
+            &body,
+        )?;
+    }
     Ok(())
 }
 
@@ -568,10 +597,31 @@ mod tests {
             .unwrap();
         let back = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet).unwrap();
         let attrs = back.attrs.unwrap();
-        let list = MoasList::from_communities(&attrs.communities).unwrap();
-        assert!(list.contains(Asn(4)));
-        assert!(list.contains(Asn(226)));
-        assert_eq!(list.len(), 2);
+        assert_eq!(attrs.communities.len(), 2);
+        assert!(attrs.large_communities.is_empty());
+        let decoded = attrs.to_route(route.prefix());
+        assert_eq!(decoded.moas_list(), route.moas_list());
+        assert!(decoded.communities().is_empty());
+    }
+
+    #[test]
+    fn wide_members_ride_in_large_communities() {
+        let list: MoasList = [Asn(4), Asn(65_537), Asn(70_000)].into_iter().collect();
+        let route = Route::new(
+            "208.8.0.0/16".parse().unwrap(),
+            AsPath::origination(Asn(65_537)),
+        )
+        .with_community(Community::new(Asn(701), 120))
+        .with_moas_list(list.clone());
+        let attrs = PathAttributes::from_route(&route);
+        assert_eq!(attrs.communities.len(), 2);
+        assert_eq!(attrs.large_communities.len(), 2);
+        let bytes = UpdateMessage::announce(&route)
+            .encode(AsnEncoding::FourOctet)
+            .unwrap();
+        let back = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet).unwrap();
+        assert_eq!(back.attrs.as_ref(), Some(&attrs));
+        assert_eq!(back.updates()[0].route(), Some(&route));
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
         let imported = days(&bytes, true);
         assert_eq!(imported.len(), 1);
         assert_eq!(imported[0].routes.len(), 1);
-        assert_eq!(imported[0].routes[0].moas_list(), Some(list));
+        assert_eq!(imported[0].routes[0].moas_list(), Some(&list));
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! The layers:
 //!
 //! * [`bgp`] / [`msg`] — RFC 4271 messages (UPDATE with the RFC 1997
-//!   `COMMUNITIES` attribute; OPEN, KEEPALIVE, NOTIFICATION) as owned
-//!   types, and their encoders. The paper's MOAS list rides in
-//!   communities (one `asn:0x4d4c` value per list member), so a list
-//!   attached by `bgp_types::Route::with_moas_list` survives a trip through
-//!   real BGP bytes and back.
+//!   `COMMUNITIES` and RFC 8092 `LARGE_COMMUNITY` attributes; OPEN,
+//!   KEEPALIVE, NOTIFICATION) as owned types, and their encoders. The
+//!   paper's MOAS list rides in communities, one per list member: the
+//!   classic `asn:0x4d4c` when the member fits 16 bits, else the large
+//!   `asn:0x4d4c:0`. [`bgp::PathAttributes::from_route`] and
+//!   [`bgp::PathAttributes::to_route`] are the only way between a route's
+//!   list and that encoding, so a list attached by
+//!   `bgp_types::Route::with_moas_list` survives a trip through real BGP
+//!   bytes and back, 4-octet members included.
 //! * [`mrt`] — RFC 6396 records, `TABLE_DUMP_V2` (`PEER_INDEX_TABLE`,
 //!   `RIB_IPV4_UNICAST`) for table snapshots and `BGP4MP` (`MESSAGE`,
 //!   `MESSAGE_AS4`) for update streams, written to any `io::Write` by
@@ -57,13 +61,14 @@
 //!     .unwrap();
 //! let back = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet).unwrap();
 //! let decoded = back.updates().remove(0).route().unwrap().clone();
-//! assert_eq!(decoded.moas_list(), Some(list));
+//! assert_eq!(decoded.moas_list(), Some(&list));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bgp;
+mod community;
 mod error;
 pub mod export;
 pub mod import;
@@ -71,6 +76,7 @@ pub mod mrt;
 pub mod msg;
 pub mod view;
 
+pub use community::{LargeCommunity, MOAS_LIST_VALUE};
 pub use error::{WireError, WireErrorKind};
 pub use export::{export_rib_snapshot, export_update_stream, ExportSummary};
 pub use import::{DailyDumpStream, DayImport, TableDumpWalk};

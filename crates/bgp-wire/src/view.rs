@@ -35,10 +35,12 @@ use bgp_types::{
 
 use crate::bgp::{
     prefix_octets, AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage, AFI_IPV6,
-    ATTR_AS_PATH, ATTR_COMMUNITIES, ATTR_LOCAL_PREF, ATTR_MP_REACH_NLRI, ATTR_MP_UNREACH_NLRI,
-    ATTR_NEXT_HOP, ATTR_ORIGIN, FLAG_EXTENDED_LENGTH, HEADER_LEN, MAX_MESSAGE_LEN,
-    MAX_SEGMENT_ASNS, MESSAGE_TYPE_UPDATE, SAFI_UNICAST, SEGMENT_AS_SEQUENCE, SEGMENT_AS_SET,
+    ATTR_AS_PATH, ATTR_COMMUNITIES, ATTR_LARGE_COMMUNITIES, ATTR_LOCAL_PREF, ATTR_MP_REACH_NLRI,
+    ATTR_MP_UNREACH_NLRI, ATTR_NEXT_HOP, ATTR_ORIGIN, FLAG_EXTENDED_LENGTH, HEADER_LEN,
+    MAX_MESSAGE_LEN, MAX_SEGMENT_ASNS, MESSAGE_TYPE_UPDATE, SAFI_UNICAST, SEGMENT_AS_SEQUENCE,
+    SEGMENT_AS_SET,
 };
+use crate::community::{read_moas_list, LargeCommunity};
 use crate::error::{WireError, WireErrorKind};
 use crate::mrt::{
     Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
@@ -359,6 +361,27 @@ fn read_communities<E: Failure>(
         .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]]))))
 }
 
+/// Reads a `LARGE_COMMUNITY` body (RFC 8092): whole 12-octet values.
+fn read_large_communities<E: Failure>(
+    body: Cursor<'_, E>,
+) -> Result<impl Iterator<Item = LargeCommunity> + '_, E> {
+    if !body.bytes.len().is_multiple_of(12) {
+        return Err(bad_attr_length(
+            ATTR_LARGE_COMMUNITIES,
+            body.bytes.len(),
+            body.at,
+        ));
+    }
+    Ok(body.bytes.chunks_exact(12).map(|c| {
+        let field = |i: usize| u32::from_be_bytes([c[i], c[i + 1], c[i + 2], c[i + 3]]);
+        LargeCommunity {
+            global: field(0),
+            local1: field(4),
+            local2: field(8),
+        }
+    }))
+}
+
 /// An applicable `MP_REACH_NLRI`: its next hop and its unread NLRI.
 type Reach<'a, E> = (&'a [u8], Cursor<'a, E>);
 
@@ -582,7 +605,7 @@ impl<'a> Iterator for SegmentIter<'a> {
 /// Accessors re-walk the (small) block on demand instead of caching spans.
 /// Duplicate attributes: the last `ORIGIN`/`AS_PATH`/`NEXT_HOP`/`LOCAL_PREF`
 /// and the last applicable `MP_REACH_NLRI`/`MP_UNREACH_NLRI` win, while
-/// multiple `COMMUNITIES` attributes concatenate.
+/// multiple `COMMUNITIES` (or `LARGE_COMMUNITY`) attributes concatenate.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrsView<'a> {
     cur: Cursor<'a>,
@@ -625,6 +648,9 @@ impl<'a> AttrsView<'a> {
                 }
                 ATTR_COMMUNITIES => {
                     let _ = read_communities(body)?;
+                }
+                ATTR_LARGE_COMMUNITIES => {
+                    let _ = read_large_communities(body)?;
                 }
                 ATTR_MP_REACH_NLRI => {
                     if let Some((_, nlri)) = read_mp_reach(body, self.rib_form)? {
@@ -746,6 +772,15 @@ impl<'a> AttrsView<'a> {
             .flatten()
     }
 
+    /// Every large community carried, concatenated across
+    /// `LARGE_COMMUNITY` attributes in wire order.
+    pub fn large_communities(&self) -> impl Iterator<Item = LargeCommunity> + 'a {
+        self.walk()
+            .filter(|&(type_code, _)| type_code == ATTR_LARGE_COMMUNITIES)
+            .filter_map(|(_, body)| read_large_communities(body).ok())
+            .flatten()
+    }
+
     /// The `MP_REACH_NLRI` attribute for IPv6 unicast, rebuilt owned (its
     /// next hop is variable-length, so there is no borrowed form).
     #[must_use]
@@ -782,6 +817,7 @@ impl<'a> AttrsView<'a> {
         let mut next_hop = Ok(0);
         let mut local_pref = None;
         let mut communities = Vec::new();
+        let mut large_communities = Vec::new();
         let mut mp_reach = None;
         let mut mp_unreach = None;
         for (type_code, body) in self.walk() {
@@ -792,6 +828,9 @@ impl<'a> AttrsView<'a> {
                 ATTR_LOCAL_PREF => local_pref = read_u32_attr(type_code, body).ok(),
                 ATTR_COMMUNITIES => {
                     communities.extend(read_communities(body).into_iter().flatten())
+                }
+                ATTR_LARGE_COMMUNITIES => {
+                    large_communities.extend(read_large_communities(body).into_iter().flatten())
                 }
                 ATTR_MP_REACH_NLRI => {
                     mp_reach = read_mp_reach(body, self.rib_form)
@@ -814,6 +853,7 @@ impl<'a> AttrsView<'a> {
             next_hop: next_hop.unwrap_or(0),
             local_pref,
             communities,
+            large_communities,
             mp_reach: mp_reach.map(owned_reach),
             mp_unreach: mp_unreach.map(owned_unreach),
         }
@@ -1802,10 +1842,7 @@ impl AttrInterner {
         if let Some(lp) = attrs.local_pref() {
             route = route.with_local_pref(lp);
         }
-        for community in attrs.communities() {
-            route = route.with_community(community);
-        }
-        route
+        read_moas_list(route, attrs.communities(), attrs.large_communities())
     }
 }
 
@@ -1897,10 +1934,10 @@ mod tests {
         let view = UpdateView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap();
         let attrs = view.attrs().unwrap();
         let from_view: Vec<Community> = attrs.communities().collect();
-        assert_eq!(from_view, route.communities());
+        assert_eq!(from_view.len(), 2);
         assert_eq!(attrs.to_attributes().communities, from_view);
-        let list = MoasList::from_communities(&from_view).unwrap();
-        assert!(list.contains(Asn(4)) && list.contains(Asn(226)));
+        let decoded = AttrInterner::new().to_route(attrs, route.prefix());
+        assert_eq!(decoded, route);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 mod spec;
 
-use bgp_types::{AsPath, Asn, Ipv4Prefix, RouteOrigin};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use bgp_wire::bgp::{AsnEncoding, PathAttributes, UpdateMessage};
 use bgp_wire::msg::{encode_keepalive, Capability, Message, NotificationMessage, OpenMessage};
 use bgp_wire::{MessageView, WireError, WireErrorKind};
@@ -65,22 +65,28 @@ fn notification() -> impl Strategy<Value = NotificationMessage> {
         })
 }
 
+/// One announcement from a 4-octet origin, with a MOAS list of 4-octet
+/// members beside it half the time.
 fn small_update() -> impl Strategy<Value = UpdateMessage> {
-    (asn32(), any::<u32>(), any::<u32>(), 0u8..=32).prop_map(|(asn, next_hop, addr, len)| {
-        UpdateMessage {
-            withdrawn: Vec::new(),
-            attrs: Some(PathAttributes {
-                origin: RouteOrigin::Igp,
-                as_path: AsPath::from_sequence([asn]),
-                next_hop,
-                local_pref: None,
-                communities: Vec::new(),
-                mp_reach: None,
-                mp_unreach: None,
-            }),
-            nlri: vec![Ipv4Prefix::new(addr, len)],
-        }
-    })
+    (
+        asn32(),
+        prop::collection::vec(asn32(), 0..3),
+        any::<u32>(),
+        any::<u32>(),
+        0u8..=32,
+    )
+        .prop_map(|(asn, members, next_hop, addr, len)| {
+            let prefix = Ipv4Prefix::new(addr, len);
+            let route = Route::new(prefix, AsPath::from_sequence([asn]))
+                .with_moas_list(members.into_iter().collect::<MoasList>());
+            let mut attrs = PathAttributes::from_route(&route);
+            (attrs.next_hop, attrs.local_pref) = (next_hop, None);
+            UpdateMessage {
+                withdrawn: Vec::new(),
+                attrs: Some(attrs),
+                nlri: vec![prefix],
+            }
+        })
 }
 
 fn message() -> impl Strategy<Value = Message> {

@@ -1,13 +1,15 @@
 //! Property tests for the wire codecs: encode→decode is the identity on
 //! well-formed messages, and decoding never panics on corrupted bytes.
 
-use bgp_types::{AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, RouteOrigin};
+use bgp_types::{
+    AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, MoasList, Route, RouteOrigin,
+};
 use bgp_wire::bgp::{AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage};
 use bgp_wire::mrt::{
     Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
     RibIpv6Unicast,
 };
-use bgp_wire::{MrtViewReader, WireErrorKind};
+use bgp_wire::{AttrInterner, LargeCommunity, MrtViewReader, UpdateView, WireErrorKind};
 use proptest::prelude::*;
 
 // --- strategies -----------------------------------------------------------
@@ -49,6 +51,21 @@ fn origin() -> impl Strategy<Value = RouteOrigin> {
     ]
 }
 
+/// A large community, often shaped like a MOAS-list marker.
+fn large_community() -> impl Strategy<Value = LargeCommunity> {
+    let ml = u32::from(bgp_wire::MOAS_LIST_VALUE);
+    (
+        any::<u32>(),
+        prop_oneof![Just(ml), any::<u32>()],
+        prop_oneof![Just(0), any::<u32>()],
+    )
+        .prop_map(|(global, local1, local2)| LargeCommunity {
+            global,
+            local1,
+            local2,
+        })
+}
+
 fn attrs(asn: impl Strategy<Value = Asn> + Clone) -> impl Strategy<Value = PathAttributes> {
     (
         origin(),
@@ -59,16 +76,20 @@ fn attrs(asn: impl Strategy<Value = Asn> + Clone) -> impl Strategy<Value = PathA
             (asn16(), any::<u16>()).prop_map(|(a, v)| Community::new(a, v)),
             0..4,
         ),
+        prop::collection::vec(large_community(), 0..3),
     )
         .prop_map(
-            |(origin, as_path, next_hop, local_pref, communities)| PathAttributes {
-                origin,
-                as_path,
-                next_hop,
-                local_pref,
-                communities,
-                mp_reach: None,
-                mp_unreach: None,
+            |(origin, as_path, next_hop, local_pref, communities, large_communities)| {
+                PathAttributes {
+                    origin,
+                    as_path,
+                    next_hop,
+                    local_pref,
+                    communities,
+                    large_communities,
+                    mp_reach: None,
+                    mp_unreach: None,
+                }
             },
         )
 }
@@ -214,6 +235,38 @@ proptest! {
     }
 }
 
+// --- MOAS lists ----------------------------------------------------------
+
+proptest! {
+    /// A MOAS list of any 4-octet members is the route's field, and it
+    /// survives an UPDATE's bytes, read back through the owned decoder and
+    /// through the view.
+    #[test]
+    fn moas_list_round_trips_through_the_wire(
+        members in prop::collection::btree_set(any::<u32>(), 1..6),
+        other in prop::collection::vec(any::<u32>().prop_map(Community), 0..3),
+    ) {
+        let list: MoasList = members.iter().map(|&a| Asn(a)).collect();
+        let origin = list.iter().next().unwrap();
+        let mut route = Route::new(Ipv4Prefix::new(0xD008_0000, 16), AsPath::origination(origin));
+        // A stray MLVal-shaped community would read back as a member.
+        for community in other.into_iter().filter(|c| c.value() != bgp_wire::MOAS_LIST_VALUE) {
+            route = route.with_community(community);
+        }
+        let route = route.with_moas_list(list.clone());
+        prop_assert_eq!(route.moas_list(), Some(&list));
+
+        let bytes = UpdateMessage::announce(&route).encode(AsnEncoding::FourOctet).unwrap();
+        let owned = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet).unwrap();
+        prop_assert_eq!(owned.updates()[0].route(), Some(&route));
+        let view = UpdateView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap();
+        let attrs = view.attrs().unwrap();
+        let decoded = AttrInterner::new().to_route(attrs, route.prefix());
+        prop_assert_eq!(decoded.moas_list(), Some(&list));
+        prop_assert_eq!(decoded, route);
+    }
+}
+
 // --- IPv6 round trips -----------------------------------------------------
 
 /// A canonical IPv6 prefix.
@@ -240,6 +293,7 @@ proptest! {
                 next_hop: if nlri4.is_empty() { 0 } else { 0x0A00_0001 },
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: Some(MpReach {
                     next_hop: vec![0xFE; nh_len],
                     nlri: reach_nlri,
@@ -282,6 +336,7 @@ proptest! {
                             next_hop: 0,
                             local_pref: None,
                             communities: Vec::new(),
+                            large_communities: Vec::new(),
                             mp_reach: Some(MpReach {
                                 next_hop: vec![0xFE; nh_len],
                                 nlri: Vec::new(),
@@ -372,6 +427,7 @@ fn attrs_with(path: AsPath, communities: Vec<Community>) -> PathAttributes {
         next_hop: 0xC0A8_0001,
         local_pref: None,
         communities,
+        large_communities: Vec::new(),
         mp_reach: None,
         mp_unreach: None,
     }

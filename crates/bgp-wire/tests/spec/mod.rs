@@ -15,7 +15,7 @@ use bgp_wire::mrt::{
     RibIpv6Unicast, MAX_RECORD_LEN,
 };
 use bgp_wire::msg::{Capability, Message, NotificationMessage, OpenMessage};
-use bgp_wire::{WireError, WireErrorKind as K};
+use bgp_wire::{LargeCommunity, WireError, WireErrorKind as K};
 
 type R<T> = Result<T, WireError>;
 
@@ -166,13 +166,14 @@ fn mp_reach(mut c: Cur, rib_form: bool) -> R<Option<MpReach>> {
 
 /// RFC 4271 §4.3 path attributes, each `<flags, type, length, value>` with
 /// a two-octet length under the extended-length flag. Repeats: the last
-/// one wins, communities accumulate. An empty block is `None`.
+/// one wins, communities (RFC 1997) and large communities (RFC 8092, three
+/// 4-octet fields each) accumulate. An empty block is `None`.
 fn attributes(mut c: Cur, enc: AsnEncoding, rib_form: bool) -> R<Option<PathAttributes>> {
     if c.0.is_empty() {
         return Ok(None);
     }
     let (mut origin, mut path, mut next_hop, mut local_pref) = (None, None, None, None);
-    let (mut communities, mut reach, mut unreach) = (Vec::new(), None, None);
+    let (mut communities, mut large, mut reach, mut unreach) = (Vec::new(), Vec::new(), None, None);
     while !c.0.is_empty() {
         let (flags, type_code) = (c.u8()?, c.u8()?);
         let length = match flags & 0x10 {
@@ -185,6 +186,7 @@ fn attributes(mut c: Cur, enc: AsnEncoding, rib_form: bool) -> R<Option<PathAttr
             1 => length == 1,
             3 | 5 => length == 4,
             8 => length % 4 == 0,
+            32 => length % 12 == 0,
             _ => true,
         };
         if !fits {
@@ -206,6 +208,14 @@ fn attributes(mut c: Cur, enc: AsnEncoding, rib_form: bool) -> R<Option<PathAttr
             3 => next_hop = words.next(),
             5 => local_pref = words.next(),
             8 => communities.extend(words.map(Community)),
+            32 => {
+                let words: Vec<u32> = words.collect();
+                large.extend(words.chunks(3).map(|w| LargeCommunity {
+                    global: w[0],
+                    local1: w[1],
+                    local2: w[2],
+                }));
+            }
             14 => reach = mp_reach(v, rib_form)?.or(reach),
             // RFC 4760 §4 `MP_UNREACH_NLRI`: AFI, SAFI, withdrawn routes.
             15 if (v.u16()?, v.u8()?) == (2, 1) => {
@@ -232,6 +242,7 @@ fn attributes(mut c: Cur, enc: AsnEncoding, rib_form: bool) -> R<Option<PathAttr
         next_hop: next_hop.unwrap_or(0),
         local_pref,
         communities,
+        large_communities: large,
         mp_reach: reach,
         mp_unreach: unreach,
     }))

@@ -14,7 +14,7 @@ use bgp_wire::mrt::{
     Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
     RibIpv6Unicast,
 };
-use bgp_wire::{MrtViewReader, UpdateView};
+use bgp_wire::{AttrInterner, LargeCommunity, MrtViewReader, UpdateView, MOAS_LIST_VALUE};
 use proptest::prelude::*;
 
 // --- strategies (same corpus shapes as tests/props.rs) --------------------
@@ -63,6 +63,38 @@ fn mp_unreach() -> impl Strategy<Value = MpUnreach> {
     prop::collection::vec(prefix6(), 0..3).prop_map(|withdrawn| MpUnreach { withdrawn })
 }
 
+/// Any classic community, often a MOAS marker (stray or well-known) and
+/// sometimes repeated.
+fn communities() -> impl Strategy<Value = Vec<Community>> {
+    let community = prop_oneof![
+        any::<u32>().prop_map(Community),
+        (asn16(), any::<u16>()).prop_map(|(a, v)| Community::new(a, v)),
+        asn16().prop_map(|a| Community::new(a, MOAS_LIST_VALUE)),
+    ];
+    (prop::collection::vec(community, 0..4), any::<bool>()).prop_map(|(mut all, repeat)| {
+        if let (true, Some(&first)) = (repeat, all.first()) {
+            all.push(first);
+        }
+        all
+    })
+}
+
+/// Any large community, often a MOAS marker of a 4-octet member.
+fn large_communities() -> impl Strategy<Value = Vec<LargeCommunity>> {
+    let ml = u32::from(MOAS_LIST_VALUE);
+    let large = (
+        asn32(),
+        prop_oneof![Just(ml), any::<u32>()],
+        prop_oneof![Just(0), any::<u32>()],
+    )
+        .prop_map(|(member, local1, local2)| LargeCommunity {
+            global: member.0,
+            local1,
+            local2,
+        });
+    prop::collection::vec(large, 0..3)
+}
+
 fn origin() -> impl Strategy<Value = RouteOrigin> {
     prop_oneof![
         Just(RouteOrigin::Igp),
@@ -77,21 +109,29 @@ fn attrs(asn: impl Strategy<Value = Asn> + Clone) -> impl Strategy<Value = PathA
         as_path(asn),
         any::<u32>(),
         prop_oneof![Just(None), (0u32..1000).prop_map(Some)],
-        prop::collection::vec(
-            (asn16(), any::<u16>()).prop_map(|(a, v)| Community::new(a, v)),
-            0..4,
-        ),
+        communities(),
+        large_communities(),
         prop_oneof![Just(None), mp_reach().prop_map(Some)],
         prop_oneof![Just(None), mp_unreach().prop_map(Some)],
     )
         .prop_map(
-            |(origin, as_path, next_hop, local_pref, communities, mp_reach, mp_unreach)| {
+            |(
+                origin,
+                as_path,
+                next_hop,
+                local_pref,
+                communities,
+                large_communities,
+                mp_reach,
+                mp_unreach,
+            )| {
                 PathAttributes {
                     origin,
                     as_path,
                     next_hop,
                     local_pref,
                     communities,
+                    large_communities,
                     mp_reach,
                     mp_unreach,
                 }
@@ -251,7 +291,14 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
                     let spec_asns: Vec<Asn> = oa.as_path.iter().collect();
                     prop_assert_eq!(asns, spec_asns);
                     let communities: Vec<Community> = va.communities().collect();
-                    prop_assert_eq!(communities, oa.communities);
+                    prop_assert_eq!(&communities, &oa.communities);
+                    let large: Vec<LargeCommunity> = va.large_communities().collect();
+                    prop_assert_eq!(&large, &oa.large_communities);
+                    let prefix = Ipv4Prefix::new(0x0A00_0000, 8);
+                    prop_assert_eq!(
+                        AttrInterner::new().to_route(va, prefix),
+                        oa.to_route(prefix)
+                    );
                     prop_assert_eq!(va.mp_reach(), oa.mp_reach);
                     prop_assert_eq!(va.mp_unreach(), oa.mp_unreach);
                 }
@@ -343,6 +390,7 @@ proptest! {
                 next_hop: 0xC0A8_0001,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: None,
                 mp_unreach: None,
             }),
@@ -374,6 +422,7 @@ proptest! {
                 next_hop: 0xC0A8_0001,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: None,
                 mp_unreach: None,
             }),
@@ -403,6 +452,7 @@ proptest! {
                 next_hop: 0,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: reach,
                 mp_unreach: Some(unreach),
             }),
@@ -464,6 +514,51 @@ fn ipv6_update_without_next_hop_decodes_identically() {
         bgp_wire::WireErrorKind::MissingAttribute("NEXT_HOP")
     ));
     assert_update_parity(&broken, AsnEncoding::FourOctet);
+}
+
+/// An UPDATE announcing 10.0.0.0/8 whose attribute block is ORIGIN,
+/// AS_PATH, NEXT_HOP and then `extra`, framed by hand.
+fn update_with_raw_attribute(extra: &[u8]) -> Vec<u8> {
+    let mut attrs = Vec::new();
+    attrs.extend_from_slice(&[0x40, 1, 1, 0]); // ORIGIN: IGP
+    attrs.extend_from_slice(&[0x40, 2, 6, 2, 1, 0, 1, 0x11, 0x70]); // AS_PATH: seq [70000]
+    attrs.extend_from_slice(&[0x40, 3, 4, 10, 0, 0, 1]); // NEXT_HOP
+    attrs.extend_from_slice(extra);
+    let mut bytes = vec![0xFF; 16];
+    let total = 19 + 2 + 2 + attrs.len() + 2;
+    bytes.extend_from_slice(&(total as u16).to_be_bytes());
+    bytes.push(2); // UPDATE
+    bytes.extend_from_slice(&[0, 0]); // no withdrawn routes
+    bytes.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+    bytes.extend_from_slice(&attrs);
+    bytes.extend_from_slice(&[8, 10]); // NLRI 10.0.0.0/8
+    bytes
+}
+
+proptest! {
+    /// A raw `LARGE_COMMUNITY` body of any length, in either length form:
+    /// whole 12-octet values decode as the spec reads them, anything else
+    /// fails identically at the body's offset.
+    #[test]
+    fn raw_large_community_bodies_decode_identically(
+        body in prop::collection::vec(any::<u8>(), 0..40),
+        whole in any::<bool>(),
+        extended in any::<bool>(),
+    ) {
+        let body = if whole { &body[..body.len() / 12 * 12] } else { &body[..] };
+        let mut attr = Vec::new();
+        if extended {
+            attr.extend_from_slice(&[0xD0, 32]);
+            attr.extend_from_slice(&(body.len() as u16).to_be_bytes());
+        } else {
+            attr.extend_from_slice(&[0xC0, 32, body.len() as u8]);
+        }
+        attr.extend_from_slice(body);
+        let bytes = update_with_raw_attribute(&attr);
+        let decoded = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet);
+        prop_assert_eq!(decoded.is_ok(), body.len() % 12 == 0);
+        assert_update_parity(&bytes, AsnEncoding::FourOctet);
+    }
 }
 
 // --- corrupted corpora: identical rejection --------------------------------
@@ -544,7 +639,7 @@ proptest! {
     fn boundary_bytes_decode_identically(msg in update(asn32())) {
         let bytes = msg.encode(AsnEncoding::FourOctet).expect("encodes");
         for position in 0..bytes.len() {
-            for value in [0, 1, 2, 32, 33, 128, 129, 255] {
+            for value in [0, 1, 2, 12, 32, 33, 128, 129, 255] {
                 let mut mutated = bytes.clone();
                 mutated[position] = value;
                 assert_update_parity(&mutated, AsnEncoding::FourOctet);

@@ -195,7 +195,7 @@ mod tests {
 
         let copied =
             FalseOriginAttack::new(ListForgery::CopyValid).forged_route(p(), Asn(9), &valid);
-        assert_eq!(copied.moas_list().unwrap(), valid);
+        assert_eq!(copied.moas_list(), Some(&valid));
     }
 
     #[test]

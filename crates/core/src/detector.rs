@@ -36,24 +36,25 @@ impl fmt::Display for Conflict {
 
 /// One route held for the prefix, as [`find_conflict`] reads it: the peer
 /// it was learned from (`None` for a locally originated route) and the
-/// route. Implemented for `(Option<Asn>, R)` pairs with any
-/// [`Borrow<Route>`](Borrow) route side, and for references to them, so
-/// owned lists, lists of references and a router's lazily walked
+/// route, borrowed for `'r`. Implemented for `(Option<Asn>, &Route)` pairs
+/// and for references to `(Option<Asn>, R)` pairs with any
+/// [`Borrow<Route>`](Borrow) route side, so owned lists, lists of
+/// references and a router's lazily walked
 /// [`HeldRoutes`](bgp_engine::HeldRoutes) all qualify without cloning.
-pub trait HeldRoute {
+pub trait HeldRoute<'r> {
     /// The `(learned-from peer, route)` pair.
-    fn held(&self) -> (Option<Asn>, &Route);
+    fn held(self) -> (Option<Asn>, &'r Route);
 }
 
-impl<R: Borrow<Route>> HeldRoute for (Option<Asn>, R) {
-    fn held(&self) -> (Option<Asn>, &Route) {
-        (self.0, self.1.borrow())
+impl<'r> HeldRoute<'r> for (Option<Asn>, &'r Route) {
+    fn held(self) -> (Option<Asn>, &'r Route) {
+        self
     }
 }
 
-impl<H: HeldRoute + ?Sized> HeldRoute for &H {
-    fn held(&self) -> (Option<Asn>, &Route) {
-        (**self).held()
+impl<'r, R: Borrow<Route>> HeldRoute<'r> for &'r (Option<Asn>, R) {
+    fn held(self) -> (Option<Asn>, &'r Route) {
+        (self.0, self.1.borrow())
     }
 }
 
@@ -67,8 +68,8 @@ impl<H: HeldRoute + ?Sized> HeldRoute for &H {
 /// with no well-defined origin and no list (empty path aggregates) cannot
 /// be checked and never conflict.
 ///
-/// The rule itself is [`bgp_types::first_conflict`]; this adapter decodes
-/// each route's list once and names the conflicting entry. All three users
+/// The rule itself is [`bgp_types::first_conflict`]; this adapter reads
+/// each route's list field and names the conflicting entry. All three users
 /// of the check run that one rule: the in-line [`MoasMonitor`] (§4.2's
 /// modified-BGP deployment) and the [`OfflineMonitor`] (§4.2's
 /// monitoring-process deployment) through this function, and the
@@ -77,34 +78,31 @@ impl<H: HeldRoute + ?Sized> HeldRoute for &H {
 /// [`MoasMonitor`]: crate::MoasMonitor
 /// [`OfflineMonitor`]: crate::OfflineMonitor
 #[must_use]
-pub fn find_conflict<I>(route: &Route, existing: I) -> Option<Conflict>
+pub fn find_conflict<'r, I>(route: &Route, existing: I) -> Option<Conflict>
 where
     I: IntoIterator,
-    I::Item: HeldRoute,
+    I::Item: HeldRoute<'r>,
 {
     let prefix = route.prefix();
     let origin = route.origin_as();
     let list = route.moas_list();
     let held = existing.into_iter().filter_map(|entry| {
-        let (_, held) = entry.held();
+        let (peer, held) = entry.held();
         if held.prefix() != prefix {
             return None;
         }
         let held_list = held.moas_list();
         // The rule reads a held route's origin only for its implicit list.
         let held_origin = held_list.is_none().then(|| held.origin_as()).flatten();
-        Some((entry, held_origin, held_list))
+        Some(((peer, held), held_origin, held_list))
     });
-    let (kind, conflicting) = first_conflict(origin, list.as_ref(), held)?;
+    let (kind, conflicting) = first_conflict(origin, list, held)?;
     Some(Conflict {
         prefix,
         kind,
         incoming_origin: origin,
-        incoming_list: list.or_else(|| origin.map(MoasList::implicit))?,
-        conflicting_with: conflicting.map(|entry| {
-            let (peer, held) = entry.held();
-            (peer, held.origin_as())
-        }),
+        incoming_list: list.cloned().or_else(|| origin.map(MoasList::implicit))?,
+        conflicting_with: conflicting.map(|(peer, held)| (peer, held.origin_as())),
     })
 }
 
@@ -169,7 +167,7 @@ mod tests {
     fn copying_the_honest_list_fails_the_self_test() {
         // Attacker copies {1, 2} exactly but originates from AS 3.
         let forged = route(3, Some(&[1, 2]));
-        let conflict = find_conflict(&forged, NOTHING_HELD).unwrap();
+        let conflict = find_conflict(&forged, &NOTHING_HELD).unwrap();
         assert_eq!(conflict.kind, ConflictKind::OriginNotInList);
         assert_eq!(conflict.incoming_origin, Some(Asn(3)));
     }
@@ -188,7 +186,7 @@ mod tests {
     #[test]
     fn no_origin_and_no_list_is_uncheckable() {
         let aggregate = Route::new(p(), AsPath::new());
-        assert!(find_conflict(&aggregate, NOTHING_HELD).is_none());
+        assert!(find_conflict(&aggregate, &NOTHING_HELD).is_none());
     }
 
     #[test]

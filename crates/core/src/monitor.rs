@@ -43,7 +43,7 @@ pub struct MoasConfig {
 /// routes (rejecting the newcomer or evicting an already-installed route).
 ///
 /// Non-capable ASes pass routes through untouched, and stripper ASes remove
-/// MOAS communities on export, so a single monitor instance models the whole
+/// the MOAS list on export, so a single monitor instance models the whole
 /// heterogeneous network.
 ///
 /// # Example

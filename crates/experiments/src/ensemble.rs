@@ -342,7 +342,7 @@ impl RouteMonitor for TapMonitor {
                 prefix: ctx.route.prefix(),
                 kind: ObservationKind::Announce {
                     origin,
-                    moas_list: ctx.route.moas_list(),
+                    moas_list: ctx.route.moas_list().cloned(),
                     communities: ctx.route.communities().to_vec(),
                 },
             });
@@ -515,7 +515,7 @@ fn long_lived_scenario(
     let origin_list = plan.explicit_list.then(|| valid_list.clone());
     let mut toggle_route = Route::new(crate::victim_prefix(), AsPath::new());
     if let Some(list) = &origin_list {
-        toggle_route.set_moas_list(Some(list));
+        toggle_route.set_moas_list(Some(list.clone()));
     }
     let mut fault_plan = NetFaultPlan::new(sim_engine::rng::derive_seed(plan.seed, 0xFA17));
     fault_plan.every(

@@ -92,7 +92,8 @@ pub use exec::Exec;
 pub use figures::{experiment1, experiment2, experiment3};
 pub use metrics::{overhead_snapshot, parse_snapshot, render_metrics_summary};
 pub use overhead::{
-    measure_moas_list_overhead, moas_list_overhead, OverheadReport, WireModel, MRT_FRAMING_BYTES,
+    measure_moas_list_overhead, measured_list_bytes, moas_list_overhead, OverheadReport, WireModel,
+    MRT_FRAMING_BYTES,
 };
 pub use report::{FigureReport, SeriesReport};
 pub use session_chaos::{

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use bgp_wire::bgp::PathAttributes;
 use bgp_wire::mrt::{MrtBody, MrtRecord, RibEntry, RibIpv4Unicast};
 use route_measurement::DailyDump;
@@ -162,12 +162,6 @@ pub const MRT_FRAMING_BYTES: u64 = 18;
 /// The per-route encoding fans across up to `jobs` worker threads in
 /// contiguous chunks. All tallies are integers and the partials merge in
 /// prefix order, so the report is identical for every `jobs` value.
-///
-/// # Panics
-///
-/// Panics if a MOAS list member exceeds 16 bits — such an origin cannot be
-/// carried in an RFC 1997 community, and the measurement pipeline never
-/// produces one.
 #[must_use]
 pub fn measure_moas_list_overhead(dump: &DailyDump, jobs: usize) -> OverheadReport {
     let entries: Vec<(Ipv4Prefix, &std::collections::BTreeSet<Asn>)> = dump.iter().collect();
@@ -194,47 +188,56 @@ pub fn measure_moas_list_overhead(dump: &DailyDump, jobs: usize) -> OverheadRepo
 }
 
 /// The measured `(baseline, added)` byte cost of one table route: encode it
-/// through the `bgp-wire` codec with and without its MOAS-list communities.
+/// through the `bgp-wire` codec with and without its MOAS list.
 fn measured_cost(prefix: Ipv4Prefix, origins: &std::collections::BTreeSet<Asn>) -> (u64, u64) {
-    let representative = origins.iter().next().copied().unwrap_or(Asn(0));
-    let base_attrs = PathAttributes {
-        origin: bgp_types::RouteOrigin::Igp,
-        // A 2001-vintage path: ~4 hops of 2-octet ASNs ending at the
-        // origin (matches the WireModel's assumptions).
-        as_path: AsPath::from_sequence([Asn(701), Asn(1239), Asn(7018), representative]),
-        next_hop: PathAttributes::synthetic_next_hop(Some(Asn(701))),
-        local_pref: None,
-        communities: Vec::new(),
-        mp_reach: None,
-        mp_unreach: None,
-    };
-    let without = encoded_rib_len(prefix, base_attrs.clone());
-    let with = if origins.len() > 1 {
-        let list: MoasList = origins.iter().copied().collect();
-        let mut attrs = base_attrs;
-        attrs.communities = list.to_communities();
-        encoded_rib_len(prefix, attrs)
-    } else {
-        without
-    };
-    (without - MRT_FRAMING_BYTES, with - without)
+    let (without, with) = encoded_lens(prefix, origins.iter().copied().collect());
+    let added = if origins.len() > 1 { with - without } else { 0 };
+    (without - MRT_FRAMING_BYTES, added)
 }
 
-/// Encodes one single-entry RIB record and returns its full length.
-fn encoded_rib_len(prefix: Ipv4Prefix, attrs: PathAttributes) -> u64 {
-    let record = MrtRecord {
-        timestamp: 0,
-        body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
-            sequence: 0,
-            prefix,
-            entries: vec![RibEntry {
-                peer_index: 0,
-                originated_time: 0,
-                attrs,
-            }],
-        }),
+/// The bytes `list` adds to a table route when the `bgp-wire` codec writes
+/// it: 4 per member that fits 16 bits (a community), 12 per wider member
+/// (a large community), and 3 per attribute header.
+#[must_use]
+pub fn measured_list_bytes(list: &MoasList) -> u64 {
+    let (without, with) = encoded_lens(Ipv4Prefix::new(0xD008_0000, 16), list.clone());
+    with - without
+}
+
+/// The lengths of a single-entry RIB record for a 2001-vintage route to
+/// `prefix` — ~4 hops of 2-octet ASNs ending at the list's first member,
+/// the [`WireModel`]'s assumptions — without and with `list`. A table
+/// dump carries no `LOCAL_PREF`, so it is left out.
+fn encoded_lens(prefix: Ipv4Prefix, list: MoasList) -> (u64, u64) {
+    let origin = list.iter().next().unwrap_or(Asn(0));
+    let route = Route::new(
+        prefix,
+        AsPath::from_sequence([Asn(701), Asn(1239), Asn(7018), origin]),
+    );
+    let encoded_len = |route: &Route| {
+        let mut attrs = PathAttributes::from_route(route);
+        attrs.local_pref = None;
+        let record = MrtRecord {
+            timestamp: 0,
+            body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: 0,
+                prefix,
+                entries: vec![RibEntry {
+                    peer_index: 0,
+                    originated_time: 0,
+                    attrs,
+                }],
+            }),
+        };
+        record
+            .encode()
+            .expect("a one-entry record always encodes")
+            .len() as u64
     };
-    record.encode().expect("16-bit origins always encode").len() as u64
+    (
+        encoded_len(&route),
+        encoded_len(&route.with_moas_list(list)),
+    )
 }
 
 /// Shared tally: `cost` returns `(baseline_bytes, added_bytes)` per route.
@@ -375,6 +378,18 @@ mod tests {
         assert_eq!(report.added_bytes, 11);
         assert_eq!(report.total_routes, 2);
         assert_eq!(report.multi_origin_routes, 1);
+    }
+
+    #[test]
+    fn a_four_byte_member_costs_twelve_bytes() {
+        let narrow: MoasList = [Asn(4), Asn(226)].into_iter().collect();
+        let wide: MoasList = [Asn(4), Asn(70_000)].into_iter().collect();
+        let all_wide: MoasList = [Asn(65_537), Asn(70_000)].into_iter().collect();
+        assert_eq!(measured_list_bytes(&narrow), 11);
+        // One member moves from a community to a large community (4 -> 12
+        // bytes), which brings its own attribute header.
+        assert_eq!(measured_list_bytes(&wide), 11 - 4 + 12 + 3);
+        assert_eq!(measured_list_bytes(&all_wide), 3 + 2 * 12);
     }
 
     #[test]

@@ -299,6 +299,7 @@ fn nth_update(n: u64) -> UpdateMessage {
             as_path,
             local_pref: None,
             communities: Vec::new(),
+            large_communities: Vec::new(),
             mp_reach: None,
             mp_unreach: None,
         }),

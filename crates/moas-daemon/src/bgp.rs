@@ -68,6 +68,7 @@ mod tests {
             origin: bgp_types::RouteOrigin::Igp,
             local_pref: None,
             communities: Vec::new(),
+            large_communities: Vec::new(),
             mp_reach: None,
             mp_unreach: None,
         }

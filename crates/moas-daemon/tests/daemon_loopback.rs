@@ -382,6 +382,7 @@ fn live_bgp_session_feeds_the_table() {
                 as_path,
                 local_pref: None,
                 communities: Vec::new(),
+                large_communities: Vec::new(),
                 mp_reach: None,
                 mp_unreach: None,
             }

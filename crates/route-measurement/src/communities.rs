@@ -7,10 +7,12 @@
 //! no MOAS list is present. This detector learns a per `(observer, prefix)`
 //! baseline — the origins seen and the union of communities observed — during
 //! a configurable learning window, then alarms on announcements from a *new*
-//! origin whose communities are not a subset of the baseline.
+//! origin whose communities are not a subset of the baseline. A MOAS list
+//! travels as one community per member, so its members count as communities
+//! here: the baseline keeps them beside the other communities.
 //!
 //! Honest failure modes, measured by the ensemble driver: a forged MOAS list
-//! necessarily carries the attacker's own membership marker (never in the
+//! necessarily carries the attacker's own membership (never in the
 //! baseline) and is caught; an attacker announcing with *no* communities at
 //! all evades it; and rewrite-class transit policies shred the baseline and
 //! cause false alarms.
@@ -43,6 +45,8 @@ impl Default for CommunitiesConfig {
 struct Baseline {
     origins: BTreeSet<Asn>,
     communities: BTreeSet<Community>,
+    /// Every MOAS-list member seen.
+    members: BTreeSet<Asn>,
 }
 
 /// The communities-anomaly [`Detector`].
@@ -79,8 +83,8 @@ impl Detector for CommunitiesAnomalyDetector {
     fn observe(&mut self, obs: &RouteObservation, alarms: &mut Vec<DetectorAlarm>) {
         let ObservationKind::Announce {
             origin,
+            moas_list,
             communities,
-            ..
         } = &obs.kind
         else {
             return; // withdrawals carry no communities to judge
@@ -92,6 +96,7 @@ impl Detector for CommunitiesAnomalyDetector {
         if obs.time < self.config.learning_window {
             baseline.origins.insert(*origin);
             baseline.communities.extend(communities.iter().copied());
+            baseline.members.extend(moas_list.iter().flatten());
             return;
         }
         if baseline.origins.contains(origin) {
@@ -99,7 +104,11 @@ impl Detector for CommunitiesAnomalyDetector {
         }
         let divergent = communities
             .iter()
-            .any(|c| !baseline.communities.contains(c));
+            .any(|c| !baseline.communities.contains(c))
+            || moas_list
+                .iter()
+                .flatten()
+                .any(|asn| !baseline.members.contains(&asn));
         if divergent && self.alarmed.insert((obs.observer, obs.prefix, *origin)) {
             alarms.push(DetectorAlarm {
                 time: obs.time,
@@ -115,12 +124,23 @@ impl Detector for CommunitiesAnomalyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::MoasList;
 
     fn p() -> Ipv4Prefix {
         "208.8.0.0/16".parse().unwrap()
     }
 
     fn announce(time: u64, origin: u32, communities: &[Community]) -> RouteObservation {
+        announce_listed(time, origin, &[], communities)
+    }
+
+    fn announce_listed(
+        time: u64,
+        origin: u32,
+        members: &[u32],
+        communities: &[Community],
+    ) -> RouteObservation {
+        let list: MoasList = members.iter().map(|&a| Asn(a)).collect();
         RouteObservation {
             time,
             observer: Asn(1),
@@ -128,7 +148,7 @@ mod tests {
             prefix: p(),
             kind: ObservationKind::Announce {
                 origin: Asn(origin),
-                moas_list: None,
+                moas_list: (!list.is_empty()).then_some(list),
                 communities: communities.to_vec(),
             },
         }
@@ -146,7 +166,7 @@ mod tests {
     #[test]
     fn known_origin_with_new_communities_is_quiet() {
         let alarms = run(&[
-            announce(0, 4, &[Community::moas_member(Asn(4))]),
+            announce_listed(0, 4, &[4], &[]),
             announce(150, 4, &[Community::new(Asn(701), 120)]),
         ]);
         assert!(alarms.is_empty());
@@ -154,18 +174,11 @@ mod tests {
 
     #[test]
     fn forged_moas_list_marker_is_caught() {
-        // The attacker's forged list must include its own membership marker,
-        // which the baseline has never seen.
+        // The attacker's forged list must include its own membership, which
+        // the baseline has never seen.
         let alarms = run(&[
-            announce(0, 4, &[Community::moas_member(Asn(4))]),
-            announce(
-                150,
-                66,
-                &[
-                    Community::moas_member(Asn(4)),
-                    Community::moas_member(Asn(66)),
-                ],
-            ),
+            announce_listed(0, 4, &[4], &[]),
+            announce_listed(150, 66, &[4, 66], &[]),
         ]);
         assert_eq!(alarms.len(), 1);
         assert_eq!(alarms[0].origin, Some(Asn(66)));
@@ -175,10 +188,7 @@ mod tests {
     #[test]
     fn bare_announcement_from_new_origin_evades() {
         // Honest miss: no communities at all means nothing diverges.
-        let alarms = run(&[
-            announce(0, 4, &[Community::moas_member(Asn(4))]),
-            announce(150, 66, &[]),
-        ]);
+        let alarms = run(&[announce_listed(0, 4, &[4], &[]), announce(150, 66, &[])]);
         assert!(alarms.is_empty());
     }
 
@@ -186,21 +196,19 @@ mod tests {
     fn new_origin_with_baseline_subset_is_quiet() {
         // A sibling AS announcing with the same community set as the
         // baseline: exactly the long-lived legitimate MOAS shape.
-        let set = [
-            Community::moas_member(Asn(4)),
-            Community::moas_member(Asn(5)),
-        ];
-        let alarms = run(&[announce(0, 4, &set), announce(150, 5, &set)]);
+        let alarms = run(&[
+            announce_listed(0, 4, &[4, 5], &[]),
+            announce_listed(150, 5, &[4, 5], &[]),
+        ]);
         assert!(alarms.is_empty());
     }
 
     #[test]
     fn alarm_fires_once_per_origin() {
-        let marker = [Community::moas_member(Asn(66))];
         let alarms = run(&[
-            announce(0, 4, &[Community::moas_member(Asn(4))]),
-            announce(150, 66, &marker),
-            announce(160, 66, &marker),
+            announce_listed(0, 4, &[4], &[]),
+            announce_listed(150, 66, &[66], &[]),
+            announce_listed(160, 66, &[66], &[]),
         ]);
         assert_eq!(alarms.len(), 1);
     }

@@ -42,7 +42,7 @@ pub enum ObservationKind {
         origin: Asn,
         /// The explicit MOAS list attached, if any (§4.2).
         moas_list: Option<MoasList>,
-        /// Every community on the route, MOAS markers included.
+        /// Every other community on the route.
         communities: Vec<Community>,
     },
     /// The previously announced route was withdrawn.

@@ -23,11 +23,11 @@ use moas::bgp::CommunityPolicy;
 use moas::detection::{Deployment, OfflineMonitor};
 use moas::experiments::{
     community_policy_ablation, experiment1, experiment2, experiment3, forgery_ablation,
-    measure_moas_list_overhead, moas_list_overhead, overhead_snapshot, parse_snapshot,
-    render_metrics_summary, run_chaos, run_deployment_sweep, run_ensemble, run_session_chaos,
-    run_trial_with, subprefix_ablation, unresolved_policy_ablation, valley_free_ablation,
-    ChaosConfig, ChaosScenario, EnsembleConfig, Exec, FigureReport, SessionChaosConfig,
-    SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
+    measure_moas_list_overhead, measured_list_bytes, moas_list_overhead, overhead_snapshot,
+    parse_snapshot, render_metrics_summary, run_chaos, run_deployment_sweep, run_ensemble,
+    run_session_chaos, run_trial_with, subprefix_ablation, unresolved_policy_ablation,
+    valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig, Exec, FigureReport,
+    SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
 };
 use moas::measurement::{
     daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
@@ -1138,6 +1138,14 @@ fn overhead(args: &[String]) -> ExitCode {
     println!(
         "against a 100k-route 2001 table: {:.4}% added",
         100.0 * measured.added_bytes as f64 / (100_000.0 * 36.0)
+    );
+    let narrow: MoasList = [Asn(4), Asn(226)].into_iter().collect();
+    let wide: MoasList = [Asn(4), Asn(70_000)].into_iter().collect();
+    println!(
+        "4-byte member: {narrow} adds {} bytes, {wide} adds {} \
+         (a large community, 12 bytes against a community's 4, in an attribute of its own)",
+        measured_list_bytes(&narrow),
+        measured_list_bytes(&wide),
     );
     if write_metrics(args, &overhead_snapshot(&measured)) {
         ExitCode::SUCCESS

@@ -229,6 +229,8 @@ fn overhead_reports_costs() {
     assert!(text.contains("analytic:"));
     assert!(text.contains("measured:"));
     assert!(text.contains("added bytes agree exactly"));
+    // A 4-octet member rides in a large community: 12 bytes, not 4.
+    assert!(text.contains("4-byte member: {AS4, AS226} adds 11 bytes, {AS4, AS70000} adds 22"));
 }
 
 #[test]

@@ -5,7 +5,9 @@
 use moas::bgp::{Network, NoopMonitor};
 use moas::detection::{find_conflict, ConflictKind, MoasMonitor, OfflineMonitor, RegistryVerifier};
 use moas::topology::{AsGraph, AsRole};
-use moas::types::{AsPath, Asn, Community, Ipv4Prefix, MoasList, Route, MOAS_LIST_VALUE};
+use moas::types::{AsPath, Asn, Community, Ipv4Prefix, MoasList, Route};
+use moas::wire::bgp::PathAttributes;
+use moas::wire::MOAS_LIST_VALUE;
 
 fn prefix() -> Ipv4Prefix {
     "208.8.0.0/16".parse().unwrap()
@@ -83,9 +85,9 @@ fn figure3_hijack_succeeds_under_plain_bgp() {
 fn figure6_7_moas_list_encoding_on_the_wire() {
     // Figure 7: the MOAS list as (AS1:MLVal),(AS2:MLVal) communities.
     let list: MoasList = [Asn(1), Asn(2)].into_iter().collect();
-    let communities = list.to_communities();
+    let announced = Route::new(prefix(), AsPath::origination(Asn(1))).with_moas_list(list.clone());
     assert_eq!(
-        communities,
+        PathAttributes::from_route(&announced).communities,
         vec![
             Community::new(Asn(1), MOAS_LIST_VALUE),
             Community::new(Asn(2), MOAS_LIST_VALUE)
@@ -127,6 +129,37 @@ fn figure3_hijack_stopped_by_moas_detection() {
     assert!(alarms.confirmed_count() > 0);
     // AS X (AS 1) is among the observers that raised the alarm.
     assert!(alarms.observers().any(|a| a == Asn(1)));
+}
+
+#[test]
+fn four_byte_origin_with_its_own_list_raises_no_alarm() {
+    // A 3-AS chain under full deployment: the honest origin AS 65,537
+    // announces the list {65537, 70000}. Members above 65,535 must neither
+    // alias (AS 65,537 reading back as AS 1) nor fail the §4.2 self-test.
+    let origin = Asn(65_537);
+    let mut g = AsGraph::new();
+    g.add_as(origin, AsRole::Stub);
+    g.add_as(Asn(2), AsRole::Transit);
+    g.add_as(Asn(3), AsRole::Stub);
+    g.add_link(origin, Asn(2));
+    g.add_link(Asn(2), Asn(3));
+    let list: MoasList = [origin, Asn(70_000)].into_iter().collect();
+    let mut registry = RegistryVerifier::new();
+    registry.register(prefix(), list.clone());
+    let mut net = Network::with_monitor(&g, MoasMonitor::full(registry));
+    net.originate(origin, prefix(), Some(list.clone()));
+    net.run().unwrap();
+
+    assert!(
+        net.monitor().alarms().is_empty(),
+        "{:?}",
+        net.monitor().alarms()
+    );
+    for observer in [Asn(2), Asn(3)] {
+        assert_eq!(net.best_origin(observer, prefix()), Some(origin));
+        let held = net.router(observer).unwrap().best_route(prefix()).unwrap();
+        assert_eq!(held.moas_list(), Some(&list), "AS {observer}");
+    }
 }
 
 #[test]

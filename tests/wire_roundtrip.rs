@@ -8,6 +8,7 @@ use moas::bgp::{
     CommunityPolicies, CommunityPolicy, CommunityPolicyMap, ExportAction, ImportContext,
     ImportDecision, Network, NoopMonitor, RouteMonitor, REWRITE_MARKER_VALUE,
 };
+use moas::detection::{MoasMonitor, RegistryVerifier};
 use moas::sim::SimTime;
 use moas::topology::paper::PaperTopology;
 use moas::topology::{AsGraph, ScaleFreeModel};
@@ -95,16 +96,25 @@ impl<M: RouteMonitor> RouteMonitor for WireRoundTrip<M> {
     }
 }
 
-/// Two stubs, the first and the last, originate one prefix under a
-/// two-origin MOAS list, and the network converges.
-fn originate_moas<M: RouteMonitor>(net: &mut Network<M>, graph: &AsGraph) {
+/// The two stubs, the first and the last, that originate one prefix under
+/// a two-origin MOAS list.
+fn moas_list(graph: &AsGraph) -> MoasList {
     let stubs = graph.stub_asns();
-    let (a, b) = (stubs[0], stubs[stubs.len() - 1]);
-    let list: MoasList = [a, b].into_iter().collect();
-    let prefix = "208.8.0.0/16".parse().expect("valid prefix");
-    net.originate(a, prefix, Some(list.clone()));
-    net.originate(b, prefix, Some(list));
+    [stubs[0], stubs[stubs.len() - 1]].into_iter().collect()
+}
+
+/// Both members of `graph`'s [`moas_list`] originate under it, and the
+/// network converges.
+fn originate_moas<M: RouteMonitor>(net: &mut Network<M>, graph: &AsGraph) {
+    let list = moas_list(graph);
+    for origin in &list {
+        net.originate(origin, prefix(), Some(list.clone()));
+    }
     net.run().expect("converges");
+}
+
+fn prefix() -> Ipv4Prefix {
+    "208.8.0.0/16".parse().expect("valid prefix")
 }
 
 #[test]
@@ -119,6 +129,25 @@ fn scale_free_exports_round_trip_through_the_codec() {
     assert_eq!(monitor.replaced, 0);
     // Every export carries the list: nothing strips it in plain BGP.
     assert_eq!(monitor.listed_on_wire, monitor.checked);
+}
+
+#[test]
+fn four_byte_members_round_trip_under_full_deployment() {
+    // ASNs run past 65,535, so the last stub's membership rides in a large
+    // community; with the list intact no monitor may raise an alarm.
+    let graph = ScaleFreeModel::new().as_count(65_600).build(9107);
+    let list = moas_list(&graph);
+    assert!(list.iter().any(|asn| asn.0 > 65_535), "{list}");
+    let mut registry = RegistryVerifier::new();
+    registry.register(prefix(), list);
+    let monitor = WireRoundTrip::new(MoasMonitor::full(registry));
+    let mut net = Network::with_monitor(&graph, monitor);
+    originate_moas(&mut net, &graph);
+    let monitor = net.monitor();
+    assert!(monitor.checked > 0);
+    assert_eq!(monitor.listed_on_wire, monitor.checked);
+    let alarms = monitor.inner.alarms();
+    assert!(alarms.is_empty(), "{} alarms", alarms.len());
 }
 
 #[test]
