@@ -17,7 +17,9 @@
 //! is the read-only, `Copy` view the network hands out, and `Speaker` the
 //! mutable one the event loop drives. Peer lists are slices of the
 //! topology's per-edge peer ASNs. Nothing here allocates per router, and an
-//! import allocates nothing at all; only a route export does.
+//! import allocates nothing at all. A best-route change allocates one block:
+//! the exported route, whose AS path is stored inline and whose communities
+//! and MOAS list it shares with the route it was propagated from.
 //!
 //! No `unwrap`/`expect` on data-dependent paths: speakers are driven
 //! entirely by the network, slot indices are in range by construction (the
@@ -241,7 +243,7 @@ impl Node<'_> {
 /// Routes are held behind [`Arc`] throughout: an update installed from the
 /// event queue, the Adj-RIB-In entry, the Loc-RIB best entry, and every
 /// outbound fan-out copy all share one allocation. The decision process and
-/// export path therefore move pointers, not AS-path vectors.
+/// export path therefore move pointers, not routes.
 #[derive(Clone, Copy)]
 pub struct Router<'a> {
     node: Node<'a>,

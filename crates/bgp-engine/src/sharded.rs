@@ -63,21 +63,32 @@ struct Topo {
     /// row is `rows[i].first..rows[i + 1].first`. Side by side, a delivery
     /// reads both from one line.
     rows: Vec<Row>,
-    /// CSR column data: neighbor node index per directed edge.
-    peer_idx: Vec<u32>,
+    /// CSR column data: per directed edge, everything a send over it reads.
+    /// A fan-out walks one contiguous run of the sender's row.
+    links: Vec<Link>,
     /// Per directed edge: the neighbor's ASN. A node's row of it is its
     /// router's peer list, ascending.
     peer_asn: Vec<Asn>,
-    /// Per directed edge `a -> b`: the offset of the opposite edge `b -> a`
-    /// in `b`'s row. The offset of an edge in its row is the peer's slot in
-    /// the sending router, so this is `a`'s slot in `b`, which a sender
-    /// reads from its own row and stamps on the delivery.
-    rev_slot: Vec<u32>,
-    /// Per directed edge: link delay in ticks (all >= 1).
-    delays: Vec<u64>,
     /// Per dense node index: owning shard.
     assignment: Vec<u32>,
 }
+
+/// One directed edge `a -> b` of the CSR topology: see [`Topo::links`].
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// `b`'s dense node index.
+    peer: u32,
+    /// The offset of the opposite edge `b -> a` in `b`'s row. The offset of
+    /// an edge in its row is the peer's slot in the sending router, so this
+    /// is `a`'s slot in `b`, which the sender stamps on the delivery.
+    rev_slot: u32,
+    /// Link delay in ticks (>= 1).
+    delay: u32,
+    /// The shard that owns `b`: where a delivery over this edge is queued.
+    shard: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Link>() == 16);
 
 /// One node of the CSR topology: see [`Topo::rows`].
 #[derive(Debug, Clone, Copy)]
@@ -118,15 +129,15 @@ impl Topo {
 
     fn edge_between(&self, from: usize, to: usize) -> Option<usize> {
         let edges = self.edges(from);
-        let row = &self.peer_idx[edges.clone()];
-        row.binary_search(&(to as u32))
+        let row = &self.links[edges.clone()];
+        row.binary_search_by_key(&(to as u32), |link| link.peer)
             .ok()
             .map(|k| edges.start + k)
     }
 
     fn edge_endpoints(&self, e: usize) -> (Asn, Asn) {
         let from = self.rows.partition_point(|row| row.first as usize <= e) - 1;
-        let to = self.peer_idx[e] as usize;
+        let to = self.links[e].peer as usize;
         (self.asn(from), self.asn(to))
     }
 
@@ -166,8 +177,8 @@ enum ShardEvent {
         edge: u32,
         from: u32,
         to: u32,
-        /// The sender's slot in the receiver (`rev_slot[edge]`), stamped at
-        /// send time so delivery reads nothing of the topology for it.
+        /// The sender's slot in the receiver (the link's `rev_slot`), stamped
+        /// at send time so delivery reads nothing of the topology for it.
         slot: u32,
         epoch: u32,
         /// The link's fault model damaged this message in flight; the
@@ -443,8 +454,10 @@ impl<M: RouteMonitor> Shard<M> {
                     return;
                 }
                 window.gate = self.now + self.mrai;
+                let link = self.topo.links[edge];
+                debug_assert_eq!(link.peer, to);
                 for (_, update) in pending {
-                    self.schedule_delivery(edge, from, to, update);
+                    self.schedule_delivery(edge, from, link, update);
                 }
             }
             ShardEvent::Fault { entry } => {
@@ -607,14 +620,16 @@ impl<M: RouteMonitor> Shard<M> {
     /// peers by slot, which is the offset of the session's edge in its row.
     fn enqueue(&mut self, from: usize) {
         let mut out = std::mem::take(&mut self.out);
+        let first = self.topo.edges(from).start;
         for (slot, update) in out.drain(..) {
-            let edge = self.topo.edges(from).start + slot as usize;
-            let to = self.topo.peer_idx[edge];
+            let edge = first + slot as usize;
+            let link = self.topo.links[edge];
+            let to = link.peer;
             if self.session_is_down(from, to as usize) {
                 continue;
             }
             if self.mrai == 0 {
-                self.schedule_delivery(edge, from as u32, to, update);
+                self.schedule_delivery(edge, from as u32, link, update);
                 continue;
             }
             let now = self.now;
@@ -623,7 +638,7 @@ impl<M: RouteMonitor> Shard<M> {
             if now >= gate && window.pending.is_empty() {
                 // Window open: send immediately and start a new window.
                 window.gate = now + self.mrai;
-                self.schedule_delivery(edge, from as u32, to, update);
+                self.schedule_delivery(edge, from as u32, link, update);
             } else {
                 // Window closed: coalesce, newest update per prefix wins.
                 self.stats.mrai_deferred += 1;
@@ -647,19 +662,20 @@ impl<M: RouteMonitor> Shard<M> {
         self.out = out;
     }
 
-    /// The single choke point for deliveries: stamps the epoch, applies the
-    /// edge's fault model, assigns the intrinsic send sequence, and routes
-    /// the event to the receiver's queue — local push or cross-shard outbox.
+    /// The single choke point for deliveries over `edge`, whose record is
+    /// `link`: stamps the epoch, applies the edge's fault model, assigns the
+    /// intrinsic send sequence, and routes the event to the receiver's
+    /// queue — local push or cross-shard outbox.
     /// The update moves into the last copy, so a delivery costs no refcount
     /// round trip; inlined into the send loop, the move stays in registers.
     #[inline(always)]
-    fn schedule_delivery(&mut self, edge: usize, from: u32, to: u32, update: SharedUpdate) {
+    fn schedule_delivery(&mut self, edge: usize, from: u32, link: Link, update: SharedUpdate) {
         match &update {
             SharedUpdate::Announce(_) => self.sessions[edge].sent_announcements += 1,
             SharedUpdate::Withdraw(_) => self.sessions[edge].sent_withdrawals += 1,
         }
         let epoch = self.epochs[edge];
-        let mut delay = self.topo.delays[edge];
+        let mut delay = u64::from(link.delay);
         let mut corrupt = false;
         let mut duplicate = false;
         if let Some(faults) = self.faults.as_deref_mut() {
@@ -686,8 +702,12 @@ impl<M: RouteMonitor> Shard<M> {
                 }
             }
         }
-        let dest = self.topo.assignment[to as usize];
-        let slot = self.topo.rev_slot[edge];
+        let Link {
+            peer: to,
+            rev_slot: slot,
+            shard: dest,
+            ..
+        } = link;
         let duplicate = duplicate.then(|| update.clone());
         for update in duplicate.into_iter().chain([update]) {
             let seq = self.edge_seq[edge];
@@ -968,16 +988,21 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         };
         let edges = 2 * graph.link_count();
         let first = |edge: usize| u32::try_from(edge).expect("fewer than 2^32 directed edges");
-        let mut peer_idx = Vec::with_capacity(edges);
+        let mut links = Vec::with_capacity(edges);
         let mut peer_asn = Vec::with_capacity(edges);
         for node in 0..n {
-            rows[node].first = first(peer_idx.len());
+            rows[node].first = first(links.len());
             for peer in graph.neighbors(rows[node].asn) {
-                peer_idx.push(index_of(&rows, peer));
+                links.push(Link {
+                    peer: index_of(&rows, peer),
+                    rev_slot: 0,
+                    delay: 1,
+                    shard: 0,
+                });
                 peer_asn.push(peer);
             }
         }
-        debug_assert_eq!(peer_idx.len(), edges);
+        debug_assert_eq!(links.len(), edges);
         // Not a node: it closes the last node's row.
         rows.push(Row {
             asn: Asn(u32::MAX),
@@ -987,37 +1012,40 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         // order meets the edges *into* each node in that node's row order:
         // the k-th edge into `b` is the reverse of the k-th edge out of it.
         let mut into = vec![0u32; n];
-        let mut rev_slot = Vec::with_capacity(edges);
-        for &to in &peer_idx {
-            rev_slot.push(into[to as usize]);
-            into[to as usize] += 1;
+        for link in &mut links {
+            let to = link.peer as usize;
+            link.rev_slot = into[to];
+            link.shard = assignment[to];
+            into[to] += 1;
         }
         let mut topo = Topo {
             rows,
-            peer_idx,
+            links,
             peer_asn,
-            rev_slot,
-            delays: vec![1; edges],
             assignment,
         };
         debug_assert!((0..n).all(|a| topo.edges(a).all(|e| {
-            let b = topo.peer_idx[e] as usize;
-            topo.peer_idx[topo.edges(b).start + topo.rev_slot[e] as usize] as usize == a
+            let Link { peer, rev_slot, .. } = topo.links[e];
+            let back = topo.edges(peer as usize).start + rev_slot as usize;
+            topo.links[back].peer as usize == a
         })));
         if let Some((seed, max_delay)) = jitter {
             // One draw per direction per link, in `graph.links()` order:
             // ascending `(low, high)` pairs, which is each row's edges to
             // higher-numbered peers, rows in order. So the walk needs no
-            // search, and the draws land where they always have.
-            let max_delay = max_delay.max(1);
+            // search, and the draws land where they always have. A delay
+            // is held in 32 bits, so the bound is capped at `u32::MAX`.
+            let max_delay = max_delay.clamp(1, u64::from(u32::MAX));
             let mut rng = sim_engine::rng::from_seed(seed);
+            let mut draw = || rng.gen_range(1..=max_delay) as u32;
             for from in 0..n {
                 for ab in topo.edges(from) {
-                    let to = topo.peer_idx[ab] as usize;
+                    let Link { peer, rev_slot, .. } = topo.links[ab];
+                    let to = peer as usize;
                     if to > from {
-                        let ba = topo.edges(to).start + topo.rev_slot[ab] as usize;
-                        topo.delays[ab] = rng.gen_range(1..=max_delay);
-                        topo.delays[ba] = rng.gen_range(1..=max_delay);
+                        let ba = topo.edges(to).start + rev_slot as usize;
+                        topo.links[ab].delay = draw();
+                        topo.links[ba].delay = draw();
                     }
                 }
             }
@@ -1221,7 +1249,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     /// (RFC 4271 §9.2.1.1; SSFnet enables a 30s MRAI by default). Pass 0 to
     /// disable. Takes effect for updates emitted after the call.
     pub fn set_mrai(&mut self, ticks: u64) {
-        let edges = self.topo.peer_idx.len();
+        let edges = self.topo.links.len();
         for shard in &mut self.shards {
             shard.mrai = ticks;
             if ticks > 0 {
@@ -1286,7 +1314,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         }
         let timeline = plan.timeline;
         let remaining: Vec<Option<u64>> = timeline.iter().map(|e| e.count).collect();
-        let edges = self.topo.peer_idx.len();
+        let edges = self.topo.links.len();
         for shard in &mut self.shards {
             for (i, entry) in timeline.iter().enumerate() {
                 if entry.count == Some(0) {
@@ -1372,7 +1400,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     /// receiver's), keyed `(from, to)` ascending by global edge id.
     #[must_use]
     pub fn session_counters(&self) -> Vec<((Asn, Asn), SessionCounters)> {
-        (0..self.topo.peer_idx.len())
+        (0..self.topo.links.len())
             .map(|e| (e, self.session_total(e)))
             .filter(|(_, c)| !c.is_empty())
             .map(|(e, c)| (self.topo.edge_endpoints(e), c))
@@ -1399,7 +1427,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         if !self.plan_installed {
             return Vec::new();
         }
-        (0..self.topo.peer_idx.len())
+        (0..self.topo.links.len())
             .map(|e| (e, self.fault_total(e)))
             .filter(|(_, f)| *f != FaultStats::default())
             .map(|(e, f)| (self.topo.edge_endpoints(e), f))
@@ -1474,7 +1502,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         // Sessions and links are counter rows keyed by the `(from, to)` pair:
         // nothing is named here, only when the sweep takes its snapshot.
         // Edge ids walk `(from, to)` ascending, so rows arrive in key order.
-        let edges = self.topo.peer_idx.len();
+        let edges = self.topo.links.len();
         let sessions = sink.row_table("", &SESSION_ROWS, edges);
         for e in 0..edges {
             let c = self.session_total(e);

@@ -8,10 +8,10 @@ use bgp_types::{Ipv4Prefix, Route, Update};
 ///
 /// Announce payloads sit behind an [`Arc`], so a router fanning one new best
 /// route out to `k` peers enqueues `k` pointer copies of a single [`Route`]
-/// instead of `k` deep clones (AS path, communities and all). The receiving
-/// router installs the same shared payload straight into its Adj-RIB-In;
-/// copy-on-write only happens if somebody actually mutates a route, which
-/// the simulator never does after export.
+/// — one heap block, its AS path inline and its communities and MOAS list
+/// shared — instead of `k` copies. The receiving router installs the same
+/// shared payload straight into its Adj-RIB-In; nothing mutates a route
+/// after export.
 ///
 /// Conversion to the wire-level [`Update`] (owned payload) is explicit via
 /// [`SharedUpdate::into_update`], used only at the simulator's edges.

@@ -9,51 +9,57 @@
 //! and the selection length, the best route is named by slot and stamp
 //! rather than by a second pointer, and an incremental selection compares
 //! one slot with the incumbent. What remains is the route a router builds
-//! when its best route changes (the `Arc` and the two vectors of its
-//! prepended AS path), the per-prefix table on first mention, and the event
-//! queue's buckets. Run alone with `cargo test -p bgp-engine --test
+//! when its best route changes — one block, since a path of up to 11 ASNs
+//! is stored inline and the communities and MOAS list are shared — the
+//! per-prefix table on first mention, and the event queue's buckets. So
+//! dropping a converged network frees one block per route still held, plus
+//! its fixed tables. Run alone with `cargo test -p bgp-engine --test
 //! event_alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ptr;
 
 use as_topology::{AsGraph, ScaleFreeModel};
 use bgp_engine::{NoopMonitor, ShardedNetwork};
-use bgp_types::Ipv4Prefix;
+use bgp_types::{Ipv4Prefix, Route};
 
-/// Forwards to the system allocator, counting allocations and reallocations
-/// made by the current thread (the test harness's own threads do not count).
+/// Forwards to the system allocator, counting the allocations and
+/// reallocations, and separately the frees, made by the current thread (the
+/// test harness's own threads do not count).
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static FREES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
     // `try_with`: the counter may already be gone while a thread exits.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = counter.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local `Cell`, which never allocates.
+// upholds the `GlobalAlloc` contract; counting touches only const-initialised
+// thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        bump(&ALLOCATIONS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        bump(&ALLOCATIONS);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        bump(&ALLOCATIONS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(&FREES);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -66,6 +72,13 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The number of blocks `f` freed on this thread.
+fn frees_during(f: impl FnOnce()) -> usize {
+    let before = FREES.with(Cell::get);
+    f();
+    FREES.with(Cell::get) - before
 }
 
 /// Link-delay jitter, as the convergence benchmark and the trials use.
@@ -106,12 +119,34 @@ fn a_run_allocates_only_for_exported_routes() {
         .asns()
         .all(|asn| net.best_origin(asn, prefix) == Some(origin)));
     // The exact count for this graph and seed: a change that allocates on
-    // import, or per router, moves it. Of the 8,363, 8,301 are the 2,767
-    // routes exported on a best-route change (three blocks each); the other
-    // 62 are the prefix's table and the event queue's buckets.
-    assert_eq!((events, allocations), (10_284, 8_363));
+    // import, or per router, moves it. Of the 2,831, 2,767 are the routes
+    // exported on a best-route change (one block each: the path is inline
+    // and the route has no communities); the other 64 are the originated
+    // route, the prefix's table and the event queue's buckets.
+    assert_eq!((events, allocations), (10_284, 2_831));
     assert!(
         allocations as u64 <= events,
         "{allocations} allocations for {events} events"
     );
+
+    // Every route still held, counted once however many tables hold it:
+    // each AS's best route, which its peers hold as exported.
+    let mut held: Vec<*const Route> = Vec::new();
+    for asn in graph.asns() {
+        let router = net.router(asn).expect("every AS has a router");
+        let learned = router.adj_rib_in(prefix).map(|(_, route)| route);
+        held.extend(
+            router
+                .best_route(prefix)
+                .into_iter()
+                .chain(learned)
+                .map(ptr::from_ref),
+        );
+    }
+    held.sort_unstable();
+    held.dedup();
+    // Dropping the network frees one block per held route and 20 for the
+    // topology, the tables and the queue, whatever the graph's size.
+    let frees = frees_during(|| drop(net));
+    assert_eq!((held.len(), frees), (2_001, 2_001 + 20));
 }

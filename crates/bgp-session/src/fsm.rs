@@ -92,8 +92,9 @@ pub enum SessionAction {
     SendBytes(Vec<u8>),
     /// Tear the TCP connection down (any pending output first).
     Close,
-    /// A decoded UPDATE for the application (only in `Established`).
-    Deliver(UpdateMessage),
+    /// A decoded UPDATE for the application (only in `Established`). Boxed:
+    /// an UPDATE is several times the size of every other action.
+    Deliver(Box<UpdateMessage>),
 }
 
 /// What the peer's OPEN told us, fixed for the life of the session.
@@ -463,7 +464,7 @@ impl Session {
         }
         self.stats.updates_received += 1;
         self.refresh_hold(now);
-        actions.push(SessionAction::Deliver(update));
+        actions.push(SessionAction::Deliver(Box::new(update)));
     }
 
     // --- timers -----------------------------------------------------------

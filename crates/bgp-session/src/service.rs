@@ -91,7 +91,7 @@ impl<H: SessionHandler> BgpListener<H> {
                 SessionAction::SendBytes(bytes) => out.extend_from_slice(&bytes),
                 SessionAction::Deliver(update) => {
                     if let Some(peer) = conn.session.peer() {
-                        handler.on_update(peer, update);
+                        handler.on_update(peer, *update);
                     }
                 }
                 SessionAction::Close => close = true,

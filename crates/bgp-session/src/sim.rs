@@ -381,8 +381,8 @@ impl SessionSim {
                     }
                 }
                 SessionAction::Deliver(update) => match from {
-                    Peer::A => self.delivered_a.push(update),
-                    Peer::B => self.delivered_b.push(update),
+                    Peer::A => self.delivered_a.push(*update),
+                    Peer::B => self.delivered_b.push(*update),
                 },
             }
         }

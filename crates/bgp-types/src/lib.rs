@@ -43,7 +43,7 @@ mod route;
 mod trie;
 mod update;
 
-pub use as_path::{AsPath, AsPathSegment};
+pub use as_path::{AsPath, AsPathSegment, SegmentKind};
 pub use asn::Asn;
 pub use community::Community;
 pub use error::{ParseAsPathError, ParseAsnError, ParsePrefixError};

@@ -1,6 +1,7 @@
 //! BGP routes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{AsPath, Asn, Community, Ipv4Prefix, MoasList};
 
@@ -50,21 +51,41 @@ impl fmt::Display for RouteOrigin {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The optional transitive attributes — the communities and the MOAS list —
+/// sit behind one shared pointer: each AS on the way passes them on
+/// unchanged (§4.3), so a propagated route copies the pointer and its own
+/// path, and nothing else. A route without either holds no pointer at all.
+/// Setting either attribute copies the shared part first if another route
+/// still holds it, so a route never sees another's change.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     prefix: Ipv4Prefix,
     as_path: AsPath,
     origin: RouteOrigin,
     local_pref: u32,
-    /// Exactly sized: a route's communities are set once, and most routes
-    /// carry none.
+    /// `None` exactly when the route has no communities and no MOAS list.
+    transitive: Option<Arc<Transitive>>,
+}
+
+/// The optional transitive attributes of a [`Route`], shared by every route
+/// propagated from the one that set them.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct Transitive {
+    /// Exactly sized: a route's communities are set once.
     communities: Box<[Community]>,
     moas_list: Option<MoasList>,
 }
 
+impl Transitive {
+    fn is_empty(&self) -> bool {
+        self.communities.is_empty() && self.moas_list.is_none()
+    }
+}
+
 // The engine shares each exported route behind an `Arc`: 16 bytes of
-// counts plus this, so 104 bytes an allocation.
-const _: () = assert!(std::mem::size_of::<Route>() <= 88);
+// counts plus this, so one 96-byte allocation whose path is inline.
+const _: () = assert!(std::mem::size_of::<Route>() <= 80);
 
 /// Default `LOCAL_PREF` applied when none is configured.
 pub(crate) const DEFAULT_LOCAL_PREF: u32 = 100;
@@ -79,8 +100,7 @@ impl Route {
             as_path,
             origin: RouteOrigin::Igp,
             local_pref: DEFAULT_LOCAL_PREF,
-            communities: Box::default(),
-            moas_list: None,
+            transitive: None,
         }
     }
 
@@ -113,7 +133,7 @@ impl Route {
     /// the wire.
     #[must_use]
     pub fn communities(&self) -> &[Community] {
-        &self.communities
+        self.transitive.as_deref().map_or(&[], |t| &t.communities)
     }
 
     /// The origin AS — the last AS of the path (§1.1), or `None` for an
@@ -140,7 +160,7 @@ impl Route {
     /// Adds a single community (builder style).
     #[must_use]
     pub fn with_community(mut self, community: Community) -> Self {
-        let mut communities = std::mem::take(&mut self.communities).into_vec();
+        let mut communities = self.communities().to_vec();
         communities.push(community);
         self.set_communities(communities);
         self
@@ -158,7 +178,7 @@ impl Route {
     /// per-AS community-handling policies (strip-all, rewrite). The MOAS
     /// list is left alone.
     pub fn set_communities(&mut self, communities: Vec<Community>) {
-        self.communities = communities.into_boxed_slice();
+        self.update_transitive(|t| t.communities = communities.into_boxed_slice());
     }
 
     /// Replaces the MOAS list in place. `None` drops it — the "optional
@@ -166,13 +186,25 @@ impl Route {
     /// list is stored as `None`: a route carries a list with members or
     /// none at all, so the implicit-list rule (footnote 3) applies to both.
     pub fn set_moas_list(&mut self, list: Option<MoasList>) {
-        self.moas_list = list.filter(|list| !list.is_empty());
+        self.update_transitive(|t| t.moas_list = list.filter(|list| !list.is_empty()));
+    }
+
+    /// Applies `change` to this route's own copy of the transitive
+    /// attributes (copied first if another route shares them), and drops
+    /// the copy if it ends up empty.
+    fn update_transitive(&mut self, change: impl FnOnce(&mut Transitive)) {
+        let mut shared = self.transitive.take().unwrap_or_default();
+        let transitive = Arc::make_mut(&mut shared);
+        change(transitive);
+        if !transitive.is_empty() {
+            self.transitive = Some(shared);
+        }
     }
 
     /// The explicitly advertised MOAS list, if one is attached.
     #[must_use]
     pub fn moas_list(&self) -> Option<&MoasList> {
-        self.moas_list.as_ref()
+        self.transitive.as_deref()?.moas_list.as_ref()
     }
 
     /// The list used in the §4.2 consistency check: the advertised list, or
@@ -182,14 +214,14 @@ impl Route {
     /// path or trailing `AS_SET`) *and* no advertised list.
     #[must_use]
     pub fn effective_moas_list(&self) -> Option<MoasList> {
-        self.moas_list
-            .clone()
+        self.moas_list()
+            .cloned()
             .or_else(|| self.origin_as().map(MoasList::implicit))
     }
 
     /// Returns the route as propagated by `asn` to an external peer: the AS
     /// prepends itself to the path. Communities and the MOAS list are
-    /// transitive and carried through unchanged.
+    /// transitive and carried through unchanged: the copy shares them.
     #[must_use]
     pub fn propagated_by(&self, asn: Asn) -> Route {
         Route {
@@ -197,9 +229,22 @@ impl Route {
             as_path: self.as_path.prepended(asn),
             origin: self.origin,
             local_pref: self.local_pref,
-            communities: self.communities.clone(),
-            moas_list: self.moas_list.clone(),
+            transitive: self.transitive.clone(),
         }
+    }
+}
+
+impl fmt::Debug for Route {
+    /// Lists the attributes as if each were a field of its own.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Route")
+            .field("prefix", &self.prefix)
+            .field("as_path", &self.as_path)
+            .field("origin", &self.origin)
+            .field("local_pref", &self.local_pref)
+            .field("communities", &self.communities())
+            .field("moas_list", &self.moas_list())
+            .finish()
     }
 }
 

@@ -10,7 +10,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use bgp_types::{AsPath, AsPathSegment, Asn};
+use bgp_types::{AsPath, AsPathSegment, Asn, SegmentKind};
 use proptest::prelude::*;
 
 /// Small ASNs collide in the filter and repeat within a path; the rest span
@@ -30,9 +30,9 @@ fn segments() -> impl Strategy<Value = Vec<AsPathSegment>> {
 }
 
 fn selection_len(path: &AsPath) -> usize {
-    let lens = path.segments().iter().map(|segment| match segment {
-        AsPathSegment::Sequence(asns) => asns.len(),
-        AsPathSegment::Set(_) => 1,
+    let lens = path.segments().map(|(kind, asns)| match kind {
+        SegmentKind::Sequence => asns.len(),
+        SegmentKind::Set => 1,
     });
     lens.sum()
 }
@@ -49,14 +49,16 @@ fn assert_summarised(path: &AsPath, probes: &[Asn]) {
     assert_eq!(path.selection_len(), selection_len(path), "{path}");
     let members: Vec<Asn> = path
         .segments()
-        .iter()
-        .flat_map(|s| s.asns())
+        .flat_map(|(_, asns)| asns)
         .copied()
         .collect();
     for &asn in members.iter().chain(probes) {
         assert_eq!(path.contains(asn), members.contains(&asn), "{path} / {asn}");
     }
-    let rebuilt = AsPath::from_segments(path.segments().to_vec());
+    let rebuilt = AsPath::from_segments(path.segments().map(|(kind, asns)| match kind {
+        SegmentKind::Sequence => AsPathSegment::Sequence(asns.to_vec()),
+        SegmentKind::Set => AsPathSegment::Set(asns.to_vec()),
+    }));
     assert_eq!(&rebuilt, path);
     assert_eq!(hash_of(&rebuilt), hash_of(path), "{path}");
 }

@@ -12,7 +12,7 @@
 //! offset of the problem.
 
 use bgp_types::{
-    AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, Route, RouteOrigin, Update,
+    AsPath, Asn, Community, Ipv4Prefix, Ipv6Prefix, Route, RouteOrigin, SegmentKind, Update,
 };
 
 use crate::community::{read_moas_list, write_moas_list, LargeCommunity};
@@ -452,10 +452,10 @@ fn encode_attributes_form(
     push_attr(out, FLAG_TRANSITIVE, ATTR_ORIGIN, &[origin_code])?;
 
     let mut path = Vec::new();
-    for segment in attrs.as_path.segments() {
-        let (seg_type, asns) = match segment {
-            AsPathSegment::Sequence(asns) => (SEGMENT_AS_SEQUENCE, asns),
-            AsPathSegment::Set(asns) => (SEGMENT_AS_SET, asns),
+    for (kind, asns) in attrs.as_path.segments() {
+        let seg_type = match kind {
+            SegmentKind::Sequence => SEGMENT_AS_SEQUENCE,
+            SegmentKind::Set => SEGMENT_AS_SET,
         };
         // RFC 4271 caps a segment at 255 ASNs; split longer ones into
         // multiple segments of the same type (re-joined on decode, see
@@ -557,7 +557,7 @@ fn encode_attributes_form(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::MoasList;
+    use bgp_types::{AsPathSegment, MoasList};
 
     fn sample_route() -> Route {
         let mut list = MoasList::new();

@@ -17,6 +17,11 @@ use bgp_types::{Asn, Community, MoasList, Route};
 /// The paper proposes reserving one of the 2^16 values available in the last
 /// two octets of a community; the concrete number is arbitrary as long as it
 /// is consistently used, so we pick a stable constant.
+///
+/// The value is reserved: the wire cannot tell an ordinary community
+/// `(x : MLVal)` from a list member. A route that carries one among its
+/// communities (outside the well-known range) reads back from the wire
+/// with `x` folded into its MOAS list, as [`read_moas_list`] does.
 pub const MOAS_LIST_VALUE: u16 = 0x4d4c; // "ML"
 
 /// An RFC 8092 large community: three 4-octet fields, conventionally
@@ -73,6 +78,10 @@ pub(crate) fn write_moas_list(
 /// markers of either form become the list (none at all: no list), every
 /// other classic community is kept as is, and the large communities that
 /// are not markers are dropped — a [`Route`] models no other use of them.
+///
+/// [`MOAS_LIST_VALUE`] is reserved, so every classic `(x : MLVal)` outside
+/// the well-known range is a marker here: a route built in memory with such
+/// a community among its ordinary ones reads back with `x` in its list.
 pub(crate) fn read_moas_list(
     mut route: Route,
     communities: impl IntoIterator<Item = Community>,

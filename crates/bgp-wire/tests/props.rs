@@ -237,33 +237,51 @@ proptest! {
 
 // --- MOAS lists ----------------------------------------------------------
 
+/// A community as a route may carry one: mostly arbitrary, and often a
+/// stray `(x : MLVal)` that the wire cannot tell from a list member.
+fn community_or_stray_marker() -> impl Strategy<Value = Community> {
+    let stray = any::<u16>().prop_map(|x| Community::new(Asn(x.into()), bgp_wire::MOAS_LIST_VALUE));
+    prop_oneof![any::<u32>().prop_map(Community), stray]
+}
+
 proptest! {
     /// A MOAS list of any 4-octet members is the route's field, and it
     /// survives an UPDATE's bytes, read back through the owned decoder and
-    /// through the view.
+    /// through the view. `MLVal` is reserved: an ordinary community
+    /// `(x : MLVal)` outside the well-known range reads back as member `x`
+    /// of the list, and every other community as itself.
     #[test]
     fn moas_list_round_trips_through_the_wire(
         members in prop::collection::btree_set(any::<u32>(), 1..6),
-        other in prop::collection::vec(any::<u32>().prop_map(Community), 0..3),
+        other in prop::collection::vec(community_or_stray_marker(), 0..3),
     ) {
         let list: MoasList = members.iter().map(|&a| Asn(a)).collect();
         let origin = list.iter().next().unwrap();
         let mut route = Route::new(Ipv4Prefix::new(0xD008_0000, 16), AsPath::origination(origin));
-        // A stray MLVal-shaped community would read back as a member.
-        for community in other.into_iter().filter(|c| c.value() != bgp_wire::MOAS_LIST_VALUE) {
+        for &community in &other {
             route = route.with_community(community);
         }
         let route = route.with_moas_list(list.clone());
         prop_assert_eq!(route.moas_list(), Some(&list));
 
+        let folds = |c: &Community| c.value() == bgp_wire::MOAS_LIST_VALUE && !c.is_well_known();
+        let mut expected = Route::new(route.prefix(), route.as_path().clone());
+        for community in other.iter().filter(|c| !folds(c)) {
+            expected = expected.with_community(*community);
+        }
+        let strays = other.iter().filter(|c| folds(c)).map(|c| c.asn());
+        let expected = expected.with_moas_list(list.iter().chain(strays).collect());
+
         let bytes = UpdateMessage::announce(&route).encode(AsnEncoding::FourOctet).unwrap();
         let owned = UpdateMessage::decode(&bytes, AsnEncoding::FourOctet).unwrap();
-        prop_assert_eq!(owned.updates()[0].route(), Some(&route));
+        prop_assert_eq!(owned.updates()[0].route(), Some(&expected));
         let view = UpdateView::parse_exact(&bytes, AsnEncoding::FourOctet).unwrap();
         let attrs = view.attrs().unwrap();
         let decoded = AttrInterner::new().to_route(attrs, route.prefix());
-        prop_assert_eq!(decoded.moas_list(), Some(&list));
-        prop_assert_eq!(decoded, route);
+        prop_assert_eq!(&decoded, &expected);
+        if !other.iter().any(folds) {
+            prop_assert_eq!(decoded, route);
+        }
     }
 }
 

@@ -8,7 +8,9 @@
 
 mod spec;
 
-use bgp_types::{AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, RouteOrigin};
+use bgp_types::{
+    AsPath, AsPathSegment, Asn, Community, Ipv4Prefix, Ipv6Prefix, RouteOrigin, SegmentKind,
+};
 use bgp_wire::bgp::{AsnEncoding, MpReach, MpUnreach, PathAttributes, UpdateMessage};
 use bgp_wire::mrt::{
     Bgp4mpMessage, MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
@@ -319,9 +321,9 @@ fn assert_update_parity(bytes: &[u8], encoding: AsnEncoding) {
 /// for a few numbers that are not (see bgp-types' `as_path_summary.rs`).
 fn assert_path_summary(path: &AsPath) {
     let members: Vec<Asn> = path.iter().collect();
-    let lens = path.segments().iter().map(|segment| match segment {
-        AsPathSegment::Sequence(asns) => asns.len(),
-        AsPathSegment::Set(_) => 1,
+    let lens = path.segments().map(|(kind, asns)| match kind {
+        SegmentKind::Sequence => asns.len(),
+        SegmentKind::Set => 1,
     });
     prop_assert_eq!(path.selection_len(), lens.sum::<usize>());
     let strangers = members.iter().map(|asn| Asn(asn.0 ^ 0x8000_0001));
