@@ -1,5 +1,6 @@
 //! The paper's §5.1 experiment-topology derivation pipeline.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -50,22 +51,27 @@ impl Error for DeriveError {}
 /// [`DeriveError::Degenerate`] when nothing survives pruning.
 pub fn derive(graph: &AsGraph, stub_fraction: f64, seed: u64) -> Result<AsGraph, DeriveError> {
     let candidate = derive_raw(graph, stub_fraction, seed)?;
-    if candidate.is_connected() {
+    let index = candidate.index();
+    let components = index.components();
+    if components.iter().all(|&c| c == 0) {
         return Ok(candidate);
     }
-    // Keep the largest connected component, then re-apply the pruning rule
-    // (removing components can strand degree-1 transit nodes again).
-    let mut best: BTreeSet<Asn> = BTreeSet::new();
-    let mut remaining: BTreeSet<Asn> = candidate.asns().collect();
-    while let Some(&start) = remaining.iter().next() {
-        let component = candidate.reachable_from(start);
-        for asn in &component {
-            remaining.remove(asn);
-        }
-        if component.len() > best.len() {
-            best = component;
-        }
+    // Keep the largest connected component (the first, on a tie), then
+    // re-apply the pruning rule (removing components can strand degree-1
+    // transit nodes again).
+    let mut sizes = vec![0usize; index.len()];
+    for &c in &components {
+        sizes[c as usize] += 1;
     }
+    let largest = (0..sizes.len()).max_by_key(|&c| (sizes[c], Reverse(c)));
+    let largest = largest.unwrap_or(0) as u32;
+    let best: BTreeSet<Asn> = index
+        .asns()
+        .iter()
+        .zip(&components)
+        .filter(|&(_, &c)| c == largest)
+        .map(|(&asn, _)| asn)
+        .collect();
     let mut result = candidate.induced_subgraph(&best);
     prune(&mut result);
     if result.is_empty() {

@@ -1,10 +1,12 @@
 //! Synthetic Internet-like ground-truth topology generation.
 
+use std::cmp::Reverse;
+
 use bgp_types::Asn;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{AsGraph, AsRelationships, AsRole};
+use crate::{AsGraph, AsRelationships, AsRole, LinkKind};
 
 /// Builder for an Internet-like ground-truth AS topology.
 ///
@@ -18,7 +20,7 @@ use crate::{AsGraph, AsRelationships, AsRole};
 /// * a near-clique **tier-1 core** (at most `TIER1_MAX` ASes);
 /// * **regional transit** ASes, each with two uplinks into the existing
 ///   transit fabric plus lateral peer links to other regionals with
-///   probability [`peer_link_prob`](InternetModel::peer_link_prob);
+///   probability `PEER_LINK_PROB` (0.15);
 /// * **stubs** attached mostly to regionals, dual-homed with probability
 ///   [`multihome_prob`](InternetModel::multihome_prob).
 ///
@@ -43,12 +45,15 @@ pub struct InternetModel {
     transit_count: usize,
     stub_count: usize,
     multihome_prob: f64,
-    peer_link_prob: f64,
 }
 
 /// Maximum size of the tier-1 clique; the remaining transit ASes are
 /// regional ISPs.
 pub const TIER1_MAX: usize = 5;
+
+/// Probability of a lateral peer link between each pair of regional transit
+/// ASes: the interconnectivity the detection scheme leans on (§4.1).
+const PEER_LINK_PROB: f64 = 0.15;
 
 impl Default for InternetModel {
     fn default() -> Self {
@@ -56,7 +61,6 @@ impl Default for InternetModel {
             transit_count: 35,
             stub_count: 220,
             multihome_prob: 0.8,
-            peer_link_prob: 0.15,
         }
     }
 }
@@ -90,15 +94,6 @@ impl InternetModel {
     #[must_use]
     pub fn multihome_prob(mut self, p: f64) -> Self {
         self.multihome_prob = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Probability of a lateral peer link between each pair of regional
-    /// transit ASes; richer values model the increasing interconnectivity
-    /// the detection scheme leans on (§4.1).
-    #[must_use]
-    pub fn peer_link_prob(mut self, p: f64) -> Self {
-        self.peer_link_prob = p.clamp(0.0, 1.0);
         self
     }
 
@@ -157,7 +152,7 @@ impl InternetModel {
                 rels.add_transit(uplinks[1], asn);
             }
             for &other in &regionals {
-                if rng.gen::<f64>() < self.peer_link_prob {
+                if rng.gen::<f64>() < PEER_LINK_PROB {
                     graph.add_link(asn, other);
                     rels.add_peer(asn, other);
                 }
@@ -201,16 +196,15 @@ impl InternetModel {
 /// `ScaleFreeModel` targets the real 2026 Internet's scale (~70k active
 /// ASes) with the degree distribution actually measured on it: a heavy
 /// power-law tail grown by preferential attachment (Barabási–Albert). Each
-/// new AS attaches [`attach_links`](ScaleFreeModel::attach_links) uplinks to
-/// existing ASes chosen proportionally to their degree; attachment links are
-/// annotated as customer-provider relationships (the existing, higher-degree
-/// AS is the provider), and a configurable number of lateral peerings is
-/// added among the highest-degree hubs, mirroring the tier-1/IXP mesh.
+/// new AS attaches `ATTACH_LINKS` (2) uplinks to existing ASes chosen
+/// proportionally to their degree; attachment links are annotated as
+/// customer-provider relationships (the existing, higher-degree AS is the
+/// provider), and `PEER_LINKS` (700) lateral peerings are added among the
+/// highest-degree hubs, mirroring the tier-1/IXP mesh.
 ///
 /// The result is connected by construction, deterministic per seed, and
 /// ASNs are dense (`1..=as_count`). ASes whose final degree reaches
-/// [`transit_degree`](ScaleFreeModel::transit_degree) are classified
-/// transit, the rest stubs.
+/// `TRANSIT_DEGREE` (8) are classified transit, the rest stubs.
 ///
 /// # Example
 ///
@@ -224,26 +218,27 @@ impl InternetModel {
 #[derive(Debug, Clone)]
 pub struct ScaleFreeModel {
     as_count: usize,
-    attach_links: usize,
-    peer_links: usize,
-    transit_degree: usize,
 }
+
+/// Uplinks each newly attached AS creates (the Barabási–Albert `m`): the
+/// measured mean AS degree is ≈4, i.e. ≈2 links per node.
+const ATTACH_LINKS: usize = 2;
+
+/// Lateral peer links added among the highest-degree ASes after attachment.
+const PEER_LINKS: usize = 700;
+
+/// Final degree at or above which a scale-free AS is classified transit.
+const TRANSIT_DEGREE: usize = 8;
 
 impl Default for ScaleFreeModel {
     fn default() -> Self {
-        ScaleFreeModel {
-            as_count: 70_000,
-            attach_links: 2,
-            peer_links: 700,
-            transit_degree: 8,
-        }
+        ScaleFreeModel { as_count: 70_000 }
     }
 }
 
 impl ScaleFreeModel {
-    /// Creates a builder sized like today's Internet: 70k ASes, two uplinks
-    /// per new AS (the measured mean AS degree is ≈4, i.e. ≈2 links per
-    /// node), and one lateral hub peering per hundred ASes.
+    /// Creates a builder sized like today's Internet: 70k ASes, with one
+    /// lateral hub peering per hundred ASes.
     #[must_use]
     pub fn new() -> Self {
         ScaleFreeModel::default()
@@ -256,33 +251,10 @@ impl ScaleFreeModel {
         self
     }
 
-    /// Uplinks each newly attached AS creates (the Barabási–Albert `m`).
-    /// Clamped to at least 1.
-    #[must_use]
-    pub fn attach_links(mut self, m: usize) -> Self {
-        self.attach_links = m;
-        self
-    }
-
-    /// Extra lateral peer links added among the highest-degree ASes after
-    /// attachment.
-    #[must_use]
-    pub fn peer_links(mut self, n: usize) -> Self {
-        self.peer_links = n;
-        self
-    }
-
-    /// Final degree at or above which an AS is classified transit.
-    #[must_use]
-    pub fn transit_degree(mut self, d: usize) -> Self {
-        self.transit_degree = d.max(1);
-        self
-    }
-
     /// Generates the graph from a seed. The result is always connected.
     #[must_use]
     pub fn build(&self, seed: u64) -> AsGraph {
-        self.build_with_relationships(seed).0
+        self.generate(seed, |_, _, _| {})
     }
 
     /// Like [`ScaleFreeModel::build`], but also returns the ground-truth
@@ -290,11 +262,22 @@ impl ScaleFreeModel {
     /// attached-to AS provides), hub laterals are settlement-free peerings.
     #[must_use]
     pub fn build_with_relationships(&self, seed: u64) -> (AsGraph, AsRelationships) {
+        let mut links = Vec::new();
+        let graph = self.generate(seed, |a, b, kind| links.push((a, b, kind)));
+        (graph, links.into_iter().collect())
+    }
+
+    /// The graph; `annotate` sees every link with its kind, in the order
+    /// the links are added.
+    fn generate(&self, seed: u64, mut annotate: impl FnMut(Asn, Asn, LinkKind)) -> AsGraph {
         let n = self.as_count.max(2);
-        let m = self.attach_links.max(1).min(n - 1);
+        let m = ATTACH_LINKS.min(n - 1);
         let mut rng = sim_engine::rng::from_seed(seed);
         let mut graph = AsGraph::new();
-        let mut rels = AsRelationships::new();
+        let mut link = |graph: &mut AsGraph, a: Asn, b: Asn, kind: LinkKind| {
+            graph.add_link(a, b);
+            annotate(a, b, kind);
+        };
 
         // Seed clique of m + 1 ASes, mutually peered: gives the first
         // attachments something to hold onto and guarantees connectivity.
@@ -307,8 +290,7 @@ impl ScaleFreeModel {
         let mut endpoints: Vec<u32> = Vec::with_capacity(2 * (core * m + (n - core) * m));
         for i in 1..=core as u32 {
             for j in (i + 1)..=core as u32 {
-                graph.add_link(Asn(i), Asn(j));
-                rels.add_peer(Asn(i), Asn(j));
+                link(&mut graph, Asn(i), Asn(j), LinkKind::Peer);
                 endpoints.push(i);
                 endpoints.push(j);
             }
@@ -336,8 +318,10 @@ impl ScaleFreeModel {
                 targets.push(candidate);
             }
             for &provider in &targets {
-                graph.add_link(Asn(new), Asn(provider));
-                rels.add_transit(Asn(provider), Asn(new));
+                let kind = LinkKind::Transit {
+                    provider: Asn(provider),
+                };
+                link(&mut graph, Asn(provider), Asn(new), kind);
                 endpoints.push(provider);
                 endpoints.push(new);
             }
@@ -345,36 +329,32 @@ impl ScaleFreeModel {
 
         // Lateral peerings among the hubs: rank by degree (ties toward the
         // lower ASN) and wire random pairs inside the top slice.
-        if self.peer_links > 0 {
-            let mut by_degree: Vec<Asn> = graph.asns().collect();
-            by_degree.sort_by_key(|&a| (std::cmp::Reverse(graph.degree(a)), a));
-            let hubs = &by_degree[..by_degree.len().min((n / 50).max(8))];
-            let mut added = 0usize;
-            let mut attempts = 0usize;
-            while added < self.peer_links && attempts < self.peer_links * 20 {
-                attempts += 1;
-                let a = hubs[rng.gen_range(0..hubs.len())];
-                let b = hubs[rng.gen_range(0..hubs.len())];
-                if a == b || graph.has_link(a, b) {
-                    continue;
-                }
-                graph.add_link(a, b);
-                rels.add_peer(a, b);
-                added += 1;
+        let mut by_degree: Vec<(Reverse<usize>, Asn)> =
+            graph.degrees().map(|(asn, d)| (Reverse(d), asn)).collect();
+        by_degree.sort_unstable();
+        let hubs = &by_degree[..by_degree.len().min((n / 50).max(8))];
+        let mut added = 0usize;
+        let mut attempts = 0usize;
+        while added < PEER_LINKS && attempts < PEER_LINKS * 20 {
+            attempts += 1;
+            let a = hubs[rng.gen_range(0..hubs.len())].1;
+            let b = hubs[rng.gen_range(0..hubs.len())].1;
+            if a == b || graph.has_link(a, b) {
+                continue;
             }
+            link(&mut graph, a, b, LinkKind::Peer);
+            added += 1;
         }
 
-        for asn in graph.asns().collect::<Vec<_>>() {
-            let role = if graph.degree(asn) >= self.transit_degree {
+        graph.set_roles_by_degree(|d| {
+            if d >= TRANSIT_DEGREE {
                 AsRole::Transit
             } else {
                 AsRole::Stub
-            };
-            graph.set_role(asn, role);
-        }
-
+            }
+        });
         debug_assert!(graph.is_connected());
-        (graph, rels)
+        graph
     }
 }
 
@@ -464,17 +444,14 @@ mod tests {
 
     #[test]
     fn peer_links_enrich_the_regional_mesh() {
-        let sparse = InternetModel::new()
+        let g = InternetModel::new()
             .transit_count(25)
             .stub_count(0)
-            .peer_link_prob(0.0)
             .build(7);
-        let dense = InternetModel::new()
-            .transit_count(25)
-            .stub_count(0)
-            .peer_link_prob(0.5)
-            .build(7);
-        assert!(dense.link_count() > sparse.link_count());
+        // Beyond the tier-1 core (at most 10 links) and two uplinks per
+        // regional, lateral peerings appear among the 20 regionals.
+        let backbone = 10 + 2 * (25 - TIER1_MAX);
+        assert!(g.link_count() > backbone, "{} links", g.link_count());
     }
 
     #[test]
@@ -507,7 +484,7 @@ mod tests {
     fn scale_free_has_power_law_tail() {
         // Preferential attachment must produce hubs far above the mean
         // degree, and most nodes at the minimum.
-        let g = ScaleFreeModel::new().as_count(2000).peer_links(0).build(1);
+        let g = ScaleFreeModel::new().as_count(2000).build(1);
         let max_degree = g.asns().map(|a| g.degree(a)).max().unwrap();
         let at_minimum = g.asns().filter(|&a| g.degree(a) <= 3).count();
         assert!(max_degree > 50, "max degree {max_degree}");
@@ -532,12 +509,9 @@ mod tests {
 
     #[test]
     fn scale_free_roles_follow_degree() {
-        let g = ScaleFreeModel::new()
-            .as_count(600)
-            .transit_degree(5)
-            .build(4);
+        let g = ScaleFreeModel::new().as_count(600).build(4);
         for asn in g.asns() {
-            let expected = if g.degree(asn) >= 5 {
+            let expected = if g.degree(asn) >= TRANSIT_DEGREE {
                 AsRole::Transit
             } else {
                 AsRole::Stub
@@ -550,14 +524,16 @@ mod tests {
 
     #[test]
     fn scale_free_peer_links_enrich_the_hub_mesh() {
-        let sparse = ScaleFreeModel::new().as_count(500).peer_links(0).build(7);
-        let dense = ScaleFreeModel::new().as_count(500).peer_links(40).build(7);
-        assert!(dense.link_count() > sparse.link_count());
+        let g = ScaleFreeModel::new().as_count(500).build(7);
+        // The seed clique and the attachments make 3 + 2 * 497 links; the
+        // hub laterals come on top.
+        let attachment = 3 + ATTACH_LINKS * (500 - 3);
+        assert!(g.link_count() > attachment, "{} links", g.link_count());
     }
 
     #[test]
     fn scale_free_tiny_counts_are_clamped() {
-        let g = ScaleFreeModel::new().as_count(0).attach_links(0).build(1);
+        let g = ScaleFreeModel::new().as_count(0).build(1);
         assert_eq!(g.len(), 2);
         assert!(g.is_connected());
     }
@@ -567,9 +543,8 @@ mod tests {
         let g = InternetModel::new()
             .transit_count(20)
             .stub_count(0)
-            .peer_link_prob(0.0)
             .build(11);
-        // Every regional has two uplinks even with no lateral peerings.
+        // Every regional has two uplinks, lateral peerings aside.
         for asn in g.transit_asns().iter().skip(TIER1_MAX) {
             assert!(g.degree(*asn) >= 2, "{asn} degree {}", g.degree(*asn));
         }

@@ -1,9 +1,11 @@
 //! The AS-level graph.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use bgp_types::Asn;
+
+use crate::GraphIndex;
 
 /// The role of an AS in the topology (§5.1).
 ///
@@ -46,8 +48,14 @@ impl fmt::Display for AsRole {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AsGraph {
-    adjacency: BTreeMap<Asn, BTreeSet<Asn>>,
-    roles: BTreeMap<Asn, AsRole>,
+    nodes: BTreeMap<Asn, Node>,
+}
+
+/// One AS: its role and its peers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Node {
+    role: AsRole,
+    peers: BTreeSet<Asn>,
 }
 
 impl AsGraph {
@@ -60,8 +68,7 @@ impl AsGraph {
     /// Adds an AS with the given role (no-op on the adjacency if it already
     /// exists; the role is updated).
     pub fn add_as(&mut self, asn: Asn, role: AsRole) {
-        self.adjacency.entry(asn).or_default();
-        self.roles.insert(asn, role);
+        self.node_mut(asn).role = role;
     }
 
     /// Adds an undirected peering link, inserting missing endpoints as stubs.
@@ -71,83 +78,100 @@ impl AsGraph {
         if a == b {
             return;
         }
-        self.adjacency.entry(a).or_default().insert(b);
-        self.adjacency.entry(b).or_default().insert(a);
-        self.roles.entry(a).or_insert(AsRole::Stub);
-        self.roles.entry(b).or_insert(AsRole::Stub);
+        self.node_mut(a).peers.insert(b);
+        self.node_mut(b).peers.insert(a);
+    }
+
+    /// The node of `asn`, inserted as a stub if absent.
+    fn node_mut(&mut self, asn: Asn) -> &mut Node {
+        self.nodes.entry(asn).or_insert_with(|| Node {
+            role: AsRole::Stub,
+            peers: BTreeSet::new(),
+        })
     }
 
     /// Removes a peering link if present.
     pub fn remove_link(&mut self, a: Asn, b: Asn) {
-        if let Some(peers) = self.adjacency.get_mut(&a) {
-            peers.remove(&b);
+        if let Some(node) = self.nodes.get_mut(&a) {
+            node.peers.remove(&b);
         }
-        if let Some(peers) = self.adjacency.get_mut(&b) {
-            peers.remove(&a);
+        if let Some(node) = self.nodes.get_mut(&b) {
+            node.peers.remove(&a);
         }
     }
 
     /// Removes an AS and all its links.
     pub fn remove_as(&mut self, asn: Asn) {
-        if let Some(peers) = self.adjacency.remove(&asn) {
-            for peer in peers {
-                if let Some(back) = self.adjacency.get_mut(&peer) {
-                    back.remove(&asn);
+        if let Some(node) = self.nodes.remove(&asn) {
+            for peer in node.peers {
+                if let Some(back) = self.nodes.get_mut(&peer) {
+                    back.peers.remove(&asn);
                 }
             }
         }
-        self.roles.remove(&asn);
     }
 
     /// Returns `true` if the AS is present.
     #[must_use]
     pub fn contains(&self, asn: Asn) -> bool {
-        self.adjacency.contains_key(&asn)
+        self.nodes.contains_key(&asn)
     }
 
     /// Returns `true` if `a` and `b` peer.
     #[must_use]
     pub fn has_link(&self, a: Asn, b: Asn) -> bool {
-        self.adjacency.get(&a).is_some_and(|p| p.contains(&b))
+        self.nodes.get(&a).is_some_and(|n| n.peers.contains(&b))
     }
 
     /// The peers of an AS (empty if absent).
     pub fn neighbors(&self, asn: Asn) -> impl Iterator<Item = Asn> + '_ {
-        self.adjacency
+        self.nodes
             .get(&asn)
             .into_iter()
-            .flat_map(|peers| peers.iter().copied())
+            .flat_map(|node| node.peers.iter().copied())
     }
 
     /// Number of peers of an AS.
     #[must_use]
     pub fn degree(&self, asn: Asn) -> usize {
-        self.adjacency.get(&asn).map_or(0, BTreeSet::len)
+        self.nodes.get(&asn).map_or(0, |n| n.peers.len())
+    }
+
+    /// Every AS with its degree, in ascending ASN order.
+    pub(crate) fn degrees(&self) -> impl Iterator<Item = (Asn, usize)> + '_ {
+        self.nodes.iter().map(|(&asn, n)| (asn, n.peers.len()))
     }
 
     /// The role of an AS, if present.
     #[must_use]
     pub fn role(&self, asn: Asn) -> Option<AsRole> {
-        self.roles.get(&asn).copied()
+        self.nodes.get(&asn).map(|n| n.role)
     }
 
     /// Reclassifies an existing AS. No-op if the AS is absent.
     pub fn set_role(&mut self, asn: Asn, role: AsRole) {
-        if self.adjacency.contains_key(&asn) {
-            self.roles.insert(asn, role);
+        if let Some(node) = self.nodes.get_mut(&asn) {
+            node.role = role;
+        }
+    }
+
+    /// Reclassifies every AS by its degree, in one walk.
+    pub(crate) fn set_roles_by_degree(&mut self, role: impl Fn(usize) -> AsRole) {
+        for node in self.nodes.values_mut() {
+            node.role = role(node.peers.len());
         }
     }
 
     /// All ASes, in ascending ASN order.
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.adjacency.keys().copied()
+        self.nodes.keys().copied()
     }
 
     /// ASes with a given role, in ascending ASN order.
     pub fn asns_with_role(&self, role: AsRole) -> impl Iterator<Item = Asn> + '_ {
-        self.roles
+        self.nodes
             .iter()
-            .filter(move |(_, &r)| r == role)
+            .filter(move |(_, n)| n.role == role)
             .map(|(&asn, _)| asn)
     }
 
@@ -166,33 +190,43 @@ impl AsGraph {
     /// Number of ASes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.adjacency.len()
+        self.nodes.len()
     }
 
     /// Returns `true` if the graph has no ASes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Number of undirected links.
     #[must_use]
     pub fn link_count(&self) -> usize {
-        self.adjacency.values().map(BTreeSet::len).sum::<usize>() / 2
+        self.nodes.values().map(|n| n.peers.len()).sum::<usize>() / 2
     }
 
     /// All undirected links as `(low, high)` pairs, in deterministic order.
     #[must_use]
     pub fn links(&self) -> Vec<(Asn, Asn)> {
         let mut out = Vec::with_capacity(self.link_count());
-        for (&a, peers) in &self.adjacency {
-            for &b in peers {
-                if a < b {
-                    out.push((a, b));
-                }
-            }
+        for (&a, node) in &self.nodes {
+            out.extend(node.peers.range(a..).map(|&b| (a, b)));
         }
         out
+    }
+
+    /// The graph flattened into its dense node numbering: node `i` is the
+    /// `i`-th smallest ASN, and its peers are one ascending CSR row. Built
+    /// in one in-order walk; see [`GraphIndex`].
+    #[must_use]
+    pub fn index(&self) -> GraphIndex {
+        GraphIndex::from_rows(
+            self.nodes.len(),
+            2 * self.link_count(),
+            self.nodes
+                .iter()
+                .map(|(&asn, node)| (asn, node.peers.iter().copied())),
+        )
     }
 
     /// Returns `true` if every AS can reach every other AS (the paper's final
@@ -200,30 +234,7 @@ impl AsGraph {
     /// connected graph"). The empty graph is trivially connected.
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        let Some(&start) = self.adjacency.keys().next() else {
-            return true;
-        };
-        self.reachable_from(start).len() == self.len()
-    }
-
-    /// The set of ASes reachable from `start` (including `start` itself, if
-    /// present).
-    #[must_use]
-    pub fn reachable_from(&self, start: Asn) -> BTreeSet<Asn> {
-        let mut seen = BTreeSet::new();
-        if !self.contains(start) {
-            return seen;
-        }
-        let mut queue = VecDeque::from([start]);
-        seen.insert(start);
-        while let Some(asn) = queue.pop_front() {
-            for peer in self.neighbors(asn) {
-                if seen.insert(peer) {
-                    queue.push_back(peer);
-                }
-            }
-        }
-        seen
+        self.index().components().iter().all(|&c| c == 0)
     }
 
     /// Retains only the ASes in `keep` (and links among them).
@@ -231,13 +242,13 @@ impl AsGraph {
     pub fn induced_subgraph(&self, keep: &BTreeSet<Asn>) -> AsGraph {
         let mut out = AsGraph::new();
         for &asn in keep {
-            if let Some(role) = self.role(asn) {
-                out.add_as(asn, role);
-            }
-        }
-        for (a, b) in self.links() {
-            if keep.contains(&a) && keep.contains(&b) {
-                out.add_link(a, b);
+            if let Some(node) = self.nodes.get(&asn) {
+                let peers = node.peers.iter().filter(|p| keep.contains(p));
+                let node = Node {
+                    role: node.role,
+                    peers: peers.copied().collect(),
+                };
+                out.nodes.insert(asn, node);
             }
         }
         out
@@ -323,11 +334,6 @@ mod tests {
         let mut g = line(5);
         g.add_as(Asn(99), AsRole::Stub);
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn reachable_from_absent_is_empty() {
-        assert!(line(3).reachable_from(Asn(42)).is_empty());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 mod derive;
 mod gen;
 mod graph;
+mod index;
 mod infer;
 mod metrics;
 mod orgs;
@@ -49,6 +50,7 @@ mod table;
 pub use derive::{derive, DeriveError};
 pub use gen::{InternetModel, ScaleFreeModel};
 pub use graph::{AsGraph, AsRole};
+pub use index::{GraphIndex, NodeNumbering};
 pub use infer::infer_graph;
 pub use metrics::GraphMetrics;
 pub use orgs::OrgAnnotations;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::AsGraph;
+use crate::{AsGraph, GraphIndex};
 
 /// Summary statistics of an AS graph.
 ///
@@ -52,7 +52,7 @@ impl GraphMetrics {
         } else {
             2.0 * link_count as f64 / node_count as f64
         };
-        let max_degree = graph.asns().map(|a| graph.degree(a)).max().unwrap_or(0);
+        let max_degree = graph.degrees().map(|(_, d)| d).max().unwrap_or(0);
         let diameter = diameter(graph);
         GraphMetrics {
             node_count,
@@ -78,24 +78,12 @@ impl fmt::Display for GraphMetrics {
 
 /// Longest eccentricity over all nodes, by repeated BFS.
 fn diameter(graph: &AsGraph) -> usize {
-    use std::collections::{BTreeMap, VecDeque};
-    let mut best = 0;
-    for start in graph.asns() {
-        let mut dist: BTreeMap<_, usize> = BTreeMap::new();
-        dist.insert(start, 0);
-        let mut queue = VecDeque::from([start]);
-        while let Some(asn) = queue.pop_front() {
-            let d = dist[&asn];
-            best = best.max(d);
-            for peer in graph.neighbors(asn) {
-                if let std::collections::btree_map::Entry::Vacant(entry) = dist.entry(peer) {
-                    entry.insert(d + 1);
-                    queue.push_back(peer);
-                }
-            }
-        }
-    }
-    best
+    let index = graph.index();
+    (0..index.len())
+        .flat_map(|source| index.distances(&[source]))
+        .filter(|&d| d != GraphIndex::UNREACHED)
+        .max()
+        .unwrap_or(0) as usize
 }
 
 #[cfg(test)]

@@ -77,7 +77,6 @@ fn source_graph() -> &'static AsGraph {
             .transit_count(35)
             .stub_count(220)
             .multihome_prob(0.8)
-            .peer_link_prob(0.15)
             .build(BASE_SEED);
         let table = RouteTable::synthesize(&truth, &[0, 7, 14, 21], BASE_SEED);
         infer_graph(table.entries())

@@ -15,11 +15,10 @@
 
 use std::cmp::Reverse;
 
-use bgp_types::Asn;
+use crate::{AsGraph, GraphIndex};
 
-use crate::AsGraph;
-
-/// A deterministic assignment of every AS to exactly one shard.
+/// A deterministic assignment of every AS to exactly one shard, per node of
+/// the graph's [`GraphIndex`].
 ///
 /// # Example
 ///
@@ -35,10 +34,7 @@ use crate::AsGraph;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// Sorted ASNs; position = dense node index (same interning order as
-    /// the engine's).
-    asn_index: Vec<Asn>,
-    /// Per dense node index: the shard holding that AS.
+    /// Per node of the [`GraphIndex`]: the shard holding that AS.
     assignment: Vec<u32>,
     shard_count: usize,
     /// Undirected links whose endpoints landed on different shards.
@@ -46,8 +42,15 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Partitions `graph` into `shards` balanced parts (values below 1 are
-    /// clamped to 1).
+    /// Partitions `graph` into `shards` balanced parts: [`Partition::of`]
+    /// its index.
+    #[must_use]
+    pub fn new(graph: &AsGraph, shards: usize) -> Self {
+        Partition::of(&graph.index(), shards)
+    }
+
+    /// Partitions an indexed graph into `shards` balanced parts (values
+    /// below 1 are clamped to 1).
     ///
     /// Greedy placement: nodes in descending degree order (ties toward the
     /// lower ASN) go to the shard already holding most of their neighbors,
@@ -57,28 +60,11 @@ impl Partition {
     /// their provider — exactly the locality a customer-provider hierarchy
     /// offers.
     #[must_use]
-    pub fn new(graph: &AsGraph, shards: usize) -> Self {
+    pub fn of(index: &GraphIndex, shards: usize) -> Self {
         let shards = shards.max(1);
-        let asn_index: Vec<Asn> = graph.asns().collect();
-        let n = asn_index.len();
-
-        // Flatten the adjacency once (CSR): the greedy pass then only does
-        // array walks, which matters at 70k nodes.
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0usize);
-        let mut adj: Vec<u32> = Vec::new();
-        for &asn in &asn_index {
-            for peer in graph.neighbors(asn) {
-                let j = asn_index
-                    .binary_search(&peer)
-                    .expect("graph links only name graph ASes");
-                adj.push(j as u32);
-            }
-            start.push(adj.len());
-        }
-
+        let n = index.len();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (Reverse(start[i + 1] - start[i]), i));
+        order.sort_by_key(|&i| (Reverse(index.neighbors(i).len()), i));
 
         let cap = if n == 0 { 1 } else { n.div_ceil(shards) };
         let mut assignment = vec![u32::MAX; n];
@@ -86,7 +72,7 @@ impl Partition {
         let mut score = vec![0usize; shards];
         for &i in &order {
             score.fill(0);
-            for &j in &adj[start[i]..start[i + 1]] {
+            for &j in index.neighbors(i) {
                 let s = assignment[j as usize];
                 if s != u32::MAX {
                     score[s as usize] += 1;
@@ -108,17 +94,12 @@ impl Partition {
             sizes[s] += 1;
         }
 
-        let mut cut_links = 0usize;
-        for i in 0..n {
-            for &j in &adj[start[i]..start[i + 1]] {
-                if (j as usize) > i && assignment[i] != assignment[j as usize] {
-                    cut_links += 1;
-                }
-            }
-        }
+        let cut_links = (0..n)
+            .flat_map(|i| index.neighbors(i).iter().map(move |&j| (i, j as usize)))
+            .filter(|&(i, j)| j > i && assignment[i] != assignment[j])
+            .count();
 
         Partition {
-            asn_index,
             assignment,
             shard_count: shards,
             cut_links,
@@ -131,30 +112,11 @@ impl Partition {
         self.shard_count
     }
 
-    /// The shard holding `asn`, or `None` if the AS is not in the graph.
-    #[must_use]
-    pub fn shard_of(&self, asn: Asn) -> Option<usize> {
-        self.asn_index
-            .binary_search(&asn)
-            .ok()
-            .map(|i| self.assignment[i] as usize)
-    }
-
-    /// Per dense node index (ascending ASN order): the assigned shard.
+    /// Per node of the [`GraphIndex`] (ascending ASN order): the assigned
+    /// shard.
     #[must_use]
     pub fn assignment(&self) -> &[u32] {
         &self.assignment
-    }
-
-    /// The ASes of one shard, ascending.
-    #[must_use]
-    pub fn members(&self, shard: usize) -> Vec<Asn> {
-        self.asn_index
-            .iter()
-            .zip(&self.assignment)
-            .filter(|&(_, &s)| s as usize == shard)
-            .map(|(&asn, _)| asn)
-            .collect()
     }
 
     /// Number of ASes per shard.
@@ -179,6 +141,7 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::{AsRole, InternetModel};
+    use bgp_types::Asn;
 
     fn sample() -> AsGraph {
         InternetModel::new()
@@ -191,15 +154,9 @@ mod tests {
     fn every_as_lands_in_exactly_one_shard() {
         let g = sample();
         let p = Partition::new(&g, 4);
-        let mut seen = 0;
-        for shard in 0..p.shard_count() {
-            seen += p.members(shard).len();
-        }
-        assert_eq!(seen, g.len());
-        for asn in g.asns() {
-            let s = p.shard_of(asn).unwrap();
-            assert!(p.members(s).contains(&asn));
-        }
+        assert_eq!(p.assignment().len(), g.len());
+        assert!(p.assignment().iter().all(|&s| (s as usize) < 4));
+        assert_eq!(p.shard_sizes().iter().sum::<usize>(), g.len());
     }
 
     #[test]
@@ -234,10 +191,12 @@ mod tests {
     fn cut_count_matches_link_census() {
         let g = sample();
         let p = Partition::new(&g, 3);
+        let index = g.index();
+        let shard = |asn| p.assignment()[index.index_of(asn).unwrap()];
         let by_links = g
             .links()
             .iter()
-            .filter(|&&(a, b)| p.shard_of(a) != p.shard_of(b))
+            .filter(|&&(a, b)| shard(a) != shard(b))
             .count();
         assert_eq!(p.cut_links(), by_links);
     }
@@ -276,7 +235,7 @@ mod tests {
         g.add_link(Asn(1), Asn(2));
         let p = Partition::new(&g, 8);
         assert_eq!(p.shard_sizes().iter().sum::<usize>(), 2);
-        assert!(p.shard_of(Asn(3)).is_none());
+        assert_eq!(p.assignment().len(), 2);
     }
 
     #[test]

@@ -134,26 +134,17 @@ impl AsRelationships {
     pub fn iter(&self) -> impl Iterator<Item = (Asn, Asn, LinkKind)> + '_ {
         self.links.iter().map(|(&(a, b), &k)| (a, b, k))
     }
+}
 
-    /// Fraction of links in `other` annotated identically here (links missing
-    /// from either side are counted as disagreement). Used to score the
-    /// accuracy of inferred relationships against ground truth.
-    #[must_use]
-    pub fn agreement_with(&self, other: &AsRelationships) -> f64 {
-        let universe: std::collections::BTreeSet<(Asn, Asn)> = self
-            .links
-            .keys()
-            .chain(other.links.keys())
-            .copied()
-            .collect();
-        if universe.is_empty() {
-            return 1.0;
+impl FromIterator<(Asn, Asn, LinkKind)> for AsRelationships {
+    /// Annotates each `(a, b, kind)` in turn; a later annotation of a link
+    /// replaces an earlier one.
+    fn from_iter<I: IntoIterator<Item = (Asn, Asn, LinkKind)>>(iter: I) -> Self {
+        let mut rels = AsRelationships::new();
+        for (a, b, kind) in iter {
+            rels.links.insert(Self::key(a, b), kind);
         }
-        let agree = universe
-            .iter()
-            .filter(|k| self.links.get(k) == other.links.get(k))
-            .count();
-        agree as f64 / universe.len() as f64
+        rels
     }
 }
 
@@ -255,22 +246,6 @@ mod tests {
         rels.add_peer(Asn(2), Asn(1));
         assert_eq!(rels.kind(Asn(1), Asn(2)), Some(LinkKind::Peer));
         assert_eq!(rels.len(), 1);
-    }
-
-    #[test]
-    fn agreement_score() {
-        let mut a = AsRelationships::new();
-        a.add_transit(Asn(1), Asn(2));
-        a.add_peer(Asn(1), Asn(3));
-        let mut b = AsRelationships::new();
-        b.add_transit(Asn(1), Asn(2));
-        b.add_transit(Asn(1), Asn(3));
-        assert!((a.agreement_with(&b) - 0.5).abs() < 1e-9);
-        assert_eq!(a.agreement_with(&a), 1.0);
-        assert_eq!(
-            AsRelationships::new().agreement_with(&AsRelationships::new()),
-            1.0
-        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Route Views-style routing tables.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use bgp_types::{AsPath, Asn, Ipv4Prefix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::AsGraph;
+use crate::{AsGraph, GraphIndex};
 
 /// One `(prefix, AS path)` row of a BGP routing table, as archived by the
 /// Oregon Route Views server.
@@ -80,23 +79,6 @@ impl RouteTable {
         self.entries.is_empty()
     }
 
-    /// Groups origins seen per prefix — the raw material of MOAS detection.
-    /// Returns, for each prefix, the distinct origin ASes observed across all
-    /// rows for that prefix.
-    #[must_use]
-    pub fn origins_by_prefix(&self) -> BTreeMap<Ipv4Prefix, Vec<Asn>> {
-        let mut map: BTreeMap<Ipv4Prefix, Vec<Asn>> = BTreeMap::new();
-        for entry in &self.entries {
-            if let Some(origin) = entry.path.origin() {
-                let origins = map.entry(entry.prefix).or_default();
-                if !origins.contains(&origin) {
-                    origins.push(origin);
-                }
-            }
-        }
-        map
-    }
-
     /// Synthesizes the table a Route Views-style collector would record for a
     /// ground-truth topology.
     ///
@@ -119,11 +101,21 @@ impl RouteTable {
         if transit.is_empty() {
             return table;
         }
+        let index = truth.index();
+        let node = |asn| index.index_of(asn).expect("graph ASes are indexed");
+        let stubs: Vec<usize> = truth.stub_asns().into_iter().map(node).collect();
+        let mut carries = vec![true; index.len()];
+        for &stub in &stubs {
+            carries[stub] = false;
+        }
+        let mut parent = vec![u32::MAX; index.len()];
         for &v in vantages {
-            let vantage = transit[v % transit.len()];
-            for stub in truth.stub_asns() {
-                let prefix = prefix_for_asn(stub);
-                if let Some(path) = shortest_path_jittered(truth, vantage, stub, &mut rng) {
+            let vantage = node(transit[v % transit.len()]);
+            for &stub in &stubs {
+                let prefix = prefix_for_asn(index.asns()[stub]);
+                if let Some(path) =
+                    shortest_path_jittered(&index, &carries, vantage, stub, &mut parent, &mut rng)
+                {
                     table.push(RouteTableEntry {
                         prefix,
                         path: AsPath::from_sequence(path),
@@ -165,49 +157,61 @@ pub fn prefix_for_asn(asn: Asn) -> Ipv4Prefix {
 /// are sampled rather than always resolving toward low ASNs.
 ///
 /// Stub ASes never appear mid-path: edge networks do not provide transit, so
-/// a stub is only expanded when it is the destination itself. This keeps the
-/// synthesized tables consistent with the role semantics §5.1 infers from
-/// them.
+/// a node is expanded only if it `carries` traffic, unless it is the
+/// destination itself. This keeps the synthesized tables consistent with
+/// the role semantics §5.1 infers from them. `parent` is all `u32::MAX` on
+/// entry and on return.
 fn shortest_path_jittered<R: Rng>(
-    graph: &AsGraph,
-    from: Asn,
-    to: Asn,
+    index: &GraphIndex,
+    carries: &[bool],
+    from: usize,
+    to: usize,
+    parent: &mut [u32],
     rng: &mut R,
 ) -> Option<Vec<Asn>> {
-    use crate::AsRole;
-    use std::collections::{BTreeMap, VecDeque};
-    if !graph.contains(from) || !graph.contains(to) {
-        return None;
-    }
     if from == to {
-        return Some(vec![from]);
+        return Some(vec![index.asns()[from]]);
     }
-    let mut parent: BTreeMap<Asn, Asn> = BTreeMap::new();
-    let mut queue = VecDeque::from([from]);
-    while let Some(asn) = queue.pop_front() {
-        let mut peers: Vec<Asn> = graph.neighbors(asn).collect();
+    parent[from] = from as u32;
+    let mut queue = vec![from as u32];
+    let mut head = 0;
+    let mut found = false;
+    let mut peers: Vec<u32> = Vec::new();
+    'search: while let Some(&node) = queue.get(head) {
+        head += 1;
+        // Every node reached is queued, so `parent` can be reset from the
+        // queue; only the source and carriers are expanded.
+        if node as usize != from && !carries[node as usize] {
+            continue;
+        }
+        peers.clear();
+        peers.extend_from_slice(index.neighbors(node as usize));
         peers.shuffle(rng);
-        for peer in peers {
-            if peer != from && !parent.contains_key(&peer) {
-                parent.insert(peer, asn);
-                if peer == to {
-                    let mut path = vec![to];
-                    let mut cur = to;
-                    while cur != from {
-                        cur = parent[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                // Stubs do not carry traffic for third parties.
-                if graph.role(peer) != Some(AsRole::Stub) {
-                    queue.push_back(peer);
+        for &peer in &peers {
+            if parent[peer as usize] == u32::MAX {
+                parent[peer as usize] = node;
+                queue.push(peer);
+                if peer as usize == to {
+                    found = true;
+                    break 'search;
                 }
             }
         }
     }
-    None
+    let path = found.then(|| {
+        let mut path = vec![index.asns()[to]];
+        let mut cur = to;
+        while cur != from {
+            cur = parent[cur] as usize;
+            path.push(index.asns()[cur]);
+        }
+        path.reverse();
+        path
+    });
+    for &node in &queue {
+        parent[node as usize] = u32::MAX;
+    }
+    path
 }
 
 #[cfg(test)]
@@ -223,20 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn origins_by_prefix_deduplicates() {
-        let table = RouteTable::from_entries([
-            entry("10.0.0.0/16", "1 2 4"),
-            entry("10.0.0.0/16", "3 4"),
-            entry("10.0.0.0/16", "3 226"),
-        ]);
-        let origins = table.origins_by_prefix();
-        assert_eq!(
-            origins[&"10.0.0.0/16".parse().unwrap()],
-            vec![Asn(4), Asn(226)]
-        );
-    }
-
-    #[test]
     fn synthesized_table_covers_all_stubs() {
         let truth = InternetModel::new()
             .transit_count(8)
@@ -246,7 +236,9 @@ mod tests {
         // Each vantage sees every stub (the generator guarantees connectivity).
         assert_eq!(table.len(), 3 * truth.stub_asns().len());
         // No MOAS in a fault-free table: one origin per prefix.
-        assert!(table.origins_by_prefix().values().all(|o| o.len() == 1));
+        for row in table.entries() {
+            assert_eq!(row.prefix, prefix_for_asn(row.path.origin().unwrap()));
+        }
     }
 
     #[test]

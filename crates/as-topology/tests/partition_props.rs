@@ -1,16 +1,82 @@
-//! Partitioner invariants the engine's sharding rests on, over
-//! generated topologies: every AS lands in exactly one shard, the balance cap
-//! holds, and the cut is counted consistently from both sides.
+//! Partitioner and node-numbering invariants the engine's sharding rests on,
+//! over generated topologies: every AS lands in exactly one shard, the
+//! balance cap holds, the cut is counted consistently from both sides, and
+//! `GraphIndex` is a faithful flattening that the engine numbers by too.
 
-use as_topology::{InternetModel, Partition};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use as_topology::{AsGraph, AsRole, GraphIndex, InternetModel, Partition};
+use bgp_engine::ShardedNetwork;
+use bgp_types::Asn;
 use proptest::prelude::*;
+
+/// An arbitrary graph over up to 40 ASes: random links (self-loops and
+/// repeats included, as `add_link` must absorb them) plus isolated ASes, so
+/// it is usually disconnected. `sparse` spreads the ASNs far apart, which
+/// makes `GraphIndex` binary-search instead of using its table.
+fn arbitrary_graph() -> impl Strategy<Value = AsGraph> {
+    (
+        prop::collection::vec((0u32..40, 0u32..40), 0..80),
+        prop::collection::vec(0u32..40, 0..8),
+        any::<bool>(),
+    )
+        .prop_map(|(links, isolated, sparse)| {
+            let asn = |x: u32| Asn(if sparse { x * 97_000_003 + 5 } else { x + 1 });
+            let mut graph = AsGraph::new();
+            for (a, b) in links {
+                graph.add_link(asn(a), asn(b));
+            }
+            for x in isolated {
+                graph.add_as(asn(x), AsRole::Transit);
+            }
+            graph
+        })
+}
+
+/// Reference breadth-first search over `AsGraph`'s own sets: hop distance
+/// from the nearest source to every AS it reaches.
+fn naive_distances(graph: &AsGraph, sources: &[Asn]) -> BTreeMap<Asn, u32> {
+    let mut seen = BTreeSet::new();
+    let mut dist = BTreeMap::new();
+    let mut queue = VecDeque::new();
+    for &source in sources {
+        if seen.insert(source) {
+            dist.insert(source, 0);
+            queue.push_back(source);
+        }
+    }
+    while let Some(asn) = queue.pop_front() {
+        let d = dist[&asn];
+        for peer in graph.neighbors(asn) {
+            if seen.insert(peer) {
+                dist.insert(peer, d + 1);
+                queue.push_back(peer);
+            }
+        }
+    }
+    dist
+}
+
+/// Reference components: the AS sets, in the order of their smallest AS.
+fn naive_components(graph: &AsGraph) -> Vec<BTreeSet<Asn>> {
+    let mut left: BTreeSet<Asn> = graph.asns().collect();
+    let mut out = Vec::new();
+    while let Some(&start) = left.iter().next() {
+        let component: BTreeSet<Asn> = naive_distances(graph, &[start]).into_keys().collect();
+        for asn in &component {
+            left.remove(asn);
+        }
+        out.push(component);
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Partitioner invariant: every AS lands in exactly one shard — the
-    /// per-shard member lists are disjoint, cover the graph, and agree with
-    /// `shard_of` and `assignment` — and the balance cap holds.
+    /// Partitioner invariant: every AS lands in exactly one shard — one
+    /// assignment per node of the index, each naming a real shard, with the
+    /// shard sizes summing to the graph — and the balance cap holds.
     #[test]
     fn every_as_lands_in_exactly_one_shard(
         seed in 0u64..4096,
@@ -25,27 +91,11 @@ proptest! {
         let p = Partition::new(&graph, shards);
 
         prop_assert_eq!(p.assignment().len(), graph.len());
-        let mut membership_total = 0;
-        for shard in 0..p.shard_count() {
-            for asn in p.members(shard) {
-                prop_assert_eq!(
-                    p.shard_of(asn),
-                    Some(shard),
-                    "{:?} listed in shard {} but shard_of disagrees",
-                    asn,
-                    shard
-                );
-            }
-            membership_total += p.members(shard).len();
-        }
-        prop_assert_eq!(
-            membership_total,
-            graph.len(),
-            "member lists must partition the graph"
+        prop_assert!(
+            p.assignment().iter().all(|&s| (s as usize) < p.shard_count()),
+            "an assignment names no shard"
         );
-        for asn in graph.asns() {
-            prop_assert!(p.shard_of(asn).is_some(), "{:?} has no shard", asn);
-        }
+        prop_assert_eq!(p.shard_sizes().iter().sum::<usize>(), graph.len());
 
         let cap = graph.len().div_ceil(shards);
         prop_assert!(
@@ -72,11 +122,13 @@ proptest! {
             .stub_count(stubs)
             .build(seed);
         let p = Partition::new(&graph, shards);
+        let index = graph.index();
+        let shard_of = |asn| p.assignment()[index.index_of(asn).unwrap()];
 
         let undirected = graph
             .links()
             .iter()
-            .filter(|&&(a, b)| p.shard_of(a) != p.shard_of(b))
+            .filter(|&&(a, b)| shard_of(a) != shard_of(b))
             .count();
         prop_assert_eq!(p.cut_links(), undirected, "undirected census disagrees");
 
@@ -85,7 +137,7 @@ proptest! {
             .map(|a| {
                 graph
                     .neighbors(a)
-                    .filter(|&b| p.shard_of(a) != p.shard_of(b))
+                    .filter(|&b| shard_of(a) != shard_of(b))
                     .count()
             })
             .sum();
@@ -94,5 +146,102 @@ proptest! {
             2 * p.cut_links(),
             "each endpoint must see the same cut edges"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The index is a faithful flattening: ASNs and every row ascending,
+    /// `first` a proper CSR offset array, each undirected link present
+    /// exactly twice (once per direction), and nothing else.
+    #[test]
+    fn index_holds_every_link_twice_in_ascending_rows(graph in arbitrary_graph()) {
+        let index = graph.index();
+        prop_assert_eq!(index.len(), graph.len());
+        prop_assert_eq!(index.asns(), graph.asns().collect::<Vec<_>>().as_slice());
+        prop_assert!(index.asns().windows(2).all(|w| w[0] < w[1]));
+        let first = index.first();
+        prop_assert_eq!(first.len(), index.len() + 1);
+        prop_assert_eq!(first[0], 0);
+        prop_assert_eq!(first[index.len()] as usize, index.peers().len());
+        prop_assert_eq!(index.peers().len(), 2 * graph.link_count());
+        let mut directed = BTreeMap::new();
+        for node in 0..index.len() {
+            let row = index.neighbors(node);
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not ascending", node);
+            for &peer in row {
+                let pair = (index.asns()[node], index.asns()[peer as usize]);
+                *directed.entry((pair.0.min(pair.1), pair.0.max(pair.1))).or_insert(0) += 1;
+            }
+        }
+        let links: Vec<(Asn, Asn)> = graph.links();
+        prop_assert_eq!(directed.keys().copied().collect::<Vec<_>>(), links);
+        prop_assert!(directed.values().all(|&count| count == 2));
+    }
+
+    /// `index_of` inverts `asns`, and names no AS outside the graph.
+    #[test]
+    fn index_of_inverts_asns(graph in arbitrary_graph(), probe in any::<u32>()) {
+        let index = graph.index();
+        for (node, &asn) in index.asns().iter().enumerate() {
+            prop_assert_eq!(index.index_of(asn), Some(node));
+        }
+        let asn = Asn(probe);
+        prop_assert_eq!(index.index_of(asn).is_some(), graph.contains(asn));
+        for x in 0..45 {
+            for asn in [Asn(x), Asn(x * 97_000_003 + 5), Asn(x * 97_000_003 + 6)] {
+                prop_assert_eq!(index.index_of(asn).is_some(), graph.contains(asn));
+            }
+        }
+    }
+
+    /// `components()` and `distances()` agree with a breadth-first search
+    /// over `AsGraph`'s own sets.
+    #[test]
+    fn searches_match_the_reference_bfs(
+        graph in arbitrary_graph(),
+        picks in prop::collection::vec(any::<u32>(), 0..4),
+    ) {
+        let index = graph.index();
+        let labels = index.components();
+        let reference = naive_components(&graph);
+        prop_assert_eq!(labels.iter().map(|&c| c as usize + 1).max().unwrap_or(0), reference.len());
+        for (label, component) in reference.iter().enumerate() {
+            for &asn in component {
+                prop_assert_eq!(labels[index.index_of(asn).unwrap()] as usize, label);
+            }
+        }
+
+        let sources: Vec<usize> = if index.is_empty() {
+            Vec::new()
+        } else {
+            picks.iter().map(|&p| p as usize % index.len()).collect()
+        };
+        let source_asns: Vec<Asn> = sources.iter().map(|&s| index.asns()[s]).collect();
+        let expected = naive_distances(&graph, &source_asns);
+        let dist = index.distances(&sources);
+        for (node, &asn) in index.asns().iter().enumerate() {
+            let want = expected.get(&asn).copied().unwrap_or(GraphIndex::UNREACHED);
+            prop_assert_eq!(dist[node], want, "distance to {:?}", asn);
+        }
+    }
+
+    /// The engine numbers nodes as `GraphIndex` does, so `Partition`'s
+    /// per-node assignment means the same AS on both sides.
+    #[test]
+    fn engine_and_partition_share_one_numbering(
+        seed in 0u64..4096,
+        stubs in 10usize..80,
+        shards in 1usize..5,
+    ) {
+        let graph = InternetModel::new().transit_count(8).stub_count(stubs).build(seed);
+        let index = graph.index();
+        let net = ShardedNetwork::new(&graph, shards);
+        prop_assert_eq!(net.asns().collect::<Vec<_>>().as_slice(), index.asns());
+        let partition = Partition::of(&index, shards);
+        prop_assert_eq!(&partition, &Partition::new(&graph, shards));
+        let cut = if shards > 1 { partition.cut_links() } else { 0 };
+        prop_assert_eq!(net.cut_links(), cut);
     }
 }

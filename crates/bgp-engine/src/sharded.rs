@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use as_topology::{AsGraph, Partition};
+use as_topology::{AsGraph, NodeNumbering, Partition};
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
@@ -49,11 +49,12 @@ pub(crate) const DEFAULT_EVENT_LIMIT: u64 = 50_000_000;
 /// same global routing state with work still queued means a cycle.
 const WATCHDOG_STRIKES: u32 = 3;
 
-/// Immutable topology shared by every shard: every ASN interned into a dense
-/// index `0..n`, the adjacency flattened into a CSR layout, constructed once
-/// and reference-counted. Per-session state lives in plain `Vec`s indexed by
-/// flat edge id, so the event loop does array arithmetic instead of walking
-/// `BTreeMap<(Asn, Asn), _>` trees. Edge ids are *global* — identical for
+/// Immutable topology shared by every shard: the graph's
+/// [`GraphIndex`](as_topology::GraphIndex) numbering (node `i` is the `i`-th
+/// smallest ASN) and its CSR adjacency laid out for the event loop,
+/// constructed once and reference-counted. Per-session state lives in plain
+/// `Vec`s indexed by flat edge id, so the event loop does array arithmetic
+/// instead of walking `BTreeMap<(Asn, Asn), _>` trees. Edge ids are *global* — identical for
 /// every shard count — which is what makes the intrinsic event order and the
 /// per-edge fault RNG streams invariant under re-sharding.
 #[derive(Debug)]
@@ -71,6 +72,8 @@ struct Topo {
     peer_asn: Vec<Asn>,
     /// Per dense node index: owning shard.
     assignment: Vec<u32>,
+    /// The numbering itself: node `i` here is node `i` of the graph's index.
+    nodes: NodeNumbering,
 }
 
 /// One directed edge `a -> b` of the CSR topology: see [`Topo::links`].
@@ -112,8 +115,7 @@ impl Topo {
     }
 
     fn index_of(&self, asn: Asn) -> Option<usize> {
-        let nodes = &self.rows[..self.node_count()];
-        nodes.binary_search_by_key(&asn, |row| row.asn).ok()
+        self.nodes.index_of(asn)
     }
 
     /// Where node `index`'s router sits: its ASN and CSR row.
@@ -952,62 +954,37 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         jitter: Option<(u64, u64)>,
         mut monitor: impl FnMut() -> M,
     ) -> Self {
-        let mut rows: Vec<Row> = Vec::with_capacity(graph.len() + 1);
-        rows.extend(graph.asns().map(|asn| Row { asn, first: 0 }));
-        debug_assert!(rows.windows(2).all(|w| w[0].asn < w[1].asn));
-        let n = rows.len();
+        let index = graph.index();
+        let n = index.len();
         // One shard owns everything and cuts nothing: no need to partition.
         let (shard_count, assignment, cut_links) = if shard_count <= 1 {
             (1, vec![0; n], 0)
         } else {
-            let partition = Partition::new(graph, shard_count);
+            let partition = Partition::of(&index, shard_count);
             (
                 partition.shard_count(),
                 partition.assignment().to_vec(),
                 partition.cut_links(),
             )
         };
-        // Graphs number their ASes densely as a rule; then a table from ASN
-        // to node replaces a binary search per directed edge.
-        let dense = match rows.last() {
-            Some(last) if (last.asn.0 as usize) < 4 * n => {
-                let mut dense = vec![u32::MAX; last.asn.0 as usize + 1];
-                for (index, row) in rows.iter().enumerate() {
-                    dense[row.asn.0 as usize] = index as u32;
-                }
-                dense
-            }
-            _ => Vec::new(),
-        };
-        let index_of = |rows: &[Row], asn: Asn| match dense.get(asn.0 as usize) {
-            Some(&index) => index,
-            None => {
-                let found = rows.binary_search_by_key(&asn, |row| row.asn);
-                found.expect("graph links only name graph ASes") as u32
-            }
-        };
-        let edges = 2 * graph.link_count();
-        let first = |edge: usize| u32::try_from(edge).expect("fewer than 2^32 directed edges");
-        let mut links = Vec::with_capacity(edges);
-        let mut peer_asn = Vec::with_capacity(edges);
-        for node in 0..n {
-            rows[node].first = first(links.len());
-            for peer in graph.neighbors(rows[node].asn) {
-                links.push(Link {
-                    peer: index_of(&rows, peer),
-                    rev_slot: 0,
-                    delay: 1,
-                    shard: 0,
-                });
-                peer_asn.push(peer);
-            }
-        }
-        debug_assert_eq!(links.len(), edges);
-        // Not a node: it closes the last node's row.
-        rows.push(Row {
-            asn: Asn(u32::MAX),
-            first: first(edges),
-        });
+        // The sentinel is not a node: it closes the last node's row.
+        let sentinel = std::iter::once(Asn(u32::MAX));
+        let rows: Vec<Row> = (index.asns().iter().copied().chain(sentinel))
+            .zip(index.first())
+            .map(|(asn, &first)| Row { asn, first })
+            .collect();
+        let mut links: Vec<Link> = (index.peers().iter())
+            .map(|&peer| Link {
+                peer,
+                rev_slot: 0,
+                delay: 1,
+                shard: assignment[peer as usize],
+            })
+            .collect();
+        let peer_asn: Vec<Asn> = (index.peers().iter())
+            .map(|&peer| index.asns()[peer as usize])
+            .collect();
+        let edges = links.len();
         // Rows are ascending and links symmetric, so walking the edges in id
         // order meets the edges *into* each node in that node's row order:
         // the k-th edge into `b` is the reverse of the k-th edge out of it.
@@ -1015,7 +992,6 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         for link in &mut links {
             let to = link.peer as usize;
             link.rev_slot = into[to];
-            link.shard = assignment[to];
             into[to] += 1;
         }
         let mut topo = Topo {
@@ -1023,6 +999,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             links,
             peer_asn,
             assignment,
+            nodes: index.into_numbering(),
         };
         debug_assert!((0..n).all(|a| topo.edges(a).all(|e| {
             let Link { peer, rev_slot, .. } = topo.links[e];
@@ -1137,8 +1114,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
 
     /// The ASes in the network, ascending.
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        let nodes = &self.topo.rows[..self.topo.node_count()];
-        nodes.iter().map(|row| row.asn)
+        self.topo.nodes.asns().iter().copied()
     }
 
     /// Read access to a router: a view of its owning shard's tables.

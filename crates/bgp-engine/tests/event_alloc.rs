@@ -145,8 +145,9 @@ fn a_run_allocates_only_for_exported_routes() {
     }
     held.sort_unstable();
     held.dedup();
-    // Dropping the network frees one block per held route and 20 for the
-    // topology, the tables and the queue, whatever the graph's size.
+    // Dropping the network frees one block per held route and 22 for the
+    // topology (its two-block `NodeNumbering` included), the tables and the
+    // queue, whatever the graph's size.
     let frees = frees_during(|| drop(net));
-    assert_eq!((held.len(), frees), (2_001, 2_001 + 20));
+    assert_eq!((held.len(), frees), (2_001, 2_001 + 22));
 }
