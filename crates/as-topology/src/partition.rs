@@ -5,9 +5,11 @@
 //! efficiency are the **cut size** (cross-partition links, each of which
 //! turns an intra-shard event into a cross-shard message) and **load
 //! balance** (the largest partition bounds the critical path). This module
-//! implements the classic one-pass greedy that trades the two directly:
-//! nodes are placed in descending degree order, each onto the shard holding
-//! most of its already-placed neighbors, subject to a hard balance cap.
+//! implements linear deterministic greedy (LDG), the one-pass streaming
+//! partitioner that trades the two directly: nodes are placed in descending
+//! degree order, each onto the shard holding most of its already-placed
+//! neighbors, weighted by the room that shard has left under a hard balance
+//! cap.
 //!
 //! Everything here is deterministic — node order, tie-breaks, and shard
 //! choice depend only on the graph — so a partition is a pure function of
@@ -52,13 +54,18 @@ impl Partition {
     /// Partitions an indexed graph into `shards` balanced parts (values
     /// below 1 are clamped to 1).
     ///
-    /// Greedy placement: nodes in descending degree order (ties toward the
-    /// lower ASN) go to the shard already holding most of their neighbors,
-    /// among shards still under the cap `ceil(n / shards)`; score ties break
-    /// toward the lowest shard id. High-degree hubs therefore seed the
-    /// shards, and the long tail of stubs sticks to whichever shard owns
-    /// their provider — exactly the locality a customer-provider hierarchy
-    /// offers.
+    /// Linear deterministic greedy: nodes in descending degree order (ties
+    /// toward the lower ASN) go to the shard with the highest score among
+    /// those still under the cap `ceil(n / shards)`, where a shard scores
+    /// its count of the node's placed neighbors times the room it has left,
+    /// `cap - size`. Score ties break toward the emptier shard, then the
+    /// lower shard id. High-degree hubs therefore spread over the shards
+    /// instead of filling the first one, and the long tail of stubs sticks
+    /// to whichever shard owns their provider — exactly the locality a
+    /// customer-provider hierarchy offers. (Counting neighbors alone sends
+    /// every hub to one shard until it is full, and then every stub with a
+    /// provider there to the other shards: on a 70,000-AS scale-free graph
+    /// that cut half its links at 2 shards, as many as a random split.)
     #[must_use]
     pub fn of(index: &GraphIndex, shards: usize) -> Self {
         let shards = shards.max(1);
@@ -78,17 +85,10 @@ impl Partition {
                     score[s as usize] += 1;
                 }
             }
-            let mut chosen = None;
-            for s in 0..shards {
-                if sizes[s] >= cap {
-                    continue;
-                }
-                match chosen {
-                    None => chosen = Some(s),
-                    Some(best) if score[s] > score[best] => chosen = Some(s),
-                    Some(_) => {}
-                }
-            }
+            // The lowest id among the best (score, emptiness): `max_by_key`
+            // keeps the last maximum, so walk the shards from the top.
+            let open = (0..shards).rev().filter(|&s| sizes[s] < cap);
+            let chosen = open.max_by_key(|&s| (score[s] * (cap - sizes[s]), Reverse(sizes[s])));
             let s = chosen.expect("cap * shards >= n, so a shard has room");
             assignment[i] = s as u32;
             sizes[s] += 1;

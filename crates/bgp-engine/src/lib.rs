@@ -72,5 +72,4 @@ pub use queue::QueueStats;
 pub use router::Router;
 pub use sharded::ShardedNetwork;
 pub use stats::{NetworkStats, SessionCounters};
-pub use update::SharedUpdate;
 pub use valley_free::ValleyFree;

@@ -12,7 +12,7 @@ use std::fmt;
 use bgp_types::{Asn, Ipv4Prefix, Route};
 use sim_engine::SimTime;
 
-use crate::router::Slot;
+use crate::router::{Arena, Slot};
 
 /// Everything a monitor can see when a router imports a route.
 #[derive(Debug)]
@@ -43,11 +43,13 @@ pub struct HeldRoutes<'a>(Held<'a>);
 #[derive(Clone, Copy)]
 enum Held<'a> {
     /// Straight out of a router's tables: `slots` is parallel to `peers`,
-    /// and the session in slot `sender` is left out.
+    /// their routes are in `routes`, and the session in slot `sender` is
+    /// left out.
     Rib {
         own: Option<&'a Route>,
         peers: &'a [Asn],
         slots: &'a [Slot],
+        routes: &'a Arena,
         sender: usize,
     },
     List(&'a [(Option<Asn>, &'a Route)]),
@@ -64,12 +66,14 @@ impl<'a> HeldRoutes<'a> {
         own: Option<&'a Route>,
         peers: &'a [Asn],
         slots: &'a [Slot],
+        routes: &'a Arena,
         sender: usize,
     ) -> Self {
         HeldRoutes(Held::Rib {
             own,
             peers,
             slots,
+            routes,
             sender,
         })
     }
@@ -82,10 +86,12 @@ impl<'a> HeldRoutes<'a> {
                 own,
                 peers,
                 slots,
+                routes,
                 sender,
             } => Walk::Rib {
                 own,
                 held: peers.iter().zip(slots).enumerate(),
+                routes,
                 sender,
             },
             Held::List(list) => Walk::List(list.iter()),
@@ -120,6 +126,7 @@ enum Walk<'a> {
     Rib {
         own: Option<&'a Route>,
         held: Sessions<'a>,
+        routes: &'a Arena,
         sender: usize,
     },
     List(std::slice::Iter<'a, (Option<Asn>, &'a Route)>),
@@ -130,13 +137,18 @@ impl<'a> Iterator for HeldIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
-            Walk::Rib { own, held, sender } => {
+            Walk::Rib {
+                own,
+                held,
+                routes,
+                sender,
+            } => {
                 if let Some(route) = own.take() {
                     return Some((None, route));
                 }
-                let sender = *sender;
+                let (routes, sender) = (*routes, *sender);
                 held.find_map(|(slot, (&peer, state))| {
-                    let route = state.route().filter(|_| slot != sender)?;
+                    let route = state.route(routes).filter(|_| slot != sender)?;
                     Some((Some(peer), route))
                 })
             }
@@ -181,9 +193,9 @@ impl ImportDecision {
 
 /// What a monitor decided about one peer's export.
 ///
-/// `Forward` is the common case and costs nothing: the router shares one
-/// reference-counted payload across every peer that forwards the route
-/// unchanged. Only `Replace` pays for a fresh route allocation.
+/// `Forward` is the common case and costs nothing: every peer that forwards
+/// the route unchanged holds a count of the one route the router interned in
+/// its shard's arena. Only `Replace` stores another route there.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ExportAction {
     /// Send the route exactly as proposed.

@@ -20,30 +20,55 @@ pub struct QueueStats {
     pub depth_high_water: u64,
 }
 
-/// One scheduled event with its intrinsic ordering key.
+/// One scheduled event with its intrinsic ordering key; the time it is due
+/// is its bucket's.
 ///
 /// Within a timestamp, events sort by `(kind, id, seq)` — for the engine,
 /// `(event kind, global edge id or timeline index, per-edge send sequence)`.
 /// Every component is derived from the event itself, not from scheduling
 /// order, so any shard holding the same event set processes it in the same
-/// order regardless of how the events arrived. The three share one integer
-/// (`kind << 96 | id << 64 | seq`), so a comparison is one wide compare
-/// without a branch.
-#[derive(Debug, Clone)]
+/// order regardless of how the events arrived. The three share one word
+/// (`kind << 62 | id << 32 | seq`), so a comparison is one compare without
+/// a branch: `kind` takes 2 bits, `id` 30 ([`MAX_ID`]) and `seq` 32, and
+/// each is checked to fit rather than wrapped.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Scheduled<E> {
-    pub(crate) time: SimTime,
-    key: u128,
+    key: u64,
     pub(crate) event: E,
 }
 
+/// The largest `id` an intrinsic key holds: a network has at most
+/// `MAX_ID + 1` directed edges and a fault plan that many timeline entries.
+pub(crate) const MAX_ID: u32 = (1 << 30) - 1;
+
+/// The largest event `kind`.
+const MAX_KIND: u64 = 3;
+
 impl<E> Scheduled<E> {
-    pub(crate) fn new(time: SimTime, kind: u64, id: u32, seq: u64, event: E) -> Self {
-        let high = kind << 32 | u64::from(id);
+    /// # Panics
+    ///
+    /// Panics if `kind` or `id` does not fit its field of the key; `seq`
+    /// fits by its type.
+    pub(crate) fn new(kind: u64, id: u32, seq: u32, event: E) -> Self {
+        assert!(
+            kind <= MAX_KIND && id <= MAX_ID,
+            "event key ({kind}, {id}) does not fit 2 + 30 bits"
+        );
         Scheduled {
-            time,
-            key: u128::from(high) << 64 | u128::from(seq),
+            key: kind << 62 | u64::from(id) << 32 | u64::from(seq),
             event,
         }
+    }
+
+    /// The key's `id`.
+    pub(crate) fn id(&self) -> u32 {
+        (self.key >> 32) as u32 & MAX_ID
+    }
+
+    /// The key's `seq`.
+    #[cfg(test)]
+    pub(crate) fn seq(&self) -> u32 {
+        self.key as u32
     }
 }
 
@@ -75,11 +100,12 @@ impl<E> Agenda<E> {
         }
     }
 
-    pub(crate) fn push(&mut self, event: Scheduled<E>) {
+    /// Queues `event` to fire at `time`.
+    pub(crate) fn push(&mut self, time: SimTime, event: Scheduled<E>) {
         self.len += 1;
         self.scheduled += 1;
         self.depth_high_water = self.depth_high_water.max(self.len as u64);
-        match self.buckets.entry(event.time) {
+        match self.buckets.entry(time) {
             Entry::Occupied(bucket) => bucket.into_mut().push(event),
             Entry::Vacant(slot) => slot
                 .insert(self.spare.pop().unwrap_or_default())
@@ -106,6 +132,11 @@ impl<E> Agenda<E> {
         self.spare.push(bucket);
     }
 
+    /// Every pending event, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Scheduled<E>> {
+        self.buckets.values().flatten()
+    }
+
     /// Events currently pending.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -126,8 +157,17 @@ impl<E> Agenda<E> {
 mod tests {
     use super::*;
 
-    fn at(ticks: u64, kind: u64, id: u32, seq: u64, name: &'static str) -> Scheduled<&'static str> {
-        Scheduled::new(SimTime::from_ticks(ticks), kind, id, seq, name)
+    fn at(ticks: u64, kind: u64, id: u32, seq: u32, name: &'static str) -> Timed {
+        (
+            SimTime::from_ticks(ticks),
+            Scheduled::new(kind, id, seq, name),
+        )
+    }
+
+    type Timed = (SimTime, Scheduled<&'static str>);
+
+    fn push(agenda: &mut Agenda<&'static str>, (time, event): Timed) {
+        agenda.push(time, event);
     }
 
     /// Drains the agenda the way a shard does: one whole timestamp at a time.
@@ -135,7 +175,7 @@ mod tests {
         let mut order = Vec::new();
         while let Some(time) = agenda.next_time() {
             let mut due = agenda.take(time);
-            order.extend(due.drain(..).map(|s| (s.time.ticks(), s.event)));
+            order.extend(due.drain(..).map(|s| (time.ticks(), s.event)));
             agenda.recycle(due);
         }
         order
@@ -144,9 +184,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = Agenda::new();
-        q.push(at(5, 0, 0, 0, "five"));
-        q.push(at(1, 0, 0, 0, "one"));
-        q.push(at(3, 0, 0, 0, "three"));
+        push(&mut q, at(5, 0, 0, 0, "five"));
+        push(&mut q, at(1, 0, 0, 0, "one"));
+        push(&mut q, at(3, 0, 0, 0, "three"));
         assert_eq!(drain(&mut q), vec![(1, "one"), (3, "three"), (5, "five")]);
         assert_eq!(q.len(), 0);
         assert_eq!(q.next_time(), None);
@@ -172,10 +212,10 @@ mod tests {
         let mut forward = Agenda::new();
         let mut backward = Agenda::new();
         for event in &events {
-            forward.push(event.clone());
+            push(&mut forward, *event);
         }
         for event in events.iter().rev() {
-            backward.push(event.clone());
+            push(&mut backward, *event);
         }
         assert_eq!(drain(&mut forward), expected);
         assert_eq!(drain(&mut backward), expected);
@@ -184,7 +224,7 @@ mod tests {
     #[test]
     fn peek_does_not_advance() {
         let mut q = Agenda::new();
-        q.push(at(2, 0, 0, 0, "x"));
+        push(&mut q, at(2, 0, 0, 0, "x"));
         assert_eq!(q.next_time(), Some(SimTime::from_ticks(2)));
         assert_eq!(q.next_time(), Some(SimTime::from_ticks(2)));
         assert_eq!(q.len(), 1);
@@ -193,8 +233,8 @@ mod tests {
     #[test]
     fn take_leaves_other_timestamps_alone() {
         let mut q = Agenda::new();
-        q.push(at(2, 0, 0, 0, "two"));
-        q.push(at(4, 0, 0, 0, "four"));
+        push(&mut q, at(2, 0, 0, 0, "two"));
+        push(&mut q, at(4, 0, 0, 0, "four"));
         // Nothing is due at 3: the shard's clock still moves, the queue not.
         assert!(q.take(SimTime::from_ticks(3)).is_empty());
         assert_eq!(q.len(), 2);
@@ -207,27 +247,68 @@ mod tests {
         // Events pushed while an earlier timestamp is being processed land
         // in their own (later) buckets, recycled allocations included.
         let mut q = Agenda::new();
-        q.push(at(1, 0, 1, 0, "a"));
-        q.push(at(2, 0, 2, 0, "b"));
+        push(&mut q, at(1, 0, 1, 0, "a"));
+        push(&mut q, at(2, 0, 2, 0, "b"));
         let due = q.take(SimTime::from_ticks(1));
         assert_eq!(due.len(), 1);
         q.recycle(due);
-        q.push(at(2, 0, 1, 0, "c"));
-        q.push(at(3, 0, 0, 0, "d"));
+        push(&mut q, at(2, 0, 1, 0, "c"));
+        push(&mut q, at(3, 0, 0, 0, "d"));
         assert_eq!(drain(&mut q), vec![(2, "c"), (2, "b"), (3, "d")]);
     }
 
     #[test]
     fn stats_track_scheduled_and_high_water() {
         let mut q = Agenda::new();
-        q.push(at(1, 0, 0, 0, "a"));
-        q.push(at(2, 0, 0, 0, "b"));
-        q.push(at(2, 0, 1, 0, "c"));
+        push(&mut q, at(1, 0, 0, 0, "a"));
+        push(&mut q, at(2, 0, 0, 0, "b"));
+        push(&mut q, at(2, 0, 1, 0, "c"));
         let due = q.take(SimTime::from_ticks(1));
         q.recycle(due);
-        q.push(at(3, 0, 0, 0, "d"));
+        push(&mut q, at(3, 0, 0, 0, "d"));
         assert_eq!(q.scheduled(), 4);
         assert_eq!(q.depth_high_water(), 3);
         assert_eq!(q.len(), 3);
+    }
+
+    #[test]
+    fn the_largest_id_and_seq_keep_the_intrinsic_order() {
+        // At the edge of each field nothing carries into the next one: the
+        // last edge's last send still sorts before any flush, and a full
+        // sequence on edge 4 still before edge 5's first send.
+        let events = [
+            at(7, 1, 0, 0, "flush edge 0"),
+            at(7, 0, MAX_ID, u32::MAX, "deliver last edge #max"),
+            at(7, 0, 5, 0, "deliver edge 5 #0"),
+            at(7, 0, MAX_ID, 0, "deliver last edge #0"),
+            at(7, 0, 4, u32::MAX, "deliver edge 4 #max"),
+            at(7, 0, MAX_ID - 1, u32::MAX, "deliver edge max-1 #max"),
+            at(7, 2, MAX_ID, u32::MAX, "fault max"),
+        ];
+        let mut q = Agenda::new();
+        for event in events {
+            push(&mut q, event);
+        }
+        let order: Vec<&str> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            [
+                "deliver edge 4 #max",
+                "deliver edge 5 #0",
+                "deliver edge max-1 #max",
+                "deliver last edge #0",
+                "deliver last edge #max",
+                "flush edge 0",
+                "fault max",
+            ]
+        );
+        let (_, last) = at(7, 2, MAX_ID, u32::MAX, "");
+        assert_eq!((last.id(), last.seq()), (MAX_ID, u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn an_id_beyond_the_key_fails_loudly() {
+        let _ = Scheduled::new(0, MAX_ID + 1, 0, ());
     }
 }

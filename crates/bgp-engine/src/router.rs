@@ -13,13 +13,17 @@
 //! clock and the decision count live in the `NodeRib`, per prefix, so a
 //! delivery touches the event, its slot and one cache line of its node.
 //!
-//! A router is therefore not a value but a place in those tables: [`Router`]
-//! is the read-only, `Copy` view the network hands out, and `Speaker` the
-//! mutable one the event loop drives. Peer lists are slices of the
-//! topology's per-edge peer ASNs. Nothing here allocates per router, and an
-//! import allocates nothing at all. A best-route change allocates one block:
-//! the exported route, whose AS path is stored inline and whose communities
-//! and MOAS list it shares with the route it was propagated from.
+//! Routes themselves live once per shard, in the `Rib`'s route [`Arena`]:
+//! a slot, an originated entry and every update in flight name one by a
+//! 4-byte [`RouteId`] and own one count of it. A router is therefore not a
+//! value but a place in those tables: [`Router`] is the read-only, `Copy`
+//! view the network hands out, and `Speaker` the mutable one the event loop
+//! drives. Peer lists are slices of the topology's per-edge peer ASNs.
+//! Nothing here allocates per router, and an import allocates nothing at
+//! all. A best-route change interns the exported route once, whose AS path
+//! is stored inline and whose communities and MOAS list it shares with the
+//! route it was propagated from; every peer it is sent to holds a count of
+//! that one entry.
 //!
 //! No `unwrap`/`expect` on data-dependent paths: speakers are driven
 //! entirely by the network, slot indices are in range by construction (the
@@ -28,12 +32,15 @@
 
 use std::cmp::Reverse;
 use std::fmt;
-use std::sync::Arc;
 
 use bgp_types::{Asn, Ipv4Prefix, Route};
 
 use crate::monitor::{ExportAction, HeldRoutes, ImportContext, ImportDecision, RouteMonitor};
 use crate::update::SharedUpdate;
+
+mod arena;
+
+pub(crate) use arena::{Arena, RouteId};
 
 /// Updates a router wants sent, each addressed by the peer's slot. The
 /// network owns one such buffer per shard and drains it after every call, so
@@ -72,7 +79,8 @@ impl BestEntry {
 /// changed route counts as a fresh installation.
 #[derive(Debug, Clone)]
 struct RibEntry {
-    route: Arc<Route>,
+    /// The route, held in the shard's arena; the entry owns one count.
+    route: RouteId,
     installed_at: u64,
     local_pref: u32,
     /// Saturating: no path comes near `u32::MAX` hops.
@@ -80,12 +88,13 @@ struct RibEntry {
 }
 
 impl RibEntry {
-    fn new(route: Arc<Route>, installed_at: u64) -> Self {
+    /// An entry holding `id`, which names `route`.
+    fn new(id: RouteId, route: &Route, installed_at: u64) -> Self {
         RibEntry {
+            route: id,
             installed_at,
             local_pref: route.local_pref(),
             selection_len: u32::try_from(route.as_path().selection_len()).unwrap_or(u32::MAX),
-            route,
         }
     }
 
@@ -112,9 +121,10 @@ pub(crate) struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 impl Slot {
-    /// The route learned over this session, if any.
-    pub(crate) fn route(&self) -> Option<&Route> {
-        self.rib.as_ref().map(|entry| entry.route.as_ref())
+    /// The route learned over this session, if any, read from the shard's
+    /// `routes`.
+    pub(crate) fn route<'a>(&self, routes: &'a Arena) -> Option<&'a Route> {
+        self.rib.as_ref().map(|entry| routes.get(entry.route))
     }
 }
 
@@ -168,12 +178,15 @@ struct PrefixTable {
 }
 
 /// A shard's routing state: one table per prefix ever announced to or by a
-/// node the shard owns, ascending. Tables are full width (every node, every
+/// node the shard owns, ascending, and the arena of the routes they and the
+/// shard's updates in flight hold. Tables are full width (every node, every
 /// edge) so node and edge ids index them directly; only the owned entries
 /// are ever written.
 #[derive(Debug)]
 pub(crate) struct Rib {
     tables: Vec<PrefixTable>,
+    /// Every route this shard's tables, queue, MRAI windows and outbox hold.
+    pub(crate) routes: Arena,
     nodes: usize,
     edges: usize,
 }
@@ -182,9 +195,23 @@ impl Rib {
     pub(crate) fn new(nodes: usize, edges: usize) -> Self {
         Rib {
             tables: Vec::new(),
+            routes: Arena::default(),
             nodes,
             edges,
         }
+    }
+
+    /// The route handles the tables hold, one per holder: originated
+    /// entries and Adj-RIB-In slots.
+    pub(crate) fn held(&self) -> impl Iterator<Item = RouteId> + '_ {
+        self.tables.iter().flat_map(|table| {
+            let own = table
+                .nodes
+                .iter()
+                .filter_map(|node| node.originated.as_ref());
+            let learned = table.slots.iter().filter_map(|slot| slot.rib.as_ref());
+            own.chain(learned).map(|entry| entry.route)
+        })
     }
 
     /// Where `prefix`'s table is (`Ok`) or would be inserted (`Err`).
@@ -240,10 +267,11 @@ impl Node<'_> {
 /// experiment harness uses to census which ASes adopted a false route. It
 /// is `Copy` and owns nothing.
 ///
-/// Routes are held behind [`Arc`] throughout: an update installed from the
-/// event queue, the Adj-RIB-In entry, the Loc-RIB best entry, and every
-/// outbound fan-out copy all share one allocation. The decision process and
-/// export path therefore move pointers, not routes.
+/// Routes are held once, in the shard's route arena: an update installed
+/// from the event queue, the Adj-RIB-In entry, and every outbound fan-out
+/// copy name one entry, and the Loc-RIB best entry names the slot holding
+/// it. The decision process and export path therefore move 4-byte handles,
+/// not routes.
 #[derive(Clone, Copy)]
 pub struct Router<'a> {
     node: Node<'a>,
@@ -284,7 +312,7 @@ impl<'a> Router<'a> {
         let table = self.rib.table(prefix)?;
         let node = &table.nodes[self.node.index];
         let held = node.held(&table.slots[self.node.sessions()], node.best?.learned_from);
-        held.map(|entry| entry.route.as_ref())
+        held.map(|entry| self.rib.routes.get(entry.route))
     }
 
     /// The peer the best route was learned from (`None` when locally
@@ -349,7 +377,7 @@ impl<'a> Router<'a> {
                 .peers
                 .iter()
                 .zip(&table.slots[self.node.sessions()]);
-            held.filter_map(|(&peer, slot)| Some((peer, slot.route()?)))
+            held.filter_map(|(&peer, slot)| Some((peer, slot.route(&self.rib.routes)?)))
         })
     }
 
@@ -376,9 +404,12 @@ impl<'a> Speaker<'a> {
         Router::new(self.node, self.rib)
     }
 
-    /// This router's session `slot` in table `at`.
-    fn slot_mut(&mut self, at: usize, slot: usize) -> &mut Slot {
-        &mut self.rib.tables[at].slots[self.node.first + slot]
+    /// Takes the entry learned over session `slot` in table `at` out of the
+    /// table, releasing its route; returns whether there was one.
+    fn evict(&mut self, at: usize, slot: usize) -> bool {
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        let held = tables[at].slots[self.node.first + slot].rib.take();
+        held.map(|entry| routes.release(entry.route)).is_some()
     }
 
     /// Starts originating a route.
@@ -389,18 +420,23 @@ impl<'a> Speaker<'a> {
         out: &mut Outbox,
     ) {
         let at = self.rib.position_or_insert(route.prefix());
-        let node = &mut self.rib.tables[at].nodes[self.node.index];
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        let node = &mut tables[at].nodes[self.node.index];
         // The originated entry is always stamped 0, so a changed route would
         // pass for the same winner: forget an originated incumbent so that
         // its successor is exported.
         let changed = node
             .originated
             .as_ref()
-            .is_none_or(|held| *held.route != route);
+            .is_none_or(|held| *routes.get(held.route) != route);
         if changed && node.best.is_some_and(|best| best.learned_from.is_none()) {
             node.best = None;
         }
-        node.originated = Some(RibEntry::new(Arc::new(route), 0));
+        let id = routes.intern(route);
+        let entry = RibEntry::new(id, routes.get(id), 0);
+        if let Some(old) = node.originated.replace(entry) {
+            routes.release(old.route);
+        }
         self.reselect(at, Changed::Several, monitor, out);
     }
 
@@ -414,8 +450,9 @@ impl<'a> Speaker<'a> {
         let Ok(at) = self.rib.position(prefix) else {
             return;
         };
-        let node = &mut self.rib.tables[at].nodes[self.node.index];
-        if node.originated.take().is_some() {
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        if let Some(old) = tables[at].nodes[self.node.index].originated.take() {
+            routes.release(old.route);
             self.reselect(at, Changed::Several, monitor, out);
         }
     }
@@ -434,17 +471,23 @@ impl<'a> Speaker<'a> {
         };
         let first = out.len();
         for at in 0..self.rib.tables.len() {
-            let state = self.slot_mut(at, slot);
-            state.advertised = false;
-            if state.rib.take().is_some() {
+            self.rib.tables[at].slots[self.node.first + slot].advertised = false;
+            if self.evict(at, slot) {
                 self.reselect(at, Changed::Several, monitor, out);
             }
         }
         // The export hooks still ran for the dead session (monitors count
         // them); only what they addressed to it is dropped.
-        let mut sent = out.split_off(first);
-        sent.retain(|(to, _)| *to as usize != slot);
-        out.append(&mut sent);
+        let routes = &mut self.rib.routes;
+        let mut index = 0;
+        out.retain(|&(to, update)| {
+            let keep = index < first || to as usize != slot;
+            index += 1;
+            if !keep {
+                update.discard(routes);
+            }
+            keep
+        });
     }
 
     /// The peering session to `peer` came (back) up: re-advertise every
@@ -461,7 +504,8 @@ impl<'a> Speaker<'a> {
         let Node {
             asn, index, first, ..
         } = self.node;
-        for table in &mut self.rib.tables {
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        for table in tables {
             let node = &table.nodes[index];
             let Some(best) = node.best else {
                 continue;
@@ -474,18 +518,19 @@ impl<'a> Speaker<'a> {
                 continue;
             };
             let learned_from = best.learned_from.map(|s| self.node.peers[s as usize]);
-            let outbound = Arc::new(held.route.propagated_by(asn));
-            let update = match monitor.on_export(asn, peer, learned_from, &outbound) {
-                ExportAction::Forward => SharedUpdate::Announce(outbound),
-                ExportAction::Replace(route) => SharedUpdate::announce(route),
+            let outbound = routes.get(held.route).propagated_by(asn);
+            let route = match monitor.on_export(asn, peer, learned_from, &outbound) {
+                ExportAction::Forward => outbound,
+                ExportAction::Replace(route) => route,
                 ExportAction::Suppress => continue,
             };
             table.slots[first + slot].advertised = true;
-            out.push((slot as u32, update));
+            out.push((slot as u32, SharedUpdate::Announce(routes.intern(route))));
         }
     }
 
-    /// Processes an update from the peer in slot `from`.
+    /// Processes an update from the peer in slot `from`, taking over the
+    /// update's count of its route.
     pub(crate) fn handle_update<M: RouteMonitor>(
         &mut self,
         from: u32,
@@ -494,52 +539,64 @@ impl<'a> Speaker<'a> {
         out: &mut Outbox,
     ) {
         let from = from as usize;
-        let route = match update {
+        let id = match update {
             SharedUpdate::Withdraw(prefix) => {
                 let Ok(at) = self.rib.position(prefix) else {
                     return;
                 };
-                if self.slot_mut(at, from).rib.take().is_some() {
+                if self.evict(at, from) {
                     monitor.on_withdraw(self.node.asn, self.node.peers[from], prefix);
                     self.reselect(at, Changed::Slot(from), monitor, out);
                 }
                 return;
             }
-            SharedUpdate::Announce(route) => route,
+            SharedUpdate::Announce(id) => id,
         };
+        let route = self.rib.routes.get(id);
+        let prefix = route.prefix();
         // Loop suppression: never accept a path containing ourselves. The
         // announcement still supersedes the peer's previous route
         // (treat-as-withdraw), otherwise two routers can hold stale routes
         // through each other forever.
         if route.as_path().contains(self.node.asn) {
-            let Ok(at) = self.rib.position(route.prefix()) else {
+            self.rib.routes.release(id);
+            let Ok(at) = self.rib.position(prefix) else {
                 return;
             };
-            if self.slot_mut(at, from).rib.take().is_some() {
+            if self.evict(at, from) {
                 self.reselect(at, Changed::Slot(from), monitor, out);
             }
             return;
         }
-        let at = self.rib.position_or_insert(route.prefix());
-        let decision = self.consult_monitor(at, from, &route, monitor);
+        let at = self.rib.position_or_insert(prefix);
+        let decision = self.consult_monitor(at, from, id, monitor);
         let changed = if self.apply_evictions(at, from, &decision) {
             Changed::Several
         } else {
             Changed::Slot(from)
         };
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        let table = &mut tables[at];
         // Stamp every announcement that got this far, refused ones included:
         // the oldest-route tiebreak orders installations by this clock.
-        let clock = &mut self.rib.tables[at].nodes[self.node.index].age_clock;
+        let clock = &mut table.nodes[self.node.index].age_clock;
         *clock += 1;
         let stamp = *clock;
-        let held = &mut self.slot_mut(at, from).rib;
-        if decision.reject {
+        let held = &mut table.slots[self.node.first + from].rib;
+        let replaced = if decision.reject {
             // The newest word from this peer supersedes its previous
             // announcement even when we refuse to install it.
-            *held = None;
-        } else if !matches!(held, Some(entry) if entry.route == route) {
+            routes.release(id);
+            held.take()
+        } else if matches!(held, Some(entry) if routes.get(entry.route) == routes.get(id)) {
             // (An identical re-announcement keeps the original age.)
-            *held = Some(RibEntry::new(route, stamp));
+            routes.release(id);
+            None
+        } else {
+            held.replace(RibEntry::new(id, routes.get(id), stamp))
+        };
+        if let Some(old) = replaced {
+            routes.release(old.route);
         }
         self.reselect(at, changed, monitor, out);
     }
@@ -548,21 +605,23 @@ impl<'a> Speaker<'a> {
         &self,
         at: usize,
         from: usize,
-        route: &Route,
+        route: RouteId,
         monitor: &mut M,
     ) -> ImportDecision {
         // The context borrows the tables: the held routes are walked lazily
         // by whoever looks, so building it allocates and copies nothing.
         let table = &self.rib.tables[at];
+        let routes = &self.rib.routes;
         let own = table.nodes[self.node.index].originated.as_ref();
         monitor.on_import(&ImportContext {
             local: self.node.asn,
             from_peer: self.node.peers[from],
-            route,
+            route: routes.get(route),
             existing: HeldRoutes::rib(
-                own.map(|entry| entry.route.as_ref()),
+                own.map(|entry| routes.get(entry.route)),
                 self.node.peers,
                 &table.slots[self.node.sessions()],
+                routes,
                 from,
             ),
         })
@@ -574,7 +633,7 @@ impl<'a> Speaker<'a> {
         let mut evicted = false;
         for peer in &decision.evict_peers {
             match self.node.peers.binary_search(peer) {
-                Ok(slot) if slot != from => evicted |= self.slot_mut(at, slot).rib.take().is_some(),
+                Ok(slot) if slot != from => evicted |= self.evict(at, slot),
                 _ => {}
             }
         }
@@ -588,9 +647,9 @@ impl<'a> Speaker<'a> {
     /// A new best route is announced to every peer but its source (split
     /// horizon), then peers that previously heard from us but are now
     /// excluded get a withdrawal; with no route left that is every advertised
-    /// peer. The prepended outbound route is built **once** and shared by
-    /// every peer the monitor lets through unmodified; only an
-    /// [`ExportAction::Replace`] costs a fresh allocation.
+    /// peer. The prepended outbound route is interned **once**, and every
+    /// peer the monitor lets through unmodified gets a count of it; only an
+    /// [`ExportAction::Replace`] interns another.
     fn reselect<M: RouteMonitor>(
         &mut self,
         at: usize,
@@ -601,7 +660,8 @@ impl<'a> Speaker<'a> {
         let Node {
             asn, index, peers, ..
         } = self.node;
-        let table = &mut self.rib.tables[at];
+        let Rib { tables, routes, .. } = &mut *self.rib;
+        let table = &mut tables[at];
         let prefix = table.prefix;
         let node = &mut table.nodes[index];
         node.decisions += 1;
@@ -613,18 +673,26 @@ impl<'a> Speaker<'a> {
             return;
         }
         let held = winner.and_then(|best| node.held(slots, best.learned_from));
-        let outbound = held.map(|entry| Arc::new(entry.route.propagated_by(asn)));
+        let outbound = held.map(|entry| {
+            let route = routes.get(entry.route).propagated_by(asn);
+            routes.intern(route)
+        });
         let source = winner.and_then(|best| best.learned_from);
         let source_asn = source.map(|slot| peers[slot as usize]);
         node.best = winner;
         let first = out.len();
         for (slot, (&peer, state)) in peers.iter().zip(slots.iter_mut()).enumerate() {
             let slot = slot as u32;
-            let announcement = match &outbound {
-                Some(route) if source != Some(slot) => {
-                    match monitor.on_export(asn, peer, source_asn, route) {
-                        ExportAction::Forward => Some(SharedUpdate::Announce(Arc::clone(route))),
-                        ExportAction::Replace(route) => Some(SharedUpdate::announce(route)),
+            let announcement = match outbound {
+                Some(id) if source != Some(slot) => {
+                    match monitor.on_export(asn, peer, source_asn, routes.get(id)) {
+                        ExportAction::Forward => {
+                            routes.retain(id);
+                            Some(SharedUpdate::Announce(id))
+                        }
+                        ExportAction::Replace(route) => {
+                            Some(SharedUpdate::Announce(routes.intern(route)))
+                        }
                         ExportAction::Suppress => None,
                     }
                 }
@@ -633,9 +701,13 @@ impl<'a> Speaker<'a> {
             let was_advertised = std::mem::replace(&mut state.advertised, announcement.is_some());
             match announcement {
                 Some(update) => out.push((slot, update)),
-                None if was_advertised => out.push((slot, SharedUpdate::withdraw(prefix))),
+                None if was_advertised => out.push((slot, SharedUpdate::Withdraw(prefix))),
                 None => {}
             }
+        }
+        // The interned route's own count: the peers hold theirs.
+        if let Some(id) = outbound {
+            routes.release(id);
         }
         // Announcements go out first, then withdrawals, each in ascending
         // slot order: the sort is stable (and one pass when nothing moves).
@@ -724,7 +796,7 @@ pub(crate) fn announced(origin: Asn, prefix: Ipv4Prefix) -> Route {
 mod tests {
     use super::*;
     use crate::monitor::NoopMonitor;
-    use bgp_types::AsPath;
+    use bgp_types::{AsPath, Update};
     use std::collections::BTreeSet;
 
     /// The calling convention these tests (and the reference router) were
@@ -738,7 +810,7 @@ mod tests {
         rib: Rib,
     }
 
-    pub(super) type Sent = Vec<(Asn, SharedUpdate)>;
+    pub(super) type Sent = Vec<(Asn, Update)>;
 
     const INDEX: usize = 1;
     const FIRST: usize = 2;
@@ -794,7 +866,9 @@ mod tests {
             })
         }
 
-        pub(super) fn call(&mut self, f: impl FnOnce(&mut Speaker<'_>, &mut Outbox)) -> Sent {
+        /// Runs `f` and returns what it sent, still as arena handles the
+        /// caller now holds.
+        fn call_raw(&mut self, f: impl FnOnce(&mut Speaker<'_>, &mut Outbox)) -> Outbox {
             let mut out = Outbox::new();
             let node = Node {
                 asn: self.asn,
@@ -803,9 +877,21 @@ mod tests {
                 peers: &self.peers,
             };
             f(&mut Speaker::new(node, &mut self.rib), &mut out);
-            let sent = out.into_iter();
-            sent.map(|(slot, update)| (self.peers[slot as usize], update))
-                .collect()
+            out
+        }
+
+        /// Runs `f` and returns what it sent, copied out of the arena. Then
+        /// the tables must be the arena's only holders, each counted once.
+        pub(super) fn call(&mut self, f: impl FnOnce(&mut Speaker<'_>, &mut Outbox)) -> Sent {
+            let out = self.call_raw(f);
+            let sent = out.into_iter().map(|(slot, update)| {
+                let update = update.into_update(&mut self.rib.routes);
+                (self.peers[slot as usize], update)
+            });
+            let sent = sent.collect();
+            let audit = self.rib.routes.audit(self.rib.held());
+            assert!(audit.is_ok(), "route arena out of balance: {audit:?}");
+            sent
         }
 
         fn originate<M: RouteMonitor>(&mut self, route: Route, monitor: &mut M) -> Sent {
@@ -815,10 +901,11 @@ mod tests {
         pub(super) fn handle_update<M: RouteMonitor>(
             &mut self,
             from: Asn,
-            update: SharedUpdate,
+            update: Update,
             monitor: &mut M,
         ) -> Sent {
             let slot = self.peers.binary_search(&from).unwrap() as u32;
+            let update = SharedUpdate::intern(update, &mut self.rib.routes);
             self.call(|r, out| r.handle_update(slot, update, monitor, out))
         }
     }
@@ -848,24 +935,28 @@ mod tests {
     #[test]
     fn fanout_announcements_share_one_route_allocation() {
         let mut r = router();
-        let updates = r.originate(Route::new(prefix(), AsPath::new()), &mut NoopMonitor);
-        let rcs: Vec<&Arc<Route>> = updates
+        let route = Route::new(prefix(), AsPath::new());
+        let out = r.call_raw(|s, out| s.originate(route, &mut NoopMonitor, out));
+        let ids: Vec<RouteId> = out
             .iter()
-            .filter_map(|(_, u)| match u {
-                SharedUpdate::Announce(rc) => Some(rc),
+            .filter_map(|(_, u)| match *u {
+                SharedUpdate::Announce(id) => Some(id),
                 SharedUpdate::Withdraw(_) => None,
             })
             .collect();
-        assert_eq!(rcs.len(), 3);
-        assert!(Arc::ptr_eq(rcs[0], rcs[1]));
-        assert!(Arc::ptr_eq(rcs[1], rcs[2]));
+        assert_eq!(ids.len(), 3);
+        assert!(ids.iter().all(|&id| id == ids[0]));
+        // One entry for the originated route, one for the exported one,
+        // which each of the three announcements holds a count of.
+        let held = r.rib.held().chain(ids.iter().copied());
+        assert_eq!(r.rib.routes.audit(held), Ok(2));
     }
 
     #[test]
     fn received_route_is_installed_and_propagated_with_split_horizon() {
         let mut r = router();
         let incoming = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        let updates = r.handle_update(Asn(2), SharedUpdate::announce(incoming), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::announce(incoming), &mut NoopMonitor);
         // Sent to peers 3 and 4, not back to 2.
         let targets: Vec<Asn> = updates.iter().map(|(p, _)| *p).collect();
         assert_eq!(targets, vec![Asn(3), Asn(4)]);
@@ -880,7 +971,7 @@ mod tests {
         let mut r = router();
         let mut looped = announced(Asn(9), prefix());
         looped = looped.propagated_by(Asn(1)).propagated_by(Asn(2));
-        let updates = r.handle_update(Asn(2), SharedUpdate::announce(looped), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::announce(looped), &mut NoopMonitor);
         assert!(updates.is_empty());
         assert!(r.view().best_route(prefix()).is_none());
     }
@@ -892,8 +983,8 @@ mod tests {
             .propagated_by(Asn(7))
             .propagated_by(Asn(2));
         let short = announced(Asn(9), prefix()).propagated_by(Asn(3));
-        r.handle_update(Asn(2), SharedUpdate::announce(long), &mut NoopMonitor);
-        let updates = r.handle_update(Asn(3), SharedUpdate::announce(short), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(long), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(3), Update::announce(short), &mut NoopMonitor);
         assert_eq!(r.view().best_learned_from(prefix()), Some(Asn(3)));
         assert!(!updates.is_empty());
     }
@@ -905,8 +996,8 @@ mod tests {
         let mut r = router();
         let via4 = announced(Asn(9), prefix()).propagated_by(Asn(4));
         let via3 = announced(Asn(9), prefix()).propagated_by(Asn(3));
-        r.handle_update(Asn(4), SharedUpdate::announce(via4), &mut NoopMonitor);
-        let updates = r.handle_update(Asn(3), SharedUpdate::announce(via3), &mut NoopMonitor);
+        r.handle_update(Asn(4), Update::announce(via4), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(3), Update::announce(via3), &mut NoopMonitor);
         assert_eq!(r.view().best_learned_from(prefix()), Some(Asn(4)));
         assert!(updates.is_empty(), "no churn on an ignored tie");
     }
@@ -923,11 +1014,11 @@ mod tests {
         let via4 = announced(Asn(8), prefix())
             .propagated_by(Asn(7))
             .propagated_by(Asn(4));
-        r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut NoopMonitor);
-        r.handle_update(Asn(3), SharedUpdate::announce(via3), &mut NoopMonitor);
-        r.handle_update(Asn(4), SharedUpdate::announce(via4), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(via2), &mut NoopMonitor);
+        r.handle_update(Asn(3), Update::announce(via3), &mut NoopMonitor);
+        r.handle_update(Asn(4), Update::announce(via4), &mut NoopMonitor);
         assert_eq!(r.view().best_learned_from(prefix()), Some(Asn(2)));
-        r.handle_update(Asn(2), SharedUpdate::withdraw(prefix()), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::withdraw(prefix()), &mut NoopMonitor);
         assert_eq!(r.view().best_learned_from(prefix()), Some(Asn(3)));
     }
 
@@ -935,7 +1026,7 @@ mod tests {
     fn local_origination_beats_learned_routes() {
         let mut r = router();
         let learned = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        r.handle_update(Asn(2), SharedUpdate::announce(learned), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(learned), &mut NoopMonitor);
         r.originate(Route::new(prefix(), AsPath::new()), &mut NoopMonitor);
         assert_eq!(r.view().best_origin(prefix()), Some(Asn(1)));
         assert_eq!(r.view().best_learned_from(prefix()), None);
@@ -949,12 +1040,8 @@ mod tests {
             .propagated_by(Asn(7))
             .propagated_by(Asn(3))
             .with_local_pref(200);
-        r.handle_update(Asn(2), SharedUpdate::announce(short), &mut NoopMonitor);
-        r.handle_update(
-            Asn(3),
-            SharedUpdate::announce(long_preferred),
-            &mut NoopMonitor,
-        );
+        r.handle_update(Asn(2), Update::announce(short), &mut NoopMonitor);
+        r.handle_update(Asn(3), Update::announce(long_preferred), &mut NoopMonitor);
         assert_eq!(r.view().best_learned_from(prefix()), Some(Asn(3)));
     }
 
@@ -965,10 +1052,10 @@ mod tests {
         let via3 = announced(Asn(8), prefix())
             .propagated_by(Asn(7))
             .propagated_by(Asn(3));
-        r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut NoopMonitor);
-        r.handle_update(Asn(3), SharedUpdate::announce(via3), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(via2), &mut NoopMonitor);
+        r.handle_update(Asn(3), Update::announce(via3), &mut NoopMonitor);
         assert_eq!(r.view().best_origin(prefix()), Some(Asn(9)));
-        let updates = r.handle_update(Asn(2), SharedUpdate::withdraw(prefix()), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::withdraw(prefix()), &mut NoopMonitor);
         assert_eq!(r.view().best_origin(prefix()), Some(Asn(8)));
         assert!(!updates.is_empty());
     }
@@ -977,8 +1064,8 @@ mod tests {
     fn last_withdrawal_sends_withdraw_to_advertised_peers() {
         let mut r = router();
         let via2 = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut NoopMonitor);
-        let updates = r.handle_update(Asn(2), SharedUpdate::withdraw(prefix()), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(via2), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::withdraw(prefix()), &mut NoopMonitor);
         assert!(r.view().best_route(prefix()).is_none());
         let withdraw_targets: BTreeSet<Asn> = updates
             .iter()
@@ -992,12 +1079,8 @@ mod tests {
     fn duplicate_announcement_is_silent() {
         let mut r = router();
         let via2 = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        r.handle_update(
-            Asn(2),
-            SharedUpdate::announce(via2.clone()),
-            &mut NoopMonitor,
-        );
-        let updates = r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(via2.clone()), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::announce(via2), &mut NoopMonitor);
         assert!(
             updates.is_empty(),
             "implicit replacement with identical route must not re-export"
@@ -1007,7 +1090,7 @@ mod tests {
     #[test]
     fn spurious_withdrawal_is_silent() {
         let mut r = router();
-        let updates = r.handle_update(Asn(2), SharedUpdate::withdraw(prefix()), &mut NoopMonitor);
+        let updates = r.handle_update(Asn(2), Update::withdraw(prefix()), &mut NoopMonitor);
         assert!(updates.is_empty());
     }
 
@@ -1020,10 +1103,10 @@ mod tests {
         let via2 = announced(Asn(9), prefix())
             .propagated_by(Asn(7))
             .propagated_by(Asn(2));
-        r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut NoopMonitor);
+        r.handle_update(Asn(2), Update::announce(via2), &mut NoopMonitor);
         let via3 = announced(Asn(9), prefix()).propagated_by(Asn(3));
-        let updates = r.handle_update(Asn(3), SharedUpdate::announce(via3), &mut NoopMonitor);
-        let to3: Vec<&SharedUpdate> = updates
+        let updates = r.handle_update(Asn(3), Update::announce(via3), &mut NoopMonitor);
+        let to3: Vec<&Update> = updates
             .iter()
             .filter(|(p, _)| *p == Asn(3))
             .map(|(_, u)| u)
@@ -1042,7 +1125,7 @@ mod tests {
         }
         let mut r = router();
         let via2 = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        let updates = r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut RejectAll);
+        let updates = r.handle_update(Asn(2), Update::announce(via2), &mut RejectAll);
         assert!(updates.is_empty());
         assert!(r.view().best_route(prefix()).is_none());
     }
@@ -1061,12 +1144,12 @@ mod tests {
         }
         let mut r = router();
         let false_route = announced(Asn(66), prefix()).propagated_by(Asn(2));
-        r.handle_update(Asn(2), SharedUpdate::announce(false_route), &mut EvictTwo);
+        r.handle_update(Asn(2), Update::announce(false_route), &mut EvictTwo);
         assert_eq!(r.view().best_origin(prefix()), Some(Asn(66)));
         let valid = announced(Asn(9), prefix())
             .propagated_by(Asn(7))
             .propagated_by(Asn(3));
-        r.handle_update(Asn(3), SharedUpdate::announce(valid), &mut EvictTwo);
+        r.handle_update(Asn(3), Update::announce(valid), &mut EvictTwo);
         assert_eq!(r.view().best_origin(prefix()), Some(Asn(9)));
         assert_eq!(r.view().adj_rib_in(prefix()).count(), 1);
     }
@@ -1134,9 +1217,9 @@ mod tests {
         let mut r = router();
         r.originate(Route::new(prefix(), AsPath::new()), &mut monitor);
         let via2 = announced(Asn(9), prefix()).propagated_by(Asn(2));
-        r.handle_update(Asn(2), SharedUpdate::announce(via2.clone()), &mut monitor);
+        r.handle_update(Asn(2), Update::announce(via2.clone()), &mut monitor);
         // Re-announcement from the same peer: its own old entry excluded.
-        r.handle_update(Asn(2), SharedUpdate::announce(via2), &mut monitor);
+        r.handle_update(Asn(2), Update::announce(via2), &mut monitor);
         assert_eq!(monitor.0, vec![1, 1]);
     }
 }

@@ -15,14 +15,13 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, Update};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use super::reference;
 use super::tests::{ByAsn, Sent};
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
-use crate::update::SharedUpdate;
 
 const LOCAL: Asn = Asn(1);
 /// Named by `peer_down` / `refresh_peer` calls that miss every peer.
@@ -348,14 +347,14 @@ impl Pair {
                 let route = self.announcement(peer, self.prefix(prefix), tail, local_pref);
                 let from = self.peer(peer);
                 self.announced.insert((from, route.prefix()), route.clone());
-                (from, SharedUpdate::announce(route))
+                (from, Update::announce(route))
             }
             Op::Repeat(at) => match self.announced.iter().nth(at % self.announced.len().max(1)) {
-                Some((&(from, _), route)) => (from, SharedUpdate::announce(route.clone())),
+                Some((&(from, _), route)) => (from, Update::announce(route.clone())),
                 None => return (Sent::new(), Sent::new()),
             },
             Op::Withdraw { peer, prefix } => {
-                (self.peer(peer), SharedUpdate::withdraw(self.prefix(prefix)))
+                (self.peer(peer), Update::withdraw(self.prefix(prefix)))
             }
         };
         (

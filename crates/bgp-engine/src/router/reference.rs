@@ -1,20 +1,20 @@
 //! The `BTreeMap`-keyed router this crate shipped before the dense RIB
-//! layout, kept verbatim (its docs dropped, two unused getters swapped for one on the age clock) as the oracle for
-//! `router::differential`: it addresses peers by ASN and returns a fresh
-//! update list per call. Test-only; nothing at runtime reaches it.
+//! layout, kept verbatim (its docs dropped, two unused getters swapped for
+//! one on the age clock, and its shared routes turned into owned clones) as
+//! the oracle for `router::differential`: it addresses peers by ASN and
+//! returns a fresh update list per call. Test-only; nothing at runtime
+//! reaches it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use bgp_types::{Asn, Ipv4Prefix, Route};
+use bgp_types::{Asn, Ipv4Prefix, Route, Update};
 
 use crate::monitor::{ExportAction, HeldRoutes, ImportContext, ImportDecision, RouteMonitor};
-use crate::update::SharedUpdate;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BestEntry {
-    route: Arc<Route>,
+    route: Route,
     learned_from: Option<Asn>,
 }
 
@@ -22,7 +22,7 @@ struct BestEntry {
 pub(super) struct Router {
     asn: Asn,
     peers: Vec<Asn>,
-    originated: BTreeMap<Ipv4Prefix, Arc<Route>>,
+    originated: BTreeMap<Ipv4Prefix, Route>,
     adj_in: BTreeMap<Ipv4Prefix, BTreeMap<Asn, RibEntry>>,
     best: BTreeMap<Ipv4Prefix, BestEntry>,
     advertised: BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
@@ -32,7 +32,7 @@ pub(super) struct Router {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RibEntry {
-    route: Arc<Route>,
+    route: Route,
     installed_at: u64,
 }
 
@@ -57,7 +57,7 @@ impl Router {
     }
 
     pub(super) fn best_route(&self, prefix: Ipv4Prefix) -> Option<&Route> {
-        self.best.get(&prefix).map(|e| e.route.as_ref())
+        self.best.get(&prefix).map(|e| &e.route)
     }
 
     pub(super) fn best_learned_from(&self, prefix: Ipv4Prefix) -> Option<Asn> {
@@ -95,16 +95,16 @@ impl Router {
         self.adj_in
             .get(&prefix)
             .into_iter()
-            .flat_map(|m| m.iter().map(|(&peer, entry)| (peer, entry.route.as_ref())))
+            .flat_map(|m| m.iter().map(|(&peer, entry)| (peer, &entry.route)))
     }
 
     pub(super) fn originate<M: RouteMonitor>(
         &mut self,
         route: Route,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         let prefix = route.prefix();
-        self.originated.insert(prefix, Arc::new(route));
+        self.originated.insert(prefix, route);
         self.reselect(prefix, monitor)
     }
 
@@ -112,7 +112,7 @@ impl Router {
         &mut self,
         prefix: Ipv4Prefix,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         if self.originated.remove(&prefix).is_none() {
             return Vec::new();
         }
@@ -123,7 +123,7 @@ impl Router {
         &mut self,
         peer: Asn,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         let mut affected: Vec<Ipv4Prefix> = Vec::new();
         for (&prefix, rib) in &mut self.adj_in {
             if rib.remove(&peer).is_some() {
@@ -148,7 +148,7 @@ impl Router {
         &mut self,
         peer: Asn,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         if !self.peers.contains(&peer) {
             return Vec::new();
         }
@@ -162,15 +162,15 @@ impl Router {
             if entry.learned_from == Some(peer) {
                 continue; // split horizon
             }
-            let outbound = Arc::new(entry.route.propagated_by(self.asn));
+            let outbound = entry.route.propagated_by(self.asn);
             match monitor.on_export(self.asn, peer, entry.learned_from, &outbound) {
                 ExportAction::Forward => {
                     self.advertised.entry(prefix).or_default().insert(peer);
-                    out.push((peer, SharedUpdate::Announce(outbound)));
+                    out.push((peer, Update::Announce(outbound)));
                 }
                 ExportAction::Replace(route) => {
                     self.advertised.entry(prefix).or_default().insert(peer);
-                    out.push((peer, SharedUpdate::announce(route)));
+                    out.push((peer, Update::announce(route)));
                 }
                 ExportAction::Suppress => {}
             }
@@ -181,12 +181,12 @@ impl Router {
     pub(super) fn handle_update<M: RouteMonitor>(
         &mut self,
         from: Asn,
-        update: SharedUpdate,
+        update: Update,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         let prefix = update.prefix();
         match update {
-            SharedUpdate::Withdraw(_) => {
+            Update::Withdraw(_) => {
                 let removed = self
                     .adj_in
                     .get_mut(&prefix)
@@ -197,7 +197,7 @@ impl Router {
                 }
                 monitor.on_withdraw(self.asn, from, prefix);
             }
-            SharedUpdate::Announce(route) => {
+            Update::Announce(route) => {
                 if route.as_path().contains(self.asn) {
                     let removed = self
                         .adj_in
@@ -247,12 +247,12 @@ impl Router {
     ) -> ImportDecision {
         let mut existing: Vec<(Option<Asn>, &Route)> = Vec::new();
         if let Some(own) = self.originated.get(&route.prefix()) {
-            existing.push((None, own.as_ref()));
+            existing.push((None, own));
         }
         if let Some(rib) = self.adj_in.get(&route.prefix()) {
             for (&peer, held) in rib {
                 if peer != from {
-                    existing.push((Some(peer), held.route.as_ref()));
+                    existing.push((Some(peer), &held.route));
                 }
             }
         }
@@ -281,7 +281,7 @@ impl Router {
         &mut self,
         prefix: Ipv4Prefix,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
+    ) -> Vec<(Asn, Update)> {
         self.decisions += 1;
         let new_best = self.decide(prefix);
         let old_best = self.best.get(&prefix);
@@ -298,7 +298,7 @@ impl Router {
                 let previously = self.advertised.remove(&prefix).unwrap_or_default();
                 previously
                     .into_iter()
-                    .map(|peer| (peer, SharedUpdate::withdraw(prefix)))
+                    .map(|peer| (peer, Update::withdraw(prefix)))
                     .collect()
             }
         }
@@ -325,7 +325,7 @@ impl Router {
                 )
             })
             .map(|(route, learned_from, _)| BestEntry {
-                route: Arc::clone(route),
+                route: route.clone(),
                 learned_from,
             })
     }
@@ -335,8 +335,8 @@ impl Router {
         prefix: Ipv4Prefix,
         entry: &BestEntry,
         monitor: &mut M,
-    ) -> Vec<(Asn, SharedUpdate)> {
-        let outbound = Arc::new(entry.route.propagated_by(self.asn));
+    ) -> Vec<(Asn, Update)> {
+        let outbound = entry.route.propagated_by(self.asn);
         let mut sent_to: BTreeSet<Asn> = BTreeSet::new();
         let mut updates = Vec::with_capacity(self.peers.len());
         for &peer in &self.peers {
@@ -346,11 +346,11 @@ impl Router {
             match monitor.on_export(self.asn, peer, entry.learned_from, &outbound) {
                 ExportAction::Forward => {
                     sent_to.insert(peer);
-                    updates.push((peer, SharedUpdate::Announce(Arc::clone(&outbound))));
+                    updates.push((peer, Update::Announce(outbound.clone())));
                 }
                 ExportAction::Replace(route) => {
                     sent_to.insert(peer);
-                    updates.push((peer, SharedUpdate::announce(route)));
+                    updates.push((peer, Update::announce(route)));
                 }
                 ExportAction::Suppress => {}
             }
@@ -360,7 +360,7 @@ impl Router {
             .insert(prefix, sent_to.clone())
             .unwrap_or_default();
         for peer in previously.difference(&sent_to) {
-            updates.push((*peer, SharedUpdate::withdraw(prefix)));
+            updates.push((*peer, Update::withdraw(prefix)));
         }
         updates
     }

@@ -1,91 +1,77 @@
-//! In-flight updates with reference-counted announce payloads.
+//! In-flight updates whose announcements name a route in the shard's arena.
 
-use std::sync::Arc;
+use bgp_types::{Ipv4Prefix, Update};
 
-use bgp_types::{Ipv4Prefix, Route, Update};
+use crate::router::{Arena, RouteId};
 
-/// A BGP update as it travels through the simulator's event queue.
+/// A BGP update as it travels through a shard: a router's outbox, the event
+/// queue, an MRAI window.
 ///
-/// Announce payloads sit behind an [`Arc`], so a router fanning one new best
-/// route out to `k` peers enqueues `k` pointer copies of a single [`Route`]
-/// — one heap block, its AS path inline and its communities and MOAS list
-/// shared — instead of `k` copies. The receiving router installs the same
-/// shared payload straight into its Adj-RIB-In; nothing mutates a route
-/// after export.
+/// An announcement is a handle into the shard's route [`Arena`], and whoever
+/// holds the update owns one count of that handle: a router fanning one new
+/// best route out to `k` peers interns it once and hands out `k` counts, and
+/// the receiving router installs the handle it was given straight into its
+/// Adj-RIB-In. Nothing mutates a route after export. The update is `Copy` so
+/// that a delivery event is; dropping a copy on the floor leaks its count,
+/// so every path that discards one hands it to [`SharedUpdate::discard`].
 ///
-/// Conversion to the wire-level [`Update`] (owned payload) is explicit via
-/// [`SharedUpdate::into_update`], used only at the simulator's edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SharedUpdate {
-    /// Announce a (shared) route.
-    Announce(Arc<Route>),
+/// Between shards an update travels as the owned wire-level [`Update`]
+/// ([`SharedUpdate::into_update`]) and is interned again on arrival
+/// ([`SharedUpdate::intern`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SharedUpdate {
+    /// Announce the arena's route.
+    Announce(RouteId),
     /// Withdraw any previously announced route for the prefix.
     Withdraw(Ipv4Prefix),
 }
 
 impl SharedUpdate {
-    /// Wraps an owned route as a shareable announcement.
-    #[must_use]
-    pub fn announce(route: Route) -> Self {
-        SharedUpdate::Announce(Arc::new(route))
-    }
-
-    /// A withdrawal for `prefix`.
-    #[must_use]
-    pub fn withdraw(prefix: Ipv4Prefix) -> Self {
-        SharedUpdate::Withdraw(prefix)
-    }
-
-    /// The prefix this update concerns.
-    #[must_use]
-    pub fn prefix(&self) -> Ipv4Prefix {
-        match self {
-            SharedUpdate::Announce(route) => route.prefix(),
-            SharedUpdate::Withdraw(prefix) => *prefix,
+    /// Stores an owned update's route in `arena`, held by the result.
+    pub(crate) fn intern(update: Update, arena: &mut Arena) -> Self {
+        match update {
+            Update::Announce(route) => SharedUpdate::Announce(arena.intern(route)),
+            Update::Withdraw(prefix) => SharedUpdate::Withdraw(prefix),
         }
     }
 
-    /// The announced route, if this is an announcement.
-    #[must_use]
-    pub fn route(&self) -> Option<&Route> {
+    /// The owned update, copied out of `arena`; releases this one's count.
+    pub(crate) fn into_update(self, arena: &mut Arena) -> Update {
         match self {
-            SharedUpdate::Announce(route) => Some(route),
-            SharedUpdate::Withdraw(_) => None,
-        }
-    }
-
-    /// Returns `true` for withdrawals.
-    #[must_use]
-    pub fn is_withdrawal(&self) -> bool {
-        matches!(self, SharedUpdate::Withdraw(_))
-    }
-
-    /// Converts to the owned wire-level [`Update`], cloning the route only
-    /// when the payload is still shared with another in-flight message.
-    #[must_use]
-    pub fn into_update(self) -> Update {
-        match self {
-            SharedUpdate::Announce(route) => {
-                Update::Announce(Arc::try_unwrap(route).unwrap_or_else(|rc| (*rc).clone()))
+            SharedUpdate::Announce(id) => {
+                let route = arena.get(id).clone();
+                arena.release(id);
+                Update::Announce(route)
             }
             SharedUpdate::Withdraw(prefix) => Update::Withdraw(prefix),
         }
     }
-}
 
-impl From<Update> for SharedUpdate {
-    fn from(update: Update) -> Self {
-        match update {
-            Update::Announce(route) => SharedUpdate::announce(route),
-            Update::Withdraw(prefix) => SharedUpdate::Withdraw(prefix),
+    /// Drops this update, releasing its count.
+    pub(crate) fn discard(self, arena: &mut Arena) {
+        if let SharedUpdate::Announce(id) = self {
+            arena.release(id);
         }
+    }
+
+    /// The prefix this update concerns.
+    pub(crate) fn prefix(self, arena: &Arena) -> Ipv4Prefix {
+        match self {
+            SharedUpdate::Announce(id) => arena.get(id).prefix(),
+            SharedUpdate::Withdraw(prefix) => prefix,
+        }
+    }
+
+    /// Returns `true` for withdrawals.
+    pub(crate) fn is_withdrawal(self) -> bool {
+        matches!(self, SharedUpdate::Withdraw(_))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{AsPath, Asn};
+    use bgp_types::{AsPath, Asn, Route};
 
     fn p() -> Ipv4Prefix {
         "10.0.0.0/16".parse().unwrap()
@@ -93,35 +79,43 @@ mod tests {
 
     #[test]
     fn accessors_match_update_semantics() {
+        let mut arena = Arena::default();
         let route = Route::new(p(), AsPath::origination(Asn(4)));
-        let a = SharedUpdate::announce(route.clone());
-        assert_eq!(a.prefix(), p());
-        assert_eq!(a.route(), Some(&route));
+        let a = SharedUpdate::intern(Update::announce(route.clone()), &mut arena);
+        assert_eq!(a.prefix(&arena), p());
+        assert!(matches!(a, SharedUpdate::Announce(id) if *arena.get(id) == route));
         assert!(!a.is_withdrawal());
-        let w = SharedUpdate::withdraw(p());
-        assert_eq!(w.prefix(), p());
-        assert!(w.route().is_none());
+        let w = SharedUpdate::Withdraw(p());
+        assert_eq!(w.prefix(&arena), p());
         assert!(w.is_withdrawal());
     }
 
     #[test]
     fn sharing_is_pointer_level() {
-        let a = SharedUpdate::announce(Route::new(p(), AsPath::origination(Asn(4))));
-        let b = a.clone();
-        match (&a, &b) {
-            (SharedUpdate::Announce(x), SharedUpdate::Announce(y)) => {
-                assert!(Arc::ptr_eq(x, y));
-            }
-            _ => unreachable!(),
-        }
+        // A copy names the same entry; each holder's count is released once.
+        let mut arena = Arena::default();
+        let route = Route::new(p(), AsPath::origination(Asn(4)));
+        let a = SharedUpdate::intern(Update::announce(route), &mut arena);
+        let SharedUpdate::Announce(id) = a else {
+            unreachable!()
+        };
+        arena.retain(id);
+        let b = a;
+        assert_eq!(a, b);
+        assert_eq!(arena.audit([id, id]), Ok(1));
+        a.discard(&mut arena);
+        b.discard(&mut arena);
+        assert_eq!(arena.audit([]), Ok(0));
     }
 
     #[test]
     fn round_trips_through_update() {
+        let mut arena = Arena::default();
         let owned = Update::announce(Route::new(p(), AsPath::origination(Asn(4))));
-        let shared: SharedUpdate = owned.clone().into();
-        assert_eq!(shared.into_update(), owned);
-        let shared = SharedUpdate::withdraw(p());
-        assert_eq!(shared.into_update(), Update::withdraw(p()));
+        let shared = SharedUpdate::intern(owned.clone(), &mut arena);
+        assert_eq!(shared.into_update(&mut arena), owned);
+        assert_eq!(arena.audit([]), Ok(0));
+        let shared = SharedUpdate::Withdraw(p());
+        assert_eq!(shared.into_update(&mut arena), Update::withdraw(p()));
     }
 }

@@ -8,21 +8,20 @@
 //! routes borrows the tables, the AS path's summary answers the loop check
 //! and the selection length, the best route is named by slot and stamp
 //! rather than by a second pointer, and an incremental selection compares
-//! one slot with the incumbent. What remains is the route a router builds
-//! when its best route changes — one block, since a path of up to 11 ASNs
-//! is stored inline and the communities and MOAS list are shared — the
-//! per-prefix table on first mention, and the event queue's buckets. So
-//! dropping a converged network frees one block per route still held, plus
-//! its fixed tables. Run alone with `cargo test -p bgp-engine --test
-//! event_alloc`.
+//! one slot with the incumbent. The route a router builds when its best
+//! route changes is pushed into the shard's route arena — a path of up to
+//! 11 ASNs is stored inline and the communities and MOAS list are shared —
+//! so what allocates is the arena's growth, the per-prefix table on first
+//! mention, and the event queue's buckets. Dropping a converged network
+//! frees those tables, the same number whatever it holds. Run alone with
+//! `cargo test -p bgp-engine --test event_alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ptr;
 
 use as_topology::{AsGraph, ScaleFreeModel};
 use bgp_engine::{NoopMonitor, ShardedNetwork};
-use bgp_types::{Ipv4Prefix, Route};
+use bgp_types::Ipv4Prefix;
 
 /// Forwards to the system allocator, counting the allocations and
 /// reallocations, and separately the frees, made by the current thread (the
@@ -104,50 +103,55 @@ fn building_a_network_costs_the_same_on_every_graph() {
     );
 }
 
-#[test]
-fn a_run_allocates_only_for_exported_routes() {
-    let graph = ScaleFreeModel::new().as_count(2_000).build(11);
+/// Originates one prefix from the graph's first stub and runs to
+/// quiescence, checking every AS routes to it; returns the network and the
+/// allocations the origination and run made.
+fn converge(graph: &AsGraph, seed: u64) -> (ShardedNetwork, usize) {
     let origin = graph.stub_asns()[0];
     let prefix: Ipv4Prefix = "208.8.0.0/16".parse().unwrap();
-    let mut net = build(&graph, 5);
+    let mut net = build(graph, seed);
     let ((), allocations) = allocations_during(|| {
         net.originate(origin, prefix, None);
         net.run().expect("a scale-free graph converges");
     });
-    let events = net.events_fired();
     assert!(graph
         .asns()
         .all(|asn| net.best_origin(asn, prefix) == Some(origin)));
-    // The exact count for this graph and seed: a change that allocates on
-    // import, or per router, moves it. Of the 2,831, 2,767 are the routes
-    // exported on a best-route change (one block each: the path is inline
-    // and the route has no communities); the other 64 are the originated
-    // route, the prefix's table and the event queue's buckets.
-    assert_eq!((events, allocations), (10_284, 2_831));
-    assert!(
-        allocations as u64 <= events,
-        "{allocations} allocations for {events} events"
-    );
+    (net, allocations)
+}
 
-    // Every route still held, counted once however many tables hold it:
+#[test]
+fn a_run_allocates_only_for_exported_routes() {
+    let graph = ScaleFreeModel::new().as_count(2_000).build(11);
+    let (net, allocations) = converge(&graph, 5);
+    let events = net.events_fired();
+    // The exact count for this graph and seed: a change that allocates on
+    // import, per router or per exported route moves it. The 2,767 routes
+    // exported on a best-route change are pushed into the shard's route
+    // arena, whose vectors grow by doubling (30 of the 93); the other 63
+    // are the prefix's table and the event queue's buckets.
+    assert_eq!((events, allocations), (10_284, 93));
+    // Every route still held, counted once however many holders name it:
     // each AS's best route, which its peers hold as exported.
-    let mut held: Vec<*const Route> = Vec::new();
-    for asn in graph.asns() {
-        let router = net.router(asn).expect("every AS has a router");
-        let learned = router.adj_rib_in(prefix).map(|(_, route)| route);
-        held.extend(
-            router
-                .best_route(prefix)
-                .into_iter()
-                .chain(learned)
-                .map(ptr::from_ref),
-        );
-    }
-    held.sort_unstable();
-    held.dedup();
-    // Dropping the network frees one block per held route and 22 for the
-    // topology (its two-block `NodeNumbering` included), the tables and the
-    // queue, whatever the graph's size.
+    assert_eq!(net.audit_route_arenas(), Ok(2_001));
+    // Dropping the network frees its tables, the arena's three vectors
+    // among them, and not one block per route.
     let frees = frees_during(|| drop(net));
-    assert_eq!((held.len(), frees), (2_001, 2_001 + 22));
+    assert_eq!(frees, FREED_ON_DROP);
+}
+
+/// The blocks dropping a converged one-prefix network frees: the topology
+/// (its two-block `NodeNumbering` included), the tables, the route arena
+/// and the queue.
+const FREED_ON_DROP: usize = 25;
+
+#[test]
+fn dropping_a_network_frees_tables_not_routes() {
+    for (as_count, live) in [(1_000, 1_001), (4_000, 4_001)] {
+        let graph = ScaleFreeModel::new().as_count(as_count).build(3);
+        let (net, _) = converge(&graph, 1);
+        assert_eq!(net.audit_route_arenas(), Ok(live), "{as_count} ASes");
+        let frees = frees_during(|| drop(net));
+        assert_eq!(frees, FREED_ON_DROP, "{as_count} ASes");
+    }
 }
