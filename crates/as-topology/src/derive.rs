@@ -87,9 +87,9 @@ fn derive_raw(graph: &AsGraph, stub_fraction: f64, seed: u64) -> Result<AsGraph,
         return Err(DeriveError::NoStubs);
     }
     let fraction = stub_fraction.clamp(0.0, 1.0);
-    let mut rng = sim_engine::rng::from_seed(seed);
+    let mut rng = bgp_types::rng::from_seed(seed);
     let take = ((stubs.len() as f64) * fraction).round().max(1.0) as usize;
-    let selected_stubs = sim_engine::rng::sample_distinct(&mut rng, &stubs, take);
+    let selected_stubs = bgp_types::rng::sample_distinct(&mut rng, &stubs, take);
 
     // Selected stubs plus their ISP peers; peering among kept ASes preserved
     // by taking the induced subgraph.

@@ -113,7 +113,7 @@ impl InternetModel {
     pub fn build_with_relationships(&self, seed: u64) -> (AsGraph, AsRelationships) {
         let transit_count = self.transit_count.max(1);
         let tier1_count = transit_count.min(TIER1_MAX);
-        let mut rng = sim_engine::rng::from_seed(seed);
+        let mut rng = bgp_types::rng::from_seed(seed);
         let mut graph = AsGraph::new();
         let mut rels = AsRelationships::new();
 
@@ -173,7 +173,7 @@ impl InternetModel {
             let first = pool[rng.gen_range(0..pool.len())];
             graph.add_link(asn, first);
             rels.add_transit(first, asn);
-            if transit.len() > 1 && sim_engine::rng::coin(&mut rng, self.multihome_prob) {
+            if transit.len() > 1 && bgp_types::rng::coin(&mut rng, self.multihome_prob) {
                 let second = loop {
                     let candidate = transit[rng.gen_range(0..transit.len())];
                     if candidate != first {
@@ -272,7 +272,7 @@ impl ScaleFreeModel {
     fn generate(&self, seed: u64, mut annotate: impl FnMut(Asn, Asn, LinkKind)) -> AsGraph {
         let n = self.as_count.max(2);
         let m = ATTACH_LINKS.min(n - 1);
-        let mut rng = sim_engine::rng::from_seed(seed);
+        let mut rng = bgp_types::rng::from_seed(seed);
         let mut graph = AsGraph::new();
         let mut link = |graph: &mut AsGraph, a: Asn, b: Asn, kind: LinkKind| {
             graph.add_link(a, b);

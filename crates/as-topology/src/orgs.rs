@@ -43,8 +43,8 @@ impl OrgAnnotations {
         let stubs = graph.stub_asns();
         let group_size = group_size.max(2);
         let wanted = sibling_pairs * 2 + anycast_groups * group_size;
-        let mut rng = sim_engine::rng::from_seed(seed);
-        let picked = sim_engine::rng::sample_distinct(&mut rng, &stubs, wanted.min(stubs.len()));
+        let mut rng = bgp_types::rng::from_seed(seed);
+        let picked = bgp_types::rng::sample_distinct(&mut rng, &stubs, wanted.min(stubs.len()));
 
         let mut annotations = OrgAnnotations::default();
         let mut cursor = picked.into_iter();

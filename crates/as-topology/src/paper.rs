@@ -101,7 +101,7 @@ fn derive_all_exact() -> [AsGraph; 3] {
         for pct in (2..=60).map(|p| p as f64 / 100.0) {
             for seed in (seed_block * 10)..(seed_block * 10 + 10) {
                 let seed =
-                    sim_engine::rng::derive_seed(BASE_SEED, seed * 1000 + (pct * 100.0) as u64);
+                    bgp_types::rng::derive_seed(BASE_SEED, seed * 1000 + (pct * 100.0) as u64);
                 let Ok(g) = derive(source, pct, seed) else {
                     continue;
                 };

@@ -96,7 +96,7 @@ impl RouteTable {
     #[must_use]
     pub fn synthesize(truth: &AsGraph, vantages: &[usize], seed: u64) -> RouteTable {
         let transit = truth.transit_asns();
-        let mut rng = sim_engine::rng::from_seed(seed);
+        let mut rng = bgp_types::rng::from_seed(seed);
         let mut table = RouteTable::new();
         if transit.is_empty() {
             return table;

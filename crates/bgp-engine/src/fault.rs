@@ -51,9 +51,9 @@
 
 use std::collections::BTreeMap;
 
+use bgp_types::rng::coin;
 use bgp_types::{Asn, Ipv4Prefix, Route};
 use rand::Rng;
-use sim_engine::rng::coin;
 
 /// What a faulty link decided to do with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,8 +335,8 @@ impl NetFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::rng::from_seed;
     use bgp_types::AsPath;
-    use sim_engine::rng::from_seed;
 
     fn route() -> Route {
         Route::new("10.0.0.0/16".parse().unwrap(), AsPath::new())

@@ -6,9 +6,10 @@
 //! deterministic decision process (highest `LOCAL_PREF`, then shortest AS
 //! path, then lowest peer ASN), AS-path loop suppression, split-horizon
 //! advertisement, and event-driven propagation over a deterministic
-//! discrete-event queue with per-link delays, timed in [`sim_engine`]'s
-//! ticks. Lossy links, link failures, session resets and scripted origin
-//! churn are injected reproducibly through a [`NetFaultPlan`].
+//! discrete-event queue with per-link delays, timed in
+//! [`bgp_types::SimTime`] ticks. Lossy links, link failures, session resets
+//! and scripted origin churn are injected reproducibly through a
+//! [`NetFaultPlan`].
 //!
 //! Route validation — the paper's MOAS-list checking — plugs in through the
 //! [`RouteMonitor`] trait, which sees every import and export. The `moas-core`

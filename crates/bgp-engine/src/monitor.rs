@@ -9,8 +9,7 @@
 
 use std::fmt;
 
-use bgp_types::{Asn, Ipv4Prefix, Route};
-use sim_engine::SimTime;
+use bgp_types::{Asn, Ipv4Prefix, Route, SimTime};
 
 use crate::router::{Arena, Slot};
 

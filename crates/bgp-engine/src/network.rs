@@ -3,7 +3,7 @@
 use std::ops::{Deref, DerefMut};
 
 use as_topology::AsGraph;
-use sim_engine::SimTime;
+use bgp_types::SimTime;
 
 use crate::error::ConvergenceError;
 use crate::monitor::{NoopMonitor, RouteMonitor};

@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use bgp_types::{Asn, Community, Ipv4Prefix, Route};
-use sim_engine::SimTime;
+use bgp_types::{Asn, Community, Ipv4Prefix, Route, SimTime};
 
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
 

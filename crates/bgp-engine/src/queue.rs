@@ -3,7 +3,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use sim_engine::SimTime;
+use bgp_types::SimTime;
 
 /// Lifetime counters of a simulation's event queue, for observability.
 ///

@@ -24,11 +24,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use as_topology::{AsGraph, NodeNumbering, Partition};
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, Update};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, SimTime, Update};
 use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use sim_engine::SimTime;
 
 use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
 use crate::fault::{
@@ -723,7 +722,7 @@ impl<M: RouteMonitor> Shard<M> {
             if let Some(model) = faults.models.get(&edge) {
                 let seed = faults.seed;
                 let rng = faults.rngs.entry(edge as u32).or_insert_with(|| {
-                    sim_engine::rng::from_seed(sim_engine::rng::derive_seed(seed, edge as u64))
+                    bgp_types::rng::from_seed(bgp_types::rng::derive_seed(seed, edge as u64))
                 });
                 match model.decide(rng) {
                     FaultAction::Deliver => faults.stats[edge].delivered += 1,
@@ -1084,7 +1083,7 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
             // search, and the draws land where they always have. A delay
             // is held in 32 bits, so the bound is capped at `u32::MAX`.
             let max_delay = max_delay.clamp(1, u64::from(u32::MAX));
-            let mut rng = sim_engine::rng::from_seed(seed);
+            let mut rng = bgp_types::rng::from_seed(seed);
             let mut draw = || rng.gen_range(1..=max_delay) as u32;
             for from in 0..n {
                 for ab in topo.edges(from) {

@@ -1,6 +1,6 @@
 //! Counters the engine accumulates while it runs.
 
-use sim_engine::SimTime;
+use bgp_types::SimTime;
 
 /// Counters accumulated while the simulation runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,8 +1,7 @@
 //! Valley-free (Gao-Rexford) export policy as a composable monitor.
 
 use as_topology::{AsRelationships, Relationship};
-use bgp_types::{Asn, Ipv4Prefix, Route};
-use sim_engine::SimTime;
+use bgp_types::{Asn, Ipv4Prefix, Route, SimTime};
 
 use crate::monitor::{ExportAction, ImportContext, ImportDecision, NoopMonitor, RouteMonitor};
 

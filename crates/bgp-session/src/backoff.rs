@@ -9,7 +9,7 @@
 //! same delay sequence — chaos trials depend on that.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A deterministic jittered exponential backoff schedule.
 #[derive(Debug, Clone)]
@@ -31,7 +31,7 @@ impl Backoff {
             base_ms,
             max_ms: max_ms.max(base_ms),
             attempt: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: bgp_types::rng::from_seed(seed),
         }
     }
 

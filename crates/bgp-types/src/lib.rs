@@ -5,7 +5,10 @@
 //! ([`Ipv4Prefix`]), AS paths ([`AsPath`]) with `AS_SEQUENCE`/`AS_SET`
 //! segments, BGP community attributes ([`Community`]), the MOAS list
 //! ([`MoasList`]) proposed by the paper, and route/update message types
-//! ([`Route`], [`Update`]).
+//! ([`Route`], [`Update`]). It also holds what every simulating crate
+//! shares: simulated time ([`SimTime`]) and the seeded random-number
+//! helpers ([`rng`]) that make every experiment exactly reproducible from
+//! one `u64` seed.
 //!
 //! The types follow the wire-level semantics of BGP-4 (RFC 1771/4271) at the
 //! granularity needed for AS-level simulation: attribute octets are modeled,
@@ -28,9 +31,25 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! Independent, reproducible streams from one experiment seed:
+//!
+//! ```
+//! use bgp_types::{rng, SimTime};
+//!
+//! let links = rng::derive_seed(42, 0);
+//! let faults = rng::derive_seed(42, 1);
+//! assert_ne!(links, faults);
+//! assert_eq!(links, rng::derive_seed(42, 0));
+//!
+//! let t = SimTime::from_ticks(10) + 5;
+//! assert_eq!(t.ticks(), 15);
+//! assert!(t > SimTime::ZERO);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod as_path;
 mod asn;
@@ -39,7 +58,9 @@ mod error;
 mod intern;
 mod moas_list;
 mod prefix;
+pub mod rng;
 mod route;
+mod time;
 mod trie;
 mod update;
 
@@ -51,5 +72,6 @@ pub use intern::Interner;
 pub use moas_list::{first_conflict, ConflictKind, MoasList};
 pub use prefix::{Ipv4Prefix, Ipv6Prefix};
 pub use route::{Route, RouteOrigin};
+pub use time::SimTime;
 pub use trie::{Covering, CoveringIter, PrefixTrie, TrieIter};
 pub use update::Update;

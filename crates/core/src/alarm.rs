@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use bgp_types::{Asn, Ipv4Prefix};
-use sim_engine::SimTime;
+use bgp_types::{Asn, Ipv4Prefix, SimTime};
 
 use crate::detector::ConflictKind;
 
@@ -68,7 +67,7 @@ impl fmt::Display for Alarm {
 /// ```
 /// use moas_core::{Alarm, AlarmLog, ConflictKind, Resolution};
 /// use bgp_types::Asn;
-/// use sim_engine::SimTime;
+/// use bgp_types::SimTime;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut log = AlarmLog::new();

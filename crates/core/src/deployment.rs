@@ -46,8 +46,8 @@ impl Deployment {
             return Deployment::None;
         }
         let take = ((asns.len() as f64) * fraction).round() as usize;
-        let mut rng = sim_engine::rng::from_seed(seed);
-        let picked = sim_engine::rng::sample_distinct(&mut rng, asns, take);
+        let mut rng = bgp_types::rng::from_seed(seed);
+        let picked = bgp_types::rng::sample_distinct(&mut rng, asns, take);
         Deployment::Partial(picked.into_iter().collect())
     }
 

@@ -3,8 +3,7 @@
 use std::collections::BTreeSet;
 
 use bgp_engine::{ExportAction, ImportContext, ImportDecision, RouteMonitor};
-use bgp_types::{Asn, Route};
-use sim_engine::SimTime;
+use bgp_types::{Asn, Route, SimTime};
 
 use crate::alarm::{Alarm, AlarmLog, Resolution};
 use crate::deployment::Deployment;

@@ -147,7 +147,7 @@ impl DnsMoasVerifier {
         DnsMoasVerifier {
             records: BTreeMap::new(),
             availability: availability.clamp(0.0, 1.0),
-            rng: sim_engine::rng::from_seed(seed),
+            rng: bgp_types::rng::from_seed(seed),
             queries: 0,
             failures: 0,
         }
@@ -168,7 +168,7 @@ impl DnsMoasVerifier {
 impl OriginVerifier for DnsMoasVerifier {
     fn valid_origins(&mut self, prefix: Ipv4Prefix) -> Option<MoasList> {
         self.queries += 1;
-        if !sim_engine::rng::coin(&mut self.rng, self.availability) {
+        if !bgp_types::rng::coin(&mut self.rng, self.availability) {
             self.failures += 1;
             return None;
         }

@@ -61,9 +61,9 @@ pub fn subprefix_ablation(
             let sink = &mut Scoped::new(sink, "subprefix");
             let graph = self.graph;
             let victim_prefix = crate::victim_prefix();
-            let run_seed = sim_engine::rng::derive_seed(self.seed, run as u64);
-            let mut rng = sim_engine::rng::from_seed(run_seed);
-            let picked = sim_engine::rng::sample_distinct(&mut rng, &self.stubs, 2);
+            let run_seed = bgp_types::rng::derive_seed(self.seed, run as u64);
+            let mut rng = bgp_types::rng::from_seed(run_seed);
+            let picked = bgp_types::rng::sample_distinct(&mut rng, &self.stubs, 2);
             let (victim, attacker) = (picked[0], picked[1]);
             let valid_list = MoasList::implicit(victim);
 
@@ -171,7 +171,7 @@ pub fn valley_free_ablation(
             let policy_on = i >= self.runs;
             let run = i % self.runs;
             let run_seed =
-                sim_engine::rng::derive_seed(self.seed, (run * 2 + usize::from(policy_on)) as u64);
+                bgp_types::rng::derive_seed(self.seed, (run * 2 + usize::from(policy_on)) as u64);
             let (origins, attackers) = draw_parties(graph, run_seed, 1, 3);
             let victim = origins[0];
             let valid = MoasList::implicit(victim);
@@ -289,7 +289,7 @@ fn variant_study(
 ) -> (Vec<TrialOutcome>, MetricsSnapshot) {
     let parties: Vec<TrialConfig> = (0..runs)
         .map(|run| {
-            let run_seed = sim_engine::rng::derive_seed(seed, run as u64);
+            let run_seed = bgp_types::rng::derive_seed(seed, run as u64);
             let (origins, attackers) = draw_parties(graph, run_seed, 2, attackers);
             TrialConfig {
                 seed: run_seed,
@@ -379,7 +379,7 @@ pub fn unresolved_policy_ablation(
             let sink = &mut Scoped::new(sink, "unresolved");
             let graph = self.graph;
             let (policy, run) = (POLICIES[i / self.runs], i % self.runs);
-            let run_seed = sim_engine::rng::derive_seed(self.seed, run as u64);
+            let run_seed = bgp_types::rng::derive_seed(self.seed, run as u64);
             let (origins, attackers) = draw_parties(graph, run_seed, 1, 2);
             let prefix = crate::victim_prefix();
             let valid_list: MoasList = origins.iter().copied().collect();

@@ -468,9 +468,9 @@ pub(crate) fn plan_casts(graph: &AsGraph, config: &ChaosConfig) -> Vec<TrialPlan
     );
     (0..config.trials)
         .map(|t| {
-            let seed = sim_engine::rng::derive_seed(config.seed, t as u64);
-            let mut rng = sim_engine::rng::from_seed(seed);
-            let picked = sim_engine::rng::sample_distinct(&mut rng, &multihomed, 2);
+            let seed = bgp_types::rng::derive_seed(config.seed, t as u64);
+            let mut rng = bgp_types::rng::from_seed(seed);
+            let picked = bgp_types::rng::sample_distinct(&mut rng, &multihomed, 2);
             let (victim, partner) = (picked[0], picked[1]);
             let provider = graph
                 .neighbors(victim)
@@ -480,7 +480,7 @@ pub(crate) fn plan_casts(graph: &AsGraph, config: &ChaosConfig) -> Vec<TrialPlan
                 .asns()
                 .filter(|&a| a != victim && a != partner)
                 .collect();
-            let attacker = sim_engine::rng::sample_distinct(&mut rng, &others, 1)[0];
+            let attacker = bgp_types::rng::sample_distinct(&mut rng, &others, 1)[0];
             TrialPlan {
                 victim,
                 partner,
@@ -554,7 +554,7 @@ pub(crate) fn build_scenario(graph: &AsGraph, config: &ChaosConfig, cast: &Trial
     let prefix = crate::victim_prefix();
     let bare = Route::new(prefix, AsPath::new());
     let valid_list: MoasList = [cast.victim, cast.partner].into_iter().collect();
-    let mut plan = NetFaultPlan::new(sim_engine::rng::derive_seed(cast.seed, 0xFA17));
+    let mut plan = NetFaultPlan::new(bgp_types::rng::derive_seed(cast.seed, 0xFA17));
     // Both origins announce the proper list from the start unless the
     // scenario is about the partner coming and going with an implicit one.
     let mut partner_originates = true;
@@ -701,7 +701,7 @@ pub(crate) fn trial_deployment(asns: &[Asn], fraction: f64, trial_seed: u64) -> 
     Deployment::sample(
         asns,
         fraction,
-        sim_engine::rng::derive_seed(trial_seed, 0xDE91),
+        bgp_types::rng::derive_seed(trial_seed, 0xDE91),
     )
 }
 

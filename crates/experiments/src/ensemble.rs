@@ -40,7 +40,7 @@ use bgp_engine::{
     CommunityPolicy, CommunityPolicyMap, ExportAction, FaultEvent, ImportContext, ImportDecision,
     NetFaultPlan, RouteMonitor,
 };
-use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
+use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, SimTime};
 use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, Scoped};
 use moas_core::Deployment;
 use rand::Rng;
@@ -48,7 +48,6 @@ use route_measurement::{
     CommunitiesAnomalyDetector, CommunitiesConfig, Detector, DetectorAlarm, FlapDampingDetector,
     MoasListDetector, ObservationKind, RouteObservation,
 };
-use sim_engine::SimTime;
 
 use crate::chaos::{
     build_scenario, chaos_graph, forged_announcement, plan_casts, run_scenario, trial_deployment,
@@ -422,13 +421,13 @@ fn plan_long_lived(graph: &AsGraph, config: &EnsembleConfig) -> Vec<LongLivedPla
         2,
         1,
         3,
-        sim_engine::rng::derive_seed(config.seed, 0x0096),
+        bgp_types::rng::derive_seed(config.seed, 0x0096),
     );
     let stubs = graph.stub_asns();
     (0..config.trials)
         .map(|t| {
-            let seed = sim_engine::rng::derive_seed(config.seed, 0x1000 + t as u64);
-            let mut rng = sim_engine::rng::from_seed(seed);
+            let seed = bgp_types::rng::derive_seed(config.seed, 0x1000 + t as u64);
+            let mut rng = bgp_types::rng::from_seed(seed);
             let use_sibling = !orgs.sibling_pairs().is_empty()
                 && config.sibling_fraction > 0.0
                 && rng.gen::<f64>() < config.sibling_fraction;
@@ -441,11 +440,11 @@ fn plan_long_lived(graph: &AsGraph, config: &EnsembleConfig) -> Vec<LongLivedPla
             } else {
                 // Degenerate graph with no annotatable stubs: fall back to
                 // two sampled stubs acting as an ad-hoc pair.
-                sim_engine::rng::sample_distinct(&mut rng, &stubs, 2)
+                bgp_types::rng::sample_distinct(&mut rng, &stubs, 2)
             };
             let toggler = *origins.last().expect("origin sets are non-empty");
             let candidates: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
-            let attacker = sim_engine::rng::sample_distinct(&mut rng, &candidates, 1)[0];
+            let attacker = bgp_types::rng::sample_distinct(&mut rng, &candidates, 1)[0];
             LongLivedPlan {
                 origins,
                 explicit_list: !use_sibling,
@@ -517,7 +516,7 @@ fn long_lived_scenario(
     if let Some(list) = &origin_list {
         toggle_route.set_moas_list(Some(list.clone()));
     }
-    let mut fault_plan = NetFaultPlan::new(sim_engine::rng::derive_seed(plan.seed, 0xFA17));
+    let mut fault_plan = NetFaultPlan::new(bgp_types::rng::derive_seed(plan.seed, 0xFA17));
     fault_plan.every(
         T_CHURN,
         config.dwell_ticks.max(1),

@@ -102,7 +102,7 @@ pub use session_chaos::{
 };
 pub use stats::{mean, stddev};
 pub use sweep::{attacker_count_for, run_sweep, SweepConfig, SweepPoint};
-pub use trial::{run_trial, run_trial_with, TrialConfig, TrialOutcome};
+pub use trial::{draw_parties, run_trial, run_trial_with, TrialConfig, TrialOutcome};
 
 /// The prefix under attack in every experiment (Figure 1's example prefix).
 pub const VICTIM_PREFIX: &str = "208.8.0.0/16";

@@ -233,7 +233,7 @@ impl SessionChaosReport {
 #[must_use]
 pub fn run_session_chaos(config: &SessionChaosConfig, jobs: usize) -> SessionChaosReport {
     let seeds: Vec<u64> = (0..config.trials)
-        .map(|i| sim_engine::rng::derive_seed(config.seed, i as u64))
+        .map(|i| bgp_types::rng::derive_seed(config.seed, i as u64))
         .collect();
     let results: Vec<TrialResult> =
         minipool::map_indexed(jobs, seeds.len(), |i| run_trial(config, seeds[i]));
@@ -323,7 +323,7 @@ fn run_sim_trial(config: &SessionChaosConfig, seed: u64) -> TrialResult {
         SessionChaosScenario::HoldExpiry => 3,
         _ => 30,
     };
-    let mut rng = sim_engine::rng::from_seed(seed);
+    let mut rng = bgp_types::rng::from_seed(seed);
     let mut sim = pair(hold_time, seed);
     let mut result = TrialResult {
         established_first: sim.run_until_established(60_000),
@@ -396,7 +396,7 @@ fn run_sim_trial(config: &SessionChaosConfig, seed: u64) -> TrialResult {
 fn run_capability_trial(config: &SessionChaosConfig, seed: u64) -> TrialResult {
     use bgp_session::Event;
 
-    let mut rng = sim_engine::rng::from_seed(seed);
+    let mut rng = bgp_types::rng::from_seed(seed);
     let mut result = TrialResult::default();
     let mut listener_cfg = SessionConfig::new(Asn(64_512), 0x0A00_0001);
     listener_cfg.passive = true;

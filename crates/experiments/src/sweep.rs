@@ -190,21 +190,21 @@ fn plan_trials(graph: &AsGraph, config: &SweepConfig) -> Vec<TrialConfig> {
         let attacker_count = attacker_count_for(n, fraction);
 
         for oi in 0..config.origin_set_count {
-            let origin_seed = sim_engine::rng::derive_seed(config.seed, (fx * 100 + oi) as u64);
-            let mut rng = sim_engine::rng::from_seed(origin_seed);
-            let origins = sim_engine::rng::sample_distinct(&mut rng, &stubs, config.origin_count);
+            let origin_seed = bgp_types::rng::derive_seed(config.seed, (fx * 100 + oi) as u64);
+            let mut rng = bgp_types::rng::from_seed(origin_seed);
+            let origins = bgp_types::rng::sample_distinct(&mut rng, &stubs, config.origin_count);
             let origin_set: BTreeSet<Asn> = origins.iter().copied().collect();
             candidates.clear();
             candidates.extend(asns.iter().copied().filter(|a| !origin_set.contains(a)));
 
             for ai in 0..config.attacker_set_count {
-                let trial_seed = sim_engine::rng::derive_seed(
+                let trial_seed = bgp_types::rng::derive_seed(
                     config.seed,
                     ((fx * 100 + oi) * 100 + ai + 7) as u64,
                 );
-                let mut rng = sim_engine::rng::from_seed(trial_seed);
+                let mut rng = bgp_types::rng::from_seed(trial_seed);
                 let attackers =
-                    sim_engine::rng::sample_distinct(&mut rng, &candidates, attacker_count);
+                    bgp_types::rng::sample_distinct(&mut rng, &candidates, attacker_count);
                 let deployment =
                     Deployment::sample(&asns, config.deployment_fraction, trial_seed ^ 0xDE9107);
 

@@ -168,16 +168,16 @@ pub(crate) fn run_trials(
 /// The parties of one trial, from one RNG seeded with `seed`: `origins`
 /// distinct stubs of `graph`, then `attackers` distinct ASes from all the
 /// others.
-pub(crate) fn draw_parties(
+pub fn draw_parties(
     graph: &AsGraph,
     seed: u64,
     origins: usize,
     attackers: usize,
 ) -> (Vec<Asn>, Vec<Asn>) {
-    let mut rng = sim_engine::rng::from_seed(seed);
-    let origins = sim_engine::rng::sample_distinct(&mut rng, &graph.stub_asns(), origins);
+    let mut rng = bgp_types::rng::from_seed(seed);
+    let origins = bgp_types::rng::sample_distinct(&mut rng, &graph.stub_asns(), origins);
     let candidates: Vec<Asn> = graph.asns().filter(|a| !origins.contains(a)).collect();
-    let attackers = sim_engine::rng::sample_distinct(&mut rng, &candidates, attackers);
+    let attackers = bgp_types::rng::sample_distinct(&mut rng, &candidates, attackers);
     (origins, attackers)
 }
 
@@ -323,9 +323,9 @@ mod tests {
         // rejects/evicts the false one. Attackers are stubs here, so they
         // cannot cut anyone off: adoption must drop to zero.
         let g = graph();
-        let mut rng = sim_engine::rng::from_seed(7);
+        let mut rng = bgp_types::rng::from_seed(7);
         let stubs = g.stub_asns();
-        let picked = sim_engine::rng::sample_distinct(&mut rng, &stubs, 4);
+        let picked = bgp_types::rng::sample_distinct(&mut rng, &stubs, 4);
         let origins = vec![picked[0]];
         let attackers = picked[1..].to_vec();
         let outcome = run_trial(&g, &TrialConfig::new(origins, attackers, Deployment::Full));

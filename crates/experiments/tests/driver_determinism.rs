@@ -421,7 +421,7 @@ fn arm(net: &mut ShardedNetwork<Monitor>, case: &EngineCase, prefix: Ipv4Prefix)
 
 fn observe(
     net: &ShardedNetwork<Monitor>,
-    outcome: Result<sim_engine::SimTime, ConvergenceError>,
+    outcome: Result<bgp_types::SimTime, ConvergenceError>,
 ) -> EngineState {
     let mut alarms: Vec<Alarm> = net
         .monitors()

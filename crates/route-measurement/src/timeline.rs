@@ -184,7 +184,7 @@ struct LiveCase {
 ///   three, the remainder four or five.
 #[must_use]
 pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
-    let mut rng = sim_engine::rng::from_seed(config.seed);
+    let mut rng = bgp_types::rng::from_seed(config.seed);
     let mut next_prefix_index: u32 = 0;
     let mut live: Vec<LiveCase> = Vec::new();
     let mut finished: Vec<CaseRecord> = Vec::new();
@@ -266,7 +266,7 @@ pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
         }
 
         // Short operational churn.
-        if sim_engine::rng::coin(&mut rng, config.churn_prob) {
+        if bgp_types::rng::coin(&mut rng, config.churn_prob) {
             let mut case = spawn_multihoming(&mut rng, &mut next_prefix_index, day);
             case.cause = Cause::Churn;
             case.ends_on = day + rng.gen_range(1..=3);
@@ -299,7 +299,7 @@ pub fn generate_timeline(config: &TimelineConfig) -> GeneratedTimeline {
             let present = match case.cause {
                 // Fault announcements are loud and unmissable.
                 Cause::Fault(_) => true,
-                _ => sim_engine::rng::coin(&mut rng, config.presence_prob),
+                _ => bgp_types::rng::coin(&mut rng, config.presence_prob),
             };
             if present {
                 for &origin in &case.origins {

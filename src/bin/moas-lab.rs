@@ -22,12 +22,13 @@ use std::process::ExitCode;
 use moas::bgp::CommunityPolicy;
 use moas::detection::{Deployment, OfflineMonitor};
 use moas::experiments::{
-    community_policy_ablation, experiment1, experiment2, experiment3, forgery_ablation,
-    measure_moas_list_overhead, measured_list_bytes, moas_list_overhead, overhead_snapshot,
-    parse_snapshot, render_metrics_summary, run_chaos, run_deployment_sweep, run_ensemble,
-    run_session_chaos, run_trial_with, subprefix_ablation, unresolved_policy_ablation,
-    valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig, Exec, FigureReport,
-    SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig, WireModel,
+    community_policy_ablation, draw_parties, experiment1, experiment2, experiment3,
+    forgery_ablation, measure_moas_list_overhead, measured_list_bytes, moas_list_overhead,
+    overhead_snapshot, parse_snapshot, render_metrics_summary, run_chaos, run_deployment_sweep,
+    run_ensemble, run_session_chaos, run_trial_with, subprefix_ablation,
+    unresolved_policy_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig,
+    Exec, FigureReport, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig,
+    WireModel,
 };
 use moas::measurement::{
     daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
@@ -533,11 +534,7 @@ fn trial(args: &[String]) -> ExitCode {
         _ => Deployment::Full,
     };
 
-    let stubs = graph.stub_asns();
-    let mut rng = moas::sim::rng::from_seed(seed);
-    let origin_set = moas::sim::rng::sample_distinct(&mut rng, &stubs, origins);
-    let candidates: Vec<Asn> = graph.asns().filter(|a| !origin_set.contains(a)).collect();
-    let attacker_set = moas::sim::rng::sample_distinct(&mut rng, &candidates, attackers);
+    let (origin_set, attacker_set) = draw_parties(graph, seed, origins, attackers);
 
     println!("{topology} topology, {deployment}");
     println!("origins:   {origin_set:?}");
@@ -823,9 +820,10 @@ fn export_mrt(args: &[String]) -> ExitCode {
 
     for day in 0..days {
         // Which stubs are multihomed today (announced by a partner too).
-        let mut rng = moas::sim::rng::from_seed(moas::sim::rng::derive_seed(seed, u64::from(day)));
+        let mut rng =
+            moas::types::rng::from_seed(moas::types::rng::derive_seed(seed, u64::from(day)));
         let active: Vec<bool> = (0..stubs.len())
-            .map(|_| moas::sim::rng::coin(&mut rng, 0.3))
+            .map(|_| moas::types::rng::coin(&mut rng, 0.3))
             .collect();
 
         let mut net = moas::bgp::Network::new(graph);

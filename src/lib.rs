@@ -11,8 +11,8 @@
 //! This facade crate re-exports the workspace's public API so applications
 //! can depend on a single crate:
 //!
-//! * [`types`] — BGP primitives: prefixes, AS paths, communities, MOAS lists;
-//! * [`sim`] — the deterministic discrete-event engine;
+//! * [`types`] — BGP primitives: prefixes, AS paths, communities, MOAS lists,
+//!   plus simulated time and the seeded RNG every experiment draws from;
 //! * [`topology`] — AS graphs, synthetic Internet generation, the §5.1
 //!   derivation pipeline, and the canonical 25/46/63-AS topologies;
 //! * [`bgp`] — the AS-level BGP protocol engine with monitor hooks;
@@ -74,11 +74,6 @@
 /// BGP primitives ([`bgp_types`]).
 pub mod types {
     pub use bgp_types::*;
-}
-
-/// Deterministic discrete-event simulation ([`sim_engine`]).
-pub mod sim {
-    pub use sim_engine::*;
 }
 
 /// AS-level topologies ([`as_topology`]).

@@ -111,8 +111,8 @@ proptest! {
     ) {
         let graph = InternetModel::new().transit_count(8).stub_count(40).build(seed);
         let stubs = graph.stub_asns();
-        let mut rng = moas::sim::rng::from_seed(seed ^ 0xFACE);
-        let picked = moas::sim::rng::sample_distinct(&mut rng, &stubs, attackers + 1);
+        let mut rng = moas::types::rng::from_seed(seed ^ 0xFACE);
+        let picked = moas::types::rng::sample_distinct(&mut rng, &stubs, attackers + 1);
         let victim = picked[0];
         let villains = &picked[1..];
 

@@ -9,10 +9,9 @@ use moas::bgp::{
     ImportDecision, Network, NoopMonitor, RouteMonitor, REWRITE_MARKER_VALUE,
 };
 use moas::detection::{MoasMonitor, RegistryVerifier};
-use moas::sim::SimTime;
 use moas::topology::paper::PaperTopology;
 use moas::topology::{AsGraph, ScaleFreeModel};
-use moas::types::{Asn, Ipv4Prefix, MoasList, Route};
+use moas::types::{Asn, Ipv4Prefix, MoasList, Route, SimTime};
 use moas::wire::bgp::{AsnEncoding, UpdateMessage};
 use moas::wire::UpdateView;
 
