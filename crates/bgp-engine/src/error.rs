@@ -59,21 +59,6 @@ impl fmt::Display for ConvergenceError {
 
 impl Error for ConvergenceError {}
 
-/// An operation named an AS the network does not contain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnknownAsError {
-    /// The AS that was named but not found.
-    pub asn: Asn,
-}
-
-impl fmt::Display for UnknownAsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} is not in the network", self.asn)
-    }
-}
-
-impl Error for UnknownAsError {}
-
 /// A fault plan referenced actors the network cannot satisfy. Raised by
 /// [`set_fault_plan`](crate::ShardedNetwork::set_fault_plan) at install
 /// time, so the event loop never has to deal with a dangling reference.
@@ -126,12 +111,6 @@ mod tests {
         assert_eq!(e.processed(), None);
         assert!(e.to_string().contains("48"));
         assert!(e.to_string().contains("oscillating"));
-    }
-
-    #[test]
-    fn unknown_as_display() {
-        let e = UnknownAsError { asn: Asn(999) };
-        assert!(e.to_string().contains("AS999"));
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod stats;
 mod update;
 mod valley_free;
 
-pub use error::{ConvergenceError, FaultPlanError, UnknownAsError};
+pub use error::{ConvergenceError, FaultPlanError};
 pub use fault::{FaultEvent, FaultStats, LinkFaultModel, NetFaultPlan};
 pub use forwarding::{ForwardOutcome, ForwardingPlane};
 pub use monitor::{

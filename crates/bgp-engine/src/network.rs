@@ -557,17 +557,10 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_report_unknown_ases() {
+    #[should_panic(expected = "not in network")]
+    fn withdrawing_from_unknown_as_panics() {
         let mut net = Network::new(&figure1_graph());
-        let err = net
-            .try_originate_route(Asn(999), Route::new(p(), AsPath::new()))
-            .unwrap_err();
-        assert_eq!(err.asn, Asn(999));
-        assert!(net.try_withdraw(Asn(999), p()).is_err());
-        assert!(net
-            .try_originate_route(Asn(4), Route::new(p(), AsPath::new()))
-            .is_ok());
-        assert!(net.try_withdraw(Asn(4), p()).is_ok());
+        net.withdraw(Asn(999), p());
     }
 
     // --------------------------------------------------------------

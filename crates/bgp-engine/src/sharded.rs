@@ -29,7 +29,7 @@ use minimetrics::{MetricsSink, RowFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::error::{ConvergenceError, FaultPlanError, UnknownAsError};
+use crate::error::{ConvergenceError, FaultPlanError};
 use crate::fault::{
     FaultAction, FaultEvent, FaultStats, LinkFaultModel, NetFaultPlan, TimelineEntry,
 };
@@ -1204,6 +1204,20 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
         self.router(asn)?.best_route(prefix)
     }
 
+    /// The Loc-RIB best routes of `vantages`, as `(vantage, route)` pairs in
+    /// `vantages` order; an AS not in the network contributes nothing. This
+    /// is the input of `bgp_wire::export_rib_snapshot`.
+    pub fn loc_ribs<'a>(
+        &'a self,
+        vantages: &'a [Asn],
+    ) -> impl Iterator<Item = (Asn, &'a Route)> + 'a {
+        let routers = vantages.iter().filter_map(|&asn| self.router(asn));
+        routers.flat_map(|router| {
+            let routes = router.prefixes().filter_map(move |p| router.best_route(p));
+            routes.map(move |route| (router.asn(), route))
+        })
+    }
+
     /// The origin AS of the best route an AS holds for `prefix`.
     #[must_use]
     pub fn best_origin(&self, asn: Asn, prefix: Ipv4Prefix) -> Option<Asn> {
@@ -1247,46 +1261,28 @@ impl<M: RouteMonitor> ShardedNetwork<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `asn` is not in the network; use
-    /// [`ShardedNetwork::try_originate_route`] for a fallible variant.
+    /// Panics if `asn` is not in the network.
     pub fn originate_route(&mut self, asn: Asn, route: Route) {
-        self.try_originate_route(asn, route)
+        let idx = self
+            .topo
+            .index_of(asn)
             .expect("originating AS not in network");
-    }
-
-    /// Fallible [`ShardedNetwork::originate_route`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAsError`] when `asn` is not in the network.
-    pub fn try_originate_route(&mut self, asn: Asn, route: Route) -> Result<(), UnknownAsError> {
-        let idx = self.topo.index_of(asn).ok_or(UnknownAsError { asn })?;
         let shard = &mut self.shards[self.topo.assignment[idx] as usize];
         shard.drive(idx, |r, m, out| r.originate(route, m, out));
-        Ok(())
     }
 
     /// Makes `asn` stop originating `prefix`.
     ///
     /// # Panics
     ///
-    /// Panics if `asn` is not in the network; use
-    /// [`ShardedNetwork::try_withdraw`] for a fallible variant.
+    /// Panics if `asn` is not in the network.
     pub fn withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) {
-        self.try_withdraw(asn, prefix)
+        let idx = self
+            .topo
+            .index_of(asn)
             .expect("withdrawing AS not in network");
-    }
-
-    /// Fallible [`ShardedNetwork::withdraw`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAsError`] when `asn` is not in the network.
-    pub fn try_withdraw(&mut self, asn: Asn, prefix: Ipv4Prefix) -> Result<(), UnknownAsError> {
-        let idx = self.topo.index_of(asn).ok_or(UnknownAsError { asn })?;
         let shard = &mut self.shards[self.topo.assignment[idx] as usize];
         shard.drive(idx, |r, m, out| r.withdraw_origin(prefix, m, out));
-        Ok(())
     }
 
     /// Enables the minimum route advertisement interval: after a router sends

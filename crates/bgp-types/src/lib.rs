@@ -8,7 +8,9 @@
 //! ([`Route`], [`Update`]). It also holds what every simulating crate
 //! shares: simulated time ([`SimTime`]) and the seeded random-number
 //! helpers ([`rng`]) that make every experiment exactly reproducible from
-//! one `u64` seed.
+//! one `u64` seed. And it holds the workspace's JSON value codec
+//! ([`json`]), which the daemon's list files, the experiment reports and
+//! the benchmark harness share.
 //!
 //! The types follow the wire-level semantics of BGP-4 (RFC 1771/4271) at the
 //! granularity needed for AS-level simulation: attribute octets are modeled,
@@ -56,6 +58,7 @@ mod asn;
 mod community;
 mod error;
 mod intern;
+pub mod json;
 mod moas_list;
 mod prefix;
 pub mod rng;

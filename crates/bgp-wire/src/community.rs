@@ -21,7 +21,7 @@ use bgp_types::{Asn, Community, MoasList, Route};
 /// The value is reserved: the wire cannot tell an ordinary community
 /// `(x : MLVal)` from a list member. A route that carries one among its
 /// communities (outside the well-known range) reads back from the wire
-/// with `x` folded into its MOAS list, as [`read_moas_list`] does.
+/// with `x` folded into its MOAS list, as `read_moas_list` does.
 pub const MOAS_LIST_VALUE: u16 = 0x4d4c; // "ML"
 
 /// An RFC 8092 large community: three 4-octet fields, conventionally

@@ -1,12 +1,12 @@
-//! BGP and MRT wire codecs bridging the simulator and the measurement
-//! pipeline.
+//! BGP and MRT wire codecs: the byte boundary between routing tables and
+//! everything that reads them.
 //!
 //! The paper's measurement study (§2) runs over Route Views archives —
 //! BGP routing tables and update streams on disk in MRT format. This crate
 //! gives the reproduction the same boundary: simulated networks export
-//! their tables as real MRT bytes, and the measurement pipeline imports MRT
-//! bytes (ours or anyone's IPv4 table dumps) back into its native
-//! structures.
+//! their tables as real MRT bytes, and the measurement pipeline, the
+//! daemon and the live sessions read MRT and BGP bytes (ours or anyone's
+//! IPv4 table dumps) back. It depends on `bgp-types` alone.
 //!
 //! The layers:
 //!
@@ -31,12 +31,12 @@
 //!   owned type is its view's `to_*` rebuild: [`bgp::UpdateMessage::decode`],
 //!   [`msg::Message::decode`] and [`MrtViewReader::next_record`] are
 //!   exactly that.
-//! * [`export`] / [`import`] — the bridges: `bgp-engine` Loc-RIBs out to
-//!   MRT (batched through [`mrt::MrtWriter`]'s reusable buffer), MRT back
-//!   in through one table-dump reading ([`TableDumpWalk`], which resolves
-//!   each RIB entry's origin) to `route_measurement::DailyDump`s and routes
-//!   for the offline monitor, one day at a time in constant memory
-//!   ([`DailyDumpStream`]).
+//! * [`export`] / [`import`] — vantage Loc-RIB routes out to MRT snapshots
+//!   (batched through [`mrt::MrtWriter`]'s reusable buffer), and the one
+//!   table-dump reading back in ([`TableDumpWalk`], which resolves each RIB
+//!   entry's origin). `route_measurement::DailyDumpStream` folds that walk
+//!   into daily dumps, and `moas_daemon::OriginTable::from_mrt` into MOAS
+//!   lists.
 //!
 //! Decoding is panic-free on arbitrary input: every failure is a typed
 //! [`WireError`] carrying the byte offset of the problem.
@@ -79,7 +79,7 @@ pub mod view;
 pub use community::{LargeCommunity, MOAS_LIST_VALUE};
 pub use error::{WireError, WireErrorKind};
 pub use export::{export_rib_snapshot, export_update_stream, ExportSummary};
-pub use import::{DailyDumpStream, DayImport, TableDumpWalk};
+pub use import::TableDumpWalk;
 pub use view::{
     AttrInterner, AttrsView, Bgp4mpView, CapabilityIter, MessageView, MrtBodyView, MrtRecordView,
     MrtViewReader, NotificationView, OpenView, PeerIndexTableView, RibEntryView, RibView,

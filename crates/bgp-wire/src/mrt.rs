@@ -301,10 +301,10 @@ fn encode_bgp4mp(out: &mut Vec<u8>, msg: &Bgp4mpMessage, as4: bool) -> Result<()
     msg.message.encode_into(out, encoding)
 }
 
-/// Default size at which [`MrtWriter`]'s batch buffer is handed to the
-/// underlying writer. Large enough to amortize write syscalls over hundreds
-/// of records, small enough to keep the writer's footprint negligible.
-pub const DEFAULT_BATCH_CAPACITY: usize = 256 * 1024;
+/// Size at which [`MrtWriter`]'s batch buffer is handed to the underlying
+/// writer. Large enough to amortize write syscalls over hundreds of
+/// records, small enough to keep the writer's footprint negligible.
+const BATCH_CAPACITY: usize = 256 * 1024;
 
 /// Writes MRT records to any writer, batching encoded bytes in a reusable
 /// buffer instead of allocating and writing per record.
@@ -319,24 +319,15 @@ pub struct MrtWriter<W> {
     inner: W,
     records: u64,
     buf: Vec<u8>,
-    batch_capacity: usize,
 }
 
 impl<W: io::Write> MrtWriter<W> {
-    /// Wraps a writer with the default batch capacity.
+    /// Wraps a writer.
     pub fn new(inner: W) -> Self {
-        Self::with_batch_capacity(inner, DEFAULT_BATCH_CAPACITY)
-    }
-
-    /// Wraps a writer, flushing the batch buffer to it whenever the buffer
-    /// reaches `batch_capacity` bytes (0 hands every record straight
-    /// through).
-    pub fn with_batch_capacity(inner: W, batch_capacity: usize) -> Self {
         MrtWriter {
             inner,
             records: 0,
             buf: Vec::new(),
-            batch_capacity,
         }
     }
 
@@ -348,7 +339,7 @@ impl<W: io::Write> MrtWriter<W> {
     pub fn write_record(&mut self, record: &MrtRecord) -> Result<(), WireError> {
         record.encode_into(&mut self.buf)?;
         self.records += 1;
-        if self.buf.len() >= self.batch_capacity {
+        if self.buf.len() >= BATCH_CAPACITY {
             self.write_batch()?;
         }
         Ok(())

@@ -37,8 +37,8 @@ use std::collections::BTreeSet;
 
 use as_topology::{AsGraph, OrgAnnotations};
 use bgp_engine::{
-    CommunityPolicy, CommunityPolicyMap, ExportAction, FaultEvent, ImportContext, ImportDecision,
-    NetFaultPlan, RouteMonitor,
+    CommunityPolicies, CommunityPolicy, CommunityPolicyMap, FaultEvent, ImportContext,
+    ImportDecision, NetFaultPlan, RouteMonitor,
 };
 use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, SimTime};
 use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, Scoped};
@@ -312,20 +312,19 @@ fn detector_name(index: usize) -> &'static str {
     }
 }
 
-/// The passive tap: accepts every route (plain-BGP import), applies the
-/// per-AS community policy on export, and records announces/withdraws as
-/// [`RouteObservation`]s stamped with the simulation clock.
+/// The passive tap: accepts every route (plain-BGP import) and records
+/// announces/withdraws as [`RouteObservation`]s stamped with the simulation
+/// clock. The per-AS community policy runs around it, in
+/// [`CommunityPolicies`].
 struct TapMonitor {
     now: u64,
-    policies: CommunityPolicyMap,
     observations: Vec<RouteObservation>,
 }
 
 impl TapMonitor {
-    fn new(policies: CommunityPolicyMap) -> Self {
+    fn new() -> Self {
         TapMonitor {
             now: 0,
-            policies,
             observations: Vec::new(),
         }
     }
@@ -347,19 +346,6 @@ impl RouteMonitor for TapMonitor {
             });
         }
         ImportDecision::accept()
-    }
-
-    fn on_export(
-        &mut self,
-        local: Asn,
-        _to_peer: Asn,
-        _learned_from: Option<Asn>,
-        route: &Route,
-    ) -> ExportAction {
-        match self.policies.policy_of(local).apply(local, route) {
-            None => ExportAction::Forward,
-            Some(modified) => ExportAction::Replace(modified),
-        }
     }
 
     fn on_withdraw(&mut self, local: Asn, from_peer: Asn, prefix: Ipv4Prefix) {
@@ -571,14 +557,14 @@ fn record_cell<S: MetricsSink>(
             config.max_link_delay,
             &scenario,
             attack,
-            || TapMonitor::new(policies.clone()),
+            || CommunityPolicies::wrapping(policies.clone(), TapMonitor::new()),
         );
         assert!(err.is_none(), "ensemble scenarios converge: {err:?}");
         if S::ENABLED {
             net.export_metrics(&mut Scoped::new(&mut *sink, scope));
         }
         let tap = net.monitors_mut().next().expect("one shard");
-        std::mem::take(&mut tap.observations)
+        std::mem::take(&mut tap.inner_mut().observations)
     };
     let churn = record(None, "churn");
     let attack = record(Some(forged_announcement(attacker, &valid_list)), "attack");

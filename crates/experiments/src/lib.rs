@@ -92,7 +92,7 @@ pub use exec::Exec;
 pub use figures::{experiment1, experiment2, experiment3};
 pub use metrics::{overhead_snapshot, parse_snapshot, render_metrics_summary};
 pub use overhead::{
-    measure_moas_list_overhead, measured_list_bytes, moas_list_overhead, OverheadReport, WireModel,
+    measure_moas_list_overhead, measured_list_bytes, moas_list_overhead, OverheadReport,
     MRT_FRAMING_BYTES,
 };
 pub use report::{FigureReport, SeriesReport};

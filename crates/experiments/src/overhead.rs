@@ -15,31 +15,16 @@ use bgp_wire::bgp::PathAttributes;
 use bgp_wire::mrt::{MrtBody, MrtRecord, RibEntry, RibIpv4Unicast};
 use route_measurement::DailyDump;
 
-/// Wire-size assumptions for the estimate, in bytes.
-///
-/// A community attribute value is exactly 4 octets (RFC 1997); the attribute
-/// header costs 3 octets once per route that carries any community. The
-/// baseline per-route size approximates a 2001-era RIB entry (prefix, a
-/// ~3.7-hop AS path of 2-octet ASNs, origin/next-hop attributes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireModel {
-    /// Estimated bytes per table route without MOAS lists.
-    pub baseline_route_bytes: u64,
-    /// Bytes per MOAS-list member (one community value).
-    pub bytes_per_member: u64,
-    /// One-time attribute header bytes per route carrying a list.
-    pub attribute_header_bytes: u64,
-}
-
-impl Default for WireModel {
-    fn default() -> Self {
-        WireModel {
-            baseline_route_bytes: 36,
-            bytes_per_member: 4,
-            attribute_header_bytes: 3,
-        }
-    }
-}
+/// The analytic estimate's wire sizes, in bytes. A community attribute value
+/// is exactly 4 octets (RFC 1997); the attribute header costs 3 octets once
+/// per route that carries any community. The baseline per-route size
+/// approximates a 2001-era RIB entry (prefix, a ~3.7-hop AS path of
+/// 2-octet ASNs, origin/next-hop attributes).
+const BASELINE_ROUTE_BYTES: u64 = 36;
+/// Bytes per MOAS-list member (one community value).
+const BYTES_PER_MEMBER: u64 = 4;
+/// One-time attribute header bytes per route carrying a list.
+const ATTRIBUTE_HEADER_BYTES: u64 = 3;
 
 /// The measured overhead of attaching MOAS lists to a table.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -110,7 +95,8 @@ impl fmt::Display for OverheadReport {
     }
 }
 
-/// Measures the overhead of MOAS lists over one daily table dump.
+/// Estimates the overhead of MOAS lists over one daily table dump from
+/// fixed per-route and per-member wire sizes.
 ///
 /// # Example
 ///
@@ -119,25 +105,25 @@ impl fmt::Display for OverheadReport {
 /// use route_measurement::{generate_timeline, TimelineConfig};
 ///
 /// let timeline = generate_timeline(&TimelineConfig::paper().with_days(30));
-/// let report = moas_list_overhead(timeline.dumps.last().unwrap(), Default::default());
+/// let report = moas_list_overhead(timeline.dumps.last().unwrap());
 /// assert!(report.multi_origin_routes > 0);
 /// assert!(report.short_list_fraction() > 0.9);
 /// ```
 #[must_use]
-pub fn moas_list_overhead(dump: &DailyDump, wire: WireModel) -> OverheadReport {
+pub fn moas_list_overhead(dump: &DailyDump) -> OverheadReport {
     overhead_with(dump.iter(), |_, origins| {
         let added = if origins.len() > 1 {
-            wire.attribute_header_bytes + wire.bytes_per_member * origins.len() as u64
+            ATTRIBUTE_HEADER_BYTES + BYTES_PER_MEMBER * origins.len() as u64
         } else {
             0
         };
-        (wire.baseline_route_bytes, added)
+        (BASELINE_ROUTE_BYTES, added)
     })
 }
 
-/// MRT framing bytes per RIB record that [`WireModel`]'s per-route estimate
-/// deliberately leaves out: the 12-byte record header, the 4-byte sequence
-/// number, and the 2-byte entry count.
+/// MRT framing bytes per RIB record that [`moas_list_overhead`]'s
+/// per-route estimate deliberately leaves out: the 12-byte record header,
+/// the 4-byte sequence number, and the 2-byte entry count.
 pub const MRT_FRAMING_BYTES: u64 = 18;
 
 /// Measures the overhead of MOAS lists by *actually encoding* each table
@@ -148,7 +134,7 @@ pub const MRT_FRAMING_BYTES: u64 = 18;
 /// record holding a representative 4-hop route; the route is encoded twice
 /// — with and without its MOAS-list communities — and the difference is the
 /// measured cost of the list. Baselines subtract [`MRT_FRAMING_BYTES`] so
-/// they estimate the same quantity as [`WireModel::baseline_route_bytes`]
+/// they estimate the same quantity as [`moas_list_overhead`]'s baseline
 /// (the in-table size of one route).
 ///
 /// The companion analytic model stays as a cross-check:
@@ -206,7 +192,7 @@ pub fn measured_list_bytes(list: &MoasList) -> u64 {
 
 /// The lengths of a single-entry RIB record for a 2001-vintage route to
 /// `prefix` — ~4 hops of 2-octet ASNs ending at the list's first member,
-/// the [`WireModel`]'s assumptions — without and with `list`. A table
+/// the analytic estimate's assumptions — without and with `list`. A table
 /// dump carries no `LOCAL_PREF`, so it is left out.
 fn encoded_lens(prefix: Ipv4Prefix, list: MoasList) -> (u64, u64) {
     let origin = list.iter().next().unwrap_or(Asn(0));
@@ -282,7 +268,7 @@ mod tests {
 
     #[test]
     fn empty_dump_zero_overhead() {
-        let report = moas_list_overhead(&DailyDump::new(0), WireModel::default());
+        let report = moas_list_overhead(&DailyDump::new(0));
         assert_eq!(report.total_routes, 0);
         assert_eq!(report.overhead_fraction(), 0.0);
         assert_eq!(report.affected_fraction(), 0.0);
@@ -298,7 +284,7 @@ mod tests {
         dump.observe(p(3), Asn(30));
         dump.observe(p(3), Asn(31));
         dump.observe(p(3), Asn(32)); // 3-member list
-        let report = moas_list_overhead(&dump, WireModel::default());
+        let report = moas_list_overhead(&dump);
         assert_eq!(report.total_routes, 3);
         assert_eq!(report.multi_origin_routes, 2);
         assert_eq!(report.list_size_distribution[&2], 1);
@@ -318,8 +304,8 @@ mod tests {
         let timeline = route_measurement::generate_timeline(
             &route_measurement::TimelineConfig::paper().with_days(10),
         );
-        let report = moas_list_overhead(timeline.dumps.last().unwrap(), WireModel::default());
-        let realistic_table_bytes = 100_000u64 * WireModel::default().baseline_route_bytes;
+        let report = moas_list_overhead(timeline.dumps.last().unwrap());
+        let realistic_table_bytes = 100_000u64 * BASELINE_ROUTE_BYTES;
         let fraction = report.added_bytes as f64 / realistic_table_bytes as f64;
         assert!(fraction < 0.01, "overhead {fraction:.4}");
         assert!(report.short_list_fraction() > 0.95);
@@ -331,7 +317,7 @@ mod tests {
             &route_measurement::TimelineConfig::paper().with_days(10),
         );
         let dump = timeline.dumps.last().unwrap();
-        let analytic = moas_list_overhead(dump, WireModel::default());
+        let analytic = moas_list_overhead(dump);
         let measured = measure_moas_list_overhead(dump, 1);
 
         // Same routes, same lists.
@@ -397,7 +383,7 @@ mod tests {
         let mut dump = DailyDump::new(0);
         dump.observe(p(2), Asn(20));
         dump.observe(p(2), Asn(21));
-        let s = moas_list_overhead(&dump, WireModel::default()).to_string();
+        let s = moas_list_overhead(&dump).to_string();
         assert!(s.contains("1 of 1 routes"));
         assert!(s.contains("bytes added"));
     }

@@ -9,9 +9,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bgp_session::{BgpListener, PeerInfo, SessionConfig, SessionHandler};
+use bgp_types::json::Json;
 use bgp_types::{Asn, Ipv4Prefix};
 use bgp_wire::bgp::UpdateMessage;
-use experiments::json::Json;
 use minisock::{Action, Config, ConnId, Server, ServerStats, Service, StatsHandle, Waker};
 
 use crate::exceptions::ExceptionSet;

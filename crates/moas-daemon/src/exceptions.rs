@@ -30,8 +30,8 @@
 use std::error::Error;
 use std::fmt;
 
+use bgp_types::json::{Json, JsonError};
 use bgp_types::{Asn, Ipv4Prefix};
-use experiments::json::{Json, JsonError};
 
 /// A malformed exception file.
 #[derive(Debug, Clone, PartialEq, Eq)]

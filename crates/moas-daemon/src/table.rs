@@ -4,10 +4,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 
+use bgp_types::json::{Json, JsonError};
 use bgp_types::{Asn, Covering, Ipv4Prefix, MoasList, PrefixTrie};
 use bgp_wire::mrt::{MrtBody, PeerIndexTable};
 use bgp_wire::{MrtViewReader, TableDumpWalk, WireError, WireErrorKind};
-use experiments::json::{Json, JsonError};
 
 /// One `(prefix, origin)` change to apply to the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,6 +17,10 @@
 //!   of cases involving two origins, and daily medians rising from ~683
 //!   (1998) to ~1294 (2001).
 //!
+//! Real archives come in through [`DailyDumpStream`], which folds
+//! `bgp_wire::TableDumpWalk`'s entries into the same [`DailyDump`]s the
+//! synthetic collector produces, one day at a time in constant memory.
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +39,7 @@ mod communities;
 mod detector;
 mod dump;
 mod flap;
+mod import;
 mod stats;
 mod stream;
 mod timeline;
@@ -45,6 +50,7 @@ pub use detector::{
 };
 pub use dump::DailyDump;
 pub use flap::{FlapDampingConfig, FlapDampingDetector};
+pub use import::{DailyDumpStream, DayImport};
 pub use stats::{daily_moas_counts, duration_histogram, median, MeasurementSummary};
 pub use stream::{OriginEvent, OriginEventKind, OriginEventTracker};
 pub use timeline::{

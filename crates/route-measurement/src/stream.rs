@@ -6,8 +6,9 @@
 //! derives the *update-level* view: one [`OriginEvent`] per (prefix, origin)
 //! appearance or disappearance, which is what an on-line monitoring process
 //! (§4.2) would consume. [`OriginEventTracker`] derives it one day at a
-//! time, so it follows a streamed archive (`bgp_wire::DailyDumpStream`)
-//! without holding more than a day.
+//! time, so it follows a streamed archive
+//! ([`DailyDumpStream`](crate::DailyDumpStream)) without holding more than
+//! a day.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

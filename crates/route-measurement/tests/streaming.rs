@@ -6,11 +6,11 @@ use std::io::{self, Read};
 
 use bgp_types::{AsPath, Asn, Ipv4Prefix, Route};
 use bgp_wire::bgp::PathAttributes;
+use bgp_wire::day_to_timestamp;
 use bgp_wire::mrt::{
     MrtBody, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast,
 };
-use bgp_wire::{day_to_timestamp, DailyDumpStream};
-use route_measurement::DailyDump;
+use route_measurement::{DailyDump, DailyDumpStream};
 
 /// Two peers, as a real collector would have several.
 fn table_record(day: u32) -> MrtRecord {

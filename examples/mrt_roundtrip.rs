@@ -8,10 +8,11 @@
 
 use moas::bgp::Network;
 use moas::detection::OfflineMonitor;
+use moas::measurement::DailyDumpStream;
 use moas::topology::paper::PaperTopology;
 use moas::types::MoasList;
+use moas::wire::export_rib_snapshot;
 use moas::wire::mrt::MrtWriter;
-use moas::wire::{export_rib_snapshot, DailyDumpStream};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's 46-AS topology; two stubs legitimately multihome one
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // works the same way; the example keeps the archive in memory.
     let vantages = topo.transit_asns();
     let mut writer = MrtWriter::new(Vec::new());
-    let summary = export_rib_snapshot(&mut writer, &net, &vantages, 0)?;
+    let summary = export_rib_snapshot(&mut writer, &vantages, net.loc_ribs(&vantages), 0)?;
     let archive = writer.finish()?;
     println!(
         "exported {} prefixes / {} RIB entries from {} vantages: {} MRT bytes",

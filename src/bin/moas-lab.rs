@@ -28,18 +28,17 @@ use moas::experiments::{
     run_ensemble, run_session_chaos, run_trial_with, subprefix_ablation,
     unresolved_policy_ablation, valley_free_ablation, ChaosConfig, ChaosScenario, EnsembleConfig,
     Exec, FigureReport, SessionChaosConfig, SessionChaosScenario, SweepConfig, TrialConfig,
-    WireModel,
 };
 use moas::measurement::{
-    daily_moas_counts, duration_histogram, generate_timeline, median, MeasurementSummary,
-    OriginEventTracker, TimelineConfig,
+    daily_moas_counts, duration_histogram, generate_timeline, median, DailyDumpStream,
+    MeasurementSummary, OriginEventTracker, TimelineConfig,
 };
 use moas::metrics::MetricsSnapshot;
 use moas::topology::paper::PaperTopology;
 use moas::topology::GraphMetrics;
 use moas::types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, Update};
 use moas::wire::mrt::MrtWriter;
-use moas::wire::{export_rib_snapshot, export_update_stream, DailyDumpStream};
+use moas::wire::{export_rib_snapshot, export_update_stream};
 
 const USAGE: &str = "\
 moas-lab — reproduction of 'Detection of Invalid Routing Announcement in the Internet' (DSN 2002)
@@ -844,13 +843,14 @@ fn export_mrt(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
 
-        let summary = match export_rib_snapshot(&mut writer, &net, &vantages, day) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("day {day}: export failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let summary =
+            match export_rib_snapshot(&mut writer, &vantages, net.loc_ribs(&vantages), day) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("day {day}: export failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
 
         // The day's update stream: multihoming changes since yesterday.
         let mut updates: Vec<(Asn, Update)> = Vec::new();
@@ -1125,7 +1125,7 @@ fn daemon_probe_run(
 fn overhead(args: &[String]) -> ExitCode {
     let timeline = generate_timeline(&TimelineConfig::paper().with_days(30));
     let dump = timeline.dumps.last().expect("timeline has dumps");
-    let analytic = moas_list_overhead(dump, WireModel::default());
+    let analytic = moas_list_overhead(dump);
     let measured = measure_moas_list_overhead(dump, jobs_option(args));
     println!("analytic: {analytic}");
     println!("measured: {measured}");

@@ -9,11 +9,12 @@ use moas::detection::{
     DnsMoasVerifier, FalseOriginAttack, ListForgery, MoasConfig, MoasMonitor, OfflineMonitor,
     RegistryVerifier, UnresolvedPolicy,
 };
+use moas::measurement::DailyDumpStream;
 use moas::topology::{AsGraph, AsRole};
 use moas::types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
 use moas::wire::bgp::PathAttributes;
 use moas::wire::mrt::{MrtBody, MrtRecord, PeerEntry, PeerIndexTable, RibEntry, RibIpv4Unicast};
-use moas::wire::{day_to_timestamp, DailyDumpStream, WireError, WireErrorKind};
+use moas::wire::{day_to_timestamp, WireError, WireErrorKind};
 
 fn prefix() -> Ipv4Prefix {
     "208.8.0.0/16".parse().unwrap()
