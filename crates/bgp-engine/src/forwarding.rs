@@ -36,16 +36,6 @@ pub enum ForwardOutcome {
 }
 
 impl ForwardOutcome {
-    /// The AS the packet finally landed at.
-    #[must_use]
-    pub fn last_hop(&self) -> Option<Asn> {
-        match self {
-            ForwardOutcome::Delivered { path }
-            | ForwardOutcome::Blackholed { path }
-            | ForwardOutcome::Looped { path } => path.last().copied(),
-        }
-    }
-
     /// Returns `true` if the packet was delivered to `asn`.
     #[must_use]
     pub fn delivered_to(&self, asn: Asn) -> bool {
@@ -271,6 +261,5 @@ mod tests {
             path: vec![Asn(1), Asn(2)],
         };
         assert_eq!(outcome.to_string(), "delivered via AS1 -> AS2");
-        assert_eq!(outcome.last_hop(), Some(Asn(2)));
     }
 }

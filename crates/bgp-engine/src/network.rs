@@ -3,23 +3,21 @@
 use std::ops::{Deref, DerefMut};
 
 use as_topology::AsGraph;
-use bgp_types::SimTime;
 
-use crate::error::ConvergenceError;
 use crate::monitor::{NoopMonitor, RouteMonitor};
-use crate::sharded::{ShardedNetwork, DEFAULT_EVENT_LIMIT};
+use crate::sharded::ShardedNetwork;
 
 /// An AS-level BGP network over an [`AsGraph`], driven to quiescence by a
 /// deterministic discrete-event queue.
 ///
 /// This is [`ShardedNetwork`] with one shard, run on the calling thread, and
-/// it dereferences to it: originating, fault plans, link failures, stats,
-/// RIB inspection and `export_metrics` are all that type's methods (and its
-/// documentation). What the wrapper adds is a single owned monitor —
-/// [`Network::monitor`] instead of one per shard — of any type, `Send` or
-/// not: [`NoopMonitor`] for the "Normal BGP" baseline, or the MOAS monitor
-/// from `moas-core` for the paper's mechanism. Results are bit-identical to
-/// a `ShardedNetwork` of any shard count over the same graph and seed.
+/// it dereferences to it: originating, running, fault plans, link failures,
+/// stats, RIB inspection and `export_metrics` are all that type's methods
+/// (and its documentation). What the wrapper adds is a single owned monitor
+/// — [`Network::monitor`] instead of one per shard: [`NoopMonitor`] for the
+/// "Normal BGP" baseline, or the MOAS monitor from `moas-core` for the
+/// paper's mechanism. Results are bit-identical to a `ShardedNetwork` of any
+/// shard count over the same graph and seed.
 ///
 /// # Example
 ///
@@ -86,24 +84,6 @@ impl<M: RouteMonitor> Network<M> {
     pub fn monitor(&self) -> &M {
         self.0.monitors().next().expect("exactly one shard")
     }
-
-    /// [`ShardedNetwork::run`], for any monitor type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvergenceError`] on budget exhaustion or oscillation.
-    pub fn run(&mut self) -> Result<SimTime, ConvergenceError> {
-        self.run_with_limit(DEFAULT_EVENT_LIMIT)
-    }
-
-    /// [`ShardedNetwork::run_with_limit`], for any monitor type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvergenceError`] on budget exhaustion or oscillation.
-    pub fn run_with_limit(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
-        self.0.run_inline(max_events)
-    }
 }
 
 /// The monitor factory of a one-shard network: hands out `monitor`, once.
@@ -129,9 +109,9 @@ impl<M> DerefMut for Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultEvent, FaultPlanError, LinkFaultModel, NetFaultPlan};
+    use crate::{ConvergenceError, FaultEvent, FaultPlanError, LinkFaultModel, NetFaultPlan};
     use as_topology::{AsRole, InternetModel};
-    use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route};
+    use bgp_types::{AsPath, Asn, Ipv4Prefix, MoasList, Route, SimTime};
 
     fn figure1_graph() -> AsGraph {
         // AS 4 originates; AS Y (=2) and AS Z (=3) transit to AS X (=1).

@@ -384,8 +384,8 @@ impl<M: RouteMonitor> Shard<M> {
         self.push(time, ShardEvent::Deliver { epoch, update }.keyed(edge, seq));
     }
 
-    /// One pooled round: the inline driver calls `push`, `step` and
-    /// `fingerprint` directly instead.
+    /// One pooled round: `run_with_limit` on one thread calls `push`, `step`
+    /// and `fingerprint` directly instead.
     fn execute(&mut self, cmd: Cmd) -> RoundReply {
         match cmd {
             Cmd::Step { time, inbox } => {
@@ -1652,10 +1652,13 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
     /// Returns [`ConvergenceError::BudgetExhausted`] or
     /// [`ConvergenceError::Oscillating`].
     pub fn run_with_limit(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
-        if self.jobs == 1 || self.shards.len() == 1 {
-            return self.run_inline(max_events);
+        let (mut shards, next_time) = self.begin_run();
+        if self.jobs == 1 || shards.len() == 1 {
+            // Every shard on the calling thread.
+            let result = self.drive(&mut shards, next_time, max_events);
+            self.shards = shards;
+            return result;
         }
-        let (shards, next_time) = self.begin_run();
         let mut crew = minipool::Crew::spawn(shards, |shard, cmd| shard.execute(cmd));
         let result = self.drive(&mut crew, next_time, max_events);
         self.shards = crew.join();
@@ -1664,16 +1667,6 @@ impl<M: RouteMonitor + Send + 'static> ShardedNetwork<M> {
 }
 
 impl<M: RouteMonitor> ShardedNetwork<M> {
-    /// [`ShardedNetwork::run_with_limit`] with every shard driven on the
-    /// calling thread — the path that asks nothing of `M` beyond
-    /// [`RouteMonitor`], which is what [`Network`](crate::Network) needs.
-    pub(crate) fn run_inline(&mut self, max_events: u64) -> Result<SimTime, ConvergenceError> {
-        let (mut shards, next_time) = self.begin_run();
-        let result = self.drive(&mut shards, next_time, max_events);
-        self.shards = shards;
-        result
-    }
-
     /// Hands the shards to a driver. Setup calls (originate, faults applied
     /// between runs) may have produced cross-shard messages; those move into
     /// the pending pool first. Also returns the earliest queued event time.

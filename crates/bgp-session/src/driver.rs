@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 
 use bgp_wire::bgp::UpdateMessage;
 
-use crate::fsm::{Event, Session, SessionAction, SessionConfig, SessionStats, State};
+use crate::fsm::{
+    Event, Session, SessionAction, SessionConfig, SessionStats, State, CONNECT_TIMEOUT_MS,
+};
 
 /// How long each blocking read waits before the FSM gets a `Tick`.
 const READ_SLICE: Duration = Duration::from_millis(20);
@@ -22,29 +24,11 @@ const READ_SLICE: Duration = Duration::from_millis(20);
 /// the socket buffer, not throughput).
 const PUMP_BATCH: usize = 64;
 
-/// Configuration for [`replay_updates`].
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// The session identity and timers.
-    pub session: SessionConfig,
-    /// Give up after this many TCP connect attempts.
-    pub max_connect_attempts: u32,
-    /// Give up if a single attempt cannot reach `Established` within this
-    /// wall-clock budget.
-    pub establish_timeout_ms: u64,
-}
-
-impl ReplayConfig {
-    /// Defaults: 5 attempts, 30 s establishment budget.
-    #[must_use]
-    pub fn new(session: SessionConfig) -> Self {
-        ReplayConfig {
-            session,
-            max_connect_attempts: 5,
-            establish_timeout_ms: 30_000,
-        }
-    }
-}
+/// [`replay_updates`] gives up after this many TCP connect attempts.
+const MAX_CONNECT_ATTEMPTS: u32 = 5;
+/// [`replay_updates`] gives up if a single attempt cannot reach
+/// `Established` within this wall-clock budget, in ms.
+const ESTABLISH_TIMEOUT_MS: u64 = 30_000;
 
 /// Why a replay run gave up.
 #[derive(Debug)]
@@ -93,10 +77,11 @@ pub struct ReplayReport {
     pub stats: SessionStats,
 }
 
-/// Connects to `addr`, establishes a BGP session, replays every UPDATE
-/// from `updates`, then closes with Cease. Reconnects (resuming where the
-/// iterator left off) on connection loss, with the FSM's backoff pacing
-/// the attempts.
+/// Connects to `addr`, establishes a BGP session as `cfg`, replays every
+/// UPDATE from `updates`, then closes with Cease. Reconnects (resuming
+/// where the iterator left off) on connection loss, with the FSM's backoff
+/// pacing the attempts, and gives up after 5 connect attempts or when one
+/// connection stays short of `Established` for 30 s.
 ///
 /// # Errors
 ///
@@ -105,10 +90,10 @@ pub struct ReplayReport {
 /// [`DriverError::Io`] for a mid-session failure with no budget left.
 pub fn replay_updates(
     addr: SocketAddr,
-    cfg: &ReplayConfig,
+    cfg: &SessionConfig,
     updates: &mut dyn Iterator<Item = UpdateMessage>,
 ) -> Result<ReplayReport, DriverError> {
-    let mut session = Session::new(cfg.session.clone());
+    let mut session = Session::new(cfg.clone());
     let epoch = Instant::now();
     let now_ms = |epoch: &Instant| u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
 
@@ -122,7 +107,7 @@ pub fn replay_updates(
     let mut actions = Vec::new();
     session.handle(now_ms(&epoch), &Event::ManualStart, &mut actions);
 
-    'attempts: while attempts < cfg.max_connect_attempts {
+    'attempts: while attempts < MAX_CONNECT_ATTEMPTS {
         // Honor the FSM's retry pacing: wait out its deadline if it is
         // backing off rather than asking to connect right now.
         while !actions.contains(&SessionAction::Connect) {
@@ -141,17 +126,15 @@ pub fn replay_updates(
         actions.clear();
 
         attempts += 1;
-        let stream = match TcpStream::connect_timeout(
-            &addr,
-            Duration::from_millis(cfg.session.connect_timeout_ms),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(e);
-                session.handle(now_ms(&epoch), &Event::ConnectFailed, &mut actions);
-                continue;
-            }
-        };
+        let stream =
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(CONNECT_TIMEOUT_MS)) {
+                Ok(s) => s,
+                Err(e) => {
+                    last_err = Some(e);
+                    session.handle(now_ms(&epoch), &Event::ConnectFailed, &mut actions);
+                    continue;
+                }
+            };
         if let Err(e) = stream
             .set_nodelay(true)
             .and_then(|()| stream.set_read_timeout(Some(READ_SLICE)))
@@ -166,7 +149,6 @@ pub fn replay_updates(
             &mut session,
             stream,
             &epoch,
-            cfg,
             updates,
             &mut pending,
             &mut report,
@@ -213,19 +195,17 @@ enum ConnectionOutcome {
     Io(std::io::Error),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive_connection(
     session: &mut Session,
     mut stream: TcpStream,
     epoch: &Instant,
-    cfg: &ReplayConfig,
     updates: &mut dyn Iterator<Item = UpdateMessage>,
     pending: &mut Option<UpdateMessage>,
     report: &mut ReplayReport,
     done: &mut bool,
 ) -> Result<(), ConnectionOutcome> {
     let now_ms = |epoch: &Instant| u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let established_deadline = now_ms(epoch) + cfg.establish_timeout_ms;
+    let established_deadline = now_ms(epoch) + ESTABLISH_TIMEOUT_MS;
 
     let mut actions = Vec::new();
     session.handle(now_ms(epoch), &Event::Connected, &mut actions);

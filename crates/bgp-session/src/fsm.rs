@@ -141,6 +141,11 @@ pub struct SessionStats {
     pub decode_errors: u64,
 }
 
+/// How long an outbound connect may stay in flight before it counts as
+/// failed, in ms: the FSM's connect deadline and the driver's TCP connect
+/// budget.
+pub(crate) const CONNECT_TIMEOUT_MS: u64 = 30_000;
+
 /// Static configuration for one session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -156,9 +161,6 @@ pub struct SessionConfig {
     /// (NOTIFICATION code 2 subcode 7). The chaos capability-mismatch
     /// scenario flips this on.
     pub require_four_octet: bool,
-    /// How long an outbound connect may stay in flight before it counts
-    /// as failed.
-    pub connect_timeout_ms: u64,
     /// First retry delay of the jittered exponential backoff.
     pub retry_base_ms: u64,
     /// Retry delay cap.
@@ -178,7 +180,6 @@ impl SessionConfig {
             hold_time: 90,
             passive: false,
             require_four_octet: false,
-            connect_timeout_ms: 30_000,
             retry_base_ms: 1_000,
             retry_max_ms: 60_000,
             seed: 0,
@@ -514,7 +515,7 @@ impl Session {
     fn start_connect(&mut self, now: u64, actions: &mut Vec<SessionAction>) {
         self.stats.connect_attempts += 1;
         self.state = State::Connect;
-        self.connect_deadline = Some(now + self.cfg.connect_timeout_ms);
+        self.connect_deadline = Some(now + CONNECT_TIMEOUT_MS);
         actions.push(SessionAction::Connect);
     }
 

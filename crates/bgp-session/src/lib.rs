@@ -22,7 +22,10 @@
 //! * [`service`] / [`driver`] — the real-IO shells: a [`minisock`]
 //!   [`Service`](minisock::Service) adapter for the passive (listening)
 //!   side and a blocking active-open driver with bounded, jittered
-//!   reconnect for the `session-replay` tool.
+//!   reconnect for the `session-replay` tool:
+//!   [`replay_updates(addr, &SessionConfig, updates)`](replay_updates)
+//!   takes the session's identity and timers, and its connect budget (5
+//!   attempts, 30 s each to connect and to establish) is fixed.
 //!
 //! [`backoff`] carries the shared jittered-exponential-backoff helper; the
 //! daemon's feed client reuses it so "how we retry" has exactly one
@@ -38,7 +41,7 @@ pub mod service;
 pub mod sim;
 
 pub use backoff::Backoff;
-pub use driver::{replay_updates, DriverError, ReplayConfig, ReplayReport};
+pub use driver::{replay_updates, DriverError, ReplayReport};
 pub use fsm::{Event, PeerInfo, Session, SessionAction, SessionConfig, SessionStats, State};
 pub use service::{BgpListener, SessionHandler};
 pub use sim::{SessionSim, SimConfig};

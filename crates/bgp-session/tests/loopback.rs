@@ -13,9 +13,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bgp_session::{
-    replay_updates, BgpListener, PeerInfo, ReplayConfig, SessionConfig, SessionHandler,
-};
+use bgp_session::{replay_updates, BgpListener, PeerInfo, SessionConfig, SessionHandler};
 use bgp_types::{AsPath, Asn, Ipv4Prefix, RouteOrigin};
 use bgp_wire::bgp::{PathAttributes, UpdateMessage};
 use bgp_wire::msg::{encode_keepalive, notif, Message, OpenMessage, MESSAGE_TYPE_NOTIFICATION};
@@ -115,12 +113,8 @@ fn loopback_establish_exchange_and_cease() {
 
     let mut cfg = SessionConfig::new(Asn(70_000), 0x7F00_0002);
     cfg.retry_base_ms = 20;
-    let report = replay_updates(
-        server.local_addr(),
-        &ReplayConfig::new(cfg),
-        &mut sent.iter().cloned(),
-    )
-    .expect("replay succeeds");
+    let report = replay_updates(server.local_addr(), &cfg, &mut sent.iter().cloned())
+        .expect("replay succeeds");
 
     assert_eq!(report.updates_sent, 40);
     assert_eq!(report.connects, 1);
@@ -234,12 +228,8 @@ fn hold_expiry_notifies_then_listener_accepts_reconnect() {
     let mut cfg = SessionConfig::new(Asn(70_000), 0x7F00_0002);
     cfg.hold_time = 3;
     cfg.retry_base_ms = 20;
-    let report = replay_updates(
-        server.local_addr(),
-        &ReplayConfig::new(cfg),
-        &mut sent.iter().cloned(),
-    )
-    .expect("reconnect replay succeeds");
+    let report = replay_updates(server.local_addr(), &cfg, &mut sent.iter().cloned())
+        .expect("reconnect replay succeeds");
     assert_eq!(report.updates_sent, 1);
     assert_eq!(report.stats.established, 1);
 

@@ -8,10 +8,7 @@ use crate::error::ParseAsnError;
 /// An autonomous-system number.
 ///
 /// At the time of the paper AS numbers were 16-bit identifiers; we store them
-/// as `u32` so that the same type also covers 4-octet AS numbers (RFC 6793),
-/// but the paper-era ranges ([`Asn::is_private`], [`Asn::MAX_16BIT`]) are
-/// exposed for the parts of the reproduction that model 2001 operational
-/// practice (e.g. AS-number substitution on egress, §3.2).
+/// as `u32` so that the same type also covers 4-octet AS numbers (RFC 6793).
 ///
 /// # Example
 ///
@@ -21,8 +18,7 @@ use crate::error::ParseAsnError;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sprint: Asn = "1239".parse()?;
 /// assert_eq!(sprint, Asn(1239));
-/// assert!(!sprint.is_private());
-/// assert!(Asn(64_512).is_private());
+/// assert_eq!(sprint.value(), 1239);
 /// # Ok(())
 /// # }
 /// ```
@@ -30,25 +26,6 @@ use crate::error::ParseAsnError;
 pub struct Asn(pub u32);
 
 impl Asn {
-    /// Largest 2-octet AS number (the only kind that existed in 2001).
-    pub const MAX_16BIT: Asn = Asn(65_535);
-
-    /// First private-use AS number (RFC 1930 reservation, 64512-65534).
-    pub const PRIVATE_START: Asn = Asn(64_512);
-
-    /// Last private-use 2-octet AS number.
-    pub const PRIVATE_END: Asn = Asn(65_534);
-
-    /// Returns `true` if this is a private-use AS number.
-    ///
-    /// Private AS numbers are used by organizations that peer with their ISPs
-    /// without a globally unique number; ISPs strip them on egress ("ASE",
-    /// §3.2 of the paper), which is one legitimate cause of MOAS.
-    #[must_use]
-    pub fn is_private(self) -> bool {
-        (Self::PRIVATE_START..=Self::PRIVATE_END).contains(&self)
-    }
-
     /// The raw numeric value.
     #[must_use]
     pub fn value(self) -> u32 {
@@ -117,14 +94,6 @@ mod tests {
         assert!("ASx".parse::<Asn>().is_err());
         assert!("-1".parse::<Asn>().is_err());
         assert!("4294967296".parse::<Asn>().is_err());
-    }
-
-    #[test]
-    fn private_range_bounds() {
-        assert!(!Asn(64_511).is_private());
-        assert!(Asn(64_512).is_private());
-        assert!(Asn(65_534).is_private());
-        assert!(!Asn(65_535).is_private());
     }
 
     #[test]

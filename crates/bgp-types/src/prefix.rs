@@ -88,12 +88,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// Returns `true` for the zero-length default route.
-    #[must_use]
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Returns `true` if `other` falls inside this prefix (including equality).
     #[must_use]
     pub fn contains(self, other: Ipv4Prefix) -> bool {
@@ -257,12 +251,6 @@ impl Ipv6Prefix {
         self.len
     }
 
-    /// Returns `true` for the zero-length default route.
-    #[must_use]
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Returns `true` if `other` falls inside this prefix (including equality).
     #[must_use]
     pub fn contains(self, other: Ipv6Prefix) -> bool {
@@ -327,7 +315,7 @@ mod tests {
     #[test]
     fn zero_length_default_route() {
         assert_eq!(p("1.2.3.4/0"), Ipv4Prefix::DEFAULT);
-        assert!(Ipv4Prefix::DEFAULT.is_default());
+        assert_eq!(Ipv4Prefix::DEFAULT.len(), 0);
         assert!(Ipv4Prefix::DEFAULT.contains(p("192.0.2.0/24")));
     }
 
@@ -391,7 +379,7 @@ mod tests {
         assert_eq!(p6("2001:db8::dead:beef/32"), p6("2001:db8::/32"));
         assert_eq!(p6("2001:db8::dead:beef/32").to_string(), "2001:db8::/32");
         assert_eq!(p6("::/0"), Ipv6Prefix::DEFAULT);
-        assert!(Ipv6Prefix::DEFAULT.is_default());
+        assert_eq!(Ipv6Prefix::DEFAULT.len(), 0);
     }
 
     #[test]

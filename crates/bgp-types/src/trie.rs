@@ -266,28 +266,17 @@ impl<T> PrefixTrie<T> {
         best
     }
 
-    /// The most specific stored prefix that covers `prefix` (including
-    /// `prefix` itself), with its value.
-    ///
-    /// Unlike [`longest_match`](Self::longest_match) — which matches a host
-    /// address and may descend *below* the query — this never returns an
-    /// entry more specific than the query prefix. It is the lookup an
-    /// origin-validation service needs: an announcement for `10.1.0.0/16`
-    /// is judged by the entry for `10.1.0.0/16` if one exists, else by the
-    /// closest covering entry (`10.0.0.0/8`, say), never by a stored
-    /// `10.1.2.0/24`.
-    #[must_use]
-    pub fn longest_covering(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, &T)> {
-        self.covering_matches(prefix).last().copied()
-    }
-
     /// Every stored prefix covering `prefix` (including `prefix` itself),
     /// least-specific first, with its value.
     ///
-    /// The final element, if any, is [`longest_covering`](Self::longest_covering);
-    /// walking the result in reverse visits covering entries most-specific
-    /// first, which is the precedence order for override resolution. The
-    /// lookup allocates nothing: see [`Covering`].
+    /// Unlike [`longest_match`](Self::longest_match) — which matches a host
+    /// address and may descend *below* the query — this never returns an
+    /// entry more specific than the query prefix: an announcement for
+    /// `10.1.0.0/16` is judged by `10.1.0.0/16` and its covering entries,
+    /// never by a stored `10.1.2.0/24`. Walking the result in reverse visits
+    /// covering entries most-specific first, which is the precedence order
+    /// for override resolution. The lookup allocates nothing: see
+    /// [`Covering`].
     #[must_use]
     pub fn covering_matches(&self, prefix: Ipv4Prefix) -> Covering<'_, T> {
         let mut out = Covering::new();
@@ -633,26 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_covering_never_descends_below_query() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.0.0.0/8"), "eight");
-        t.insert(p("10.1.2.0/24"), "deep");
-        // The /24 covers addresses inside the /16 query but is more specific
-        // than it: the covering match must be the /8, not the /24.
-        assert_eq!(
-            t.longest_covering(p("10.1.0.0/16")),
-            Some((p("10.0.0.0/8"), &"eight"))
-        );
-        // An exact entry wins over a shallower covering one.
-        t.insert(p("10.1.0.0/16"), "exact");
-        assert_eq!(
-            t.longest_covering(p("10.1.0.0/16")),
-            Some((p("10.1.0.0/16"), &"exact"))
-        );
-        assert_eq!(t.longest_covering(p("11.0.0.0/8")), None);
-    }
-
-    #[test]
     fn covering_matches_walks_least_specific_first() {
         let mut t = PrefixTrie::new();
         t.insert(Ipv4Prefix::DEFAULT, 0);
@@ -712,11 +681,6 @@ mod tests {
                 .map(|(k, &v)| (k, v))
                 .collect();
             assert_eq!(got, expected, "query {query}");
-            assert_eq!(
-                t.longest_covering(q).map(|(k, &v)| (k, v)),
-                expected.last().copied(),
-                "query {query}"
-            );
         }
     }
 

@@ -317,7 +317,6 @@ const BATCH_CAPACITY: usize = 256 * 1024;
 #[derive(Debug)]
 pub struct MrtWriter<W> {
     inner: W,
-    records: u64,
     buf: Vec<u8>,
 }
 
@@ -326,7 +325,6 @@ impl<W: io::Write> MrtWriter<W> {
     pub fn new(inner: W) -> Self {
         MrtWriter {
             inner,
-            records: 0,
             buf: Vec::new(),
         }
     }
@@ -338,7 +336,6 @@ impl<W: io::Write> MrtWriter<W> {
     /// Returns a [`WireError`] on encode or I/O failure.
     pub fn write_record(&mut self, record: &MrtRecord) -> Result<(), WireError> {
         record.encode_into(&mut self.buf)?;
-        self.records += 1;
         if self.buf.len() >= BATCH_CAPACITY {
             self.write_batch()?;
         }
@@ -351,12 +348,6 @@ impl<W: io::Write> MrtWriter<W> {
             self.buf.clear();
         }
         Ok(())
-    }
-
-    /// Number of records written so far (batched records included).
-    #[must_use]
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     /// Hands any batched bytes to the underlying writer and flushes it.
@@ -445,7 +436,6 @@ mod tests {
         for record in records {
             writer.write_record(record).unwrap();
         }
-        assert_eq!(writer.records_written(), records.len() as u64);
         writer.finish().unwrap()
     }
 

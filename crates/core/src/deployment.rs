@@ -19,7 +19,8 @@ use bgp_types::Asn;
 ///
 /// let asns = vec![Asn(1), Asn(2), Asn(3), Asn(4)];
 /// let half = Deployment::sample(&asns, 0.5, 7);
-/// assert_eq!(half.capable_count(), 2);
+/// let Deployment::Partial(capable) = &half else { unreachable!() };
+/// assert_eq!(capable.len(), 2);
 /// assert!(Deployment::Full.is_capable(Asn(99)));
 /// assert!(!Deployment::None.is_capable(Asn(99)));
 /// ```
@@ -58,18 +59,6 @@ impl Deployment {
             Deployment::None => false,
             Deployment::Full => true,
             Deployment::Partial(set) => set.contains(&asn),
-        }
-    }
-
-    /// Number of capable ASes in a partial deployment; meaningful only for
-    /// [`Deployment::Partial`] (returns 0 for `None`, `usize::MAX` for
-    /// `Full`).
-    #[must_use]
-    pub fn capable_count(&self) -> usize {
-        match self {
-            Deployment::None => 0,
-            Deployment::Full => usize::MAX,
-            Deployment::Partial(set) => set.len(),
         }
     }
 }
@@ -122,7 +111,10 @@ mod tests {
     fn sample_size_matches_fraction() {
         let asns: Vec<Asn> = (1..=100).map(Asn).collect();
         let d = Deployment::sample(&asns, 0.3, 4);
-        assert_eq!(d.capable_count(), 30);
+        let Deployment::Partial(capable) = d else {
+            panic!("0.3 of 100 is a partial deployment: {d:?}");
+        };
+        assert_eq!(capable.len(), 30);
     }
 
     #[test]

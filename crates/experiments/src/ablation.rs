@@ -12,7 +12,9 @@ use moas_core::{
 use crate::exec::{Cell, Exec, Layout};
 use crate::score::{census, Census};
 use crate::stats::{mean, mean_by};
-use crate::trial::{draw_parties, run_trials, trial_on, TrialConfig, TrialOutcome, CONVERGES};
+use crate::trial::{
+    draw_parties, run_trials, trial_on, TrialConfig, TrialOutcome, CONVERGES, MAX_LINK_DELAY,
+};
 
 /// Outcome of the sub-prefix hijack ablation on one topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +70,7 @@ pub fn subprefix_ablation(
             let valid_list = MoasList::implicit(victim);
 
             // Sub-prefix run: attacker announces the more-specific half.
-            let mut net = layout.build(graph, run_seed, 4, || {
+            let mut net = layout.build(graph, run_seed, MAX_LINK_DELAY, || {
                 let mut registry = RegistryVerifier::new();
                 registry.register(victim_prefix, valid_list.clone());
                 MoasMonitor::full(registry)
@@ -178,7 +180,7 @@ pub fn valley_free_ablation(
 
             let (mut adoption, mut suppressed) = ([0.0; 2], [0.0; 2]);
             for (di, deployment) in [Deployment::None, Deployment::Full].into_iter().enumerate() {
-                let mut net = layout.build(graph, run_seed, 4, || {
+                let mut net = layout.build(graph, run_seed, MAX_LINK_DELAY, || {
                     let mut registry = RegistryVerifier::new();
                     registry.register(prefix, valid.clone());
                     let monitor = MoasMonitor::new(
@@ -383,7 +385,7 @@ pub fn unresolved_policy_ablation(
             let (origins, attackers) = draw_parties(graph, run_seed, 1, 2);
             let prefix = crate::victim_prefix();
             let valid_list: MoasList = origins.iter().copied().collect();
-            let mut net = layout.build(graph, run_seed, 4, || {
+            let mut net = layout.build(graph, run_seed, MAX_LINK_DELAY, || {
                 // Empty registry: every conflict is unresolved.
                 MoasMonitor::new(
                     MoasConfig {

@@ -39,6 +39,7 @@ use crate::exec::{Cell, Exec, Layout};
 use crate::json::{self, Json, ToJson};
 use crate::score::{accuracy, detection_latency, Verdict};
 use crate::stats::{mean, mean_by};
+use crate::trial::MAX_LINK_DELAY;
 
 /// Tick at which scripted churn begins.
 pub(crate) const T_CHURN: u64 = 40;
@@ -160,8 +161,6 @@ pub struct ChaosConfig {
     pub transit_count: usize,
     /// Stub AS count of the generated topology.
     pub stub_count: usize,
-    /// Maximum per-link delay jitter.
-    pub max_link_delay: u64,
 }
 
 impl ChaosConfig {
@@ -175,7 +174,6 @@ impl ChaosConfig {
             seed: 0xC4A05,
             transit_count: 8,
             stub_count: 24,
-            max_link_delay: 4,
         }
     }
 
@@ -740,14 +738,7 @@ fn run_one<S: MetricsSink>(
     };
 
     // Churn-only run: every alarm is noise.
-    let (churn_net, churn_err) = run_scenario(
-        layout,
-        graph,
-        config.max_link_delay,
-        &scenario,
-        None,
-        &monitor,
-    );
+    let (churn_net, churn_err) = run_scenario(layout, graph, &scenario, None, &monitor);
     let oscillated = matches!(churn_err, Some(ConvergenceError::Oscillating { .. }));
     assert_eq!(
         oscillated, scenario.expect_oscillation,
@@ -786,7 +777,6 @@ fn run_one<S: MetricsSink>(
         let (attack_net, attack_err) = run_scenario(
             layout,
             graph,
-            config.max_link_delay,
             &scenario,
             Some(forged_announcement(cast.attacker, &valid_list)),
             &monitor,
@@ -856,12 +846,11 @@ pub(crate) fn forged_announcement(attacker: Asn, valid_list: &MoasList) -> Fault
 pub(crate) fn run_scenario<M: RouteMonitor + Send + 'static>(
     layout: Layout,
     graph: &AsGraph,
-    max_link_delay: u64,
     scenario: &Scenario,
     attack: Option<FaultEvent>,
     monitor: impl FnMut() -> M,
 ) -> (ShardedNetwork<M>, Option<ConvergenceError>) {
-    let mut net = layout.build(graph, scenario.seed, max_link_delay, monitor);
+    let mut net = layout.build(graph, scenario.seed, MAX_LINK_DELAY, monitor);
     net.set_mrai(scenario.mrai);
     net.set_watchdog(scenario.watchdog);
 

@@ -45,8 +45,8 @@ use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, Scoped};
 use moas_core::Deployment;
 use rand::Rng;
 use route_measurement::{
-    CommunitiesAnomalyDetector, CommunitiesConfig, Detector, DetectorAlarm, FlapDampingDetector,
-    MoasListDetector, ObservationKind, RouteObservation,
+    CommunitiesAnomalyDetector, Detector, DetectorAlarm, FlapDampingDetector, MoasListDetector,
+    ObservationKind, RouteObservation,
 };
 
 use crate::chaos::{
@@ -134,8 +134,6 @@ pub struct EnsembleConfig {
     pub transit_count: usize,
     /// Stub AS count of the generated topology.
     pub stub_count: usize,
-    /// Maximum per-link delay jitter.
-    pub max_link_delay: u64,
     /// Handoff period of the long-lived-MOAS workload: one origin-set member
     /// drops out and rejoins every `dwell_ticks` (clamped to at least 1).
     pub dwell_ticks: u64,
@@ -157,7 +155,6 @@ impl EnsembleConfig {
             seed: 0xE5B1,
             transit_count: 8,
             stub_count: 24,
-            max_link_delay: 4,
             dwell_ticks: 40,
             sibling_fraction: 0.5,
             policy: CommunityPolicy::Propagate,
@@ -185,7 +182,6 @@ impl EnsembleConfig {
             seed: self.seed,
             transit_count: self.transit_count,
             stub_count: self.stub_count,
-            max_link_delay: self.max_link_delay,
         }
     }
 }
@@ -296,11 +292,9 @@ fn make_detector(index: usize) -> Box<dyn Detector> {
     match index {
         0 => Box::new(MoasListDetector::new()),
         1 => Box::new(FlapDampingDetector::default()),
-        _ => Box::new(CommunitiesAnomalyDetector::new(CommunitiesConfig {
-            // Baselines are learned from the pre-churn convergence only, so
-            // scripted churn and the attack both count as post-learning.
-            learning_window: T_CHURN,
-        })),
+        // Baselines are learned from the pre-churn convergence only, so
+        // scripted churn and the attack both count as post-learning.
+        _ => Box::new(CommunitiesAnomalyDetector::new(T_CHURN)),
     }
 }
 
@@ -551,14 +545,9 @@ fn record_cell<S: MetricsSink>(
     };
     let policies = policy_map(graph, &scenario.strippers, config.policy);
     let mut record = |attack: Option<FaultEvent>, scope: &str| {
-        let (mut net, err) = run_scenario(
-            Layout::SERIAL,
-            graph,
-            config.max_link_delay,
-            &scenario,
-            attack,
-            || CommunityPolicies::wrapping(policies.clone(), TapMonitor::new()),
-        );
+        let (mut net, err) = run_scenario(Layout::SERIAL, graph, &scenario, attack, || {
+            CommunityPolicies::wrapping(policies.clone(), TapMonitor::new())
+        });
         assert!(err.is_none(), "ensemble scenarios converge: {err:?}");
         if S::ENABLED {
             net.export_metrics(&mut Scoped::new(&mut *sink, scope));

@@ -31,8 +31,6 @@ pub struct SweepConfig {
     pub origin_set_count: usize,
     /// "Then we select 5 sets of attackers for each set of origin ASes."
     pub attacker_set_count: usize,
-    /// Maximum per-link delay jitter.
-    pub max_link_delay: u64,
     /// Master seed; all trial seeds derive from it.
     pub seed: u64,
 }
@@ -49,7 +47,6 @@ impl SweepConfig {
             attacker_fractions: vec![0.02, 0.04, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.35, 0.40],
             origin_set_count: 3,
             attacker_set_count: 5,
-            max_link_delay: 4,
             seed: 0x5EED,
         }
     }
@@ -212,7 +209,6 @@ fn plan_trials(graph: &AsGraph, config: &SweepConfig) -> Vec<TrialConfig> {
                     forgery: config.forgery,
                     strippers: BTreeSet::new(),
                     unresolved: UnresolvedPolicy::Accept,
-                    max_link_delay: config.max_link_delay,
                     seed: trial_seed,
                     ..TrialConfig::new(origins.clone(), attackers, deployment)
                 });

@@ -14,6 +14,11 @@ use moas_core::{
 use crate::exec::{Cell, Exec, Layout};
 use crate::score::{census, Census};
 
+/// Maximum per-link message delay, in ticks, of every network the drivers
+/// build (jitter explores propagation races): [`TrialConfig::new`]'s
+/// default, and the bound of every chaos, ensemble and ablation run.
+pub(crate) const MAX_LINK_DELAY: u64 = 4;
+
 /// Configuration of a single run: who originates, who attacks, who checks.
 #[derive(Debug, Clone)]
 pub struct TrialConfig {
@@ -58,7 +63,7 @@ impl TrialConfig {
             strippers: BTreeSet::new(),
             policies: CommunityPolicyMap::new(),
             unresolved: UnresolvedPolicy::Accept,
-            max_link_delay: 4,
+            max_link_delay: MAX_LINK_DELAY,
             seed: 0,
             prefix: crate::victim_prefix(),
         }

@@ -10,6 +10,8 @@
 //!   quick JSON report, and the quick ensemble report with its snapshot.
 //!   Both drivers build, arm and run their networks through one scenario
 //!   runner; these pins hold the bytes that runner must keep producing.
+//! * Absolute pins of every session chaos scenario's quick JSON report,
+//!   which runs the RFC 4271 session layer rather than the engine.
 //! * A property: on small generated graphs, with and without a fault plan
 //!   and a [`Scoped`] prefix, `export_metrics` and a sink-to-sink merge give
 //!   exactly the snapshot of a reference exporter that formats every key
@@ -24,8 +26,8 @@ use bgp_types::Ipv4Prefix;
 use experiments::json::to_string_pretty;
 use experiments::json::ToJson;
 use experiments::{
-    experiment1, experiment2, experiment3, run_chaos, run_ensemble, ChaosConfig, ChaosScenario,
-    EnsembleConfig, Exec, SweepConfig,
+    experiment1, experiment2, experiment3, run_chaos, run_ensemble, run_session_chaos, ChaosConfig,
+    ChaosScenario, EnsembleConfig, Exec, SessionChaosConfig, SessionChaosScenario, SweepConfig,
 };
 use minimetrics::{MetricsSink, MetricsSnapshot, RecordingSink, RowFamily, Scoped};
 use proptest::prelude::*;
@@ -94,6 +96,34 @@ fn chaos_reports_are_pinned() {
     for (scenario, expected) in pins {
         let (report, _) = run_chaos(&ChaosConfig::quick(scenario), Exec::serial());
         assert_eq!(pin(&report), expected, "{scenario}");
+    }
+}
+
+#[test]
+fn session_chaos_reports_are_pinned() {
+    // `moas-lab chaos --scenario NAME --quick` for each session scenario.
+    let pins = [
+        (
+            SessionChaosScenario::HoldExpiry,
+            (0x3600_bf9c_48e2_3ed0, 419),
+        ),
+        (
+            SessionChaosScenario::NotificationStorm,
+            (0xc611_f9ce_b568_1f12, 391),
+        ),
+        (
+            SessionChaosScenario::CapabilityMismatch,
+            (0x51a5_ac12_c929_51af, 379),
+        ),
+        (SessionChaosScenario::TcpReset, (0xff0a_809f_34df_a349, 382)),
+        (
+            SessionChaosScenario::Corruption,
+            (0xa5b9_b4e6_c745_3ccd, 383),
+        ),
+    ];
+    for (scenario, expected) in pins {
+        let report = run_session_chaos(&SessionChaosConfig::quick(scenario), 1);
+        assert_eq!(pin(&report), expected, "{}", scenario.name());
     }
 }
 

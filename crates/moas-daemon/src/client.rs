@@ -21,33 +21,30 @@ fn invalid_data(message: impl Into<String>) -> io::Error {
 // Connection policy
 // ---------------------------------------------------------------------------
 
+/// Read/write timeout applied to an established stream.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// First retry delay; later retries grow exponentially with jitter (the
+/// same [`Backoff`] the BGP FSM uses for session retries).
+const RETRY_BASE_MS: u64 = 100;
+/// Retry delay ceiling.
+const RETRY_MAX_MS: u64 = 2_000;
+/// Seed of the retry jitter stream.
+const RETRY_SEED: u64 = 0;
+
 /// How aggressively a client chases a daemon that is down or wedged.
 #[derive(Debug, Clone)]
 pub struct ConnectOptions {
     /// Per-attempt TCP connect budget.
     pub connect_timeout: Duration,
-    /// Read/write timeout applied to the established stream.
-    pub io_timeout: Duration,
     /// Total connect attempts before giving up (≥ 1).
     pub max_attempts: u32,
-    /// First retry delay; later retries grow exponentially with jitter
-    /// (same [`Backoff`] the BGP FSM uses for session retries).
-    pub retry_base_ms: u64,
-    /// Retry delay ceiling.
-    pub retry_max_ms: u64,
-    /// Seed for the jitter stream (deterministic tests pin it).
-    pub seed: u64,
 }
 
 impl Default for ConnectOptions {
     fn default() -> Self {
         ConnectOptions {
             connect_timeout: Duration::from_secs(3),
-            io_timeout: Duration::from_secs(10),
             max_attempts: 3,
-            retry_base_ms: 100,
-            retry_max_ms: 2_000,
-            seed: 0,
         }
     }
 }
@@ -84,7 +81,7 @@ impl From<ConnectError> for io::Error {
 /// Bounded, jitter-backed connect loop shared by both clients.
 fn connect_stream(addr: SocketAddr, opts: &ConnectOptions) -> Result<TcpStream, ConnectError> {
     let attempts = opts.max_attempts.max(1);
-    let mut backoff = Backoff::new(opts.retry_base_ms, opts.retry_max_ms, opts.seed);
+    let mut backoff = Backoff::new(RETRY_BASE_MS, RETRY_MAX_MS, RETRY_SEED);
     let mut last: Option<io::Error> = None;
     for attempt in 0..attempts {
         if attempt > 0 {
@@ -93,8 +90,8 @@ fn connect_stream(addr: SocketAddr, opts: &ConnectOptions) -> Result<TcpStream, 
         match TcpStream::connect_timeout(&addr, opts.connect_timeout) {
             Ok(stream) => {
                 let configure = stream
-                    .set_read_timeout(Some(opts.io_timeout))
-                    .and_then(|()| stream.set_write_timeout(Some(opts.io_timeout)))
+                    .set_read_timeout(Some(IO_TIMEOUT))
+                    .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
                     .and_then(|()| stream.set_nodelay(true));
                 match configure {
                     Ok(()) => return Ok(stream),
@@ -133,20 +130,6 @@ impl HttpClient {
     /// Returns the flattened [`ConnectError`].
     pub fn connect(addr: SocketAddr) -> io::Result<HttpClient> {
         Ok(Self::connect_with_retry(addr, &ConnectOptions::default())?)
-    }
-
-    /// Connects with an explicit per-read timeout (single attempt).
-    ///
-    /// # Errors
-    ///
-    /// Returns the flattened [`ConnectError`].
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<HttpClient> {
-        let opts = ConnectOptions {
-            io_timeout: timeout,
-            max_attempts: 1,
-            ..ConnectOptions::default()
-        };
-        Ok(Self::connect_with_retry(addr, &opts)?)
     }
 
     /// Connects under an explicit retry policy, keeping the typed error.
@@ -303,20 +286,6 @@ impl FeedClient {
     /// Returns the flattened [`ConnectError`].
     pub fn connect(addr: SocketAddr) -> io::Result<FeedClient> {
         Ok(Self::connect_with_retry(addr, &ConnectOptions::default())?)
-    }
-
-    /// Connects with an explicit per-read timeout (single attempt).
-    ///
-    /// # Errors
-    ///
-    /// Returns the flattened [`ConnectError`].
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<FeedClient> {
-        let opts = ConnectOptions {
-            io_timeout: timeout,
-            max_attempts: 1,
-            ..ConnectOptions::default()
-        };
-        Ok(Self::connect_with_retry(addr, &opts)?)
     }
 
     /// Connects under an explicit retry policy, keeping the typed error.
@@ -541,16 +510,13 @@ mod tests {
         let opts = ConnectOptions {
             connect_timeout: Duration::from_millis(500),
             max_attempts: 3,
-            retry_base_ms: 5,
-            retry_max_ms: 20,
-            ..ConnectOptions::default()
         };
         let started = Instant::now();
         let err = HttpClient::connect_with_retry(addr, &opts).expect_err("must fail");
         assert_eq!(err.attempts, 3);
         assert_eq!(err.addr, addr);
-        // Refused connections fail instantly; three attempts plus two
-        // jittered delays must stay well under a second.
+        // Refused connections fail instantly; three attempts plus the two
+        // real jittered delays (at most 150 and 300 ms) stay well under 5 s.
         assert!(started.elapsed() < Duration::from_secs(5));
         let rendered = err.to_string();
         assert!(rendered.contains("3 attempt(s)"), "message: {rendered}");
@@ -562,7 +528,6 @@ mod tests {
         let opts = ConnectOptions {
             connect_timeout: Duration::from_millis(500),
             max_attempts: 1,
-            ..ConnectOptions::default()
         };
         let err = FeedClient::connect_with_retry(addr, &opts).expect_err("must fail");
         let io_err: io::Error = err.into();

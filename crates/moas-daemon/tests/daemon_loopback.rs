@@ -369,7 +369,7 @@ fn oversized_head_gets_431_and_close() {
 
 #[test]
 fn live_bgp_session_feeds_the_table() {
-    use bgp_session::{replay_updates, ReplayConfig, SessionConfig};
+    use bgp_session::{replay_updates, SessionConfig};
     use bgp_types::{AsPath, RouteOrigin};
     use bgp_wire::bgp::{PathAttributes, UpdateMessage};
 
@@ -410,7 +410,7 @@ fn live_bgp_session_feeds_the_table() {
         update(&["192.0.2.0/24"], None, &[]),
     ]
     .into_iter();
-    let report = replay_updates(bgp_addr, &ReplayConfig::new(session), &mut stream).unwrap();
+    let report = replay_updates(bgp_addr, &session, &mut stream).unwrap();
     assert_eq!(report.updates_sent, 2);
     assert_eq!(report.stats.established, 1);
 

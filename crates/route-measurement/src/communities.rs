@@ -6,7 +6,7 @@
 //! community set diverges from the learned baseline is suspicious even when
 //! no MOAS list is present. This detector learns a per `(observer, prefix)`
 //! baseline — the origins seen and the union of communities observed — during
-//! a configurable learning window, then alarms on announcements from a *new*
+//! a learning window set at construction, then alarms on announcements from a *new*
 //! origin whose communities are not a subset of the baseline. A MOAS list
 //! travels as one community per member, so its members count as communities
 //! here: the baseline keeps them beside the other communities.
@@ -23,23 +23,6 @@ use bgp_types::{Asn, Community, Ipv4Prefix};
 
 use crate::detector::{AlarmKind, Detector, DetectorAlarm, ObservationKind, RouteObservation};
 
-/// Tuning of the [`CommunitiesAnomalyDetector`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommunitiesConfig {
-    /// Observations with `time` strictly below this feed the baseline;
-    /// everything at or after it is judged against the baseline. Uses the
-    /// stream's own time unit (ticks or days).
-    pub learning_window: u64,
-}
-
-impl Default for CommunitiesConfig {
-    fn default() -> Self {
-        CommunitiesConfig {
-            learning_window: 100,
-        }
-    }
-}
-
 /// Learned per `(observer, prefix)` baseline.
 #[derive(Debug, Clone, Default)]
 struct Baseline {
@@ -50,28 +33,27 @@ struct Baseline {
 }
 
 /// The communities-anomaly [`Detector`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CommunitiesAnomalyDetector {
-    config: CommunitiesConfig,
+    /// Observations with `time` strictly below this feed the baseline;
+    /// everything at or after it is judged against the baseline. Uses the
+    /// stream's own time unit (ticks or days).
+    learning_window: u64,
     baselines: BTreeMap<(Asn, Ipv4Prefix), Baseline>,
     /// Deduplication: one alarm per `(observer, prefix, origin)`.
     alarmed: BTreeSet<(Asn, Ipv4Prefix, Asn)>,
 }
 
 impl CommunitiesAnomalyDetector {
-    /// A detector with the given tuning.
+    /// A detector that learns from observations before `learning_window`
+    /// and judges the rest.
     #[must_use]
-    pub fn new(config: CommunitiesConfig) -> Self {
+    pub fn new(learning_window: u64) -> Self {
         CommunitiesAnomalyDetector {
-            config,
-            ..CommunitiesAnomalyDetector::default()
+            learning_window,
+            baselines: BTreeMap::new(),
+            alarmed: BTreeSet::new(),
         }
-    }
-
-    /// The tuning in force.
-    #[must_use]
-    pub fn config(&self) -> &CommunitiesConfig {
-        &self.config
     }
 }
 
@@ -93,7 +75,7 @@ impl Detector for CommunitiesAnomalyDetector {
             .baselines
             .entry((obs.observer, obs.prefix))
             .or_default();
-        if obs.time < self.config.learning_window {
+        if obs.time < self.learning_window {
             baseline.origins.insert(*origin);
             baseline.communities.extend(communities.iter().copied());
             baseline.members.extend(moas_list.iter().flatten());
@@ -155,7 +137,7 @@ mod tests {
     }
 
     fn run(events: &[RouteObservation]) -> Vec<DetectorAlarm> {
-        let mut d = CommunitiesAnomalyDetector::default();
+        let mut d = CommunitiesAnomalyDetector::new(100);
         let mut alarms = Vec::new();
         for e in events {
             d.observe(e, &mut alarms);
@@ -223,11 +205,5 @@ mod tests {
             announce(150, 5, &[Community::new(Asn(703), 3)]),
         ]);
         assert!(alarms.is_empty());
-    }
-
-    #[test]
-    fn config_is_exposed() {
-        let d = CommunitiesAnomalyDetector::new(CommunitiesConfig { learning_window: 7 });
-        assert_eq!(d.config().learning_window, 7);
     }
 }

@@ -67,12 +67,6 @@ impl DailyDump {
         set.extend(origins);
     }
 
-    /// The origin set observed for a prefix (empty if unseen).
-    #[must_use]
-    pub fn origins_of(&self, prefix: Ipv4Prefix) -> BTreeSet<Asn> {
-        self.origins.get(&prefix).cloned().unwrap_or_default()
-    }
-
     /// Number of prefixes observed.
     #[must_use]
     pub fn prefix_count(&self) -> usize {
@@ -115,7 +109,8 @@ mod tests {
         d.observe(p("10.0.0.0/8"), Asn(1));
         d.observe(p("10.0.0.0/8"), Asn(2));
         assert_eq!(d.day(), 3);
-        assert_eq!(d.origins_of(p("10.0.0.0/8")).len(), 2);
+        let origins = BTreeSet::from([Asn(1), Asn(2)]);
+        assert_eq!(d.iter().collect::<Vec<_>>(), [(p("10.0.0.0/8"), &origins)]);
     }
 
     #[test]
@@ -133,7 +128,7 @@ mod tests {
     #[test]
     fn unseen_prefix_has_empty_origins() {
         let d = DailyDump::new(0);
-        assert!(d.origins_of(p("10.0.0.0/8")).is_empty());
+        assert_eq!(d.iter().count(), 0);
         assert_eq!(d.prefix_count(), 0);
         assert_eq!(d.moas_count(), 0);
     }

@@ -2,7 +2,7 @@
 //!
 //! The BGP flap-damping algorithm keeps a per-route instability penalty:
 //! withdrawals and attribute changes add a fixed figure of merit, the total
-//! decays exponentially with a configured half-life, and a route whose
+//! decays exponentially with a fixed half-life, and a route whose
 //! penalty crosses the *suppress* threshold is suppressed until it decays
 //! below the *reuse* threshold. As a MOAS-era detector it is the natural
 //! "instability" baseline: it fires on churny origins regardless of whether
@@ -21,38 +21,6 @@ use bgp_types::{Asn, Ipv4Prefix};
 
 use crate::detector::{AlarmKind, Detector, DetectorAlarm, ObservationKind, RouteObservation};
 
-/// Tunable parameters of the RFC 2439 algorithm.
-///
-/// Thresholds follow the RFC's worked example shape (suppress at several
-/// times the single-flap penalty, reuse well below it); the half-life is in
-/// the same time unit as the observation stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlapDampingConfig {
-    /// Exponential-decay half-life of the penalty, in stream time units.
-    pub half_life: f64,
-    /// Penalty added when an announced route is withdrawn (one flap).
-    pub withdraw_penalty: f64,
-    /// Penalty added when a re-announcement changes the route's attributes
-    /// (RFC 2439 treats attribute change as a lesser instability event).
-    pub change_penalty: f64,
-    /// A route whose penalty reaches this is suppressed — the alarm event.
-    pub suppress_threshold: f64,
-    /// A suppressed route whose penalty decays below this is reused.
-    pub reuse_threshold: f64,
-}
-
-impl Default for FlapDampingConfig {
-    fn default() -> Self {
-        FlapDampingConfig {
-            half_life: 30.0,
-            withdraw_penalty: 1.0,
-            change_penalty: 0.5,
-            suppress_threshold: 2.5,
-            reuse_threshold: 0.75,
-        }
-    }
-}
-
 /// Per `(observer, prefix, peer)` damping state.
 #[derive(Debug, Clone, Default)]
 struct FlapState {
@@ -69,37 +37,41 @@ struct FlapState {
 
 impl FlapState {
     /// Brings the penalty forward to `now` with exponential decay.
-    fn decay_to(&mut self, now: u64, half_life: f64) {
+    fn decay_to(&mut self, now: u64) {
         if now > self.last && self.penalty > 0.0 {
             let dt = (now - self.last) as f64;
             // Halve once per half-life elapsed.
-            self.penalty *= (-dt / half_life).exp2();
+            self.penalty *= (-dt / FlapDampingDetector::HALF_LIFE).exp2();
         }
         self.last = now;
     }
 }
 
 /// The RFC 2439 flap-damping baseline detector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlapDampingDetector {
-    config: FlapDampingConfig,
     state: BTreeMap<(Asn, Ipv4Prefix, Asn), FlapState>,
 }
 
 impl FlapDampingDetector {
-    /// A detector with the given tuning.
-    #[must_use]
-    pub fn new(config: FlapDampingConfig) -> Self {
-        FlapDampingDetector {
-            config,
-            state: BTreeMap::new(),
-        }
-    }
+    /// Exponential-decay half-life of the penalty, in stream time units.
+    pub const HALF_LIFE: f64 = 30.0;
+    /// Penalty added when an announced route is withdrawn (one flap).
+    pub const WITHDRAW_PENALTY: f64 = 1.0;
+    /// Penalty added when a re-announcement changes the route's attributes
+    /// (RFC 2439 treats attribute change as a lesser instability event).
+    pub const CHANGE_PENALTY: f64 = 0.5;
+    /// A route whose penalty reaches this is suppressed — the alarm event.
+    /// Like the RFC's worked example, it is several times the single-flap
+    /// penalty.
+    pub const SUPPRESS_THRESHOLD: f64 = 2.5;
+    /// A suppressed route whose penalty decays below this is reused.
+    pub const REUSE_THRESHOLD: f64 = 0.75;
 
-    /// The tuning in force.
+    /// A detector that has seen nothing.
     #[must_use]
-    pub fn config(&self) -> &FlapDampingConfig {
-        &self.config
+    pub fn new() -> Self {
+        FlapDampingDetector::default()
     }
 
     /// Current penalty for one `(observer, prefix, peer)` route, decayed to
@@ -110,18 +82,17 @@ impl FlapDampingDetector {
             return 0.0;
         };
         let mut copy = state.clone();
-        copy.decay_to(now, self.config.half_life);
+        copy.decay_to(now);
         copy.penalty
     }
 
     /// Applies suppress/reuse threshold crossings after a penalty update.
     fn check_thresholds(
-        config: &FlapDampingConfig,
         state: &mut FlapState,
         obs: &RouteObservation,
         alarms: &mut Vec<DetectorAlarm>,
     ) {
-        if !state.suppressed && state.penalty >= config.suppress_threshold {
+        if !state.suppressed && state.penalty >= Self::SUPPRESS_THRESHOLD {
             state.suppressed = true;
             alarms.push(DetectorAlarm {
                 time: obs.time,
@@ -130,16 +101,10 @@ impl FlapDampingDetector {
                 origin: state.origin,
                 kind: AlarmKind::FlapSuppression,
             });
-        } else if state.suppressed && state.penalty < config.reuse_threshold {
+        } else if state.suppressed && state.penalty < Self::REUSE_THRESHOLD {
             // Reuse is silent: the route is simply usable again.
             state.suppressed = false;
         }
-    }
-}
-
-impl Default for FlapDampingDetector {
-    fn default() -> Self {
-        FlapDampingDetector::new(FlapDampingConfig::default())
     }
 }
 
@@ -151,24 +116,24 @@ impl Detector for FlapDampingDetector {
     fn observe(&mut self, obs: &RouteObservation, alarms: &mut Vec<DetectorAlarm>) {
         let key = (obs.observer, obs.prefix, obs.from_peer);
         let state = self.state.entry(key).or_default();
-        state.decay_to(obs.time, self.config.half_life);
+        state.decay_to(obs.time);
         match &obs.kind {
             ObservationKind::Withdraw => {
                 if !state.announced {
                     return;
                 }
                 state.announced = false;
-                state.penalty += self.config.withdraw_penalty;
-                Self::check_thresholds(&self.config, state, obs, alarms);
+                state.penalty += Self::WITHDRAW_PENALTY;
+                Self::check_thresholds(state, obs, alarms);
             }
             ObservationKind::Announce { origin, .. } => {
                 let changed = state.announced && state.origin != Some(*origin);
                 state.announced = true;
                 state.origin = Some(*origin);
                 if changed {
-                    state.penalty += self.config.change_penalty;
-                    Self::check_thresholds(&self.config, state, obs, alarms);
-                } else if state.suppressed && state.penalty < self.config.reuse_threshold {
+                    state.penalty += Self::CHANGE_PENALTY;
+                    Self::check_thresholds(state, obs, alarms);
+                } else if state.suppressed && state.penalty < Self::REUSE_THRESHOLD {
                     state.suppressed = false;
                 }
             }
@@ -237,7 +202,7 @@ mod tests {
         let mut alarms = Vec::new();
         d.observe(&announce(0, 4), &mut alarms);
         d.observe(&withdraw(10), &mut alarms);
-        let now = 10 + d.config().half_life as u64;
+        let now = 10 + FlapDampingDetector::HALF_LIFE as u64;
         let decayed = d.penalty_at(Asn(1), p(), Asn(10), now);
         assert!(
             (decayed - 0.5).abs() < 1e-9,
@@ -247,9 +212,7 @@ mod tests {
 
     #[test]
     fn suppressed_route_is_reused_after_decay() {
-        let config = FlapDampingConfig::default();
-        let half_life = config.half_life;
-        let mut d = FlapDampingDetector::new(config);
+        let mut d = FlapDampingDetector::new();
         let mut alarms = Vec::new();
         for i in 0..4u64 {
             d.observe(&announce(2 * i, 4), &mut alarms);
@@ -258,7 +221,7 @@ mod tests {
         assert_eq!(alarms.len(), 1);
         // Long quiet period: penalty decays below reuse; the next flap starts
         // a fresh cycle and can alarm again.
-        let quiet = 7 + (half_life * 10.0) as u64;
+        let quiet = 7 + (FlapDampingDetector::HALF_LIFE * 10.0) as u64;
         for i in 0..4u64 {
             d.observe(&announce(quiet + 2 * i, 4), &mut alarms);
             d.observe(&withdraw(quiet + 2 * i + 1), &mut alarms);

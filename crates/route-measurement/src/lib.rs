@@ -44,12 +44,12 @@ mod stats;
 mod stream;
 mod timeline;
 
-pub use communities::{CommunitiesAnomalyDetector, CommunitiesConfig};
+pub use communities::CommunitiesAnomalyDetector;
 pub use detector::{
     AlarmKind, Detector, DetectorAlarm, MoasListDetector, ObservationKind, RouteObservation,
 };
 pub use dump::DailyDump;
-pub use flap::{FlapDampingConfig, FlapDampingDetector};
+pub use flap::FlapDampingDetector;
 pub use import::{DailyDumpStream, DayImport};
 pub use stats::{daily_moas_counts, duration_histogram, median, MeasurementSummary};
 pub use stream::{OriginEvent, OriginEventKind, OriginEventTracker};

@@ -48,12 +48,6 @@ impl OriginEvent {
     pub fn enters_moas(&self) -> bool {
         self.kind == OriginEventKind::Announced && self.origins_after == 2
     }
-
-    /// Returns `true` if this event took the prefix out of MOAS state.
-    #[must_use]
-    pub fn leaves_moas(&self) -> bool {
-        self.kind == OriginEventKind::Withdrawn && self.origins_after == 1
-    }
 }
 
 impl fmt::Display for OriginEvent {
@@ -197,7 +191,7 @@ mod tests {
         assert_eq!(withdrawn, 2);
         assert!(events
             .iter()
-            .any(|e| e.leaves_moas() || e.origins_after == 0));
+            .any(|e| e.kind == OriginEventKind::Withdrawn && e.origins_after <= 1));
     }
 
     #[test]
@@ -213,7 +207,10 @@ mod tests {
         let onsets: Vec<&OriginEvent> = events.iter().filter(|e| e.enters_moas()).collect();
         assert_eq!(onsets.len(), 1);
         assert_eq!(onsets[0].day, 1);
-        let offs: Vec<&OriginEvent> = events.iter().filter(|e| e.leaves_moas()).collect();
+        let offs: Vec<&OriginEvent> = events
+            .iter()
+            .filter(|e| e.kind == OriginEventKind::Withdrawn && e.origins_after == 1)
+            .collect();
         assert_eq!(offs.len(), 1);
         assert_eq!(offs[0].day, 2);
     }

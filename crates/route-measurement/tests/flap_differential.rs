@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use bgp_types::{Asn, Ipv4Prefix};
 use proptest::prelude::*;
 use route_measurement::{
-    Detector, DetectorAlarm, FlapDampingConfig, FlapDampingDetector, ObservationKind,
-    RouteObservation,
+    Detector, DetectorAlarm, FlapDampingDetector, ObservationKind, RouteObservation,
 };
 
 /// Naive reference: every penalty increment is kept with its timestamp and
-/// the decayed total is recomputed as a sum over the full history.
+/// the decayed total is recomputed as a sum over the full history. It reads
+/// the detector's own RFC 2439 parameters.
 #[derive(Default)]
 struct RefState {
     increments: Vec<(u64, f64)>,
@@ -27,31 +27,24 @@ struct RefState {
     suppressed: bool,
 }
 
+#[derive(Default)]
 struct ReferenceModel {
-    config: FlapDampingConfig,
     state: BTreeMap<(Asn, Ipv4Prefix, Asn), RefState>,
 }
 
 impl ReferenceModel {
-    fn new(config: FlapDampingConfig) -> Self {
-        ReferenceModel {
-            config,
-            state: BTreeMap::new(),
-        }
-    }
-
     fn penalty_at(&self, key: (Asn, Ipv4Prefix, Asn), now: u64) -> f64 {
         let Some(state) = self.state.get(&key) else {
             return 0.0;
         };
-        Self::penalty_of(&self.config, state, now)
+        Self::penalty_of(state, now)
     }
 
-    fn penalty_of(config: &FlapDampingConfig, state: &RefState, now: u64) -> f64 {
+    fn penalty_of(state: &RefState, now: u64) -> f64 {
         state
             .increments
             .iter()
-            .map(|&(t, p)| p * (-((now - t) as f64) / config.half_life).exp2())
+            .map(|&(t, p)| p * (-((now - t) as f64) / FlapDampingDetector::HALF_LIFE).exp2())
             .sum()
     }
 
@@ -66,8 +59,8 @@ impl ReferenceModel {
                 state.announced = false;
                 state
                     .increments
-                    .push((obs.time, self.config.withdraw_penalty));
-                Self::check_thresholds(&self.config, state, obs, alarms);
+                    .push((obs.time, FlapDampingDetector::WITHDRAW_PENALTY));
+                Self::check_thresholds(state, obs, alarms);
             }
             ObservationKind::Announce { origin, .. } => {
                 let changed = state.announced && state.origin != Some(*origin);
@@ -76,10 +69,10 @@ impl ReferenceModel {
                 if changed {
                     state
                         .increments
-                        .push((obs.time, self.config.change_penalty));
-                    Self::check_thresholds(&self.config, state, obs, alarms);
+                        .push((obs.time, FlapDampingDetector::CHANGE_PENALTY));
+                    Self::check_thresholds(state, obs, alarms);
                 } else if state.suppressed
-                    && Self::penalty_of(&self.config, state, obs.time) < self.config.reuse_threshold
+                    && Self::penalty_of(state, obs.time) < FlapDampingDetector::REUSE_THRESHOLD
                 {
                     state.suppressed = false;
                 }
@@ -88,13 +81,12 @@ impl ReferenceModel {
     }
 
     fn check_thresholds(
-        config: &FlapDampingConfig,
         state: &mut RefState,
         obs: &RouteObservation,
         alarms: &mut Vec<DetectorAlarm>,
     ) {
-        let penalty = Self::penalty_of(config, state, obs.time);
-        if !state.suppressed && penalty >= config.suppress_threshold {
+        let penalty = Self::penalty_of(state, obs.time);
+        if !state.suppressed && penalty >= FlapDampingDetector::SUPPRESS_THRESHOLD {
             state.suppressed = true;
             alarms.push(DetectorAlarm {
                 time: obs.time,
@@ -103,7 +95,7 @@ impl ReferenceModel {
                 origin: state.origin,
                 kind: route_measurement::AlarmKind::FlapSuppression,
             });
-        } else if state.suppressed && penalty < config.reuse_threshold {
+        } else if state.suppressed && penalty < FlapDampingDetector::REUSE_THRESHOLD {
             state.suppressed = false;
         }
     }
@@ -166,9 +158,8 @@ proptest! {
     /// alarm and on the decayed penalty of every route at every event time.
     #[test]
     fn lazy_decay_matches_full_history_reference(raw in prop::collection::vec(raw_event(), 0..60)) {
-        let config = FlapDampingConfig::default();
-        let mut detector = FlapDampingDetector::new(config.clone());
-        let mut reference = ReferenceModel::new(config);
+        let mut detector = FlapDampingDetector::new();
+        let mut reference = ReferenceModel::default();
         let mut detector_alarms = Vec::new();
         let mut reference_alarms = Vec::new();
 

@@ -313,8 +313,10 @@ fn check_value_flags(args: &[String]) -> Result<(), String> {
             None => return Err(format!("{name} expects a value")),
         }
     }
-    if option::<u64>(args, "--shards") == Some(0) {
-        return Err("--shards expects a positive integer, got 0".to_string());
+    for name in ["--shards", "--connect-attempts"] {
+        if option::<u64>(args, name) == Some(0) {
+            return Err(format!("{name} expects a positive integer, got 0"));
+        }
     }
     Ok(())
 }
@@ -1019,9 +1021,7 @@ fn daemon_probe_run(
     // connect budget, so CI gets a typed refusal instead of a hang.
     let probe_opts = ConnectOptions {
         connect_timeout: std::time::Duration::from_secs(2),
-        io_timeout: std::time::Duration::from_secs(10),
         max_attempts: option::<u32>(args, "--connect-attempts").unwrap_or(3),
-        ..ConnectOptions::default()
     };
     let mut web = HttpClient::connect_with_retry(http, &probe_opts)?;
 
@@ -1215,7 +1215,7 @@ fn session_chaos(args: &[String], scenario: SessionChaosScenario) -> ExitCode {
 /// Streams an MRT archive through a live BGP session into a running
 /// `moas-labd --bgp` listener.
 fn session_replay(args: &[String]) -> ExitCode {
-    use moas::session::{replay_updates, ReplayConfig, SessionConfig};
+    use moas::session::{replay_updates, SessionConfig};
     use moas::wire::bgp::UpdateMessage;
     use moas::wire::mrt::MrtBody;
     use moas::wire::MrtViewReader;
@@ -1286,7 +1286,7 @@ fn session_replay(args: &[String]) -> ExitCode {
         }
     });
 
-    match replay_updates(addr, &ReplayConfig::new(session), &mut updates) {
+    match replay_updates(addr, &session, &mut updates) {
         Ok(report) => {
             if let Some(e) = &read_error {
                 eprintln!("archive truncated: {e}");

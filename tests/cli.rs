@@ -653,11 +653,24 @@ fn figures_accepts_metrics_on_the_sharded_engine_and_records_only_on_request() {
 
 #[test]
 fn shards_zero_and_commands_with_nothing_to_shard_are_errors() {
-    for (args, needle) in [
-        (&["figures", "--quick", "--shards", "0"][..], "positive"),
-        (&["trial", "--shards", "0"][..], "positive"),
-        (&["ensemble", "--quick", "--shards", "2"][..], "ensemble"),
-        (&["overhead", "--shards", "2"][..], "overhead"),
+    for (args, flag, needle) in [
+        (
+            &["figures", "--quick", "--shards", "0"][..],
+            "--shards",
+            "positive",
+        ),
+        (&["trial", "--shards", "0"][..], "--shards", "positive"),
+        (
+            &["daemon-probe", "--connect-attempts", "0"][..],
+            "--connect-attempts",
+            "expects a positive integer, got 0",
+        ),
+        (
+            &["ensemble", "--quick", "--shards", "2"][..],
+            "--shards",
+            "ensemble",
+        ),
+        (&["overhead", "--shards", "2"][..], "--shards", "overhead"),
         (
             &[
                 "chaos",
@@ -667,6 +680,7 @@ fn shards_zero_and_commands_with_nothing_to_shard_are_errors() {
                 "--shards",
                 "2",
             ][..],
+            "--shards",
             "session-layer",
         ),
     ] {
@@ -675,7 +689,7 @@ fn shards_zero_and_commands_with_nothing_to_shard_are_errors() {
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("--shards") && err.contains(needle),
+            err.contains(flag) && err.contains(needle),
             "{args:?}: {err}"
         );
     }

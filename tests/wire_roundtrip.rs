@@ -104,7 +104,7 @@ fn moas_list(graph: &AsGraph) -> MoasList {
 
 /// Both members of `graph`'s [`moas_list`] originate under it, and the
 /// network converges.
-fn originate_moas<M: RouteMonitor>(net: &mut Network<M>, graph: &AsGraph) {
+fn originate_moas<M: RouteMonitor + Send + 'static>(net: &mut Network<M>, graph: &AsGraph) {
     let list = moas_list(graph);
     for origin in &list {
         net.originate(origin, prefix(), Some(list.clone()));
