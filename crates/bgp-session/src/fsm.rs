@@ -360,17 +360,23 @@ impl Session {
             return; // late bytes from a torn-down transport
         }
         self.inbuf.extend_from_slice(bytes);
+        // Messages are decoded where they lie; the bytes they took leave the
+        // buffer once per call, not once per message.
+        let mut consumed = 0;
         loop {
-            match Message::decode_prefix_of(&self.inbuf, self.encoding) {
+            match Message::decode_prefix_of(&self.inbuf[consumed..], self.encoding) {
                 Ok((message, used)) => {
-                    self.inbuf.drain(..used);
+                    consumed += used;
                     self.on_message(now, message, actions);
                     if !self.is_connected_state() {
                         self.inbuf.clear();
                         return;
                     }
                 }
-                Err(err) if matches!(err.kind, WireErrorKind::Truncated { .. }) => return,
+                Err(err) if matches!(err.kind, WireErrorKind::Truncated { .. }) => {
+                    self.inbuf.drain(..consumed);
+                    return;
+                }
                 Err(err) => {
                     self.stats.decode_errors += 1;
                     self.send_notification(&notification_for(&err), actions);

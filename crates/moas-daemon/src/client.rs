@@ -11,7 +11,7 @@ use std::time::Duration;
 use bgp_session::Backoff;
 use bgp_types::{Asn, Ipv4Prefix};
 
-use crate::feed::Pdu;
+use crate::feed::{Pdu, PrefixEntry};
 
 fn invalid_data(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
@@ -257,21 +257,20 @@ pub enum SyncOutcome {
     CacheReset,
 }
 
-/// What the server answered to one query, before the client applies it.
-enum Reply {
-    Transfer {
-        session: u16,
-        serial: u32,
-        entries: Vec<(bool, Ipv4Prefix, Asn)>,
-    },
-    CacheReset,
-}
+/// Size of the feed client's read buffer: far above the longest PDU, so
+/// the undecoded part of one PDU always leaves room for the next read.
+const FEED_READ_BUF: usize = 64 * 1024;
 
 /// A blocking feed-protocol client mirroring the daemon's table.
 #[derive(Debug)]
 pub struct FeedClient {
     stream: TcpStream,
-    buf: Vec<u8>,
+    /// Bytes read ahead of the decoder: `buf[start..end]` is not decoded
+    /// yet. Decoding advances `start`; what is left of a PDU moves to the
+    /// front only before the next read, which fills the space behind it.
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
     session: Option<u16>,
     serial: u32,
     entries: BTreeSet<(Ipv4Prefix, Asn)>,
@@ -300,7 +299,9 @@ impl FeedClient {
         let stream = connect_stream(addr, opts)?;
         Ok(FeedClient {
             stream,
-            buf: Vec::new(),
+            buf: vec![0; FEED_READ_BUF].into_boxed_slice(),
+            start: 0,
+            end: 0,
             session: None,
             serial: 0,
             entries: BTreeSet::new(),
@@ -330,31 +331,27 @@ impl FeedClient {
     ///
     /// # Errors
     ///
-    /// Returns I/O errors and protocol violations (including a cache reset
-    /// in answer to a reset query, which the protocol forbids).
+    /// Returns I/O errors and protocol violations: a cache reset in answer
+    /// to a reset query, and a withdrawal inside the transfer (a full table
+    /// has nothing to withdraw), both of which the protocol forbids.
     pub fn reset_sync(&mut self) -> io::Result<usize> {
         self.send(&Pdu::ResetQuery)?;
-        match self.read_reply()? {
-            Reply::Transfer {
-                session,
-                serial,
-                entries,
-            } => {
-                let mut fresh = BTreeSet::new();
-                for (announce, prefix, asn) in entries {
-                    if announce {
-                        fresh.insert((prefix, asn));
-                    } else {
-                        fresh.remove(&(prefix, asn));
-                    }
-                }
-                self.session = Some(session);
-                self.serial = serial;
-                self.entries = fresh;
-                Ok(self.entries.len())
+        // Collected whole and then built in one pass, the mirror's nodes
+        // are filled in order instead of split by insert after insert.
+        let mut pairs = Vec::new();
+        let transfer = self.read_transfer(|entry| {
+            if !entry.announce {
+                return Err(invalid_data("withdrawal in a reset transfer"));
             }
-            Reply::CacheReset => Err(invalid_data("cache reset in answer to a reset query")),
-        }
+            pairs.push((entry.prefix, entry.asn));
+            Ok(())
+        })?;
+        let (session, serial) =
+            transfer.ok_or_else(|| invalid_data("cache reset in answer to a reset query"))?;
+        self.session = Some(session);
+        self.serial = serial;
+        self.entries = pairs.into_iter().collect();
+        Ok(self.entries.len())
     }
 
     /// Incremental sync from the client's current `(session, serial)`.
@@ -378,33 +375,34 @@ impl FeedClient {
     /// Returns I/O errors and protocol violations.
     pub fn sync_from(&mut self, session: u16, serial: u32) -> io::Result<SyncOutcome> {
         self.send(&Pdu::SerialQuery { session, serial })?;
-        match self.read_reply()? {
-            Reply::Transfer {
-                session,
-                serial,
-                entries,
-            } => {
-                let mut announced = 0usize;
-                let mut withdrawn = 0usize;
-                for (announce, prefix, asn) in entries {
-                    if announce {
-                        announced += 1;
-                        self.entries.insert((prefix, asn));
-                    } else {
-                        withdrawn += 1;
-                        self.entries.remove(&(prefix, asn));
-                    }
-                }
-                self.session = Some(session);
-                self.serial = serial;
-                Ok(SyncOutcome::Diff {
-                    announced,
-                    withdrawn,
-                    serial,
-                })
+        // Applied only once the transfer is complete, so a broken one leaves
+        // the mirror at the serial it holds.
+        let mut diff = Vec::new();
+        let transfer = self.read_transfer(|entry| {
+            diff.push(entry);
+            Ok(())
+        })?;
+        let Some((session, serial)) = transfer else {
+            return Ok(SyncOutcome::CacheReset);
+        };
+        let mut announced = 0usize;
+        let mut withdrawn = 0usize;
+        for entry in diff {
+            if entry.announce {
+                announced += 1;
+                self.entries.insert((entry.prefix, entry.asn));
+            } else {
+                withdrawn += 1;
+                self.entries.remove(&(entry.prefix, entry.asn));
             }
-            Reply::CacheReset => Ok(SyncOutcome::CacheReset),
         }
+        self.session = Some(session);
+        self.serial = serial;
+        Ok(SyncOutcome::Diff {
+            announced,
+            withdrawn,
+            serial,
+        })
     }
 
     /// Blocks until the server pushes a serial notify (or the read times
@@ -428,14 +426,18 @@ impl FeedClient {
         self.stream.write_all(&pdu.to_bytes())
     }
 
-    /// Reads the full answer to one query: either a `CacheResponse …
-    /// EndOfData` transfer or a `CacheReset`. Serial notifies racing with
-    /// the query are skipped.
-    fn read_reply(&mut self) -> io::Result<Reply> {
+    /// Reads the full answer to one query, handing each entry of a
+    /// `CacheResponse … EndOfData` transfer to `on_entry` and returning the
+    /// transfer's `(session, serial)`, or `None` for a `CacheReset`. Serial
+    /// notifies racing with the query are skipped.
+    fn read_transfer(
+        &mut self,
+        mut on_entry: impl FnMut(PrefixEntry) -> io::Result<()>,
+    ) -> io::Result<Option<(u16, u32)>> {
         let session = loop {
             match self.read_pdu()? {
                 Pdu::SerialNotify { .. } => continue,
-                Pdu::CacheReset => return Ok(Reply::CacheReset),
+                Pdu::CacheReset => return Ok(None),
                 Pdu::CacheResponse { session } => break session,
                 Pdu::Error { code, message } => {
                     return Err(invalid_data(format!("server error {code}: {message}")))
@@ -443,10 +445,9 @@ impl FeedClient {
                 other => return Err(invalid_data(format!("unexpected PDU {other:?}"))),
             }
         };
-        let mut entries = Vec::new();
         loop {
             match self.read_pdu()? {
-                Pdu::Prefix(entry) => entries.push((entry.announce, entry.prefix, entry.asn)),
+                Pdu::Prefix(entry) => on_entry(entry)?,
                 Pdu::EndOfData {
                     session: end_session,
                     serial,
@@ -454,11 +455,7 @@ impl FeedClient {
                     if end_session != session {
                         return Err(invalid_data("session changed mid-transfer"));
                     }
-                    return Ok(Reply::Transfer {
-                        session,
-                        serial,
-                        entries,
-                    });
+                    return Ok(Some((session, serial)));
                 }
                 Pdu::Error { code, message } => {
                     return Err(invalid_data(format!("server error {code}: {message}")))
@@ -470,21 +467,23 @@ impl FeedClient {
 
     fn read_pdu(&mut self) -> io::Result<Pdu> {
         loop {
-            match Pdu::decode(&self.buf) {
+            match Pdu::decode(&self.buf[self.start..self.end]) {
                 Ok(Some((pdu, used))) => {
-                    self.buf.drain(..used);
+                    self.start += used;
                     return Ok(pdu);
                 }
                 Ok(None) => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk)?;
+                    self.buf.copy_within(self.start..self.end, 0);
+                    self.end -= self.start;
+                    self.start = 0;
+                    let n = self.stream.read(&mut self.buf[self.end..])?;
                     if n == 0 {
                         return Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "feed closed by daemon",
                         ));
                     }
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.end += n;
                 }
                 Err(e) => return Err(invalid_data(e.to_string())),
             }

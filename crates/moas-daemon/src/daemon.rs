@@ -15,7 +15,7 @@ use bgp_wire::bgp::UpdateMessage;
 use minisock::{Action, Config, ConnId, Server, ServerStats, Service, StatsHandle, Waker};
 
 use crate::exceptions::ExceptionSet;
-use crate::feed::{Pdu, PrefixEntry};
+use crate::feed::{self, Pdu};
 use crate::http::{json_response, text_response, HttpError, Request};
 use crate::table::{DeltaRing, OriginTable, TableUpdate};
 use crate::validity::{validate_detailed, Verdict};
@@ -652,27 +652,6 @@ struct FeedService {
     synced: BTreeMap<ConnId, u32>,
 }
 
-impl FeedService {
-    /// Encodes one whole answer straight into `out`.
-    fn transfer(
-        out: &mut Vec<u8>,
-        session: u16,
-        serial: u32,
-        entries: impl Iterator<Item = (bool, Ipv4Prefix, Asn)>,
-    ) {
-        Pdu::CacheResponse { session }.encode(out);
-        for (announce, prefix, asn) in entries {
-            Pdu::Prefix(PrefixEntry {
-                announce,
-                prefix,
-                asn,
-            })
-            .encode(out);
-        }
-        Pdu::EndOfData { session, serial }.encode(out);
-    }
-}
-
 impl Service for FeedService {
     fn on_data(&mut self, conn: ConnId, inbuf: &mut Vec<u8>, out: &mut Vec<u8>) -> Action {
         let mut consumed = 0;
@@ -688,10 +667,11 @@ impl Service for FeedService {
                             let mut shared = self.hub.lock();
                             let held = Instant::now();
                             let serial = shared.table.serial();
-                            Self::transfer(
+                            feed::encode_transfer(
                                 out,
                                 shared.table.session_id(),
                                 serial,
+                                shared.table.entry_count(),
                                 shared.table.entries().map(|(p, a)| (true, p, a)),
                             );
                             shared.metrics.feed_reset_syncs += 1;
@@ -717,10 +697,11 @@ impl Service for FeedService {
                                         delta.announced.iter().map(|&(p, a)| (true, p, a));
                                     let withdrawn =
                                         delta.withdrawn.iter().map(|&(p, a)| (false, p, a));
-                                    Self::transfer(
+                                    feed::encode_transfer(
                                         out,
                                         session,
                                         current,
+                                        delta.announced.len() + delta.withdrawn.len(),
                                         announced.chain(withdrawn),
                                     );
                                     self.synced.insert(conn, current);

@@ -41,6 +41,7 @@ pub const VERSION: u8 = 0;
 const MAX_PDU_LEN: u32 = 4096;
 
 const HEADER_LEN: usize = 8;
+const PREFIX_PDU_LEN: usize = 20;
 
 const TYPE_SERIAL_NOTIFY: u8 = 0;
 const TYPE_SERIAL_QUERY: u8 = 1;
@@ -98,6 +99,29 @@ pub struct PrefixEntry {
     pub prefix: Ipv4Prefix,
     /// The origin AS.
     pub asn: Asn,
+}
+
+/// Appends one whole answer to a query: [`Pdu::CacheResponse`], a
+/// [`Pdu::Prefix`] per entry, then [`Pdu::EndOfData`]. `count` is the number
+/// of entries, so the buffer grows once, to the transfer's exact size.
+pub(crate) fn encode_transfer(
+    out: &mut Vec<u8>,
+    session: u16,
+    serial: u32,
+    count: usize,
+    entries: impl Iterator<Item = (bool, Ipv4Prefix, Asn)>,
+) {
+    out.reserve(HEADER_LEN + count * PREFIX_PDU_LEN + HEADER_LEN + 4);
+    Pdu::CacheResponse { session }.encode(out);
+    for (announce, prefix, asn) in entries {
+        Pdu::Prefix(PrefixEntry {
+            announce,
+            prefix,
+            asn,
+        })
+        .encode(out);
+    }
+    Pdu::EndOfData { session, serial }.encode(out);
 }
 
 /// A feed protocol data unit.
@@ -167,12 +191,18 @@ impl Pdu {
             Pdu::ResetQuery => header(out, TYPE_RESET_QUERY, 0, 8),
             Pdu::CacheResponse { session } => header(out, TYPE_CACHE_RESPONSE, *session, 8),
             Pdu::Prefix(entry) => {
-                header(out, TYPE_PREFIX, 0, 20);
-                out.push(u8::from(entry.announce));
-                out.push(entry.prefix.len());
-                out.extend_from_slice(&[0, 0]);
-                out.extend_from_slice(&entry.prefix.network().to_be_bytes());
-                out.extend_from_slice(&entry.asn.0.to_be_bytes());
+                // Built in place and appended with one copy: a full sync
+                // appends two million of these. Session and reserved bytes
+                // stay zero.
+                let mut pdu = [0; PREFIX_PDU_LEN];
+                pdu[0] = VERSION;
+                pdu[1] = TYPE_PREFIX;
+                pdu[4..8].copy_from_slice(&(PREFIX_PDU_LEN as u32).to_be_bytes());
+                pdu[8] = u8::from(entry.announce);
+                pdu[9] = entry.prefix.len();
+                pdu[12..16].copy_from_slice(&entry.prefix.network().to_be_bytes());
+                pdu[16..].copy_from_slice(&entry.asn.0.to_be_bytes());
+                out.extend_from_slice(&pdu);
             }
             Pdu::EndOfData { session, serial } => {
                 header(out, TYPE_END_OF_DATA, *session, 12);
@@ -225,7 +255,7 @@ impl Pdu {
         let fixed = match pdu_type {
             TYPE_SERIAL_NOTIFY | TYPE_SERIAL_QUERY | TYPE_END_OF_DATA => Some(12),
             TYPE_RESET_QUERY | TYPE_CACHE_RESPONSE | TYPE_CACHE_RESET => Some(8),
-            TYPE_PREFIX => Some(20),
+            TYPE_PREFIX => Some(PREFIX_PDU_LEN as u32),
             TYPE_ERROR => None,
             other => return Err(FeedError::BadType(other)),
         };
